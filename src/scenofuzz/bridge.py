@@ -78,23 +78,35 @@ def _parse_actor(doc, where: str) -> ActorState:
         raise FrameError(f"{where}: actor_id and kind must be strings")
     numbers = {}
     for key in ("x", "y", "heading", "speed", "acceleration", "length", "width"):
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(float(value)):
+        number = _finite_number(doc[key])
+        if number is None:
             raise FrameError(f"{where}/{key}: expected a finite number")
-        numbers[key] = float(value)
+        numbers[key] = number
     try:
         return ActorState(doc["actor_id"], doc["kind"], **numbers)
     except ValueError as exc:
         raise FrameError(f"{where}: {exc}") from None
 
 
+def _finite_number(value) -> float | None:
+    """``value`` as a finite float, or None if it is not a finite number.
+
+    A JSON integer too large for a float counts as not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _require_number(doc: dict, key: str) -> float:
-    value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(float(value)):
+    number = _finite_number(doc.get(key))
+    if number is None:
         raise FrameError(f"/{key}: expected a finite number")
-    return float(value)
+    return number
 
 
 def encode(message: PerceptionMessage | ControlMessage) -> bytes:
@@ -157,8 +169,8 @@ def decode(frame: bytes) -> PerceptionMessage | ControlMessage:
     raise FrameError(f"unknown message type {kind!r}")
 
 
-def read_frame(reader, timeout_guard=None) -> bytes:
-    """Read one complete frame from a file-like object with .recv or .read."""
+def read_frame(reader) -> bytes:
+    """Read one complete frame from a socket-like object with ``.recv``."""
     header = _read_exact(reader, HEADER.size)
     (declared,) = HEADER.unpack(header)
     if declared > MAX_FRAME_BYTES:
@@ -193,6 +205,7 @@ class EgoAgentConfig:
     off_route_limit: float = 20.0     # m
     comfort_brake: float = 2.0        # m/s^2, approach-to-stop profile
     lat_accel_max: float = 2.5        # m/s^2, curve slowdown
+    dt: float = 0.1                   # s, simulation step between requests
     fault_ignore_obstacles: bool = False
     fault_ignore_junction_traffic: bool = False
     params: VehicleParams = field(default_factory=VehicleParams)
@@ -272,7 +285,7 @@ class ReferenceEgoAgent:
                 return ControlMessage(perception.sim_time,
                                       ControlCommand(0.0, brake, steering))
 
-        throttle, brake = self.speed_ctl.pedals(ego.speed, target, 0.1)
+        throttle, brake = self.speed_ctl.pedals(ego.speed, target, cfg.dt)
         return ControlMessage(perception.sim_time,
                               ControlCommand(throttle, brake, steering))
 

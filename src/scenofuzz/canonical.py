@@ -9,6 +9,11 @@ the same value always produces the same bytes:
 * floats rendered with 17 significant digits (lossless for IEEE doubles),
 * floats always carry a decimal point or exponent so the type survives a
   round trip.
+
+The encoder dispatches on exact types first (floats, strings, dicts, lists,
+tuples, ints) and falls back to ``isinstance`` checks for everything else
+(bools, ``None``, subclasses such as ``numpy.float64``), so the common case
+costs one ``type()`` lookup per value.
 """
 
 from __future__ import annotations
@@ -18,13 +23,18 @@ import json
 import math
 from typing import Any
 
+# The C function behind json.dumps(s, ensure_ascii=False): same text.
+_encode_str = json.encoder.encode_basestring
+_isfinite = math.isfinite
+_float_format = float.__format__
+
 
 class CanonicalError(ValueError):
     """Raised for values that have no canonical representation."""
 
 
 def _format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not _isfinite(value):
         raise CanonicalError(f"non-finite float not allowed: {value!r}")
     text = format(value, ".17g")
     # keep the float/int distinction through a parse round trip
@@ -33,46 +43,57 @@ def _format_float(value: float) -> str:
     return text
 
 
-def _encode(value: Any, out: list) -> None:
+def _key(key: Any) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    raise CanonicalError(f"object keys must be strings, got {key!r}")
+
+
+def _dump(value: Any) -> str:
+    kind = type(value)
+    if kind is float:
+        if _isfinite(value):  # inlined _format_float: floats dominate
+            text = _float_format(value, ".17g")
+            return text if "." in text or "e" in text else text + ".0"
+        return _format_float(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict:
+        return "{" + ",".join([
+            (_encode_str(k) if type(k) is str else _key(k)) + ":"
+            + _dump(value[k]) for k in sorted(value)]) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_dump(item) for item in value]) + "]"
+    if kind is int:
+        return str(value)
+    return _dump_other(value)
+
+
+def _dump_other(value: Any) -> str:
+    """Bools, None and subclasses, in the order the type checks always had."""
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_format_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _encode(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise CanonicalError(f"object keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _encode(value[key], out)
-        out.append("}")
-    else:
-        raise CanonicalError(f"unsupported type {type(value).__name__}")
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _format_float(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_dump(item) for item in value]) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join([_key(k) + ":" + _dump(value[k])
+                               for k in sorted(value)]) + "}"
+    raise CanonicalError(f"unsupported type {type(value).__name__}")
 
 
 def dumps(value: Any) -> str:
     """Serialize ``value`` to canonical JSON text."""
-    out: list = []
-    _encode(value, out)
-    return "".join(out)
+    return _dump(value)
 
 
 def dump_bytes(value: Any) -> bytes:

@@ -136,29 +136,31 @@ class CampaignContext:
         log_path = self.output_dir / EVALUATIONS_FILE
         if not log_path.exists():
             return
-        try:
-            entries = canonical.loads(log_path.read_text())
-        except ValueError as exc:
-            raise CampaignError(f"{log_path}: unreadable checkpoint: {exc}") \
-                from None
+        entries = _read_checkpoint_file(log_path)
         if not isinstance(entries, list):
             raise CampaignError(f"{log_path}: expected a JSON array")
         self._replay = deque(entries)
         state_path = self.output_dir / STATE_FILE
         if state_path.exists():
-            state = canonical.loads(state_path.read_text())
-            self._wall_prior = float(state.get("wall_consumed", 0.0))
+            state = _read_checkpoint_file(state_path)
+            wall = state.get("wall_consumed", 0.0) \
+                if isinstance(state, dict) else None
+            if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+                raise CampaignError(
+                    f"{state_path}: expected a JSON object with a numeric "
+                    "wall_consumed")
+            self._wall_prior = float(wall)
 
     def checkpoint(self) -> None:
         if self.output_dir is None:
             return
         self.output_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(self.output_dir / EVALUATIONS_FILE,
-                      canonical.dumps(self.records))
+                      canonical.dump_bytes(self.records))
         state = {"algorithm": self.algorithm_name, "seed": self.seed,
                  "completed": self.completed, "finished": self.finished,
                  "wall_consumed": self.wall_consumed()}
-        _atomic_write(self.output_dir / STATE_FILE, canonical.dumps(state))
+        _atomic_write(self.output_dir / STATE_FILE, canonical.dump_bytes(state))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -220,6 +222,7 @@ class CampaignContext:
                 cruise_speed=agent.cruise_speed,
                 fault_ignore_obstacles=agent.fault_ignore_obstacles,
                 fault_ignore_junction_traffic=agent.fault_ignore_junction_traffic,
+                dt=settings.dt,
                 params=settings.params))
 
         return InProcessSession(make_agent)
@@ -259,9 +262,16 @@ def _feedback_from_record(record: dict) -> Feedback:
                     time_of_decision=float(record["time_of_decision"]))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _read_checkpoint_file(path: Path):
+    try:
+        return canonical.loads(path.read_bytes())
+    except ValueError as exc:  # includes bad UTF-8
+        raise CampaignError(f"{path}: unreadable checkpoint: {exc}") from None
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -309,5 +319,5 @@ def run_campaign(algorithm: str, ctx: CampaignContext,
     ctx.checkpoint()
     report = build_report(ctx, algorithm)
     if ctx.output_dir is not None:
-        _atomic_write(ctx.output_dir / REPORT_FILE, canonical.dumps(report))
+        _atomic_write(ctx.output_dir / REPORT_FILE, canonical.dump_bytes(report))
     return report

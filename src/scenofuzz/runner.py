@@ -307,14 +307,14 @@ def write_recording(rec: ScenarioRecording, directory: str | Path,
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{rec.scenario_id}.record.json"
     doc = recording_document(rec, include_frames=include_frames)
-    path.write_text(canonical.dumps(doc))
+    path.write_bytes(canonical.dump_bytes(doc))
     return path
 
 
 def read_recording(path: str | Path) -> ScenarioRecording:
     path = Path(path)
     try:
-        doc = canonical.loads(path.read_text())
+        doc = canonical.loads(path.read_bytes())
     except ValueError as exc:
         raise RecordingFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -131,6 +131,18 @@ class TestFraming:
         with pytest.raises(FrameError):
             decode(bridge.HEADER.pack(len(nan_speed)) + nan_speed)
 
+        # an integer too large for a float is not a finite number either
+        huge = b"1" + b"0" * 400
+        huge_throttle = b'{"brake":0.0,"sim_time":0.0,"steering":0.0,' \
+                        b'"throttle":' + huge + b',"type":"control"}'
+        with pytest.raises(FrameError, match="/throttle"):
+            decode(bridge.HEADER.pack(len(huge_throttle)) + huge_throttle)
+        huge_x = canonical.dump_bytes(doc).replace(
+            b'"x":' + canonical.dumps(doc["ego"]["x"]).encode(),
+            b'"x":' + huge, 1)
+        with pytest.raises(FrameError, match="/ego/x"):
+            decode(bridge.HEADER.pack(len(huge_x)) + huge_x)
+
     def test_decode_fuzz_raises_only_frame_errors(self):
         rng = random.Random(1234)
         valid = encode(perception(actor(), [actor("npc_1", "npc", x=30.0)]))
@@ -255,6 +267,16 @@ class TestReferenceEgoAgent:
         reply = agent.step(perception(actor(x=25.0, speed=8.0)))
         assert reply.command.brake > 0.0
         assert reply.command.throttle == 0.0
+
+    def test_speed_controller_integrates_over_configured_dt(self):
+        coarse, fine = self.make(), self.make(dt=0.05)
+        assert coarse.config.dt == 0.1
+        start = perception(actor(x=50.0, speed=2.0))
+        coarse.step(start)
+        fine.step(start)
+        # one step from rest: integral = speed error * dt
+        assert coarse.speed_ctl.integral == pytest.approx(6.0 * 0.1)
+        assert fine.speed_ctl.integral == pytest.approx(6.0 * 0.05)
 
     def test_steers_back_toward_route(self):
         agent = self.make()

@@ -319,6 +319,11 @@ class TestCampaign:
         assert state["finished"] is True
         on_disk = canonical.loads((out / "report.json").read_text())
         assert on_disk["evaluations"] == report["evaluations"]
+        # written as canonical UTF-8 whatever the locale
+        assert (out / "report.json").read_bytes() == \
+            canonical.dump_bytes(report)
+        assert (out / "evaluations.json").read_bytes() == \
+            canonical.dump_bytes(ctx.records)
 
     def test_summary_recordings_when_disabled(self, junction_settings,
                                               tmp_path):
@@ -363,6 +368,24 @@ class TestCampaign:
                               output_dir=out, resume=True)
         with pytest.raises(CampaignError):
             run_campaign("random", ctx, {})
+
+    @pytest.mark.parametrize("name,content", [
+        ("campaign.state.json", b'{"algorithm":"random","completed":'),
+        ("campaign.state.json", b"[1,2]"),
+        ("campaign.state.json", b'"done"'),
+        ("campaign.state.json", b'{"wall_consumed":"soon"}'),
+        ("evaluations.json", b'[{"scenario_id":"\xff"}]'),
+    ], ids=["torn-state", "array-state", "string-state", "bad-field-state",
+            "non-utf8-log"])
+    def test_resume_reports_a_bad_checkpoint_file(self, junction_settings,
+                                                  tmp_path, name, content):
+        out = tmp_path / "run"
+        campaign_log(junction_settings, seed=1, evals=2, output_dir=out)
+        (out / name).write_bytes(content)
+        with pytest.raises(CampaignError, match=name):
+            CampaignContext(junction_settings,
+                            CampaignBudget(max_evaluations=4), seed=1,
+                            output_dir=out, resume=True)
 
     def test_stop_request_checkpoints_and_ends(self, junction_settings,
                                                tmp_path):

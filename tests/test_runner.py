@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from scenofuzz import canonical
 from scenofuzz.bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
                               EgoAgentConfig, InProcessSession,
                               ReferenceEgoAgent)
@@ -13,7 +14,8 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               RunnerError, Verdict, check_collision,
                               check_destination, initial_world,
                               mission_end_point, mission_path, read_recording,
-                              recording_digest, run_scenario, write_recording)
+                              recording_digest, recording_document,
+                              run_scenario, write_recording)
 from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
                                 ScenarioConfig)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
@@ -95,6 +97,21 @@ class TestRunScenario:
         assert ego.speed < 0.5
         assert rec.verdict.time_of_decision == last.sim_time
         assert rec.wall_clock > 0.0
+
+    def test_halving_dt_keeps_verdict_and_final_position(self, chain_map):
+        # Tolerance fixed before the first run: the ego stops within 0.5 m
+        # of where it stops at the default step.
+        config = chain_scenario()
+        ends = {}
+        for dt in (0.1, 0.05):
+            rec = run_scenario(config, chain_map,
+                               reference_session(chain_map, config, dt=dt),
+                               dt=dt)
+            ego = next(a for a in rec.frames[-1].actors if a.actor_id == "ego")
+            ends[dt] = (rec.verdict.outcome, ego.x, ego.y)
+        assert ends[0.05][0] == ends[0.1][0] == DESTINATION
+        assert math.hypot(ends[0.05][1] - ends[0.1][1],
+                          ends[0.05][2] - ends[0.1][2]) <= 0.5
 
     def test_timeout_fires_at_duration_limit(self, chain_map):
         config = chain_scenario(duration_limit=1.0)
@@ -206,6 +223,8 @@ class TestPersistence:
         rec = self.make_recording(chain_map)
         path = write_recording(rec, tmp_path)
         assert path.name == "chain_drive.record.json"
+        assert path.read_bytes() == \
+            canonical.dump_bytes(recording_document(rec))
         again = read_recording(path)
         assert again == rec  # wall_clock is excluded from equality
         assert recording_digest(again) == recording_digest(rec)
@@ -242,6 +261,9 @@ class TestPersistence:
         with pytest.raises(RecordingFormatError):
             read_recording(bad)
         bad.write_text('[1, 2]')
+        with pytest.raises(RecordingFormatError):
+            read_recording(bad)
+        bad.write_bytes(b'{"scenario_id": "\xff"}')  # not UTF-8
         with pytest.raises(RecordingFormatError):
             read_recording(bad)
 
