@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from . import canonical
+from .canonical import finite_number
 from .geometry import Polyline, normalize_angle
 from .simulator import (ActorState, ControlCommand, SpeedController,
                         VehicleParams, pure_pursuit_steering)
@@ -78,7 +79,7 @@ def _parse_actor(doc, where: str) -> ActorState:
         raise FrameError(f"{where}: actor_id and kind must be strings")
     numbers = {}
     for key in ("x", "y", "heading", "speed", "acceleration", "length", "width"):
-        number = _finite_number(doc[key])
+        number = finite_number(doc[key])
         if number is None:
             raise FrameError(f"{where}/{key}: expected a finite number")
         numbers[key] = number
@@ -88,24 +89,10 @@ def _parse_actor(doc, where: str) -> ActorState:
         raise FrameError(f"{where}: {exc}") from None
 
 
-def _finite_number(value) -> float | None:
-    """``value`` as a finite float, or None if it is not a finite number.
-
-    A JSON integer too large for a float counts as not finite.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
-def _require_number(doc: dict, key: str) -> float:
-    number = _finite_number(doc.get(key))
+def _require_number(doc: dict, key: str, where: str = "") -> float:
+    number = finite_number(doc[key])
     if number is None:
-        raise FrameError(f"/{key}: expected a finite number")
+        raise FrameError(f"{where}/{key}: expected a finite number")
     return number
 
 

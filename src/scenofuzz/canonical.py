@@ -43,6 +43,21 @@ def _format_float(value: float) -> str:
     return text
 
 
+def finite_number(value: Any) -> float | None:
+    """``value`` as a finite float, or None if it is not a finite number.
+
+    Bools are not numbers here, and a JSON integer too large for a float
+    counts as not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if _isfinite(number) else None
+
+
 def _key(key: Any) -> str:
     if isinstance(key, str):
         return _encode_str(key)

@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ConfigError, build_execution, load_config
+from .config import build_execution, load_config
 from .engine.campaign import CampaignContext, run_campaign
 
 log = logging.getLogger(__name__)
@@ -27,6 +27,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_INTERRUPTED = 130
+
+# Flags that override one config key each; the file's checks apply to them.
+FLAG_KEYS = {
+    "workers": "scenario_runner.parameters.worker_pool",
+    "max_evals": "testing_engine.algorithm.parameters.max_evaluations",
+    "resume": "system.resume",
+    "debug": "system.debug",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,19 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: ./configs)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed for the campaign (default: 0)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override scenario_runner.parameters.worker_pool")
-    parser.add_argument("--max-evals", type=int, default=None,
-                        help="override the evaluation budget")
+    parser.add_argument("--workers", type=int,
+                        help=f"override {FLAG_KEYS['workers']}")
+    parser.add_argument("--max-evals", type=int,
+                        help=f"override {FLAG_KEYS['max_evals']}")
     parser.add_argument("--run-id", default=None,
                         help="name of the output directory (default: UTC "
                              "timestamp plus seed)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume the run-id from its checkpoint")
+    parser.add_argument("--resume", action="store_true", default=None,
+                        help="resume the run-id from its checkpoint "
+                             f"(sets {FLAG_KEYS['resume']})")
     parser.add_argument("--export-svg", action="store_true",
                         help="render an SVG for each violation recording")
-    parser.add_argument("--debug", action="store_true",
-                        help="verbose logging")
+    parser.add_argument("--debug", action="store_true", default=None,
+                        help=f"verbose logging (sets {FLAG_KEYS['debug']})")
     return parser
 
 
@@ -94,37 +103,28 @@ def _export_svgs(ctx, output_dir: Path) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.debug else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
+    overrides = {key: getattr(args, flag) for flag, key in FLAG_KEYS.items()
+                 if getattr(args, flag) is not None}
 
     try:
-        config = load_config(_config_path(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        config = load_config(_config_path(args), overrides)
+        if config.debug:
+            logging.getLogger().setLevel(logging.DEBUG)
         settings, budget, params = build_execution(config)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a map that cannot be built
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.max_evals is not None:
-        from .engine.campaign import CampaignBudget
-        budget = CampaignBudget(max_evaluations=args.max_evals)
-        params = dict(params, max_evaluations=args.max_evals)
-    workers = args.workers if args.workers is not None else config.worker_pool
 
     output_root = os.environ.get(OUTPUT_ROOT_ENV_VAR) or config.output_root
     run_id = args.run_id or default_run_id(args.seed)
     output_dir = Path(output_root) / run_id
-    resume = args.resume or config.resume
 
     try:
         ctx = CampaignContext(settings, budget, seed=args.seed,
-                              workers=workers, output_dir=output_dir,
-                              resume=resume)
+                              workers=config.worker_pool,
+                              output_dir=output_dir, resume=config.resume)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

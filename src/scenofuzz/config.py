@@ -10,12 +10,13 @@ instead of silently running defaults.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
+from .canonical import finite_number
 from .engine.campaign import AgentSettings, CampaignBudget
 from .runner import OracleConfig
 from .scenario import MutationSpace
@@ -25,9 +26,10 @@ log = logging.getLogger(__name__)
 BUILTIN_RUNNER = "ApolloSim"
 AGENT_TYPES = ("reference", "external")
 
-# Every optional key with its default, addressed by dotted path.  The
-# reference table in docs/config.md is generated from the same values and a
-# test keeps the two in sync.
+# Every optional key with its default, addressed by dotted path.  With
+# REQUIRED_KEYS this is the whole key set the parser accepts, and each value
+# must have its default's type.  The reference table in docs/config.md is
+# generated from the same values and a test keeps the two in sync.
 CONFIG_DEFAULTS: dict[str, Any] = {
     "system.debug": False,
     "system.resume": False,
@@ -76,6 +78,13 @@ REQUIRED_KEYS = (
     "testing_engine.algorithm.name",
 )
 
+# A null default makes a key an optional string, except for these two, whose
+# values are integers when set.
+OPTIONAL_INTEGER_KEYS = (
+    "testing_engine.algorithm.parameters.max_evaluations",
+    "testing_engine.algorithm.parameters.batch_size",
+)
+
 
 class ConfigError(ValueError):
     pass
@@ -87,23 +96,38 @@ class RunConfig:
     start_lane_id: str
     end_lane_id: str
     algorithm: str
-    debug: bool = False
-    resume: bool = False
-    output_root: str = "./results"
-    start_station: float = 0.0
-    end_station: float = 0.0
-    duration_limit: float = 45.0
-    mutation_space: MutationSpace = field(default_factory=MutationSpace)
-    runner_name: str = BUILTIN_RUNNER
-    container_name: str = ""
-    save_traffic_recording: bool = True
-    worker_pool: int = 1
-    dt: float = 0.1
-    agent_type: str = "reference"
-    agent_endpoint: str | None = None
-    agent: AgentSettings = field(default_factory=AgentSettings)
-    algorithm_params: dict = field(default_factory=dict)
-    oracles: OracleConfig = field(default_factory=OracleConfig)
+    debug: bool
+    resume: bool
+    output_root: str
+    start_station: float
+    end_station: float
+    duration_limit: float
+    mutation_space: MutationSpace
+    runner_name: str
+    container_name: str
+    save_traffic_recording: bool
+    worker_pool: int
+    dt: float
+    agent_type: str
+    agent_endpoint: str | None
+    agent: AgentSettings
+    algorithm_params: dict
+    oracles: OracleConfig
+
+
+def _key_tree(paths) -> dict:
+    """Dotted paths as nested sections; each leaf holds its full path."""
+    tree: dict = {}
+    for path in paths:
+        *sections, leaf = path.split(".")
+        node = tree
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[leaf] = path
+    return tree
+
+
+_KEY_TREE = _key_tree([*REQUIRED_KEYS, *CONFIG_DEFAULTS])
 
 
 class _Node:
@@ -135,37 +159,40 @@ class _Node:
             raise ConfigError(f"{self._where(unknown[0])}: unknown key "
                               f"(known keys: {', '.join(sorted(known))})")
 
-    def get(self, key: str, default: Any) -> Any:
-        value = self.mapping().get(key, default)
-        return self._check(key, value, default)
-
-    def require(self, key: str, kind: type) -> Any:
+    def require(self, key: str) -> str:
         mapping = self.mapping()
         if key not in mapping:
             raise ConfigError(f"{self._where(key)}: required key is missing")
         value = mapping[key]
-        if kind is str:
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"{self._where(key)}: expected a non-empty "
-                                  "string")
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{self._where(key)}: expected a non-empty "
+                              "string")
         return value
 
-    def _check(self, key: str, value: Any, default: Any) -> Any:
+    def get(self, key: str, path: str, overrides: dict) -> Any:
+        """The value of table key ``path``, typed like its default."""
+        default = CONFIG_DEFAULTS[path]
+        value = overrides.get(path, self.mapping().get(key, default))
         if value is None and default is None:
             return None
+        if path in OPTIONAL_INTEGER_KEYS:
+            default = 0
         where = self._where(key)
         if isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ConfigError(f"{where}: expected true or false")
             return value
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{where}: expected an integer")
             return value
         if isinstance(default, float):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{where}: expected a number")
-            return float(value)
+            number = finite_number(value)
+            if number is None:
+                raise ConfigError(f"{where}: expected a finite number")
+            return number
         if isinstance(default, str) or default is None:
             if not isinstance(value, str):
                 raise ConfigError(f"{where}: expected a string")
@@ -173,149 +200,96 @@ class _Node:
         raise ConfigError(f"{where}: unsupported value")  # pragma: no cover
 
 
-def _default(path: str) -> Any:
-    return CONFIG_DEFAULTS[path]
+def _walk(node: _Node, tree: dict, overrides: dict, values: dict) -> None:
+    node.reject_unknown(tree)
+    for key, entry in tree.items():
+        if isinstance(entry, dict):
+            _walk(node.child(key), entry, overrides, values)
+        elif entry in CONFIG_DEFAULTS:
+            values[entry] = node.get(key, entry, overrides)
+        else:
+            values[entry] = node.require(key)
 
 
-def parse_config(doc: Any) -> RunConfig:
-    root = _Node(doc)
-    root.reject_unknown({"system", "scenario", "scenario_runner",
-                         "testing_engine"})
+def _section(values: dict, prefix: str) -> dict:
+    """The values under ``prefix``, keyed by their path below it."""
+    start = len(prefix) + 1
+    return {path[start:]: value for path, value in values.items()
+            if path.startswith(prefix + ".")}
 
-    system = root.child("system")
-    system.reject_unknown({"debug", "resume", "output_root"})
 
-    scenario = root.child("scenario")
-    scenario.reject_unknown({"map_name", "start_lane_id", "end_lane_id",
-                             "start_station", "end_station", "duration_limit",
-                             "mutation_space"})
-    space_node = scenario.child("mutation_space")
-    space_fields = ("speeds", "offsets", "delays", "presence", "speed_low",
-                    "speed_high", "offset_limit", "delay_low", "delay_high")
-    space_node.reject_unknown(set(space_fields))
-    space = MutationSpace(**{
-        name: space_node.get(name,
-                             _default(f"scenario.mutation_space.{name}"))
-        for name in space_fields})
+def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
+    """Check ``doc`` against the key table and build the run config.
 
-    runner = root.child("scenario_runner")
-    runner.reject_unknown({"name", "parameters"})
-    runner_name = runner.get("name", _default("scenario_runner.name"))
+    ``overrides`` maps table keys to values that replace the document's;
+    they go through the same checks.
+    """
+    values: dict[str, Any] = {}
+    _walk(_Node(doc), _KEY_TREE, overrides or {}, values)
+
+    runner_name = values["scenario_runner.name"]
     if runner_name != BUILTIN_RUNNER:
         raise ConfigError(
             f"scenario_runner.name: unknown runner {runner_name!r}; only "
             f"{BUILTIN_RUNNER!r} is available")
-    rparams = runner.child("parameters")
-    rparams.reject_unknown({"container_name", "save_traffic_recording",
-                            "worker_pool", "dt", "agent"})
-    container = rparams.get(
-        "container_name", _default("scenario_runner.parameters.container_name"))
+    container = values["scenario_runner.parameters.container_name"]
     if container:
         log.warning("scenario_runner.parameters.container_name=%r is accepted "
                     "for compatibility and ignored: the built-in runner does "
                     "not manage containers", container)
-    worker_pool = rparams.get(
-        "worker_pool", _default("scenario_runner.parameters.worker_pool"))
-    if worker_pool < 1:
+    if values["scenario_runner.parameters.worker_pool"] < 1:
         raise ConfigError("scenario_runner.parameters.worker_pool: must be "
                           ">= 1")
-    dt = rparams.get("dt", _default("scenario_runner.parameters.dt"))
-    if dt <= 0:
+    if values["scenario_runner.parameters.dt"] <= 0:
         raise ConfigError("scenario_runner.parameters.dt: must be > 0")
-
-    agent_node = rparams.child("agent")
-    agent_node.reject_unknown({"type", "endpoint", "cruise_speed",
-                               "fault_ignore_obstacles",
-                               "fault_ignore_junction_traffic"})
     agent_prefix = "scenario_runner.parameters.agent"
-    agent_type = agent_node.get("type", _default(f"{agent_prefix}.type"))
+    agent = _section(values, agent_prefix)
+    agent_type = agent.pop("type")
+    agent_endpoint = agent.pop("endpoint")
     if agent_type not in AGENT_TYPES:
         raise ConfigError(f"{agent_prefix}.type: expected one of "
                           f"{', '.join(AGENT_TYPES)}")
-    agent = AgentSettings(
-        cruise_speed=agent_node.get("cruise_speed",
-                                    _default(f"{agent_prefix}.cruise_speed")),
-        fault_ignore_obstacles=agent_node.get(
-            "fault_ignore_obstacles",
-            _default(f"{agent_prefix}.fault_ignore_obstacles")),
-        fault_ignore_junction_traffic=agent_node.get(
-            "fault_ignore_junction_traffic",
-            _default(f"{agent_prefix}.fault_ignore_junction_traffic")))
-
-    engine = root.child("testing_engine")
-    engine.reject_unknown({"algorithm", "oracle"})
-    algorithm = engine.child("algorithm")
-    algorithm.reject_unknown({"name", "parameters"})
-    aparams = algorithm.child("parameters")
     param_prefix = "testing_engine.algorithm.parameters"
-    known_params = {key.rsplit(".", 1)[1]: CONFIG_DEFAULTS[key]
-                    for key in CONFIG_DEFAULTS
-                    if key.startswith(param_prefix + ".")}
-    aparams.reject_unknown(set(known_params))
-    resolved_params = {}
-    for name, default in known_params.items():
-        if default is None:
-            value = aparams.mapping().get(name)
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{param_prefix}.{name}: expected an "
-                                      "integer")
-                resolved_params[name] = value
-        else:
-            resolved_params[name] = aparams.get(name, default)
-    if resolved_params.get("max_evaluations", 1) < 1:
+    params = {name: value
+              for name, value in _section(values, param_prefix).items()
+              if value is not None}
+    if params.get("max_evaluations", 1) < 1:
         raise ConfigError(f"{param_prefix}.max_evaluations: must be >= 1")
-
-    oracle = engine.child("oracle")
-    oracle.reject_unknown({"collision", "destination", "stuck"})
-    collision = oracle.child("collision")
-    collision.reject_unknown({"threshold"})
-    destination = oracle.child("destination")
-    destination.reject_unknown({"tolerance"})
-    stuck = oracle.child("stuck")
-    stuck.reject_unknown({"speed", "duration"})
-    oracles = OracleConfig(
-        collision_threshold=collision.get(
-            "threshold", _default("testing_engine.oracle.collision.threshold")),
-        destination_tolerance=destination.get(
-            "tolerance", _default("testing_engine.oracle.destination.tolerance")),
-        stuck_speed=stuck.get(
-            "speed", _default("testing_engine.oracle.stuck.speed")),
-        stuck_duration=stuck.get(
-            "duration", _default("testing_engine.oracle.stuck.duration")))
+    if params["population_size"] < 2:
+        raise ConfigError(f"{param_prefix}.population_size: must be >= 2")
+    # OracleConfig's fields are the oracle keys with "_" for "."
+    oracles = {name.replace(".", "_"): value for name, value
+               in _section(values, "testing_engine.oracle").items()}
 
     return RunConfig(
-        map_name=scenario.require("map_name", str),
-        start_lane_id=scenario.require("start_lane_id", str),
-        end_lane_id=scenario.require("end_lane_id", str),
-        algorithm=algorithm.require("name", str),
-        debug=system.get("debug", _default("system.debug")),
-        resume=system.get("resume", _default("system.resume")),
-        output_root=system.get("output_root", _default("system.output_root")),
-        start_station=scenario.get("start_station",
-                                   _default("scenario.start_station")),
-        end_station=scenario.get("end_station",
-                                 _default("scenario.end_station")),
-        duration_limit=scenario.get("duration_limit",
-                                    _default("scenario.duration_limit")),
-        mutation_space=space,
+        map_name=values["scenario.map_name"],
+        start_lane_id=values["scenario.start_lane_id"],
+        end_lane_id=values["scenario.end_lane_id"],
+        algorithm=values["testing_engine.algorithm.name"],
+        debug=values["system.debug"],
+        resume=values["system.resume"],
+        output_root=values["system.output_root"],
+        start_station=values["scenario.start_station"],
+        end_station=values["scenario.end_station"],
+        duration_limit=values["scenario.duration_limit"],
+        mutation_space=MutationSpace(
+            **_section(values, "scenario.mutation_space")),
         runner_name=runner_name,
         container_name=container,
-        save_traffic_recording=rparams.get(
-            "save_traffic_recording",
-            _default("scenario_runner.parameters.save_traffic_recording")),
-        worker_pool=worker_pool,
-        dt=dt,
+        save_traffic_recording=values[
+            "scenario_runner.parameters.save_traffic_recording"],
+        worker_pool=values["scenario_runner.parameters.worker_pool"],
+        dt=values["scenario_runner.parameters.dt"],
         agent_type=agent_type,
-        agent_endpoint=agent_node.get("endpoint",
-                                      _default(f"{agent_prefix}.endpoint")),
-        agent=agent,
-        algorithm_params=resolved_params,
-        oracles=oracles,
+        agent_endpoint=agent_endpoint,
+        agent=AgentSettings(**agent),
+        algorithm_params=params,
+        oracles=OracleConfig(**oracles),
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Read and parse a config file; ``overrides`` as in :func:`parse_config`."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -325,7 +299,7 @@ def load_config(path: str | Path) -> RunConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-    return parse_config(doc)
+    return parse_config(doc, overrides)
 
 
 def build_execution(config: RunConfig):

@@ -53,6 +53,10 @@ def _best(population, fitnesses):
 
 def run(ctx, params: dict) -> None:
     pop_size = int(params.get("population_size", 4))
+    if pop_size < 2:
+        # a population of one breeds no children, so no generation spends
+        # budget and the loop never ends; an empty one has no best member
+        raise ValueError(f"population_size must be >= 2, got {pop_size}")
     pm = float(params.get("pm", 0.6))
     pc = float(params.get("pc", 0.6))
     wall_mode = ctx.budget.max_evaluations is None

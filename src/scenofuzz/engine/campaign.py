@@ -105,7 +105,7 @@ class CampaignContext:
         self._mission = mission_path(settings.template, settings.lane_map)
         self._lane_width = settings.lane_map.lane(
             settings.template.ego.start_lane_id).width
-        self._replay: deque[dict] = deque()
+        self._replay: deque[tuple[dict, Feedback]] = deque()
         self._wall_prior = 0.0
         self._t0 = time.monotonic()
         if resume and self.output_dir is not None:
@@ -139,7 +139,12 @@ class CampaignContext:
         entries = _read_checkpoint_file(log_path)
         if not isinstance(entries, list):
             raise CampaignError(f"{log_path}: expected a JSON array")
-        self._replay = deque(entries)
+        for i, entry in enumerate(entries):
+            try:
+                self._replay.append((entry, _feedback_from_record(entry)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CampaignError(f"{log_path}: entry {i} is not an "
+                                    f"evaluation record: {exc!r}") from None
         state_path = self.output_dir / STATE_FILE
         if state_path.exists():
             state = _read_checkpoint_file(state_path)
@@ -177,7 +182,7 @@ class CampaignContext:
 
         replay_n = 0
         while self._replay and replay_n < len(todo):
-            entry = self._replay[0]
+            entry, feedback = self._replay[0]
             expected = [float(v) for v in todo[replay_n].values]
             if entry.get("values") != expected:
                 raise CampaignError(
@@ -186,7 +191,7 @@ class CampaignContext:
                     "different configuration or seed")
             self._replay.popleft()
             self.records.append(entry)
-            feedbacks.append(_feedback_from_record(entry))
+            feedbacks.append(feedback)
             replay_n += 1
 
         fresh = todo[replay_n:]

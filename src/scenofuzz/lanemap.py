@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from .canonical import finite_number
 from .geometry import Polyline, Pose
 
 log = logging.getLogger(__name__)
@@ -77,18 +78,19 @@ def _build_lane(entry: dict, index: int) -> Lane:
     lane_id = entry.get("id")
     if not isinstance(lane_id, str) or not lane_id:
         raise MapFormatError(f"{where}: 'id' must be a non-empty string")
-    width = entry.get("width")
-    if not isinstance(width, (int, float)) or width <= 0:
-        raise MapFormatError(f"{where}: 'width' must be > 0")
+    width = finite_number(entry.get("width"))
+    if width is None or width <= 0:
+        raise MapFormatError(f"{where}: 'width' must be a finite number > 0")
     raw_line = entry.get("centerline")
     if not isinstance(raw_line, list) or len(raw_line) < 2:
         raise MapFormatError(f"{where}: 'centerline' needs at least 2 points")
     points = []
     for j, pt in enumerate(raw_line):
-        if (not isinstance(pt, list) or len(pt) != 2
-                or not all(isinstance(c, (int, float)) for c in pt)):
-            raise MapFormatError(f"{where}.centerline[{j}]: expected [x, y]")
-        points.append((float(pt[0]), float(pt[1])))
+        point = [finite_number(c) for c in pt] if isinstance(pt, list) else []
+        if len(point) != 2 or None in point:
+            raise MapFormatError(f"{where}.centerline[{j}]: expected [x, y] "
+                                 "of finite numbers")
+        points.append(tuple(point))
     try:
         path = Polyline(points)
     except ValueError as exc:
@@ -98,7 +100,7 @@ def _build_lane(entry: dict, index: int) -> Lane:
     for key, val in (("successors", succ), ("predecessors", pred)):
         if not isinstance(val, list) or not all(isinstance(s, str) for s in val):
             raise MapFormatError(f"{where}: '{key}' must be a list of lane ids")
-    return Lane(lane_id, float(width), tuple(points), tuple(succ), tuple(pred), path)
+    return Lane(lane_id, width, tuple(points), tuple(succ), tuple(pred), path)
 
 
 def load_map_document(doc: dict) -> LaneMap:

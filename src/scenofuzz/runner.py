@@ -16,7 +16,8 @@ from typing import Callable
 
 from . import canonical
 from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
-                     PerceptionMessage)
+                     PerceptionMessage, _actor_doc, _parse_actor,
+                     _require_number)
 from .geometry import Polyline
 from .lanemap import LaneMap, route
 from .scenario import ScenarioConfig, from_document, to_document, validate
@@ -272,11 +273,7 @@ def _frame_doc(frame: Frame) -> dict:
         "ego_command": {"throttle": frame.ego_command.throttle,
                         "brake": frame.ego_command.brake,
                         "steering": frame.ego_command.steering},
-        "actors": [{"actor_id": a.actor_id, "kind": a.kind, "x": a.x, "y": a.y,
-                    "heading": a.heading, "speed": a.speed,
-                    "acceleration": a.acceleration,
-                    "length": a.length, "width": a.width}
-                   for a in frame.actors],
+        "actors": [_actor_doc(a) for a in frame.actors],
     }
 
 
@@ -323,34 +320,44 @@ def read_recording(path: str | Path) -> ScenarioRecording:
                 "config", "verdict", "annotations", "frames"}
     if set(doc) != required:
         raise RecordingFormatError(f"{path}: wrong top-level keys {sorted(doc)}")
-    if doc["schema_version"] != RECORDING_SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if isinstance(version, bool) or version != RECORDING_SCHEMA_VERSION:
         raise RecordingFormatError(
-            f"{path}: unsupported schema_version {doc['schema_version']!r}")
+            f"{path}: unsupported schema_version {version!r}")
+    rng_seed = doc["rng_seed"]
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
+        raise RecordingFormatError(f"{path}: rng_seed must be an integer")
+    if not isinstance(doc["scenario_id"], str):
+        raise RecordingFormatError(f"{path}: scenario_id must be a string")
+    if not isinstance(doc["annotations"], list):
+        raise RecordingFormatError(f"{path}: annotations must be an array")
+    # a FrameError from the actor codec is a ValueError too
     try:
         config = from_document(doc["config"])
         vdoc = doc["verdict"]
-        verdict = Verdict(vdoc["outcome"], float(vdoc["time_of_decision"]),
+        verdict = Verdict(vdoc["outcome"],
+                          _require_number(vdoc, "time_of_decision", "/verdict"),
                           vdoc.get("details", {}))
         frames = []
-        for fdoc in doc["frames"]:
+        for i, fdoc in enumerate(doc["frames"]):
+            where = f"/frames/{i}"
             cmd = fdoc["ego_command"]
-            actors = tuple(
-                ActorState(a["actor_id"], a["kind"], float(a["x"]), float(a["y"]),
-                           float(a["heading"]), float(a["speed"]),
-                           float(a["acceleration"]), float(a["length"]),
-                           float(a["width"]))
-                for a in fdoc["actors"])
-            frames.append(Frame(float(fdoc["sim_time"]), actors,
-                                ControlCommand(cmd["throttle"], cmd["brake"],
-                                               cmd["steering"])))
+            command = ControlCommand(
+                *(_require_number(cmd, key, f"{where}/ego_command")
+                  for key in ("throttle", "brake", "steering")))
+            actors = tuple(_parse_actor(a, f"{where}/actors/{j}")
+                           for j, a in enumerate(fdoc["actors"]))
+            frames.append(Frame(_require_number(fdoc, "sim_time", where),
+                                actors, command))
+        wall_clock = _require_number(doc, "wall_clock")
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordingFormatError(f"{path}: malformed recording: {exc}") from None
     return ScenarioRecording(
-        scenario_id=str(doc["scenario_id"]),
+        scenario_id=doc["scenario_id"],
         config_snapshot=config,
         frames=tuple(frames),
         verdict=verdict,
-        rng_seed=int(doc["rng_seed"]),
+        rng_seed=rng_seed,
         annotations=tuple(doc["annotations"]),
-        wall_clock=float(doc["wall_clock"]),
+        wall_clock=wall_clock,
     )

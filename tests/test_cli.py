@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -10,7 +11,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+import yaml
 
+from scenofuzz import cli
 from scenofuzz.cli import (
     EXIT_CONFIG,
     EXIT_INTERRUPTED,
@@ -18,6 +21,7 @@ from scenofuzz.cli import (
     default_run_id,
     main,
 )
+from scenofuzz.config import ConfigError
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = PACKAGE_ROOT / "configs"
@@ -51,6 +55,41 @@ def output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("SCENOFUZZ_OUTPUT_ROOT", str(root))
     monkeypatch.delenv("SCENOFUZZ_BRIDGE_ADDR", raising=False)
     return root
+
+
+def write_config(config_dir, **keys):
+    """MINI_CONFIG with dotted ``keys`` set, as ``mini.yaml`` in a new dir."""
+    doc = yaml.safe_load(MINI_CONFIG)
+    for path, value in keys.items():
+        *sections, leaf = path.split(".")
+        node = doc
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    config_dir.mkdir()
+    (config_dir / "mini.yaml").write_text(yaml.safe_dump(doc))
+    return config_dir
+
+
+@pytest.fixture()
+def root_logger():
+    root = logging.getLogger()
+    level = root.level
+    yield root
+    root.setLevel(level)
+
+
+@pytest.fixture()
+def parsed_configs(monkeypatch):
+    """Configs main() parsed; each run then stops with the config exit code."""
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise ConfigError("stopped before the campaign")
+
+    monkeypatch.setattr(cli, "build_execution", stop)
+    return seen
 
 
 def run_cli(config_dir, *extra):
@@ -90,6 +129,45 @@ class TestArgumentHandling:
         rc = run_cli(config_dir)
         assert rc == EXIT_CONFIG
         assert "endpoint" in capsys.readouterr().err
+
+
+class TestFlagOverrides:
+    @pytest.mark.parametrize("flag,key", [
+        ("--workers", "scenario_runner.parameters.worker_pool"),
+        ("--max-evals", "testing_engine.algorithm.parameters.max_evaluations"),
+    ])
+    def test_zero_flag_exits_like_the_file_key(self, tmp_path, output_root,
+                                               capsys, flag, key):
+        rc_flag = run_cli(write_config(tmp_path / "flag"), flag, "0")
+        err_flag = capsys.readouterr().err
+        rc_file = run_cli(write_config(tmp_path / "file", **{key: 0}))
+        err_file = capsys.readouterr().err
+        assert rc_flag == rc_file == EXIT_CONFIG
+        assert f"{key}: must be >= 1" in err_flag
+        assert err_flag == err_file
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize("flag,key,value", [
+        (["--workers", "3"], "scenario_runner.parameters.worker_pool", 3),
+        (["--max-evals", "7"],
+         "testing_engine.algorithm.parameters.max_evaluations", 7),
+        (["--resume"], "system.resume", True),
+        (["--debug"], "system.debug", True),
+    ])
+    def test_flag_and_file_key_give_the_same_config(
+            self, tmp_path, parsed_configs, root_logger, flag, key, value):
+        assert run_cli(write_config(tmp_path / "flag"), *flag) == EXIT_CONFIG
+        assert run_cli(write_config(tmp_path / "file", **{key: value})) \
+            == EXIT_CONFIG
+        assert parsed_configs[0] == parsed_configs[1]
+
+    def test_system_debug_sets_the_log_level(self, tmp_path, parsed_configs,
+                                             root_logger):
+        root_logger.setLevel(logging.INFO)
+        run_cli(write_config(tmp_path / "quiet"))
+        assert root_logger.level == logging.INFO
+        run_cli(write_config(tmp_path / "debug", **{"system.debug": True}))
+        assert root_logger.level == logging.DEBUG
 
 
 class TestCampaignRuns:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from scenofuzz.bridge import BridgeServer
+from scenofuzz.cli import FLAG_KEYS
 from scenofuzz.config import (
     AGENT_TYPES,
     BUILTIN_RUNNER,
@@ -123,6 +124,27 @@ class TestDefaults:
         assert config.mutation_space == MutationSpace(
             presence=False, offset_limit=1.25)
 
+    def test_spelled_out_defaults_equal_the_minimal_config(self):
+        assert parse_config(minimal_doc(**CONFIG_DEFAULTS)) == \
+            parse_config(minimal_doc())
+
+    @pytest.mark.parametrize("path,value", [
+        ("scenario_runner.parameters.worker_pool", 3),
+        ("testing_engine.algorithm.parameters.max_evaluations", 7),
+        ("system.resume", True),
+        ("system.debug", True),
+        ("scenario.duration_limit", 20),
+    ])
+    def test_override_equals_the_same_key_in_the_file(self, path, value):
+        assert parse_config(minimal_doc(), {path: value}) == \
+            parse_config(minimal_doc(**{path: value}))
+
+    def test_override_replaces_the_file_value(self):
+        doc = minimal_doc(**{"scenario_runner.parameters.worker_pool": 2})
+        config = parse_config(
+            doc, {"scenario_runner.parameters.worker_pool": 5})
+        assert config.worker_pool == 5
+
     def test_int_accepted_where_float_expected(self):
         config = parse_config(minimal_doc(**{"scenario.duration_limit": 20}))
         assert config.duration_limit == 20.0
@@ -213,10 +235,54 @@ class TestStrictness:
         ("scenario_runner.parameters.dt", 0.0),
         ("scenario_runner.parameters.dt", -0.1),
         ("testing_engine.algorithm.parameters.max_evaluations", 0),
+        ("testing_engine.algorithm.parameters.population_size", 1),
+        ("testing_engine.algorithm.parameters.population_size", 0),
     ])
     def test_out_of_range_values_rejected(self, path, value):
         with pytest.raises(ConfigError, match=path.rsplit(".", 1)[1]):
             parse_config(minimal_doc(**{path: value}))
+
+    @pytest.mark.parametrize("path,value", [
+        ("scenario_runner.parameters.worker_pool", 0),
+        ("testing_engine.algorithm.parameters.max_evaluations", 0),
+        ("testing_engine.algorithm.parameters.max_evaluations", "7"),
+        ("system.debug", 1),
+    ])
+    def test_override_fails_like_the_file(self, path, value):
+        with pytest.raises(ConfigError) as from_file:
+            parse_config(minimal_doc(**{path: value}))
+        with pytest.raises(ConfigError) as from_override:
+            parse_config(minimal_doc(), {path: value})
+        assert str(from_override.value) == str(from_file.value)
+        assert path in str(from_override.value)
+
+    @pytest.mark.parametrize("path", [
+        "scenario.duration_limit",
+        "scenario_runner.parameters.dt",
+        "testing_engine.oracle.collision.threshold",
+        "scenario.mutation_space.speed_high",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 10**400])
+    def test_non_finite_numbers_rejected(self, path, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{path: value}))
+        assert f"{path}: expected a finite number" in str(err.value)
+
+    def test_non_finite_yaml_spellings_rejected(self, tmp_path):
+        for spelling in (".nan", ".inf", "-.Inf"):
+            path = tmp_path / "nan.yaml"
+            path.write_text(
+                "scenario:\n"
+                "  map_name: chain_3\n"
+                "  start_lane_id: lane_a\n"
+                "  end_lane_id: lane_a\n"
+                f"  duration_limit: {spelling}\n"
+                "testing_engine:\n"
+                "  algorithm:\n"
+                "    name: random\n")
+            with pytest.raises(ConfigError, match="scenario.duration_limit"):
+                load_config(path)
 
     def test_container_name_warns_and_is_kept(self, caplog):
         doc = minimal_doc(
@@ -355,6 +421,13 @@ class TestDocumentationSync:
         if isinstance(value, str):
             return f'"{value}"'
         return repr(value)
+
+    def test_flag_table_matches_the_cli(self):
+        text = (PACKAGE_ROOT / "docs" / "config.md").read_text()
+        for flag, key in FLAG_KEYS.items():
+            row = f"| `--{flag.replace('_', '-')}` | `{key}` |"
+            assert row in text, f"docs/config.md is missing {row!r}"
+            assert key in CONFIG_DEFAULTS
 
     def test_reference_table_matches_defaults(self):
         text = (PACKAGE_ROOT / "docs" / "config.md").read_text()

@@ -285,6 +285,13 @@ def campaign_log(settings, algo="random", seed=0, evals=10, workers=1,
     return ctx, report
 
 
+def _without_fitness_of_entry_1(log: bytes) -> bytes:
+    """The log with one key dropped; its values still match on resume."""
+    entries = canonical.loads(log)
+    del entries[1]["fitness"]
+    return canonical.dump_bytes(entries)
+
+
 class TestCampaign:
     def test_budget_is_exact(self, junction_settings):
         ctx, report = campaign_log(junction_settings, evals=7)
@@ -369,20 +376,25 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             run_campaign("random", ctx, {})
 
-    @pytest.mark.parametrize("name,content", [
-        ("campaign.state.json", b'{"algorithm":"random","completed":'),
-        ("campaign.state.json", b"[1,2]"),
-        ("campaign.state.json", b'"done"'),
-        ("campaign.state.json", b'{"wall_consumed":"soon"}'),
-        ("evaluations.json", b'[{"scenario_id":"\xff"}]'),
+    @pytest.mark.parametrize("name,content,where", [
+        ("campaign.state.json", b'{"algorithm":"random","completed":', ""),
+        ("campaign.state.json", b"[1,2]", ""),
+        ("campaign.state.json", b'"done"', ""),
+        ("campaign.state.json", b'{"wall_consumed":"soon"}', ""),
+        ("evaluations.json", b'[{"scenario_id":"\xff"}]', ""),
+        ("evaluations.json", b"[1,2]", "entry 0"),
+        ("evaluations.json", _without_fitness_of_entry_1, "entry 1"),
     ], ids=["torn-state", "array-state", "string-state", "bad-field-state",
-            "non-utf8-log"])
+            "non-utf8-log", "non-object-entry", "entry-without-fitness"])
     def test_resume_reports_a_bad_checkpoint_file(self, junction_settings,
-                                                  tmp_path, name, content):
+                                                  tmp_path, name, content,
+                                                  where):
         out = tmp_path / "run"
         campaign_log(junction_settings, seed=1, evals=2, output_dir=out)
+        if callable(content):
+            content = content((out / name).read_bytes())
         (out / name).write_bytes(content)
-        with pytest.raises(CampaignError, match=name):
+        with pytest.raises(CampaignError, match=f"{name}: {where}"):
             CampaignContext(junction_settings,
                             CampaignBudget(max_evaluations=4), seed=1,
                             output_dir=out, resume=True)
@@ -439,6 +451,16 @@ class TestAlgorithmsOnSyntheticLandscapes:
     def test_search_beats_its_own_start(self, algo):
         ctx = self.run_algo(algo, seed=1, evals=120)
         assert min(ctx.fitness_log) < ctx.fitness_log[0]
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_avfuzzer_rejects_a_population_below_two(self, size):
+        from scenofuzz.engine import avfuzzer
+        ctx = SyntheticContext(box_prototype(6), sphere(self.TARGET),
+                               max_evaluations=20)
+        ctx.evaluate_batch = lambda vectors: pytest.fail(
+            "evaluated before checking population_size")
+        with pytest.raises(ValueError, match="population_size"):
+            avfuzzer.run(ctx, {"population_size": size})
 
     def test_surrogate_search_is_sample_efficient(self):
         threshold = 2.5

@@ -50,6 +50,22 @@ def test_bad_documents_rejected():
         load_map_document({"name": "x", "lanes": []})
 
 
+@pytest.mark.parametrize("lane", [
+    _lane("a", [(0, 0), (1, 0)], width=True),
+    _lane("a", [(0, 0), (1, 0)], width=float("nan")),
+    _lane("a", [(0, 0), (1, 0)], width=float("inf")),
+    _lane("a", [(0, 0), (1, 0)], width="3.5"),
+    _lane("a", [(0, 0), (float("nan"), 0)]),
+    _lane("a", [(0, 0), (1, float("inf"))]),
+    _lane("a", [(0, 0), (1, True)]),
+    _lane("a", [(0, 0), (1, 10**400)]),
+], ids=["bool-width", "nan-width", "inf-width", "string-width", "nan-x",
+        "inf-y", "bool-y", "huge-y"])
+def test_non_finite_numbers_rejected(lane):
+    with pytest.raises(MapFormatError, match="finite"):
+        load_map_document(_doc([lane]))
+
+
 def test_load_map_file(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_doc([_lane("a", [(0, 0), (9, 0)])])))

@@ -1,5 +1,6 @@
 """Closed-loop scenario execution, oracles, and recording persistence."""
 
+import json
 import math
 
 import pytest
@@ -266,6 +267,31 @@ class TestPersistence:
         bad.write_bytes(b'{"scenario_id": "\xff"}')  # not UTF-8
         with pytest.raises(RecordingFormatError):
             read_recording(bad)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["frames"][0]["actors"][0].update(x="1.5"),
+        lambda doc: doc["frames"][0]["actors"][1].update(speed=True),
+        lambda doc: doc["frames"][0]["actors"][1].update(length=1e400),
+        lambda doc: doc["frames"][1].update(sim_time="0.1"),
+        lambda doc: doc["frames"][0]["ego_command"].update(brake="0.5"),
+        lambda doc: doc["verdict"].update(time_of_decision=True),
+        lambda doc: doc.update(wall_clock="soon"),
+        lambda doc: doc.update(schema_version=True),
+        lambda doc: doc.update(rng_seed=2.7),
+        lambda doc: doc.update(rng_seed=False),
+        lambda doc: doc.update(scenario_id=7),
+        lambda doc: doc.update(annotations=5),
+    ], ids=["string-x", "bool-speed", "huge-length", "string-sim-time",
+            "string-brake", "bool-decision-time", "string-wall-clock",
+            "bool-schema-version", "float-seed", "bool-seed", "int-id",
+            "int-annotations"])
+    def test_read_rejects_mistyped_fields(self, chain_map, tmp_path, edit):
+        doc = recording_document(self.make_recording(chain_map))
+        edit(doc)
+        path = tmp_path / "x.record.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RecordingFormatError, match="x.record.json"):
+            read_recording(path)
 
     def test_initial_world_layout(self, chain_map):
         block = ObstacleSpec("rock", Pose(80.0, 0.0, 1.0))
