@@ -257,6 +257,10 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"{param_prefix}.max_evaluations: must be >= 1")
     if params["population_size"] < 2:
         raise ConfigError(f"{param_prefix}.population_size: must be >= 2")
+    if params["run_hour"] <= 0:
+        raise ConfigError(f"{param_prefix}.run_hour: must be > 0")
+    if params["local_run_hour"] < 0:
+        raise ConfigError(f"{param_prefix}.local_run_hour: must be >= 0")
     # OracleConfig's fields are the oracle keys with "_" for "."
     oracles = {name.replace(".", "_"): value for name, value
                in _section(values, "testing_engine.oracle").items()}

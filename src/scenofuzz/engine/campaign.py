@@ -32,7 +32,7 @@ from .. import canonical
 from ..bridge import (EgoAgentConfig, InProcessSession, ReferenceEgoAgent,
                       connect)
 from ..lanemap import LaneMap
-from ..runner import (OracleConfig, mission_path, run_scenario,
+from ..runner import (OUTCOMES, OracleConfig, mission_path, run_scenario,
                       write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
                         flatten, unflatten)
@@ -259,12 +259,28 @@ class CampaignContext:
         return record, feedback
 
 
+def _finite(value, name: str) -> float:
+    number = canonical.finite_number(value)
+    if number is None:
+        raise ValueError(f"{name} is not a finite number: {value!r}")
+    return number
+
+
 def _feedback_from_record(record: dict) -> Feedback:
-    return Feedback(fitness=float(record["fitness"]),
-                    behavior_vector=tuple(record["behavior"]),
-                    quality_score=float(record["quality_score"]),
-                    outcome=str(record["outcome"]),
-                    time_of_decision=float(record["time_of_decision"]))
+    behavior = record["behavior"]
+    if not isinstance(behavior, list):
+        raise ValueError(f"behavior is not an array: {behavior!r}")
+    outcome = record["outcome"]
+    if outcome not in OUTCOMES:
+        raise ValueError(f"unknown outcome {outcome!r}")
+    return Feedback(fitness=_finite(record["fitness"], "fitness"),
+                    behavior_vector=tuple(_finite(v, "behavior")
+                                          for v in behavior),
+                    quality_score=_finite(record["quality_score"],
+                                          "quality_score"),
+                    outcome=outcome,
+                    time_of_decision=_finite(record["time_of_decision"],
+                                             "time_of_decision"))
 
 
 def _read_checkpoint_file(path: Path):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,18 +50,32 @@ class Feedback:
 
 
 def trace_min_distance(recording: ScenarioRecording) -> float:
-    """Smallest ego-to-other OBB distance across all frames."""
-    best = NO_OBSTACLE_FITNESS
+    """Smallest ego-to-other OBB distance across all frames.
+
+    Every ego/other pair is ranked by its circumscribed-circle lower bound,
+    and exact distances are computed in that order until a bound reaches the
+    best distance so far.  A frame-order scan skips a pair by the same rule
+    (bound at or above the best so far), and a pair skipped by either scan
+    has a distance no smaller than its bound, so both return the same
+    minimum; ranking only makes the cut-off come sooner.  (Rounding can lift
+    the bound of two boxes whose corners face each other along the line of
+    centres a few ulps above their distance; the scans could then differ
+    only if another pair's distance fell inside those few ulps.)
+    """
+    pairs = []
     for frame in recording.frames:
         ego = next(a for a in frame.actors if a.actor_id == "ego")
         for other in frame.actors:
-            if other.actor_id == "ego":
-                continue
-            if actor_distance_lower_bound(ego, other) >= best:
-                continue
-            d = actor_distance(ego, other)
-            if d < best:
-                best = d
+            if other.actor_id != "ego":
+                pairs.append((actor_distance_lower_bound(ego, other), ego, other))
+    pairs.sort(key=itemgetter(0))
+    best = NO_OBSTACLE_FITNESS
+    for bound, ego, other in pairs:
+        if bound >= best:
+            break
+        d = actor_distance(ego, other)
+        if d < best:
+            best = d
     return best
 
 

@@ -36,10 +36,6 @@ def left_normal(heading: float) -> tuple[float, float]:
     return (-math.sin(heading), math.cos(heading))
 
 
-def _dot(ax: float, ay: float, bx: float, by: float) -> float:
-    return ax * bx + ay * by
-
-
 class Polyline:
     """A piecewise-linear path with arc-length queries.
 
@@ -48,7 +44,7 @@ class Polyline:
     queries, so they are rejected up front.
     """
 
-    __slots__ = ("points", "cumlen", "length")
+    __slots__ = ("points", "cumlen", "length", "_segments")
 
     def __init__(self, points: Sequence[tuple[float, float]], min_spacing: float = 1e-3):
         if len(points) < 2:
@@ -66,6 +62,16 @@ class Polyline:
         self.points = pts
         self.cumlen = cum
         self.length = cum[-1]
+        # per segment, the terms project() needs, each computed as it would be
+        # there: (x0, y0, dx, dy, seg_len**2, s0, seg_len, left normal x, y)
+        segments = []
+        for i in range(len(pts) - 1):
+            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+            dx, dy = x1 - x0, y1 - y0
+            seg_len = cum[i + 1] - cum[i]
+            segments.append((x0, y0, dx, dy, seg_len * seg_len, cum[i], seg_len,
+                             -dy / seg_len, dx / seg_len))
+        self._segments = segments
 
     def _segment_index(self, s: float) -> int:
         """Index i such that s falls on segment [points[i], points[i+1])."""
@@ -106,24 +112,24 @@ class Polyline:
         closest point, ``lateral`` the signed offset (positive to the left of
         the travel direction), and ``distance`` the unsigned distance.  Among
         equally distant segments the smallest ``s`` wins.
+
+        The per-segment terms that do not depend on the point come from
+        ``__init__``; they and the per-point terms are computed with the same
+        float operations in the same order as from the points each call, so
+        the result is the same to the bit.
         """
         best_d2 = math.inf
         best_s = 0.0
         best_lat = 0.0
-        for i in range(len(self.points) - 1):
-            x0, y0 = self.points[i]
-            x1, y1 = self.points[i + 1]
-            dx, dy = x1 - x0, y1 - y0
-            seg_len = self.cumlen[i + 1] - self.cumlen[i]
-            t = _dot(x - x0, y - y0, dx, dy) / (seg_len * seg_len)
+        for x0, y0, dx, dy, len2, s0, seg_len, nx, ny in self._segments:
+            t = ((x - x0) * dx + (y - y0) * dy) / len2
             t = min(max(t, 0.0), 1.0)
             px, py = x0 + t * dx, y0 + t * dy
             d2 = (x - px) ** 2 + (y - py) ** 2
             if d2 < best_d2 - 1e-15:
                 best_d2 = d2
-                best_s = self.cumlen[i] + t * seg_len
-                # left normal of the segment direction
-                best_lat = _dot(x - px, y - py, -dy / seg_len, dx / seg_len)
+                best_s = s0 + t * seg_len
+                best_lat = (x - px) * nx + (y - py) * ny
         return best_s, best_lat, math.sqrt(best_d2)
 
     def min_distance_to(self, other: "Polyline", step: float = 0.5) -> tuple[float, float, float]:

@@ -8,7 +8,7 @@ change a step's outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .geometry import Polyline, normalize_angle
@@ -93,7 +93,8 @@ def step_kinematic(state: ActorState, cmd: ControlCommand,
         state.heading + (state.speed / params.wheelbase) * math.tan(steering) * dt)
     x = state.x + state.speed * math.cos(state.heading) * dt
     y = state.y + state.speed * math.sin(state.heading) * dt
-    return replace(state, x=x, y=y, heading=heading, speed=speed, acceleration=accel)
+    return ActorState(state.actor_id, state.kind, x, y, heading, speed, accel,
+                      state.length, state.width)
 
 
 def step_world(world: WorldState, controls: Mapping[str, ControlCommand],
@@ -162,26 +163,26 @@ def obb_distance(ax: float, ay: float, ah: float, alen: float, awid: float,
                  bx: float, by: float, bh: float, blen: float, bwid: float) -> float:
     """Euclidean gap between two oriented rectangles; 0 iff they touch/overlap.
 
-    Disjoint boxes realize their minimum distance between boundary edges, so
-    a separating-axis test followed by edge-pair distances is exact.
+    Disjoint boxes realize their minimum distance between boundary edges, and
+    the closest points of two segments include an endpoint of one of them, so
+    after a separating-axis test the minimum over every corner of each box
+    against every edge of the other is exact.  Each of those 32 corner/edge
+    distances is computed once, with the edge taken in corner order, so the
+    result equals the minimum over all edge pairs bit for bit.
     """
     ca = obb_corners(ax, ay, ah, alen, awid)
     cb = obb_corners(bx, by, bh, blen, bwid)
     if _boxes_overlap(ca, cb, ah, bh):
         return 0.0
     best = math.inf
-    for i in range(4):
-        x0, y0 = ca[i]
-        x1, y1 = ca[(i + 1) % 4]
+    for corners, edges in ((ca, cb), (cb, ca)):
         for j in range(4):
-            u0, v0 = cb[j]
-            u1, v1 = cb[(j + 1) % 4]
-            d2 = min(_point_segment_d2(x0, y0, u0, v0, u1, v1),
-                     _point_segment_d2(x1, y1, u0, v0, u1, v1),
-                     _point_segment_d2(u0, v0, x0, y0, x1, y1),
-                     _point_segment_d2(u1, v1, x0, y0, x1, y1))
-            if d2 < best:
-                best = d2
+            u0, v0 = edges[j]
+            u1, v1 = edges[(j + 1) % 4]
+            for px, py in corners:
+                d2 = _point_segment_d2(px, py, u0, v0, u1, v1)
+                if d2 < best:
+                    best = d2
     return math.sqrt(best)
 
 

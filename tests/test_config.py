@@ -1,6 +1,7 @@
 """Tests for YAML config parsing, validation, and execution assembly."""
 
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -237,9 +238,12 @@ class TestStrictness:
         ("testing_engine.algorithm.parameters.max_evaluations", 0),
         ("testing_engine.algorithm.parameters.population_size", 1),
         ("testing_engine.algorithm.parameters.population_size", 0),
+        ("testing_engine.algorithm.parameters.run_hour", 0.0),
+        ("testing_engine.algorithm.parameters.run_hour", -1),
+        ("testing_engine.algorithm.parameters.local_run_hour", -0.5),
     ])
     def test_out_of_range_values_rejected(self, path, value):
-        with pytest.raises(ConfigError, match=path.rsplit(".", 1)[1]):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: must be")):
             parse_config(minimal_doc(**{path: value}))
 
     @pytest.mark.parametrize("path,value", [

@@ -9,7 +9,7 @@ import pytest
 from synthetic import SyntheticContext, box_prototype, sphere
 
 from scenofuzz import canonical
-from scenofuzz.engine import operators
+from scenofuzz.engine import feedback, operators
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
@@ -25,21 +25,26 @@ from scenofuzz.geometry import Polyline
 from scenofuzz.lanemap import route
 from scenofuzz.runner import Frame, ScenarioRecording, Verdict, read_recording
 from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, validate)
-from scenofuzz.simulator import STEER_MAX, ActorState, ControlCommand
+from scenofuzz.simulator import (STEER_MAX, ActorState, ControlCommand,
+                                 actor_distance, actor_distance_lower_bound)
 
 
 def ego_state(x=0.0, y=0.0, heading=0.0, speed=8.0, accel=0.0):
     return ActorState("ego", "ego", x, y, heading, speed, accel)
 
 
-def make_recording(ego_states, extra_actors=(), dt=0.1):
+def recording_of(actor_frames, dt=0.1):
+    """A recording whose frames hold the given actor lists."""
     config = ScenarioConfig("synthetic", "chain_3",
                             EgoSpec("lane_a", 0.0, "lane_a", 60.0))
-    frames = tuple(
-        Frame(round(i * dt, 9), (e,) + tuple(extra_actors), ControlCommand())
-        for i, e in enumerate(ego_states))
+    frames = tuple(Frame(round(i * dt, 9), tuple(actors), ControlCommand())
+                   for i, actors in enumerate(actor_frames))
     return ScenarioRecording("synthetic", config, frames,
                              Verdict("Timeout", frames[-1].sim_time), 0)
+
+
+def make_recording(ego_states, extra_actors=(), dt=0.1):
+    return recording_of([(e,) + tuple(extra_actors) for e in ego_states], dt)
 
 
 class TestFeedback:
@@ -285,6 +290,15 @@ def campaign_log(settings, algo="random", seed=0, evals=10, workers=1,
     return ctx, report
 
 
+def _entry_1_with(key: str, value):
+    """Edits a log: one field of entry 1 replaced by ``value``."""
+    def edit(log: bytes) -> bytes:
+        entries = canonical.loads(log)
+        entries[1][key] = value
+        return canonical.dump_bytes(entries)
+    return edit
+
+
 def _without_fitness_of_entry_1(log: bytes) -> bytes:
     """The log with one key dropped; its values still match on resume."""
     entries = canonical.loads(log)
@@ -384,8 +398,20 @@ class TestCampaign:
         ("evaluations.json", b'[{"scenario_id":"\xff"}]', ""),
         ("evaluations.json", b"[1,2]", "entry 0"),
         ("evaluations.json", _without_fitness_of_entry_1, "entry 1"),
+        ("evaluations.json", _entry_1_with("fitness", "1.5"), "entry 1"),
+        ("evaluations.json", _entry_1_with("fitness", 10 ** 400), "entry 1"),
+        ("evaluations.json", _entry_1_with("quality_score", "0.5"), "entry 1"),
+        ("evaluations.json", _entry_1_with("time_of_decision", True),
+         "entry 1"),
+        ("evaluations.json", _entry_1_with("behavior", "abc"), "entry 1"),
+        ("evaluations.json", _entry_1_with("behavior", [0.5, "0.5"]),
+         "entry 1"),
+        ("evaluations.json", _entry_1_with("outcome", "Crash"), "entry 1"),
     ], ids=["torn-state", "array-state", "string-state", "bad-field-state",
-            "non-utf8-log", "non-object-entry", "entry-without-fitness"])
+            "non-utf8-log", "non-object-entry", "entry-without-fitness",
+            "string-fitness", "huge-fitness", "string-quality-score",
+            "bool-time-of-decision", "string-behavior",
+            "non-numeric-behavior", "unknown-outcome"])
     def test_resume_reports_a_bad_checkpoint_file(self, junction_settings,
                                                   tmp_path, name, content,
                                                   where):
@@ -425,6 +451,142 @@ class TestCampaign:
     def test_budget_requires_some_limit(self):
         with pytest.raises(ValueError):
             CampaignBudget()
+
+
+def _reference_trace_min_distance(recording, calls=None):
+    """The frame-order scan trace_min_distance replaced: each pair in turn,
+    skipped when its lower bound is at or above the best so far."""
+    best = NO_OBSTACLE_FITNESS
+    for frame in recording.frames:
+        ego = next(a for a in frame.actors if a.actor_id == "ego")
+        for other in frame.actors:
+            if other.actor_id == "ego":
+                continue
+            if actor_distance_lower_bound(ego, other) >= best:
+                continue
+            if calls is not None:
+                calls.append(1)
+            d = actor_distance(ego, other)
+            if d < best:
+                best = d
+    return best
+
+
+class TestTraceMinDistanceReference:
+    """trace_min_distance must return the frame-order scan's float exactly."""
+
+    @pytest.mark.parametrize("algo", ["avfuzzer", "behavexplor"])
+    def test_campaign_recordings(self, junction_settings, tmp_path,
+                                 monkeypatch, algo):
+        exact_calls = []
+        reference_calls = []
+        fitnesses = []
+        for seed in (0, 1, 2):
+            out = tmp_path / f"seed{seed}"
+            campaign_log(junction_settings, algo=algo, seed=seed, evals=12,
+                         output_dir=out)
+            paths = sorted((out / "recordings").glob("*.record.json"))
+            assert len(paths) == 12
+            for path in paths:
+                recording = read_recording(path)
+                with monkeypatch.context() as patch:
+                    patch.setattr(feedback, "actor_distance",
+                                  lambda p, q: exact_calls.append(1)
+                                  or actor_distance(p, q))
+                    fitness = trace_min_distance(recording)
+                assert fitness.hex() == _reference_trace_min_distance(
+                    recording, reference_calls).hex(), path.name
+                fitnesses.append(fitness)
+        # the seeds cover collisions and near misses
+        assert 0.0 in fitnesses
+        assert any(0.0 < f < NO_OBSTACLE_FITNESS for f in fitnesses)
+        assert len(exact_calls) < len(reference_calls)
+
+    def test_no_other_actor(self):
+        rec = recording_of([[ego_state(x=float(i))] for i in range(5)])
+        assert trace_min_distance(rec) == NO_OBSTACLE_FITNESS
+        assert _reference_trace_min_distance(rec) == NO_OBSTACLE_FITNESS
+
+    def test_collision_frame(self):
+        rock = ActorState("rock", "static", 20.0, 0.0, 0.3)
+        rec = recording_of([[ego_state(x=0.0), rock],
+                             [ego_state(x=17.0), rock],
+                             [ego_state(x=30.0), rock]])
+        assert trace_min_distance(rec) == 0.0
+        assert _reference_trace_min_distance(rec) == 0.0
+
+    def test_equal_lower_bounds(self):
+        # same centre distance and size, so the same bound; the turned rock
+        # is closer
+        ahead = ActorState("ahead", "static", 12.0, 0.0, 0.0)
+        beside = ActorState("beside", "static", 0.0, 12.0, 0.9)
+        ego = ego_state()
+        assert actor_distance_lower_bound(ego, ahead) == \
+            actor_distance_lower_bound(ego, beside)
+        assert actor_distance(ego, beside) != actor_distance(ego, ahead)
+        for frames in ([[ego, ahead, beside]], [[ego, beside, ahead]],
+                       [[ego, ahead], [ego, beside]],
+                       [[ego, beside], [ego, ahead], [ego, beside]]):
+            rec = recording_of(frames)
+            assert trace_min_distance(rec).hex() == \
+                _reference_trace_min_distance(rec).hex()
+            assert trace_min_distance(rec) == min(
+                actor_distance(ego, ahead), actor_distance(ego, beside))
+
+    def test_stops_at_a_bound_equal_to_the_best(self, monkeypatch):
+        # rock b's bound equals rock a's distance exactly, so with a found
+        # first, the frame-order scan skips b and so must the ranked scan
+        ego = ego_state()
+        a = ActorState("a", "static", 10.0, 0.0, 0.0)
+        best = actor_distance(ego, a)
+        y = best + 5.2
+        for _ in range(64):
+            b = ActorState("b", "static", 0.0, y, 0.5)
+            bound = actor_distance_lower_bound(ego, b)
+            if bound == best:
+                break
+            y = math.nextafter(y, -math.inf if bound > best else math.inf)
+        assert bound == best < actor_distance(ego, b)
+        rec = recording_of([[ego, a], [ego, b]])
+        calls = []
+        monkeypatch.setattr(feedback, "actor_distance",
+                            lambda p, q: calls.append(q) or actor_distance(p, q))
+        reference_calls = []
+        assert trace_min_distance(rec) == \
+            _reference_trace_min_distance(rec, reference_calls) == best
+        assert calls == [a] and len(reference_calls) == 1
+
+    def test_seeded_recordings(self, monkeypatch):
+        # positions on a coarse grid and four headings make equal bounds and
+        # equal distances common
+        calls = []
+        monkeypatch.setattr(feedback, "actor_distance",
+                            lambda p, q: calls.append(1) or actor_distance(p, q))
+        rng = np.random.default_rng(77)
+        headings = (0.0, math.pi / 2, math.pi / 4, -2.0)
+        for _ in range(300):
+            frames = []
+            for _ in range(int(rng.integers(1, 16))):
+                actors = [ego_state(x=float(rng.integers(-10, 11)),
+                                    y=float(rng.integers(-4, 5)),
+                                    heading=headings[int(rng.integers(4))])]
+                for k in range(int(rng.integers(0, 5))):
+                    actors.append(ActorState(
+                        f"npc_{k}", "npc" if k % 2 else "static",
+                        float(rng.integers(-15, 16)),
+                        float(rng.integers(-6, 7)),
+                        headings[int(rng.integers(4))],
+                        length=(4.8, 2.0, 0.5)[k % 3],
+                        width=(2.0, 2.0, 0.5)[k % 3]))
+                rng.shuffle(actors)
+                frames.append(actors)
+            rec = recording_of(frames)
+            calls.clear()
+            reference_calls = []
+            assert trace_min_distance(rec).hex() == \
+                _reference_trace_min_distance(rec, reference_calls).hex()
+            # the ranked scan computes a subset of the frame-order scan's pairs
+            assert len(calls) <= len(reference_calls)
 
 
 class TestAlgorithmsOnSyntheticLandscapes:

@@ -83,6 +83,73 @@ def test_project_matches_dense_sampling_oracle():
                 assert abs(s - s_ref) < 1e-2 or abs(dist - d_ref) < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# reference: the projection that recomputed every segment's terms from the
+# points on each call.  Polyline.project must give the same floats.
+
+
+def _reference_project(line, x, y):
+    best_d2 = math.inf
+    best_s = 0.0
+    best_lat = 0.0
+    for i in range(len(line.points) - 1):
+        x0, y0 = line.points[i]
+        x1, y1 = line.points[i + 1]
+        dx, dy = x1 - x0, y1 - y0
+        seg_len = line.cumlen[i + 1] - line.cumlen[i]
+        t = ((x - x0) * dx + (y - y0) * dy) / (seg_len * seg_len)
+        t = min(max(t, 0.0), 1.0)
+        px, py = x0 + t * dx, y0 + t * dy
+        d2 = (x - px) ** 2 + (y - py) ** 2
+        if d2 < best_d2 - 1e-15:
+            best_d2 = d2
+            best_s = line.cumlen[i] + t * seg_len
+            best_lat = (x - px) * (-dy / seg_len) + (y - py) * (dx / seg_len)
+    return best_s, best_lat, math.sqrt(best_d2)
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def test_project_equals_reference_on_seeded_points():
+    rng = np.random.default_rng(5150)
+    for _ in range(200):
+        n = int(rng.integers(2, 14))
+        steps = rng.uniform(0.5, 10.0, size=n - 1)
+        turns = np.cumsum(rng.uniform(-2.0, 2.0, size=n - 1))
+        pts = [(float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)))]
+        for step, turn in zip(steps.tolist(), turns.tolist()):
+            x, y = pts[-1]
+            pts.append((x + step * math.cos(turn), y + step * math.sin(turn)))
+        line = Polyline(pts)
+        xs, ys = zip(*pts)
+        queries = [(float(rng.uniform(min(xs) - 10, max(xs) + 10)),
+                    float(rng.uniform(min(ys) - 10, max(ys) + 10)))
+                   for _ in range(50)]
+        queries += pts  # on the vertices
+        queries += [((xa + xb) / 2, (ya + yb) / 2)
+                    for (xa, ya), (xb, yb) in zip(pts, pts[1:])]
+        for x, y in queries:
+            assert _bits(line.project(x, y)) == \
+                _bits(_reference_project(line, x, y)), (pts, x, y)
+
+
+def test_project_ties_keep_the_smallest_s():
+    # a U turn: (5, 1) is 1 m from the first and the last segment
+    u_turn = Polyline([(0, 0), (10, 0), (10, 2), (0, 2)])
+    assert u_turn.project(5.0, 1.0) == (5.0, 1.0, 1.0)
+    # beyond a corner: the same closest point ends one segment, starts the next
+    corner = Polyline([(0, 0), (10, 0), (10, 10)])
+    assert corner.project(11.0, -1.0)[0] == 10.0
+    # a zigzag whose every vertex is equidistant from a point far below it
+    zigzag = Polyline([(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)])
+    for line, (x, y) in ((u_turn, (5.0, 1.0)), (u_turn, (10.5, 1.0)),
+                         (u_turn, (-3.0, 1.0)), (corner, (11.0, -1.0)),
+                         (zigzag, (2.0, -5.0)), (zigzag, (1.0, 0.5))):
+        assert _bits(line.project(x, y)) == _bits(_reference_project(line, x, y))
+
+
 def test_sub_path():
     line = Polyline([(0, 0), (10, 0), (10, 10)])
     sub = line.sub_path(2.0, 14.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from oracles import integrate_bicycle, obb_distance_sampled
 from scenofuzz import canonical
 from scenofuzz.geometry import Pose
 from scenofuzz.scenario import NpcSpec
+from scenofuzz.geometry import normalize_angle
 from scenofuzz.simulator import (ActorState, BRAKE_COMMAND, ControlCommand,
                                  STEER_MAX, SpeedController, VehicleParams,
-                                 WaypointPolicy, WorldState, actor_distance,
-                                 actor_distance_lower_bound, obb_distance,
-                                 step_kinematic, step_world)
+                                 WaypointPolicy, WorldState, _boxes_overlap,
+                                 _point_segment_d2, actor_distance,
+                                 actor_distance_lower_bound, obb_corners,
+                                 obb_distance, step_kinematic, step_world)
 
 PARAMS = VehicleParams()
 DT = 0.1
@@ -168,6 +171,131 @@ def test_actor_distance_lower_bound():
         b = _actor(x=rng.uniform(-20, 20), y=rng.uniform(-20, 20),
                    heading=rng.uniform(-3, 3), actor_id="b")
         assert actor_distance_lower_bound(a, b) <= actor_distance(a, b) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the forms that obb_distance and step_kinematic
+# replaced.  The faster forms must give the same floats, bit for bit, or the
+# pinned campaign logs would move.
+
+
+def _bits(*values):
+    """Exact identity of floats: hex tells 0.0 from -0.0, unlike ==."""
+    return tuple(float(v).hex() for v in values)
+
+
+def _reference_obb_distance(ax, ay, ah, alen, awid, bx, by, bh, blen, bwid):
+    """Every edge pair, each with its four corner/edge distances."""
+    ca = obb_corners(ax, ay, ah, alen, awid)
+    cb = obb_corners(bx, by, bh, blen, bwid)
+    if _boxes_overlap(ca, cb, ah, bh):
+        return 0.0
+    best = math.inf
+    for i in range(4):
+        x0, y0 = ca[i]
+        x1, y1 = ca[(i + 1) % 4]
+        for j in range(4):
+            u0, v0 = cb[j]
+            u1, v1 = cb[(j + 1) % 4]
+            d2 = min(_point_segment_d2(x0, y0, u0, v0, u1, v1),
+                     _point_segment_d2(x1, y1, u0, v0, u1, v1),
+                     _point_segment_d2(u0, v0, x0, y0, x1, y1),
+                     _point_segment_d2(u1, v1, x0, y0, x1, y1))
+            if d2 < best:
+                best = d2
+    return math.sqrt(best)
+
+
+def _reference_step_kinematic(state, cmd, params, dt):
+    """The step built through dataclasses.replace."""
+    steering = min(max(cmd.steering, -params.steer_max), params.steer_max)
+    accel = cmd.throttle * params.a_max - cmd.brake * params.b_max - params.drag * state.speed
+    speed = min(max(state.speed + accel * dt, 0.0), params.v_max)
+    heading = normalize_angle(
+        state.heading + (state.speed / params.wheelbase) * math.tan(steering) * dt)
+    x = state.x + state.speed * math.cos(state.heading) * dt
+    y = state.y + state.speed * math.sin(state.heading) * dt
+    return replace(state, x=x, y=y, heading=heading, speed=speed, acceleration=accel)
+
+
+def _obb_special_cases():
+    """Touching, overlapping, containing, parallel-edge and identical boxes."""
+    cases = [
+        ((0, 0, 0, 4, 2), (4, 0, 0, 4, 2)),            # end faces touch
+        ((0, 0, 0, 4, 2), (0, 2, 0, 4, 2)),            # long sides touch
+        ((0, 0, 0, 2, 2), (2, 2, 0, 2, 2)),            # corners touch
+        ((0, 0, 0, 2, 2), (1 + math.sqrt(2), 0, math.pi / 4, 2, 2)),  # corner on edge
+        ((0, 0, 0, 4, 2), (1, 0.5, 0.3, 4, 2)),        # overlap
+        ((0, 0, 0, 10, 10), (1, 1, 0.7, 1, 1)),        # containment
+        ((0, 0, 0.4, 4.8, 2.0), (0, 0, 0.4, 4.8, 2.0)),  # identical
+        ((3, -2, 0.0, 4.8, 2.0), (3, -2, math.pi, 4.8, 2.0)),  # same box turned
+        ((0, 0, 0, 4, 2), (4 + 1e-12, 0, 0, 4, 2)),    # just apart
+    ]
+    for k in range(24):
+        h = -math.pi + k * math.pi / 12   # includes multiples of pi/2
+        c, s = math.cos(h), math.sin(h)
+        for gap, slide in ((0.5, 0.0), (0.5, 3.0), (7.25, -1.5), (1e-9, 0.7)):
+            # same heading, offset along the normal: parallel long sides
+            off = 2.0 + gap
+            cases.append(((1.0, -2.0, h, 4.8, 2.0),
+                          (1.0 - s * off + c * slide, -2.0 + c * off + s * slide,
+                           h, 4.8, 2.0)))
+            # quarter turn: the side of one parallel to the end of the other
+            cases.append(((1.0, -2.0, h, 4.8, 2.0),
+                          (1.0 + c * (3.4 + gap) - s * slide,
+                           -2.0 + s * (3.4 + gap) + c * slide,
+                           h + math.pi / 2, 4.8, 2.0)))
+    return cases
+
+
+def test_obb_distance_equals_reference_on_special_cases():
+    for a, b in _obb_special_cases():
+        for p, q in ((a, b), (b, a)):
+            assert _bits(obb_distance(*p, *q)) == \
+                _bits(_reference_obb_distance(*p, *q)), (p, q)
+
+
+def test_obb_distance_equals_reference_on_seeded_boxes():
+    rng = np.random.default_rng(4404)
+    n = 20_000
+    centers = rng.uniform(-15.0, 15.0, size=(n, 4))
+    headings = rng.uniform(-math.pi, math.pi, size=(n, 2))
+    # every fourth pair shares a heading, so edges are parallel
+    headings[::4, 1] = headings[::4, 0]
+    sizes = rng.uniform(0.3, 6.0, size=(n, 4))
+    apart = 0
+    for (ax, ay, bx, by), (ah, bh), (al, aw, bl, bw) in zip(
+            centers.tolist(), headings.tolist(), sizes.tolist()):
+        a = (ax, ay, ah, al, aw)
+        b = (bx, by, bh, bl, bw)
+        d = obb_distance(*a, *b)
+        assert _bits(d) == _bits(_reference_obb_distance(*a, *b)), (a, b)
+        apart += d > 0.0
+    assert apart > n // 2  # most pairs reach the corner/edge scan
+
+
+def test_step_kinematic_equals_replace_form():
+    rng = np.random.default_rng(96)
+    params_set = (PARAMS, VehicleParams(wheelbase=2.1, a_max=4.5, b_max=8.0,
+                                        drag=0.05, v_max=20.0, steer_max=0.4))
+    headings = [math.pi, -math.pi + 1e-12, 0.0, -0.0, math.pi / 2]
+    for k in range(5000):
+        heading = headings[k] if k < len(headings) else rng.uniform(-math.pi, math.pi)
+        state = ActorState("npc_3", "npc" if k % 2 else "ego",
+                           rng.uniform(-200, 200), rng.uniform(-200, 200),
+                           heading, 0.0 if k % 3 == 0 else rng.uniform(0, 35),
+                           rng.uniform(-8, 4), rng.uniform(2, 6), rng.uniform(1, 3))
+        cmd = ControlCommand(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2),
+                             rng.uniform(-0.8, 0.8))
+        params = params_set[k % 2]
+        dt = (0.1, 0.05, 1 / 30, rng.uniform(0.001, 0.5))[k % 4]
+        new = step_kinematic(state, cmd, params, dt)
+        ref = _reference_step_kinematic(state, cmd, params, dt)
+        assert type(new) is ActorState
+        assert (new.actor_id, new.kind) == (ref.actor_id, ref.kind)
+        fields = ("x", "y", "heading", "speed", "acceleration", "length", "width")
+        assert _bits(*(getattr(new, f) for f in fields)) == \
+            _bits(*(getattr(ref, f) for f in fields))
 
 
 # ---------------------------------------------------------------------------
