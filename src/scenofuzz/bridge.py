@@ -6,6 +6,14 @@ followed by that many bytes of UTF-8 canonical JSON.  Bodies::
     {"type": "perception", "sim_time": t, "ego": {...}, "obstacles": [...]}
     {"type": "control", "sim_time": t, "throttle": f, "brake": f, "steering": f}
 
+Frames are written by shape: :func:`encode` lays out each body's keys in
+sorted order and writes each value with ``canonical.dump_value``, and the
+result must equal ``canonical.dump_bytes`` of the body's document byte for
+byte (``tests/test_bridge.py`` keeps the dict-building encoder as the
+reference).  :func:`decode` takes an actor whose values all have their exact
+types at once; anything else goes through the full checks, which name the
+fault.
+
 The session is lockstep: the runner sends one perception frame and blocks for
 exactly one control frame.  The in-process transport pushes messages through
 the same encode/decode pair as TCP, so the two transports produce identical
@@ -21,12 +29,13 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import canonical
-from .canonical import finite_number
+from .canonical import dump_value, finite_number
 from .geometry import Polyline, normalize_angle
-from .simulator import (ActorState, ControlCommand, SpeedController,
-                        VehicleParams, pure_pursuit_steering)
+from .simulator import (ACTOR_KINDS, ActorState, ControlCommand,
+                        SpeedController, VehicleParams, pure_pursuit_steering)
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +43,9 @@ HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 5.0
 ENDPOINT_ENV_VAR = "SCENOFUZZ_BRIDGE_ADDR"
+
+_isfinite = math.isfinite
+_FLOAT = frozenset((float,))
 
 
 class FrameError(ValueError):
@@ -60,20 +72,45 @@ class ControlMessage:
 # ---------------------------------------------------------------------------
 # encoding
 
+# An actor's fields in the order they are read; frames are written with their
+# keys in sorted order.  Every field is read before any is written, so a bad
+# message raises the error the canonical encoder raises for its document.
+_actor_fields = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
+                          "acceleration", "length", "width")
+_ACTOR_KEYS = frozenset(("actor_id", "kind", "x", "y", "heading", "speed",
+                         "acceleration", "length", "width"))
+_PERCEPTION_KEYS = frozenset(("type", "sim_time", "ego", "obstacles"))
+_CONTROL_KEYS = frozenset(("type", "sim_time", "throttle", "brake", "steering"))
 
-def _actor_doc(state: ActorState) -> dict:
-    return {"actor_id": state.actor_id, "kind": state.kind,
-            "x": state.x, "y": state.y, "heading": state.heading,
-            "speed": state.speed, "acceleration": state.acceleration,
-            "length": state.length, "width": state.width}
+
+def _actor_text(fields: tuple) -> str:
+    """Canonical JSON object of one actor, from its :data:`_actor_fields`."""
+    actor_id, kind, x, y, heading, speed, acceleration, length, width = fields
+    return ('{"acceleration":' + dump_value(acceleration)
+            + ',"actor_id":' + dump_value(actor_id)
+            + ',"heading":' + dump_value(heading)
+            + ',"kind":' + dump_value(kind)
+            + ',"length":' + dump_value(length)
+            + ',"speed":' + dump_value(speed)
+            + ',"width":' + dump_value(width)
+            + ',"x":' + dump_value(x)
+            + ',"y":' + dump_value(y) + "}")
 
 
 def _parse_actor(doc, where: str) -> ActorState:
+    if type(doc) is dict and doc.keys() == _ACTOR_KEYS:
+        actor_id, kind = doc["actor_id"], doc["kind"]
+        numbers = (doc["x"], doc["y"], doc["heading"], doc["speed"],
+                   doc["acceleration"], doc["length"], doc["width"])
+        # A sum of floats is finite only if every term is (an overflowing sum
+        # just takes the checks below).
+        if type(actor_id) is str and type(kind) is str and \
+                kind in ACTOR_KINDS and set(map(type, numbers)) == _FLOAT and \
+                _isfinite(sum(numbers)):
+            return ActorState(actor_id, kind, *numbers)
     if not isinstance(doc, dict):
         raise FrameError(f"{where}: expected an object")
-    keys = {"actor_id", "kind", "x", "y", "heading", "speed", "acceleration",
-            "length", "width"}
-    if set(doc) != keys:
+    if doc.keys() != _ACTOR_KEYS:
         raise FrameError(f"{where}: wrong keys {sorted(doc)}")
     if not isinstance(doc["actor_id"], str) or not isinstance(doc["kind"], str):
         raise FrameError(f"{where}: actor_id and kind must be strings")
@@ -90,7 +127,10 @@ def _parse_actor(doc, where: str) -> ActorState:
 
 
 def _require_number(doc: dict, key: str, where: str = "") -> float:
-    number = finite_number(doc[key])
+    number = doc[key]
+    if type(number) is float and _isfinite(number):
+        return number
+    number = finite_number(number)
     if number is None:
         raise FrameError(f"{where}/{key}: expected a finite number")
     return number
@@ -99,17 +139,25 @@ def _require_number(doc: dict, key: str, where: str = "") -> float:
 def encode(message: PerceptionMessage | ControlMessage) -> bytes:
     """Serialize a message to a complete length-prefixed wire frame."""
     if isinstance(message, PerceptionMessage):
-        body = {"type": "perception", "sim_time": message.sim_time,
-                "ego": _actor_doc(message.ego),
-                "obstacles": [_actor_doc(o) for o in message.obstacles]}
+        sim_time = message.sim_time
+        ego = _actor_fields(message.ego)
+        obstacles = [_actor_fields(o) for o in message.obstacles]
+        body = ('{"ego":' + _actor_text(ego)
+                + ',"obstacles":[' + ",".join([_actor_text(o) for o in obstacles])
+                + '],"sim_time":' + dump_value(sim_time)
+                + ',"type":"perception"}')
     elif isinstance(message, ControlMessage):
+        sim_time = message.sim_time
         cmd = message.command
-        body = {"type": "control", "sim_time": message.sim_time,
-                "throttle": cmd.throttle, "brake": cmd.brake,
-                "steering": cmd.steering}
+        throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
+        body = ('{"brake":' + dump_value(brake)
+                + ',"sim_time":' + dump_value(sim_time)
+                + ',"steering":' + dump_value(steering)
+                + ',"throttle":' + dump_value(throttle)
+                + ',"type":"control"}')
     else:
         raise TypeError(f"cannot encode {type(message).__name__}")
-    payload = canonical.dump_bytes(body)
+    payload = body.encode("utf-8")
     return HEADER.pack(len(payload)) + payload
 
 
@@ -135,7 +183,7 @@ def decode(frame: bytes) -> PerceptionMessage | ControlMessage:
         raise FrameError("body must be a JSON object")
     kind = doc.get("type")
     if kind == "perception":
-        if set(doc) != {"type", "sim_time", "ego", "obstacles"}:
+        if doc.keys() != _PERCEPTION_KEYS:
             raise FrameError(f"perception: wrong keys {sorted(doc)}")
         obstacles = doc["obstacles"]
         if not isinstance(obstacles, list):
@@ -146,7 +194,7 @@ def decode(frame: bytes) -> PerceptionMessage | ControlMessage:
             obstacles=tuple(_parse_actor(o, f"/obstacles/{i}")
                             for i, o in enumerate(obstacles)))
     if kind == "control":
-        if set(doc) != {"type", "sim_time", "throttle", "brake", "steering"}:
+        if doc.keys() != _CONTROL_KEYS:
             raise FrameError(f"control: wrong keys {sorted(doc)}")
         return ControlMessage(
             sim_time=_require_number(doc, "sim_time"),

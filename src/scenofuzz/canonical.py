@@ -64,7 +64,13 @@ def _key(key: Any) -> str:
     raise CanonicalError(f"object keys must be strings, got {key!r}")
 
 
-def _dump(value: Any) -> str:
+def dump_value(value: Any) -> str:
+    """Canonical text of one value, with the text and errors of :func:`dumps`.
+
+    Writers that lay out a document's keys themselves (the bridge's frames,
+    recordings) call this once per field; an exact finite float or a string
+    is written by the first two checks.
+    """
     kind = type(value)
     if kind is float:
         if _isfinite(value):  # inlined _format_float: floats dominate
@@ -76,9 +82,9 @@ def _dump(value: Any) -> str:
     if kind is dict:
         return "{" + ",".join([
             (_encode_str(k) if type(k) is str else _key(k)) + ":"
-            + _dump(value[k]) for k in sorted(value)]) + "}"
+            + dump_value(value[k]) for k in sorted(value)]) + "}"
     if kind is list or kind is tuple:
-        return "[" + ",".join([_dump(item) for item in value]) + "]"
+        return "[" + ",".join([dump_value(item) for item in value]) + "]"
     if kind is int:
         return str(value)
     return _dump_other(value)
@@ -99,16 +105,16 @@ def _dump_other(value: Any) -> str:
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join([_dump(item) for item in value]) + "]"
+        return "[" + ",".join([dump_value(item) for item in value]) + "]"
     if isinstance(value, dict):
-        return "{" + ",".join([_key(k) + ":" + _dump(value[k])
+        return "{" + ",".join([_key(k) + ":" + dump_value(value[k])
                                for k in sorted(value)]) + "}"
     raise CanonicalError(f"unsupported type {type(value).__name__}")
 
 
 def dumps(value: Any) -> str:
     """Serialize ``value`` to canonical JSON text."""
-    return _dump(value)
+    return dump_value(value)
 
 
 def dump_bytes(value: Any) -> bytes:

@@ -16,8 +16,8 @@ from typing import Callable
 
 from . import canonical
 from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
-                     PerceptionMessage, _actor_doc, _parse_actor,
-                     _require_number)
+                     PerceptionMessage, _actor_fields, _actor_text,
+                     _parse_actor, _require_number)
 from .geometry import Polyline
 from .lanemap import LaneMap, route
 from .scenario import ScenarioConfig, from_document, to_document, validate
@@ -34,6 +34,11 @@ STUCK = "Stuck"
 AGENT_TIMEOUT = "AgentTimeout"
 
 OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT)
+
+# actor_distance_lower_bound can round a few ulps above actor_distance when
+# two boxes face each other corner to corner, so a pair is skipped only when
+# its bound clears the contact threshold by more than this.
+BOUND_ROUNDING_MARGIN = 1e-9  # m
 
 
 class RunnerError(RuntimeError):
@@ -97,10 +102,11 @@ def check_collision(world: WorldState, threshold: float):
     """
     ego = world.ego
     best = None
+    skip_above = threshold + BOUND_ROUNDING_MARGIN
     for other in world.actors:
         if other.actor_id == "ego":
             continue
-        if actor_distance_lower_bound(ego, other) > threshold:
+        if actor_distance_lower_bound(ego, other) > skip_above:
             continue
         d = actor_distance(ego, other)
         if d <= threshold and (best is None or d < best[1]):
@@ -250,12 +256,13 @@ def _check_reply(control: ControlMessage, t: float) -> None:
 def _annotate_npc_contacts(world: WorldState, threshold: float,
                            seen: set, annotations: list) -> None:
     npcs = [a for a in world.actors if a.kind == "npc"]
+    skip_above = threshold + BOUND_ROUNDING_MARGIN
     for i in range(len(npcs)):
         for j in range(i + 1, len(npcs)):
             pair = (npcs[i].actor_id, npcs[j].actor_id)
             if pair in seen:
                 continue
-            if actor_distance_lower_bound(npcs[i], npcs[j]) > threshold:
+            if actor_distance_lower_bound(npcs[i], npcs[j]) > skip_above:
                 continue
             if actor_distance(npcs[i], npcs[j]) <= threshold:
                 seen.add(pair)
@@ -265,6 +272,13 @@ def _annotate_npc_contacts(world: WorldState, threshold: float,
 
 # ---------------------------------------------------------------------------
 # persistence
+
+
+def _actor_doc(state: ActorState) -> dict:
+    return {"actor_id": state.actor_id, "kind": state.kind,
+            "x": state.x, "y": state.y, "heading": state.heading,
+            "speed": state.speed, "acceleration": state.acceleration,
+            "length": state.length, "width": state.width}
 
 
 def _frame_doc(frame: Frame) -> dict:
@@ -298,13 +312,44 @@ def recording_digest(rec: ScenarioRecording) -> str:
     return canonical.sha256(recording_document(rec, include_wall_clock=False))
 
 
+def _frame_fields(frame: Frame) -> tuple:
+    return (frame.sim_time, frame.ego_command.throttle,
+            frame.ego_command.brake, frame.ego_command.steering,
+            [_actor_fields(a) for a in frame.actors])
+
+
+def _frame_text(fields: tuple) -> str:
+    sim_time, throttle, brake, steering, actors = fields
+    return ('{"actors":[' + ",".join([_actor_text(a) for a in actors])
+            + '],"ego_command":{"brake":' + canonical.dump_value(brake)
+            + ',"steering":' + canonical.dump_value(steering)
+            + ',"throttle":' + canonical.dump_value(throttle)
+            + '},"sim_time":' + canonical.dump_value(sim_time) + "}")
+
+
+def recording_bytes(rec: ScenarioRecording, include_frames: bool = True) -> bytes:
+    """``canonical.dump_bytes(recording_document(rec, include_frames=...))``,
+    with the frames written by shape.
+
+    The keys that sort before ``"frames"`` and those after it are dumped as
+    two canonical objects, and the frames' text is joined between them.
+    """
+    doc = recording_document(rec, include_frames=False)
+    del doc["frames"]
+    frames = [_frame_fields(f) for f in rec.frames] if include_frames else []
+    head = canonical.dumps({key: doc.pop(key)
+                            for key in ("annotations", "config")})
+    text = ",".join([_frame_text(f) for f in frames])
+    return (head[:-1] + ',"frames":[' + text + "],"
+            + canonical.dumps(doc)[1:]).encode("utf-8")
+
+
 def write_recording(rec: ScenarioRecording, directory: str | Path,
                     include_frames: bool = True) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{rec.scenario_id}.record.json"
-    doc = recording_document(rec, include_frames=include_frames)
-    path.write_bytes(canonical.dump_bytes(doc))
+    path.write_bytes(recording_bytes(rec, include_frames))
     return path
 
 

@@ -1,20 +1,23 @@
 """Wire protocol, bridge sessions, and the reference ego agent."""
 
+import dataclasses
 import math
 import random
 import socket
 import time
 
+import numpy as np
 import pytest
 
-from scenofuzz import bridge
+from scenofuzz import bridge, canonical
 from scenofuzz.bridge import (AgentTimeoutError, BridgeServer, ControlMessage,
                               EgoAgentConfig, FrameError, InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, TcpSession,
                               connect, decode, encode, read_frame,
                               register_inproc_agent, resolve_endpoint)
+from scenofuzz.canonical import finite_number
 from scenofuzz.geometry import Polyline
-from scenofuzz.simulator import ActorState, ControlCommand
+from scenofuzz.simulator import ACTOR_KINDS, ActorState, ControlCommand
 
 
 def actor(actor_id="ego", kind="ego", x=0.0, y=0.0, heading=0.0, speed=8.0,
@@ -153,10 +156,9 @@ class TestFraming:
                 blob = bytearray(valid)
                 blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
                 blob = bytes(blob)
-            try:
-                decode(blob)
-            except FrameError:
-                pass
+            outcome = _outcome(decode, blob)
+            assert outcome[0] in ("ok", FrameError)
+            assert outcome == _outcome(reference_decode, blob)
 
     def test_read_frame_over_socketpair(self):
         a, b = socket.socketpair()
@@ -172,6 +174,291 @@ class TestFraming:
                 read_frame(b)
         finally:
             b.close()
+
+
+# ---------------------------------------------------------------------------
+# reference codec: the encoder that built a dict per frame and dumped it
+# through canonical.dumps, and the decoder's original checks.  The shaped
+# encode/decode must give the same bytes, results and errors.
+
+
+def _reference_actor_doc(state):
+    return {"actor_id": state.actor_id, "kind": state.kind,
+            "x": state.x, "y": state.y, "heading": state.heading,
+            "speed": state.speed, "acceleration": state.acceleration,
+            "length": state.length, "width": state.width}
+
+
+def reference_encode(message):
+    if isinstance(message, PerceptionMessage):
+        body = {"type": "perception", "sim_time": message.sim_time,
+                "ego": _reference_actor_doc(message.ego),
+                "obstacles": [_reference_actor_doc(o)
+                              for o in message.obstacles]}
+    elif isinstance(message, ControlMessage):
+        cmd = message.command
+        body = {"type": "control", "sim_time": message.sim_time,
+                "throttle": cmd.throttle, "brake": cmd.brake,
+                "steering": cmd.steering}
+    else:
+        raise TypeError(f"cannot encode {type(message).__name__}")
+    payload = canonical.dump_bytes(body)
+    return bridge.HEADER.pack(len(payload)) + payload
+
+
+def _reference_parse_actor(doc, where):
+    if not isinstance(doc, dict):
+        raise FrameError(f"{where}: expected an object")
+    keys = {"actor_id", "kind", "x", "y", "heading", "speed", "acceleration",
+            "length", "width"}
+    if set(doc) != keys:
+        raise FrameError(f"{where}: wrong keys {sorted(doc)}")
+    if not isinstance(doc["actor_id"], str) or not isinstance(doc["kind"], str):
+        raise FrameError(f"{where}: actor_id and kind must be strings")
+    numbers = {}
+    for key in ("x", "y", "heading", "speed", "acceleration", "length", "width"):
+        number = finite_number(doc[key])
+        if number is None:
+            raise FrameError(f"{where}/{key}: expected a finite number")
+        numbers[key] = number
+    try:
+        return ActorState(doc["actor_id"], doc["kind"], **numbers)
+    except ValueError as exc:
+        raise FrameError(f"{where}: {exc}") from None
+
+
+def _reference_number(doc, key):
+    number = finite_number(doc[key])
+    if number is None:
+        raise FrameError(f"/{key}: expected a finite number")
+    return number
+
+
+def reference_decode(frame):
+    if len(frame) < bridge.HEADER.size:
+        raise FrameError("frame shorter than its length header")
+    (declared,) = bridge.HEADER.unpack(frame[:bridge.HEADER.size])
+    if declared > bridge.MAX_FRAME_BYTES:
+        raise FrameError(
+            f"declared length {declared} exceeds {bridge.MAX_FRAME_BYTES}")
+    body = frame[bridge.HEADER.size:]
+    if len(body) < declared:
+        raise FrameError(f"truncated frame: declared {declared}, got {len(body)}")
+    if len(body) > declared:
+        raise FrameError(f"trailing bytes after declared length {declared}")
+    try:
+        doc = canonical.loads(body.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"body is not UTF-8: {exc}") from None
+    except ValueError as exc:
+        raise FrameError(f"body is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FrameError("body must be a JSON object")
+    kind = doc.get("type")
+    if kind == "perception":
+        if set(doc) != {"type", "sim_time", "ego", "obstacles"}:
+            raise FrameError(f"perception: wrong keys {sorted(doc)}")
+        obstacles = doc["obstacles"]
+        if not isinstance(obstacles, list):
+            raise FrameError("/obstacles: expected an array")
+        return PerceptionMessage(
+            sim_time=_reference_number(doc, "sim_time"),
+            ego=_reference_parse_actor(doc["ego"], "/ego"),
+            obstacles=tuple(_reference_parse_actor(o, f"/obstacles/{i}")
+                            for i, o in enumerate(obstacles)))
+    if kind == "control":
+        if set(doc) != {"type", "sim_time", "throttle", "brake", "steering"}:
+            raise FrameError(f"control: wrong keys {sorted(doc)}")
+        return ControlMessage(
+            sim_time=_reference_number(doc, "sim_time"),
+            command=ControlCommand(_reference_number(doc, "throttle"),
+                                   _reference_number(doc, "brake"),
+                                   _reference_number(doc, "steering")))
+    raise FrameError(f"unknown message type {kind!r}")
+
+
+def _outcome(function, value):
+    """``("ok", result)`` or the exception's type and message."""
+    try:
+        result = function(value)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    # repr tells 1 from 1.0 and 0.0 from -0.0, which == does not
+    return "ok", result, repr(result)
+
+
+def random_float(rng):
+    pick = rng.randrange(6)
+    if pick == 0:
+        return float(rng.randrange(-50, 50))  # integral: needs ".0"
+    if pick == 1:
+        return rng.choice([-0.0, 0.0, 1e16, 1e17, 5e-324, 1e-7, 0.1 + 0.2,
+                           1.7976931348623157e308, -123456789012345.0])
+    if pick == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-20, 20)
+    return rng.uniform(-200.0, 200.0)
+
+
+IDS = ["ego", "npc_1", "obstacle_12", "", "café", "中", 'q"uote',
+       "back\\slash", "tab\tnew\nline", "\x00\x1f", "\U0001F697", "\u2028",
+       "é" * 40]
+
+
+def random_actor(rng, kind=None):
+    return ActorState(rng.choice(IDS), kind or rng.choice(ACTOR_KINDS),
+                      *(random_float(rng) for _ in range(7)))
+
+
+def random_message(rng):
+    if rng.random() < 0.5:
+        return ControlMessage(random_float(rng),
+                              ControlCommand(rng.uniform(-0.5, 1.5),
+                                             rng.choice([0.0, 1.0, rng.random()]),
+                                             rng.uniform(-1.0, 1.0)))
+    return PerceptionMessage(random_float(rng), random_actor(rng, "ego"),
+                             tuple(random_actor(rng)
+                                   for _ in range(rng.randrange(5))))
+
+
+def with_field(obj, name, value):
+    """A copy of a frozen dataclass with one field set as is, unconverted."""
+    copy = dataclasses.replace(obj)
+    object.__setattr__(copy, name, value)
+    return copy
+
+
+ACTOR_FIELDS = ("actor_id", "kind", "x", "y", "heading", "speed",
+                "acceleration", "length", "width")
+NUMBER_FIELDS = ACTOR_FIELDS[2:]
+
+
+class TestCodecReference:
+    def test_encode_equals_reference_on_seeded_messages(self):
+        rng = random.Random(20261018)
+        for _ in range(6000):
+            message = random_message(rng)
+            frame = encode(message)
+            assert frame == reference_encode(message)
+            assert _outcome(decode, frame) == \
+                _outcome(reference_decode, frame)
+
+    @pytest.mark.parametrize("value", [
+        3, -7, 0, 2**64, True, False, -0.0, 1e16, 1e17, 5e-324, 2.0, 1e15,
+        -40.0, np.float64(0.1), np.float64(-0.0), np.float64(2.0),
+        np.float64(1e16)], ids=repr)
+    def test_encode_equals_reference_on_edge_values(self, value):
+        ego = actor(x=12.5, speed=3.0)
+        npc = actor("npc_1", "npc", x=30.25)
+        for name in NUMBER_FIELDS:
+            for message in (perception(with_field(ego, name, value), [npc]),
+                            perception(ego, [npc, with_field(npc, name, value)])):
+                assert encode(message) == reference_encode(message), name
+        for message in (perception(ego, [npc], t=value),
+                        ControlMessage(value, ControlCommand(0.5, 0.0, 0.1))):
+            assert encode(message) == reference_encode(message)
+        command = ControlCommand(0.5, 0.0, 0.1)
+        for name in ("throttle", "brake", "steering"):
+            message = ControlMessage(1.5, with_field(command, name, value))
+            assert encode(message) == reference_encode(message), name
+
+    def test_subclasses_encode_like_the_reference(self):
+        class Actor(ActorState):
+            pass
+
+        class Perception(PerceptionMessage):
+            pass
+
+        class Control(ControlMessage):
+            pass
+
+        ego = Actor("ego", "ego", 1.0, 2.0, 0.5, 3.0)
+        for message in (Perception(0.5, ego, (actor("npc_1", "npc"),)),
+                        perception(ego, [ego]),
+                        Control(0.5, ControlCommand(1.0, 0.0, 0.25))):
+            assert encode(message) == reference_encode(message)
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+        np.float64("inf"), object(), [1.0, float("nan")], {1: 2.0},
+        "\ud800"], ids=["nan", "inf", "-inf", "np-nan", "np-inf", "object",
+                        "list-with-nan", "int-key", "lone-surrogate"])
+    def test_encode_raises_like_reference(self, bad):
+        ego = actor(x=1.0)
+        npc = actor("npc_1", "npc", x=20.0)
+        messages = [perception(ego, [npc], t=bad),
+                    ControlMessage(bad, ControlCommand()),
+                    ControlMessage(0.0, with_field(ControlCommand(), "brake", bad))]
+        for name in ACTOR_FIELDS:
+            messages.append(perception(with_field(ego, name, bad), [npc]))
+            messages.append(perception(ego, [npc, with_field(npc, name, bad)]))
+        # two bad fields: the one first in key order raises
+        messages.append(perception(with_field(ego, "y", bad), [npc], t=bad))
+        messages.append(perception(with_field(with_field(ego, "y", bad),
+                                              "speed", float("nan")), [npc]))
+        # an unreadable actor fails before any value is written
+        messages.append(perception(with_field(ego, "x", bad), [npc, None]))
+        for message in messages:
+            expected = _outcome(reference_encode, message)
+            assert expected[0] != "ok"
+            assert _outcome(encode, message) == expected
+
+    @pytest.mark.parametrize("text", [
+        '1', '-2', '0', '10000000000000000000000', '1' + '0' * 400,
+        'NaN', 'Infinity', '-Infinity', 'true', 'null', '"3.5"', '[1.0]',
+        '1e400', '-0', '-0.0', '5e-324'])
+    def test_decode_equals_reference_on_number_spellings(self, text):
+        good = perception(actor(x=1.5), [actor("npc_1", "npc", x=30.0)])
+        perception_paths = [["sim_time"]] + \
+            [["ego", key] for key in ACTOR_FIELDS] + \
+            [["obstacles", 0, key] for key in ACTOR_FIELDS]
+        control = ControlMessage(0.5, ControlCommand(0.25, 0.0, 0.1))
+        control_paths = [["sim_time"], ["throttle"], ["brake"], ["steering"]]
+        for message, paths in ((good, perception_paths),
+                               (control, control_paths)):
+            for path in paths:
+                doc = canonical.loads(encode(message)[4:])
+                target = doc
+                for step in path[:-1]:
+                    target = target[step]
+                target[path[-1]] = None  # the one null, replaced by ``text``
+                body = canonical.dumps(doc).replace(
+                    "null", text).encode("utf-8")
+                frame = bridge.HEADER.pack(len(body)) + body
+                assert _outcome(decode, frame) == \
+                    _outcome(reference_decode, frame), (path, text)
+
+    def test_decode_equals_reference_on_malformed_documents(self):
+        ego = canonical.loads(encode(perception(actor()))[4:])["ego"]
+        bodies = [
+            {"type": "perception", "sim_time": 0.0, "ego": ego,
+             "obstacles": [dict(ego, kind="zebra")]},
+            {"type": "perception", "sim_time": 0.0, "ego": ego,
+             "obstacles": [dict(ego, actor_id=7)]},
+            {"type": "perception", "sim_time": 0.0, "ego": ego,
+             "obstacles": [dict(ego, extra=1.0)]},
+            {"type": "perception", "sim_time": 0.0, "ego": ego,
+             "obstacles": [[1.0]]},
+            {"type": "perception", "sim_time": 0.0, "ego": ego,
+             "obstacles": {"0": ego}},
+            {"type": "perception", "sim_time": 0.0, "ego": ego},
+            {"type": "perception", "sim_time": "0", "ego": [], "obstacles": 1},
+            {"type": "control", "sim_time": 0.0, "throttle": 0.5,
+             "brake": False, "steering": 0.0},
+            {"type": "control", "sim_time": 0.0, "throttle": 0.5,
+             "brake": 0.0},
+            {"type": ["control"], "sim_time": 0.0},
+        ]
+        for body in bodies:
+            payload = canonical.dump_bytes(body)
+            frame = bridge.HEADER.pack(len(payload)) + payload
+            assert _outcome(decode, frame) == _outcome(reference_decode, frame)
+
+    def test_decode_accepts_finite_values_whose_sum_overflows(self):
+        big = actor(x=1e308, y=1e308, speed=1e308)
+        frame = encode(perception(big, [big]))
+        outcome = _outcome(decode, frame)
+        assert outcome[0] == "ok"
+        assert outcome == _outcome(reference_decode, frame)
 
 
 # ---------------------------------------------------------------------------

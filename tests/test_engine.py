@@ -1,5 +1,6 @@
 """Testing engine: feedback, operators, surrogate, templates, campaigns."""
 
+import dataclasses
 import math
 import statistics
 
@@ -9,7 +10,7 @@ import pytest
 from synthetic import SyntheticContext, box_prototype, sphere
 
 from scenofuzz import canonical
-from scenofuzz.engine import feedback, operators
+from scenofuzz.engine import campaign, feedback, operators
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
@@ -23,7 +24,8 @@ from scenofuzz.engine.template import (MissionSpec, build_template,
                                        onward_route)
 from scenofuzz.geometry import Polyline
 from scenofuzz.lanemap import route
-from scenofuzz.runner import Frame, ScenarioRecording, Verdict, read_recording
+from scenofuzz.runner import (Frame, ScenarioRecording, Verdict, read_recording,
+                              recording_document, write_recording)
 from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, validate)
 from scenofuzz.simulator import (STEER_MAX, ActorState, ControlCommand,
                                  actor_distance, actor_distance_lower_bound)
@@ -326,6 +328,29 @@ class TestCampaign:
         b, _ = campaign_log(junction_settings, algo="avfuzzer", seed=4,
                             evals=14, workers=3)
         assert canonical.dumps(a.records) == canonical.dumps(b.records)
+
+    @pytest.mark.parametrize("frames", [True, False], ids=["frames", "summary"])
+    @pytest.mark.parametrize("algo", ["avfuzzer", "behavexplor"])
+    def test_recordings_equal_the_reference_document(
+            self, junction_settings, tmp_path, monkeypatch, algo, frames):
+        written = []
+
+        def capture(rec, directory, include_frames=True):
+            path = write_recording(rec, directory, include_frames)
+            written.append((rec, include_frames, path))
+            return path
+
+        monkeypatch.setattr(campaign, "write_recording", capture)
+        settings = dataclasses.replace(junction_settings,
+                                       save_traffic_recording=frames)
+        campaign_log(settings, algo=algo, seed=1, evals=12,
+                     output_dir=tmp_path)
+        assert len(written) == 12
+        for rec, include_frames, path in written:
+            assert include_frames is frames
+            assert path.read_bytes() == canonical.dump_bytes(
+                recording_document(rec, include_frames=frames)), path.name
+        assert sum(len(rec.frames) for rec, _, _ in written) > 12
 
     def test_outputs_on_disk(self, junction_settings, tmp_path):
         out = tmp_path / "run"

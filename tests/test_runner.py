@@ -1,5 +1,6 @@
 """Closed-loop scenario execution, oracles, and recording persistence."""
 
+import dataclasses
 import json
 import math
 
@@ -12,15 +13,17 @@ from scenofuzz.bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
 from scenofuzz.geometry import Pose
 from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               TIMEOUT, OracleConfig, RecordingFormatError,
-                              RunnerError, Verdict, check_collision,
-                              check_destination, initial_world,
-                              mission_end_point, mission_path, read_recording,
+                              RunnerError, Verdict, _annotate_npc_contacts,
+                              check_collision, check_destination,
+                              initial_world, mission_end_point, mission_path,
+                              read_recording, recording_bytes,
                               recording_digest, recording_document,
                               run_scenario, write_recording)
 from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
                                 ScenarioConfig)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
-                                 actor_distance)
+                                 WorldState, actor_distance,
+                                 actor_distance_lower_bound)
 
 GOLDEN_RECORDING_SHA256 = \
     "7b2a9356dd6873880664d3bc0214bad1ee097deb439f394d94dda7e377d96e17"
@@ -31,6 +34,13 @@ class BrakeAgent:
 
     def step(self, perception):
         return ControlMessage(perception.sim_time, BRAKE_COMMAND)
+
+
+def _outcome(function, value):
+    try:
+        return "ok", function(value)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
 
 
 def brake_session():
@@ -83,6 +93,36 @@ class TestOracles:
     def test_verdict_rejects_unknown_outcome(self):
         with pytest.raises(ValueError):
             Verdict("Mystery", 0.0)
+
+    def test_contact_at_threshold_between_facing_corners(self):
+        # Boxes placed corner to corner along their diagonal: for some
+        # headings the circle bound rounds a few ulps above the exact
+        # distance, which is still within the threshold.
+        threshold = 0.01
+        length, width = 4.8, 2.0
+        centres = math.hypot(length, width) + threshold
+        pairs = []
+        for step in range(720):
+            heading = step * math.pi / 360 - math.pi + 0.001
+            diagonal = heading + math.atan2(width, length)
+            for ulps in range(-3, 4):
+                gap = centres + ulps * 2e-16
+                x, y = gap * math.cos(diagonal), gap * math.sin(diagonal)
+                a = ActorState("npc_0", "npc", 0.0, 0.0, heading)
+                b = ActorState("npc_1", "npc", x, y, heading)
+                if actor_distance(a, b) <= threshold < \
+                        actor_distance_lower_bound(a, b):
+                    pairs.append((a, b))
+        assert len(pairs) >= 5
+        for a, b in pairs:
+            ego = ActorState("ego", "ego", a.x, a.y, a.heading)
+            hit = check_collision(WorldState(0.0, (ego, b)), threshold)
+            assert hit == (("ego", "npc_1"), actor_distance(ego, b))
+            annotations = []
+            _annotate_npc_contacts(WorldState(0.0, (a, b)), threshold,
+                                   set(), annotations)
+            assert annotations == [{"type": "npc_contact", "sim_time": 0.0,
+                                    "pair": ["npc_0", "npc_1"]}]
 
 
 class TestRunScenario:
@@ -244,6 +284,38 @@ class TestPersistence:
     def test_golden_recording_digest(self, chain_map):
         rec = self.make_recording(chain_map)
         assert recording_digest(rec) == GOLDEN_RECORDING_SHA256
+
+    def test_recording_bytes_raise_like_the_reference(self, chain_map):
+        rec = self.make_recording(chain_map)
+        frame = rec.frames[3]
+        bad_actor = dataclasses.replace(frame.actors[1])
+        object.__setattr__(bad_actor, "speed", float("nan"))
+        bad_frame = dataclasses.replace(
+            frame, actors=(frame.actors[0], bad_actor),
+            ego_command=ControlCommand(0.5, 0.0, 0.0))
+        object.__setattr__(bad_frame.ego_command, "brake", float("inf"))
+        frames = rec.frames[:3] + (bad_frame,) + rec.frames[4:]
+        cases = [
+            dataclasses.replace(rec, frames=frames),
+            dataclasses.replace(rec, frames=frames, annotations=(
+                {"type": "note", "value": float("-inf")},)),
+            dataclasses.replace(rec, frames=frames, scenario_id="\ud800"),
+            dataclasses.replace(rec, frames=rec.frames + (None,)),
+            # an unreadable frame fails before any value is written
+            dataclasses.replace(rec, frames=frames + (None,)),
+            dataclasses.replace(rec, wall_clock=float("nan")),
+        ]
+        failures = 0
+        for case in cases:
+            for include_frames in (True, False):
+                expected = _outcome(lambda r: canonical.dump_bytes(
+                    recording_document(r, include_frames=include_frames)),
+                    case)
+                assert _outcome(lambda r: recording_bytes(r, include_frames),
+                                case) == expected
+                failures += expected[0] != "ok"
+        # only the frame faults pass when frames are left out
+        assert failures == 9
 
     def test_summary_only_persistence(self, chain_map, tmp_path):
         rec = self.make_recording(chain_map)
