@@ -464,7 +464,7 @@ class BridgeServer:
                     perception = decode(frame)
                     reply = agent.step(perception)
                     conn.sendall(encode(reply))
-                except (FrameError, OSError) as exc:
+                except (ValueError, OSError) as exc:  # FrameError, CanonicalError
                     log.warning("bridge connection dropped: %s", exc)
                     return
         finally:

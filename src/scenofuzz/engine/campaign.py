@@ -14,6 +14,14 @@ and budget produce byte-identical ``evaluations.json`` regardless of worker
 count.  Resume replays the persisted log prefix instead of re-simulating,
 then continues fresh; an interrupted-and-resumed campaign therefore ends
 with the same log as an uninterrupted one.
+
+Checkpoint contract: after every batch that evaluated something fresh,
+``evaluations.json`` is a complete snapshot of the log, replaced atomically,
+so it can be read at any time while the campaign runs.  While a resume is
+still replaying, the files are not rewritten: they already hold every entry,
+including those not yet replayed.  Each record is encoded once, at the first
+checkpoint that writes it, and appended to the text of the log so far, which
+is byte for byte the canonical encoding of the whole log.
 """
 
 from __future__ import annotations
@@ -106,6 +114,9 @@ class CampaignContext:
         self._lane_width = settings.lane_map.lane(
             settings.template.ego.start_lane_id).width
         self._replay: deque[tuple[dict, Feedback]] = deque()
+        # canonical text of records[:_logged], grown in place by checkpoint()
+        self._log_text = bytearray(b"[]")
+        self._logged = 0
         self._wall_prior = 0.0
         self._t0 = time.monotonic()
         if resume and self.output_dir is not None:
@@ -157,11 +168,18 @@ class CampaignContext:
             self._wall_prior = float(wall)
 
     def checkpoint(self) -> None:
-        if self.output_dir is None:
+        # While replay entries are queued the files on disk already hold
+        # them all; rewriting them now would drop the ones not yet replayed.
+        if self.output_dir is None or self._replay:
             return
         self.output_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.output_dir / EVALUATIONS_FILE,
-                      canonical.dump_bytes(self.records))
+        if self._logged < self.completed:
+            texts = [canonical.dumps(r) for r in self.records[self._logged:]]
+            separator = "," if self._logged else ""
+            self._log_text[-1:] = \
+                (separator + ",".join(texts) + "]").encode("utf-8")
+            self._logged = self.completed
+        _atomic_write(self.output_dir / EVALUATIONS_FILE, self._log_text)
         state = {"algorithm": self.algorithm_name, "seed": self.seed,
                  "completed": self.completed, "finished": self.finished,
                  "wall_consumed": self.wall_consumed()}
@@ -290,7 +308,7 @@ def _read_checkpoint_file(path: Path):
         raise CampaignError(f"{path}: unreadable checkpoint: {exc}") from None
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, data: bytes | bytearray) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)

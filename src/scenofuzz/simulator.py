@@ -34,10 +34,21 @@ class ControlCommand:
     steering: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "throttle", min(max(float(self.throttle), 0.0), 1.0))
-        object.__setattr__(self, "brake", min(max(float(self.brake), 0.0), 1.0))
+        throttle = _finite_command(self.throttle, "throttle")
+        brake = _finite_command(self.brake, "brake")
+        steering = _finite_command(self.steering, "steering")
+        object.__setattr__(self, "throttle", min(max(throttle, 0.0), 1.0))
+        object.__setattr__(self, "brake", min(max(brake, 0.0), 1.0))
         object.__setattr__(self, "steering",
-                           min(max(float(self.steering), -STEER_MAX), STEER_MAX))
+                           min(max(steering, -STEER_MAX), STEER_MAX))
+
+
+def _finite_command(value, name: str) -> float:
+    # min/max pass NaN through, so a non-finite input cannot be clamped
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"ControlCommand.{name} is not finite: {number!r}")
+    return number
 
 
 BRAKE_COMMAND = ControlCommand(0.0, 1.0, 0.0)

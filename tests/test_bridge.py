@@ -649,6 +649,39 @@ class TestSessions:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("fault", ["nan-command", "nan-sim-time"])
+    def test_faulty_agent_drops_its_connection_with_a_log(self, caplog,
+                                                          monkeypatch, fault):
+        class FaultyAgent:
+            def step(self, perception_msg):
+                if fault == "nan-command":  # ValueError from ControlCommand
+                    return ControlMessage(perception_msg.sim_time,
+                                          ControlCommand(math.nan, 0.0, 0.0))
+                # CanonicalError from encode
+                return ControlMessage(math.nan, ControlCommand())
+
+        uncaught = []
+        monkeypatch.setattr("threading.excepthook", uncaught.append)
+        server = BridgeServer(FaultyAgent)
+        try:
+            with caplog.at_level("WARNING", logger="scenofuzz.bridge"):
+                session = connect(server.endpoint, timeout=5.0)
+                with pytest.raises(FrameError, match="connection closed"):
+                    session.request(scripted_frames()[0])
+                session.close()
+            # the server goes on serving other connections
+            server.agent_factory = agent_factory
+            session = connect(server.endpoint, timeout=5.0)
+            assert isinstance(session.request(scripted_frames()[0]),
+                              ControlMessage)
+            session.close()
+        finally:
+            server.close()
+        assert any("bridge connection dropped" in r.getMessage()
+                   and "finite" in r.getMessage()
+                   for r in caplog.records)
+        assert uncaught == []
+
     def test_inproc_registry_and_endpoint_parsing(self):
         register_inproc_agent("test_reference", agent_factory)
         session = connect("inproc:test_reference")

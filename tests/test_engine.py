@@ -1,5 +1,6 @@
 """Testing engine: feedback, operators, surrogate, templates, campaigns."""
 
+import collections
 import dataclasses
 import math
 import statistics
@@ -24,7 +25,8 @@ from scenofuzz.engine.template import (MissionSpec, build_template,
                                        onward_route)
 from scenofuzz.geometry import Polyline
 from scenofuzz.lanemap import route
-from scenofuzz.runner import (Frame, ScenarioRecording, Verdict, read_recording,
+from scenofuzz.runner import (OUTCOMES, Frame, ScenarioRecording, Verdict,
+                              read_recording,
                               recording_document, write_recording)
 from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, validate)
 from scenofuzz.simulator import (STEER_MAX, ActorState, ControlCommand,
@@ -308,6 +310,33 @@ def _without_fitness_of_entry_1(log: bytes) -> bytes:
     return canonical.dump_bytes(entries)
 
 
+@pytest.fixture
+def checked_checkpoints(monkeypatch):
+    """Checks ``evaluations.json`` after every checkpoint of a persisted run.
+
+    The file must be either the reference encoding of the whole log, or,
+    while a resume still has entries to replay, left exactly as it was.
+    Returns the number of checkpoints of each kind.
+    """
+    counts = {"rewritten": 0, "kept": 0}
+    original = CampaignContext.checkpoint
+
+    def checkpoint(self):
+        log = self.output_dir / campaign.EVALUATIONS_FILE
+        before = log.read_bytes() if log.exists() else None
+        original(self)
+        after = log.read_bytes()
+        if after == canonical.dump_bytes(self.records):
+            counts["rewritten"] += 1
+        else:
+            assert after == before, "checkpoint wrote a different log"
+            assert len(canonical.loads(before)) > self.completed
+            counts["kept"] += 1
+
+    monkeypatch.setattr(CampaignContext, "checkpoint", checkpoint)
+    return counts
+
+
 class TestCampaign:
     def test_budget_is_exact(self, junction_settings):
         ctx, report = campaign_log(junction_settings, evals=7)
@@ -332,7 +361,8 @@ class TestCampaign:
     @pytest.mark.parametrize("frames", [True, False], ids=["frames", "summary"])
     @pytest.mark.parametrize("algo", ["avfuzzer", "behavexplor"])
     def test_recordings_equal_the_reference_document(
-            self, junction_settings, tmp_path, monkeypatch, algo, frames):
+            self, junction_settings, tmp_path, monkeypatch, checked_checkpoints,
+            algo, frames):
         written = []
 
         def capture(rec, directory, include_frames=True):
@@ -351,6 +381,8 @@ class TestCampaign:
             assert path.read_bytes() == canonical.dump_bytes(
                 recording_document(rec, include_frames=frames)), path.name
         assert sum(len(rec.frames) for rec, _, _ in written) > 12
+        assert checked_checkpoints["kept"] == 0
+        assert checked_checkpoints["rewritten"] > 1
 
     def test_outputs_on_disk(self, junction_settings, tmp_path):
         out = tmp_path / "run"
@@ -383,7 +415,8 @@ class TestCampaign:
         assert rec.verdict.outcome
 
     def test_resume_replays_and_matches_uninterrupted(self, junction_settings,
-                                                      tmp_path):
+                                                      tmp_path,
+                                                      checked_checkpoints):
         import time
         full, _ = campaign_log(junction_settings, algo="avfuzzer", seed=2,
                                evals=12, output_dir=tmp_path / "uncut")
@@ -404,6 +437,53 @@ class TestCampaign:
         assert canonical.dumps(ctx_b.records[:5]) == \
             canonical.dumps(ctx_a.records)
         assert resumed_wall < 60.0
+        assert (partial_dir / "evaluations.json").read_bytes() == \
+            (tmp_path / "uncut" / "evaluations.json").read_bytes()
+        assert checked_checkpoints["rewritten"] > 2
+
+    def test_interrupted_replay_keeps_the_whole_log(self, junction_settings,
+                                                    tmp_path, monkeypatch,
+                                                    checked_checkpoints):
+        campaign_log(junction_settings, algo="behavexplor", seed=3, evals=12,
+                     output_dir=tmp_path / "uncut")
+        whole = (tmp_path / "uncut" / "evaluations.json").read_bytes()
+        out = tmp_path / "cut"
+        campaign_log(junction_settings, algo="behavexplor", seed=3, evals=8,
+                     output_dir=out)
+        log_before = (out / "evaluations.json").read_bytes()
+        state_before = (out / "campaign.state.json").read_bytes()
+        assert len(canonical.loads(log_before)) == 8
+
+        class Interrupted(Exception):
+            pass
+
+        original = CampaignContext.evaluate_batch
+        batches = []
+
+        def evaluate_batch(self, vectors):
+            if len(batches) == 3:
+                raise Interrupted
+            batches.append(vectors)
+            return original(self, vectors)
+
+        monkeypatch.setattr(CampaignContext, "evaluate_batch", evaluate_batch)
+        ctx = CampaignContext(junction_settings,
+                              CampaignBudget(max_evaluations=12), seed=3,
+                              output_dir=out, resume=True)
+        with pytest.raises(Interrupted):
+            run_campaign("behavexplor", ctx, {})
+        assert ctx.completed == 3
+        assert (out / "evaluations.json").read_bytes() == log_before
+        assert (out / "campaign.state.json").read_bytes() == state_before
+
+        monkeypatch.setattr(CampaignContext, "evaluate_batch", original)
+        ctx, _ = campaign_log(junction_settings, algo="behavexplor", seed=3,
+                              evals=12, output_dir=out, resume=True)
+        assert ctx.completed == 12
+        assert (out / "evaluations.json").read_bytes() == whole
+        # batches of one: 3 replayed before the interruption, then 7 of the
+        # 8 replayed again leave the file alone; the 8th rewrites it
+        assert checked_checkpoints["kept"] == 3 + 7
 
     def test_resume_with_wrong_seed_is_detected(self, junction_settings,
                                                 tmp_path):
@@ -476,6 +556,71 @@ class TestCampaign:
     def test_budget_requires_some_limit(self):
         with pytest.raises(ValueError):
             CampaignBudget()
+
+
+class TestLongCampaign:
+    """Thousands of batches of one through a real context with a stub in
+    place of simulation: the checkpoint cost stays linear in the log."""
+
+    BATCHES = 2000
+
+    @staticmethod
+    def _evaluate_stub(ctx, index, vector):
+        rng = np.random.default_rng([ctx.seed, index])
+        record = {
+            "index": index,
+            "scenario_id": f"eval_{index:06d}",
+            "values": [float(v) for v in vector.values],
+            "repairs": [],
+            "outcome": OUTCOMES[int(rng.integers(len(OUTCOMES)))],
+            "fitness": float(rng.normal(10.0, 5.0)),
+            "quality_score": float(rng.random()),
+            "behavior": [float(v) for v in rng.random(24)],
+            "time_of_decision": float(rng.uniform(0.0, 30.0)),
+        }
+        return record, campaign._feedback_from_record(record)
+
+    def test_each_record_is_encoded_once(self, junction_settings, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(CampaignContext, "_evaluate_one",
+                            self._evaluate_stub)
+        encoded = collections.Counter()
+        dumps = canonical.dumps
+
+        def counting_dumps(value):
+            if isinstance(value, dict) and "scenario_id" in value:
+                encoded[value["index"]] += 1
+            return dumps(value)
+
+        monkeypatch.setattr(canonical, "dumps", counting_dumps)
+        out = tmp_path / "long"
+        log = out / campaign.EVALUATIONS_FILE
+
+        def drive(resume, expect):
+            ctx = CampaignContext(junction_settings,
+                                  CampaignBudget(max_evaluations=self.BATCHES),
+                                  seed=5, output_dir=out, resume=resume)
+            for batch in range(1, self.BATCHES + 1):
+                ctx.evaluate_batch([operators.sample_uniform(ctx.rng,
+                                                             ctx.prototype)])
+                if batch % 100 == 0:
+                    assert log.read_bytes() == expect(ctx), batch
+            ctx.finished = True
+            ctx.checkpoint()
+            assert ctx.completed == self.BATCHES
+            return ctx
+
+        ctx = drive(False, lambda ctx: canonical.dump_bytes(ctx.records))
+        finished = log.read_bytes()
+        assert finished == canonical.dump_bytes(ctx.records)
+        assert encoded == {i: 1 for i in range(self.BATCHES)}
+
+        # the replay leaves the file alone, then encodes each entry once
+        encoded.clear()
+        resumed = drive(True, lambda ctx: finished)
+        assert log.read_bytes() == finished
+        assert resumed.records == ctx.records
+        assert encoded == {i: 1 for i in range(self.BATCHES)}
 
 
 def _reference_trace_min_distance(recording, calls=None):

@@ -32,6 +32,18 @@ def test_command_clamped_on_entry():
     assert (cmd.throttle, cmd.brake, cmd.steering) == (1.0, 0.0, STEER_MAX)
 
 
+@pytest.mark.parametrize("field", ["throttle", "brake", "steering"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan",
+                                 np.float64("inf")],
+                         ids=["nan", "inf", "-inf", "nan-text", "np-inf"])
+def test_command_rejects_non_finite_values(field, bad):
+    with pytest.raises(ValueError, match=f"ControlCommand.{field} is not"):
+        ControlCommand(**{field: bad})
+    # huge finite values are still clamped
+    cmd = ControlCommand(**{field: 1e308})
+    assert math.isfinite(getattr(cmd, field))
+
+
 def test_rest_stays_at_rest():
     state = _actor()
     nxt = step_kinematic(state, ControlCommand(), PARAMS, DT)
