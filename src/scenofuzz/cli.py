@@ -84,7 +84,7 @@ def _export_svgs(ctx, output_dir: Path) -> int:
 
     svg_dir = output_dir / "svg"
     count = 0
-    for record in ctx.records:
+    for record in ctx.log_entries():
         if record["outcome"] != "CollisionViolation":
             continue
         rec_path = output_dir / "recordings" / \

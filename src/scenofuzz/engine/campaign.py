@@ -27,6 +27,7 @@ is byte for byte the canonical encoding of the whole log.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
 import time
 from collections import deque
@@ -51,6 +52,8 @@ EVALUATIONS_FILE = "evaluations.json"
 STATE_FILE = "campaign.state.json"
 REPORT_FILE = "report.json"
 RECORDINGS_DIR = "recordings"
+
+log = logging.getLogger(__name__)
 
 
 class BudgetExhausted(Exception):
@@ -127,6 +130,11 @@ class CampaignContext:
     @property
     def completed(self) -> int:
         return len(self.records)
+
+    def log_entries(self) -> list[dict]:
+        """Every entry of the log on disk: the records so far, then those a
+        resume still has queued for replay."""
+        return self.records + [entry for entry, _ in self._replay]
 
     def wall_consumed(self) -> float:
         return self._wall_prior + (time.monotonic() - self._t0)
@@ -223,6 +231,10 @@ class CampaignContext:
             else:
                 results = [self._evaluate_one(*job) for job in jobs]
             for record, feedback in results:
+                log.debug("evaluation %d %s: %s fitness=%r repairs=%s",
+                          record["index"], record["scenario_id"],
+                          record["outcome"], record["fitness"],
+                          record["repairs"])
                 self.records.append(record)
                 feedbacks.append(feedback)
 
@@ -330,12 +342,15 @@ def algorithm_registry() -> dict:
 
 
 def build_report(ctx: CampaignContext, algorithm: str) -> dict:
-    violations = [r for r in ctx.records if r["outcome"] == "CollisionViolation"]
-    fitnesses = [r["fitness"] for r in ctx.records]
+    """Summarise the log on disk, including the entries a resume that
+    stopped early left queued for replay."""
+    entries = ctx.log_entries()
+    violations = [r for r in entries if r["outcome"] == "CollisionViolation"]
+    fitnesses = [r["fitness"] for r in entries]
     return {
         "algorithm": algorithm,
         "seed": ctx.seed,
-        "evaluations": ctx.completed,
+        "evaluations": len(entries),
         "violations": len(violations),
         "first_violation_index": violations[0]["index"] if violations else None,
         "best_fitness": min(fitnesses) if fitnesses else None,

@@ -7,6 +7,7 @@ counter-clockwise from the +x axis and normalized to (-pi, pi].
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,8 +63,9 @@ class Polyline:
         self.points = pts
         self.cumlen = cum
         self.length = cum[-1]
-        # per segment, the terms project() needs, each computed as it would be
-        # there: (x0, y0, dx, dy, seg_len**2, s0, seg_len, left normal x, y)
+        # per segment, the terms the path queries need, each computed with the
+        # float operations a query would apply to the points:
+        # (x0, y0, dx, dy, seg_len**2, s0, seg_len, left normal x, y)
         segments = []
         for i in range(len(pts) - 1):
             (x0, y0), (x1, y1) = pts[i], pts[i + 1]
@@ -75,31 +77,27 @@ class Polyline:
 
     def _segment_index(self, s: float) -> int:
         """Index i such that s falls on segment [points[i], points[i+1])."""
-        if s <= 0.0:
+        if not s > 0.0:  # also NaN, which bisect would send past the end
             return 0
         if s >= self.length:
             return len(self.points) - 2
-        lo, hi = 0, len(self.cumlen) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.cumlen[mid] <= s:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_right(self.cumlen, s) - 1
 
     def point_at(self, s: float) -> tuple[float, float]:
-        s = min(max(s, 0.0), self.length)
-        i = self._segment_index(s)
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        seg = self.cumlen[i + 1] - self.cumlen[i]
-        t = (s - self.cumlen[i]) / seg
-        return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        # -0.0 and NaN pass through unchanged
+        if s < 0.0:
+            s = 0.0
+        elif s > self.length:
+            s = self.length
+        x0, y0, dx, dy, _, s0, seg_len, _, _ = \
+            self._segments[self._segment_index(s)]
+        t = (s - s0) / seg_len
+        return (x0 + t * dx, y0 + t * dy)
 
     def heading_at(self, s: float) -> float:
-        i = self._segment_index(min(max(s, 0.0), self.length))
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        return math.atan2(y1 - y0, x1 - x0)
+        # _segment_index already maps s outside [0, length] to an end segment
+        _, _, dx, dy, _, _, _, _, _ = self._segments[self._segment_index(s)]
+        return math.atan2(dy, dx)
 
     def pose_at(self, s: float) -> Pose:
         x, y = self.point_at(s)
@@ -123,7 +121,10 @@ class Polyline:
         best_lat = 0.0
         for x0, y0, dx, dy, len2, s0, seg_len, nx, ny in self._segments:
             t = ((x - x0) * dx + (y - y0) * dy) / len2
-            t = min(max(t, 0.0), 1.0)
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
             px, py = x0 + t * dx, y0 + t * dy
             d2 = (x - px) ** 2 + (y - py) ** 2
             if d2 < best_d2 - 1e-15:

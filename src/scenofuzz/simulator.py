@@ -3,6 +3,13 @@
 The vehicle model is a kinematic bicycle integrated with explicit Euler.  All
 state updates read the pre-step snapshot, so actor iteration order can never
 change a step's outcome.
+
+The value objects ``ActorState`` and ``ControlCommand`` are validated once, in
+their ``__init__``, and stored straight into the instance.  A heading that is
+an exact ``float`` in (-pi, pi] is kept as given, because ``normalize_angle``
+is exact there and would return the same bits; a command whose fields are
+exact floats inside their clamp ranges is kept as given for the same reason.
+Every other value takes the full normalize or check-and-clamp path.
 """
 
 from __future__ import annotations
@@ -27,20 +34,29 @@ class VehicleParams:
     steer_max: float = STEER_MAX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControlCommand:
     throttle: float = 0.0
     brake: float = 0.0
     steering: float = 0.0
 
-    def __post_init__(self) -> None:
-        throttle = _finite_command(self.throttle, "throttle")
-        brake = _finite_command(self.brake, "brake")
-        steering = _finite_command(self.steering, "steering")
-        object.__setattr__(self, "throttle", min(max(throttle, 0.0), 1.0))
-        object.__setattr__(self, "brake", min(max(brake, 0.0), 1.0))
-        object.__setattr__(self, "steering",
-                           min(max(steering, -STEER_MAX), STEER_MAX))
+    def __init__(self, throttle: float = 0.0, brake: float = 0.0,
+                 steering: float = 0.0) -> None:
+        # for exact floats in range the clamps return the argument itself
+        if not (type(throttle) is float and 0.0 <= throttle <= 1.0
+                and type(brake) is float and 0.0 <= brake <= 1.0
+                and type(steering) is float
+                and -STEER_MAX <= steering <= STEER_MAX):
+            throttle = _finite_command(throttle, "throttle")
+            brake = _finite_command(brake, "brake")
+            steering = _finite_command(steering, "steering")
+            throttle = min(max(throttle, 0.0), 1.0)
+            brake = min(max(brake, 0.0), 1.0)
+            steering = min(max(steering, -STEER_MAX), STEER_MAX)
+        fields = self.__dict__
+        fields["throttle"] = throttle
+        fields["brake"] = brake
+        fields["steering"] = steering
 
 
 def _finite_command(value, name: str) -> float:
@@ -56,7 +72,7 @@ BRAKE_COMMAND = ControlCommand(0.0, 1.0, 0.0)
 ACTOR_KINDS = ("ego", "npc", "static")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ActorState:
     actor_id: str
     kind: str
@@ -68,10 +84,24 @@ class ActorState:
     length: float = 4.8
     width: float = 2.0
 
-    def __post_init__(self) -> None:
-        if self.kind not in ACTOR_KINDS:
-            raise ValueError(f"unknown actor kind {self.kind!r}")
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+    def __init__(self, actor_id: str, kind: str, x: float, y: float,
+                 heading: float, speed: float = 0.0, acceleration: float = 0.0,
+                 length: float = 4.8, width: float = 2.0) -> None:
+        if kind not in ACTOR_KINDS:
+            raise ValueError(f"unknown actor kind {kind!r}")
+        # math.remainder is exact, so normalize_angle returns these unchanged
+        if type(heading) is not float or not -math.pi < heading <= math.pi:
+            heading = normalize_angle(heading)
+        fields = self.__dict__
+        fields["actor_id"] = actor_id
+        fields["kind"] = kind
+        fields["x"] = x
+        fields["y"] = y
+        fields["heading"] = heading
+        fields["speed"] = speed
+        fields["acceleration"] = acceleration
+        fields["length"] = length
+        fields["width"] = width
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,27 @@ class TestCampaignRuns:
         out = capsys.readouterr().out
         assert f"svgs={len(svgs)}" in out
 
+    def test_svg_export_after_a_resume_that_stops_during_replay(
+            self, output_root, capsys):
+        # seed 2: collisions at 2, 6 and 7, none among the 2 entries replayed
+        args = ["--config-name", "behavexplor", "--config-dir",
+                str(CONFIG_DIR), "--seed", "2", "--run-id", "cut",
+                "--export-svg"]
+        assert main(args + ["--max-evals", "10"]) == EXIT_OK
+        svg_dir = output_root / "cut" / "svg"
+        first = sorted(svg_dir.glob("*.svg"))
+        for svg in first:
+            svg.unlink()
+        capsys.readouterr()
+        assert main(args + ["--max-evals", "2", "--resume"]) == EXIT_OK
+        report = json.loads((output_root / "cut" / "report.json").read_text())
+        assert report["evaluations"] == 10
+        assert report["violations"] == len(first) == 3
+        assert sorted(svg_dir.glob("*.svg")) == first
+        out = capsys.readouterr().out
+        assert "evaluations=10 violations=3 first_violation=2" in out
+        assert out.rstrip().endswith("svgs=3")
+
 
 class TestInterrupt:
     def test_sigint_checkpoints_and_resume_completes(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import logging
 import math
 import statistics
 
@@ -484,6 +485,66 @@ class TestCampaign:
         # batches of one: 3 replayed before the interruption, then 7 of the
         # 8 replayed again leave the file alone; the 8th rewrites it
         assert checked_checkpoints["kept"] == 3 + 7
+
+    @pytest.mark.parametrize("stop", ["budget", "stop-request"])
+    def test_report_of_a_resume_that_stops_during_replay(
+            self, junction_settings, tmp_path, monkeypatch, stop):
+        # seed 2: the 8-entry log has collisions at 2, 6 and 7, all after
+        # the first two entries, which are all that get replayed
+        out = tmp_path / "run"
+        _, whole = campaign_log(junction_settings, algo="behavexplor", seed=2,
+                                evals=8, output_dir=out)
+        assert whole["violations"] == 3
+        original = CampaignContext.evaluate_batch
+
+        def evaluate_batch(self, vectors):
+            if self.completed == 2:
+                self.stop_requested = True  # as Ctrl-C does
+            return original(self, vectors)
+
+        if stop == "stop-request":
+            monkeypatch.setattr(CampaignContext, "evaluate_batch",
+                                evaluate_batch)
+        ctx = CampaignContext(
+            junction_settings,
+            CampaignBudget(max_evaluations=2 if stop == "budget" else 12),
+            seed=2, output_dir=out, resume=True)
+        report = run_campaign("behavexplor", ctx, {})
+        assert ctx.completed == 2
+        log = canonical.loads((out / "evaluations.json").read_bytes())
+        state = canonical.loads((out / "campaign.state.json").read_bytes())
+        assert report == canonical.loads((out / "report.json").read_bytes())
+        assert report["evaluations"] == len(log) == state["completed"] == 8
+        for key in ("violations", "first_violation_index", "best_fitness"):
+            assert report[key] == whole[key], key
+
+    def test_debug_logs_each_fresh_evaluation(self, junction_settings,
+                                              tmp_path, caplog):
+        def lines():
+            return [r for r in caplog.records if r.name == campaign.log.name]
+
+        with caplog.at_level(logging.INFO):
+            campaign_log(junction_settings, algo="avfuzzer", seed=4, evals=6,
+                         output_dir=tmp_path / "info")
+        assert lines() == []
+        with caplog.at_level(logging.DEBUG):
+            ctx, _ = campaign_log(junction_settings, algo="avfuzzer", seed=4,
+                                  evals=6, workers=2,
+                                  output_dir=tmp_path / "debug")
+        assert [r.levelno for r in lines()] == [logging.DEBUG] * 6
+        # in submission order, whatever the worker count
+        assert [r.getMessage() for r in lines()] == [
+            f"evaluation {r['index']} {r['scenario_id']}: {r['outcome']} "
+            f"fitness={r['fitness']!r} repairs={r['repairs']}"
+            for r in ctx.records]
+        assert (tmp_path / "debug" / "evaluations.json").read_bytes() == \
+            (tmp_path / "info" / "evaluations.json").read_bytes()
+        # replayed entries were logged when they were evaluated
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            campaign_log(junction_settings, algo="avfuzzer", seed=4, evals=8,
+                         output_dir=tmp_path / "debug", resume=True)
+        assert [r.getMessage().split()[1] for r in lines()] == ["6", "7"]
 
     def test_resume_with_wrong_seed_is_detected(self, junction_settings,
                                                 tmp_path):

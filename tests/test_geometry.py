@@ -112,16 +112,21 @@ def _bits(values):
     return tuple(float(v).hex() for v in values)
 
 
+def _seeded_polyline(rng):
+    n = int(rng.integers(2, 14))
+    steps = rng.uniform(0.5, 10.0, size=n - 1)
+    turns = np.cumsum(rng.uniform(-2.0, 2.0, size=n - 1))
+    pts = [(float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)))]
+    for step, turn in zip(steps.tolist(), turns.tolist()):
+        x, y = pts[-1]
+        pts.append((x + step * math.cos(turn), y + step * math.sin(turn)))
+    return pts
+
+
 def test_project_equals_reference_on_seeded_points():
     rng = np.random.default_rng(5150)
     for _ in range(200):
-        n = int(rng.integers(2, 14))
-        steps = rng.uniform(0.5, 10.0, size=n - 1)
-        turns = np.cumsum(rng.uniform(-2.0, 2.0, size=n - 1))
-        pts = [(float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)))]
-        for step, turn in zip(steps.tolist(), turns.tolist()):
-            x, y = pts[-1]
-            pts.append((x + step * math.cos(turn), y + step * math.sin(turn)))
+        pts = _seeded_polyline(rng)
         line = Polyline(pts)
         xs, ys = zip(*pts)
         queries = [(float(rng.uniform(min(xs) - 10, max(xs) + 10)),
@@ -133,6 +138,92 @@ def test_project_equals_reference_on_seeded_points():
         for x, y in queries:
             assert _bits(line.project(x, y)) == \
                 _bits(_reference_project(line, x, y)), (pts, x, y)
+
+
+# ---------------------------------------------------------------------------
+# references: the arc-length lookups as a hand-written binary search and
+# min/max clamps, reading the points on each call.  The lookups must return
+# the same index and the same floats.
+
+
+def _reference_segment_index(line, s):
+    if s <= 0.0:
+        return 0
+    if s >= line.length:
+        return len(line.points) - 2
+    lo, hi = 0, len(line.cumlen) - 1
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if line.cumlen[mid] <= s:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _reference_point_at(line, s):
+    s = min(max(s, 0.0), line.length)
+    i = _reference_segment_index(line, s)
+    (x0, y0), (x1, y1) = line.points[i], line.points[i + 1]
+    seg = line.cumlen[i + 1] - line.cumlen[i]
+    t = (s - line.cumlen[i]) / seg
+    return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+
+
+def _reference_heading_at(line, s):
+    i = _reference_segment_index(line, min(max(s, 0.0), line.length))
+    (x0, y0), (x1, y1) = line.points[i], line.points[i + 1]
+    return math.atan2(y1 - y0, x1 - x0)
+
+
+def _arc_lengths(line):
+    """Every vertex of cumlen and its neighbouring floats, both ends, beyond
+    both ends, signed zeros, NaN, infinities and non-float numbers."""
+    values = [0.0, -0.0, line.length, -1.0, -1e-300, line.length + 1.0,
+              2 * line.length, math.nan, math.inf, -math.inf, 0, 1, True,
+              np.float64(line.length / 3), np.float64(math.nan)]
+    for c in line.cumlen:
+        values += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+    values += [(a + b) / 2 for a, b in zip(line.cumlen, line.cumlen[1:])]
+    return values
+
+
+def _assert_lookups_equal_reference(line, values):
+    for s in values:
+        assert line._segment_index(s) == _reference_segment_index(line, s), s
+        assert _bits(line.point_at(s)) == _bits(_reference_point_at(line, s)), s
+        assert _bits([line.heading_at(s)]) == \
+            _bits([_reference_heading_at(line, s)]), s
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (10, 0)],
+    [(0, 0), (10, 0), (10, 10)],
+    [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0)],
+    [(0.0, 0.0), (1e-3, 0.0), (1e-3, 5e-3), (7.25, 5e-3)],
+    [(-0.0, -0.0), (5.0, 3.0), (-2.0, 8.0)],  # x0 + (-0.0) keeps the sign
+], ids=["one-segment", "corner", "zigzag", "short-segments", "signed-zero"])
+def test_lookups_equal_reference_at_edges(points):
+    line = Polyline(points)
+    _assert_lookups_equal_reference(line, _arc_lengths(line))
+
+
+def test_lookups_equal_reference_on_seeded_paths():
+    rng = np.random.default_rng(4242)
+    for _ in range(200):
+        line = Polyline(_seeded_polyline(rng))
+        values = _arc_lengths(line)
+        values += [float(v) for v in
+                   rng.uniform(-5.0, line.length + 5.0, size=30)]
+        _assert_lookups_equal_reference(line, values)
+
+
+def test_project_equals_reference_at_nan_coordinates():
+    line = Polyline([(0, 0), (10, 0), (10, 10)])
+    for x, y in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+                 (math.inf, 0.0), (-0.0, -0.0), (5.0, -0.0)):
+        assert _bits(line.project(x, y)) == \
+            _bits(_reference_project(line, x, y)), (x, y)
 
 
 def test_project_ties_keep_the_smallest_s():

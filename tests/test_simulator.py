@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
+                         replace)
 
 import numpy as np
 import pytest
@@ -308,6 +310,172 @@ def test_step_kinematic_equals_replace_form():
         fields = ("x", "y", "heading", "speed", "acceleration", "length", "width")
         assert _bits(*(getattr(new, f) for f in fields)) == \
             _bits(*(getattr(ref, f) for f in fields))
+
+
+# ---------------------------------------------------------------------------
+# references: the value objects as the generated dataclass __init__ and a
+# __post_init__ built them.  The explicit __init__ must store the same values
+# with the same types, and raise the same exceptions with the same messages.
+
+
+def _reference_finite_command(value, name):
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"ControlCommand.{name} is not finite: {number!r}")
+    return number
+
+
+@dataclass(frozen=True)
+class _ReferenceControlCommand:
+    throttle: float = 0.0
+    brake: float = 0.0
+    steering: float = 0.0
+
+    def __post_init__(self) -> None:
+        throttle = _reference_finite_command(self.throttle, "throttle")
+        brake = _reference_finite_command(self.brake, "brake")
+        steering = _reference_finite_command(self.steering, "steering")
+        object.__setattr__(self, "throttle", min(max(throttle, 0.0), 1.0))
+        object.__setattr__(self, "brake", min(max(brake, 0.0), 1.0))
+        object.__setattr__(self, "steering",
+                           min(max(steering, -STEER_MAX), STEER_MAX))
+
+
+@dataclass(frozen=True)
+class _ReferenceActorState:
+    actor_id: str
+    kind: str
+    x: float
+    y: float
+    heading: float
+    speed: float = 0.0
+    acceleration: float = 0.0
+    length: float = 4.8
+    width: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("ego", "npc", "static"):
+            raise ValueError(f"unknown actor kind {self.kind!r}")
+        object.__setattr__(self, "heading", normalize_angle(self.heading))
+
+
+def _fields_of(obj):
+    """Each field's name, type and exact value (hex tells 0.0 from -0.0)."""
+    return tuple((f.name, type(value),
+                  float.hex(value) if isinstance(value, float) else repr(value))
+                 for f in fields(obj)
+                 for value in (getattr(obj, f.name),))
+
+
+def _built(cls, *args, **kwargs):
+    """The fields a construction stores, or its exception type and message."""
+    try:
+        obj = cls(*args, **kwargs)
+    except Exception as exc:  # compared, not handled
+        return ("raises", type(exc), str(exc))
+    return ("builds", _fields_of(obj))
+
+
+def _ulps(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+EDGE_HEADINGS = (
+    *_ulps(math.pi), *_ulps(-math.pi), 0.0, -0.0, 3 * math.pi, -3 * math.pi,
+    2 * math.pi, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf, 0, 1,
+    -4, True, False, np.float64(0.5), np.float64(math.pi),
+    np.float64(-math.pi), np.float64(-0.0), np.float64(7.0), np.float32(0.25),
+    "0.5", None)
+
+EDGE_COMMAND_VALUES = (
+    -0.0, 0.0, 0, 1, 1.0, *_ulps(0.0), *_ulps(1.0), *_ulps(STEER_MAX),
+    *_ulps(-STEER_MAX), 0.5, -0.3, 2.0, -1e300, 1e300, True, False, -2,
+    np.float64(0.5), np.float64(-0.0), np.float64(1.5), "0.5", math.nan,
+    math.inf, -math.inf, object(), None)
+
+
+@pytest.mark.parametrize("kind", ["ego", "static", "truck"])
+def test_actor_state_equals_reference_on_edge_headings(kind):
+    for heading in EDGE_HEADINGS:
+        args = ("npc_1", kind, 1.0, -2.0, heading, 3.0, -0.5, 4.5, 1.8)
+        assert _built(ActorState, *args) == \
+            _built(_ReferenceActorState, *args), heading
+        assert _built(ActorState, "npc_1", kind, 0, 0, heading=heading) == \
+            _built(_ReferenceActorState, "npc_1", kind, 0, 0,
+                   heading=heading), heading
+
+
+def test_actor_state_equals_reference_on_seeded_values():
+    rng = np.random.default_rng(2718)
+    for k in range(3000):
+        heading = float(rng.uniform(-4 * math.pi, 4 * math.pi)) if k % 2 \
+            else float(rng.uniform(-math.pi, math.pi))
+        args = (f"npc_{k}", ("ego", "npc", "static")[k % 3],
+                float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)),
+                heading, float(rng.uniform(0, 30)), float(rng.uniform(-6, 3)),
+                float(rng.uniform(2, 6)), float(rng.uniform(1, 3)))
+        assert _built(ActorState, *args) == \
+            _built(_ReferenceActorState, *args), args
+
+
+@pytest.mark.parametrize("field", ["throttle", "brake", "steering"])
+def test_control_command_equals_reference_on_edge_values(field):
+    for value in EDGE_COMMAND_VALUES:
+        assert _built(ControlCommand, **{field: value}) == \
+            _built(_ReferenceControlCommand, **{field: value}), value
+
+
+def test_control_command_equals_reference_on_edge_combinations():
+    # with several bad fields, the first one checked names the error
+    values = EDGE_COMMAND_VALUES[::3]
+    for throttle in values:
+        for brake in values:
+            for steering in values:
+                args = (throttle, brake, steering)
+                assert _built(ControlCommand, *args) == \
+                    _built(_ReferenceControlCommand, *args), args
+
+
+def test_control_command_equals_reference_on_seeded_values():
+    rng = np.random.default_rng(1618)
+    for _ in range(3000):
+        args = (float(rng.uniform(-0.5, 1.5)), float(rng.uniform(-0.5, 1.5)),
+                float(rng.uniform(-1.0, 1.0)))
+        assert _built(ControlCommand, *args) == \
+            _built(_ReferenceControlCommand, *args), args
+
+
+@pytest.mark.parametrize("cls", [ActorState, ControlCommand])
+def test_explicit_init_signature_equals_the_fields(cls):
+    parameters = list(inspect.signature(cls.__init__).parameters.values())
+    assert parameters[0].name == "self"
+    assert [(p.name, p.kind, p.default) for p in parameters[1:]] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(cls)]
+
+
+@pytest.mark.parametrize("obj,reference,change", [
+    (ActorState("npc_1", "npc", 1.0, 2.0, 7.0, 3.0),
+     _ReferenceActorState("npc_1", "npc", 1.0, 2.0, 7.0, 3.0),
+     {"heading": -9.5}),
+    (ControlCommand(0.5, 2, -1.0), _ReferenceControlCommand(0.5, 2, -1.0),
+     {"steering": 9.5}),
+], ids=["actor", "command"])
+def test_value_objects_stay_frozen_dataclasses(obj, reference, change):
+    for f in fields(obj):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, f.name, 0.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, f.name)
+    assert _fields_of(obj) == _fields_of(reference)
+    assert hash(obj) == hash(reference)
+    assert repr(obj) == repr(reference).replace(type(reference).__name__,
+                                                type(obj).__name__)
+    assert obj == replace(obj)
+    # replace builds through __init__: the new value is normalized or clamped
+    assert _fields_of(replace(obj, **change)) == \
+        _fields_of(replace(reference, **change))
 
 
 # ---------------------------------------------------------------------------
