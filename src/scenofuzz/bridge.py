@@ -18,6 +18,10 @@ The session is lockstep: the runner sends one perception frame and blocks for
 exactly one control frame.  The in-process transport pushes messages through
 the same encode/decode pair as TCP, so the two transports produce identical
 traces for a deterministic agent.
+
+The reference agent's tuning is fixed in module constants, ``CORRIDOR_LENGTH``
+through ``LAT_ACCEL_MAX``; :class:`EgoAgentConfig` holds only what a campaign
+sets.  Its speed tracking is ``simulator.SpeedController`` (constant gains).
 """
 
 from __future__ import annotations
@@ -43,6 +47,15 @@ HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 5.0
 ENDPOINT_ENV_VAR = "SCENOFUZZ_BRIDGE_ADDR"
+
+# reference agent tuning
+CORRIDOR_LENGTH = 25.0   # m, how far ahead obstacles are braked for
+CORRIDOR_MARGIN = 1.0    # m, added to ego width
+TIME_HEADWAY = 2.0       # s
+HARD_STOP_GAP = 6.0      # m
+OFF_ROUTE_LIMIT = 20.0   # m
+COMFORT_BRAKE = 2.0      # m/s^2, approach-to-stop profile
+LAT_ACCEL_MAX = 2.5      # m/s^2, curve slowdown
 
 _isfinite = math.isfinite
 _FLOAT = frozenset((float,))
@@ -233,13 +246,6 @@ def _read_exact(sock, n: int) -> bytes:
 class EgoAgentConfig:
     route: Polyline
     cruise_speed: float = 8.0
-    corridor_length: float = 25.0
-    corridor_margin: float = 1.0      # added to ego width
-    time_headway: float = 2.0         # s
-    hard_stop_gap: float = 6.0        # m
-    off_route_limit: float = 20.0     # m
-    comfort_brake: float = 2.0        # m/s^2, approach-to-stop profile
-    lat_accel_max: float = 2.5        # m/s^2, curve slowdown
     dt: float = 0.1                   # s, simulation step between requests
     fault_ignore_obstacles: bool = False
     fault_ignore_junction_traffic: bool = False
@@ -262,7 +268,7 @@ class ReferenceEgoAgent:
 
     def _corridor_gap(self, ego: ActorState, obstacles) -> float | None:
         cfg = self.config
-        half_width = (ego.width + cfg.corridor_margin) / 2.0
+        half_width = (ego.width + CORRIDOR_MARGIN) / 2.0
         cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
         gap: float | None = None
         for obs in obstacles:
@@ -272,7 +278,7 @@ class ReferenceEgoAgent:
             dx, dy = obs.x - ego.x, obs.y - ego.y
             forward = dx * cos_h + dy * sin_h
             lateral = -dx * sin_h + dy * cos_h
-            if forward <= 0.0 or forward > cfg.corridor_length:
+            if forward <= 0.0 or forward > CORRIDOR_LENGTH:
                 continue
             if abs(lateral) > half_width:
                 continue
@@ -286,7 +292,7 @@ class ReferenceEgoAgent:
         ego = perception.ego
         s, _, dist = cfg.route.project(ego.x, ego.y)
 
-        if dist > cfg.off_route_limit:
+        if dist > OFF_ROUTE_LIMIT:
             if not self.off_route:
                 log.warning("ego %.1f m off route at t=%.1f, holding full brake",
                             dist, perception.sim_time)
@@ -296,7 +302,7 @@ class ReferenceEgoAgent:
         steering = pure_pursuit_steering(ego, cfg.route, s, cfg.params)
 
         remaining = max(cfg.route.length - s, 0.0)
-        target = min(cfg.cruise_speed, math.sqrt(2.0 * cfg.comfort_brake * remaining))
+        target = min(cfg.cruise_speed, math.sqrt(2.0 * COMFORT_BRAKE * remaining))
         # slow down for curvature ahead of the front axle
         probe = 12.0
         if remaining > 1.0:
@@ -305,18 +311,18 @@ class ReferenceEgoAgent:
                 - cfg.route.heading_at(s)))
             curvature = dh / probe
             if curvature > 1e-4:
-                target = min(target, math.sqrt(cfg.lat_accel_max / curvature))
+                target = min(target, math.sqrt(LAT_ACCEL_MAX / curvature))
 
         gap = None
         if not cfg.fault_ignore_obstacles:
             gap = self._corridor_gap(ego, perception.obstacles)
         if gap is not None:
-            if gap < cfg.hard_stop_gap:
+            if gap < HARD_STOP_GAP:
                 return ControlMessage(perception.sim_time,
                                       ControlCommand(0.0, 1.0, steering))
             headway = gap / max(ego.speed, 0.1)
-            if headway < cfg.time_headway:
-                brake = min((cfg.time_headway - headway) / cfg.time_headway, 1.0)
+            if headway < TIME_HEADWAY:
+                brake = min((TIME_HEADWAY - headway) / TIME_HEADWAY, 1.0)
                 return ControlMessage(perception.sim_time,
                                       ControlCommand(0.0, brake, steering))
 
@@ -477,7 +483,3 @@ class BridgeServer:
         except OSError:  # pragma: no cover
             pass
         self._thread.join(timeout=2.0)
-
-
-def serve(agent_factory, host: str = "127.0.0.1", port: int = 0) -> BridgeServer:
-    return BridgeServer(agent_factory, host, port)

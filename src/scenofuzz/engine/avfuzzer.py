@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import time
 
-from .operators import (crossover_one_point, mutate_gaussian, sample_uniform,
-                        tournament_select)
+from .operators import breed, mutate_gaussian, sample_uniform
 
 STAGNATION_GENERATIONS = 5
 GLOBAL_SIGMA = 0.10
@@ -31,19 +30,6 @@ def _local_eval_budget(ctx, params: dict, population_size: int) -> int:
         share = int(round(local_hour / run_hour * ctx.budget.max_evaluations))
         return max(population_size, share)
     return max(population_size, int(local_hour * 3600.0))
-
-
-def _offspring(ctx, population, fitnesses, pm: float, pc: float, sigma: float,
-               count: int):
-    children = []
-    while len(children) < count:
-        i = tournament_select(ctx.rng, population, fitnesses)
-        j = tournament_select(ctx.rng, population, fitnesses)
-        a, b, _ = crossover_one_point(ctx.rng, population[i], population[j], pc)
-        children.append(mutate_gaussian(ctx.rng, a, pm, sigma))
-        if len(children) < count:
-            children.append(mutate_gaussian(ctx.rng, b, pm, sigma))
-    return children
 
 
 def _best(population, fitnesses):
@@ -69,8 +55,8 @@ def run(ctx, params: dict) -> None:
     stagnation = 0
 
     while True:
-        children = _offspring(ctx, population, fitnesses, pm, pc,
-                              GLOBAL_SIGMA, pop_size - 1)
+        children = breed(ctx.rng, population, fitnesses, pm, pc,
+                         pop_size - 1, GLOBAL_SIGMA)
         child_fits = [f.fitness for f in ctx.evaluate_batch(children)]
         elite_vec, elite_fit = _best(population, fitnesses)
         population = [elite_vec] + children
@@ -116,8 +102,8 @@ def _local_phase(ctx, base_vec, base_fit, pop_size, pm, pc, eval_budget,
         return spent >= eval_budget
 
     while not done():
-        children = _offspring(ctx, population, fitnesses, pm, pc,
-                              LOCAL_SIGMA, pop_size - 1)
+        children = breed(ctx.rng, population, fitnesses, pm, pc,
+                         pop_size - 1, LOCAL_SIGMA)
         child_fits = [f.fitness for f in ctx.evaluate_batch(children)]
         spent += len(children)
         elite_vec, elite_fit = _best(population, fitnesses)

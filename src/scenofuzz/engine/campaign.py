@@ -160,6 +160,12 @@ class CampaignContext:
             raise CampaignError(f"{log_path}: expected a JSON array")
         for i, entry in enumerate(entries):
             try:
+                # the identity _evaluate_one writes; --export-svg names files
+                # by the id
+                if type(entry["index"]) is not int or entry["index"] != i \
+                        or entry["scenario_id"] != f"eval_{i:06d}":
+                    raise ValueError(f"index and scenario_id are not {i} "
+                                     f"and 'eval_{i:06d}'")
                 self._replay.append((entry, _feedback_from_record(entry)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CampaignError(f"{log_path}: entry {i} is not an "
@@ -169,10 +175,10 @@ class CampaignContext:
             state = _read_checkpoint_file(state_path)
             wall = state.get("wall_consumed", 0.0) \
                 if isinstance(state, dict) else None
-            if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+            if canonical.finite_number(wall) is None or wall < 0:
                 raise CampaignError(
-                    f"{state_path}: expected a JSON object with a numeric "
-                    "wall_consumed")
+                    f"{state_path}: expected a JSON object with a finite "
+                    f"wall_consumed >= 0, got {wall!r}")
             self._wall_prior = float(wall)
 
     def checkpoint(self) -> None:

@@ -21,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..geometry import Polyline, normalize_angle
-from ..runner import COLLISION, ScenarioRecording
+from ..runner import ScenarioRecording
 from ..simulator import (STEER_MAX, VehicleParams, actor_distance,
                          actor_distance_lower_bound)
 
@@ -43,10 +43,6 @@ class Feedback:
     quality_score: float
     outcome: str
     time_of_decision: float
-
-    @property
-    def is_violation(self) -> bool:
-        return self.outcome == COLLISION
 
 
 def trace_min_distance(recording: ScenarioRecording) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 from ..scenario import ParameterVector
 
 SIGMA_FRACTION = 0.10  # Gaussian mutation step as a fraction of gene range
+TOURNAMENT_SIZE = 2
 
 
 def sample_uniform(rng: np.random.Generator,
@@ -61,14 +62,29 @@ def crossover_one_point(rng: np.random.Generator, a: ParameterVector,
     return child_a, child_b, True
 
 
-def tournament_select(rng: np.random.Generator, population, fitnesses,
-                      k: int = 2) -> int:
-    """Index of the winner: lowest fitness among ``k`` sampled entrants."""
+def tournament_select(rng: np.random.Generator, population, fitnesses) -> int:
+    """Index of the winner: lowest fitness among ``TOURNAMENT_SIZE`` entrants
+    drawn with replacement."""
     if len(population) != len(fitnesses) or not population:
         raise ValueError("population and fitnesses must align and be non-empty")
-    entrants = rng.integers(0, len(population), size=k)
+    entrants = rng.integers(0, len(population), size=TOURNAMENT_SIZE)
     best = entrants[0]
     for idx in entrants[1:]:
         if fitnesses[idx] < fitnesses[best]:
             best = idx
     return int(best)
+
+
+def breed(rng: np.random.Generator, population, fitnesses, pm: float,
+          pc: float, count: int, sigma_fraction: float = SIGMA_FRACTION):
+    """``count`` children: each pair of tournament winners is crossed over,
+    then mutated, ``a`` first and ``b`` only while children are still due."""
+    children = []
+    while len(children) < count:
+        i = tournament_select(rng, population, fitnesses)
+        j = tournament_select(rng, population, fitnesses)
+        a, b, _ = crossover_one_point(rng, population[i], population[j], pc)
+        children.append(mutate_gaussian(rng, a, pm, sigma_fraction))
+        if len(children) < count:
+            children.append(mutate_gaussian(rng, b, pm, sigma_fraction))
+    return children

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import (crossover_one_point, mutate_gaussian, sample_uniform,
-                        tournament_select)
+from .operators import breed, sample_uniform
 
 INNER_POPULATION = 20
 INNER_GENERATIONS = 10
@@ -22,17 +21,17 @@ INNER_PM = 0.5
 INNER_PC = 0.9
 PROPOSALS = 4
 SPACING_FRACTION = 0.05  # of the search-space diagonal
+POWER = 2.0              # inverse-distance weighting exponent
 
 
 class IdwSurrogate:
     """Inverse-distance-weighted interpolation over evaluated vectors."""
 
-    def __init__(self, sites, values, power: float = 2.0):
+    def __init__(self, sites, values):
         self.sites = np.atleast_2d(np.asarray(sites, dtype=float))
         self.values = np.asarray(values, dtype=float)
         if len(self.sites) != len(self.values) or len(self.values) == 0:
             raise ValueError("sites and values must align and be non-empty")
-        self.power = power
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -40,7 +39,7 @@ class IdwSurrogate:
         nearest = int(np.argmin(d2))
         if d2[nearest] == 0.0:
             return float(self.values[nearest])
-        weights = d2 ** (-self.power / 2.0)
+        weights = d2 ** (-POWER / 2.0)
         return float((weights * self.values).sum() / weights.sum())
 
 
@@ -63,15 +62,8 @@ def _inner_search(rng, prototype, surrogate, incumbent):
 
     fitnesses = predict_all(population)
     for _ in range(INNER_GENERATIONS):
-        children = []
-        while len(children) < INNER_POPULATION:
-            i = tournament_select(rng, population, fitnesses)
-            j = tournament_select(rng, population, fitnesses)
-            a, b, _ = crossover_one_point(rng, population[i], population[j],
-                                          INNER_PC)
-            children.append(mutate_gaussian(rng, a, INNER_PM))
-            if len(children) < INNER_POPULATION:
-                children.append(mutate_gaussian(rng, b, INNER_PM))
+        children = breed(rng, population, fitnesses, INNER_PM, INNER_PC,
+                         INNER_POPULATION)
         child_fits = predict_all(children)
         merged = list(zip(population, fitnesses)) + list(zip(children, child_fits))
         merged.sort(key=lambda pair: pair[1])

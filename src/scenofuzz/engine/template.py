@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..geometry import normalize_angle
 from ..lanemap import LaneMap, Route, _stitch, route, sample_route
-from ..runner import mission_path
 from ..scenario import (EgoSpec, MutationSpace, NpcSpec, ParameterVector,
                         ScenarioConfig, flatten)
 
@@ -34,12 +33,11 @@ class MissionSpec:
     duration_limit: float = 45.0
 
 
-def onward_route(lane_map: LaneMap, lane_id: str,
-                 min_length: float = ONWARD_PATH_LENGTH) -> Route:
+def onward_route(lane_map: LaneMap, lane_id: str) -> Route:
     """Lane plus greedy successors (lexicographically first, no revisits)."""
     seq = [lane_id]
     total = lane_map.lane(lane_id).length
-    while total < min_length:
+    while total < ONWARD_PATH_LENGTH:
         nxts = [s for s in sorted(lane_map.lane(seq[-1]).successors)
                 if s not in seq]
         if not nxts:
@@ -47,7 +45,7 @@ def onward_route(lane_map: LaneMap, lane_id: str,
         seq.append(nxts[0])
         total += lane_map.lane(nxts[0]).length
     path = _stitch(lane_map.lanes[lid] for lid in seq)
-    return Route(tuple(seq), path, path.length)
+    return Route(tuple(seq), path)
 
 
 def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
@@ -96,8 +94,3 @@ def build_template(lane_map: LaneMap, mission_spec: MissionSpec,
         duration_limit=mission_spec.duration_limit,
     )
     return config, flatten(config, space)
-
-
-def ego_route_path(lane_map: LaneMap, config: ScenarioConfig):
-    """Trimmed mission geometry for the template's ego (station to station)."""
-    return mission_path(config, lane_map)

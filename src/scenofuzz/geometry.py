@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
+MIN_SPACING = 1e-3  # m; least distance between consecutive polyline points
+SAMPLE_STEP = 0.5   # m; Polyline.min_distance_to's sampling interval
 
 
 def normalize_angle(angle: float) -> float:
@@ -40,23 +42,23 @@ def left_normal(heading: float) -> tuple[float, float]:
 class Polyline:
     """A piecewise-linear path with arc-length queries.
 
-    Construction validates that consecutive points are at least ``min_spacing``
+    Construction validates that consecutive points are at least ``MIN_SPACING``
     apart; degenerate (zero-length) segments break projection and tangent
     queries, so they are rejected up front.
     """
 
     __slots__ = ("points", "cumlen", "length", "_segments")
 
-    def __init__(self, points: Sequence[tuple[float, float]], min_spacing: float = 1e-3):
+    def __init__(self, points: Sequence[tuple[float, float]]):
         if len(points) < 2:
             raise ValueError("polyline needs at least 2 points")
         pts = [(float(x), float(y)) for x, y in points]
         cum = [0.0]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             d = math.hypot(x1 - x0, y1 - y0)
-            if d < min_spacing:
+            if d < MIN_SPACING:
                 raise ValueError(
-                    f"consecutive points closer than {min_spacing} m: "
+                    f"consecutive points closer than {MIN_SPACING} m: "
                     f"({x0}, {y0}) -> ({x1}, {y1})"
                 )
             cum.append(cum[-1] + d)
@@ -133,15 +135,15 @@ class Polyline:
                 best_lat = (x - px) * nx + (y - py) * ny
         return best_s, best_lat, math.sqrt(best_d2)
 
-    def min_distance_to(self, other: "Polyline", step: float = 0.5) -> tuple[float, float, float]:
+    def min_distance_to(self, other: "Polyline") -> tuple[float, float, float]:
         """Coarse closest approach between two polylines.
 
-        Samples ``self`` every ``step`` meters and projects onto ``other``.
+        Samples ``self`` every ``SAMPLE_STEP`` meters and projects onto ``other``.
         Returns ``(distance, s_self, s_other)``.  Good enough for conflict
         screening on lane-scale geometry; not an exact segment-pair solver.
         """
         best = (math.inf, 0.0, 0.0)
-        n = max(2, int(self.length / step) + 1)
+        n = max(2, int(self.length / SAMPLE_STEP) + 1)
         for k in range(n + 1):
             s = min(self.length, k * self.length / n)
             x, y = self.point_at(s)

@@ -65,7 +65,6 @@ class LaneMap:
 class Route:
     lane_sequence: tuple[str, ...]
     path: Polyline = field(compare=False, repr=False)
-    total_length: float = 0.0
 
 
 def _build_lane(entry: dict, index: int) -> Lane:
@@ -184,7 +183,7 @@ def route(lane_map: LaneMap, start_lane_id: str, end_lane_id: str) -> Route:
         settled.add(current)
         if current == end_lane_id:
             path = _stitch(lane_map.lanes[lid] for lid in seq)
-            return Route(seq, path, path.length)
+            return Route(seq, path)
         for nxt in sorted(lane_map.lanes[current].successors):
             if nxt not in settled:
                 heapq.heappush(heap, (cost + lane_map.lanes[nxt].length, seq + (nxt,)))
@@ -215,8 +214,8 @@ def sample_route(rt: Route, spacing: float) -> list[Pose]:
         raise ValueError("spacing must be > 0")
     poses = []
     s = 0.0
-    while s < rt.total_length - 1e-9:
+    while s < rt.path.length - 1e-9:
         poses.append(rt.path.pose_at(s))
         s += spacing
-    poses.append(rt.path.pose_at(rt.total_length))
+    poses.append(rt.path.pose_at(rt.path.length))
     return poses

@@ -40,6 +40,8 @@ OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT)
 # its bound clears the contact threshold by more than this.
 BOUND_ROUNDING_MARGIN = 1e-9  # m
 
+STOP_SPEED = 0.5  # m/s; below it the ego counts as stopped at the destination
+
 
 class RunnerError(RuntimeError):
     pass
@@ -55,7 +57,6 @@ class OracleConfig:
     destination_tolerance: float = 3.0  # m
     stuck_speed: float = 0.3            # m/s
     stuck_duration: float = 30.0        # s
-    timeout: float | None = None        # s; None = scenario duration_limit
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,6 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.outcome not in OUTCOMES:
             raise ValueError(f"unknown outcome {self.outcome!r}")
-
-    @property
-    def is_violation(self) -> bool:
-        return self.outcome == COLLISION
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,10 @@ def check_collision(world: WorldState, threshold: float):
 
 
 def check_destination(ego: ActorState, end_point: tuple[float, float],
-                      tolerance: float, stop_speed: float = 0.5) -> bool:
+                      tolerance: float) -> bool:
     """Arrived means close to the mission end AND essentially stopped."""
     dist = math.hypot(ego.x - end_point[0], ego.y - end_point[1])
-    return dist <= tolerance and ego.speed < stop_speed
+    return dist <= tolerance and ego.speed < STOP_SPEED
 
 
 def mission_end_point(config: ScenarioConfig, lane_map: LaneMap) -> tuple[float, float]:
@@ -135,7 +132,7 @@ def mission_path(config: ScenarioConfig, lane_map: LaneMap) -> Polyline:
     """
     rt = route(lane_map, config.ego.start_lane_id, config.ego.end_lane_id)
     end_lane = lane_map.lane(config.ego.end_lane_id)
-    s_end = rt.total_length - (end_lane.path.length - config.ego.end_station)
+    s_end = rt.path.length - (end_lane.path.length - config.ego.end_station)
     return rt.path.sub_path(config.ego.start_station, s_end)
 
 
@@ -177,8 +174,6 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
     world = initial_world(config, lane_map)
     policies = {npc.actor_id: WaypointPolicy(npc, params)
                 for npc in config.npc_vehicles}
-    timeout_limit = oracles.timeout if oracles.timeout is not None \
-        else config.duration_limit
 
     session = session_factory()
     frames: list[Frame] = []
@@ -207,7 +202,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                     break
             else:
                 low_since = None
-            if t >= timeout_limit - 1e-9:
+            if t >= config.duration_limit - 1e-9:
                 verdict = Verdict(TIMEOUT, t)
                 break
 

@@ -266,8 +266,8 @@ class _Cursor:
     def as_number(self) -> float:
         if isinstance(self.doc, bool) or not isinstance(self.doc, (int, float)):
             raise self.fail("expected a number")
-        value = float(self.doc)
-        if not math.isfinite(value):
+        value = canonical.finite_number(self.doc)
+        if value is None:
             raise self.fail("expected a finite number")
         return value
 

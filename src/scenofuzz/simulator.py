@@ -10,6 +10,11 @@ an exact ``float`` in (-pi, pi] is kept as given, because ``normalize_angle``
 is exact there and would return the same bits; a command whose fields are
 exact floats inside their clamp ranges is kept as given for the same reason.
 Every other value takes the full normalize or check-and-clamp path.
+
+Speed tracking has fixed gains, the constants ``KP``, ``KI``, ``KD`` and
+``INTEGRAL_LIMIT``.  ``KD`` is 0.0 but its term stays in the pedal sum: for a
+rising error it adds +0.0, which turns a sum of -0.0 into +0.0, so dropping
+it would flip the sign of a zero throttle.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from .geometry import Polyline, normalize_angle
 from .scenario import NpcSpec
 
 STEER_MAX = 0.61  # rad, mechanical steering stop
+
+# SpeedController gains and anti-windup bound
+KP = 0.8
+KI = 0.05
+KD = 0.0  # kept in the pedal sum: it sets the sign of a zero pedal
+INTEGRAL_LIMIT = 2.0
 
 
 @dataclass(frozen=True)
@@ -250,24 +261,20 @@ class SpeedController:
     negative to brake, both saturated at 1.
     """
 
-    def __init__(self, params: VehicleParams,
-                 kp: float = 0.8, ki: float = 0.05, kd: float = 0.0,
-                 integral_limit: float = 2.0):
+    def __init__(self, params: VehicleParams):
         self.params = params
-        self.kp, self.ki, self.kd = kp, ki, kd
-        self.integral_limit = integral_limit
         self.integral = 0.0
         self.prev_error: float | None = None
 
     def pedals(self, speed: float, target: float, dt: float) -> tuple[float, float]:
         error = target - speed
-        self.integral = min(max(self.integral + error * dt, -self.integral_limit),
-                            self.integral_limit)
+        self.integral = min(max(self.integral + error * dt, -INTEGRAL_LIMIT),
+                            INTEGRAL_LIMIT)
         derivative = 0.0 if self.prev_error is None or dt <= 0 \
             else (error - self.prev_error) / dt
         self.prev_error = error
         feedforward = self.params.drag * target / self.params.a_max
-        u = self.kp * error + self.ki * self.integral + self.kd * derivative + feedforward
+        u = KP * error + KI * self.integral + KD * derivative + feedforward
         if u >= 0.0:
             return min(u, 1.0), 0.0
         return 0.0, min(-u, 1.0)

@@ -5,6 +5,7 @@ import dataclasses
 import logging
 import math
 import statistics
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from synthetic import SyntheticContext, box_prototype, sphere
 
 from scenofuzz import canonical
-from scenofuzz.engine import campaign, feedback, operators
+from scenofuzz.engine import avfuzzer, campaign, feedback, operators, samota
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
@@ -22,12 +23,11 @@ from scenofuzz.engine.feedback import (NO_OBSTACLE_FITNESS, behavior_vector,
                                        trace_min_distance)
 from scenofuzz.engine.samota import IdwSurrogate
 from scenofuzz.engine.template import (MissionSpec, build_template,
-                                       conflict_lanes, ego_route_path,
-                                       onward_route)
+                                       conflict_lanes, onward_route)
 from scenofuzz.geometry import Polyline
 from scenofuzz.lanemap import route
 from scenofuzz.runner import (OUTCOMES, Frame, ScenarioRecording, Verdict,
-                              read_recording,
+                              mission_path, read_recording,
                               recording_document, write_recording)
 from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, validate)
 from scenofuzz.simulator import (STEER_MAX, ActorState, ControlCommand,
@@ -124,8 +124,36 @@ class TestFeedback:
         rec = make_recording([ego_state(), ego_state(x=0.8)])
         fb = compute_feedback(rec, mission)
         assert fb.outcome == "Timeout"
-        assert not fb.is_violation
         assert fb.time_of_decision == rec.verdict.time_of_decision
+
+
+def _avfuzzer_offspring(ctx, population, fitnesses, pm, pc, sigma, count):
+    """avfuzzer's child loop before it moved to ``operators.breed``."""
+    children = []
+    while len(children) < count:
+        i = operators.tournament_select(ctx.rng, population, fitnesses)
+        j = operators.tournament_select(ctx.rng, population, fitnesses)
+        a, b, _ = operators.crossover_one_point(ctx.rng, population[i],
+                                                population[j], pc)
+        children.append(operators.mutate_gaussian(ctx.rng, a, pm, sigma))
+        if len(children) < count:
+            children.append(operators.mutate_gaussian(ctx.rng, b, pm, sigma))
+    return children
+
+
+def _samota_children(rng, population, fitnesses, pm, pc, count):
+    """samota's inner-GA child loop before it moved to ``operators.breed``
+    (there ``pm``, ``pc`` and ``count`` were its INNER_* constants)."""
+    children = []
+    while len(children) < count:
+        i = operators.tournament_select(rng, population, fitnesses)
+        j = operators.tournament_select(rng, population, fitnesses)
+        a, b, _ = operators.crossover_one_point(rng, population[i],
+                                                population[j], pc)
+        children.append(operators.mutate_gaussian(rng, a, pm))
+        if len(children) < count:
+            children.append(operators.mutate_gaussian(rng, b, pm))
+    return children
 
 
 class TestOperators:
@@ -209,6 +237,33 @@ class TestOperators:
         with pytest.raises(ValueError):
             operators.tournament_select(rng, [], [])
 
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("pc", [0.0, 1.0])
+    def test_breed_equals_the_loops_it_replaced(self, count, pc):
+        proto = box_prototype(6)
+
+        def children(seed, breeder):
+            """Children's values as bytes and the next draw, on a seeded
+            population."""
+            rng = np.random.default_rng(seed)
+            pop = [operators.sample_uniform(rng, proto) for _ in range(5)]
+            fits = list(rng.uniform(0.0, 10.0, size=5))
+            return ([np.asarray(c.values).tobytes()
+                     for c in breeder(rng, pop, fits)],
+                    rng.random())
+
+        for seed in range(10):
+            for sigma in (avfuzzer.GLOBAL_SIGMA, avfuzzer.LOCAL_SIGMA):
+                assert children(seed, lambda rng, pop, fits: operators.breed(
+                    rng, pop, fits, 0.6, pc, count, sigma)) == \
+                    children(seed, lambda rng, pop, fits: _avfuzzer_offspring(
+                        types.SimpleNamespace(rng=rng), pop, fits, 0.6, pc,
+                        sigma, count))
+            assert children(seed, lambda rng, pop, fits: operators.breed(
+                rng, pop, fits, samota.INNER_PM, pc, count)) == \
+                children(seed, lambda rng, pop, fits: _samota_children(
+                    rng, pop, fits, samota.INNER_PM, pc, count))
+
 
 class TestSurrogate:
     def test_exact_at_sites(self):
@@ -270,7 +325,7 @@ class TestTemplate:
         spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0,
                            "lane_15", 50.0)
         template, _ = build_template(junction_map, spec)
-        path = ego_route_path(junction_map, template)
+        path = mission_path(template, junction_map)
         assert path.point_at(0.0) == pytest.approx((0.0, -60.0))
         assert path.point_at(path.length) == pytest.approx((0.0, 60.0))
         assert path.length == pytest.approx(120.0, abs=1e-6)
@@ -561,6 +616,12 @@ class TestCampaign:
         ("campaign.state.json", b"[1,2]", ""),
         ("campaign.state.json", b'"done"', ""),
         ("campaign.state.json", b'{"wall_consumed":"soon"}', ""),
+        ("campaign.state.json", b'{"wall_consumed":NaN}', ""),
+        ("campaign.state.json", b'{"wall_consumed":Infinity}', ""),
+        ("campaign.state.json", b'{"wall_consumed":-1.0}', ""),
+        ("campaign.state.json",
+         b'{"wall_consumed":1' + b"0" * 400 + b"}", ""),
+        ("campaign.state.json", b'{"wall_consumed":true}', ""),
         ("evaluations.json", b'[{"scenario_id":"\xff"}]', ""),
         ("evaluations.json", b"[1,2]", "entry 0"),
         ("evaluations.json", _without_fitness_of_entry_1, "entry 1"),
@@ -573,11 +634,19 @@ class TestCampaign:
         ("evaluations.json", _entry_1_with("behavior", [0.5, "0.5"]),
          "entry 1"),
         ("evaluations.json", _entry_1_with("outcome", "Crash"), "entry 1"),
+        ("evaluations.json", _entry_1_with("index", 7), "entry 1"),
+        ("evaluations.json", _entry_1_with("index", 1.0), "entry 1"),
+        ("evaluations.json", _entry_1_with("scenario_id", "../../elsewhere"),
+         "entry 1"),
+        ("evaluations.json", _entry_1_with("scenario_id", None), "entry 1"),
     ], ids=["torn-state", "array-state", "string-state", "bad-field-state",
+            "nan-wall", "infinite-wall", "negative-wall", "huge-wall",
+            "bool-wall",
             "non-utf8-log", "non-object-entry", "entry-without-fitness",
             "string-fitness", "huge-fitness", "string-quality-score",
             "bool-time-of-decision", "string-behavior",
-            "non-numeric-behavior", "unknown-outcome"])
+            "non-numeric-behavior", "unknown-outcome", "wrong-index",
+            "float-index", "foreign-scenario-id", "null-scenario-id"])
     def test_resume_reports_a_bad_checkpoint_file(self, junction_settings,
                                                   tmp_path, name, content,
                                                   where):

@@ -253,7 +253,7 @@ def test_sub_path():
 def test_min_distance_between_crossing_polylines():
     a = Polyline([(0, -50), (0, 50)])
     b = Polyline([(-50, 0), (50, 0)])
-    d, s_a, s_b = a.min_distance_to(b, step=0.5)
+    d, s_a, s_b = a.min_distance_to(b)
     assert d < 0.5
     assert s_a == pytest.approx(50.0, abs=1.0)
     assert s_b == pytest.approx(50.0, abs=1.0)

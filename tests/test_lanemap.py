@@ -78,15 +78,13 @@ def test_load_map_file(tmp_path):
 def test_route_chain(chain_map):
     rt = route(chain_map, "lane_a", "lane_c")
     assert rt.lane_sequence == ("lane_a", "lane_b", "lane_c")
-    assert rt.total_length == pytest.approx(300.0, abs=1e-6)
-    # total_length always equals the stitched centerline's arc length
-    assert rt.total_length == pytest.approx(rt.path.length, abs=1e-6)
+    assert rt.path.length == pytest.approx(300.0, abs=1e-6)
 
 
 def test_route_single_lane(chain_map):
     rt = route(chain_map, "lane_b", "lane_b")
     assert rt.lane_sequence == ("lane_b",)
-    assert rt.total_length == pytest.approx(100.0)
+    assert rt.path.length == pytest.approx(100.0)
 
 
 def test_route_no_path(chain_map):
@@ -113,7 +111,7 @@ def test_route_matches_exhaustive_enumeration(diamond_map, junction_map):
                     continue
                 rt = route(m, start, end)
                 assert rt.lane_sequence == expected[1]
-                assert rt.total_length == pytest.approx(expected[0], abs=1e-6)
+                assert rt.path.length == pytest.approx(expected[0], abs=1e-6)
 
 
 def test_project_analytic(chain_map):
@@ -163,7 +161,7 @@ def test_sample_route_heading_follows_arc(junction_map):
     poses = sample_route(rt, 1.0)
     # headings advance like s / r; tolerance of one polyline facet
     for i, pose in enumerate(poses[:-1]):
-        s = min(i * 1.0, rt.total_length)
+        s = min(i * 1.0, rt.path.length)
         expected = math.pi / 2 + s / 10.0
         assert pose.heading == pytest.approx(expected, abs=0.12)
     # chord tangents at the two ends each sit half a facet inward

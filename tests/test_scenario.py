@@ -85,6 +85,19 @@ def test_format_errors_carry_paths():
         from_json("{truncated")
 
 
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN",
+                                    "-Infinity"],
+                         ids=["huge-integer", "huge-float", "nan", "-inf"])
+def test_non_finite_numbers_are_format_errors(number):
+    text = to_json(_scenario())
+    broken = text.replace('"duration_limit":45.0',
+                          f'"duration_limit":{number}')
+    assert broken != text
+    with pytest.raises(ScenarioFormatError,
+                       match="/duration_limit: expected a finite number"):
+        from_json(broken)
+
+
 def test_validate_accepts_fixture(chain_map):
     assert validate(_scenario(npcs=[_npc()]), chain_map) == []
 

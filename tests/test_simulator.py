@@ -569,6 +569,16 @@ def test_policy_tracks_segment_speed_and_stops_at_end():
     assert state.x == pytest.approx(60.0, abs=4.0)
 
 
+def test_speed_controller_zero_pedal_is_positive_zero():
+    # every other term of the pedal sum is -0.0 here; the KD term, 0.0 times
+    # a rising error, makes it +0.0, so a zero throttle keeps its sign
+    ctl = SpeedController(PARAMS)
+    ctl.integral, ctl.prev_error = -5e-324, -1.0
+    throttle, brake = ctl.pedals(0.0, -0.0, DT)
+    assert (throttle, brake) == (0.0, 0.0)
+    assert math.copysign(1.0, throttle) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # golden trace
 

@@ -8,7 +8,6 @@ from scenofuzz.bridge import EgoAgentConfig, InProcessSession, ReferenceEgoAgent
 from scenofuzz.runner import (
     COLLISION,
     TIMEOUT,
-    OracleConfig,
     mission_path,
     run_scenario,
 )
@@ -54,8 +53,7 @@ def collision_recording(chain_map):
 def timeout_recording(chain_map):
     config = chain_scenario(scenario_id="svg_timeout", duration_limit=2.0)
     session = reference_session(chain_map, config)
-    recording = run_scenario(config, chain_map, session,
-                             OracleConfig(timeout=2.0))
+    recording = run_scenario(config, chain_map, session)
     assert recording.verdict.outcome == TIMEOUT
     return recording
 
