@@ -20,7 +20,7 @@ the same encode/decode pair as TCP, so the two transports produce identical
 traces for a deterministic agent.
 
 The reference agent's tuning is fixed in module constants, ``CORRIDOR_LENGTH``
-through ``LAT_ACCEL_MAX``; :class:`EgoAgentConfig` holds only what a campaign
+through ``LAT_ACCEL_MAX``; :class:`AgentSettings` holds only what a campaign
 sets.  Its speed tracking is ``simulator.SpeedController`` (constant gains).
 """
 
@@ -32,14 +32,14 @@ import os
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from . import canonical
 from .canonical import dump_value, finite_number
 from .geometry import Polyline, normalize_angle
 from .simulator import (ACTOR_KINDS, ActorState, ControlCommand,
-                        SpeedController, VehicleParams, pure_pursuit_steering)
+                        SpeedController, pure_pursuit_steering)
 
 log = logging.getLogger(__name__)
 
@@ -242,14 +242,11 @@ def _read_exact(sock, n: int) -> bytes:
 # reference ego agent
 
 
-@dataclass
-class EgoAgentConfig:
-    route: Polyline
+@dataclass(frozen=True)
+class AgentSettings:
     cruise_speed: float = 8.0
-    dt: float = 0.1                   # s, simulation step between requests
     fault_ignore_obstacles: bool = False
     fault_ignore_junction_traffic: bool = False
-    params: VehicleParams = field(default_factory=VehicleParams)
 
 
 class ReferenceEgoAgent:
@@ -261,18 +258,21 @@ class ReferenceEgoAgent:
     deterministic bug-injected stack for oracle and search testing.
     """
 
-    def __init__(self, config: EgoAgentConfig):
-        self.config = config
-        self.speed_ctl = SpeedController(config.params)
+    def __init__(self, route: Polyline,
+                 settings: AgentSettings = AgentSettings(), dt: float = 0.1):
+        self.route = route
+        self.settings = settings
+        self.dt = dt  # s, simulation step between requests
+        self.speed_ctl = SpeedController()
         self.off_route = False
 
     def _corridor_gap(self, ego: ActorState, obstacles) -> float | None:
-        cfg = self.config
+        ignore_crossing = self.settings.fault_ignore_junction_traffic
         half_width = (ego.width + CORRIDOR_MARGIN) / 2.0
         cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
         gap: float | None = None
         for obs in obstacles:
-            if cfg.fault_ignore_junction_traffic and \
+            if ignore_crossing and \
                     abs(normalize_angle(obs.heading - ego.heading)) > math.pi / 4:
                 continue  # crossing traffic dropped by the injected fault
             dx, dy = obs.x - ego.x, obs.y - ego.y
@@ -288,9 +288,9 @@ class ReferenceEgoAgent:
         return gap
 
     def step(self, perception: PerceptionMessage) -> ControlMessage:
-        cfg = self.config
+        route = self.route
         ego = perception.ego
-        s, _, dist = cfg.route.project(ego.x, ego.y)
+        s, _, dist = route.project(ego.x, ego.y)
 
         if dist > OFF_ROUTE_LIMIT:
             if not self.off_route:
@@ -299,22 +299,23 @@ class ReferenceEgoAgent:
             self.off_route = True
             return ControlMessage(perception.sim_time, ControlCommand(0.0, 1.0, 0.0))
 
-        steering = pure_pursuit_steering(ego, cfg.route, s, cfg.params)
+        steering = pure_pursuit_steering(ego, route, s)
 
-        remaining = max(cfg.route.length - s, 0.0)
-        target = min(cfg.cruise_speed, math.sqrt(2.0 * COMFORT_BRAKE * remaining))
+        remaining = max(route.length - s, 0.0)
+        target = min(self.settings.cruise_speed,
+                     math.sqrt(2.0 * COMFORT_BRAKE * remaining))
         # slow down for curvature ahead of the front axle
         probe = 12.0
         if remaining > 1.0:
             dh = abs(normalize_angle(
-                cfg.route.heading_at(min(s + probe, cfg.route.length))
-                - cfg.route.heading_at(s)))
+                route.heading_at(min(s + probe, route.length))
+                - route.heading_at(s)))
             curvature = dh / probe
             if curvature > 1e-4:
                 target = min(target, math.sqrt(LAT_ACCEL_MAX / curvature))
 
         gap = None
-        if not cfg.fault_ignore_obstacles:
+        if not self.settings.fault_ignore_obstacles:
             gap = self._corridor_gap(ego, perception.obstacles)
         if gap is not None:
             if gap < HARD_STOP_GAP:
@@ -326,7 +327,7 @@ class ReferenceEgoAgent:
                 return ControlMessage(perception.sim_time,
                                       ControlCommand(0.0, brake, steering))
 
-        throttle, brake = self.speed_ctl.pedals(ego.speed, target, cfg.dt)
+        throttle, brake = self.speed_ctl.pedals(ego.speed, target, self.dt)
         return ControlMessage(perception.sim_time,
                               ControlCommand(throttle, brake, steering))
 
@@ -379,12 +380,14 @@ class TcpSession(BridgeSession):
 
     def request(self, perception: PerceptionMessage) -> ControlMessage:
         self.sent += 1
-        self.sock.sendall(encode(perception))
         try:
+            self.sock.sendall(encode(perception))
             frame = read_frame(self.sock)
         except socket.timeout:
             raise AgentTimeoutError(
                 f"no control reply within {self.sock.gettimeout()} s") from None
+        except ConnectionError as exc:  # reset: closed with a frame unread
+            raise FrameError(f"connection lost: {exc}") from None
         control = decode(frame)
         if not isinstance(control, ControlMessage):
             raise FrameError("agent answered with a non-control message")
@@ -410,18 +413,27 @@ def resolve_endpoint(default: str | None = None) -> str | None:
     return os.environ.get(ENDPOINT_ENV_VAR) or default
 
 
+def parse_endpoint(endpoint: str) -> tuple[str | None, str | int]:
+    """``(None, name)`` for ``inproc:<name>``, ``(host, port)`` for
+    ``host:port``; raises ValueError for anything else."""
+    if endpoint.startswith("inproc:") and len(endpoint) > len("inproc:"):
+        return None, endpoint[len("inproc:"):]
+    host, sep, port = endpoint.rpartition(":")
+    if sep and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535:
+        return host or "127.0.0.1", int(port)
+    raise ValueError(f"endpoint must be 'inproc:<name>' or 'host:port' with a "
+                     f"port from 1 to 65535, got {endpoint!r}")
+
+
 def connect(endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> BridgeSession:
     """Open a session to ``inproc:<name>`` or ``host:port``."""
-    if endpoint.startswith("inproc:"):
-        name = endpoint[len("inproc:"):]
-        if name not in _INPROC_AGENTS:
-            raise ValueError(f"no in-process agent registered as {name!r}")
-        return InProcessSession(_INPROC_AGENTS[name])
-    host, sep, port = endpoint.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"endpoint must be 'inproc:<name>' or 'host:port', "
-                         f"got {endpoint!r}")
-    return TcpSession(host or "127.0.0.1", int(port), timeout)
+    host, name_or_port = parse_endpoint(endpoint)
+    if host is None:
+        if name_or_port not in _INPROC_AGENTS:
+            raise ValueError(
+                f"no in-process agent registered as {name_or_port!r}")
+        return InProcessSession(_INPROC_AGENTS[name_or_port])
+    return TcpSession(host, name_or_port, timeout)
 
 
 class BridgeServer:
@@ -458,9 +470,14 @@ class BridgeServer:
                              daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        agent = self.agent_factory()
-        conn.settimeout(30.0)
         try:
+            try:
+                agent = self.agent_factory()
+            except Exception:
+                log.exception("bridge agent could not be built; closing the "
+                              "connection")
+                return
+            conn.settimeout(30.0)
             while not self._stop.is_set():
                 try:
                     frame = read_frame(conn)

@@ -10,6 +10,7 @@ instead of silently running defaults.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -17,7 +18,8 @@ from typing import Any
 import yaml
 
 from .canonical import finite_number
-from .engine.campaign import AgentSettings, CampaignBudget
+from .bridge import AgentSettings
+from .engine.campaign import CampaignBudget
 from .runner import OracleConfig
 from .scenario import MutationSpace
 
@@ -312,7 +314,7 @@ def build_execution(config: RunConfig):
     Returns ``(settings, budget, algorithm_params)``.  Imports stay local so
     the config module remains import-light for tooling.
     """
-    from .bridge import resolve_endpoint
+    from .bridge import ENDPOINT_ENV_VAR, parse_endpoint, resolve_endpoint
     from .engine.campaign import ExecutionSettings
     from .engine.template import MissionSpec, build_template
     from .lanemap import load_bundled_map
@@ -323,12 +325,19 @@ def build_execution(config: RunConfig):
                           config.end_station, config.duration_limit)
     template, _ = build_template(lane_map, mission, config.mutation_space)
 
+    endpoint_key = "scenario_runner.parameters.agent.endpoint"
     endpoint = resolve_endpoint(
         config.agent_endpoint if config.agent_type == "external" else None)
     if config.agent_type == "external" and endpoint is None:
-        raise ConfigError(
-            "scenario_runner.parameters.agent.endpoint: an external agent "
-            "needs an endpoint here or in SCENOFUZZ_BRIDGE_ADDR")
+        raise ConfigError(f"{endpoint_key}: an external agent needs an "
+                          f"endpoint here or in {ENDPOINT_ENV_VAR}")
+    if endpoint is not None:
+        try:
+            parse_endpoint(endpoint)
+        except ValueError as exc:
+            source = ENDPOINT_ENV_VAR if os.environ.get(ENDPOINT_ENV_VAR) \
+                else endpoint_key
+            raise ConfigError(f"{source}: {exc}") from None
 
     settings = ExecutionSettings(
         lane_map=lane_map, template=template, space=config.mutation_space,

@@ -38,14 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from .. import canonical
-from ..bridge import (EgoAgentConfig, InProcessSession, ReferenceEgoAgent,
+from ..bridge import (AgentSettings, InProcessSession, ReferenceEgoAgent,
                       connect)
 from ..lanemap import LaneMap
 from ..runner import (OUTCOMES, OracleConfig, mission_path, run_scenario,
                       write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
                         flatten, unflatten)
-from ..simulator import VehicleParams
 from .feedback import Feedback, compute_feedback
 
 EVALUATIONS_FILE = "evaluations.json"
@@ -75,20 +74,12 @@ class CampaignBudget:
 
 
 @dataclass(frozen=True)
-class AgentSettings:
-    cruise_speed: float = 8.0
-    fault_ignore_obstacles: bool = False
-    fault_ignore_junction_traffic: bool = False
-
-
-@dataclass(frozen=True)
 class ExecutionSettings:
     lane_map: LaneMap
     template: ScenarioConfig
     space: MutationSpace = field(default_factory=MutationSpace)
     oracles: OracleConfig = field(default_factory=OracleConfig)
     agent: AgentSettings = field(default_factory=AgentSettings)
-    params: VehicleParams = field(default_factory=VehicleParams)
     dt: float = 0.1
     endpoint: str | None = None  # None runs the reference agent in-process
     save_traffic_recording: bool = True
@@ -254,19 +245,8 @@ class CampaignContext:
         settings = self.settings
         if settings.endpoint is not None:
             return connect(settings.endpoint)
-        agent = settings.agent
-        mission = self._mission
-
-        def make_agent():
-            return ReferenceEgoAgent(EgoAgentConfig(
-                route=mission,
-                cruise_speed=agent.cruise_speed,
-                fault_ignore_obstacles=agent.fault_ignore_obstacles,
-                fault_ignore_junction_traffic=agent.fault_ignore_junction_traffic,
-                dt=settings.dt,
-                params=settings.params))
-
-        return InProcessSession(make_agent)
+        return InProcessSession(lambda: ReferenceEgoAgent(
+            self._mission, settings.agent, settings.dt))
 
     def _evaluate_one(self, index: int, vector: ParameterVector):
         config, repairs = unflatten(vector, self.settings.template)
@@ -274,10 +254,9 @@ class CampaignContext:
         recording = run_scenario(config, self.settings.lane_map,
                                  self._session_factory,
                                  self.settings.oracles, seed=self.seed,
-                                 params=self.settings.params,
                                  dt=self.settings.dt)
         feedback = compute_feedback(recording, self._mission,
-                                    self._lane_width, self.settings.params)
+                                    self._lane_width)
         if self.output_dir is not None:
             write_recording(recording, self.output_dir / RECORDINGS_DIR,
                             include_frames=self.settings.save_traffic_recording)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..geometry import Polyline, normalize_angle
 from ..runner import ScenarioRecording
-from ..simulator import (STEER_MAX, VehicleParams, actor_distance,
+from ..simulator import (A_MAX, STEER_MAX, WHEELBASE, actor_distance,
                          actor_distance_lower_bound)
 
 NO_OBSTACLE_FITNESS = 1.0e9
@@ -101,15 +101,14 @@ def behavior_vector(recording: ScenarioRecording) -> tuple[float, ...]:
 
 
 def quality_score(recording: ScenarioRecording, mission: Polyline,
-                  lane_width: float, fitness: float,
-                  params: VehicleParams = VehicleParams()) -> float:
+                  lane_width: float, fitness: float) -> float:
     egos = [next(a for a in f.actors if a.actor_id == "ego")
             for f in recording.frames]
     times = [f.sim_time for f in recording.frames]
 
     closeness = 1.0 - min(fitness, FITNESS_SATURATION) / FITNESS_SATURATION
 
-    harsh_accel = min(max(abs(e.acceleration) for e in egos) / params.a_max, 1.0)
+    harsh_accel = min(max(abs(e.acceleration) for e in egos) / A_MAX, 1.0)
 
     harsh_steer = 0.0
     for i in range(len(egos) - 1):
@@ -118,7 +117,7 @@ def quality_score(recording: ScenarioRecording, mission: Polyline,
         if dt <= 0.0 or v < MOVING_SPEED:
             continue
         omega = abs(normalize_angle(egos[i + 1].heading - egos[i].heading)) / dt
-        ratio = omega * params.wheelbase / (v * math.tan(STEER_MAX))
+        ratio = omega * WHEELBASE / (v * math.tan(STEER_MAX))
         harsh_steer = max(harsh_steer, min(ratio, 1.0))
 
     half_width = lane_width / 2.0
@@ -130,14 +129,12 @@ def quality_score(recording: ScenarioRecording, mission: Polyline,
 
 
 def compute_feedback(recording: ScenarioRecording, mission: Polyline,
-                     lane_width: float = 3.5,
-                     params: VehicleParams = VehicleParams()) -> Feedback:
+                     lane_width: float = 3.5) -> Feedback:
     fitness = trace_min_distance(recording)
     return Feedback(
         fitness=fitness,
         behavior_vector=behavior_vector(recording),
-        quality_score=quality_score(recording, mission, lane_width, fitness,
-                                    params),
+        quality_score=quality_score(recording, mission, lane_width, fitness),
         outcome=recording.verdict.outcome,
         time_of_decision=recording.verdict.time_of_decision,
     )

@@ -15,13 +15,13 @@ maps are.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from . import canonical
 from .canonical import finite_number
 from .geometry import Polyline, Pose
 
@@ -125,13 +125,17 @@ def load_map_document(doc: dict) -> LaneMap:
     return LaneMap(name, lanes)
 
 
+def _load_map_bytes(data: bytes, source) -> LaneMap:
+    try:
+        doc = canonical.loads(data)
+    except ValueError as exc:  # includes bad UTF-8
+        raise MapFormatError(f"{source}: invalid JSON: {exc}") from None
+    return load_map_document(doc)
+
+
 def load_map(path: str | Path) -> LaneMap:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise MapFormatError(f"{path}: invalid JSON: {exc}") from None
-    return load_map_document(doc)
+    return _load_map_bytes(path.read_bytes(), path)
 
 
 def bundled_map_names() -> list[str]:
@@ -149,7 +153,7 @@ def load_bundled_map(name: str) -> LaneMap:
     if not res.is_file():
         raise MapFormatError(
             f"no bundled map named {name!r}; available: {bundled_map_names()}")
-    return load_map_document(json.loads(res.read_text()))
+    return _load_map_bytes(res.read_bytes(), res)
 
 
 def _stitch(lanes: Iterable[Lane]) -> Polyline:

@@ -21,9 +21,9 @@ from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
 from .geometry import Polyline
 from .lanemap import LaneMap, route
 from .scenario import ScenarioConfig, from_document, to_document, validate
-from .simulator import (ActorState, ControlCommand, VehicleParams,
-                        WaypointPolicy, WorldState, actor_distance,
-                        actor_distance_lower_bound, step_world)
+from .simulator import (ActorState, ControlCommand, WaypointPolicy,
+                        WorldState, actor_distance, actor_distance_lower_bound,
+                        step_world)
 
 RECORDING_SCHEMA_VERSION = 1
 
@@ -161,7 +161,6 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                  session_factory: Callable[[], BridgeSession],
                  oracles: OracleConfig = OracleConfig(),
                  seed: int = 0,
-                 params: VehicleParams = VehicleParams(),
                  dt: float = 0.1) -> ScenarioRecording:
     problems = validate(config, lane_map)
     if problems:
@@ -172,7 +171,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
     started = time.perf_counter()
     end_point = mission_end_point(config, lane_map)
     world = initial_world(config, lane_map)
-    policies = {npc.actor_id: WaypointPolicy(npc, params)
+    policies = {npc.actor_id: WaypointPolicy(npc)
                 for npc in config.npc_vehicles}
 
     session = session_factory()
@@ -226,7 +225,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                 controls[actor_id] = policy.step(world.actor(actor_id), t, dt)
             frames.append(Frame(t, world.actors, control.command))
             last_command = control.command
-            world = step_world(world, controls, params, dt)
+            world = step_world(world, controls, dt)
     finally:
         session.close()
 

@@ -2,7 +2,9 @@
 
 The vehicle model is a kinematic bicycle integrated with explicit Euler.  All
 state updates read the pre-step snapshot, so actor iteration order can never
-change a step's outcome.
+change a step's outcome.  The ego and every NPC share one vehicle, fixed in the
+module constants ``WHEELBASE``, ``A_MAX``, ``B_MAX``, ``DRAG``, ``V_MAX`` and
+``STEER_MAX``.
 
 The value objects ``ActorState`` and ``ControlCommand`` are validated once, in
 their ``__init__``, and stored straight into the instance.  A heading that is
@@ -26,6 +28,12 @@ from typing import Mapping
 from .geometry import Polyline, normalize_angle
 from .scenario import NpcSpec
 
+# vehicle model
+WHEELBASE = 2.8   # m
+A_MAX = 3.0       # m/s^2 at full throttle
+B_MAX = 6.0       # m/s^2 at full brake
+DRAG = 0.01       # 1/s, linear speed decay
+V_MAX = 30.0      # m/s
 STEER_MAX = 0.61  # rad, mechanical steering stop
 
 # SpeedController gains and anti-windup bound
@@ -33,16 +41,6 @@ KP = 0.8
 KI = 0.05
 KD = 0.0  # kept in the pedal sum: it sets the sign of a zero pedal
 INTEGRAL_LIMIT = 2.0
-
-
-@dataclass(frozen=True)
-class VehicleParams:
-    wheelbase: float = 2.8      # m
-    a_max: float = 3.0          # m/s^2 at full throttle
-    b_max: float = 6.0          # m/s^2 at full brake
-    drag: float = 0.01          # 1/s, linear speed decay
-    v_max: float = 30.0         # m/s
-    steer_max: float = STEER_MAX
 
 
 @dataclass(frozen=True, init=False)
@@ -132,17 +130,17 @@ class WorldState:
 
 
 def step_kinematic(state: ActorState, cmd: ControlCommand,
-                   params: VehicleParams, dt: float) -> ActorState:
+                   dt: float) -> ActorState:
     """One explicit-Euler step of the kinematic bicycle model.
 
     Position and heading advance with the speed at the start of the step;
-    speed is clamped to [0, v_max] after applying net acceleration.
+    speed is clamped to [0, V_MAX] after applying net acceleration.
     """
-    steering = min(max(cmd.steering, -params.steer_max), params.steer_max)
-    accel = cmd.throttle * params.a_max - cmd.brake * params.b_max - params.drag * state.speed
-    speed = min(max(state.speed + accel * dt, 0.0), params.v_max)
+    steering = min(max(cmd.steering, -STEER_MAX), STEER_MAX)
+    accel = cmd.throttle * A_MAX - cmd.brake * B_MAX - DRAG * state.speed
+    speed = min(max(state.speed + accel * dt, 0.0), V_MAX)
     heading = normalize_angle(
-        state.heading + (state.speed / params.wheelbase) * math.tan(steering) * dt)
+        state.heading + (state.speed / WHEELBASE) * math.tan(steering) * dt)
     x = state.x + state.speed * math.cos(state.heading) * dt
     y = state.y + state.speed * math.sin(state.heading) * dt
     return ActorState(state.actor_id, state.kind, x, y, heading, speed, accel,
@@ -150,7 +148,7 @@ def step_kinematic(state: ActorState, cmd: ControlCommand,
 
 
 def step_world(world: WorldState, controls: Mapping[str, ControlCommand],
-               params: VehicleParams, dt: float) -> WorldState:
+               dt: float) -> WorldState:
     """Advance every actor one step from the same pre-step snapshot."""
     movable = {a.actor_id for a in world.actors if a.kind != "static"}
     if set(controls) != movable:
@@ -158,7 +156,7 @@ def step_world(world: WorldState, controls: Mapping[str, ControlCommand],
             f"controls must cover exactly the movable actors; "
             f"expected {sorted(movable)}, got {sorted(controls)}")
     actors = tuple(
-        a if a.kind == "static" else step_kinematic(a, controls[a.actor_id], params, dt)
+        a if a.kind == "static" else step_kinematic(a, controls[a.actor_id], dt)
         for a in world.actors)
     return WorldState(world.sim_time + dt, actors)
 
@@ -261,8 +259,7 @@ class SpeedController:
     negative to brake, both saturated at 1.
     """
 
-    def __init__(self, params: VehicleParams):
-        self.params = params
+    def __init__(self) -> None:
         self.integral = 0.0
         self.prev_error: float | None = None
 
@@ -273,15 +270,15 @@ class SpeedController:
         derivative = 0.0 if self.prev_error is None or dt <= 0 \
             else (error - self.prev_error) / dt
         self.prev_error = error
-        feedforward = self.params.drag * target / self.params.a_max
+        feedforward = DRAG * target / A_MAX
         u = KP * error + KI * self.integral + KD * derivative + feedforward
         if u >= 0.0:
             return min(u, 1.0), 0.0
         return 0.0, min(-u, 1.0)
 
 
-def pure_pursuit_steering(state: ActorState, path: Polyline, s: float,
-                          params: VehicleParams) -> float:
+def pure_pursuit_steering(state: ActorState, path: Polyline,
+                          s: float) -> float:
     """Classic pure-pursuit steering toward a speed-scaled lookahead point."""
     lookahead = max(3.0, 1.5 * state.speed)
     tx, ty = path.point_at(min(s + lookahead, path.length))
@@ -290,8 +287,8 @@ def pure_pursuit_steering(state: ActorState, path: Polyline, s: float,
     if chord < 0.5:
         return 0.0
     alpha = normalize_angle(math.atan2(dy, dx) - state.heading)
-    steer = math.atan2(2.0 * params.wheelbase * math.sin(alpha), chord)
-    return min(max(steer, -params.steer_max), params.steer_max)
+    steer = math.atan2(2.0 * WHEELBASE * math.sin(alpha), chord)
+    return min(max(steer, -STEER_MAX), STEER_MAX)
 
 
 class WaypointPolicy:
@@ -302,12 +299,11 @@ class WaypointPolicy:
     final waypoint is reached (latched).
     """
 
-    def __init__(self, spec: NpcSpec, params: VehicleParams | None = None):
-        self.params = params or VehicleParams()
+    def __init__(self, spec: NpcSpec):
         self.path = Polyline([(p.x, p.y) for p in spec.waypoints])
         self.target_speeds = spec.target_speeds
         self.spawn_delay = spec.spawn_delay
-        self.speed_ctl = SpeedController(self.params)
+        self.speed_ctl = SpeedController()
         self.finished = False
 
     def step(self, state: ActorState, sim_time: float, dt: float) -> ControlCommand:
@@ -320,5 +316,5 @@ class WaypointPolicy:
         segment = min(self.path._segment_index(s), len(self.target_speeds) - 1)
         throttle, brake = self.speed_ctl.pedals(
             state.speed, self.target_speeds[segment], dt)
-        steering = pure_pursuit_steering(state, self.path, s, self.params)
+        steering = pure_pursuit_steering(state, self.path, s)
         return ControlCommand(throttle, brake, steering)

@@ -26,7 +26,6 @@ from oracles import integrate_bicycle, obb_distance_sampled
 from scenofuzz import canonical
 from scenofuzz.bridge import (
     BridgeServer,
-    EgoAgentConfig,
     FrameError,
     InProcessSession,
     ReferenceEgoAgent,
@@ -64,9 +63,11 @@ from scenofuzz.runner import (
 )
 from scenofuzz.scenario import unflatten
 from scenofuzz.simulator import (
+    A_MAX,
+    DRAG,
+    WHEELBASE,
     ActorState,
     ControlCommand,
-    VehicleParams,
     actor_distance,
     obb_distance,
     step_kinematic,
@@ -129,29 +130,27 @@ def _fit_circle(points):
     return math.sqrt(sol[2] + cx * cx + cy * cy)
 
 
-def _drive_circle(dt: float, duration: float, speed: float, steering: float,
-                  params: VehicleParams):
+def _drive_circle(dt: float, duration: float, speed: float, steering: float):
     """Trajectory of a constant-speed, constant-steering drive."""
-    throttle = params.drag * speed / params.a_max
+    throttle = DRAG * speed / A_MAX
     command = ControlCommand(throttle=throttle, brake=0.0, steering=steering)
     state = ActorState("ego", "ego", 0.0, 0.0, 0.0, speed=speed)
     points = [(state.x, state.y)]
     for _ in range(int(round(duration / dt))):
-        state = step_kinematic(state, command, params, dt)
+        state = step_kinematic(state, command, dt)
         points.append((state.x, state.y))
     return points
 
 
 def test_c02_kinematics_match_fine_integration():
     """Steady turn radius matches wheelbase/tan(steer) and a fine-step oracle."""
-    params = VehicleParams()
     steering, speed, duration = 0.35, 3.0, 30.0
-    analytic = params.wheelbase / math.tan(steering)
+    analytic = WHEELBASE / math.tan(steering)
 
-    coarse = _drive_circle(0.1, duration, speed, steering, params)
+    coarse = _drive_circle(0.1, duration, speed, steering)
     r_coarse = _fit_circle(coarse)
 
-    throttle = params.drag * speed / params.a_max
+    throttle = DRAG * speed / A_MAX
     oracle_points = []
     x = y = heading = 0.0
     v = speed
@@ -161,7 +160,7 @@ def test_c02_kinematics_match_fine_integration():
         oracle_points.append((x, y))
     r_oracle = _fit_circle(oracle_points)
 
-    halved = _drive_circle(0.05, duration, speed, steering, params)
+    halved = _drive_circle(0.05, duration, speed, steering)
     drift = math.dist(coarse[-1], halved[-1])
 
     ok = (abs(r_coarse - analytic) <= 0.02 * analytic
@@ -206,8 +205,8 @@ def test_c04_verdicts_recompute_from_recordings(junction_settings):
     end_point = mission_end_point(template, lane_map)
 
     def session_factory():
-        return InProcessSession(lambda: ReferenceEgoAgent(EgoAgentConfig(
-            route=mission, fault_ignore_junction_traffic=True)))
+        return InProcessSession(lambda: ReferenceEgoAgent(
+            mission, AgentSettings(fault_ignore_junction_traffic=True)))
 
     rng = np.random.default_rng(7)
     prototype = CampaignContext(settings,
@@ -368,8 +367,8 @@ def test_c08_transport_equivalence_and_frame_fuzz(junction_settings):
     mission = mission_path(template, settings.lane_map)
 
     def make_agent():
-        return ReferenceEgoAgent(EgoAgentConfig(
-            route=mission, fault_ignore_junction_traffic=True))
+        return ReferenceEgoAgent(
+            mission, AgentSettings(fault_ignore_junction_traffic=True))
 
     sessions = []
 

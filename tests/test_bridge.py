@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from scenofuzz import bridge, canonical
-from scenofuzz.bridge import (AgentTimeoutError, BridgeServer, ControlMessage,
-                              EgoAgentConfig, FrameError, InProcessSession,
+from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
+                              ControlMessage, FrameError, InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, TcpSession,
                               connect, decode, encode, read_frame,
                               register_inproc_agent, resolve_endpoint)
@@ -466,9 +466,9 @@ class TestCodecReference:
 
 
 class TestReferenceEgoAgent:
-    def make(self, **overrides):
-        config = EgoAgentConfig(route=straight_route(), **overrides)
-        return ReferenceEgoAgent(config)
+    def make(self, dt=0.1, **settings):
+        return ReferenceEgoAgent(straight_route(), AgentSettings(**settings),
+                                 dt)
 
     def test_on_route_equilibrium(self):
         agent = self.make()
@@ -550,14 +550,14 @@ class TestReferenceEgoAgent:
         pts += [(30.0 + 10.0 * math.sin(a), 10.0 - 10.0 * math.cos(a))
                 for a in [i * (math.pi / 2) / 16 for i in range(1, 17)]]
         bendy = Polyline(pts)
-        agent = ReferenceEgoAgent(EgoAgentConfig(route=bendy))
+        agent = ReferenceEgoAgent(bendy)
         reply = agent.step(perception(actor(x=25.0, speed=8.0)))
         assert reply.command.brake > 0.0
         assert reply.command.throttle == 0.0
 
     def test_speed_controller_integrates_over_configured_dt(self):
         coarse, fine = self.make(), self.make(dt=0.05)
-        assert coarse.config.dt == 0.1
+        assert coarse.dt == 0.1
         start = perception(actor(x=50.0, speed=2.0))
         coarse.step(start)
         fine.step(start)
@@ -576,7 +576,7 @@ class TestReferenceEgoAgent:
 
 
 def agent_factory():
-    return ReferenceEgoAgent(EgoAgentConfig(route=straight_route()))
+    return ReferenceEgoAgent(straight_route())
 
 
 def scripted_frames():
@@ -681,6 +681,26 @@ class TestSessions:
                    and "finite" in r.getMessage()
                    for r in caplog.records)
         assert uncaught == []
+
+    def test_failing_agent_factory_closes_the_connection(self, caplog):
+        def broken_factory():
+            raise RuntimeError("no route for this agent")
+
+        server = BridgeServer(broken_factory)
+        try:
+            with caplog.at_level("ERROR", logger="scenofuzz.bridge"):
+                session = connect(server.endpoint, timeout=5.0)
+                started = time.monotonic()
+                with pytest.raises(FrameError):
+                    session.request(scripted_frames()[0])
+                elapsed = time.monotonic() - started
+                session.close()
+        finally:
+            server.close()
+        assert elapsed < 1.0  # not the 5 s timeout
+        assert any("could not be built" in r.getMessage()
+                   and str(r.exc_info[1]) == "no route for this agent"
+                   for r in caplog.records)
 
     def test_inproc_registry_and_endpoint_parsing(self):
         register_inproc_agent("test_reference", agent_factory)

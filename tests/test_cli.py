@@ -130,6 +130,28 @@ class TestArgumentHandling:
         assert rc == EXIT_CONFIG
         assert "endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("endpoint", [
+        "localhost", "localhost:0", "localhost:65536", "localhost:http",
+        "inproc:"])
+    @pytest.mark.parametrize("source", ["file", "environment"])
+    def test_malformed_agent_endpoint_exits_config_code(
+            self, tmp_path, output_root, monkeypatch, capsys, endpoint,
+            source):
+        key = "scenario_runner.parameters.agent.endpoint"
+        keys = {"scenario_runner.parameters.agent.type": "external",
+                key: "127.0.0.1:9333"}
+        if source == "file":
+            keys[key] = endpoint
+        else:
+            monkeypatch.setenv("SCENOFUZZ_BRIDGE_ADDR", endpoint)
+        rc = run_cli(write_config(tmp_path / "configs", **keys))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        named = key if source == "file" else "SCENOFUZZ_BRIDGE_ADDR"
+        assert err.startswith(f"config error: {named}: ")
+        assert repr(endpoint) in err
+        assert not output_root.exists()
+
 
 class TestFlagOverrides:
     @pytest.mark.parametrize("flag,key", [

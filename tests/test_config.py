@@ -1,5 +1,6 @@
 """Tests for YAML config parsing, validation, and execution assembly."""
 
+import dataclasses
 import logging
 import re
 from pathlib import Path
@@ -401,17 +402,33 @@ class TestBuildExecution:
 
     def test_bridge_server_endpoint_satisfies_external_config(
             self, monkeypatch):
-        from scenofuzz.bridge import EgoAgentConfig, ReferenceEgoAgent
+        from scenofuzz.bridge import ReferenceEgoAgent
+        from scenofuzz.engine.campaign import CampaignContext
+        from scenofuzz.runner import AGENT_TIMEOUT, mission_path
 
-        server = BridgeServer(lambda: ReferenceEgoAgent(EgoAgentConfig()))
+        config = parse_config(minimal_doc(**{
+            "scenario_runner.parameters.agent.type": "external",
+            "scenario.end_station": 60.0,
+            "scenario.duration_limit": 12.0}))
+        routes = []  # the mission path, known once the settings are built
+        server = BridgeServer(lambda: ReferenceEgoAgent(routes[0]))
         try:
             monkeypatch.setenv("SCENOFUZZ_BRIDGE_ADDR", server.endpoint)
-            config = parse_config(minimal_doc(
-                **{"scenario_runner.parameters.agent.type": "external"}))
             settings, _, _ = build_execution(config)
             assert settings.endpoint == server.endpoint
+            routes.append(mission_path(settings.template, settings.lane_map))
+            records = []
+            for endpoint in (settings.endpoint, None):
+                ctx = CampaignContext(
+                    dataclasses.replace(settings, endpoint=endpoint),
+                    CampaignBudget(max_evaluations=1))
+                ctx.evaluate_batch([ctx.prototype])
+                records.append(ctx.records)
         finally:
             server.close()
+        # the served agent drives exactly like the in-process one
+        assert records[0] == records[1]
+        assert records[0][0]["outcome"] != AGENT_TIMEOUT
 
 
 class TestDocumentationSync:

@@ -73,6 +73,9 @@ def test_load_map_file(tmp_path):
     path.write_text("{broken")
     with pytest.raises(MapFormatError, match="invalid JSON"):
         load_map(path)
+    path.write_bytes('{"name": "caf\u00e9", "lanes": []}'.encode("latin-1"))
+    with pytest.raises(MapFormatError, match="m.json: .*utf-8"):
+        load_map(path)
 
 
 def test_route_chain(chain_map):

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from scenofuzz import canonical
-from scenofuzz.bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
-                              EgoAgentConfig, InProcessSession,
+from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeSession,
+                              ControlMessage, InProcessSession,
                               ReferenceEgoAgent)
 from scenofuzz.geometry import Pose
 from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
@@ -47,12 +47,11 @@ def brake_session():
     return InProcessSession(BrakeAgent)
 
 
-def reference_session(lane_map, config, **overrides):
+def reference_session(lane_map, config, dt=0.1, **settings):
     mission = mission_path(config, lane_map)
 
     def factory():
-        cfg = EgoAgentConfig(route=mission, **overrides)
-        return ReferenceEgoAgent(cfg)
+        return ReferenceEgoAgent(mission, AgentSettings(**settings), dt)
 
     return lambda: InProcessSession(factory)
 

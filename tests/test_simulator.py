@@ -13,14 +13,14 @@ from scenofuzz import canonical
 from scenofuzz.geometry import Pose
 from scenofuzz.scenario import NpcSpec
 from scenofuzz.geometry import normalize_angle
-from scenofuzz.simulator import (ActorState, BRAKE_COMMAND, ControlCommand,
-                                 STEER_MAX, SpeedController, VehicleParams,
+from scenofuzz.simulator import (A_MAX, B_MAX, DRAG, STEER_MAX, V_MAX,
+                                 WHEELBASE, ActorState, BRAKE_COMMAND,
+                                 ControlCommand, SpeedController,
                                  WaypointPolicy, WorldState, _boxes_overlap,
                                  _point_segment_d2, actor_distance,
                                  actor_distance_lower_bound, obb_corners,
                                  obb_distance, step_kinematic, step_world)
 
-PARAMS = VehicleParams()
 DT = 0.1
 
 
@@ -48,7 +48,7 @@ def test_command_rejects_non_finite_values(field, bad):
 
 def test_rest_stays_at_rest():
     state = _actor()
-    nxt = step_kinematic(state, ControlCommand(), PARAMS, DT)
+    nxt = step_kinematic(state, ControlCommand(), DT)
     assert (nxt.x, nxt.y, nxt.heading, nxt.speed) == (0.0, 0.0, 0.0, 0.0)
     assert nxt.acceleration == 0.0
 
@@ -56,25 +56,25 @@ def test_rest_stays_at_rest():
 def test_speed_never_negative_and_capped():
     state = _actor(speed=0.3)
     for _ in range(20):
-        state = step_kinematic(state, BRAKE_COMMAND, PARAMS, DT)
+        state = step_kinematic(state, BRAKE_COMMAND, DT)
     assert state.speed == 0.0
 
     state = _actor(speed=29.9)
     for _ in range(200):
-        state = step_kinematic(state, ControlCommand(throttle=1.0), PARAMS, DT)
-        assert state.speed <= PARAMS.v_max
+        state = step_kinematic(state, ControlCommand(throttle=1.0), DT)
+        assert state.speed <= V_MAX
 
 
 def test_acceleration_field_records_net_accel():
     state = _actor(speed=10.0)
-    nxt = step_kinematic(state, ControlCommand(throttle=0.5), PARAMS, DT)
+    nxt = step_kinematic(state, ControlCommand(throttle=0.5), DT)
     assert nxt.acceleration == pytest.approx(0.5 * 3.0 - 0.01 * 10.0)
 
 
 def test_straight_line_matches_fine_integration():
     state = _actor(speed=0.0)
     for _ in range(300):
-        state = step_kinematic(state, ControlCommand(throttle=0.8), PARAMS, DT)
+        state = step_kinematic(state, ControlCommand(throttle=0.8), DT)
     x_ref, _, _, v_ref = integrate_bicycle(0, 0, 0, 0, 0.8, 0.0, 0.0,
                                            duration=30.0, dt=1e-4)
     # explicit Euler at dt=0.1 drifts O(dt): ~0.2% over 700 m
@@ -84,12 +84,12 @@ def test_straight_line_matches_fine_integration():
 
 def _drive_circle(dt, steering=0.1, speed=5.0, duration=120.0):
     # throttle exactly cancels drag so speed stays constant
-    throttle = PARAMS.drag * speed / PARAMS.a_max
+    throttle = DRAG * speed / A_MAX
     state = _actor(speed=speed)
     cmd = ControlCommand(throttle=throttle, steering=steering)
     xs, ys = [], []
     for _ in range(int(round(duration / dt))):
-        state = step_kinematic(state, cmd, PARAMS, dt)
+        state = step_kinematic(state, cmd, dt)
         xs.append(state.x)
         ys.append(state.y)
     return np.array(xs), np.array(ys), state
@@ -99,13 +99,13 @@ def test_constant_steering_circle_radius():
     xs, ys, _ = _drive_circle(DT)
     cx, cy = xs.mean(), ys.mean()
     radii = np.hypot(xs - cx, ys - cy)
-    expected = PARAMS.wheelbase / math.tan(0.1)
+    expected = WHEELBASE / math.tan(0.1)
     assert abs(radii.mean() - expected) / expected < 0.02
     # same check against the fine-step oracle trajectory
     x, y = 0.0, 0.0
     fine = []
     state = (0.0, 0.0, 0.0, 5.0)
-    throttle = PARAMS.drag * 5.0 / PARAMS.a_max
+    throttle = DRAG * 5.0 / A_MAX
     x, y, h, v = 0.0, 0.0, 0.0, 5.0
     for _ in range(1200):
         x, y, h, v = integrate_bicycle(x, y, h, v, throttle, 0.0, 0.1,
@@ -119,7 +119,7 @@ def test_constant_steering_circle_radius():
 
 def test_full_circle_returns_near_start():
     # one full revolution: yaw rate = v * tan(d) / L
-    omega = 5.0 * math.tan(0.1) / PARAMS.wheelbase
+    omega = 5.0 * math.tan(0.1) / WHEELBASE
     period = 2 * math.pi / omega
     xs, ys, _ = _drive_circle(DT, duration=period)
     assert math.hypot(xs[-1], ys[-1]) < 0.5
@@ -220,13 +220,13 @@ def _reference_obb_distance(ax, ay, ah, alen, awid, bx, by, bh, blen, bwid):
     return math.sqrt(best)
 
 
-def _reference_step_kinematic(state, cmd, params, dt):
+def _reference_step_kinematic(state, cmd, dt):
     """The step built through dataclasses.replace."""
-    steering = min(max(cmd.steering, -params.steer_max), params.steer_max)
-    accel = cmd.throttle * params.a_max - cmd.brake * params.b_max - params.drag * state.speed
-    speed = min(max(state.speed + accel * dt, 0.0), params.v_max)
+    steering = min(max(cmd.steering, -STEER_MAX), STEER_MAX)
+    accel = cmd.throttle * A_MAX - cmd.brake * B_MAX - DRAG * state.speed
+    speed = min(max(state.speed + accel * dt, 0.0), V_MAX)
     heading = normalize_angle(
-        state.heading + (state.speed / params.wheelbase) * math.tan(steering) * dt)
+        state.heading + (state.speed / WHEELBASE) * math.tan(steering) * dt)
     x = state.x + state.speed * math.cos(state.heading) * dt
     y = state.y + state.speed * math.sin(state.heading) * dt
     return replace(state, x=x, y=y, heading=heading, speed=speed, acceleration=accel)
@@ -290,8 +290,6 @@ def test_obb_distance_equals_reference_on_seeded_boxes():
 
 def test_step_kinematic_equals_replace_form():
     rng = np.random.default_rng(96)
-    params_set = (PARAMS, VehicleParams(wheelbase=2.1, a_max=4.5, b_max=8.0,
-                                        drag=0.05, v_max=20.0, steer_max=0.4))
     headings = [math.pi, -math.pi + 1e-12, 0.0, -0.0, math.pi / 2]
     for k in range(5000):
         heading = headings[k] if k < len(headings) else rng.uniform(-math.pi, math.pi)
@@ -301,10 +299,9 @@ def test_step_kinematic_equals_replace_form():
                            rng.uniform(-8, 4), rng.uniform(2, 6), rng.uniform(1, 3))
         cmd = ControlCommand(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2),
                              rng.uniform(-0.8, 0.8))
-        params = params_set[k % 2]
         dt = (0.1, 0.05, 1 / 30, rng.uniform(0.001, 0.5))[k % 4]
-        new = step_kinematic(state, cmd, params, dt)
-        ref = _reference_step_kinematic(state, cmd, params, dt)
+        new = step_kinematic(state, cmd, dt)
+        ref = _reference_step_kinematic(state, cmd, dt)
         assert type(new) is ActorState
         assert (new.actor_id, new.kind) == (ref.actor_id, ref.kind)
         fields = ("x", "y", "heading", "speed", "acceleration", "length", "width")
@@ -487,12 +484,12 @@ def test_step_world_requires_exact_control_cover():
                              _actor(x=30, actor_id="npc_1"),
                              _actor(x=60, kind="static", actor_id="rock")))
     with pytest.raises(ValueError):
-        step_world(world, {"ego": ControlCommand()}, PARAMS, DT)
+        step_world(world, {"ego": ControlCommand()}, DT)
     with pytest.raises(ValueError):
         step_world(world, {"ego": ControlCommand(), "npc_1": ControlCommand(),
-                           "rock": ControlCommand()}, PARAMS, DT)
+                           "rock": ControlCommand()}, DT)
     nxt = step_world(world, {"ego": ControlCommand(throttle=1.0),
-                             "npc_1": ControlCommand()}, PARAMS, DT)
+                             "npc_1": ControlCommand()}, DT)
     assert nxt.sim_time == pytest.approx(0.1)
     assert nxt.actor("rock") is world.actor("rock")
 
@@ -504,8 +501,8 @@ def test_step_world_order_independent():
     controls = {"ego": ControlCommand(throttle=0.5, steering=0.1),
                 "npc_1": ControlCommand(brake=0.2),
                 "npc_2": ControlCommand(throttle=1.0)}
-    a = step_world(WorldState(0.0, actors), controls, PARAMS, DT)
-    b = step_world(WorldState(0.0, actors[::-1]), controls, PARAMS, DT)
+    a = step_world(WorldState(0.0, actors), controls, DT)
+    b = step_world(WorldState(0.0, actors[::-1]), controls, DT)
     by_id_a = {s.actor_id: s for s in a.actors}
     by_id_b = {s.actor_id: s for s in b.actors}
     assert by_id_a == by_id_b
@@ -521,45 +518,45 @@ def _policy_npc(delay=0.0, speeds=(8.0, 8.0, 8.0)):
 
 
 def test_policy_brakes_before_spawn_delay():
-    policy = WaypointPolicy(_policy_npc(delay=5.0), PARAMS)
+    policy = WaypointPolicy(_policy_npc(delay=5.0))
     cmd = policy.step(_actor(speed=0.0), sim_time=1.0, dt=DT)
     assert cmd == BRAKE_COMMAND
 
 
 def test_policy_equilibrium_on_path():
-    policy = WaypointPolicy(_policy_npc(), PARAMS)
+    policy = WaypointPolicy(_policy_npc())
     cmd = policy.step(_actor(x=10.0, speed=8.0), sim_time=1.0, dt=DT)
     assert abs(cmd.steering) < 1e-3
-    drag_comp = PARAMS.drag * 8.0 / PARAMS.a_max
+    drag_comp = DRAG * 8.0 / A_MAX
     assert cmd.throttle == pytest.approx(drag_comp, abs=0.01)
     assert cmd.brake == 0.0
 
 
 def test_policy_steers_left_when_right_of_path():
-    policy = WaypointPolicy(_policy_npc(), PARAMS)
+    policy = WaypointPolicy(_policy_npc())
     cmd = policy.step(_actor(x=10.0, y=-1.0, speed=8.0), sim_time=1.0, dt=DT)
     assert cmd.steering > 0.0
 
 
 def test_policy_converges_to_path():
-    policy = WaypointPolicy(_policy_npc(), PARAMS)
+    policy = WaypointPolicy(_policy_npc())
     state = _actor(x=5.0, y=-1.0, speed=8.0)
     t = 0.0
     for _ in range(100):  # 10 s
         cmd = policy.step(state, t, DT)
-        state = step_kinematic(state, cmd, PARAMS, DT)
+        state = step_kinematic(state, cmd, DT)
         t += DT
     assert abs(state.y) < 0.2
 
 
 def test_policy_tracks_segment_speed_and_stops_at_end():
-    policy = WaypointPolicy(_policy_npc(speeds=(6.0, 6.0)), PARAMS)
+    policy = WaypointPolicy(_policy_npc(speeds=(6.0, 6.0)))
     state = _actor(speed=0.0)
     t = 0.0
     speeds = []
     for _ in range(300):
         cmd = policy.step(state, t, DT)
-        state = step_kinematic(state, cmd, PARAMS, DT)
+        state = step_kinematic(state, cmd, DT)
         speeds.append(state.speed)
         t += DT
     assert max(speeds) == pytest.approx(6.0, abs=1.0)
@@ -572,7 +569,7 @@ def test_policy_tracks_segment_speed_and_stops_at_end():
 def test_speed_controller_zero_pedal_is_positive_zero():
     # every other term of the pedal sum is -0.0 here; the KD term, 0.0 times
     # a rising error, makes it +0.0, so a zero throttle keeps its sign
-    ctl = SpeedController(PARAMS)
+    ctl = SpeedController()
     ctl.integral, ctl.prev_error = -5e-324, -1.0
     throttle, brake = ctl.pedals(0.0, -0.0, DT)
     assert (throttle, brake) == (0.0, 0.0)
@@ -590,7 +587,7 @@ def test_golden_trace_hash():
         cmd = ControlCommand(throttle=0.7 if k < 60 else 0.0,
                              brake=0.0 if k < 60 else 0.6,
                              steering=0.05 * math.sin(k / 10.0))
-        state = step_kinematic(state, cmd, PARAMS, DT)
+        state = step_kinematic(state, cmd, DT)
         trace.append({"x": state.x, "y": state.y, "heading": state.heading,
                       "speed": state.speed, "acceleration": state.acceleration})
     digest = canonical.sha256(trace)

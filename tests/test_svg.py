@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from scenofuzz.bridge import EgoAgentConfig, InProcessSession, ReferenceEgoAgent
+from scenofuzz.bridge import AgentSettings, InProcessSession, ReferenceEgoAgent
 from scenofuzz.runner import (
     COLLISION,
     TIMEOUT,
@@ -31,8 +31,7 @@ def reference_session(lane_map, config, **agent_overrides):
     route = mission_path(config, lane_map)
 
     def factory():
-        agent = ReferenceEgoAgent(EgoAgentConfig(route=route,
-                                                 **agent_overrides))
+        agent = ReferenceEgoAgent(route, AgentSettings(**agent_overrides))
         return InProcessSession(lambda: agent)
 
     return factory
