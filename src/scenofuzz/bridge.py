@@ -15,9 +15,12 @@ types at once; anything else goes through the full checks, which name the
 fault.
 
 The session is lockstep: the runner sends one perception frame and blocks for
-exactly one control frame.  The in-process transport pushes messages through
-the same encode/decode pair as TCP, so the two transports produce identical
-traces for a deterministic agent.
+exactly one control frame.  The in-process transport encodes both frames, so
+a message the wire cannot carry fails as it would over TCP, but it hands the
+agent the simulator's own frozen message and returns an exact
+``ControlMessage`` reply as it is; any other reply is decoded from its frame.
+Decoding a simulator-built frame gives back equal values, so the two
+transports produce identical traces for a deterministic agent.
 
 The reference agent's tuning is fixed in module constants, ``CORRIDOR_LENGTH``
 through ``LAT_ACCEL_MAX``; :class:`AgentSettings` holds only what a campaign
@@ -355,7 +358,14 @@ class BridgeSession:
 
 
 class InProcessSession(BridgeSession):
-    """Runs the agent in this process, still round-tripping the wire format."""
+    """Runs the agent in this process.
+
+    Both frames are encoded, which rejects what the wire cannot carry, but
+    the agent gets the perception message itself and an exact
+    ``ControlMessage`` reply is returned as it is: ``ControlCommand`` stores
+    only finite in-range floats, and the encode has rejected a non-finite
+    time.  Any other reply is decoded from its frame, as TCP would.
+    """
 
     def __init__(self, agent_factory):
         super().__init__()
@@ -363,19 +373,26 @@ class InProcessSession(BridgeSession):
 
     def request(self, perception: PerceptionMessage) -> ControlMessage:
         self.sent += 1
-        decoded = decode(encode(perception))
-        reply = self.agent.step(decoded)
-        control = decode(encode(reply))
-        if not isinstance(control, ControlMessage):
-            raise FrameError("agent answered with a non-control message")
+        encode(perception)
+        reply = self.agent.step(perception)
+        frame = encode(reply)
+        if not (type(reply) is ControlMessage and type(reply.sim_time) is float
+                and type(reply.command) is ControlCommand):
+            reply = decode(frame)
+            if not isinstance(reply, ControlMessage):
+                raise FrameError("agent answered with a non-control message")
         self.received += 1
-        return control
+        return reply
 
 
 class TcpSession(BridgeSession):
     def __init__(self, host: str, port: int, timeout: float = DEFAULT_TIMEOUT_S):
         super().__init__()
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            self.sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            raise ConnectionError(
+                f"cannot reach the agent at {host}:{port}: {exc}") from exc
         self.sock.settimeout(timeout)
 
     def request(self, perception: PerceptionMessage) -> ControlMessage:
@@ -487,8 +504,8 @@ class BridgeServer:
                     perception = decode(frame)
                     reply = agent.step(perception)
                     conn.sendall(encode(reply))
-                except (ValueError, OSError) as exc:  # FrameError, CanonicalError
-                    log.warning("bridge connection dropped: %s", exc)
+                except Exception as exc:  # bad frame or reply, agent fault
+                    log.exception("bridge connection dropped: %s", exc)
                     return
         finally:
             conn.close()

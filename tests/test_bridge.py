@@ -5,13 +5,15 @@ import math
 import random
 import socket
 import time
+import types
 
 import numpy as np
 import pytest
 
 from scenofuzz import bridge, canonical
 from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
-                              ControlMessage, FrameError, InProcessSession,
+                              BridgeSession, ControlMessage, FrameError,
+                              InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, TcpSession,
                               connect, decode, encode, read_frame,
                               register_inproc_agent, resolve_endpoint)
@@ -649,7 +651,8 @@ class TestSessions:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("fault", ["nan-command", "nan-sim-time"])
+    @pytest.mark.parametrize("fault", ["nan-command", "nan-sim-time", "raises",
+                                       "none-reply"])
     def test_faulty_agent_drops_its_connection_with_a_log(self, caplog,
                                                           monkeypatch, fault):
         class FaultyAgent:
@@ -657,8 +660,11 @@ class TestSessions:
                 if fault == "nan-command":  # ValueError from ControlCommand
                     return ControlMessage(perception_msg.sim_time,
                                           ControlCommand(math.nan, 0.0, 0.0))
-                # CanonicalError from encode
-                return ControlMessage(math.nan, ControlCommand())
+                if fault == "nan-sim-time":  # CanonicalError from encode
+                    return ControlMessage(math.nan, ControlCommand())
+                if fault == "raises":  # the agent's own fault
+                    raise RuntimeError("agent lost its map")
+                return None  # TypeError from encode
 
         uncaught = []
         monkeypatch.setattr("threading.excepthook", uncaught.append)
@@ -677,8 +683,10 @@ class TestSessions:
             session.close()
         finally:
             server.close()
+        named = {"raises": "agent lost its map",
+                 "none-reply": "cannot encode NoneType"}.get(fault, "finite")
         assert any("bridge connection dropped" in r.getMessage()
-                   and "finite" in r.getMessage()
+                   and named in r.getMessage() and r.exc_info is not None
                    for r in caplog.records)
         assert uncaught == []
 
@@ -702,6 +710,16 @@ class TestSessions:
                    and str(r.exc_info[1]) == "no route for this agent"
                    for r in caplog.records)
 
+    def test_unreachable_endpoint_names_itself(self):
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(ConnectionError) as caught:
+            connect(f"127.0.0.1:{port}", timeout=5.0)
+        assert str(caught.value).startswith(
+            f"cannot reach the agent at 127.0.0.1:{port}: ")
+        assert isinstance(caught.value.__cause__, OSError)
+
     def test_inproc_registry_and_endpoint_parsing(self):
         register_inproc_agent("test_reference", agent_factory)
         session = connect("inproc:test_reference")
@@ -718,3 +736,83 @@ class TestSessions:
         assert resolve_endpoint("inproc:default") == "inproc:default"
         monkeypatch.setenv(bridge.ENDPOINT_ENV_VAR, "10.0.0.1:9000")
         assert resolve_endpoint("inproc:default") == "10.0.0.1:9000"
+
+
+# ---------------------------------------------------------------------------
+# the in-process session against the round trip it replaced
+
+
+class RoundTripSession(BridgeSession):
+    """The in-process session as it was: both frames decoded back."""
+
+    def __init__(self, agent_factory):
+        super().__init__()
+        self.agent = agent_factory()
+
+    def request(self, perception_msg):
+        self.sent += 1
+        decoded = decode(encode(perception_msg))
+        reply = self.agent.step(decoded)
+        control = decode(encode(reply))
+        if not isinstance(control, ControlMessage):
+            raise FrameError("agent answered with a non-control message")
+        self.received += 1
+        return control
+
+
+def seeded_perception(rng):
+    """An ego near the straight route with a few actors around it."""
+    ego = actor(x=rng.uniform(0.0, 220.0), y=rng.uniform(-8.0, 8.0),
+                heading=rng.uniform(-math.pi, math.pi),
+                speed=rng.uniform(0.0, 15.0), acceleration=rng.uniform(-8.0, 3.0))
+    others = [actor(f"npc_{i}", rng.choice(("npc", "static")),
+                    x=ego.x + rng.uniform(-10.0, 40.0), y=rng.uniform(-6.0, 6.0),
+                    heading=rng.uniform(-math.pi, math.pi),
+                    speed=rng.uniform(0.0, 12.0), length=rng.uniform(0.5, 12.0),
+                    width=rng.uniform(0.5, 3.0))
+              for i in range(rng.randrange(5))]
+    return perception(ego, others, t=random_float(rng))
+
+
+class ControlSubclass(ControlMessage):
+    pass
+
+
+class TestInProcessReference:
+    def test_replies_equal_reference_on_scripted_and_seeded_frames(self):
+        rng = random.Random(20261018)
+        frames = scripted_frames() + [seeded_perception(rng) for _ in range(400)]
+        session = InProcessSession(agent_factory)
+        reference = RoundTripSession(agent_factory)
+        for frame in frames:
+            reply = session.request(frame)
+            expected = reference.request(frame)
+            assert reply == expected and repr(reply) == repr(expected)
+            assert encode(reply) == encode(expected)
+        assert session.sent == session.received == len(frames)
+        assert reference.sent == reference.received == len(frames)
+
+    @pytest.mark.parametrize("reply,ends", [
+        (ControlMessage(0, ControlCommand()), "ok"),
+        (ControlMessage(0.0, types.SimpleNamespace(throttle=2.0, brake=0.0,
+                                                   steering=0.0)), "ok"),
+        (ControlSubclass(0.0, ControlCommand(0.5, 0.0, 0.1)), "ok"),
+        (perception(actor()), FrameError),
+        (None, TypeError),
+        (ControlMessage(math.nan, ControlCommand()), canonical.CanonicalError),
+        (ControlMessage("0.0", ControlCommand()), FrameError),
+    ], ids=["int-sim-time", "duck-command", "subclass", "perception", "none",
+            "nan-sim-time", "string-sim-time"])
+    def test_odd_replies_end_like_the_reference(self, reply, ends):
+        class FixedAgent:
+            def step(self, perception_msg):
+                return reply
+
+        frame = scripted_frames()[0]
+        outcome = _outcome(InProcessSession(FixedAgent).request, frame)
+        assert outcome == _outcome(RoundTripSession(FixedAgent).request, frame)
+        assert outcome[0] == ends
+        if ends == "ok":  # converted by the decode, as TCP would
+            assert type(outcome[1]) is ControlMessage
+            assert type(outcome[1].sim_time) is float
+            assert type(outcome[1].command) is ControlCommand

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from scenofuzz.cli import (
     EXIT_CONFIG,
     EXIT_INTERRUPTED,
     EXIT_OK,
+    EXIT_RUNTIME,
     default_run_id,
     main,
 )
@@ -151,6 +153,19 @@ class TestArgumentHandling:
         assert err.startswith(f"config error: {named}: ")
         assert repr(endpoint) in err
         assert not output_root.exists()
+
+    def test_unreachable_agent_endpoint_is_named(self, tmp_path, output_root,
+                                                 capsys):
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            endpoint = f"127.0.0.1:{probe.getsockname()[1]}"
+        rc = run_cli(write_config(
+            tmp_path / "configs",
+            **{"scenario_runner.parameters.agent.type": "external",
+               "scenario_runner.parameters.agent.endpoint": endpoint}))
+        assert rc == EXIT_RUNTIME
+        assert f"error: cannot reach the agent at {endpoint}: " in \
+            capsys.readouterr().err
 
 
 class TestFlagOverrides:

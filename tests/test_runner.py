@@ -205,6 +205,41 @@ class TestRunScenario:
         assert len(rec.frames) == 1
         assert rec.frames[0].ego_command == ControlCommand()
 
+    def test_inprocess_agent_gets_the_runners_own_messages(self, chain_map,
+                                                           monkeypatch):
+        def no_decode(frame):
+            raise AssertionError("an in-process frame was decoded")
+
+        monkeypatch.setattr("scenofuzz.bridge.decode", no_decode)
+        npc = NpcSpec("npc_1", (Pose(20.0, 0.0, 0.0), Pose(55.0, 0.0, 0.0)),
+                      (4.0,))
+        config = chain_scenario(npc_vehicles=(npc,), duration_limit=6.0)
+        mission = mission_path(config, chain_map)
+        sent, received, replies, sessions = [], [], [], []
+
+        class SpyAgent(ReferenceEgoAgent):
+            def step(self, perception):
+                received.append(perception)
+                replies.append(super().step(perception))
+                return replies[-1]
+
+        class SpySession(InProcessSession):
+            def request(self, perception):
+                sent.append(perception)
+                return super().request(perception)
+
+        def factory():
+            sessions.append(SpySession(lambda: SpyAgent(mission)))
+            return sessions[-1]
+
+        rec = run_scenario(config, chain_map, factory)
+        assert len(sessions) == 1
+        assert sessions[0].sent == sessions[0].received == len(sent) > 10
+        assert len(received) == len(sent) == len(rec.frames) - 1
+        assert all(got is made for got, made in zip(received, sent))
+        assert all(frame.ego_command is reply.command
+                   for frame, reply in zip(rec.frames, replies))
+
     def test_agent_timeout_becomes_verdict(self, chain_map):
         class FlakySession(BridgeSession):
             def request(self, perception):
