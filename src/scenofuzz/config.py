@@ -21,7 +21,7 @@ from .canonical import finite_number
 from .bridge import AgentSettings
 from .engine.campaign import CampaignBudget
 from .runner import OracleConfig
-from .scenario import MutationSpace
+from .scenario import MutationSpace, validate
 
 log = logging.getLogger(__name__)
 
@@ -324,6 +324,10 @@ def build_execution(config: RunConfig):
                           config.start_station, config.end_lane_id,
                           config.end_station, config.duration_limit)
     template, _ = build_template(lane_map, mission, config.mutation_space)
+    problems = validate(template, lane_map)
+    if problems:
+        raise ConfigError("scenario: " + "; ".join(
+            f"{v.code}({v.subject}): {v.message}" for v in problems))
 
     endpoint_key = "scenario_runner.parameters.agent.endpoint"
     endpoint = resolve_endpoint(

@@ -10,6 +10,12 @@ Three signals drive the algorithms:
 * ``quality_score``: how rough the drive was on a 0..1 scale, the mean of
   four normalized components (proximity, harsh acceleration, harsh steering,
   route deviation).  Maximized by quality-guided search.
+
+``compute_feedback`` gets the last two from one walk over the ego's frames:
+each frame's ego is found once, and each heading rate is computed once, for
+the histogram signed and for harsh steering as ``abs(rate)``.  That equals
+``abs(angle) / dt`` to the bit, because IEEE division rounds the same for
+either sign.
 """
 
 from __future__ import annotations
@@ -83,58 +89,41 @@ def _histogram(values, lo: float, hi: float) -> np.ndarray:
     return counts / counts.sum()
 
 
-def behavior_vector(recording: ScenarioRecording) -> tuple[float, ...]:
-    egos = [next(a for a in f.actors if a.actor_id == "ego")
-            for f in recording.frames]
-    times = [f.sim_time for f in recording.frames]
-    speeds = [e.speed for e in egos]
-    accels = [e.acceleration for e in egos]
-    rates = []
-    for i in range(len(egos) - 1):
-        dt = times[i + 1] - times[i]
-        if dt > 0.0:
-            rates.append(normalize_angle(egos[i + 1].heading - egos[i].heading) / dt)
-    parts = [_histogram(speeds, *SPEED_RANGE),
-             _histogram(accels, *ACCEL_RANGE),
-             _histogram(rates, *HEADING_RATE_RANGE)]
-    return tuple(float(v) for v in np.concatenate(parts))
-
-
-def quality_score(recording: ScenarioRecording, mission: Polyline,
-                  lane_width: float, fitness: float) -> float:
-    egos = [next(a for a in f.actors if a.actor_id == "ego")
-            for f in recording.frames]
-    times = [f.sim_time for f in recording.frames]
-
-    closeness = 1.0 - min(fitness, FITNESS_SATURATION) / FITNESS_SATURATION
-
-    harsh_accel = min(max(abs(e.acceleration) for e in egos) / A_MAX, 1.0)
-
-    harsh_steer = 0.0
-    for i in range(len(egos) - 1):
-        dt = times[i + 1] - times[i]
-        v = egos[i].speed
-        if dt <= 0.0 or v < MOVING_SPEED:
-            continue
-        omega = abs(normalize_angle(egos[i + 1].heading - egos[i].heading)) / dt
-        ratio = omega * WHEELBASE / (v * math.tan(STEER_MAX))
-        harsh_steer = max(harsh_steer, min(ratio, 1.0))
-
-    half_width = lane_width / 2.0
-    off = sum(1 for e in egos
-              if abs(mission.project(e.x, e.y)[1]) > half_width)
-    deviation = off / len(egos)
-
-    return (closeness + harsh_accel + harsh_steer + deviation) / 4.0
-
-
 def compute_feedback(recording: ScenarioRecording, mission: Polyline,
                      lane_width: float = 3.5) -> Feedback:
     fitness = trace_min_distance(recording)
+    half_width = lane_width / 2.0
+    speeds, accels, rates = [], [], []
+    harsh_steer = 0.0
+    off_lane = 0
+    before = before_time = None  # the previous frame's ego and time
+    for frame in recording.frames:
+        ego = next(a for a in frame.actors if a.actor_id == "ego")
+        speeds.append(ego.speed)
+        accels.append(ego.acceleration)
+        if abs(mission.project(ego.x, ego.y)[1]) > half_width:
+            off_lane += 1
+        if before is not None:
+            dt = frame.sim_time - before_time
+            if dt > 0.0:
+                rate = normalize_angle(ego.heading - before.heading) / dt
+                rates.append(rate)
+                v = before.speed
+                if v >= MOVING_SPEED:
+                    ratio = abs(rate) * WHEELBASE / (v * math.tan(STEER_MAX))
+                    harsh_steer = max(harsh_steer, min(ratio, 1.0))
+        before, before_time = ego, frame.sim_time
+
+    behavior = np.concatenate([_histogram(speeds, *SPEED_RANGE),
+                               _histogram(accels, *ACCEL_RANGE),
+                               _histogram(rates, *HEADING_RATE_RANGE)])
+    closeness = 1.0 - min(fitness, FITNESS_SATURATION) / FITNESS_SATURATION
+    harsh_accel = min(max(map(abs, accels)) / A_MAX, 1.0)
+    deviation = off_lane / len(speeds)
     return Feedback(
         fitness=fitness,
-        behavior_vector=behavior_vector(recording),
-        quality_score=quality_score(recording, mission, lane_width, fitness),
+        behavior_vector=tuple(float(v) for v in behavior),
+        quality_score=(closeness + harsh_accel + harsh_steer + deviation) / 4.0,
         outcome=recording.verdict.outcome,
         time_of_decision=recording.verdict.time_of_decision,
     )

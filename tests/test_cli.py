@@ -154,6 +154,22 @@ class TestArgumentHandling:
         assert repr(endpoint) in err
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("scenario.duration_limit", 0, "NonPositiveDuration(template): "
+                                       "duration_limit=0.0"),
+        ("scenario.end_station", -1, "StationOutOfRange(ego): "
+                                     "end_station=-1.0 outside"),
+        ("scenario.start_station", 9999, "StationOutOfRange(ego): "
+                                         "start_station=9999.0 outside"),
+    ])
+    def test_invalid_scenario_template_exits_config_code(
+            self, tmp_path, output_root, capsys, key, value, named):
+        rc = run_cli(write_config(tmp_path / "configs", **{key: value}))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: scenario: {named}")
+        assert not output_root.exists()
+
     def test_unreachable_agent_endpoint_is_named(self, tmp_path, output_root,
                                                  capsys):
         with socket.socket() as probe:  # a port that nothing listens on

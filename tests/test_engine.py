@@ -2,10 +2,12 @@
 
 import collections
 import dataclasses
+import hashlib
 import logging
 import math
 import statistics
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,25 +15,31 @@ import pytest
 from synthetic import SyntheticContext, box_prototype, sphere
 
 from scenofuzz import canonical
+from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
+from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import avfuzzer, campaign, feedback, operators, samota
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
                                        run_campaign)
-from scenofuzz.engine.feedback import (NO_OBSTACLE_FITNESS, behavior_vector,
-                                       compute_feedback, quality_score,
-                                       trace_min_distance)
+from scenofuzz.engine.feedback import (
+    ACCEL_RANGE, FITNESS_SATURATION, HEADING_RATE_RANGE, MOVING_SPEED,
+    NO_OBSTACLE_FITNESS, SPEED_RANGE, _histogram, compute_feedback,
+    trace_min_distance)
 from scenofuzz.engine.samota import IdwSurrogate
 from scenofuzz.engine.template import (MissionSpec, build_template,
                                        conflict_lanes, onward_route)
-from scenofuzz.geometry import Polyline
+from scenofuzz.geometry import Polyline, normalize_angle
 from scenofuzz.lanemap import route
 from scenofuzz.runner import (OUTCOMES, Frame, ScenarioRecording, Verdict,
                               mission_path, read_recording,
-                              recording_document, write_recording)
-from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, validate)
-from scenofuzz.simulator import (STEER_MAX, ActorState, ControlCommand,
-                                 actor_distance, actor_distance_lower_bound)
+                              recording_document, run_scenario,
+                              write_recording)
+from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, unflatten,
+                                validate)
+from scenofuzz.simulator import (A_MAX, STEER_MAX, WHEELBASE, ActorState,
+                                 ControlCommand, actor_distance,
+                                 actor_distance_lower_bound)
 
 
 def ego_state(x=0.0, y=0.0, heading=0.0, speed=8.0, accel=0.0):
@@ -52,12 +60,71 @@ def make_recording(ego_states, extra_actors=(), dt=0.1):
     return recording_of([(e,) + tuple(extra_actors) for e in ego_states], dt)
 
 
+def _reference_behavior_vector(recording: ScenarioRecording) -> tuple[float, ...]:
+    """The walk compute_feedback's behavior_vector came from."""
+    egos = [next(a for a in f.actors if a.actor_id == "ego")
+            for f in recording.frames]
+    times = [f.sim_time for f in recording.frames]
+    speeds = [e.speed for e in egos]
+    accels = [e.acceleration for e in egos]
+    rates = []
+    for i in range(len(egos) - 1):
+        dt = times[i + 1] - times[i]
+        if dt > 0.0:
+            rates.append(normalize_angle(egos[i + 1].heading - egos[i].heading) / dt)
+    parts = [_histogram(speeds, *SPEED_RANGE),
+             _histogram(accels, *ACCEL_RANGE),
+             _histogram(rates, *HEADING_RATE_RANGE)]
+    return tuple(float(v) for v in np.concatenate(parts))
+
+
+def _reference_quality_score(recording: ScenarioRecording, mission: Polyline,
+                             lane_width: float, fitness: float) -> float:
+    """The walks compute_feedback's quality_score came from."""
+    egos = [next(a for a in f.actors if a.actor_id == "ego")
+            for f in recording.frames]
+    times = [f.sim_time for f in recording.frames]
+
+    closeness = 1.0 - min(fitness, FITNESS_SATURATION) / FITNESS_SATURATION
+
+    harsh_accel = min(max(abs(e.acceleration) for e in egos) / A_MAX, 1.0)
+
+    harsh_steer = 0.0
+    for i in range(len(egos) - 1):
+        dt = times[i + 1] - times[i]
+        v = egos[i].speed
+        if dt <= 0.0 or v < MOVING_SPEED:
+            continue
+        omega = abs(normalize_angle(egos[i + 1].heading - egos[i].heading)) / dt
+        ratio = omega * WHEELBASE / (v * math.tan(STEER_MAX))
+        harsh_steer = max(harsh_steer, min(ratio, 1.0))
+
+    half_width = lane_width / 2.0
+    off = sum(1 for e in egos
+              if abs(mission.project(e.x, e.y)[1]) > half_width)
+    deviation = off / len(egos)
+
+    return (closeness + harsh_accel + harsh_steer + deviation) / 4.0
+
+
+STRAIGHT = Polyline([(0.0, 0.0), (100.0, 0.0)])
+
+
+def assert_matches_reference(rec, mission=STRAIGHT, lane_width=3.5):
+    """compute_feedback equals the reference walks to the bit."""
+    fb = compute_feedback(rec, mission, lane_width)
+    assert fb.behavior_vector == _reference_behavior_vector(rec)
+    assert fb.quality_score.hex() == _reference_quality_score(
+        rec, mission, lane_width, fb.fitness).hex()
+    return fb
+
+
 class TestFeedback:
     def test_behavior_histogram_placement(self):
         rec = make_recording([ego_state(speed=0.0, heading=0.0, accel=0.0),
                               ego_state(speed=10.0, heading=0.05, accel=2.0),
                               ego_state(speed=20.0, heading=0.05, accel=2.0)])
-        vec = behavior_vector(rec)
+        vec = assert_matches_reference(rec).behavior_vector
         assert len(vec) == 24
         speed_hist = vec[0:8]
         accel_hist = vec[8:16]
@@ -74,20 +141,21 @@ class TestFeedback:
     def test_behavior_clipping_to_end_bins(self):
         rec = make_recording([ego_state(speed=50.0, accel=-20.0),
                               ego_state(speed=50.0, accel=9.0)])
-        vec = behavior_vector(rec)
+        vec = assert_matches_reference(rec).behavior_vector
         assert vec[7] == 1.0        # speed clipped into the top bin
         assert vec[8] == 0.5        # accel -20 into the bottom bin
         assert vec[15] == 0.5       # accel 9 into the top bin
 
     def test_single_frame_has_zero_rate_histogram(self):
         rec = make_recording([ego_state()])
-        vec = behavior_vector(rec)
+        vec = assert_matches_reference(rec).behavior_vector
         assert vec[16:24] == (0.0,) * 8
         assert sum(vec[0:8]) == pytest.approx(1.0)
 
     def test_fitness_without_obstacles(self):
         rec = make_recording([ego_state(), ego_state(x=1.0)])
         assert trace_min_distance(rec) == NO_OBSTACLE_FITNESS
+        assert assert_matches_reference(rec).fitness == NO_OBSTACLE_FITNESS
 
     def test_fitness_tracks_closest_approach(self):
         rock = ActorState("rock", "static", 20.0, 0.0, 0.0)
@@ -95,36 +163,119 @@ class TestFeedback:
                               ego_state(x=5.0)], extra_actors=[rock])
         # closest at x=10: gap = 10 - (4.8 + 4.8) / 2 = 5.2
         assert trace_min_distance(rec) == pytest.approx(5.2, abs=1e-9)
+        assert assert_matches_reference(rec).fitness == trace_min_distance(rec)
 
     def test_quality_route_deviation_component(self):
-        mission = Polyline([(0.0, 0.0), (100.0, 0.0)])
         rec = make_recording([ego_state(x=0.0), ego_state(x=0.8),
                               ego_state(x=1.6, y=3.0)])
-        q = quality_score(rec, mission, lane_width=3.5,
-                          fitness=NO_OBSTACLE_FITNESS)
+        q = assert_matches_reference(rec).quality_score
         assert q == pytest.approx((1 / 3) / 4.0, abs=1e-12)
 
     def test_quality_harsh_steering_component(self):
-        mission = Polyline([(0.0, 0.0), (100.0, 0.0)])
         rec = make_recording([ego_state(heading=0.0), ego_state(heading=0.1)])
         omega = 0.1 / 0.1
         expected_steer = omega * 2.8 / (8.0 * math.tan(STEER_MAX))
-        q = quality_score(rec, mission, lane_width=3.5,
-                          fitness=NO_OBSTACLE_FITNESS)
+        q = assert_matches_reference(rec).quality_score
         assert q == pytest.approx(expected_steer / 4.0, abs=1e-9)
 
     def test_quality_saturates_on_collision(self):
-        mission = Polyline([(0.0, 0.0), (100.0, 0.0)])
-        rec = make_recording([ego_state()])
-        q = quality_score(rec, mission, lane_width=3.5, fitness=0.0)
-        assert q == pytest.approx(0.25)  # closeness 1, other components 0
+        # a rock on top of the ego: fitness 0, closeness 1
+        rock = ActorState("rock", "static", 0.0, 0.0, 0.0)
+        rec = make_recording([ego_state()], extra_actors=[rock])
+        fb = assert_matches_reference(rec)
+        assert fb.fitness == 0.0
+        assert fb.quality_score == pytest.approx(0.25)  # other components 0
 
     def test_compute_feedback_bundles_verdict(self):
-        mission = Polyline([(0.0, 0.0), (100.0, 0.0)])
         rec = make_recording([ego_state(), ego_state(x=0.8)])
-        fb = compute_feedback(rec, mission)
+        fb = assert_matches_reference(rec)
         assert fb.outcome == "Timeout"
         assert fb.time_of_decision == rec.verdict.time_of_decision
+
+
+class TestFeedbackReference:
+    """compute_feedback against the separate walks it replaced, to the bit."""
+
+    def test_repeated_sim_time_is_skipped(self):
+        rec = recording_of([[ego_state(heading=0.0)],
+                            [ego_state(heading=0.3, x=1.0)],
+                            [ego_state(heading=0.5, x=2.0)]])
+        rec = dataclasses.replace(rec, frames=(
+            rec.frames[0], dataclasses.replace(rec.frames[1], sim_time=0.0),
+            rec.frames[2]))
+        fb = assert_matches_reference(rec)
+        # one rate, from the frame at 0.0 to the frame at 0.2
+        assert sum(fb.behavior_vector[16:24]) == 1.0
+        assert fb.quality_score > 0.0
+
+    def test_heading_wraps_across_pi(self):
+        for a, b in ((math.pi - 0.01, -math.pi + 0.02),
+                     (-math.pi + 0.02, math.pi - 0.01),
+                     (math.pi, -math.pi + 1e-9), (3.1, -3.1)):
+            rec = make_recording([ego_state(heading=a),
+                                  ego_state(heading=b, x=0.8),
+                                  ego_state(heading=a, x=1.6)])
+            fb = assert_matches_reference(rec)
+            # the small turn, not a near-full circle: no clipped rate
+            assert fb.behavior_vector[16] == fb.behavior_vector[23] == 0.0
+
+    def test_ego_below_moving_speed(self):
+        slow = [ego_state(heading=0.1 * i, speed=MOVING_SPEED / 2, x=0.05 * i)
+                for i in range(4)]
+        fb = assert_matches_reference(make_recording(slow))
+        assert fb.quality_score == 0.0  # no steering component at a crawl
+        edge = [ego_state(heading=0.1 * i, speed=MOVING_SPEED, x=0.05 * i)
+                for i in range(4)]
+        assert assert_matches_reference(make_recording(edge)).quality_score > 0
+
+    def test_ego_not_first_in_actors(self):
+        rock = ActorState("rock", "static", 30.0, 4.0, 0.2)
+        npc = ActorState("npc_1", "npc", 12.0, -3.5, 0.0, 6.0, -1.0)
+        rec = recording_of([[rock, npc, ego_state(x=0.8 * i, heading=0.02 * i,
+                                                  accel=0.5 * i)]
+                            for i in range(6)])
+        fb = assert_matches_reference(rec)
+        assert fb.fitness < NO_OBSTACLE_FITNESS
+
+    def test_seeded_recordings(self):
+        rng = np.random.default_rng(11)
+        mission = Polyline([(0.0, 0.0), (40.0, 0.0), (60.0, 25.0)])
+        for _ in range(200):
+            t = 0.0
+            frames = []
+            for _ in range(int(rng.integers(1, 30))):
+                t += float(rng.choice([0.0, 0.05, 0.1]))
+                frames.append(Frame(t, (ego_state(
+                    x=float(rng.uniform(-5, 65)), y=float(rng.uniform(-5, 30)),
+                    heading=float(rng.uniform(-math.pi, math.pi)),
+                    speed=float(rng.uniform(0.0, 2.0 * MOVING_SPEED)),
+                    accel=float(rng.uniform(-10.0, 6.0))),), ControlCommand()))
+            rec = dataclasses.replace(recording_of([[ego_state()]]),
+                                      frames=tuple(frames))
+            assert_matches_reference(rec, mission, float(rng.uniform(1, 5)))
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    def test_run_scenario_recordings(self, junction_settings, dt):
+        template, lane_map = junction_settings.template, junction_settings.lane_map
+        mission = mission_path(template, lane_map)
+        lane_width = lane_map.lane(template.ego.start_lane_id).width
+        prototype = CampaignContext(junction_settings,
+                                    CampaignBudget(max_evaluations=1)).prototype
+
+        def session_factory():
+            return InProcessSession(lambda: ReferenceEgoAgent(
+                mission, junction_settings.agent, dt))
+
+        rng = np.random.default_rng(2)  # two of the eight collide
+        outcomes = set()
+        for _ in range(8):
+            config, _ = unflatten(operators.sample_uniform(rng, prototype),
+                                  template)
+            rec = run_scenario(config, lane_map, session_factory, dt=dt)
+            assert len(rec.frames) > 1
+            assert_matches_reference(rec, mission, lane_width)
+            outcomes.add(rec.verdict.outcome)
+        assert len(outcomes) > 1
 
 
 def _avfuzzer_offspring(ctx, population, fitnesses, pm, pc, sigma, count):
@@ -573,6 +724,36 @@ class TestCampaign:
         for key in ("violations", "first_violation_index", "best_fitness"):
             assert report[key] == whole[key], key
 
+    def test_finer_dt_keeps_worker_and_resume_invariance(
+            self, junction_settings, tmp_path, monkeypatch):
+        fine = dataclasses.replace(junction_settings, dt=0.05)
+        one, _ = campaign_log(fine, algo="avfuzzer", seed=6, evals=12)
+        log = canonical.dump_bytes(one.records)
+        two, _ = campaign_log(fine, algo="avfuzzer", seed=6, evals=12,
+                              workers=2)
+        assert canonical.dump_bytes(two.records) == log
+        coarse, _ = campaign_log(junction_settings, algo="avfuzzer", seed=6,
+                                 evals=12)
+        assert canonical.dump_bytes(coarse.records) != log  # dt reached the run
+
+        original = CampaignContext.evaluate_batch
+
+        def evaluate_batch(self, vectors):
+            if self.completed >= 5:
+                self.stop_requested = True  # as Ctrl-C does
+            return original(self, vectors)
+
+        out = tmp_path / "cut"
+        with monkeypatch.context() as patch:
+            patch.setattr(CampaignContext, "evaluate_batch", evaluate_batch)
+            cut, _ = campaign_log(fine, algo="avfuzzer", seed=6, evals=12,
+                                  output_dir=out)
+        assert 5 <= cut.completed < 12
+        resumed, _ = campaign_log(fine, algo="avfuzzer", seed=6, evals=12,
+                                  output_dir=out, resume=True)
+        assert resumed.completed == 12
+        assert (out / campaign.EVALUATIONS_FILE).read_bytes() == log
+
     def test_debug_logs_each_fresh_evaluation(self, junction_settings,
                                               tmp_path, caplog):
         def lines():
@@ -686,6 +867,38 @@ class TestCampaign:
     def test_budget_requires_some_limit(self):
         with pytest.raises(ValueError):
             CampaignBudget()
+
+
+# sha256 of evaluations.json for each shipped config at seed 0, 24
+# evaluations and one worker (samota reaches its surrogate after 20)
+SHIPPED_LOG_SHA256 = {
+    "avfuzzer":
+        "5bf9345014ebeea47be7c0c98f63e11ba4d43bcd46e5f69244f8356108191050",
+    "behavexplor":
+        "4f32dbb5f8102198a169fa55ac5590744a0381e9423ac872dccb4e0ffad706ae",
+    "drivefuzz":
+        "bc239234d73b4510afee7ed31e1f416665e60c5155b079d80dfe905de67a0960",
+    "random":
+        "4a57f10a45cd2868d5c7838467636d993fdf6a0c1893fba3164b78dd2eb0239f",
+    "samota":
+        "8311181a5e047767b5a83bc3d7283ad0d1e5fc42094bd89a21cf8f4c862d9a65",
+}
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_LOG_SHA256))
+def test_shipped_config_log_digest(name, tmp_path):
+    config = load_config(CONFIG_DIR / f"{name}.yaml", {
+        "testing_engine.algorithm.parameters.max_evaluations": 24,
+        "scenario_runner.parameters.worker_pool": 1})
+    assert config.algorithm == name
+    settings, budget, params = build_execution(config)
+    out = tmp_path / "run"
+    ctx = CampaignContext(settings, budget, seed=0, workers=1, output_dir=out)
+    run_campaign(config.algorithm, ctx, params)
+    assert ctx.completed == 24
+    log = (out / campaign.EVALUATIONS_FILE).read_bytes()
+    assert hashlib.sha256(log).hexdigest() == SHIPPED_LOG_SHA256[name]
 
 
 class TestLongCampaign:
