@@ -14,6 +14,18 @@ The encoder dispatches on exact types first (floats, strings, dicts, lists,
 tuples, ints) and falls back to ``isinstance`` checks for everything else
 (bools, ``None``, subclasses such as ``numpy.float64``), so the common case
 costs one ``type()`` lookup per value.
+
+An exact ``float``'s text is looked up in a module-level memo before it is
+formatted, because the same values come back in every frame, recording and
+evaluation (the ``sim_time`` grid, vehicle sizes, a trajectory the ego
+repeats).  The text is a function of the float's bits alone, so a hit writes
+the same bytes a fresh format would.  The memo is cleared whenever it holds
+``FLOAT_MEMO_LIMIT`` texts.  Two floats with different bits compare equal
+only as ``0.0`` and ``-0.0``, so neither zero is ever stored, and a non-finite
+value is never stored either: it raises :class:`CanonicalError` every time.
+Worker threads share the memo; a dict's get, set and clear each hold the
+interpreter lock, so a lookup that races a clear only misses, and threads
+that race past the size check can leave at most one extra text each.
 """
 
 from __future__ import annotations
@@ -26,7 +38,12 @@ from typing import Any
 # The C function behind json.dumps(s, ensure_ascii=False): same text.
 _encode_str = json.encoder.encode_basestring
 _isfinite = math.isfinite
+_copysign = math.copysign
 _float_format = float.__format__
+
+FLOAT_MEMO_LIMIT = 8192  # texts held before the memo is cleared
+_float_texts: dict[float, str] = {}
+_float_text = _float_texts.get
 
 
 class CanonicalError(ValueError):
@@ -73,10 +90,19 @@ def dump_value(value: Any) -> str:
     """
     kind = type(value)
     if kind is float:
-        if _isfinite(value):  # inlined _format_float: floats dominate
-            text = _float_format(value, ".17g")
-            return text if "." in text or "e" in text else text + ".0"
-        return _format_float(value)
+        text = _float_text(value)
+        if text is None:
+            if not value:  # 0.0 == -0.0 as keys, so neither zero is stored
+                return "0.0" if _copysign(1.0, value) > 0.0 else "-0.0"
+            if not _isfinite(value):
+                return _format_float(value)  # raises
+            text = _float_format(value, ".17g")  # _format_float, inlined
+            if "." not in text and "e" not in text:
+                text += ".0"
+            if len(_float_texts) >= FLOAT_MEMO_LIMIT:
+                _float_texts.clear()
+            _float_texts[value] = text
+        return text
     if kind is str:
         return _encode_str(value)
     if kind is dict:

@@ -16,11 +16,17 @@ each frame's ego is found once, and each heading rate is computed once, for
 the histogram signed and for harsh steering as ``abs(rate)``.  That equals
 ``abs(angle) / dt`` to the bit, because IEEE division rounds the same for
 either sign.
+
+The histograms count in plain Python against ``np.linspace`` edges, with
+``np.histogram``'s bin rule: bin ``i`` holds ``edges[i] <= x < edges[i+1]``,
+the upper limit falls in the last bin, and a value outside the range counts
+in the nearest end bin, as it did after ``np.clip``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -81,12 +87,25 @@ def trace_min_distance(recording: ScenarioRecording) -> float:
     return best
 
 
-def _histogram(values, lo: float, hi: float) -> np.ndarray:
-    if len(values) == 0:
-        return np.zeros(BINS)
-    clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
-    counts, _ = np.histogram(clipped, bins=BINS, range=(lo, hi))
-    return counts / counts.sum()
+def _inner_edges(lo: float, hi: float) -> tuple[float, ...]:
+    """np.histogram's bin edges for ``BINS`` bins over lo..hi, ends dropped."""
+    return tuple(np.linspace(lo, hi, BINS + 1)[1:-1].tolist())
+
+
+SPEED_EDGES = _inner_edges(*SPEED_RANGE)
+ACCEL_EDGES = _inner_edges(*ACCEL_RANGE)
+HEADING_RATE_EDGES = _inner_edges(*HEADING_RATE_RANGE)
+
+
+def _histogram(values: list[float], inner_edges: tuple[float, ...]) -> list[float]:
+    """Share of the finite ``values`` in each bin between ``inner_edges``."""
+    if not values:
+        return [0.0] * BINS
+    counts = [0] * BINS
+    for x in values:
+        counts[bisect_right(inner_edges, x)] += 1
+    total = len(values)
+    return [count / total for count in counts]
 
 
 def compute_feedback(recording: ScenarioRecording, mission: Polyline,
@@ -114,15 +133,14 @@ def compute_feedback(recording: ScenarioRecording, mission: Polyline,
                     harsh_steer = max(harsh_steer, min(ratio, 1.0))
         before, before_time = ego, frame.sim_time
 
-    behavior = np.concatenate([_histogram(speeds, *SPEED_RANGE),
-                               _histogram(accels, *ACCEL_RANGE),
-                               _histogram(rates, *HEADING_RATE_RANGE)])
+    behavior = (_histogram(speeds, SPEED_EDGES) + _histogram(accels, ACCEL_EDGES)
+                + _histogram(rates, HEADING_RATE_EDGES))
     closeness = 1.0 - min(fitness, FITNESS_SATURATION) / FITNESS_SATURATION
     harsh_accel = min(max(map(abs, accels)) / A_MAX, 1.0)
     deviation = off_lane / len(speeds)
     return Feedback(
         fitness=fitness,
-        behavior_vector=tuple(float(v) for v in behavior),
+        behavior_vector=tuple(behavior),
         quality_score=(closeness + harsh_accel + harsh_steer + deviation) / 4.0,
         outcome=recording.verdict.outcome,
         time_of_decision=recording.verdict.time_of_decision,

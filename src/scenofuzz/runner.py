@@ -368,15 +368,25 @@ def read_recording(path: str | Path) -> ScenarioRecording:
         raise RecordingFormatError(f"{path}: rng_seed must be an integer")
     if not isinstance(doc["scenario_id"], str):
         raise RecordingFormatError(f"{path}: scenario_id must be a string")
-    if not isinstance(doc["annotations"], list):
-        raise RecordingFormatError(f"{path}: annotations must be an array")
+    annotations = doc["annotations"]
+    if not isinstance(annotations, list) or not all(
+            isinstance(a, dict) and isinstance(a.get("type"), str) and a["type"]
+            for a in annotations):
+        raise RecordingFormatError(
+            f"{path}: annotations must be an array of objects with a type")
+    vdoc = doc["verdict"]
+    if not isinstance(vdoc, dict) or \
+            set(vdoc) != {"outcome", "time_of_decision", "details"}:
+        raise RecordingFormatError(f"{path}: verdict must be an object with "
+                                   "keys outcome, time_of_decision, details")
+    if not isinstance(vdoc["details"], dict):
+        raise RecordingFormatError(f"{path}: verdict details must be an object")
     # a FrameError from the actor codec is a ValueError too
     try:
         config = from_document(doc["config"])
-        vdoc = doc["verdict"]
         verdict = Verdict(vdoc["outcome"],
                           _require_number(vdoc, "time_of_decision", "/verdict"),
-                          vdoc.get("details", {}))
+                          vdoc["details"])
         frames = []
         for i, fdoc in enumerate(doc["frames"]):
             where = f"/frames/{i}"
@@ -397,6 +407,6 @@ def read_recording(path: str | Path) -> ScenarioRecording:
         frames=tuple(frames),
         verdict=verdict,
         rng_seed=rng_seed,
-        annotations=tuple(doc["annotations"]),
+        annotations=tuple(annotations),
         wall_clock=wall_clock,
     )

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 import struct
+import sys
+import threading
 from collections import OrderedDict, namedtuple
 
 import numpy as np
@@ -229,3 +232,109 @@ def test_dump_bytes_is_utf8_of_dumps():
     doc = {"name": "café \U0001F697", "x": 1.5}
     assert canonical.dump_bytes(doc) == canonical.dumps(doc).encode("utf-8")
     assert canonical.loads(canonical.dump_bytes(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# the float memo: a hit must write the text a fresh format writes
+
+
+@pytest.fixture
+def memo():
+    """The module's float memo, emptied so each test sees its own stores."""
+    canonical._float_texts.clear()
+    return canonical._float_texts
+
+
+MEMO_FLOATS = [1.5, 0.1 + 0.2, -273.15, 5e-324, -5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e16 + 2.0,
+               1e17, 99999999999999984.0, 1.7976931348623157e308, 4.0]
+
+
+@pytest.mark.parametrize("value", MEMO_FLOATS, ids=repr)
+def test_memo_second_call_writes_the_first_text(memo, value):
+    first = canonical.dumps(value)
+    assert memo[value] == first
+    assert canonical.dumps(value) == first == reference_dumps(value)
+    assert canonical.dumps([value, value]) == f"[{first},{first}]"
+
+
+def test_memo_keeps_the_sign_of_zero(memo):
+    assert [canonical.dumps(v) for v in (-0.0, 0.0, -0.0)] == \
+        ["-0.0", "0.0", "-0.0"]
+    assert [canonical.dumps(v) for v in (0.0, -0.0, 0.0)] == \
+        ["0.0", "-0.0", "0.0"]
+    assert canonical.dumps({"a": 0.0, "b": -0.0}) == '{"a":0.0,"b":-0.0}'
+    assert memo == {}
+
+
+def test_memo_is_not_read_for_other_types(memo):
+    class Tagged(float):
+        def __format__(self, spec):
+            return "4.00"
+
+    assert canonical.dumps(4.0) == "4.0"
+    assert canonical.dumps(1.0) == "1.0"
+    assert memo == {4.0: "4.0", 1.0: "1.0"}
+    # each is equal to a stored key and hashes like it
+    assert canonical.dumps(4) == "4"
+    assert canonical.dumps(True) == "true"
+    assert canonical.dumps(Count(4)) == "4"
+    assert canonical.dumps(Tagged(4.0)) == "4.00" == reference_dumps(Tagged(4.0))
+    assert canonical.dumps(np.float64(4.0)) == "4.0"
+    assert canonical.dumps(np.float64(2.5)) == "2.5"
+    assert canonical.dumps(Tagged(2.5)) == "4.00"
+    assert memo == {4.0: "4.0", 1.0: "1.0"}
+
+
+def test_memo_never_stores_non_finite(memo):
+    for _ in range(3):
+        for value in (float("nan"), math.inf, -math.inf):
+            expected = _outcome(reference_dumps, value)
+            assert expected[0] is canonical.CanonicalError
+            assert _outcome(canonical.dumps, value) == expected
+            assert _outcome(canonical.dump_value, [1.5, value]) == expected
+    assert memo == {1.5: "1.5"}
+
+
+def test_memo_stays_bounded_with_every_text_exact(memo):
+    rng = random.Random(7)
+    values = [random_float(rng) for _ in range(3 * canonical.FLOAT_MEMO_LIMIT)]
+    for _ in range(2):  # the second pass hits what the last clear left
+        for value in values:
+            assert canonical.dumps(value) == reference_dumps(value)
+            assert len(memo) <= canonical.FLOAT_MEMO_LIMIT
+    assert memo and all(text == reference_dumps(value)
+                        for value, text in memo.items())
+
+
+def test_memo_shared_by_threads_writes_exact_texts(memo):
+    """More threads than cores, switching often, over one value pool."""
+    threads_n = 2 * (os.cpu_count() or 1) + 2
+    rng = random.Random(11)
+    # pairs, not a dict: 0.0 and -0.0 would share one key
+    pool = [(value, reference_dumps(value)) for value in
+            (random_float(rng) for _ in range(canonical.FLOAT_MEMO_LIMIT // 2))]
+    wrong = []
+
+    def encode(seed):
+        local = random.Random(seed)
+        for _ in range(3 * canonical.FLOAT_MEMO_LIMIT // threads_n):
+            value, text = local.choice(pool)
+            if canonical.dumps(value) != text:
+                wrong.append(value)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode, args=(seed,))
+                   for seed in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert all(text == reference_dumps(value) for value, text in memo.items())
+    assert len(memo) <= canonical.FLOAT_MEMO_LIMIT + threads_n - 1

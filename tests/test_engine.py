@@ -23,9 +23,9 @@ from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        ExecutionSettings, CampaignBudget,
                                        run_campaign)
 from scenofuzz.engine.feedback import (
-    ACCEL_RANGE, FITNESS_SATURATION, HEADING_RATE_RANGE, MOVING_SPEED,
-    NO_OBSTACLE_FITNESS, SPEED_RANGE, _histogram, compute_feedback,
-    trace_min_distance)
+    ACCEL_EDGES, ACCEL_RANGE, BINS, FITNESS_SATURATION, HEADING_RATE_EDGES,
+    HEADING_RATE_RANGE, MOVING_SPEED, NO_OBSTACLE_FITNESS, SPEED_EDGES,
+    SPEED_RANGE, _histogram, compute_feedback, trace_min_distance)
 from scenofuzz.engine.samota import IdwSurrogate
 from scenofuzz.engine.template import (MissionSpec, build_template,
                                        conflict_lanes, onward_route)
@@ -60,6 +60,15 @@ def make_recording(ego_states, extra_actors=(), dt=0.1):
     return recording_of([(e,) + tuple(extra_actors) for e in ego_states], dt)
 
 
+def _reference_histogram(values, lo: float, hi: float) -> np.ndarray:
+    """The numpy histogram compute_feedback counted with before."""
+    if len(values) == 0:
+        return np.zeros(BINS)
+    clipped = np.clip(np.asarray(values, dtype=float), lo, hi)
+    counts, _ = np.histogram(clipped, bins=BINS, range=(lo, hi))
+    return counts / counts.sum()
+
+
 def _reference_behavior_vector(recording: ScenarioRecording) -> tuple[float, ...]:
     """The walk compute_feedback's behavior_vector came from."""
     egos = [next(a for a in f.actors if a.actor_id == "ego")
@@ -72,9 +81,9 @@ def _reference_behavior_vector(recording: ScenarioRecording) -> tuple[float, ...
         dt = times[i + 1] - times[i]
         if dt > 0.0:
             rates.append(normalize_angle(egos[i + 1].heading - egos[i].heading) / dt)
-    parts = [_histogram(speeds, *SPEED_RANGE),
-             _histogram(accels, *ACCEL_RANGE),
-             _histogram(rates, *HEADING_RATE_RANGE)]
+    parts = [_reference_histogram(speeds, *SPEED_RANGE),
+             _reference_histogram(accels, *ACCEL_RANGE),
+             _reference_histogram(rates, *HEADING_RATE_RANGE)]
     return tuple(float(v) for v in np.concatenate(parts))
 
 
@@ -276,6 +285,65 @@ class TestFeedbackReference:
             assert_matches_reference(rec, mission, lane_width)
             outcomes.add(rec.verdict.outcome)
         assert len(outcomes) > 1
+
+
+HISTOGRAMS = [(SPEED_RANGE, SPEED_EDGES), (ACCEL_RANGE, ACCEL_EDGES),
+              (HEADING_RATE_RANGE, HEADING_RATE_EDGES)]
+
+
+def assert_histogram_matches_reference(values, value_range, inner_edges):
+    counted = _histogram(list(values), inner_edges)
+    assert all(type(share) is float for share in counted)
+    assert tuple(counted) == tuple(
+        float(v) for v in _reference_histogram(values, *value_range)), values
+
+
+@pytest.mark.parametrize("value_range,inner_edges", HISTOGRAMS,
+                         ids=["speed", "accel", "heading-rate"])
+class TestHistogramReference:
+    """The plain-Python counts against the numpy histogram they replaced."""
+
+    def test_edges_are_numpys(self, value_range, inner_edges):
+        _, edges = np.histogram([], bins=BINS, range=value_range)
+        assert [e.hex() for e in inner_edges] == \
+            [float(e).hex() for e in edges[1:-1]]
+
+    def test_empty_input(self, value_range, inner_edges):
+        assert _histogram([], inner_edges) == [0.0] * BINS
+        assert_histogram_matches_reference([], value_range, inner_edges)
+
+    def test_every_edge_and_one_ulp_around_it(self, value_range, inner_edges):
+        lo, hi = value_range
+        around = []
+        for edge in (lo,) + inner_edges + (hi,):
+            near = [math.nextafter(edge, -math.inf), edge,
+                    math.nextafter(edge, math.inf)]
+            for value in near:
+                assert_histogram_matches_reference([value], value_range,
+                                                   inner_edges)
+            around += near
+        assert_histogram_matches_reference(around, value_range, inner_edges)
+
+    def test_limits_and_beyond(self, value_range, inner_edges):
+        lo, hi = value_range
+        for values in ([lo], [hi], [lo, hi], [-0.0, 0.0], [lo - 1e9, hi + 1e9],
+                       [-math.inf, math.inf, hi], [hi] * 7 + [lo]):
+            assert_histogram_matches_reference(values, value_range,
+                                               inner_edges)
+
+    def test_seeded_values(self, value_range, inner_edges):
+        lo, hi = value_range
+        rng = np.random.default_rng(5)
+        edges = (lo,) + inner_edges + (hi,)
+        margin = (hi - lo) / 2.0
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            values = rng.uniform(lo - margin, hi + margin, n).tolist()
+            # some values on an edge, as rates of whole radians per step are
+            values += [edges[int(i)] for i in rng.integers(0, BINS + 1, n // 4)]
+            rng.shuffle(values)
+            assert_histogram_matches_reference(values, value_range,
+                                               inner_edges)
 
 
 def _avfuzzer_offspring(ctx, population, fitnesses, pm, pc, sigma, count):

@@ -387,10 +387,22 @@ class TestPersistence:
         lambda doc: doc.update(rng_seed=False),
         lambda doc: doc.update(scenario_id=7),
         lambda doc: doc.update(annotations=5),
+        # the recording schema rejects each of these
+        lambda doc: doc["verdict"].pop("details"),
+        lambda doc: doc["verdict"].update(details=[]),
+        lambda doc: doc["verdict"].update(details="none"),
+        lambda doc: doc["verdict"].update(note="extra"),
+        lambda doc: doc.update(annotations=[7]),
+        lambda doc: doc.update(annotations=[{"sim_time": 1.0}]),
+        lambda doc: doc.update(annotations=[{"type": 3}]),
+        lambda doc: doc.update(annotations=[{"type": "note"}, {"type": ""}]),
     ], ids=["string-x", "bool-speed", "huge-length", "string-sim-time",
             "string-brake", "bool-decision-time", "string-wall-clock",
             "bool-schema-version", "float-seed", "bool-seed", "int-id",
-            "int-annotations"])
+            "int-annotations", "verdict-without-details", "list-details",
+            "string-details", "verdict-extra-key", "int-annotation",
+            "annotation-without-type", "int-annotation-type",
+            "empty-annotation-type"])
     def test_read_rejects_mistyped_fields(self, chain_map, tmp_path, edit):
         doc = recording_document(self.make_recording(chain_map))
         edit(doc)
@@ -398,6 +410,17 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(RecordingFormatError, match="x.record.json"):
             read_recording(path)
+
+    def test_read_keeps_annotations_and_details(self, chain_map, tmp_path):
+        rec = dataclasses.replace(
+            self.make_recording(chain_map),
+            verdict=Verdict(TIMEOUT, 2.0, {"other": "npc_1", "gap": 0.5}),
+            annotations=({"type": "npc_contact", "sim_time": 1.5},
+                         {"type": "note", "tags": ["a"]}))
+        path = write_recording(rec, tmp_path)
+        again = read_recording(path)
+        assert again == rec
+        assert again.verdict.details == {"other": "npc_1", "gap": 0.5}
 
     def test_initial_world_layout(self, chain_map):
         block = ObstacleSpec("rock", Pose(80.0, 0.0, 1.0))
