@@ -142,13 +142,13 @@ def _parse_actor(doc, where: str) -> ActorState:
         raise FrameError(f"{where}: {exc}") from None
 
 
-def _require_number(doc: dict, key: str, where: str = "") -> float:
+def _require_number(doc: dict, key: str) -> float:
     number = doc[key]
     if type(number) is float and _isfinite(number):
         return number
     number = finite_number(number)
     if number is None:
-        raise FrameError(f"{where}/{key}: expected a finite number")
+        raise FrameError(f"/{key}: expected a finite number")
     return number
 
 
@@ -431,10 +431,15 @@ def resolve_endpoint(default: str | None = None) -> str | None:
 
 
 def parse_endpoint(endpoint: str) -> tuple[str | None, str | int]:
-    """``(None, name)`` for ``inproc:<name>``, ``(host, port)`` for
-    ``host:port``; raises ValueError for anything else."""
+    """``(None, name)`` for ``inproc:<name>`` with an agent registered as
+    ``name``, ``(host, port)`` for ``host:port``; raises ValueError for
+    anything else."""
     if endpoint.startswith("inproc:") and len(endpoint) > len("inproc:"):
-        return None, endpoint[len("inproc:"):]
+        name = endpoint[len("inproc:"):]
+        if name not in _INPROC_AGENTS:
+            raise ValueError(f"no in-process agent is registered for "
+                             f"{endpoint!r}")
+        return None, name
     host, sep, port = endpoint.rpartition(":")
     if sep and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535:
         return host or "127.0.0.1", int(port)
@@ -446,9 +451,6 @@ def connect(endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> BridgeSession:
     """Open a session to ``inproc:<name>`` or ``host:port``."""
     host, name_or_port = parse_endpoint(endpoint)
     if host is None:
-        if name_or_port not in _INPROC_AGENTS:
-            raise ValueError(
-                f"no in-process agent registered as {name_or_port!r}")
         return InProcessSession(_INPROC_AGENTS[name_or_port])
     return TcpSession(host, name_or_port, timeout)
 

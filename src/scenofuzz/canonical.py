@@ -26,6 +26,10 @@ value is never stored either: it raises :class:`CanonicalError` every time.
 Worker threads share the memo; a dict's get, set and clear each hold the
 interpreter lock, so a lookup that races a clear only misses, and threads
 that race past the size check can leave at most one extra text each.
+
+Every document read back (maps, scenarios, recordings, checkpoints) is
+checked through :class:`Cursor`, so a fault is named the same way in each:
+by the JSON pointer of the value at fault.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+from typing import AbstractSet, Any, Callable
 
 # The C function behind json.dumps(s, ensure_ascii=False): same text.
 _encode_str = json.encoder.encode_basestring
@@ -157,3 +161,88 @@ def loads(text: str | bytes) -> Any:
 def sha256(value: Any) -> str:
     """Hex digest of the canonical serialization of ``value``."""
     return hashlib.sha256(dump_bytes(value)).hexdigest()
+
+
+class Cursor:
+    """Checked reads of a parsed JSON document.
+
+    Each read returns the value or raises ``error(message)``, the message
+    led by the value's JSON pointer, as in ``/lanes/3/width: expected a
+    finite number > 0``.
+    """
+
+    __slots__ = ("doc", "error", "path")
+
+    def __init__(self, doc: Any, error: Callable[[str], Exception],
+                 path: str = ""):
+        self.doc = doc
+        self.error = error
+        self.path = path
+
+    def fail(self, message: str) -> Exception:
+        return self.error(f"{self.path or '/'}: {message}")
+
+    def __getitem__(self, key: str) -> "Cursor":
+        return Cursor(self.doc[key], self.error, f"{self.path}/{key}")
+
+    def keys(self, required: AbstractSet[str],
+             optional: AbstractSet[str] = frozenset(),
+             closed: bool = True) -> "Cursor":
+        """An object with every ``required`` key and, if ``closed``, no key
+        outside ``required`` and ``optional``."""
+        doc = self.doc
+        if not isinstance(doc, dict):
+            raise self.fail("expected an object")
+        missing = required - doc.keys()
+        if missing:
+            raise self.fail(f"missing keys {sorted(missing)}")
+        unknown = doc.keys() - required - optional
+        if closed and unknown:
+            raise self.fail(f"unknown keys {sorted(unknown)}")
+        return self
+
+    def items(self, min_items: int = 0) -> list["Cursor"]:
+        if not isinstance(self.doc, list):
+            raise self.fail("expected an array")
+        if len(self.doc) < min_items:
+            raise self.fail(f"expected at least {min_items} items")
+        error, path = self.error, self.path
+        return [Cursor(v, error, f"{path}/{i}") for i, v in enumerate(self.doc)]
+
+    def text(self) -> str:
+        if not isinstance(self.doc, str) or not self.doc:
+            raise self.fail("expected a non-empty string")
+        return self.doc
+
+    def integer(self) -> int:
+        if isinstance(self.doc, bool) or not isinstance(self.doc, int):
+            raise self.fail("expected an integer")
+        return self.doc
+
+    def number(self, low: float | None = None, high: float | None = None,
+               above: float | None = None) -> float:
+        """A finite number as a float, ``>= low``, ``<= high`` and
+        ``> above`` where given."""
+        value = finite_number(self.doc)
+        if value is not None and (above is None or value > above) \
+                and (low is None or value >= low) \
+                and (high is None or value <= high):
+            return value
+        bounds = " and ".join(f"{op} {limit:g}" for op, limit in
+                              ((">", above), (">=", low), ("<=", high))
+                              if limit is not None)
+        if bounds:
+            raise self.fail(f"expected a finite number {bounds}")
+        if isinstance(self.doc, bool) or \
+                not isinstance(self.doc, (int, float)):
+            raise self.fail("expected a number")
+        raise self.fail("expected a finite number")
+
+    def numbers(self, count: int | None = None) -> tuple[float, ...]:
+        """An array of finite numbers as floats, of ``count`` items if given."""
+        if isinstance(self.doc, list) and count in (None, len(self.doc)):
+            values = tuple(map(finite_number, self.doc))
+            if None not in values:
+                return values
+        size = "" if count is None else f"{count} "
+        raise self.fail(f"expected an array of {size}finite numbers")

@@ -40,6 +40,7 @@ import numpy as np
 from .. import canonical
 from ..bridge import (AgentSettings, InProcessSession, ReferenceEgoAgent,
                       connect)
+from ..canonical import Cursor
 from ..lanemap import LaneMap
 from ..runner import (OUTCOMES, OracleConfig, mission_path, run_scenario,
                       write_recording)
@@ -149,28 +150,21 @@ class CampaignContext:
         entries = _read_checkpoint_file(log_path)
         if not isinstance(entries, list):
             raise CampaignError(f"{log_path}: expected a JSON array")
-        for i, entry in enumerate(entries):
+        for i, entry in enumerate(Cursor(entries, ValueError).items()):
             try:
-                # the identity _evaluate_one writes; --export-svg names files
-                # by the id
-                if type(entry["index"]) is not int or entry["index"] != i \
-                        or entry["scenario_id"] != f"eval_{i:06d}":
-                    raise ValueError(f"index and scenario_id are not {i} "
-                                     f"and 'eval_{i:06d}'")
-                self._replay.append((entry, _feedback_from_record(entry)))
-            except (KeyError, TypeError, ValueError) as exc:
+                feedback = _feedback_from_record(entry, i)
+            except ValueError as exc:
                 raise CampaignError(f"{log_path}: entry {i} is not an "
-                                    f"evaluation record: {exc!r}") from None
+                                    f"evaluation record: {exc}") from None
+            self._replay.append((entry.doc, feedback))
         state_path = self.output_dir / STATE_FILE
         if state_path.exists():
-            state = _read_checkpoint_file(state_path)
-            wall = state.get("wall_consumed", 0.0) \
-                if isinstance(state, dict) else None
-            if canonical.finite_number(wall) is None or wall < 0:
-                raise CampaignError(
-                    f"{state_path}: expected a JSON object with a finite "
-                    f"wall_consumed >= 0, got {wall!r}")
-            self._wall_prior = float(wall)
+            state = Cursor(_read_checkpoint_file(state_path), ValueError)
+            try:
+                state.keys({"wall_consumed"}, closed=False)
+                self._wall_prior = state["wall_consumed"].number(0.0)
+            except ValueError as exc:
+                raise CampaignError(f"{state_path}: {exc}") from None
 
     def checkpoint(self) -> None:
         # While replay entries are queued the files on disk already hold
@@ -207,7 +201,7 @@ class CampaignContext:
         while self._replay and replay_n < len(todo):
             entry, feedback = self._replay[0]
             expected = [float(v) for v in todo[replay_n].values]
-            if entry.get("values") != expected:
+            if entry["values"] != expected:
                 raise CampaignError(
                     "resume mismatch at evaluation "
                     f"{self.completed}: the checkpoint was produced by a "
@@ -274,28 +268,31 @@ class CampaignContext:
         return record, feedback
 
 
-def _finite(value, name: str) -> float:
-    number = canonical.finite_number(value)
-    if number is None:
-        raise ValueError(f"{name} is not a finite number: {value!r}")
-    return number
+_RECORD_KEYS = frozenset(("index", "scenario_id", "values", "repairs",
+                          "outcome", "fitness", "quality_score", "behavior",
+                          "time_of_decision"))
 
 
-def _feedback_from_record(record: dict) -> Feedback:
-    behavior = record["behavior"]
-    if not isinstance(behavior, list):
-        raise ValueError(f"behavior is not an array: {behavior!r}")
-    outcome = record["outcome"]
-    if outcome not in OUTCOMES:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    return Feedback(fitness=_finite(record["fitness"], "fitness"),
-                    behavior_vector=tuple(_finite(v, "behavior")
-                                          for v in behavior),
-                    quality_score=_finite(record["quality_score"],
-                                          "quality_score"),
-                    outcome=outcome,
-                    time_of_decision=_finite(record["time_of_decision"],
-                                             "time_of_decision"))
+def _feedback_from_record(entry: Cursor, index: int) -> Feedback:
+    """The feedback logged in the record at ``entry``, which must be the
+    record ``_evaluate_one`` writes for evaluation ``index``."""
+    entry.keys(_RECORD_KEYS)
+    # --export-svg names files by the scenario id
+    if entry["index"].integer() != index or \
+            entry["scenario_id"].text() != f"eval_{index:06d}":
+        raise entry.fail(f"index and scenario_id are not {index} "
+                         f"and 'eval_{index:06d}'")
+    entry["values"].numbers()
+    for repair in entry["repairs"].items():
+        repair.text()
+    outcome = entry["outcome"]
+    if outcome.text() not in OUTCOMES:
+        raise outcome.fail(f"unknown outcome {outcome.doc!r}")
+    return Feedback(fitness=entry["fitness"].number(),
+                    behavior_vector=entry["behavior"].numbers(),
+                    quality_score=entry["quality_score"].number(),
+                    outcome=outcome.doc,
+                    time_of_decision=entry["time_of_decision"].number())
 
 
 def _read_checkpoint_file(path: Path):

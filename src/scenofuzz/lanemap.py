@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import canonical
-from .canonical import finite_number
+from .canonical import Cursor
 from .geometry import Polyline, Pose
 
 log = logging.getLogger(__name__)
@@ -67,55 +67,28 @@ class Route:
     path: Polyline = field(compare=False, repr=False)
 
 
-def _build_lane(entry: dict, index: int) -> Lane:
-    where = f"lanes[{index}]"
-    if not isinstance(entry, dict):
-        raise MapFormatError(f"{where}: expected an object")
-    unknown = set(entry) - {"id", "width", "centerline", "successors", "predecessors"}
-    if unknown:
-        raise MapFormatError(f"{where}: unknown keys {sorted(unknown)}")
-    lane_id = entry.get("id")
-    if not isinstance(lane_id, str) or not lane_id:
-        raise MapFormatError(f"{where}: 'id' must be a non-empty string")
-    width = finite_number(entry.get("width"))
-    if width is None or width <= 0:
-        raise MapFormatError(f"{where}: 'width' must be a finite number > 0")
-    raw_line = entry.get("centerline")
-    if not isinstance(raw_line, list) or len(raw_line) < 2:
-        raise MapFormatError(f"{where}: 'centerline' needs at least 2 points")
-    points = []
-    for j, pt in enumerate(raw_line):
-        point = [finite_number(c) for c in pt] if isinstance(pt, list) else []
-        if len(point) != 2 or None in point:
-            raise MapFormatError(f"{where}.centerline[{j}]: expected [x, y] "
-                                 "of finite numbers")
-        points.append(tuple(point))
+def _build_lane(cur: Cursor) -> Lane:
+    cur.keys({"id", "width", "centerline"}, {"successors", "predecessors"})
+    lane_id, width = cur["id"].text(), cur["width"].number(above=0.0)
+    points = [tuple(point.numbers(2)) for point in cur["centerline"].items(2)]
     try:
         path = Polyline(points)
     except ValueError as exc:
-        raise MapFormatError(f"{where}: {exc}") from None
-    succ = entry.get("successors", [])
-    pred = entry.get("predecessors", [])
-    for key, val in (("successors", succ), ("predecessors", pred)):
-        if not isinstance(val, list) or not all(isinstance(s, str) for s in val):
-            raise MapFormatError(f"{where}: '{key}' must be a list of lane ids")
-    return Lane(lane_id, width, tuple(points), tuple(succ), tuple(pred), path)
+        raise cur["centerline"].fail(str(exc)) from None
+    succ, pred = (tuple(ref.text() for ref in cur[key].items())
+                  if key in cur.doc else ()
+                  for key in ("successors", "predecessors"))
+    return Lane(lane_id, width, tuple(points), succ, pred, path)
 
 
 def load_map_document(doc: dict) -> LaneMap:
-    if not isinstance(doc, dict):
-        raise MapFormatError("map document must be an object")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise MapFormatError("'name' must be a non-empty string")
-    raw_lanes = doc.get("lanes")
-    if not isinstance(raw_lanes, list) or not raw_lanes:
-        raise MapFormatError("'lanes' must be a non-empty list")
+    root = Cursor(doc, MapFormatError).keys({"name", "lanes"})
+    name = root["name"].text()
     lanes: dict[str, Lane] = {}
-    for i, entry in enumerate(raw_lanes):
-        lane = _build_lane(entry, i)
+    for cur in root["lanes"].items(1):
+        lane = _build_lane(cur)
         if lane.lane_id in lanes:
-            raise MapFormatError(f"duplicate lane id {lane.lane_id!r}")
+            raise cur["id"].fail(f"duplicate lane id {lane.lane_id!r}")
         lanes[lane.lane_id] = lane
     for lane in lanes.values():
         for ref in (*lane.successors, *lane.predecessors):

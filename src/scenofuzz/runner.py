@@ -8,20 +8,22 @@ deciding one and nothing after it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 from . import canonical
 from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
                      PerceptionMessage, _actor_fields, _actor_text,
-                     _parse_actor, _require_number)
+                     _parse_actor)
+from .canonical import Cursor
 from .geometry import Polyline
 from .lanemap import LaneMap, route
-from .scenario import ScenarioConfig, from_document, to_document, validate
-from .simulator import (ActorState, ControlCommand, WaypointPolicy,
+from .scenario import ScenarioConfig, from_cursor, to_document, validate
+from .simulator import (STEER_MAX, ActorState, ControlCommand, WaypointPolicy,
                         WorldState, actor_distance, actor_distance_lower_bound,
                         step_world)
 
@@ -268,44 +270,6 @@ def _annotate_npc_contacts(world: WorldState, threshold: float,
 # persistence
 
 
-def _actor_doc(state: ActorState) -> dict:
-    return {"actor_id": state.actor_id, "kind": state.kind,
-            "x": state.x, "y": state.y, "heading": state.heading,
-            "speed": state.speed, "acceleration": state.acceleration,
-            "length": state.length, "width": state.width}
-
-
-def _frame_doc(frame: Frame) -> dict:
-    return {
-        "sim_time": frame.sim_time,
-        "ego_command": {"throttle": frame.ego_command.throttle,
-                        "brake": frame.ego_command.brake,
-                        "steering": frame.ego_command.steering},
-        "actors": [_actor_doc(a) for a in frame.actors],
-    }
-
-
-def recording_document(rec: ScenarioRecording, include_wall_clock: bool = True,
-                       include_frames: bool = True) -> dict:
-    return {
-        "schema_version": RECORDING_SCHEMA_VERSION,
-        "scenario_id": rec.scenario_id,
-        "rng_seed": rec.rng_seed,
-        "wall_clock": rec.wall_clock if include_wall_clock else 0.0,
-        "config": to_document(rec.config_snapshot),
-        "verdict": {"outcome": rec.verdict.outcome,
-                    "time_of_decision": rec.verdict.time_of_decision,
-                    "details": rec.verdict.details},
-        "annotations": list(rec.annotations),
-        "frames": [_frame_doc(f) for f in rec.frames] if include_frames else [],
-    }
-
-
-def recording_digest(rec: ScenarioRecording) -> str:
-    """Content hash over everything deterministic (wall clock zeroed)."""
-    return canonical.sha256(recording_document(rec, include_wall_clock=False))
-
-
 def _frame_fields(frame: Frame) -> tuple:
     return (frame.sim_time, frame.ego_command.throttle,
             frame.ego_command.brake, frame.ego_command.steering,
@@ -322,20 +286,30 @@ def _frame_text(fields: tuple) -> str:
 
 
 def recording_bytes(rec: ScenarioRecording, include_frames: bool = True) -> bytes:
-    """``canonical.dump_bytes(recording_document(rec, include_frames=...))``,
-    with the frames written by shape.
-
-    The keys that sort before ``"frames"`` and those after it are dumped as
-    two canonical objects, and the frames' text is joined between them.
+    """The recording's canonical JSON, written by shape with its keys in
+    sorted order: the bytes and errors of ``canonical.dump_bytes`` of the
+    dict-building encoder that ``tests/oracles.py`` keeps as the reference.
     """
-    doc = recording_document(rec, include_frames=False)
-    del doc["frames"]
+    config = to_document(rec.config_snapshot)
+    verdict = rec.verdict
     frames = [_frame_fields(f) for f in rec.frames] if include_frames else []
-    head = canonical.dumps({key: doc.pop(key)
-                            for key in ("annotations", "config")})
-    text = ",".join([_frame_text(f) for f in frames])
-    return (head[:-1] + ',"frames":[' + text + "],"
-            + canonical.dumps(doc)[1:]).encode("utf-8")
+    dump = canonical.dump_value
+    return ('{"annotations":' + dump(list(rec.annotations))
+            + ',"config":' + dump(config)
+            + ',"frames":[' + ",".join([_frame_text(f) for f in frames])
+            + '],"rng_seed":' + dump(rec.rng_seed)
+            + ',"scenario_id":' + dump(rec.scenario_id)
+            + ',"schema_version":' + dump(RECORDING_SCHEMA_VERSION)
+            + ',"verdict":{"details":' + dump(verdict.details)
+            + ',"outcome":' + dump(verdict.outcome)
+            + ',"time_of_decision":' + dump(verdict.time_of_decision)
+            + '},"wall_clock":' + dump(rec.wall_clock) + "}").encode("utf-8")
+
+
+def recording_digest(rec: ScenarioRecording) -> str:
+    """Content hash over everything deterministic (wall clock zeroed)."""
+    return hashlib.sha256(
+        recording_bytes(replace(rec, wall_clock=0.0))).hexdigest()
 
 
 def write_recording(rec: ScenarioRecording, directory: str | Path,
@@ -348,65 +322,53 @@ def write_recording(rec: ScenarioRecording, directory: str | Path,
 
 
 def read_recording(path: str | Path) -> ScenarioRecording:
+    """The recording at ``path``, checked against the recording schema."""
     path = Path(path)
     try:
         doc = canonical.loads(path.read_bytes())
     except ValueError as exc:
         raise RecordingFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise RecordingFormatError(f"{path}: expected an object")
-    required = {"schema_version", "scenario_id", "rng_seed", "wall_clock",
-                "config", "verdict", "annotations", "frames"}
-    if set(doc) != required:
-        raise RecordingFormatError(f"{path}: wrong top-level keys {sorted(doc)}")
-    version = doc["schema_version"]
-    if isinstance(version, bool) or version != RECORDING_SCHEMA_VERSION:
-        raise RecordingFormatError(
-            f"{path}: unsupported schema_version {version!r}")
-    rng_seed = doc["rng_seed"]
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int):
-        raise RecordingFormatError(f"{path}: rng_seed must be an integer")
-    if not isinstance(doc["scenario_id"], str):
-        raise RecordingFormatError(f"{path}: scenario_id must be a string")
-    annotations = doc["annotations"]
-    if not isinstance(annotations, list) or not all(
-            isinstance(a, dict) and isinstance(a.get("type"), str) and a["type"]
-            for a in annotations):
-        raise RecordingFormatError(
-            f"{path}: annotations must be an array of objects with a type")
-    vdoc = doc["verdict"]
-    if not isinstance(vdoc, dict) or \
-            set(vdoc) != {"outcome", "time_of_decision", "details"}:
-        raise RecordingFormatError(f"{path}: verdict must be an object with "
-                                   "keys outcome, time_of_decision, details")
-    if not isinstance(vdoc["details"], dict):
-        raise RecordingFormatError(f"{path}: verdict details must be an object")
-    # a FrameError from the actor codec is a ValueError too
+    # the actor codec's FrameError and Verdict's outcome check are
+    # ValueErrors too
     try:
-        config = from_document(doc["config"])
-        verdict = Verdict(vdoc["outcome"],
-                          _require_number(vdoc, "time_of_decision", "/verdict"),
-                          vdoc["details"])
-        frames = []
-        for i, fdoc in enumerate(doc["frames"]):
-            where = f"/frames/{i}"
-            cmd = fdoc["ego_command"]
-            command = ControlCommand(
-                *(_require_number(cmd, key, f"{where}/ego_command")
-                  for key in ("throttle", "brake", "steering")))
-            actors = tuple(_parse_actor(a, f"{where}/actors/{j}")
-                           for j, a in enumerate(fdoc["actors"]))
-            frames.append(Frame(_require_number(fdoc, "sim_time", where),
-                                actors, command))
-        wall_clock = _require_number(doc, "wall_clock")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RecordingFormatError(f"{path}: malformed recording: {exc}") from None
-    return ScenarioRecording(
-        scenario_id=doc["scenario_id"],
-        config_snapshot=config,
-        frames=tuple(frames),
-        verdict=verdict,
-        rng_seed=rng_seed,
-        annotations=tuple(annotations),
-        wall_clock=wall_clock,
-    )
+        root = Cursor(doc, RecordingFormatError).keys(
+            {"schema_version", "scenario_id", "rng_seed", "wall_clock",
+             "config", "verdict", "annotations", "frames"})
+        version = root["schema_version"]
+        if version.integer() != RECORDING_SCHEMA_VERSION:
+            raise version.fail(f"unsupported schema_version {version.doc!r}")
+        for annotation in root["annotations"].items():
+            annotation.keys({"type"}, closed=False)["type"].text()
+        vcur = root["verdict"].keys({"outcome", "time_of_decision", "details"})
+        verdict = Verdict(vcur["outcome"].text(),
+                          vcur["time_of_decision"].number(0.0),
+                          vcur["details"].keys(frozenset(), closed=False).doc)
+        frames = tuple(_parse_frame(f) for f in root["frames"].items())
+        return ScenarioRecording(
+            scenario_id=root["scenario_id"].text(),
+            config_snapshot=from_cursor(root["config"]),
+            frames=frames,
+            verdict=verdict,
+            rng_seed=root["rng_seed"].integer(),
+            annotations=tuple(doc["annotations"]),
+            wall_clock=root["wall_clock"].number(0.0),
+        )
+    except ValueError as exc:
+        raise RecordingFormatError(f"{path}: {exc}") from None
+
+
+def _parse_frame(cur: Cursor) -> Frame:
+    cur.keys({"sim_time", "ego_command", "actors"})
+    cmd = cur["ego_command"].keys({"throttle", "brake", "steering"})
+    command = ControlCommand(cmd["throttle"].number(0.0, 1.0),
+                             cmd["brake"].number(0.0, 1.0),
+                             cmd["steering"].number(-STEER_MAX, STEER_MAX))
+    actors = []
+    for item in cur["actors"].items():
+        actor = _parse_actor(item.doc, item.path)
+        if not actor.actor_id or actor.speed < 0.0 or actor.length <= 0.0 \
+                or actor.width <= 0.0:
+            raise item.fail("expected a non-empty actor_id, speed >= 0, "
+                            "length > 0 and width > 0")
+        actors.append(actor)
+    return Frame(cur["sim_time"].number(0.0), tuple(actors), command)

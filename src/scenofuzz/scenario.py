@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import canonical
+from .canonical import Cursor
 from .geometry import Pose, left_normal
 from .lanemap import LaneMap
 
@@ -230,111 +231,71 @@ def scenario_hash(config: ScenarioConfig) -> str:
     return canonical.sha256(to_document(config))
 
 
-class _Cursor:
-    """Typed field access over a JSON document with JSON-pointer error paths."""
-
-    def __init__(self, doc: Any, path: str = ""):
-        self.doc = doc
-        self.path = path
-
-    def fail(self, message: str) -> ScenarioFormatError:
-        return ScenarioFormatError(f"{self.path or '/'}: {message}")
-
-    def require_keys(self, required: set[str], optional: set[str] = frozenset()) -> None:
-        if not isinstance(self.doc, dict):
-            raise self.fail("expected an object")
-        missing = required - set(self.doc)
-        if missing:
-            raise self.fail(f"missing keys {sorted(missing)}")
-        unknown = set(self.doc) - required - optional
-        if unknown:
-            raise self.fail(f"unknown keys {sorted(unknown)}")
-
-    def child(self, key: str) -> "_Cursor":
-        return _Cursor(self.doc[key], f"{self.path}/{key}")
-
-    def items(self) -> list["_Cursor"]:
-        if not isinstance(self.doc, list):
-            raise self.fail("expected an array")
-        return [_Cursor(v, f"{self.path}/{i}") for i, v in enumerate(self.doc)]
-
-    def as_str(self) -> str:
-        if not isinstance(self.doc, str) or not self.doc:
-            raise self.fail("expected a non-empty string")
-        return self.doc
-
-    def as_number(self) -> float:
-        if isinstance(self.doc, bool) or not isinstance(self.doc, (int, float)):
-            raise self.fail("expected a number")
-        value = canonical.finite_number(self.doc)
-        if value is None:
-            raise self.fail("expected a finite number")
-        return value
+def _parse_pose(cur: Cursor) -> Pose:
+    cur.keys({"x", "y", "heading"})
+    return Pose(cur["x"].number(), cur["y"].number(), cur["heading"].number())
 
 
-def _parse_pose(cur: _Cursor) -> Pose:
-    cur.require_keys({"x", "y", "heading"})
-    return Pose(cur.child("x").as_number(), cur.child("y").as_number(),
-                cur.child("heading").as_number())
-
-
-def _parse_body(cur: _Cursor) -> BodyDims:
-    cur.require_keys({"length", "width"})
-    return BodyDims(cur.child("length").as_number(), cur.child("width").as_number())
+def _parse_body(cur: Cursor) -> BodyDims:
+    cur.keys({"length", "width"})
+    return BodyDims(cur["length"].number(), cur["width"].number())
 
 
 def from_document(doc: Any) -> ScenarioConfig:
-    root = _Cursor(doc)
-    root.require_keys({"schema_version", "scenario_id", "map_name", "duration_limit",
-                       "ego", "npc_vehicles", "obstacles"})
-    version = root.child("schema_version")
+    return from_cursor(Cursor(doc, ScenarioFormatError))
+
+
+def from_cursor(root: Cursor) -> ScenarioConfig:
+    """The scenario at ``root``; faults raise the cursor's error."""
+    root.keys({"schema_version", "scenario_id", "map_name", "duration_limit",
+               "ego", "npc_vehicles", "obstacles"})
+    version = root["schema_version"]
     if version.doc != SCHEMA_VERSION:
         raise version.fail(f"unsupported schema_version {version.doc!r}")
 
-    ego_cur = root.child("ego")
-    ego_cur.require_keys({"start_lane_id", "start_station", "end_lane_id",
-                          "end_station", "body"})
+    ego_cur = root["ego"].keys({"start_lane_id", "start_station",
+                                "end_lane_id", "end_station", "body"})
     ego = EgoSpec(
-        start_lane_id=ego_cur.child("start_lane_id").as_str(),
-        start_station=ego_cur.child("start_station").as_number(),
-        end_lane_id=ego_cur.child("end_lane_id").as_str(),
-        end_station=ego_cur.child("end_station").as_number(),
-        body=_parse_body(ego_cur.child("body")),
+        start_lane_id=ego_cur["start_lane_id"].text(),
+        start_station=ego_cur["start_station"].number(),
+        end_lane_id=ego_cur["end_lane_id"].text(),
+        end_station=ego_cur["end_station"].number(),
+        body=_parse_body(ego_cur["body"]),
     )
 
     npcs = []
-    for cur in root.child("npc_vehicles").items():
-        cur.require_keys({"actor_id", "waypoints", "target_speeds", "spawn_delay", "body"},
-                         optional={"kind"})
+    for cur in root["npc_vehicles"].items():
+        cur.keys({"actor_id", "waypoints", "target_speeds", "spawn_delay",
+                  "body"}, optional={"kind"})
         if "kind" in cur.doc:
-            kind = cur.child("kind").as_str()
+            kind = cur["kind"].text()
             if kind not in KNOWN_ACTOR_KINDS:
-                raise cur.child("kind").fail(
+                raise cur["kind"].fail(
                     f"unsupported actor kind {kind!r}; known: {list(KNOWN_ACTOR_KINDS)}")
         npcs.append(NpcSpec(
-            actor_id=cur.child("actor_id").as_str(),
-            waypoints=tuple(_parse_pose(p) for p in cur.child("waypoints").items()),
-            target_speeds=tuple(s.as_number() for s in cur.child("target_speeds").items()),
-            spawn_delay=cur.child("spawn_delay").as_number(),
-            body=_parse_body(cur.child("body")),
+            actor_id=cur["actor_id"].text(),
+            waypoints=tuple(_parse_pose(p) for p in cur["waypoints"].items()),
+            target_speeds=tuple(s.number() for s in cur["target_speeds"].items()),
+            spawn_delay=cur["spawn_delay"].number(),
+            body=_parse_body(cur["body"]),
         ))
 
     obstacles = []
-    for cur in root.child("obstacles").items():
-        cur.require_keys({"actor_id", "pose", "body"})
+    for cur in root["obstacles"].items():
+        cur.keys({"actor_id", "pose", "body"})
         obstacles.append(ObstacleSpec(
-            actor_id=cur.child("actor_id").as_str(),
-            pose=_parse_pose(cur.child("pose")),
-            body=_parse_body(cur.child("body")),
+            actor_id=cur["actor_id"].text(),
+            pose=_parse_pose(cur["pose"]),
+            body=_parse_body(cur["body"]),
         ))
 
     return ScenarioConfig(
-        scenario_id=root.child("scenario_id").as_str(),
-        map_name=root.child("map_name").as_str(),
+        scenario_id=root["scenario_id"].text(),
+        map_name=root["map_name"].text(),
         ego=ego,
         npc_vehicles=tuple(npcs),
         obstacles=tuple(obstacles),
-        duration_limit=root.child("duration_limit").as_number(),
+        duration_limit=root["duration_limit"].number(),
     )
 
 

@@ -3,7 +3,8 @@
 Nothing in here calls the code under test for the quantity being checked:
 the bicycle integrator is a standalone loop run at a much finer step, the
 OBB distance is dense boundary sampling, routing is exhaustive path
-enumeration, and projection is a brute-force scan.
+enumeration, projection is a brute-force scan, and the recording document is
+built as plain dicts for ``canonical.dumps`` to encode.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from scenofuzz.runner import RECORDING_SCHEMA_VERSION
+from scenofuzz.scenario import to_document
 
 
 # --- kinematic bicycle, fine-step explicit Euler ---------------------------
@@ -135,3 +139,38 @@ def project_point_sampled(points, x, y, step=0.01):
                 best = (d, s_base + t * seg)
         s_base += seg
     return best[1], best[0]
+
+
+# --- recordings: the dict-building encoder ---------------------------------
+
+def _actor_doc(state):
+    return {"actor_id": state.actor_id, "kind": state.kind,
+            "x": state.x, "y": state.y, "heading": state.heading,
+            "speed": state.speed, "acceleration": state.acceleration,
+            "length": state.length, "width": state.width}
+
+
+def _frame_doc(frame):
+    return {
+        "sim_time": frame.sim_time,
+        "ego_command": {"throttle": frame.ego_command.throttle,
+                        "brake": frame.ego_command.brake,
+                        "steering": frame.ego_command.steering},
+        "actors": [_actor_doc(a) for a in frame.actors],
+    }
+
+
+def recording_document(rec, include_wall_clock=True, include_frames=True):
+    """The document ``runner.recording_bytes`` must encode byte for byte."""
+    return {
+        "schema_version": RECORDING_SCHEMA_VERSION,
+        "scenario_id": rec.scenario_id,
+        "rng_seed": rec.rng_seed,
+        "wall_clock": rec.wall_clock if include_wall_clock else 0.0,
+        "config": to_document(rec.config_snapshot),
+        "verdict": {"outcome": rec.verdict.outcome,
+                    "time_of_decision": rec.verdict.time_of_decision,
+                    "details": rec.verdict.details},
+        "annotations": list(rec.annotations),
+        "frames": [_frame_doc(f) for f in rec.frames] if include_frames else [],
+    }

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import integrate_bicycle, obb_distance_sampled
+from oracles import integrate_bicycle, obb_distance_sampled, recording_document
 from scenofuzz import canonical
 from scenofuzz.bridge import (
     BridgeServer,
@@ -58,7 +58,6 @@ from scenofuzz.runner import (
     OracleConfig,
     mission_end_point,
     mission_path,
-    recording_document,
     run_scenario,
 )
 from scenofuzz.scenario import unflatten

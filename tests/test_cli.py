@@ -134,7 +134,7 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("endpoint", [
         "localhost", "localhost:0", "localhost:65536", "localhost:http",
-        "inproc:"])
+        "inproc:", "inproc:mine"])
     @pytest.mark.parametrize("source", ["file", "environment"])
     def test_malformed_agent_endpoint_exits_config_code(
             self, tmp_path, output_root, monkeypatch, capsys, endpoint,

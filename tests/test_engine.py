@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import recording_document
 from synthetic import SyntheticContext, box_prototype, sphere
 
 from scenofuzz import canonical
@@ -32,8 +33,7 @@ from scenofuzz.engine.template import (MissionSpec, build_template,
 from scenofuzz.geometry import Polyline, normalize_angle
 from scenofuzz.lanemap import route
 from scenofuzz.runner import (OUTCOMES, Frame, ScenarioRecording, Verdict,
-                              mission_path, read_recording,
-                              recording_document, run_scenario,
+                              mission_path, read_recording, run_scenario,
                               write_recording)
 from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, unflatten,
                                 validate)
@@ -578,11 +578,13 @@ def _entry_1_with(key: str, value):
     return edit
 
 
-def _without_fitness_of_entry_1(log: bytes) -> bytes:
-    """The log with one key dropped; its values still match on resume."""
-    entries = canonical.loads(log)
-    del entries[1]["fitness"]
-    return canonical.dump_bytes(entries)
+def _entry_1_without(key: str):
+    """Edits a log: one key of entry 1 dropped."""
+    def edit(log: bytes) -> bytes:
+        entries = canonical.loads(log)
+        del entries[1][key]
+        return canonical.dump_bytes(entries)
+    return edit
 
 
 @pytest.fixture
@@ -873,7 +875,10 @@ class TestCampaign:
         ("campaign.state.json", b'{"wall_consumed":true}', ""),
         ("evaluations.json", b'[{"scenario_id":"\xff"}]', ""),
         ("evaluations.json", b"[1,2]", "entry 0"),
-        ("evaluations.json", _without_fitness_of_entry_1, "entry 1"),
+        ("evaluations.json", _entry_1_without("fitness"), "entry 1"),
+        ("evaluations.json", _entry_1_without("repairs"), "entry 1"),
+        ("evaluations.json", _entry_1_without("values"), "entry 1"),
+        ("evaluations.json", _entry_1_with("note", "extra"), "entry 1"),
         ("evaluations.json", _entry_1_with("fitness", "1.5"), "entry 1"),
         ("evaluations.json", _entry_1_with("fitness", 10 ** 400), "entry 1"),
         ("evaluations.json", _entry_1_with("quality_score", "0.5"), "entry 1"),
@@ -892,6 +897,8 @@ class TestCampaign:
             "nan-wall", "infinite-wall", "negative-wall", "huge-wall",
             "bool-wall",
             "non-utf8-log", "non-object-entry", "entry-without-fitness",
+            "entry-without-repairs", "entry-without-values",
+            "entry-extra-key",
             "string-fitness", "huge-fitness", "string-quality-score",
             "bool-time-of-decision", "string-behavior",
             "non-numeric-behavior", "unknown-outcome", "wrong-index",
@@ -989,7 +996,8 @@ class TestLongCampaign:
             "behavior": [float(v) for v in rng.random(24)],
             "time_of_decision": float(rng.uniform(0.0, 30.0)),
         }
-        return record, campaign._feedback_from_record(record)
+        return record, campaign._feedback_from_record(
+            canonical.Cursor(record, ValueError), index)
 
     def test_each_record_is_encoded_once(self, junction_settings, tmp_path,
                                          monkeypatch):

@@ -78,6 +78,25 @@ def test_load_map_file(tmp_path):
         load_map(path)
 
 
+@pytest.mark.parametrize("lanes,message", [
+    ([_lane("a", [(0, 0), (1, 0)], width=0.0)],
+     "/lanes/0/width: expected a finite number > 0"),
+    ([_lane("a", [(0, 0), (1, True)])],
+     "/lanes/0/centerline/1: expected an array of 2 finite numbers"),
+    ([_lane("a", [(0, 0)])], "/lanes/0/centerline: expected at least 2 items"),
+    ([_lane("a", [(0, 0), (1, 0)]), _lane("a", [(2, 0), (3, 0)])],
+     "/lanes/1/id: duplicate lane id 'a'"),
+    ([dict(_lane("a", [(0, 0), (1, 0)]), colour="red")],
+     "/lanes/0: unknown keys ['colour']"),
+    ([_lane("a", [(0, 0), (1, 0)], succ=[""])],
+     "/lanes/0/successors/0: expected a non-empty string"),
+])
+def test_faults_are_named_by_json_pointer(lanes, message):
+    with pytest.raises(MapFormatError) as caught:
+        load_map_document(_doc(lanes))
+    assert str(caught.value) == message
+
+
 def test_route_chain(chain_map):
     rt = route(chain_map, "lane_a", "lane_c")
     assert rt.lane_sequence == ("lane_a", "lane_b", "lane_c")

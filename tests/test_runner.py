@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from oracles import recording_document
 from scenofuzz import canonical
 from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeSession,
                               ControlMessage, InProcessSession,
@@ -17,8 +18,7 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               check_collision, check_destination,
                               initial_world, mission_end_point, mission_path,
                               read_recording, recording_bytes,
-                              recording_digest, recording_document,
-                              run_scenario, write_recording)
+                              recording_digest, run_scenario, write_recording)
 from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
                                 ScenarioConfig)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
@@ -286,6 +286,34 @@ class TestRunScenario:
             assert npc_state.speed == 0.0
 
 
+# Recordings the schema rejects, one edit each, that read_recording must
+# reject too; tests/test_schemas.py checks the schema side.
+SCHEMA_FAULTS = {
+    "negative-sim-time": lambda doc: doc["frames"][1].update(sim_time=-0.1),
+    "negative-wall-clock": lambda doc: doc.update(wall_clock=-1.0),
+    "negative-decision-time":
+        lambda doc: doc["verdict"].update(time_of_decision=-1.0),
+    "frame-extra-key": lambda doc: doc["frames"][0].update(note="extra"),
+    "command-extra-key":
+        lambda doc: doc["frames"][0]["ego_command"].update(gear=1.0),
+    "negative-speed":
+        lambda doc: doc["frames"][0]["actors"][1].update(speed=-0.1),
+    "zero-length":
+        lambda doc: doc["frames"][0]["actors"][1].update(length=0.0),
+    "negative-width":
+        lambda doc: doc["frames"][0]["actors"][1].update(width=-1.0),
+    "empty-scenario-id": lambda doc: doc.update(scenario_id=""),
+    "empty-actor-id":
+        lambda doc: doc["frames"][0]["actors"][1].update(actor_id=""),
+    "throttle-above-1":
+        lambda doc: doc["frames"][0]["ego_command"].update(throttle=2.0),
+    "negative-brake":
+        lambda doc: doc["frames"][0]["ego_command"].update(brake=-0.5),
+    "steering-past-stop":
+        lambda doc: doc["frames"][0]["ego_command"].update(steering=1.0),
+}
+
+
 class TestPersistence:
     def make_recording(self, chain_map):
         east = NpcSpec("npc_1", (Pose(30.0, 3.5, 0.0), Pose(50.0, 3.5, 0.0)),
@@ -396,13 +424,14 @@ class TestPersistence:
         lambda doc: doc.update(annotations=[{"sim_time": 1.0}]),
         lambda doc: doc.update(annotations=[{"type": 3}]),
         lambda doc: doc.update(annotations=[{"type": "note"}, {"type": ""}]),
+        *SCHEMA_FAULTS.values(),
     ], ids=["string-x", "bool-speed", "huge-length", "string-sim-time",
             "string-brake", "bool-decision-time", "string-wall-clock",
             "bool-schema-version", "float-seed", "bool-seed", "int-id",
             "int-annotations", "verdict-without-details", "list-details",
             "string-details", "verdict-extra-key", "int-annotation",
             "annotation-without-type", "int-annotation-type",
-            "empty-annotation-type"])
+            "empty-annotation-type", *SCHEMA_FAULTS])
     def test_read_rejects_mistyped_fields(self, chain_map, tmp_path, edit):
         doc = recording_document(self.make_recording(chain_map))
         edit(doc)
@@ -410,6 +439,27 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(RecordingFormatError, match="x.record.json"):
             read_recording(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (SCHEMA_FAULTS["throttle-above-1"],
+         "/frames/0/ego_command/throttle: expected a finite number >= 0 "
+         "and <= 1"),
+        (SCHEMA_FAULTS["negative-speed"],
+         "/frames/0/actors/1: expected a non-empty actor_id, speed >= 0, "
+         "length > 0 and width > 0"),
+        (SCHEMA_FAULTS["frame-extra-key"], "/frames/0: unknown keys ['note']"),
+        (lambda doc: doc["config"]["ego"].update(end_station="far"),
+         "/config/ego/end_station: expected a number"),
+    ])
+    def test_read_names_the_fault_by_json_pointer(self, chain_map, tmp_path,
+                                                  edit, message):
+        doc = recording_document(self.make_recording(chain_map))
+        edit(doc)
+        path = tmp_path / "x.record.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RecordingFormatError) as caught:
+            read_recording(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_read_keeps_annotations_and_details(self, chain_map, tmp_path):
         rec = dataclasses.replace(

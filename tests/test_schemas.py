@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import recording_document
+from test_runner import SCHEMA_FAULTS
 from scenofuzz.geometry import Pose
-from scenofuzz.runner import recording_document, run_scenario
+from scenofuzz.runner import run_scenario
 from scenofuzz.scenario import (
     BodyDims,
     EgoSpec,
@@ -223,3 +225,12 @@ class TestRecordingSchema:
         mutate(doc)
         errors = recording_validator.validate(doc)
         assert any(fragment in e for e in errors), errors
+
+    @pytest.mark.parametrize("edit", SCHEMA_FAULTS.values(),
+                             ids=list(SCHEMA_FAULTS))
+    def test_faults_read_recording_rejects_fail(self, recording_validator,
+                                                recording_doc, edit):
+        assert recording_validator.validate(recording_doc) == []
+        doc = copy.deepcopy(recording_doc)
+        edit(doc)
+        assert recording_validator.validate(doc) != []
