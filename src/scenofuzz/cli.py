@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import build_execution, load_config
-from .engine.campaign import CampaignContext, run_campaign
+from .engine.campaign import RECORDINGS_DIR, CampaignContext, run_campaign
 
 log = logging.getLogger(__name__)
 
@@ -79,16 +79,16 @@ def default_run_id(seed: int, now: datetime | None = None) -> str:
 
 
 def _export_svgs(ctx, output_dir: Path) -> int:
-    from .runner import read_recording
+    from .runner import COLLISION, read_recording, recording_path
     from .svg_export import render_recording_svg
 
     svg_dir = output_dir / "svg"
     count = 0
     for record in ctx.log_entries():
-        if record["outcome"] != "CollisionViolation":
+        if record["outcome"] != COLLISION:
             continue
-        rec_path = output_dir / "recordings" / \
-            f"{record['scenario_id']}.record.json"
+        rec_path = recording_path(output_dir / RECORDINGS_DIR,
+                                  record["scenario_id"])
         if not rec_path.exists():
             continue
         recording = read_recording(rec_path)

@@ -10,18 +10,24 @@ instead of silently running defaults.
 from __future__ import annotations
 
 import logging
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 import yaml
 
 from .canonical import finite_number
-from .bridge import AgentSettings
-from .engine.campaign import CampaignBudget
+from .bridge import (ENDPOINT_ENV_VAR, AgentSettings, parse_endpoint,
+                     resolve_endpoint)
+from .engine.campaign import (ALGORITHM_DEFAULTS, CampaignBudget,
+                              ExecutionSettings)
+from .engine.template import MissionSpec, build_template
+from .lanemap import load_bundled_map
 from .runner import OracleConfig
-from .scenario import MutationSpace, validate
+from .scenario import (MAX_TARGET_SPEED, MutationSpace, ScenarioConfig,
+                       validate)
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +36,8 @@ AGENT_TYPES = ("reference", "external")
 
 # Every optional key with its default, addressed by dotted path.  With
 # REQUIRED_KEYS this is the whole key set the parser accepts, and each value
-# must have its default's type.  The reference table in docs/config.md is
+# must have its default's type.  A value that lands in a dataclass field
+# takes that field's default.  The reference table in docs/config.md is
 # generated from the same values and a test keeps the two in sync.
 CONFIG_DEFAULTS: dict[str, Any] = {
     "system.debug": False,
@@ -38,39 +45,24 @@ CONFIG_DEFAULTS: dict[str, Any] = {
     "system.output_root": "./results",
     "scenario.start_station": 0.0,
     "scenario.end_station": 0.0,
-    "scenario.duration_limit": 45.0,
-    "scenario.mutation_space.speeds": True,
-    "scenario.mutation_space.offsets": True,
-    "scenario.mutation_space.delays": True,
-    "scenario.mutation_space.presence": True,
-    "scenario.mutation_space.speed_low": 0.0,
-    "scenario.mutation_space.speed_high": 20.0,
-    "scenario.mutation_space.offset_limit": 2.0,
-    "scenario.mutation_space.delay_low": 0.0,
-    "scenario.mutation_space.delay_high": 10.0,
-    "scenario_runner.name": "ApolloSim",
+    "scenario.duration_limit": ScenarioConfig.duration_limit,
+    **{f"scenario.mutation_space.{f.name}": f.default
+       for f in fields(MutationSpace)},
+    "scenario_runner.name": BUILTIN_RUNNER,
     "scenario_runner.parameters.container_name": "",
-    "scenario_runner.parameters.save_traffic_recording": True,
+    "scenario_runner.parameters.save_traffic_recording":
+        ExecutionSettings.save_traffic_recording,
     "scenario_runner.parameters.worker_pool": 1,
-    "scenario_runner.parameters.dt": 0.1,
+    "scenario_runner.parameters.dt": ExecutionSettings.dt,
     "scenario_runner.parameters.agent.type": "reference",
     "scenario_runner.parameters.agent.endpoint": None,
-    "scenario_runner.parameters.agent.cruise_speed": 8.0,
-    "scenario_runner.parameters.agent.fault_ignore_obstacles": False,
-    "scenario_runner.parameters.agent.fault_ignore_junction_traffic": False,
-    "testing_engine.algorithm.parameters.run_hour": 2.0,
-    "testing_engine.algorithm.parameters.local_run_hour": 0.5,
-    "testing_engine.algorithm.parameters.population_size": 4,
-    "testing_engine.algorithm.parameters.pm": 0.6,
-    "testing_engine.algorithm.parameters.pc": 0.6,
-    "testing_engine.algorithm.parameters.archive_threshold": 0.2,
-    "testing_engine.algorithm.parameters.surrogate_pool": 20,
-    "testing_engine.algorithm.parameters.max_evaluations": None,
-    "testing_engine.algorithm.parameters.batch_size": None,
-    "testing_engine.oracle.collision.threshold": 0.01,
-    "testing_engine.oracle.destination.tolerance": 3.0,
-    "testing_engine.oracle.stuck.speed": 0.3,
-    "testing_engine.oracle.stuck.duration": 30.0,
+    **{f"scenario_runner.parameters.agent.{f.name}": f.default
+       for f in fields(AgentSettings)},
+    **{f"testing_engine.algorithm.parameters.{name}": default
+       for name, default in ALGORITHM_DEFAULTS.items()},
+    # OracleConfig's fields are the oracle keys with "_" for "."
+    **{"testing_engine.oracle." + f.name.replace("_", ".", 1): f.default
+       for f in fields(OracleConfig)},
 }
 
 REQUIRED_KEYS = (
@@ -86,6 +78,22 @@ OPTIONAL_INTEGER_KEYS = (
     "testing_engine.algorithm.parameters.max_evaluations",
     "testing_engine.algorithm.parameters.batch_size",
 )
+
+# Each (key, op, bound) requires ``value <op> bound`` of a set value.
+BOUNDS = (
+    ("scenario.mutation_space.speed_low", ">=", 0),
+    ("scenario.mutation_space.speed_high", "<=", MAX_TARGET_SPEED),
+    ("scenario.mutation_space.offset_limit", ">=", 0),
+    ("scenario.mutation_space.delay_low", ">=", 0),
+    ("scenario_runner.parameters.worker_pool", ">=", 1),
+    ("scenario_runner.parameters.dt", ">", 0),
+    ("testing_engine.algorithm.parameters.max_evaluations", ">=", 1),
+    ("testing_engine.algorithm.parameters.population_size", ">=", 2),
+    ("testing_engine.algorithm.parameters.run_hour", ">", 0),
+    ("testing_engine.algorithm.parameters.local_run_hour", ">=", 0),
+    ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
+)
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 class ConfigError(ValueError):
@@ -239,11 +247,10 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
         log.warning("scenario_runner.parameters.container_name=%r is accepted "
                     "for compatibility and ignored: the built-in runner does "
                     "not manage containers", container)
-    if values["scenario_runner.parameters.worker_pool"] < 1:
-        raise ConfigError("scenario_runner.parameters.worker_pool: must be "
-                          ">= 1")
-    if values["scenario_runner.parameters.dt"] <= 0:
-        raise ConfigError("scenario_runner.parameters.dt: must be > 0")
+    for key, op, bound in BOUNDS:
+        value = values[key]
+        if value is not None and not _OPERATORS[op](value, bound):
+            raise ConfigError(f"{key}: must be {op} {bound:g}")
     agent_prefix = "scenario_runner.parameters.agent"
     agent = _section(values, agent_prefix)
     agent_type = agent.pop("type")
@@ -251,19 +258,9 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
     if agent_type not in AGENT_TYPES:
         raise ConfigError(f"{agent_prefix}.type: expected one of "
                           f"{', '.join(AGENT_TYPES)}")
-    param_prefix = "testing_engine.algorithm.parameters"
-    params = {name: value
-              for name, value in _section(values, param_prefix).items()
-              if value is not None}
-    if params.get("max_evaluations", 1) < 1:
-        raise ConfigError(f"{param_prefix}.max_evaluations: must be >= 1")
-    if params["population_size"] < 2:
-        raise ConfigError(f"{param_prefix}.population_size: must be >= 2")
-    if params["run_hour"] <= 0:
-        raise ConfigError(f"{param_prefix}.run_hour: must be > 0")
-    if params["local_run_hour"] < 0:
-        raise ConfigError(f"{param_prefix}.local_run_hour: must be >= 0")
-    # OracleConfig's fields are the oracle keys with "_" for "."
+    params = {name: value for name, value in _section(
+        values, "testing_engine.algorithm.parameters").items()
+        if value is not None}
     oracles = {name.replace(".", "_"): value for name, value
                in _section(values, "testing_engine.oracle").items()}
 
@@ -311,14 +308,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 def build_execution(config: RunConfig):
     """Resolve a parsed config into engine inputs.
 
-    Returns ``(settings, budget, algorithm_params)``.  Imports stay local so
-    the config module remains import-light for tooling.
+    Returns ``(settings, budget, algorithm_params)``.
     """
-    from .bridge import ENDPOINT_ENV_VAR, parse_endpoint, resolve_endpoint
-    from .engine.campaign import ExecutionSettings
-    from .engine.template import MissionSpec, build_template
-    from .lanemap import load_bundled_map
-
     lane_map = load_bundled_map(config.map_name)
     mission = MissionSpec(config.map_name, config.start_lane_id,
                           config.start_station, config.end_lane_id,
@@ -355,5 +346,5 @@ def build_execution(config: RunConfig):
         budget = CampaignBudget(max_evaluations=max_evals)
     else:
         budget = CampaignBudget(
-            wall_seconds=float(params.get("run_hour", 2.0)) * 3600.0)
+            wall_seconds=params["run_hour"] * 3600.0)
     return settings, budget, params

@@ -9,8 +9,6 @@ budget before returning to the global loop.
 
 from __future__ import annotations
 
-import time
-
 from .operators import breed, mutate_gaussian, sample_uniform
 
 STAGNATION_GENERATIONS = 5
@@ -19,17 +17,17 @@ LOCAL_SIGMA = 0.025
 
 
 def _local_eval_budget(ctx, params: dict, population_size: int) -> int:
-    """Evaluation count for one local phase.
+    """Evaluation count for one local phase: the local_run_hour share of the
+    campaign's evaluations, counted so the schedule never reads a clock.
 
-    With an evaluation-capped budget the run_hour values act as a ratio, so
-    the local slice stays proportional and the schedule stays deterministic.
+    A wall budget of run_hour hours counts as run_hour * 3600 evaluations.
     """
-    run_hour = float(params.get("run_hour", 2.0))
-    local_hour = float(params.get("local_run_hour", 0.5))
-    if ctx.budget.max_evaluations is not None and run_hour > 0:
-        share = int(round(local_hour / run_hour * ctx.budget.max_evaluations))
-        return max(population_size, share)
-    return max(population_size, int(local_hour * 3600.0))
+    run_hour = params["run_hour"]
+    total = ctx.budget.max_evaluations
+    if total is None:
+        total = run_hour * 3600.0
+    share = round(params["local_run_hour"] / run_hour * total)
+    return max(population_size, share)
 
 
 def _best(population, fitnesses):
@@ -38,14 +36,13 @@ def _best(population, fitnesses):
 
 
 def run(ctx, params: dict) -> None:
-    pop_size = int(params.get("population_size", 4))
+    pop_size = params["population_size"]
     if pop_size < 2:
         # a population of one breeds no children, so no generation spends
         # budget and the loop never ends; an empty one has no best member
         raise ValueError(f"population_size must be >= 2, got {pop_size}")
-    pm = float(params.get("pm", 0.6))
-    pc = float(params.get("pc", 0.6))
-    wall_mode = ctx.budget.max_evaluations is None
+    pm = params["pm"]
+    pc = params["pc"]
     local_budget = _local_eval_budget(ctx, params, pop_size)
 
     population = [sample_uniform(ctx.rng, ctx.prototype)
@@ -72,8 +69,7 @@ def run(ctx, params: dict) -> None:
         if stagnation >= STAGNATION_GENERATIONS:
             local_vec, local_fit = _local_phase(ctx, best_vec, best_fit,
                                                 pop_size, pm, pc,
-                                                local_budget, wall_mode,
-                                                params)
+                                                local_budget)
             if local_fit < best_fit:
                 best_vec, best_fit = local_vec, local_fit
                 worst = max(range(len(population)),
@@ -83,25 +79,15 @@ def run(ctx, params: dict) -> None:
             stagnation = 0
 
 
-def _local_phase(ctx, base_vec, base_fit, pop_size, pm, pc, eval_budget,
-                 wall_mode, params):
+def _local_phase(ctx, base_vec, base_fit, pop_size, pm, pc, eval_budget):
     """Small-step GA around the incumbent best; returns its best find."""
-    started = time.monotonic()
-    wall_limit = float(params.get("local_run_hour", 0.5)) * 3600.0
-
     seeds = [mutate_gaussian(ctx.rng, base_vec, pm, LOCAL_SIGMA)
              for _ in range(pop_size - 1)]
     seed_fits = [f.fitness for f in ctx.evaluate_batch(seeds)]
     population = [base_vec] + seeds
     fitnesses = [base_fit] + seed_fits
     spent = len(seeds)
-
-    def done() -> bool:
-        if wall_mode:
-            return time.monotonic() - started >= wall_limit
-        return spent >= eval_budget
-
-    while not done():
+    while spent < eval_budget:
         children = breed(ctx.rng, population, fitnesses, pm, pc,
                          pop_size - 1, LOCAL_SIGMA)
         child_fits = [f.fitness for f in ctx.evaluate_batch(children)]

@@ -51,8 +51,8 @@ def _pick_seed(corpus):
 
 
 def run(ctx, params: dict) -> None:
-    threshold = float(params.get("archive_threshold", 0.2))
-    pm = float(params.get("pm", 0.6))
+    threshold = params["archive_threshold"]
+    pm = params["pm"]
 
     archive: list[np.ndarray] = []
     corpus: list[_Seed] = []

@@ -27,6 +27,7 @@ is byte for byte the canonical encoding of the whole log.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
 import time
@@ -42,8 +43,8 @@ from ..bridge import (AgentSettings, InProcessSession, ReferenceEgoAgent,
                       connect)
 from ..canonical import Cursor
 from ..lanemap import LaneMap
-from ..runner import (OUTCOMES, OracleConfig, mission_path, run_scenario,
-                      write_recording)
+from ..runner import (COLLISION, OUTCOMES, OracleConfig, mission_path,
+                      run_scenario, write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
                         flatten, unflatten)
 from .feedback import Feedback, compute_feedback
@@ -52,6 +53,14 @@ EVALUATIONS_FILE = "evaluations.json"
 STATE_FILE = "campaign.state.json"
 REPORT_FILE = "report.json"
 RECORDINGS_DIR = "recordings"
+
+# Every algorithm parameter with its default: the config file's
+# testing_engine.algorithm.parameters keys.  An algorithm reads
+# params[name]; algorithm_registry() fills in those a caller leaves out.
+ALGORITHM_DEFAULTS = dict(
+    run_hour=2.0, local_run_hour=0.5, population_size=4, pm=0.6, pc=0.6,
+    archive_threshold=0.2, surrogate_pool=20, max_evaluations=None,
+    batch_size=None)
 
 log = logging.getLogger(__name__)
 
@@ -313,21 +322,25 @@ def _atomic_write(path: Path, data: bytes | bytearray) -> None:
 
 
 def algorithm_registry() -> dict:
+    """Each algorithm as ``run(ctx, params)``; ``params`` may leave out any
+    of :data:`ALGORITHM_DEFAULTS`."""
     from . import avfuzzer, behavexplor, drivefuzz, random_search, samota
-    return {
-        "random": random_search.run,
-        "avfuzzer": avfuzzer.run,
-        "behavexplor": behavexplor.run,
-        "samota": samota.run,
-        "drivefuzz": drivefuzz.run,
-    }
+    runs = {"random": random_search.run, "avfuzzer": avfuzzer.run,
+            "behavexplor": behavexplor.run, "samota": samota.run,
+            "drivefuzz": drivefuzz.run}
+    return {name: functools.partial(_run_filled, run)
+            for name, run in runs.items()}
+
+
+def _run_filled(run, ctx, params: dict) -> None:
+    run(ctx, {**ALGORITHM_DEFAULTS, **params})
 
 
 def build_report(ctx: CampaignContext, algorithm: str) -> dict:
     """Summarise the log on disk, including the entries a resume that
     stopped early left queued for replay."""
     entries = ctx.log_entries()
-    violations = [r for r in entries if r["outcome"] == "CollisionViolation"]
+    violations = [r for r in entries if r["outcome"] == COLLISION]
     fitnesses = [r["fitness"] for r in entries]
     return {
         "algorithm": algorithm,
@@ -348,7 +361,7 @@ def run_campaign(algorithm: str, ctx: CampaignContext,
                          f"{sorted(registry)}")
     ctx.algorithm_name = algorithm
     try:
-        registry[algorithm](ctx, dict(params or {}))
+        registry[algorithm](ctx, params or {})
     except BudgetExhausted:
         pass
     ctx.finished = True

@@ -28,7 +28,7 @@ def _stages(prototype):
 
 
 def run(ctx, params: dict) -> None:
-    pm = float(params.get("pm", 0.6))
+    pm = params["pm"]
     stages = _stages(ctx.prototype)
 
     current = sample_uniform(ctx.rng, ctx.prototype)

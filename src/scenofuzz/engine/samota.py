@@ -86,7 +86,7 @@ def _diverse_proposals(visited, count, min_spacing):
 
 
 def run(ctx, params: dict) -> None:
-    pool = int(params.get("surrogate_pool", 20))
+    pool = params["surrogate_pool"]
     spacing = SPACING_FRACTION * _space_diagonal(ctx.prototype)
 
     dataset_x: list[tuple] = []

@@ -30,7 +30,7 @@ class MissionSpec:
     start_station: float
     end_lane_id: str
     end_station: float
-    duration_limit: float = 45.0
+    duration_limit: float = ScenarioConfig.duration_limit
 
 
 def onward_route(lane_map: LaneMap, lane_id: str) -> Route:

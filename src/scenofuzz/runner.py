@@ -312,11 +312,15 @@ def recording_digest(rec: ScenarioRecording) -> str:
         recording_bytes(replace(rec, wall_clock=0.0))).hexdigest()
 
 
+def recording_path(directory: str | Path, scenario_id: str) -> Path:
+    """Where :func:`write_recording` puts the recording of ``scenario_id``."""
+    return Path(directory) / f"{scenario_id}.record.json"
+
+
 def write_recording(rec: ScenarioRecording, directory: str | Path,
                     include_frames: bool = True) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{rec.scenario_id}.record.json"
+    path = recording_path(directory, rec.scenario_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(recording_bytes(rec, include_frames))
     return path
 

@@ -250,7 +250,7 @@ def from_cursor(root: Cursor) -> ScenarioConfig:
     root.keys({"schema_version", "scenario_id", "map_name", "duration_limit",
                "ego", "npc_vehicles", "obstacles"})
     version = root["schema_version"]
-    if version.doc != SCHEMA_VERSION:
+    if version.integer() != SCHEMA_VERSION:
         raise version.fail(f"unsupported schema_version {version.doc!r}")
 
     ego_cur = root["ego"].keys({"start_lane_id", "start_station",

@@ -170,6 +170,19 @@ class TestArgumentHandling:
         assert err.startswith(f"config error: scenario: {named}")
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("key,value,rule", [
+        ("scenario.mutation_space.speed_high", 40, "<= 30"),
+        ("scenario.mutation_space.speed_low", -5, ">= 0"),
+        ("scenario.mutation_space.delay_low", -3, ">= 0"),
+    ])
+    def test_mutation_bound_exits_config_code(self, tmp_path, output_root,
+                                              capsys, key, value, rule):
+        rc = run_cli(write_config(tmp_path / "configs", **{key: value}))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: {key}: must be {rule}\n"
+        assert not output_root.exists()
+
     def test_unreachable_agent_endpoint_is_named(self, tmp_path, output_root,
                                                  capsys):
         with socket.socket() as probe:  # a port that nothing listens on

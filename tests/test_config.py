@@ -242,6 +242,11 @@ class TestStrictness:
         ("testing_engine.algorithm.parameters.run_hour", 0.0),
         ("testing_engine.algorithm.parameters.run_hour", -1),
         ("testing_engine.algorithm.parameters.local_run_hour", -0.5),
+        ("testing_engine.algorithm.parameters.batch_size", 0),
+        ("scenario.mutation_space.speed_low", -5),
+        ("scenario.mutation_space.speed_high", 40),
+        ("scenario.mutation_space.delay_low", -3),
+        ("scenario.mutation_space.offset_limit", -0.5),
     ])
     def test_out_of_range_values_rejected(self, path, value):
         with pytest.raises(ConfigError, match=re.escape(f"{path}: must be")):
@@ -457,3 +462,7 @@ class TestDocumentationSync:
             assert row in text, f"docs/config.md is missing {row!r}"
         for key in REQUIRED_KEYS:
             assert f"| `{key}` |" in text
+        table = text.split("## Optional keys and defaults")[1]
+        table = table.split("\n## ")[0]
+        rows = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
+        assert sorted(rows) == sorted(CONFIG_DEFAULTS)

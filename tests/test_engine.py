@@ -824,6 +824,46 @@ class TestCampaign:
         assert resumed.completed == 12
         assert (out / campaign.EVALUATIONS_FILE).read_bytes() == log
 
+    def test_wall_budget_avfuzzer_resume_matches_uninterrupted(
+            self, junction_settings, tmp_path, monkeypatch):
+        # local_run_hour is 3.6 ms: less than simulating one local phase's
+        # seeds, more than replaying them, so a local phase that ran on the
+        # clock would run longer in a replay than it did in the first run
+        params = {"local_run_hour": 1e-6}
+        budget = CampaignBudget(wall_seconds=3600.0)
+        local_starts = []
+        local_phase = avfuzzer._local_phase
+
+        def spy(ctx, *args):
+            local_starts.append(ctx.completed)
+            return local_phase(ctx, *args)
+
+        def run(out, stop_at, resume=False):
+            original = CampaignContext.evaluate_batch
+
+            def evaluate_batch(self, vectors):
+                if self.completed >= stop_at:
+                    self.stop_requested = True  # as Ctrl-C does
+                return original(self, vectors)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(CampaignContext, "evaluate_batch",
+                              evaluate_batch)
+                patch.setattr(avfuzzer, "_local_phase", spy)
+                ctx = CampaignContext(junction_settings, budget, seed=2,
+                                      output_dir=out, resume=resume)
+                run_campaign("avfuzzer", ctx, params)
+            return ctx
+
+        whole = run(tmp_path / "uncut", stop_at=48)
+        cut = run(tmp_path / "cut", stop_at=24)
+        # the cut run had a local phase, which the resume will replay
+        assert local_starts[-1] < cut.completed < whole.completed
+        resumed = run(tmp_path / "cut", stop_at=48, resume=True)
+        assert resumed.completed == whole.completed
+        assert (tmp_path / "cut" / campaign.EVALUATIONS_FILE).read_bytes() \
+            == (tmp_path / "uncut" / campaign.EVALUATIONS_FILE).read_bytes()
+
     def test_debug_logs_each_fresh_evaluation(self, junction_settings,
                                               tmp_path, caplog):
         def lines():

@@ -77,6 +77,12 @@ def test_format_errors_carry_paths():
         from_json(canonical.dumps(broken))
 
     broken = canonical.loads(to_json(config))
+    broken["schema_version"] = True  # equal to 1 in Python, not in JSON
+    with pytest.raises(ScenarioFormatError,
+                       match="/schema_version: expected an integer"):
+        from_json(canonical.dumps(broken))
+
+    broken = canonical.loads(to_json(config))
     broken["npc_vehicles"][0]["kind"] = "pedestrian"
     with pytest.raises(ScenarioFormatError, match="actor kind"):
         from_json(canonical.dumps(broken))
