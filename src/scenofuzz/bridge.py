@@ -14,6 +14,18 @@ reference).  :func:`decode` takes an actor whose values all have their exact
 types at once; anything else goes through the full checks, which name the
 fault.
 
+An actor's text is written once per object: :func:`actor_text` stores the
+text of an exact ``ActorState`` in the object's ``_text`` the first time it
+writes it, and every later frame or recording holding that object reuses it.
+The fields are frozen and the text is a pure function of them, so the bytes
+cannot move; a write that raises stores nothing, so it raises again.
+Subclasses and duck-typed actors are written afresh every time.  The
+dict-building encoder reads a whole message before it writes any value, so
+an unreadable actor fails before a bad value is written: a perception whose
+obstacles are not a tuple, or whose actors raise when written one by one, is
+written again that way, and a recording reads every frame first, except
+the fields of exact ``ActorState`` objects, which can always be read.
+
 The session is lockstep: the runner sends one perception frame and blocks for
 exactly one control frame.  The in-process transport encodes both frames, so
 a message the wire cannot carry fails as it would over TCP, but it hands the
@@ -89,8 +101,7 @@ class ControlMessage:
 # encoding
 
 # An actor's fields in the order they are read; frames are written with their
-# keys in sorted order.  Every field is read before any is written, so a bad
-# message raises the error the canonical encoder raises for its document.
+# keys in sorted order.
 _actor_fields = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
                           "acceleration", "length", "width")
 _ACTOR_KEYS = frozenset(("actor_id", "kind", "x", "y", "heading", "speed",
@@ -99,10 +110,16 @@ _PERCEPTION_KEYS = frozenset(("type", "sim_time", "ego", "obstacles"))
 _CONTROL_KEYS = frozenset(("type", "sim_time", "throttle", "brake", "steering"))
 
 
-def _actor_text(fields: tuple) -> str:
-    """Canonical JSON object of one actor, from its :data:`_actor_fields`."""
-    actor_id, kind, x, y, heading, speed, acceleration, length, width = fields
-    return ('{"acceleration":' + dump_value(acceleration)
+def actor_text(actor) -> str:
+    """Canonical JSON object of one actor.  An exact ``ActorState`` keeps
+    the text it is first written with and gives it back from then on; any
+    other actor is written afresh."""
+    exact = type(actor) is ActorState
+    if exact and actor._text is not None:
+        return actor._text
+    actor_id, kind, x, y, heading, speed, acceleration, length, width = \
+        _actor_fields(actor)
+    text = ('{"acceleration":' + dump_value(acceleration)
             + ',"actor_id":' + dump_value(actor_id)
             + ',"heading":' + dump_value(heading)
             + ',"kind":' + dump_value(kind)
@@ -111,6 +128,36 @@ def _actor_text(fields: tuple) -> str:
             + ',"width":' + dump_value(width)
             + ',"x":' + dump_value(x)
             + ',"y":' + dump_value(y) + "}")
+    if exact:  # stored once written, so a write that raises stores nothing
+        actor.__dict__["_text"] = text
+    return text
+
+
+def _read_all(actors) -> list:
+    """``actors`` as a list, every field of each read as it comes."""
+    read = []
+    for actor in actors:
+        _actor_fields(actor)
+        read.append(actor)
+    return read
+
+
+def _perception_texts(message: PerceptionMessage) -> tuple[str, list[str]]:
+    """The texts of a perception's ego and obstacles, each actor written as
+    it is read.  If that raises, or the obstacles are not a tuple, the
+    message is read whole before any value is written, as the reference
+    does, so an unreadable actor fails before a bad value is written."""
+    try:
+        ego = actor_text(message.ego)
+        obstacles = message.obstacles
+        if type(obstacles) is tuple:
+            return ego, [actor_text(o) for o in obstacles]
+    except Exception:
+        pass  # raised again below, in the reference order
+    ego = message.ego
+    _actor_fields(ego)
+    obstacles = _read_all(message.obstacles)
+    return actor_text(ego), [actor_text(o) for o in obstacles]
 
 
 def _parse_actor(doc, where: str) -> ActorState:
@@ -156,10 +203,8 @@ def encode(message: PerceptionMessage | ControlMessage) -> bytes:
     """Serialize a message to a complete length-prefixed wire frame."""
     if isinstance(message, PerceptionMessage):
         sim_time = message.sim_time
-        ego = _actor_fields(message.ego)
-        obstacles = [_actor_fields(o) for o in message.obstacles]
-        body = ('{"ego":' + _actor_text(ego)
-                + ',"obstacles":[' + ",".join([_actor_text(o) for o in obstacles])
+        ego, texts = _perception_texts(message)
+        body = ('{"ego":' + ego + ',"obstacles":[' + ",".join(texts)
                 + '],"sim_time":' + dump_value(sim_time)
                 + ',"type":"perception"}')
     elif isinstance(message, ControlMessage):

@@ -79,12 +79,17 @@ OPTIONAL_INTEGER_KEYS = (
     "testing_engine.algorithm.parameters.batch_size",
 )
 
-# Each (key, op, bound) requires ``value <op> bound`` of a set value.
+# Each (key, op, bound) requires ``value <op> bound`` of a set value; a bound
+# that is a key stands for that key's value.
 BOUNDS = (
     ("scenario.mutation_space.speed_low", ">=", 0),
     ("scenario.mutation_space.speed_high", "<=", MAX_TARGET_SPEED),
+    ("scenario.mutation_space.speed_low", "<=",
+     "scenario.mutation_space.speed_high"),
     ("scenario.mutation_space.offset_limit", ">=", 0),
     ("scenario.mutation_space.delay_low", ">=", 0),
+    ("scenario.mutation_space.delay_low", "<=",
+     "scenario.mutation_space.delay_high"),
     ("scenario_runner.parameters.worker_pool", ">=", 1),
     ("scenario_runner.parameters.dt", ">", 0),
     ("testing_engine.algorithm.parameters.max_evaluations", ">=", 1),
@@ -249,8 +254,12 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
                     "not manage containers", container)
     for key, op, bound in BOUNDS:
         value = values[key]
-        if value is not None and not _OPERATORS[op](value, bound):
-            raise ConfigError(f"{key}: must be {op} {bound:g}")
+        if isinstance(bound, str):
+            limit = values[bound]
+        else:
+            limit, bound = bound, f"{bound:g}"
+        if value is not None and not _OPERATORS[op](value, limit):
+            raise ConfigError(f"{key}: must be {op} {bound}")
     agent_prefix = "scenario_runner.parameters.agent"
     agent = _section(values, agent_prefix)
     agent_type = agent.pop("type")

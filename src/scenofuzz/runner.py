@@ -17,8 +17,8 @@ from typing import Callable
 
 from . import canonical
 from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
-                     PerceptionMessage, _actor_fields, _actor_text,
-                     _parse_actor)
+                     PerceptionMessage, _parse_actor, _read_all,
+                     actor_text)
 from .canonical import Cursor
 from .geometry import Polyline
 from .lanemap import LaneMap, route
@@ -270,15 +270,24 @@ def _annotate_npc_contacts(world: WorldState, threshold: float,
 # persistence
 
 
+_EXACT_ACTOR = frozenset((ActorState,))
+
+
 def _frame_fields(frame: Frame) -> tuple:
-    return (frame.sim_time, frame.ego_command.throttle,
-            frame.ego_command.brake, frame.ego_command.steering,
-            [_actor_fields(a) for a in frame.actors])
+    """A frame's values, read before any is written.  Actors other than
+    exact ``ActorState`` objects in a tuple, whose fields can always be read,
+    have every field read now."""
+    fields = (frame.sim_time, frame.ego_command.throttle,
+              frame.ego_command.brake, frame.ego_command.steering)
+    actors = frame.actors
+    if type(actors) is tuple and _EXACT_ACTOR.issuperset(map(type, actors)):
+        return fields + (actors,)
+    return fields + (_read_all(actors),)
 
 
 def _frame_text(fields: tuple) -> str:
     sim_time, throttle, brake, steering, actors = fields
-    return ('{"actors":[' + ",".join([_actor_text(a) for a in actors])
+    return ('{"actors":[' + ",".join([actor_text(a) for a in actors])
             + '],"ego_command":{"brake":' + canonical.dump_value(brake)
             + ',"steering":' + canonical.dump_value(steering)
             + ',"throttle":' + canonical.dump_value(throttle)

@@ -83,6 +83,17 @@ ACTOR_KINDS = ("ego", "npc", "static")
 
 @dataclass(frozen=True, init=False)
 class ActorState:
+    """One actor's pose and motion at one instant.
+
+    Besides its fields, every instance holds ``_text``, ``None`` until
+    ``bridge.actor_text`` first writes the actor's canonical JSON and stores
+    it there for every later frame and recording holding this object (an
+    instance of a subclass keeps ``None``).  It is not a field, so equality,
+    hashing, ``repr`` and ``dataclasses.replace`` (which starts a new object
+    with ``None``) ignore it; the text is a pure function of the frozen
+    fields, so reusing it cannot change a byte.
+    """
+
     actor_id: str
     kind: str
     x: float
@@ -111,6 +122,7 @@ class ActorState:
         fields["acceleration"] = acceleration
         fields["length"] = length
         fields["width"] = width
+        fields["_text"] = None
 
 
 @dataclass(frozen=True)

@@ -399,10 +399,72 @@ class TestCodecReference:
                                               "speed", float("nan")), [npc]))
         # an unreadable actor fails before any value is written
         messages.append(perception(with_field(ego, "x", bad), [npc, None]))
+        messages.append(perception(ego, [with_field(npc, "x", bad), None]))
         for message in messages:
             expected = _outcome(reference_encode, message)
             assert expected[0] != "ok"
             assert _outcome(encode, message) == expected
+
+    def test_actor_text_is_stored_once_per_object(self):
+        ego, npc = actor(x=1.5), actor("npc_1", "npc", x=30.0)
+        assert ego._text is None and npc._text is None
+        message = perception(ego, [npc])
+        frame = encode(message)
+        text = ego._text
+        assert text is not None and npc._text is not None
+        assert encode(message) == frame == reference_encode(message)
+        assert ego._text is text
+        # the text is no field: equality, hash and repr ignore it
+        copy = dataclasses.replace(ego)
+        assert copy._text is None
+        assert copy == ego and hash(copy) == hash(ego)
+        assert repr(copy) == repr(ego) and "_text" not in repr(ego)
+        moved = dataclasses.replace(ego, x=2.5)
+        assert moved._text is None
+        assert encode(perception(moved, [npc])) == \
+            reference_encode(perception(moved, [npc]))
+
+    def test_a_failed_write_stores_nothing(self):
+        bad = with_field(actor("npc_1", "npc"), "speed", float("nan"))
+        first = _outcome(bridge.actor_text, bad)
+        assert first[0] is canonical.CanonicalError
+        assert _outcome(bridge.actor_text, bad) == first
+        assert bad._text is None
+        message = perception(actor(), [bad])
+        expected = _outcome(reference_encode, message)
+        assert _outcome(encode, message) == expected
+        assert _outcome(encode, message) == expected
+        assert bad._text is None
+
+    def test_iterated_obstacles_are_read_once(self):
+        ego, npc = actor(x=1.0), actor("npc_1", "npc", x=20.0)
+        bad = with_field(npc, "x", float("nan"))
+        for obstacles in ([bad], [npc, None], [None, bad], [npc]):
+            outcomes = [_outcome(function, PerceptionMessage(
+                0.0, ego, iter(obstacles))) for function in
+                (encode, reference_encode)]
+            assert outcomes[0] == outcomes[1], obstacles
+
+    def test_other_actors_are_written_afresh(self):
+        class Actor(ActorState):
+            pass
+
+        sub = Actor("npc_1", "npc", 1.0, 2.0, 0.5, 3.0)
+        duck = types.SimpleNamespace(
+            **{name: getattr(sub, name) for name in ACTOR_FIELDS})
+        ego, npc = actor(), actor("npc_2", "npc", x=9.0)
+        listed = actor("npc_3", "npc", x=12.0)
+        messages = [perception(ego, [npc, sub]), perception(sub, [npc]),
+                    perception(ego, [duck]),
+                    PerceptionMessage(0.0, ego, [listed])]
+        for message in messages:
+            for _ in range(2):
+                assert encode(message) == reference_encode(message)
+        # exact ActorStates keep their text whatever frame writes them
+        assert ego._text is not None and npc._text is not None
+        assert listed._text is not None and sub._text is None
+        assert bridge.actor_text(sub) == bridge.actor_text(duck)
+        assert sub._text is None
 
     @pytest.mark.parametrize("text", [
         '1', '-2', '0', '10000000000000000000000', '1' + '0' * 400,

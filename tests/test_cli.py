@@ -183,6 +183,16 @@ class TestArgumentHandling:
             f"config error: {key}: must be {rule}\n"
         assert not output_root.exists()
 
+    def test_inverted_mutation_range_exits_config_code(self, tmp_path,
+                                                        output_root, capsys):
+        low, high = ("scenario.mutation_space.speed_low",
+                     "scenario.mutation_space.speed_high")
+        rc = run_cli(write_config(tmp_path / "configs", **{low: 15, high: 5}))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: {low}: must be <= {high}\n"
+        assert not output_root.exists()
+
     def test_unreachable_agent_endpoint_is_named(self, tmp_path, output_root,
                                                  capsys):
         with socket.socket() as probe:  # a port that nothing listens on

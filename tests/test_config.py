@@ -252,6 +252,28 @@ class TestStrictness:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: must be")):
             parse_config(minimal_doc(**{path: value}))
 
+    @pytest.mark.parametrize("name", ["speed", "delay"])
+    def test_inverted_mutation_range_rejected(self, name):
+        low = f"scenario.mutation_space.{name}_low"
+        high = f"scenario.mutation_space.{name}_high"
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{low: 8, high: 2}))
+        assert str(err.value) == f"{low}: must be <= {high}"
+        # the default high bound counts as well
+        default = CONFIG_DEFAULTS[high]
+        with pytest.raises(ConfigError, match=re.escape(f"{low}: must be")):
+            parse_config(minimal_doc(**{low: default + 1}))
+        with pytest.raises(ConfigError, match=re.escape(f"{low}: must be")):
+            parse_config(minimal_doc(), {low: 8, high: 2})
+
+    @pytest.mark.parametrize("name", ["speed", "delay"])
+    def test_equal_mutation_bounds_accepted(self, name):
+        config = parse_config(minimal_doc(**{
+            f"scenario.mutation_space.{name}_low": 4,
+            f"scenario.mutation_space.{name}_high": 4}))
+        space = config.mutation_space
+        assert getattr(space, f"{name}_low") == getattr(space, f"{name}_high")
+
     @pytest.mark.parametrize("path,value", [
         ("scenario_runner.parameters.worker_pool", 0),
         ("testing_engine.algorithm.parameters.max_evaluations", 0),

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from oracles import recording_document
-from scenofuzz import canonical
+from scenofuzz import bridge, canonical
 from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeSession,
                               ControlMessage, InProcessSession,
                               ReferenceEgoAgent)
@@ -357,6 +357,7 @@ class TestPersistence:
             ego_command=ControlCommand(0.5, 0.0, 0.0))
         object.__setattr__(bad_frame.ego_command, "brake", float("inf"))
         frames = rec.frames[:3] + (bad_frame,) + rec.frames[4:]
+        nan_then_none = dataclasses.replace(frame, actors=(bad_actor, None))
         cases = [
             dataclasses.replace(rec, frames=frames),
             dataclasses.replace(rec, frames=frames, annotations=(
@@ -365,6 +366,7 @@ class TestPersistence:
             dataclasses.replace(rec, frames=rec.frames + (None,)),
             # an unreadable frame fails before any value is written
             dataclasses.replace(rec, frames=frames + (None,)),
+            dataclasses.replace(rec, frames=rec.frames[:3] + (nan_then_none,)),
             dataclasses.replace(rec, wall_clock=float("nan")),
         ]
         failures = 0
@@ -377,7 +379,36 @@ class TestPersistence:
                                 case) == expected
                 failures += expected[0] != "ok"
         # only the frame faults pass when frames are left out
-        assert failures == 9
+        assert failures == 10
+
+    def test_each_actor_text_is_written_once(self, chain_map, tmp_path,
+                                             monkeypatch):
+        writes = []
+        read = bridge._actor_fields
+
+        def counted(actor):  # a write reads the actor's fields once
+            writes.append(actor)
+            return read(actor)
+
+        monkeypatch.setattr(bridge, "_actor_fields", counted)
+        rec = self.make_recording(chain_map)
+        states = {id(a) for frame in rec.frames for a in frame.actors}
+        sent = {id(a) for frame in rec.frames[:-1] for a in frame.actors}
+        # the bridge wrote each state it sent once; the last frame is not sent
+        assert len(writes) == len(sent) < len(states)
+        path = write_recording(rec, tmp_path)
+        assert len(writes) == len(states)
+        assert path.read_bytes() == \
+            canonical.dump_bytes(recording_document(rec))
+        write_recording(rec, tmp_path)
+        assert len(writes) == len(states)
+
+    def test_read_back_recording_writes_the_same_bytes(self, chain_map,
+                                                       tmp_path):
+        path = write_recording(self.make_recording(chain_map), tmp_path)
+        again = read_recording(path)
+        assert all(a._text is None for f in again.frames for a in f.actors)
+        assert recording_bytes(again) == path.read_bytes()
 
     def test_summary_only_persistence(self, chain_map, tmp_path):
         rec = self.make_recording(chain_map)
