@@ -99,9 +99,46 @@ BOUNDS = (
     ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
 )
 _OPERATORS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
 class ConfigError(ValueError):
+    pass
+
+
+class UniqueKeys:
+    """Loader mixin: a key given twice in one mapping is a YAML error.
+
+    The check runs on the composed document before merge keys (``<<``) are
+    expanded, so a mapping's own key may still override a merged one.
+    """
+
+    def construct_document(self, node):
+        nodes, seen = [node], set()
+        for item in nodes:  # grows as the walk goes on
+            if id(item) in seen:  # an alias
+                continue
+            seen.add(id(item))
+            if isinstance(item, yaml.SequenceNode):
+                nodes.extend(item.value)
+            elif isinstance(item, yaml.MappingNode):
+                keys = set()
+                for key, value in item.value:
+                    nodes += (key, value)
+                    if not isinstance(key, yaml.ScalarNode) \
+                            or key.tag == _MERGE_TAG:
+                        continue
+                    if (key.tag, key.value) in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"found duplicate key {key.value!r}",
+                            key.start_mark)
+                    keys.add((key.tag, key.value))
+        return super().construct_document(node)
+
+
+# libyaml's parser when PyYAML has it: the same documents, several times
+# faster than the pure-Python one
+class ConfigLoader(UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     pass
 
 
@@ -304,11 +341,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Read and parse a config file; ``overrides`` as in :func:`parse_config`."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = yaml.safe_load(text)
+    try:  # YAML decodes the bytes, so a bad encoding is a YAMLError too
+        doc = yaml.load(data, Loader=ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     return parse_config(doc, overrides)
@@ -323,7 +360,7 @@ def build_execution(config: RunConfig):
     mission = MissionSpec(config.map_name, config.start_lane_id,
                           config.start_station, config.end_lane_id,
                           config.end_station, config.duration_limit)
-    template, _ = build_template(lane_map, mission, config.mutation_space)
+    template = build_template(lane_map, mission)
     problems = validate(template, lane_map)
     if problems:
         raise ConfigError("scenario: " + "; ".join(

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..geometry import normalize_angle
+from ..geometry import PRUNE_MARGIN, normalize_angle
 from ..lanemap import LaneMap, Route, _stitch, route, sample_route
-from ..scenario import (EgoSpec, MutationSpace, NpcSpec, ParameterVector,
-                        ScenarioConfig, flatten)
+from ..scenario import EgoSpec, NpcSpec, ScenarioConfig
 
 CONFLICT_DISTANCE = 5.0        # m; onward path must pass this close
 CROSSING_ANGLE = math.pi / 4   # rad; relative heading that counts as crossing
@@ -55,6 +54,11 @@ def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
         if lane_id in mission.lane_sequence:
             continue
         onward = onward_route(lane_map, lane_id)
+        # paths whose boxes are this far apart are too, so the check below
+        # would skip the lane as well
+        gap = onward.path.box_gap(mission.path)
+        if gap > CONFLICT_DISTANCE + PRUNE_MARGIN:
+            continue
         dist, s_self, s_mission = onward.path.min_distance_to(mission.path)
         if dist > CONFLICT_DISTANCE:
             continue
@@ -65,14 +69,12 @@ def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
     return out
 
 
-def build_template(lane_map: LaneMap, mission_spec: MissionSpec,
-                   space: MutationSpace = MutationSpace()
-                   ) -> tuple[ScenarioConfig, ParameterVector]:
-    """Template scenario plus its flattened search vector.
+def build_template(lane_map: LaneMap, mission_spec: MissionSpec
+                   ) -> ScenarioConfig:
+    """Template scenario: the skeleton search mutates.
 
     One NPC per conflict lane, driving that lane's onward path at a uniform
-    default speed with no spawn delay.  The returned vector is the template's
-    own encoding; algorithms mutate copies of it.
+    default speed with no spawn delay.
     """
     mission = route(lane_map, mission_spec.start_lane_id,
                     mission_spec.end_lane_id)
@@ -93,4 +95,4 @@ def build_template(lane_map: LaneMap, mission_spec: MissionSpec,
         npc_vehicles=tuple(npcs),
         duration_limit=mission_spec.duration_limit,
     )
-    return config, flatten(config, space)
+    return config

@@ -14,6 +14,9 @@ from typing import Sequence
 TWO_PI = 2.0 * math.pi
 MIN_SPACING = 1e-3  # m; least distance between consecutive polyline points
 SAMPLE_STEP = 0.5   # m; Polyline.min_distance_to's sampling interval
+# m; more than the rounding error of a distance between lane-scale points, so
+# a search may drop a candidate that is farther than its best by this much
+PRUNE_MARGIN = 1e-6
 
 
 def normalize_angle(angle: float) -> float:
@@ -139,18 +142,44 @@ class Polyline:
         """Coarse closest approach between two polylines.
 
         Samples ``self`` every ``SAMPLE_STEP`` meters and projects onto ``other``.
-        Returns ``(distance, s_self, s_other)``.  Good enough for conflict
-        screening on lane-scale geometry; not an exact segment-pair solver.
+        Returns ``(distance, s_self, s_other)`` of the first closest sample.
+        Good enough for conflict screening on lane-scale geometry; not an
+        exact segment-pair solver.
+
+        Samples that cannot beat the best distance so far are skipped, and
+        the result is the same as projecting every sample.  Consecutive
+        samples lie one arc step ``length / n`` apart along ``self``, so no
+        more than that apart in the plane, and a point's distance to
+        ``other`` changes by no more than the point moves.  After a sample at
+        distance ``d`` with the best so far ``best``, each of the next
+        ``floor((d - best - PRUNE_MARGIN) / step)`` samples is therefore
+        farther than ``best`` and would not replace it (a tie keeps the
+        earlier sample); ``PRUNE_MARGIN`` covers the rounding of the
+        distances and sample positions.
         """
         best = (math.inf, 0.0, 0.0)
         n = max(2, int(self.length / SAMPLE_STEP) + 1)
-        for k in range(n + 1):
+        step = self.length / n
+        k = 0
+        while k <= n:
             s = min(self.length, k * self.length / n)
             x, y = self.point_at(s)
             s_o, _, d = other.project(x, y)
             if d < best[0]:
                 best = (d, s, s_o)
+            slack = d - best[0] - PRUNE_MARGIN
+            k += 1 + (int(slack / step) if slack > 0.0 else 0)
         return best
+
+    def box_gap(self, other: "Polyline") -> float:
+        """Distance between the axis-aligned bounding boxes of the points.
+
+        No point of either polyline is closer than this to the other.
+        """
+        ax, ay = zip(*self.points)
+        bx, by = zip(*other.points)
+        return math.hypot(max(0.0, min(bx) - max(ax), min(ax) - max(bx)),
+                          max(0.0, min(by) - max(ay), min(ay) - max(by)))
 
     def sub_path(self, s_start: float, s_end: float) -> "Polyline":
         """Extract the sub-polyline between two arc lengths (s_start < s_end)."""

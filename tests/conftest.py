@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scenofuzz.lanemap import load_bundled_map
+from scenofuzz.lanemap import bundled_map_names, load_bundled_map, route
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +23,19 @@ def diamond_map():
 @pytest.fixture(scope="session")
 def junction_map():
     return load_bundled_map("borregas_ave_lite")
+
+
+@pytest.fixture(scope="session")
+def bundled_missions():
+    """``(map, route)`` for each ordered lane pair of each bundled map that
+    has a route."""
+    missions = []
+    for name in bundled_map_names():
+        lane_map = load_bundled_map(name)
+        for start in sorted(lane_map.lanes):
+            for end in sorted(lane_map.lanes):
+                try:
+                    missions.append((lane_map, route(lane_map, start, end)))
+                except ValueError:
+                    continue
+    return missions

@@ -3,8 +3,9 @@
 Nothing in here calls the code under test for the quantity being checked:
 the bicycle integrator is a standalone loop run at a much finer step, the
 OBB distance is dense boundary sampling, routing is exhaustive path
-enumeration, projection is a brute-force scan, and the recording document is
-built as plain dicts for ``canonical.dumps`` to encode.
+enumeration, projection is a brute-force scan, the closest approach of two
+polylines projects every sample, and the recording document is built as plain
+dicts for ``canonical.dumps`` to encode.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from scenofuzz.geometry import SAMPLE_STEP
 from scenofuzz.runner import RECORDING_SCHEMA_VERSION
 from scenofuzz.scenario import to_document
 
@@ -139,6 +141,31 @@ def project_point_sampled(points, x, y, step=0.01):
                 best = (d, s_base + t * seg)
         s_base += seg
     return best[1], best[0]
+
+
+# --- closest approach of two polylines: every sample projected --------------
+
+def sample_distances(line, other):
+    """``(distance, s_line, s_other)`` of each sample ``min_distance_to``
+    takes along ``line``, in order."""
+    n = max(2, int(line.length / SAMPLE_STEP) + 1)
+    samples = []
+    for k in range(n + 1):
+        s = min(line.length, k * line.length / n)
+        x, y = line.point_at(s)
+        s_other, _, d = other.project(x, y)
+        samples.append((d, s, s_other))
+    return samples
+
+
+def min_distance_every_sample(line, other):
+    """The first of the closest samples: ``Polyline.min_distance_to``
+    without skipping."""
+    best = (math.inf, 0.0, 0.0)
+    for sample in sample_distances(line, other):
+        if sample[0] < best[0]:
+            best = sample
+    return best
 
 
 # --- recordings: the dict-building encoder ---------------------------------

@@ -91,7 +91,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 def junction_settings(junction_map):
     spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0, "lane_15", 50.0,
                        duration_limit=30.0)
-    template, _ = build_template(junction_map, spec)
+    template = build_template(junction_map, spec)
     return ExecutionSettings(
         lane_map=junction_map, template=template,
         agent=AgentSettings(fault_ignore_junction_traffic=True))

@@ -6,7 +6,10 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
+from test_cli import MINI_CONFIG
+from scenofuzz import config as config_module
 from scenofuzz.bridge import BridgeServer
 from scenofuzz.cli import FLAG_KEYS
 from scenofuzz.config import (
@@ -15,6 +18,8 @@ from scenofuzz.config import (
     CONFIG_DEFAULTS,
     REQUIRED_KEYS,
     ConfigError,
+    ConfigLoader,
+    UniqueKeys,
     build_execution,
     load_config,
     parse_config,
@@ -25,6 +30,18 @@ from scenofuzz.scenario import MutationSpace, validate
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = PACKAGE_ROOT / "configs"
+
+
+class PurePythonLoader(UniqueKeys, yaml.SafeLoader):
+    """The loader ``load_config`` uses where PyYAML has no libyaml."""
+
+
+@pytest.fixture(params=[ConfigLoader, PurePythonLoader],
+                ids=["load_config", "pure_python"])
+def loader(request, monkeypatch):
+    """Each loader in turn, as the one ``load_config`` reads with."""
+    monkeypatch.setattr(config_module, "ConfigLoader", request.param)
+    return request.param
 
 
 def minimal_doc(**overrides):
@@ -341,6 +358,48 @@ class TestLoadConfig:
         path.write_text("scenario: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
+
+    def test_duplicate_key_rejected(self, loader, tmp_path):
+        text = (CONFIG_DIR / "random.yaml").read_text()
+        path = tmp_path / "twice.yaml"
+        path.write_text(text + "system:\n  debug: true\n")
+        line = text.count("\n") + 1
+        with pytest.raises(ConfigError, match=(
+                rf"duplicate key 'system'\n.* line {line}, column 1")):
+            load_config(path)
+
+    def test_duplicate_nested_key_rejected(self, loader, tmp_path):
+        path = tmp_path / "twice.yaml"
+        path.write_text("system:\n  debug: false\n  debug: true\n")
+        with pytest.raises(ConfigError, match=(
+                r"duplicate key 'debug'\n.* line 3, column 3")):
+            load_config(path)
+
+    def test_merge_keys_keep_their_meaning(self, loader, tmp_path):
+        path = tmp_path / "merged.yaml"
+        path.write_text(MINI_CONFIG.replace(
+            "      max_evaluations: 50\n",
+            "      <<: {max_evaluations: 50, batch_size: 2}\n"
+            "      max_evaluations: 7\n"))
+        config = load_config(path)
+        assert config.algorithm_params["max_evaluations"] == 7
+        assert config.algorithm_params["batch_size"] == 2
+
+    def test_file_not_utf8_names_the_file(self, loader, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("# café\n".encode("latin-1") + MINI_CONFIG.encode())
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: invalid YAML")):
+            load_config(path)
+
+    def test_loaders_read_equal_documents(self):
+        paths = sorted(CONFIG_DIR.glob("*.yaml"))
+        for text in [*map(Path.read_bytes, paths), MINI_CONFIG.encode()]:
+            expected = yaml.load(text, Loader=yaml.SafeLoader)
+            for loader in (ConfigLoader, PurePythonLoader):
+                doc = yaml.load(text, Loader=loader)
+                assert doc == expected
+                assert repr(doc) == repr(expected)  # types and key order too
 
     def test_round_trip_from_disk(self, tmp_path):
         path = tmp_path / "mini.yaml"

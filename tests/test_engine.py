@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import recording_document
+from oracles import (min_distance_every_sample, recording_document,
+                     sample_distances)
 from synthetic import SyntheticContext, box_prototype, sphere
 
 from scenofuzz import canonical
@@ -28,15 +29,16 @@ from scenofuzz.engine.feedback import (
     HEADING_RATE_RANGE, MOVING_SPEED, NO_OBSTACLE_FITNESS, SPEED_EDGES,
     SPEED_RANGE, _histogram, compute_feedback, trace_min_distance)
 from scenofuzz.engine.samota import IdwSurrogate
-from scenofuzz.engine.template import (MissionSpec, build_template,
+from scenofuzz.engine.template import (CONFLICT_DISTANCE, CROSSING_ANGLE,
+                                       MissionSpec, build_template,
                                        conflict_lanes, onward_route)
 from scenofuzz.geometry import Polyline, normalize_angle
 from scenofuzz.lanemap import route
 from scenofuzz.runner import (OUTCOMES, Frame, ScenarioRecording, Verdict,
                               mission_path, read_recording, run_scenario,
                               write_recording)
-from scenofuzz.scenario import (EgoSpec, ScenarioConfig, flatten, unflatten,
-                                validate)
+from scenofuzz.scenario import (EgoSpec, MutationSpace, ScenarioConfig,
+                                flatten, unflatten, validate)
 from scenofuzz.simulator import (A_MAX, STEER_MAX, WHEELBASE, ActorState,
                                  ControlCommand, actor_distance,
                                  actor_distance_lower_bound)
@@ -514,10 +516,61 @@ class TestSurrogate:
             IdwSurrogate([[0.0]], [1.0, 2.0])
 
 
+def every_sample_conflict_lanes(lane_map, mission):
+    """``conflict_lanes`` without the box check, projecting every sample."""
+    out = []
+    for lane_id in sorted(lane_map.lanes):
+        if lane_id in mission.lane_sequence:
+            continue
+        onward = onward_route(lane_map, lane_id).path
+        dist, s_self, s_mission = min_distance_every_sample(onward,
+                                                            mission.path)
+        if dist > CONFLICT_DISTANCE:
+            continue
+        relative = normalize_angle(onward.heading_at(s_self)
+                                   - mission.path.heading_at(s_mission))
+        if abs(relative) > CROSSING_ANGLE:
+            out.append(lane_id)
+    return out
+
+
 class TestTemplate:
     def test_junction_conflict_lanes(self, junction_map):
         mission = route(junction_map, "lane_31", "lane_15")
         assert conflict_lanes(junction_map, mission) == ["lane_20", "lane_21"]
+
+    def test_conflict_lanes_equal_every_sample_reference(
+            self, bundled_missions):
+        assert len(bundled_missions) == 32
+        for lane_map, mission in bundled_missions:
+            assert conflict_lanes(lane_map, mission) == \
+                every_sample_conflict_lanes(lane_map, mission), \
+                (lane_map.name, mission.lane_sequence)
+
+    def test_junction_search_prunes(self, junction_map, monkeypatch):
+        """lane_16 and lane_22 are dropped by their boxes; the other three
+        lanes cost fewer than half of their samples' projections."""
+        mission = route(junction_map, "lane_31", "lane_15")
+        searched, projections = [], []
+        min_distance_to, project = Polyline.min_distance_to, Polyline.project
+
+        def counted_min_distance(line, other):
+            searched.append(line.points)
+            return min_distance_to(line, other)
+
+        def counted_project(line, x, y):
+            projections.append((x, y))
+            return project(line, x, y)
+
+        monkeypatch.setattr(Polyline, "min_distance_to", counted_min_distance)
+        monkeypatch.setattr(Polyline, "project", counted_project)
+        assert conflict_lanes(junction_map, mission) == ["lane_20", "lane_21"]
+        monkeypatch.undo()
+        near = [onward_route(junction_map, lane_id).path
+                for lane_id in ("lane_11", "lane_20", "lane_21")]
+        assert searched == [path.points for path in near]
+        every = sum(len(sample_distances(path, mission.path)) for path in near)
+        assert len(projections) < every / 2
 
     def test_chain_has_no_conflicts(self, chain_map):
         mission = route(chain_map, "lane_a", "lane_c")
@@ -530,20 +583,20 @@ class TestTemplate:
     def test_template_structure(self, junction_map):
         spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0,
                            "lane_15", 50.0, duration_limit=30.0)
-        template, proto = build_template(junction_map, spec)
+        template = build_template(junction_map, spec)
         assert [n.actor_id for n in template.npc_vehicles] == ["npc_1", "npc_2"]
         for npc in template.npc_vehicles:
             assert len(npc.target_speeds) == len(npc.waypoints) - 1
             assert all(s == 8.0 for s in npc.target_speeds)
             assert npc.spawn_delay == 0.0
         assert validate(template, junction_map) == []
-        assert proto == flatten(template, __import__(
-            "scenofuzz.scenario", fromlist=["MutationSpace"]).MutationSpace())
+        proto = flatten(template, MutationSpace())
+        assert unflatten(proto, template) == (template, [])
 
     def test_template_mission_geometry(self, junction_map):
         spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0,
                            "lane_15", 50.0)
-        template, _ = build_template(junction_map, spec)
+        template = build_template(junction_map, spec)
         path = mission_path(template, junction_map)
         assert path.point_at(0.0) == pytest.approx((0.0, -60.0))
         assert path.point_at(path.length) == pytest.approx((0.0, 60.0))
@@ -554,7 +607,7 @@ class TestTemplate:
 def junction_settings(junction_map):
     spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0, "lane_15", 50.0,
                        duration_limit=30.0)
-    template, _ = build_template(junction_map, spec)
+    template = build_template(junction_map, spec)
     return ExecutionSettings(
         lane_map=junction_map, template=template,
         agent=AgentSettings(fault_ignore_junction_traffic=True))

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import project_point_sampled
-from scenofuzz.geometry import Polyline, Pose, left_normal, normalize_angle
+from oracles import (min_distance_every_sample, project_point_sampled,
+                     sample_distances)
+from scenofuzz.engine.template import onward_route
+from scenofuzz.geometry import (PRUNE_MARGIN, Polyline, Pose, left_normal,
+                                normalize_angle)
 
 
 def test_normalize_angle_range():
@@ -257,3 +260,70 @@ def test_min_distance_between_crossing_polylines():
     assert d < 0.5
     assert s_a == pytest.approx(50.0, abs=1.0)
     assert s_b == pytest.approx(50.0, abs=1.0)
+
+
+def _grid_pair(rng):
+    """Integer points and a shifted copy: samples along a segment and its
+    copy tie at the least distance."""
+    pts = [(int(rng.integers(-8, 9)), int(rng.integers(-8, 9)))]
+    while len(pts) < 2 or rng.random() < 0.7:
+        p = (int(rng.integers(-8, 9)), int(rng.integers(-8, 9)))
+        if p != pts[-1]:
+            pts.append(p)
+    dx, dy = (int(v) for v in rng.integers(-3, 4, size=2))
+    return pts, [(x + dx, y + dy) for x, y in pts]
+
+
+def test_min_distance_ties_keep_the_first_sample():
+    parallel = Polyline([(0, 0), (10, 0)])
+    assert parallel.min_distance_to(Polyline([(0, 3), (10, 3)])) == \
+        (3.0, 0.0, 0.0)
+    # both ends tie, with farther samples between them
+    roof = Polyline([(0, 0), (5, 5), (10, 0)])
+    assert roof.min_distance_to(Polyline([(-5, -1), (15, -1)])) == \
+        (1.0, 0.0, 5.0)
+
+
+def test_min_distance_equals_every_sample_on_seeded_polylines():
+    rng = np.random.default_rng(4711)
+    ties = 0
+    for i in range(400):
+        if i % 2:
+            pair = _seeded_polyline(rng), _seeded_polyline(rng)
+        else:
+            pair = _grid_pair(rng)
+        line, other = Polyline(pair[0]), Polyline(pair[1])
+        samples = sample_distances(line, other)
+        expected = min_distance_every_sample(line, other)
+        assert _bits(line.min_distance_to(other)) == _bits(expected), pair
+        ties += [d for d, _, _ in samples].count(expected[0]) > 1
+    assert ties > 50  # the first of several closest samples must win
+
+
+def test_min_distance_equals_every_sample_on_bundled_maps(bundled_missions):
+    cases = 0
+    for lane_map, mission in bundled_missions:
+        for lane_id in sorted(lane_map.lanes):
+            path = onward_route(lane_map, lane_id).path
+            assert _bits(path.min_distance_to(mission.path)) == \
+                _bits(min_distance_every_sample(path, mission.path))
+            cases += 1
+    assert cases == 190
+
+
+def test_box_gap():
+    a = Polyline([(0, 0), (1, 1)])
+    assert a.box_gap(Polyline([(4, 5), (5, 6)])) == 5.0
+    assert Polyline([(4, 5), (5, 6)]).box_gap(a) == 5.0
+    assert a.box_gap(Polyline([(0.5, -3), (0.5, 3)])) == 0.0
+    assert a.box_gap(Polyline([(3, 0), (3, 1)])) == 2.0
+
+
+def test_box_gap_is_a_lower_bound():
+    rng = np.random.default_rng(99)
+    for _ in range(200):
+        line = Polyline(_seeded_polyline(rng))
+        other = Polyline(_seeded_polyline(rng))
+        gap = line.box_gap(other) - PRUNE_MARGIN
+        assert gap < min_distance_every_sample(line, other)[0]
+        assert gap < min_distance_every_sample(other, line)[0]
