@@ -206,7 +206,14 @@ class _Node:
         return _Node(self.mapping().get(key), self._where(key))
 
     def reject_unknown(self, known) -> None:
-        unknown = sorted(set(self.mapping()) - set(known))
+        mapping = self.mapping()
+        for key in mapping:
+            if not isinstance(key, str):  # YAML reads a bare on: as True
+                raise ConfigError(
+                    f"{self._where()}: key {key!r} is not a string; quote "
+                    "it (YAML reads a bare on, off, yes, no or number as "
+                    "another type)")
+        unknown = sorted(set(mapping) - set(known))
         if unknown:
             raise ConfigError(f"{self._where(unknown[0])}: unknown key "
                               f"(known keys: {', '.join(sorted(known))})")

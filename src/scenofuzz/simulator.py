@@ -13,6 +13,28 @@ is exact there and would return the same bits; a command whose fields are
 exact floats inside their clamp ranges is kept as given for the same reason.
 Every other value takes the full normalize or check-and-clamp path.
 
+``step_kinematic`` keeps a memo of the ego's steps.  Every evaluation of a
+campaign starts the ego from the same pose on the same route with the same
+agent, and only the traffic around it changes, so the ego drives the same
+trajectory again and again.  The memo is keyed on the actor id and the IEEE
+bits of x, y, heading, speed, acceleration, length, width, throttle, brake,
+steering and ``dt``, never on the floats themselves: as dict keys ``0.0``
+equals ``-0.0`` and a NaN equals nothing.  A hit returns the stored
+``ActorState`` itself, so the physics is skipped and the bridge frame and
+recording reuse the text stored in its ``_text``.  The step is a function of
+those bits alone, so a hit gives what a fresh step would.  Only an exact
+``ActorState`` of kind ``"ego"`` with an exact ``str`` id, exact ``float``
+fields, an exact ``ControlCommand`` and a ``float`` ``dt`` is looked up and
+stored: an int or bool packs like a float but writes other text, and NPC
+motion is what the search mutates, so their steps would fill the memo with
+states that seldom come back.  The memo is cleared whenever it holds
+``STEP_MEMO_LIMIT`` states, about 1.3 KB each with their text, so a full
+memo holds about 1 MB.  Worker threads share it; a dict's get, set and clear
+each hold the interpreter lock, so two threads that race on one key each get
+an exact state, and threads that race past the size check leave at most one
+extra entry each.  ``tests/test_simulator.py`` checks the memo against the
+uncached step (the ``test_step_memo_*`` tests).
+
 Speed tracking has fixed gains, the constants ``KP``, ``KI``, ``KD`` and
 ``INTEGRAL_LIMIT``.  ``KD`` is 0.0 but its term stays in the pedal sum: for a
 rising error it adds +0.0, which turns a sum of -0.0 into +0.0, so dropping
@@ -22,7 +44,9 @@ it would flip the sign of a zero throttle.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 from .geometry import Polyline, normalize_angle
@@ -141,13 +165,47 @@ class WorldState:
         return self.actor("ego")
 
 
+STEP_MEMO_LIMIT = 768  # ego steps held before the memo is cleared: <= 1 MB
+_ego_steps: dict[tuple[str, bytes], ActorState] = {}
+_ego_step = _ego_steps.get
+_step_bits = struct.Struct("<11d").pack
+_ego_inputs = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
+                         "acceleration", "length", "width")
+
+
 def step_kinematic(state: ActorState, cmd: ControlCommand,
                    dt: float) -> ActorState:
     """One explicit-Euler step of the kinematic bicycle model.
 
     Position and heading advance with the speed at the start of the step;
-    speed is clamped to [0, V_MAX] after applying net acceleration.
+    speed is clamped to [0, V_MAX] after applying net acceleration.  An ego
+    step is looked up in the step memo first (see the module docstring).
     """
+    if (type(state) is ActorState and state.kind == "ego"
+            and type(cmd) is ControlCommand):
+        actor_id, kind, x, y, heading, speed, acceleration, length, width = \
+            _ego_inputs(state)
+        throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
+        if (type(actor_id) is type(kind) is str
+                and type(x) is type(y) is type(heading) is type(speed)
+                is type(acceleration) is type(length) is type(width)
+                is type(throttle) is type(brake) is type(steering)
+                is type(dt) is float):
+            key = (actor_id, _step_bits(x, y, heading, speed, acceleration,
+                                        length, width, throttle, brake,
+                                        steering, dt))
+            new = _ego_step(key)
+            if new is None:
+                new = _step_kinematic(state, cmd, dt)
+                if len(_ego_steps) >= STEP_MEMO_LIMIT:
+                    _ego_steps.clear()
+                _ego_steps[key] = new
+            return new
+    return _step_kinematic(state, cmd, dt)
+
+
+def _step_kinematic(state: ActorState, cmd: ControlCommand,
+                    dt: float) -> ActorState:
     steering = min(max(cmd.steering, -STEER_MAX), STEER_MAX)
     accel = cmd.throttle * A_MAX - cmd.brake * B_MAX - DRAG * state.speed
     speed = min(max(state.speed + accel * dt, 0.0), V_MAX)

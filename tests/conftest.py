@@ -7,7 +7,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from scenofuzz import simulator
 from scenofuzz.lanemap import bundled_map_names, load_bundled_map, route
+
+
+@pytest.fixture
+def step_memo():
+    """The simulator's ego step memo, emptied so each test sees its own
+    stores."""
+    simulator._ego_steps.clear()
+    return simulator._ego_steps
 
 
 @pytest.fixture(scope="session")

@@ -119,6 +119,17 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "extra_knob" in err
 
+    def test_key_that_is_not_a_string_exits_config_code(
+            self, tmp_path, output_root, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "mini.yaml").write_text("on: push\n" + MINI_CONFIG)
+        rc = run_cli(config_dir)
+        assert rc == EXIT_CONFIG == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config: key True is not a string; quote it")
+        assert not output_root.exists()
+
     def test_external_agent_without_endpoint_exits_config_code(
             self, tmp_path, output_root, capsys):
         config_dir = tmp_path / "configs"

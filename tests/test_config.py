@@ -189,6 +189,19 @@ class TestStrictness:
         assert path in str(err.value)
         assert "unknown key" in str(err.value)
 
+    @pytest.mark.parametrize("doc,where,key", [
+        ({1: "a"}, "config", "1"),
+        ({True: 1, "x": 2}, "config", "True"),
+        (minimal_doc(**{"scenario.mutation_space": {None: 1}}),
+         "scenario.mutation_space", "None"),
+        (minimal_doc(**{"system": {2.5: "x", "debug": True}}), "system",
+         "2.5"),
+    ], ids=["int", "bool", "null", "float"])
+    def test_key_that_is_not_a_string_rejected(self, doc, where, key):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{where}: key {key} is not a string; quote it")):
+            parse_config(doc)
+
     @pytest.mark.parametrize("missing", list(REQUIRED_KEYS))
     def test_missing_required_key(self, missing):
         doc = minimal_doc()
@@ -390,6 +403,17 @@ class TestLoadConfig:
         path.write_bytes("# café\n".encode("latin-1") + MINI_CONFIG.encode())
         with pytest.raises(ConfigError,
                            match=re.escape(f"{path}: invalid YAML")):
+            load_config(path)
+
+    def test_yaml_boolean_key_names_the_key(self, loader, tmp_path):
+        path = tmp_path / "on.yaml"
+        path.write_text(MINI_CONFIG + "system:\n  on: true\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "system: key True is not a string; quote it")):
+            load_config(path)
+        path.write_text(MINI_CONFIG + "system:\n  'on': true\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "system.on: unknown key")):
             load_config(path)
 
     def test_loaders_read_equal_documents(self):

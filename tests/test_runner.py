@@ -381,16 +381,23 @@ class TestPersistence:
         # only the frame faults pass when frames are left out
         assert failures == 10
 
-    def test_each_actor_text_is_written_once(self, chain_map, tmp_path,
-                                             monkeypatch):
+    @staticmethod
+    def counted_writes(monkeypatch):
+        """The actors written from now on: a write reads the fields once."""
         writes = []
         read = bridge._actor_fields
 
-        def counted(actor):  # a write reads the actor's fields once
+        def counted(actor):
             writes.append(actor)
             return read(actor)
 
         monkeypatch.setattr(bridge, "_actor_fields", counted)
+        return writes
+
+    def test_each_actor_text_is_written_once(self, chain_map, tmp_path,
+                                             monkeypatch, step_memo):
+        # an empty step memo: no ego state was stepped, or written, before
+        writes = self.counted_writes(monkeypatch)
         rec = self.make_recording(chain_map)
         states = {id(a) for frame in rec.frames for a in frame.actors}
         sent = {id(a) for frame in rec.frames[:-1] for a in frame.actors}
@@ -402,6 +409,25 @@ class TestPersistence:
             canonical.dump_bytes(recording_document(rec))
         write_recording(rec, tmp_path)
         assert len(writes) == len(states)
+
+    def test_warm_step_memo_writes_only_the_spawned_ego(
+            self, chain_map, tmp_path, monkeypatch, step_memo):
+        (tmp_path / "cold").mkdir()
+        (tmp_path / "warm").mkdir()
+        # the recordings differ only in their wall clock
+        cold = write_recording(dataclasses.replace(
+            self.make_recording(chain_map), wall_clock=0.0),
+            tmp_path / "cold").read_bytes()
+        writes = self.counted_writes(monkeypatch)
+        rec = dataclasses.replace(self.make_recording(chain_map),
+                                  wall_clock=0.0)
+        egos = [a for a in writes if a.kind == "ego"]
+        # every later ego state, one per frame, is the one the first run
+        # stepped and wrote; only the spawned state is new
+        assert len(egos) == 1 and egos[0] is rec.frames[0].actors[0]
+        assert len({id(f.actors[0]) for f in rec.frames}) == len(rec.frames)
+        assert write_recording(rec, tmp_path / "warm").read_bytes() == cold
+        assert [a for a in writes if a.kind == "ego"] == egos
 
     def test_read_back_recording_writes_the_same_bytes(self, chain_map,
                                                        tmp_path):

@@ -2,14 +2,22 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
+import random
+import sys
+import threading
 from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
                          replace)
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import integrate_bicycle, obb_distance_sampled
-from scenofuzz import canonical
+from scenofuzz import canonical, simulator
+from scenofuzz.bridge import actor_text
+from scenofuzz.config import build_execution, load_config
+from scenofuzz.engine import CampaignBudget, CampaignContext, run_campaign
 from scenofuzz.geometry import Pose
 from scenofuzz.scenario import NpcSpec
 from scenofuzz.geometry import normalize_angle
@@ -21,6 +29,7 @@ from scenofuzz.simulator import (A_MAX, B_MAX, DRAG, STEER_MAX, V_MAX,
                                  actor_distance_lower_bound, obb_corners,
                                  obb_distance, step_kinematic, step_world)
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DT = 0.1
 
 
@@ -574,6 +583,251 @@ def test_speed_controller_zero_pedal_is_positive_zero():
     throttle, brake = ctl.pedals(0.0, -0.0, DT)
     assert (throttle, brake) == (0.0, 0.0)
     assert math.copysign(1.0, throttle) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the ego step memo: a hit must return what the uncached step returns
+
+
+def _ego(x=1.0, y=-2.0, heading=0.3, speed=5.0, acceleration=0.5,
+         length=4.8, width=2.0, actor_id="ego"):
+    return ActorState(actor_id, "ego", x, y, heading, speed, acceleration,
+                      length, width)
+
+
+def _stepped(state, cmd, dt):
+    """The fields the step builds, or its exception type and message."""
+    return _built(step_kinematic, state, cmd, dt)
+
+
+def _uncached(state, cmd, dt):
+    return _built(_reference_step_kinematic, state, cmd, dt)
+
+
+def _memo_inputs():
+    """Seeded ego steps plus signed zeros, headings at +-pi, subnormals,
+    and NaN and infinite inputs."""
+    rng = random.Random(1729)
+    tiny = 5e-324
+    cases = [
+        (_ego(), ControlCommand(0.5, 0.0, 0.1), DT),
+        (_ego(x=-0.0, y=0.0, heading=-0.0, speed=0.0, acceleration=-0.0),
+         ControlCommand(0.0, 0.0, -0.0), DT),
+        (_ego(x=0.0, y=-0.0, heading=0.0, speed=-0.0, acceleration=0.0),
+         ControlCommand(-0.0, 1.0, 0.0), DT),
+        (_ego(speed=0.0), BRAKE_COMMAND, -0.0),
+        (_ego(speed=0.0), BRAKE_COMMAND, 0.0),
+        (_ego(x=tiny, y=-tiny, heading=tiny, speed=tiny, acceleration=-tiny),
+         ControlCommand(tiny, tiny, -tiny), tiny),
+        (_ego(length=tiny, width=2.2250738585072009e-308),
+         ControlCommand(1.0, 0.0, STEER_MAX), DT),
+        (_ego(x=math.nan), ControlCommand(0.2, 0.0, 0.0), DT),
+        (_ego(speed=math.nan, acceleration=math.nan),
+         ControlCommand(0.2, 0.0, 0.1), DT),
+        (_ego(length=math.nan, width=-math.nan), BRAKE_COMMAND, DT),
+        (_ego(), ControlCommand(0.2, 0.0, 0.1), math.nan),
+        (_ego(speed=math.inf), ControlCommand(0.2, 0.0, 0.1), DT),  # raises
+        (_ego(x=-math.inf, speed=0.0), BRAKE_COMMAND, DT),
+        (_ego(), ControlCommand(0.2, 0.0, 0.1), math.inf),  # raises
+        (_ego(speed=0.0), ControlCommand(0.2, 0.0, 0.0), math.inf),
+    ]
+    for zero in (0.0, -0.0):  # equal as floats, stepped to other bits
+        cases += [
+            (_ego(length=zero), ControlCommand(0.5, 0.0, 0.1), DT),
+            (_ego(width=zero), ControlCommand(0.5, 0.0, 0.1), DT),
+            (_ego(x=zero, heading=math.pi, speed=0.0), BRAKE_COMMAND, DT),
+            (_ego(heading=-0.0), ControlCommand(0.5, 0.0, zero), DT),
+        ]
+    for heading in (*_ulps(math.pi), *_ulps(-math.pi), math.pi / 2):
+        for steering in (-STEER_MAX, -0.0, 0.0, STEER_MAX):
+            cases.append((_ego(heading=heading, speed=12.0),
+                          ControlCommand(0.3, 0.0, steering), DT))
+    for k in range(2000):
+        state = _ego(rng.uniform(-300, 300), rng.uniform(-300, 300),
+                     rng.uniform(-math.pi, math.pi),
+                     0.0 if k % 5 == 0 else rng.uniform(0, 35),
+                     rng.uniform(-8, 4), rng.uniform(2, 6), rng.uniform(1, 3),
+                     actor_id=("ego", "ego_2")[k % 2])
+        cmd = ControlCommand(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2),
+                             rng.uniform(-0.8, 0.8))
+        cases.append((state, cmd, (DT, 0.05, rng.uniform(1e-3, 0.5))[k % 3]))
+    return cases
+
+
+def test_step_memo_equals_the_uncached_step(step_memo):
+    cases = _memo_inputs()
+    raised = 0
+    for _ in range(2):  # the second pass hits what the first stored
+        for state, cmd, dt in cases:
+            expected = _uncached(state, cmd, dt)
+            assert _stepped(state, cmd, dt) == expected, (state, cmd, dt)
+            raised += expected[0] == "raises"
+    assert raised == 2 * 2  # an infinite turn, in each pass
+    assert 0 < len(step_memo) < len(cases)
+    for new in step_memo.values():  # every stored state is exact
+        assert type(new) is ActorState and new.kind == "ego"
+        assert all(type(getattr(new, f)) is float for f in
+                   ("x", "y", "heading", "speed", "acceleration", "length",
+                    "width"))
+
+
+def test_step_memo_hit_returns_the_identical_object(step_memo):
+    state, cmd = _ego(), ControlCommand(0.5, 0.0, 0.1)
+    first = step_kinematic(state, cmd, DT)
+    text = actor_text(first)
+    again = step_kinematic(_ego(), ControlCommand(0.5, 0.0, 0.1), 0.1)
+    assert again is first and again._text is text
+    assert list(step_memo.values()) == [first]
+    # one changed bit is another key
+    assert step_kinematic(_ego(x=math.nextafter(1.0, 2.0)), cmd, DT) \
+        is not first
+    assert step_kinematic(state, cmd, math.nextafter(DT, 1.0)) is not first
+    assert step_kinematic(_ego(actor_id="ego_2"), cmd, DT) is not first
+    assert len(step_memo) == 4
+
+
+class Tagged(float):
+    pass
+
+
+class Label(str):
+    pass
+
+
+class SubState(ActorState):
+    pass
+
+
+class SubCommand(ControlCommand):
+    pass
+
+
+def _int_throttle():
+    cmd = ControlCommand(0.0, 0.0, 0.1)
+    cmd.__dict__["throttle"] = 1  # as if built around the check
+    return cmd
+
+
+def _bypassing_inputs():
+    """Inputs equal to ``_ego()``, ``ControlCommand(1.0, 0.0, 0.1)`` and
+    ``DT`` as keys, but not exact: each must be stepped afresh."""
+    args = ("ego", "ego", 1.0, -2.0, 0.3, 5.0, 0.5, 4.8, 2.0)
+    cmd = ControlCommand(1.0, 0.0, 0.1)
+
+    def state(**change):
+        names = ("actor_id", "kind", "x", "y", "heading", "speed",
+                 "acceleration", "length", "width")
+        values = dict(zip(names, args)) | change
+        return ActorState(*values.values())
+
+    return [
+        ("int length", state(length=4), cmd, DT),
+        ("int x", state(x=1), cmd, DT),
+        ("bool width", state(width=True), cmd, DT),
+        ("bool acceleration", state(acceleration=False), cmd, DT),
+        ("float-subclass length", state(length=Tagged(4.8)), cmd, DT),
+        ("float-subclass speed", state(speed=Tagged(5.0)), cmd, DT),
+        ("numpy width", state(width=np.float64(2.0)), cmd, DT),
+        ("str-subclass id", state(actor_id=Label("ego")), cmd, DT),
+        ("str-subclass kind", state(kind=Label("ego")), cmd, DT),
+        ("subclass state", SubState(*args), cmd, DT),
+        ("npc", state(kind="npc"), cmd, DT),
+        ("static", state(kind="static"), cmd, DT),
+        ("subclass command", _ego(), SubCommand(1.0, 0.0, 0.1), DT),
+        ("int throttle", _ego(), _int_throttle(), DT),
+        ("int dt", _ego(), cmd, 1),
+        ("float-subclass dt", _ego(), cmd, Tagged(DT)),
+    ]
+
+
+@pytest.mark.parametrize("name,state,cmd,dt", _bypassing_inputs(),
+                         ids=[case[0] for case in _bypassing_inputs()])
+def test_step_memo_is_bypassed_for_inexact_inputs(step_memo, name, state,
+                                                  cmd, dt):
+    exact = step_kinematic(_ego(), ControlCommand(1.0, 0.0, 0.1), DT)
+    exact_dt1 = step_kinematic(_ego(), ControlCommand(1.0, 0.0, 0.1), 1.0)
+    stored = dict(step_memo)
+    for _ in range(2):
+        new = step_kinematic(state, cmd, dt)
+        assert new is not exact and new is not exact_dt1
+        assert _fields_of(new) == _fields_of(
+            _reference_step_kinematic(state, cmd, dt))
+        assert step_memo == stored
+        assert all(step_memo[key] is value for key, value in stored.items())
+
+
+def test_step_memo_stays_bounded_with_every_step_exact(step_memo):
+    rng = random.Random(31)
+    limit = simulator.STEP_MEMO_LIMIT
+    cases = [(_ego(rng.uniform(-300, 300), rng.uniform(-300, 300),
+                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 35)),
+              ControlCommand(rng.uniform(0, 1), 0.0, rng.uniform(-0.5, 0.5)),
+              DT) for _ in range(3 * limit)]
+    for _ in range(2):  # the second pass hits what the last clear left
+        for state, cmd, dt in cases:
+            assert _stepped(state, cmd, dt) == _uncached(state, cmd, dt)
+            assert len(step_memo) <= limit
+    assert len(step_memo) == limit
+
+
+def test_step_memo_shared_by_threads_steps_exactly(step_memo):
+    """More threads than cores, switching often, over more inputs than the
+    memo holds, so the threads race its clears too."""
+    threads_n = 2 * (os.cpu_count() or 1) + 2
+    limit = simulator.STEP_MEMO_LIMIT
+    rng = random.Random(12)
+    pool = []
+    for _ in range(limit + limit // 2):
+        state = _ego(rng.uniform(-300, 300), rng.uniform(-300, 300),
+                     rng.uniform(-math.pi, math.pi), rng.uniform(0, 35))
+        cmd = ControlCommand(rng.uniform(0, 1), 0.0, rng.uniform(-0.5, 0.5))
+        pool.append((state, cmd, _uncached(state, cmd, DT)))
+    wrong = []
+
+    def drive(seed):
+        local = random.Random(seed)
+        for _ in range(4 * limit // threads_n):
+            state, cmd, expected = local.choice(pool)
+            if _stepped(state, cmd, DT) != expected:
+                wrong.append(state)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drive, args=(seed,))
+                   for seed in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(step_memo) <= limit + threads_n - 1
+
+
+def test_step_memo_keeps_campaign_logs(step_memo, tmp_path):
+    """An avfuzzer campaign writes the same log cold, warm and after the
+    memo is cleared, and the warm run steps no new ego state."""
+    config = load_config(CONFIG_DIR / "avfuzzer.yaml")
+    settings, _, params = build_execution(config)
+
+    def campaign(name):
+        ctx = CampaignContext(settings, CampaignBudget(max_evaluations=12),
+                              seed=3, output_dir=tmp_path / name)
+        run_campaign("avfuzzer", ctx, params)
+        return (tmp_path / name / "evaluations.json").read_bytes()
+
+    cold = campaign("cold")
+    stored = dict(step_memo)
+    assert stored
+    assert campaign("warm") == cold
+    assert step_memo == stored
+    assert all(step_memo[key] is value for key, value in stored.items())
+    step_memo.clear()
+    assert campaign("cleared") == cold
+    assert step_memo.keys() == stored.keys()
 
 
 # ---------------------------------------------------------------------------
