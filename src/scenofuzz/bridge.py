@@ -37,6 +37,29 @@ transports produce identical traces for a deterministic agent.
 The reference agent's tuning is fixed in module constants, ``CORRIDOR_LENGTH``
 through ``LAT_ACCEL_MAX``; :class:`AgentSettings` holds only what a campaign
 sets.  Its speed tracking is ``simulator.SpeedController`` (constant gains).
+
+The agent's route guidance, :func:`route_guidance`, is kept in a memo: the
+projection onto the route, the off-route distance, the pure-pursuit steering
+and the speed target.  Every evaluation of a campaign drives the ego along
+mostly the same trajectory (see ``simulator``), so the same ego states come
+back with the same route.  The memo is keyed on the route object itself (by
+identity, and kept alive by the key; a ``Polyline`` is never changed once
+built) and the IEEE bits of the ego's x, y, heading and speed and of the
+cruise speed, never on the floats: as dict keys ``0.0`` equals ``-0.0`` and a
+NaN equals nothing.  The guidance is a function of those bits and the route
+alone, so a hit gives what a fresh computation would.  Only an exact
+``Polyline``, an exact ``ActorState`` whose four fields are exact ``float``
+values and a ``float`` cruise speed are looked up and stored; anything else
+is computed afresh.  The obstacle corridor, the speed controller and the
+off-route warning keep state or read the obstacles, so they stay in
+``ReferenceEgoAgent.step`` and run on every call.  The memo is cleared
+whenever it holds ``GUIDE_MEMO_LIMIT`` entries across all routes, about 150
+bytes each, so a full memo holds about 0.15 MB.  Worker threads share it; a
+dict's get, set and clear each hold the interpreter lock, so two threads that
+race on one key each get exact guidance, and threads that race past the size
+check leave at most one extra entry each.  ``tests/test_bridge.py`` checks
+the memo against the old ``step`` kept in ``tests/oracles.py`` (the
+``test_guide_memo_*`` tests).
 """
 
 from __future__ import annotations
@@ -336,9 +359,9 @@ class ReferenceEgoAgent:
         return gap
 
     def step(self, perception: PerceptionMessage) -> ControlMessage:
-        route = self.route
         ego = perception.ego
-        s, _, dist = route.project(ego.x, ego.y)
+        dist, steering, target = route_guidance(
+            self.route, ego, self.settings.cruise_speed)
 
         if dist > OFF_ROUTE_LIMIT:
             if not self.off_route:
@@ -346,21 +369,6 @@ class ReferenceEgoAgent:
                             dist, perception.sim_time)
             self.off_route = True
             return ControlMessage(perception.sim_time, ControlCommand(0.0, 1.0, 0.0))
-
-        steering = pure_pursuit_steering(ego, route, s)
-
-        remaining = max(route.length - s, 0.0)
-        target = min(self.settings.cruise_speed,
-                     math.sqrt(2.0 * COMFORT_BRAKE * remaining))
-        # slow down for curvature ahead of the front axle
-        probe = 12.0
-        if remaining > 1.0:
-            dh = abs(normalize_angle(
-                route.heading_at(min(s + probe, route.length))
-                - route.heading_at(s)))
-            curvature = dh / probe
-            if curvature > 1e-4:
-                target = min(target, math.sqrt(LAT_ACCEL_MAX / curvature))
 
         gap = None
         if not self.settings.fault_ignore_obstacles:
@@ -378,6 +386,60 @@ class ReferenceEgoAgent:
         throttle, brake = self.speed_ctl.pedals(ego.speed, target, self.dt)
         return ControlMessage(perception.sim_time,
                               ControlCommand(throttle, brake, steering))
+
+
+GUIDE_MEMO_LIMIT = 1024  # guidance entries held before the memo is cleared
+_guides: dict[tuple[Polyline, bytes], tuple] = {}
+_guide = _guides.get
+_guide_bits = struct.Struct("<5d").pack
+_ego_pose = attrgetter("x", "y", "heading", "speed")
+
+
+def route_guidance(route: Polyline, ego: ActorState, cruise_speed: float
+                   ) -> tuple[float, float | None, float | None]:
+    """``(distance, steering, target)`` for the ego on its route.
+
+    ``distance`` is the ego's distance from the route; beyond
+    ``OFF_ROUTE_LIMIT`` the other two are None.  Otherwise ``steering`` is
+    the pure-pursuit steering and ``target`` the speed to track: the cruise
+    speed, capped to stop at the route's end and to take the curve ahead.
+    Looked up in the guidance memo first (see the module docstring).
+    """
+    if (type(route) is Polyline and type(ego) is ActorState
+            and type(cruise_speed) is float):
+        x, y, heading, speed = _ego_pose(ego)
+        if type(x) is type(y) is type(heading) is type(speed) is float:
+            key = (route, _guide_bits(x, y, heading, speed, cruise_speed))
+            guide = _guide(key)
+            if guide is None:
+                guide = _route_guidance(route, ego, cruise_speed)
+                if len(_guides) >= GUIDE_MEMO_LIMIT:
+                    _guides.clear()
+                _guides[key] = guide
+            return guide
+    return _route_guidance(route, ego, cruise_speed)
+
+
+def _route_guidance(route: Polyline, ego: ActorState, cruise_speed: float
+                    ) -> tuple[float, float | None, float | None]:
+    s, _, dist = route.project(ego.x, ego.y)
+    if dist > OFF_ROUTE_LIMIT:
+        return dist, None, None
+
+    steering = pure_pursuit_steering(ego, route, s)
+
+    remaining = max(route.length - s, 0.0)
+    target = min(cruise_speed, math.sqrt(2.0 * COMFORT_BRAKE * remaining))
+    # slow down for curvature ahead of the front axle
+    probe = 12.0
+    if remaining > 1.0:
+        dh = abs(normalize_angle(
+            route.heading_at(min(s + probe, route.length))
+            - route.heading_at(s)))
+        curvature = dh / probe
+        if curvature > 1e-4:
+            target = min(target, math.sqrt(LAT_ACCEL_MAX / curvature))
+    return dist, steering, target
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config-dir", default="./configs",
                         help="directory holding config files "
                              "(default: ./configs)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed for the campaign (default: 0)")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="random seed for the campaign, a non-negative "
+                             "integer (default: 0)")
     parser.add_argument("--workers", type=int,
                         help=f"override {FLAG_KEYS['workers']}")
     parser.add_argument("--max-evals", type=int,
@@ -64,6 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--debug", action="store_true", default=None,
                         help=f"verbose logging (sets {FLAG_KEYS['debug']})")
     return parser
+
+
+def _seed(text: str) -> int:
+    """A campaign seed: numpy's generators take only non-negative ints."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _config_path(args) -> Path:

@@ -92,11 +92,16 @@ BOUNDS = (
      "scenario.mutation_space.delay_high"),
     ("scenario_runner.parameters.worker_pool", ">=", 1),
     ("scenario_runner.parameters.dt", ">", 0),
+    ("scenario_runner.parameters.agent.cruise_speed", ">", 0),
     ("testing_engine.algorithm.parameters.max_evaluations", ">=", 1),
     ("testing_engine.algorithm.parameters.population_size", ">=", 2),
     ("testing_engine.algorithm.parameters.run_hour", ">", 0),
     ("testing_engine.algorithm.parameters.local_run_hour", ">=", 0),
     ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
+    ("testing_engine.oracle.collision.threshold", ">=", 0),
+    ("testing_engine.oracle.destination.tolerance", ">=", 0),
+    ("testing_engine.oracle.stuck.speed", ">=", 0),
+    ("testing_engine.oracle.stuck.duration", ">", 0),
 )
 _OPERATORS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 _MERGE_TAG = "tag:yaml.org,2002:merge"

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scenofuzz import simulator
+from scenofuzz import bridge, simulator
 from scenofuzz.lanemap import bundled_map_names, load_bundled_map, route
 
 
@@ -17,6 +17,14 @@ def step_memo():
     stores."""
     simulator._ego_steps.clear()
     return simulator._ego_steps
+
+
+@pytest.fixture
+def guide_memo():
+    """The reference agent's route guidance memo, emptied so each test sees
+    its own stores."""
+    bridge._guides.clear()
+    return bridge._guides
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ Nothing in here calls the code under test for the quantity being checked:
 the bicycle integrator is a standalone loop run at a much finer step, the
 OBB distance is dense boundary sampling, routing is exhaustive path
 enumeration, projection is a brute-force scan, the closest approach of two
-polylines projects every sample, and the recording document is built as plain
-dicts for ``canonical.dumps`` to encode.
+polylines projects every sample, the recording document is built as plain
+dicts for ``canonical.dumps`` to encode, and the reference agent's step
+computes its route guidance afresh on every call.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import math
 
 import numpy as np
 
-from scenofuzz.geometry import SAMPLE_STEP
+from scenofuzz.bridge import (COMFORT_BRAKE, HARD_STOP_GAP, LAT_ACCEL_MAX,
+                              OFF_ROUTE_LIMIT, TIME_HEADWAY, ControlMessage)
+from scenofuzz.geometry import SAMPLE_STEP, normalize_angle
 from scenofuzz.runner import RECORDING_SCHEMA_VERSION
 from scenofuzz.scenario import to_document
+from scenofuzz.simulator import ControlCommand, pure_pursuit_steering
 
 
 # --- kinematic bicycle, fine-step explicit Euler ---------------------------
@@ -201,3 +205,50 @@ def recording_document(rec, include_wall_clock=True, include_frames=True):
         "annotations": list(rec.annotations),
         "frames": [_frame_doc(f) for f in rec.frames] if include_frames else [],
     }
+
+
+# --- reference agent: route guidance computed on every step ----------------
+
+def agent_step(agent, perception):
+    """``ReferenceEgoAgent.step`` as it was before the guidance memo: the
+    projection, steering and speed target are worked out on every call.
+    Updates ``agent`` (its speed controller and off-route latch) as
+    ``step`` does."""
+    route = agent.route
+    ego = perception.ego
+    s, _, dist = route.project(ego.x, ego.y)
+
+    if dist > OFF_ROUTE_LIMIT:
+        agent.off_route = True
+        return ControlMessage(perception.sim_time, ControlCommand(0.0, 1.0, 0.0))
+
+    steering = pure_pursuit_steering(ego, route, s)
+
+    remaining = max(route.length - s, 0.0)
+    target = min(agent.settings.cruise_speed,
+                 math.sqrt(2.0 * COMFORT_BRAKE * remaining))
+    probe = 12.0
+    if remaining > 1.0:
+        dh = abs(normalize_angle(
+            route.heading_at(min(s + probe, route.length))
+            - route.heading_at(s)))
+        curvature = dh / probe
+        if curvature > 1e-4:
+            target = min(target, math.sqrt(LAT_ACCEL_MAX / curvature))
+
+    gap = None
+    if not agent.settings.fault_ignore_obstacles:
+        gap = agent._corridor_gap(ego, perception.obstacles)
+    if gap is not None:
+        if gap < HARD_STOP_GAP:
+            return ControlMessage(perception.sim_time,
+                                  ControlCommand(0.0, 1.0, steering))
+        headway = gap / max(ego.speed, 0.1)
+        if headway < TIME_HEADWAY:
+            brake = min((TIME_HEADWAY - headway) / TIME_HEADWAY, 1.0)
+            return ControlMessage(perception.sim_time,
+                                  ControlCommand(0.0, brake, steering))
+
+    throttle, brake = agent.speed_ctl.pedals(ego.speed, target, agent.dt)
+    return ControlMessage(perception.sim_time,
+                          ControlCommand(throttle, brake, steering))

@@ -1,25 +1,40 @@
 """Wire protocol, bridge sessions, and the reference ego agent."""
 
 import dataclasses
+import logging
 import math
+import os
 import random
 import socket
+import struct
+import sys
+import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import agent_step
 from scenofuzz import bridge, canonical
 from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
                               BridgeSession, ControlMessage, FrameError,
                               InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, TcpSession,
                               connect, decode, encode, read_frame,
-                              register_inproc_agent, resolve_endpoint)
+                              register_inproc_agent, resolve_endpoint,
+                              route_guidance)
 from scenofuzz.canonical import finite_number
+from scenofuzz.config import build_execution, load_config
+from scenofuzz.engine import CampaignBudget, CampaignContext, run_campaign
+from scenofuzz.engine import campaign as campaign_module
 from scenofuzz.geometry import Polyline
-from scenofuzz.simulator import ACTOR_KINDS, ActorState, ControlCommand
+from scenofuzz.runner import mission_path
+from scenofuzz.simulator import (ACTOR_KINDS, ActorState, ControlCommand,
+                                 pure_pursuit_steering)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def actor(actor_id="ego", kind="ego", x=0.0, y=0.0, heading=0.0, speed=8.0,
@@ -633,6 +648,323 @@ class TestReferenceEgoAgent:
         agent = self.make()
         reply = agent.step(perception(actor(x=50.0, y=-2.0, speed=8.0)))
         assert reply.command.steering > 0.01  # left, back to the centerline
+
+
+# ---------------------------------------------------------------------------
+# route guidance memo: checked against the step that guides afresh each call
+
+
+def _bits(value):
+    """Type and IEEE bits of a float (they tell 0.0 from -0.0), else repr."""
+    if isinstance(value, float):
+        return type(value), struct.pack("<d", value)
+    return type(value), repr(value)
+
+
+def _reply_bits(reply):
+    cmd = reply.command
+    return (type(reply), _bits(reply.sim_time), type(cmd), _bits(cmd.throttle),
+            _bits(cmd.brake), _bits(cmd.steering))
+
+
+def _agent_bits(agent):
+    """The state a step leaves behind in an agent."""
+    ctl = agent.speed_ctl
+    return agent.off_route, _bits(ctl.integral), _bits(ctl.prev_error)
+
+
+def _ulps(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+def _guided_perceptions(path, rng):
+    """Seeded perceptions around ``path``: on and off the route, within 1 m
+    of its end and past it, signed zeros and headings at and one ulp around
+    +-pi, some with a vehicle ahead in the corridor."""
+    egos = []
+
+    def near(s, lateral, heading_noise, speed):
+        x, y = path.point_at(s)
+        heading = path.heading_at(s)
+        nx, ny = -math.sin(heading), math.cos(heading)
+        return actor(x=x + lateral * nx, y=y + lateral * ny,
+                     heading=heading + heading_noise, speed=speed)
+
+    for k in range(24):
+        lateral = rng.uniform(-3.0, 3.0) if k % 6 else \
+            rng.choice((-1.0, 1.0)) * rng.uniform(20.5, 40.0)  # off route
+        egos.append(near(rng.uniform(0.0, path.length), lateral,
+                         rng.uniform(-0.4, 0.4), rng.uniform(0.0, 15.0)))
+    for u in (1.0, 0.999, 0.5, 0.01, 0.0):  # within 1 m of the end
+        egos.append(near(path.length - u, rng.uniform(-1.0, 1.0), 0.0,
+                         rng.uniform(0.0, 9.0)))
+    x, y = path.point_at(path.length)
+    egos.append(actor(x=x + 0.3, y=y - 0.2, speed=2.0))  # past the end
+    for zero in (0.0, -0.0):
+        x, y = path.point_at(path.length / 2)
+        egos.append(actor(x=x, y=y, heading=zero, speed=zero,
+                          acceleration=zero))
+        egos.append(actor(x=zero, y=-zero, heading=-zero, speed=zero))
+    x, y = path.point_at(path.length / 3)
+    for heading in (*_ulps(math.pi), *_ulps(-math.pi)):
+        egos.append(actor(x=x, y=y, heading=heading, speed=6.0))
+    perceptions = []
+    for k, ego in enumerate(egos):
+        obstacles = []
+        if k % 3 == 0:  # a vehicle ahead, at 3 to 30 m
+            ahead = rng.uniform(3.0, 30.0)
+            obstacles.append(actor(
+                "npc_1", "npc", x=ego.x + ahead * math.cos(ego.heading),
+                y=ego.y + ahead * math.sin(ego.heading),
+                heading=ego.heading + rng.uniform(-1.2, 1.2), speed=3.0))
+        perceptions.append(perception(ego, obstacles, t=round(0.1 * k, 9)))
+    return perceptions
+
+
+GUIDED_CRUISE_SPEEDS = (8.0, 13.5, 0.0, -0.0, 8)  # 8 as an int is not memoised
+ROUTE = straight_route()
+
+
+def test_guide_memo_equals_the_reference_step(guide_memo, bundled_missions,
+                                              caplog):
+    """Whole control sequences match the reference bit for bit, and so do
+    the speed controller and the off-route latch after every step; the
+    second pass over a sequence is served from the memo."""
+    rng = random.Random(2718)
+    steps = off_route = 0
+    caplog.set_level(logging.WARNING, logger=bridge.__name__)
+    for _, mission in bundled_missions:
+        perceptions = _guided_perceptions(mission.path, rng)
+        for cruise in GUIDED_CRUISE_SPEEDS:
+            guide_memo.clear()
+            settings = AgentSettings(cruise_speed=cruise)
+            for run in range(2):
+                agent = ReferenceEgoAgent(mission.path, settings)
+                reference = ReferenceEgoAgent(mission.path, settings)
+                for p in perceptions:
+                    got = _reply_bits(agent.step(p))
+                    assert got == _reply_bits(agent_step(reference, p)), p
+                    assert _agent_bits(agent) == _agent_bits(reference)
+                    steps += 1
+                off_route += agent.off_route
+                if run == 0:
+                    stored = dict(guide_memo)
+                    assert len(stored) == (type(cruise) is float) * len(
+                        {struct.pack("<4d", p.ego.x, p.ego.y, p.ego.heading,
+                                     p.ego.speed) for p in perceptions})
+            assert guide_memo == stored  # the second run stored nothing
+            assert all(guide_memo[k] is v for k, v in stored.items())
+    assert steps == 2 * 32 * len(GUIDED_CRUISE_SPEEDS) * len(perceptions)
+    assert off_route == 2 * 32 * len(GUIDED_CRUISE_SPEEDS)
+    # one warning per agent, hit or miss
+    assert len(caplog.records) == off_route
+
+
+def test_guide_memo_hit_returns_the_stored_guidance(guide_memo, monkeypatch):
+    projected = []
+    project = Polyline.project
+
+    def counted(line, x, y):
+        projected.append((x, y))
+        return project(line, x, y)
+
+    monkeypatch.setattr(Polyline, "project", counted)
+    route = straight_route()
+    ego = actor(x=50.0, y=-2.0, heading=0.1, speed=6.0)
+    first = route_guidance(route, ego, 8.0)
+    assert first == (2.0, pure_pursuit_steering(ego, route, 50.0), 8.0)
+    assert projected == [(50.0, -2.0)]  # a miss projects, as traced
+    again = route_guidance(
+        route, actor(x=50.0, y=-2.0, heading=0.1, speed=6.0), 8.0)
+    assert again is first and len(projected) == 1
+    assert list(guide_memo.values()) == [first]
+    # one changed bit, or another route with the same points, is another key
+    others = [
+        (route, actor(x=math.nextafter(50.0, 0.0), y=-2.0, heading=0.1,
+                      speed=6.0), 8.0),
+        (route, actor(x=50.0, y=-2.0, heading=0.1, speed=-0.0), 8.0),
+        (route, actor(x=50.0, y=-2.0, heading=0.1, speed=0.0), 8.0),
+        (route, actor(x=50.0, y=-2.0, heading=-0.0, speed=6.0), 8.0),
+        (route, actor(x=50.0, y=-2.0, heading=0.0, speed=6.0), 8.0),
+        (route, ego, math.nextafter(8.0, 9.0)),
+        (straight_route(), ego, 8.0),
+    ]
+    for args in others:
+        assert route_guidance(*args) is not first
+    assert len(guide_memo) == 1 + len(others) == len(projected)
+    # a far ego stores its distance alone
+    far = route_guidance(route, actor(x=50.0, y=30.0), 8.0)
+    assert far == (30.0, None, None)
+    assert route_guidance(route, actor(x=50.0, y=30.0), 8.0) is far
+
+
+def test_guide_memo_hit_still_warns_once_per_agent(guide_memo, caplog):
+    caplog.set_level(logging.WARNING, logger=bridge.__name__)
+    far = perception(actor(x=50.0, y=30.0, speed=8.0), t=1.5)
+    for _ in range(2):  # the second agent is served from the memo
+        agent = ReferenceEgoAgent(ROUTE)
+        for _ in range(3):
+            assert agent.step(far).command == ControlCommand(0.0, 1.0, 0.0)
+        assert agent.off_route
+    assert len(guide_memo) == 1
+    assert [r.getMessage() for r in caplog.records] == \
+        ["ego 30.0 m off route at t=1.5, holding full brake"] * 2
+
+
+class Tagged(float):
+    pass
+
+
+class SubState(ActorState):
+    pass
+
+
+class SubPolyline(Polyline):
+    __slots__ = ()
+
+
+def _with_heading(value):
+    ego = actor(x=50.0, y=-2.0, heading=0.1, speed=6.0)
+    ego.__dict__["heading"] = value  # as if built around the normalising
+    return ego
+
+
+def _bypassing_guidance():
+    """Inputs equal to ``ROUTE``, ``actor(x=50.0, y=-2.0, heading=0.1,
+    speed=6.0)`` and a cruise speed of 8.0 as keys, but not exact: each must
+    be guided afresh."""
+    def ego(**change):
+        return actor(**(dict(x=50.0, y=-2.0, heading=0.1, speed=6.0)
+                        | change))
+
+    return [
+        ("int x", ROUTE, ego(x=50), 8.0),
+        ("int y", ROUTE, ego(y=-2), 8.0),
+        ("bool speed", ROUTE, ego(speed=True), 8.0),
+        ("float-subclass x", ROUTE, ego(x=Tagged(50.0)), 8.0),
+        ("float-subclass speed", ROUTE, ego(speed=Tagged(6.0)), 8.0),
+        ("float-subclass heading", ROUTE, _with_heading(Tagged(0.1)), 8.0),
+        ("numpy x", ROUTE, ego(x=np.float64(50.0)), 8.0),
+        ("numpy y", ROUTE, ego(y=np.float64(-2.0)), 8.0),
+        ("numpy heading", ROUTE, _with_heading(np.float64(0.1)), 8.0),
+        ("subclass state",
+         ROUTE, SubState("ego", "ego", 50.0, -2.0, 0.1, 6.0), 8.0),
+        ("int cruise speed", ROUTE, ego(), 8),
+        ("bool cruise speed", ROUTE, ego(), True),
+        ("float-subclass cruise speed", ROUTE, ego(), Tagged(8.0)),
+        ("numpy cruise speed", ROUTE, ego(), np.float64(8.0)),
+        ("subclass route", SubPolyline(ROUTE.points), ego(), 8.0),
+    ]
+
+
+@pytest.mark.parametrize("name,route,ego,cruise", _bypassing_guidance(),
+                         ids=[case[0] for case in _bypassing_guidance()])
+def test_guide_memo_is_bypassed_for_inexact_inputs(guide_memo, name, route,
+                                                   ego, cruise):
+    exact = route_guidance(
+        ROUTE, actor(x=50.0, y=-2.0, heading=0.1, speed=6.0), 8.0)
+    stored = dict(guide_memo)
+    for _ in range(2):
+        assert route_guidance(route, ego, cruise) is not exact
+        agent = ReferenceEgoAgent(route, AgentSettings(cruise_speed=cruise))
+        reference = ReferenceEgoAgent(route,
+                                      AgentSettings(cruise_speed=cruise))
+        p = perception(ego, t=0.5)
+        assert _reply_bits(agent.step(p)) == \
+            _reply_bits(agent_step(reference, p))
+        assert guide_memo == stored
+        assert all(guide_memo[k] is v for k, v in stored.items())
+
+
+def _guided_case(rng, route):
+    ego = actor(x=rng.uniform(-10.0, 210.0), y=rng.uniform(-25.0, 25.0),
+                heading=rng.uniform(-math.pi, math.pi),
+                speed=rng.uniform(0.0, 15.0))
+    return perception(ego, t=0.1)
+
+
+def test_guide_memo_stays_bounded_with_every_guidance_exact(guide_memo):
+    rng = random.Random(77)
+    limit = bridge.GUIDE_MEMO_LIMIT
+    route = straight_route()
+    cases = [_guided_case(rng, route) for _ in range(3 * limit)]
+    settings = AgentSettings()
+    for _ in range(2):  # the second pass hits what the last clear left
+        for p in cases:
+            expected = agent_step(ReferenceEgoAgent(route, settings), p)
+            got = ReferenceEgoAgent(route, settings).step(p)
+            assert _reply_bits(got) == _reply_bits(expected)
+            assert len(guide_memo) <= limit
+    assert len(guide_memo) == limit
+
+
+def test_guide_memo_shared_by_threads_guides_exactly(guide_memo):
+    """More threads than cores, switching often, over more inputs than the
+    memo holds, so the threads race its clears too."""
+    threads_n = 2 * (os.cpu_count() or 1) + 2
+    limit = bridge.GUIDE_MEMO_LIMIT
+    rng = random.Random(21)
+    route = straight_route()
+    settings = AgentSettings()
+    pool = []
+    for _ in range(limit + limit // 2):
+        p = _guided_case(rng, route)
+        expected = agent_step(ReferenceEgoAgent(route, settings), p)
+        pool.append((p, _reply_bits(expected)))
+    wrong = []
+
+    def drive(seed):
+        local = random.Random(seed)
+        for _ in range(4 * limit // threads_n):
+            p, expected = local.choice(pool)
+            got = ReferenceEgoAgent(route, settings).step(p)
+            if _reply_bits(got) != expected:
+                wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drive, args=(seed,))
+                   for seed in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(guide_memo) <= limit + threads_n - 1
+
+
+def test_guide_memo_keeps_campaign_logs(guide_memo, step_memo, tmp_path,
+                                        monkeypatch):
+    """An avfuzzer campaign writes the same log cold, warm and after the
+    memo is cleared, and the warm run stores no new guidance.  Each
+    campaign builds its own mission path, which is a new key, so the runs
+    here share one path to be warm."""
+    config = load_config(CONFIG_DIR / "avfuzzer.yaml")
+    settings, _, params = build_execution(config)
+    path = mission_path(settings.template, settings.lane_map)
+    monkeypatch.setattr(campaign_module, "mission_path",
+                        lambda template, lane_map: path)
+
+    def campaign(name):
+        ctx = CampaignContext(settings, CampaignBudget(max_evaluations=12),
+                              seed=3, output_dir=tmp_path / name)
+        run_campaign("avfuzzer", ctx, params)
+        return (tmp_path / name / "evaluations.json").read_bytes()
+
+    cold = campaign("cold")
+    stored = dict(guide_memo)
+    assert stored and all(key[0] is path for key in stored)
+    assert campaign("warm") == cold
+    assert guide_memo == stored
+    assert all(guide_memo[key] is value for key, value in stored.items())
+    guide_memo.clear()
+    step_memo.clear()
+    assert campaign("cleared") == cold
+    assert guide_memo.keys() == stored.keys()
 
 
 # ---------------------------------------------------------------------------

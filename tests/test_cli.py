@@ -104,6 +104,17 @@ class TestArgumentHandling:
         stamp = datetime(2026, 8, 16, 12, 34, 56, tzinfo=timezone.utc)
         assert default_run_id(7, stamp) == "20260816-123456-seed7"
 
+    @pytest.mark.parametrize("seed", ["-1", "-20", "seven", "1.5"])
+    def test_bad_seed_exits_config_code(self, mini_config_dir, output_root,
+                                        capsys, seed):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(mini_config_dir, "--seed", seed)
+        assert exit_.value.code == EXIT_CONFIG == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --seed: expected a non-negative integer, "
+            f"got {seed!r}\n")
+        assert not output_root.exists()
+
     def test_missing_config_exits_config_code(self, tmp_path, capsys):
         rc = main(["--config-name", "nope", "--config-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
@@ -188,6 +199,22 @@ class TestArgumentHandling:
     ])
     def test_mutation_bound_exits_config_code(self, tmp_path, output_root,
                                               capsys, key, value, rule):
+        rc = run_cli(write_config(tmp_path / "configs", **{key: value}))
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: {key}: must be {rule}\n"
+        assert not output_root.exists()
+
+    @pytest.mark.parametrize("key,value,rule", [
+        ("scenario_runner.parameters.agent.cruise_speed", -5.0, "> 0"),
+        ("scenario_runner.parameters.agent.cruise_speed", 0.0, "> 0"),
+        ("testing_engine.oracle.collision.threshold", -1.0, ">= 0"),
+        ("testing_engine.oracle.destination.tolerance", -1.0, ">= 0"),
+        ("testing_engine.oracle.stuck.speed", -1.0, ">= 0"),
+        ("testing_engine.oracle.stuck.duration", -1.0, "> 0"),
+    ])
+    def test_agent_and_oracle_bound_exits_config_code(
+            self, tmp_path, output_root, capsys, key, value, rule):
         rc = run_cli(write_config(tmp_path / "configs", **{key: value}))
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == \

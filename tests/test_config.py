@@ -277,10 +277,28 @@ class TestStrictness:
         ("scenario.mutation_space.speed_high", 40),
         ("scenario.mutation_space.delay_low", -3),
         ("scenario.mutation_space.offset_limit", -0.5),
+        ("scenario_runner.parameters.agent.cruise_speed", -5.0),
+        ("scenario_runner.parameters.agent.cruise_speed", 0.0),
+        ("scenario_runner.parameters.agent.cruise_speed", -0.0),
+        ("testing_engine.oracle.collision.threshold", -1.0),
+        ("testing_engine.oracle.destination.tolerance", -1.0),
+        ("testing_engine.oracle.stuck.speed", -0.1),
+        ("testing_engine.oracle.stuck.duration", -1.0),
+        ("testing_engine.oracle.stuck.duration", 0),
     ])
     def test_out_of_range_values_rejected(self, path, value):
         with pytest.raises(ConfigError, match=re.escape(f"{path}: must be")):
             parse_config(minimal_doc(**{path: value}))
+
+    @pytest.mark.parametrize("path", [
+        "testing_engine.oracle.collision.threshold",
+        "testing_engine.oracle.destination.tolerance",
+        "testing_engine.oracle.stuck.speed",
+    ])
+    def test_zero_oracle_bound_accepted(self, path):
+        config = parse_config(minimal_doc(**{path: 0}))
+        assert getattr(config.oracles,
+                       path.split(".", 2)[2].replace(".", "_")) == 0.0
 
     @pytest.mark.parametrize("name", ["speed", "delay"])
     def test_inverted_mutation_range_rejected(self, name):
