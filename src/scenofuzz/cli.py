@@ -17,7 +17,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import build_execution, load_config
-from .engine.campaign import RECORDINGS_DIR, CampaignContext, run_campaign
+from .engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
+                              CampaignContext, run_campaign)
 
 log = logging.getLogger(__name__)
 
@@ -133,6 +134,11 @@ def main(argv=None) -> int:
     output_root = os.environ.get(OUTPUT_ROOT_ENV_VAR) or config.output_root
     run_id = args.run_id or default_run_id(args.seed)
     output_dir = Path(output_root) / run_id
+    if not config.resume and (output_dir / EVALUATIONS_FILE).exists():
+        print(f"error: {output_dir} already holds a campaign log; pass "
+              f"--resume to continue it or choose another --run-id",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         ctx = CampaignContext(settings, budget, seed=args.seed,

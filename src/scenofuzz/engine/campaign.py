@@ -94,6 +94,12 @@ class ExecutionSettings:
     endpoint: str | None = None  # None runs the reference agent in-process
     save_traffic_recording: bool = True
 
+    @functools.cached_property
+    def mission(self):
+        """The ego's route, built once per settings object, so that the ego
+        states the step memo shares keep their guidance across campaigns."""
+        return mission_path(self.template, self.lane_map)
+
 
 class CampaignContext:
     def __init__(self, settings: ExecutionSettings, budget: CampaignBudget,
@@ -114,7 +120,7 @@ class CampaignContext:
         self.algorithm_name = ""
         self.finished = False
         self.stop_requested = False
-        self._mission = mission_path(settings.template, settings.lane_map)
+        self._mission = settings.mission
         self._lane_width = settings.lane_map.lane(
             settings.template.ego.start_lane_id).width
         self._replay: deque[tuple[dict, Feedback]] = deque()

@@ -20,20 +20,20 @@ trajectory again and again.  The memo is keyed on the actor id and the IEEE
 bits of x, y, heading, speed, acceleration, length, width, throttle, brake,
 steering and ``dt``, never on the floats themselves: as dict keys ``0.0``
 equals ``-0.0`` and a NaN equals nothing.  A hit returns the stored
-``ActorState`` itself, so the physics is skipped and the bridge frame and
-recording reuse the text stored in its ``_text``.  The step is a function of
-those bits alone, so a hit gives what a fresh step would.  Only an exact
-``ActorState`` of kind ``"ego"`` with an exact ``str`` id, exact ``float``
-fields, an exact ``ControlCommand`` and a ``float`` ``dt`` is looked up and
-stored: an int or bool packs like a float but writes other text, and NPC
-motion is what the search mutates, so their steps would fill the memo with
-states that seldom come back.  The memo is cleared whenever it holds
-``STEP_MEMO_LIMIT`` states, about 1.3 KB each with their text, so a full
-memo holds about 1 MB.  Worker threads share it; a dict's get, set and clear
-each hold the interpreter lock, so two threads that race on one key each get
-an exact state, and threads that race past the size check leave at most one
-extra entry each.  ``tests/test_simulator.py`` checks the memo against the
-uncached step (the ``test_step_memo_*`` tests).
+``ActorState`` itself, so the physics is skipped, the bridge frame and
+recording reuse its ``_text`` and the reference agent its ``_guide``.  The
+step is a function of those bits alone, so a hit gives what a fresh step
+would.  Only an exact ``ActorState`` of kind ``"ego"`` with an exact ``str``
+id, exact ``float`` fields, an exact ``ControlCommand`` and a ``float``
+``dt`` is looked up and stored: an int or bool packs like a float but writes
+other text, and NPC motion is what the search mutates, so their steps would
+fill the memo with states that seldom come back.  The memo is cleared
+whenever it holds ``STEP_MEMO_LIMIT`` states, about 1.3 KB each with their
+text, so a full memo holds about 1 MB.  Worker threads share it; a dict's
+get, set and clear each hold the interpreter lock, so two threads that race
+on one key each get an exact state, and threads that race past the size
+check leave at most one extra entry each.  ``tests/test_simulator.py``
+checks the memo against the uncached step (the ``test_step_memo_*`` tests).
 
 Speed tracking has fixed gains, the constants ``KP``, ``KI``, ``KD`` and
 ``INTEGRAL_LIMIT``.  ``KD`` is 0.0 but its term stays in the pedal sum: for a
@@ -109,13 +109,15 @@ ACTOR_KINDS = ("ego", "npc", "static")
 class ActorState:
     """One actor's pose and motion at one instant.
 
-    Besides its fields, every instance holds ``_text``, ``None`` until
-    ``bridge.actor_text`` first writes the actor's canonical JSON and stores
-    it there for every later frame and recording holding this object (an
-    instance of a subclass keeps ``None``).  It is not a field, so equality,
-    hashing, ``repr`` and ``dataclasses.replace`` (which starts a new object
-    with ``None``) ignore it; the text is a pure function of the frozen
-    fields, so reusing it cannot change a byte.
+    Besides its fields, every instance holds two slots that are ``None``
+    until filled, and stay ``None`` in a subclass: ``_text``, the canonical
+    JSON ``bridge.actor_text`` writes for every frame and recording holding
+    this object, and ``_guide``, the route guidance ``bridge.route_guidance``
+    computes.  Neither is a field, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` (which starts a new object with ``None``) ignore
+    them.  The text is a pure function of the frozen fields, and the
+    guidance of those and of the route and cruise speed stored with it, so
+    reusing either cannot change a byte.
     """
 
     actor_id: str
@@ -147,6 +149,7 @@ class ActorState:
         fields["length"] = length
         fields["width"] = width
         fields["_text"] = None
+        fields["_guide"] = None
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,7 @@ from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
 from scenofuzz.canonical import finite_number
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import CampaignBudget, CampaignContext, run_campaign
-from scenofuzz.engine import campaign as campaign_module
 from scenofuzz.geometry import Polyline
-from scenofuzz.runner import mission_path
 from scenofuzz.simulator import (ACTOR_KINDS, ActorState, ControlCommand,
                                  pure_pursuit_steering)
 
@@ -651,7 +649,8 @@ class TestReferenceEgoAgent:
 
 
 # ---------------------------------------------------------------------------
-# route guidance memo: checked against the step that guides afresh each call
+# route guidance kept on the ego state: checked against the step that guides
+# afresh each call
 
 
 def _bits(value):
@@ -721,24 +720,39 @@ def _guided_perceptions(path, rng):
     return perceptions
 
 
-GUIDED_CRUISE_SPEEDS = (8.0, 13.5, 0.0, -0.0, 8)  # 8 as an int is not memoised
+GUIDED_CRUISE_SPEEDS = (8.0, 13.5, 0.0, -0.0, 8)
 ROUTE = straight_route()
 
 
-def test_guide_memo_equals_the_reference_step(guide_memo, bundled_missions,
+@pytest.fixture
+def computed(monkeypatch):
+    """Every ``(route, ego, cruise_speed)`` the guidance is computed for, in
+    order: the calls of ``bridge._route_guidance``."""
+    calls = []
+    compute = bridge._route_guidance
+
+    def counted(route, ego, cruise_speed):
+        calls.append((route, ego, cruise_speed))
+        return compute(route, ego, cruise_speed)
+
+    monkeypatch.setattr(bridge, "_route_guidance", counted)
+    return calls
+
+
+def test_guide_memo_equals_the_reference_step(computed, bundled_missions,
                                               caplog):
     """Whole control sequences match the reference bit for bit, and so do
     the speed controller and the off-route latch after every step; the
-    second pass over a sequence is served from the memo."""
+    second pass over a sequence computes no guidance."""
     rng = random.Random(2718)
     steps = off_route = 0
     caplog.set_level(logging.WARNING, logger=bridge.__name__)
     for _, mission in bundled_missions:
         perceptions = _guided_perceptions(mission.path, rng)
         for cruise in GUIDED_CRUISE_SPEEDS:
-            guide_memo.clear()
             settings = AgentSettings(cruise_speed=cruise)
             for run in range(2):
+                computed.clear()
                 agent = ReferenceEgoAgent(mission.path, settings)
                 reference = ReferenceEgoAgent(mission.path, settings)
                 for p in perceptions:
@@ -747,20 +761,18 @@ def test_guide_memo_equals_the_reference_step(guide_memo, bundled_missions,
                     assert _agent_bits(agent) == _agent_bits(reference)
                     steps += 1
                 off_route += agent.off_route
-                if run == 0:
-                    stored = dict(guide_memo)
-                    assert len(stored) == (type(cruise) is float) * len(
-                        {struct.pack("<4d", p.ego.x, p.ego.y, p.ego.heading,
-                                     p.ego.speed) for p in perceptions})
-            assert guide_memo == stored  # the second run stored nothing
-            assert all(guide_memo[k] is v for k, v in stored.items())
+                # the first run computes each state's guidance once
+                expected = perceptions if run == 0 else []
+                assert len(computed) == len(expected)
+                assert all(r is mission.path and e is q.ego and c is cruise
+                           for (r, e, c), q in zip(computed, expected))
     assert steps == 2 * 32 * len(GUIDED_CRUISE_SPEEDS) * len(perceptions)
     assert off_route == 2 * 32 * len(GUIDED_CRUISE_SPEEDS)
-    # one warning per agent, hit or miss
+    # one warning per agent, computed or not
     assert len(caplog.records) == off_route
 
 
-def test_guide_memo_hit_returns_the_stored_guidance(guide_memo, monkeypatch):
+def test_guide_memo_hit_returns_the_stored_guidance(monkeypatch):
     projected = []
     project = Polyline.project
 
@@ -770,43 +782,51 @@ def test_guide_memo_hit_returns_the_stored_guidance(guide_memo, monkeypatch):
 
     monkeypatch.setattr(Polyline, "project", counted)
     route = straight_route()
+    cruise = 8.0
     ego = actor(x=50.0, y=-2.0, heading=0.1, speed=6.0)
-    first = route_guidance(route, ego, 8.0)
+    first = route_guidance(route, ego, cruise)
     assert first == (2.0, pure_pursuit_steering(ego, route, 50.0), 8.0)
-    assert projected == [(50.0, -2.0)]  # a miss projects, as traced
-    again = route_guidance(
-        route, actor(x=50.0, y=-2.0, heading=0.1, speed=6.0), 8.0)
-    assert again is first and len(projected) == 1
-    assert list(guide_memo.values()) == [first]
-    # one changed bit, or another route with the same points, is another key
-    others = [
-        (route, actor(x=math.nextafter(50.0, 0.0), y=-2.0, heading=0.1,
-                      speed=6.0), 8.0),
-        (route, actor(x=50.0, y=-2.0, heading=0.1, speed=-0.0), 8.0),
-        (route, actor(x=50.0, y=-2.0, heading=0.1, speed=0.0), 8.0),
-        (route, actor(x=50.0, y=-2.0, heading=-0.0, speed=6.0), 8.0),
-        (route, actor(x=50.0, y=-2.0, heading=0.0, speed=6.0), 8.0),
-        (route, ego, math.nextafter(8.0, 9.0)),
-        (straight_route(), ego, 8.0),
-    ]
-    for args in others:
-        assert route_guidance(*args) is not first
-    assert len(guide_memo) == 1 + len(others) == len(projected)
+    assert projected == [(50.0, -2.0)]  # computing projects, as traced
+    assert ego._guide == (route, cruise, first)
+    assert route_guidance(route, ego, cruise) is first
+    assert len(projected) == 1
+    # a new route object with the same points, or another cruise-speed
+    # object of the same value, computes again and replaces the slot, and
+    # so does the first pair once replaced
+    other_cruise = float("8.0")
+    assert other_cruise is not cruise
+    for args in ((straight_route(), cruise), (route, other_cruise),
+                 (route, cruise)):
+        guide = route_guidance(args[0], ego, args[1])
+        assert guide == first and guide is not first
+        assert ego._guide[0] is args[0] and ego._guide[1] is args[1]
+        assert ego._guide[2] is guide
+    assert len(projected) == 4
+    # another state with equal bits computes its own guidance
+    slot = ego._guide
+    twin = actor(x=50.0, y=-2.0, heading=0.1, speed=6.0)
+    assert twin == ego and twin._guide is None
+    assert route_guidance(route, twin, cruise) == first
+    assert len(projected) == 5 and ego._guide is slot
+    # a copy starts without guidance
+    assert dataclasses.replace(ego)._guide is None
+    assert dataclasses.replace(ego, speed=7.0)._guide is None
     # a far ego stores its distance alone
-    far = route_guidance(route, actor(x=50.0, y=30.0), 8.0)
+    far_ego = actor(x=50.0, y=30.0)
+    far = route_guidance(route, far_ego, cruise)
     assert far == (30.0, None, None)
-    assert route_guidance(route, actor(x=50.0, y=30.0), 8.0) is far
+    assert route_guidance(route, far_ego, cruise) is far
 
 
-def test_guide_memo_hit_still_warns_once_per_agent(guide_memo, caplog):
+def test_guide_memo_hit_still_warns_once_per_agent(computed, caplog):
     caplog.set_level(logging.WARNING, logger=bridge.__name__)
     far = perception(actor(x=50.0, y=30.0, speed=8.0), t=1.5)
-    for _ in range(2):  # the second agent is served from the memo
+    for _ in range(2):  # the second agent reads the state's slot
         agent = ReferenceEgoAgent(ROUTE)
         for _ in range(3):
             assert agent.step(far).command == ControlCommand(0.0, 1.0, 0.0)
         assert agent.off_route
-    assert len(guide_memo) == 1
+    assert len(computed) == 1
     assert [r.getMessage() for r in caplog.records] == \
         ["ego 30.0 m off route at t=1.5, holding full brake"] * 2
 
@@ -831,8 +851,8 @@ def _with_heading(value):
 
 def _bypassing_guidance():
     """Inputs equal to ``ROUTE``, ``actor(x=50.0, y=-2.0, heading=0.1,
-    speed=6.0)`` and a cruise speed of 8.0 as keys, but not exact: each must
-    be guided afresh."""
+    speed=6.0)`` and a cruise speed of 8.0, but not exact: each must be
+    guided as the reference guides it."""
     def ego(**change):
         return actor(**(dict(x=50.0, y=-2.0, heading=0.1, speed=6.0)
                         | change))
@@ -859,66 +879,57 @@ def _bypassing_guidance():
 
 @pytest.mark.parametrize("name,route,ego,cruise", _bypassing_guidance(),
                          ids=[case[0] for case in _bypassing_guidance()])
-def test_guide_memo_is_bypassed_for_inexact_inputs(guide_memo, name, route,
+def test_guide_memo_is_bypassed_for_inexact_inputs(computed, name, route,
                                                    ego, cruise):
-    exact = route_guidance(
-        ROUTE, actor(x=50.0, y=-2.0, heading=0.1, speed=6.0), 8.0)
-    stored = dict(guide_memo)
-    for _ in range(2):
-        assert route_guidance(route, ego, cruise) is not exact
-        agent = ReferenceEgoAgent(route, AgentSettings(cruise_speed=cruise))
-        reference = ReferenceEgoAgent(route,
-                                      AgentSettings(cruise_speed=cruise))
+    """A subclassed state or route is computed afresh on every call and
+    stores nothing; inexact fields and cruise speeds are kept in the slot
+    of their own state, and equal the reference on every call."""
+    stored = type(ego) is ActorState and type(route) is Polyline
+    settings = AgentSettings(cruise_speed=cruise)
+    for call in range(1, 3):
+        agent = ReferenceEgoAgent(route, settings)
+        reference = ReferenceEgoAgent(route, settings)
         p = perception(ego, t=0.5)
         assert _reply_bits(agent.step(p)) == \
             _reply_bits(agent_step(reference, p))
-        assert guide_memo == stored
-        assert all(guide_memo[k] is v for k, v in stored.items())
+        assert len(computed) == (1 if stored else call)
+        if stored:
+            assert ego._guide[0] is route and ego._guide[1] is cruise
+        else:
+            assert ego._guide is None
 
 
-def _guided_case(rng, route):
+def _guided_case(rng):
     ego = actor(x=rng.uniform(-10.0, 210.0), y=rng.uniform(-25.0, 25.0),
                 heading=rng.uniform(-math.pi, math.pi),
                 speed=rng.uniform(0.0, 15.0))
     return perception(ego, t=0.1)
 
 
-def test_guide_memo_stays_bounded_with_every_guidance_exact(guide_memo):
-    rng = random.Random(77)
-    limit = bridge.GUIDE_MEMO_LIMIT
-    route = straight_route()
-    cases = [_guided_case(rng, route) for _ in range(3 * limit)]
-    settings = AgentSettings()
-    for _ in range(2):  # the second pass hits what the last clear left
-        for p in cases:
-            expected = agent_step(ReferenceEgoAgent(route, settings), p)
-            got = ReferenceEgoAgent(route, settings).step(p)
-            assert _reply_bits(got) == _reply_bits(expected)
-            assert len(guide_memo) <= limit
-    assert len(guide_memo) == limit
-
-
-def test_guide_memo_shared_by_threads_guides_exactly(guide_memo):
-    """More threads than cores, switching often, over more inputs than the
-    memo holds, so the threads race its clears too."""
+def test_guide_memo_shared_by_threads_is_exact():
+    """More threads than cores, switching often, sharing the states and
+    switching between two routes, so the threads race on replacing each
+    state's slot."""
     threads_n = 2 * (os.cpu_count() or 1) + 2
-    limit = bridge.GUIDE_MEMO_LIMIT
     rng = random.Random(21)
-    route = straight_route()
+    routes = (straight_route(), Polyline([(0.0, 4.0), (200.0, 4.0)]))
     settings = AgentSettings()
     pool = []
-    for _ in range(limit + limit // 2):
-        p = _guided_case(rng, route)
-        expected = agent_step(ReferenceEgoAgent(route, settings), p)
-        pool.append((p, _reply_bits(expected)))
+    for _ in range(256):
+        p = _guided_case(rng)
+        pool.append((p, [_reply_bits(agent_step(
+            ReferenceEgoAgent(route, settings), p)) for route in routes]))
+    # the routes guide most states apart
+    assert sum(a != b for _, (a, b) in pool) > 3 * len(pool) // 4
     wrong = []
 
     def drive(seed):
         local = random.Random(seed)
-        for _ in range(4 * limit // threads_n):
+        for _ in range(4096 // threads_n):
             p, expected = local.choice(pool)
-            got = ReferenceEgoAgent(route, settings).step(p)
-            if _reply_bits(got) != expected:
+            which = local.randrange(2)
+            got = ReferenceEgoAgent(routes[which], settings).step(p)
+            if _reply_bits(got) != expected[which]:
                 wrong.append(p)
 
     interval = sys.getswitchinterval()
@@ -934,37 +945,36 @@ def test_guide_memo_shared_by_threads_guides_exactly(guide_memo):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert len(guide_memo) <= limit + threads_n - 1
+    for p, _ in pool:  # each slot holds one route's exact guidance
+        if p.ego._guide is not None:
+            route, cruise, guide = p.ego._guide
+            assert route in routes and cruise is settings.cruise_speed
+            assert guide == bridge._route_guidance(route, p.ego, cruise)
 
 
-def test_guide_memo_keeps_campaign_logs(guide_memo, step_memo, tmp_path,
-                                        monkeypatch):
+def test_guide_memo_keeps_campaign_logs(computed, step_memo, tmp_path):
     """An avfuzzer campaign writes the same log cold, warm and after the
-    memo is cleared, and the warm run stores no new guidance.  Each
-    campaign builds its own mission path, which is a new key, so the runs
-    here share one path to be warm."""
+    step memo is cleared.  The warm run shares the cold run's mission and
+    ego states, so it computes guidance only for the ego each evaluation
+    spawns."""
     config = load_config(CONFIG_DIR / "avfuzzer.yaml")
     settings, _, params = build_execution(config)
-    path = mission_path(settings.template, settings.lane_map)
-    monkeypatch.setattr(campaign_module, "mission_path",
-                        lambda template, lane_map: path)
 
     def campaign(name):
+        computed.clear()
         ctx = CampaignContext(settings, CampaignBudget(max_evaluations=12),
                               seed=3, output_dir=tmp_path / name)
         run_campaign("avfuzzer", ctx, params)
+        assert all(route is settings.mission for route, _, _ in computed)
         return (tmp_path / name / "evaluations.json").read_bytes()
 
     cold = campaign("cold")
-    stored = dict(guide_memo)
-    assert stored and all(key[0] is path for key in stored)
+    cold_computed = len(computed)
     assert campaign("warm") == cold
-    assert guide_memo == stored
-    assert all(guide_memo[key] is value for key, value in stored.items())
-    guide_memo.clear()
+    assert len(computed) == 12
     step_memo.clear()
     assert campaign("cleared") == cold
-    assert guide_memo.keys() == stored.keys()
+    assert len(computed) == cold_computed
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,29 @@ class TestCampaignRuns:
         split = (output_root / "split" / "evaluations.json").read_bytes()
         assert whole == split
 
+    def test_fresh_run_keeps_an_existing_log(self, mini_config_dir,
+                                             output_root, capsys):
+        """A run without --resume into a directory that holds a campaign log
+        exits with the config code and changes no file of that run."""
+        assert run_cli(mini_config_dir, "--seed", "1", "--run-id", "r",
+                       "--max-evals", "6") == EXIT_OK
+        run_dir = output_root / "r"
+
+        def files():
+            return {path: path.read_bytes() for path in run_dir.rglob("*")
+                    if path.is_file()}
+
+        before = files()
+        assert len(before) == 3 + 6  # the log, state, report and recordings
+        capsys.readouterr()
+        assert run_cli(mini_config_dir, "--seed", "2", "--run-id", "r",
+                       "--max-evals", "3") == EXIT_CONFIG
+        assert files() == before
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {run_dir} already holds a campaign log; pass "
+                       f"--resume to continue it or choose another --run-id\n")
+
     def test_svg_export_renders_violations(self, output_root, capsys):
         rc = main(["--config-name", "random", "--config-dir", str(CONFIG_DIR),
                    "--run-id", "svgrun", "--max-evals", "8", "--export-svg"])

@@ -16,7 +16,7 @@ from oracles import (min_distance_every_sample, recording_document,
                      sample_distances)
 from synthetic import SyntheticContext, box_prototype, sphere
 
-from scenofuzz import canonical
+from scenofuzz import bridge, canonical
 from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import avfuzzer, campaign, feedback, operators, samota
@@ -680,6 +680,34 @@ class TestCampaign:
         assert canonical.dumps(a.records) == canonical.dumps(b.records)
         c, _ = campaign_log(junction_settings, seed=10, evals=8)
         assert canonical.dumps(c.records) != canonical.dumps(a.records)
+
+    def test_campaigns_share_the_mission_of_their_settings(
+            self, junction_settings, tmp_path, step_memo, monkeypatch):
+        """Campaigns on one settings object guide the ego on one mission, so
+        a second same-seed campaign reads the guidance kept on the ego
+        states the step memo shares: it computes guidance once per
+        evaluation, for the ego the evaluation spawns, and writes the same
+        log."""
+        settings = dataclasses.replace(junction_settings)  # no mission yet
+        computed = []
+        compute = bridge._route_guidance
+
+        def counted(route, ego, cruise_speed):
+            computed.append(ego)
+            return compute(route, ego, cruise_speed)
+
+        monkeypatch.setattr(bridge, "_route_guidance", counted)
+        logs, counts = [], []
+        for name in ("first", "second"):
+            computed.clear()
+            ctx, _ = campaign_log(settings, algo="avfuzzer", seed=5, evals=12,
+                                  output_dir=tmp_path / name)
+            assert ctx._mission is settings.mission
+            logs.append(
+                (tmp_path / name / campaign.EVALUATIONS_FILE).read_bytes())
+            counts.append(len(computed))
+        assert logs[0] == logs[1]
+        assert counts[1] == 12 < counts[0]
 
     def test_worker_count_does_not_change_log(self, junction_settings):
         a, _ = campaign_log(junction_settings, algo="avfuzzer", seed=4,
