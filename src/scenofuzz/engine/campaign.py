@@ -13,7 +13,9 @@ evaluation log is written in canonical form, so two runs with the same seed
 and budget produce byte-identical ``evaluations.json`` regardless of worker
 count.  Resume replays the persisted log prefix instead of re-simulating,
 then continues fresh; an interrupted-and-resumed campaign therefore ends
-with the same log as an uninterrupted one.
+with the same log as an uninterrupted one.  ``run_campaign`` refuses, before
+it evaluates or writes anything, to resume a checkpoint whose state file
+names another algorithm or seed.
 
 Checkpoint contract: after every batch that evaluated something fresh,
 ``evaluations.json`` is a complete snapshot of the log, replaced atomically,
@@ -128,6 +130,8 @@ class CampaignContext:
         self._log_text = bytearray(b"[]")
         self._logged = 0
         self._wall_prior = 0.0
+        # the algorithm and seed the checkpoint on disk was written with
+        self._resumed: dict[str, object] = {}
         self._t0 = time.monotonic()
         if resume and self.output_dir is not None:
             self._load_checkpoint()
@@ -178,8 +182,23 @@ class CampaignContext:
             try:
                 state.keys({"wall_consumed"}, closed=False)
                 self._wall_prior = state["wall_consumed"].number(0.0)
+                # a campaign run without run_campaign names no algorithm
+                if state.doc.get("algorithm", "") != "":
+                    self._resumed["algorithm"] = state["algorithm"].text()
+                if "seed" in state.doc:
+                    self._resumed["seed"] = state["seed"].integer()
             except ValueError as exc:
                 raise CampaignError(f"{state_path}: {exc}") from None
+
+    def _check_resume(self, algorithm: str) -> None:
+        """Refuse to continue a checkpoint written by another algorithm or
+        with another seed: its entries could replay as matching ones."""
+        for name, given in (("algorithm", algorithm), ("seed", self.seed)):
+            recorded = self._resumed.get(name, given)
+            if recorded != given:
+                raise CampaignError(
+                    f"{self.output_dir / STATE_FILE}: the checkpoint was "
+                    f"written with {name} {recorded!r}, not {given!r}")
 
     def checkpoint(self) -> None:
         # While replay entries are queued the files on disk already hold
@@ -365,6 +384,7 @@ def run_campaign(algorithm: str, ctx: CampaignContext,
     if algorithm not in registry:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of "
                          f"{sorted(registry)}")
+    ctx._check_resume(algorithm)
     ctx.algorithm_name = algorithm
     try:
         registry[algorithm](ctx, params or {})

@@ -94,12 +94,15 @@ class ScenarioRecording:
 # oracles
 
 
-def check_collision(world: WorldState, threshold: float):
+def check_collision(world: WorldState, threshold: float,
+                    ego: ActorState | None = None):
     """Closest ego-involved contact at or under the threshold, if any.
 
     Returns ``(pair, distance)`` for the minimizing pair or ``None``.
+    ``ego`` is ``world.ego``, looked up here when not given.
     """
-    ego = world.ego
+    if ego is None:
+        ego = world.ego
     best = None
     skip_above = threshold + BOUND_ROUNDING_MARGIN
     for other in world.actors:
@@ -187,15 +190,16 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
     try:
         while verdict is None:
             t = world.sim_time
-            hit = check_collision(world, oracles.collision_threshold)
+            ego = world.ego
+            hit = check_collision(world, oracles.collision_threshold, ego)
             if hit is not None:
                 verdict = Verdict(COLLISION, t, {"pair": list(hit[0]),
                                                  "distance": hit[1]})
                 break
-            if check_destination(world.ego, end_point, oracles.destination_tolerance):
+            if check_destination(ego, end_point, oracles.destination_tolerance):
                 verdict = Verdict(DESTINATION, t)
                 break
-            if world.ego.speed < oracles.stuck_speed:
+            if ego.speed < oracles.stuck_speed:
                 if low_since is None:
                     low_since = t
                 if t - low_since >= oracles.stuck_duration:
@@ -211,7 +215,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                                    contact_pairs, annotations)
 
             others = tuple(a for a in world.actors if a.actor_id != "ego")
-            perception = PerceptionMessage(t, world.ego, others)
+            perception = PerceptionMessage(t, ego, others)
             try:
                 control = session.request(perception)
             except AgentTimeoutError:
@@ -223,8 +227,10 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
             _check_reply(control, t)
 
             controls = {"ego": control.command}
-            for actor_id, policy in policies.items():
-                controls[actor_id] = policy.step(world.actor(actor_id), t, dt)
+            for actor in others:
+                policy = policies.get(actor.actor_id)
+                if policy is not None:
+                    controls[actor.actor_id] = policy.step(actor, t, dt)
             frames.append(Frame(t, world.actors, control.command))
             last_command = control.command
             world = step_world(world, controls, dt)

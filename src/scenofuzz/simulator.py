@@ -13,6 +13,22 @@ is exact there and would return the same bits; a command whose fields are
 exact floats inside their clamp ranges is kept as given for the same reason.
 Every other value takes the full normalize or check-and-clamp path.
 
+A held step returns its state itself.  An NPC waiting for its spawn delay,
+or parked at its last waypoint, gets ``BRAKE_COMMAND`` on every step, and
+from a standstill that step cannot change it: the physics gives
+``accel = -B_MAX`` and ``speed = max(-B_MAX * dt, 0.0) = +0.0``, and x, y
+and heading each gain a signed zero.  So ``step_kinematic`` returns
+``state`` unchanged when the command is ``BRAKE_COMMAND`` itself (identity,
+not equal values), the state an exact ``ActorState``, ``dt`` a ``float``
+with ``0.0 < dt < inf``, x, y, heading, speed and acceleration exact
+floats, speed ``+0.0``, acceleration ``-B_MAX``, heading in (-pi, pi]
+(which excludes NaN: ``cos(nan)`` would make x and y NaN), x and y not NaN
+(the addition quiets a signaling NaN), and none of x, y and heading
+``-0.0`` (adding ``+0.0`` gives ``+0.0``).  Such a state keeps one object,
+and with it its ``_text``, across every frame it is held for, and no
+``ActorState`` is built.  ``tests/test_simulator.py`` checks the rule
+against the full step (the ``test_held_step_*`` tests).
+
 ``step_kinematic`` keeps a memo of the ego's steps.  Every evaluation of a
 campaign starts the ego from the same pose on the same route with the same
 agent, and only the traffic around it changes, so the ego drives the same
@@ -172,6 +188,7 @@ STEP_MEMO_LIMIT = 768  # ego steps held before the memo is cleared: <= 1 MB
 _ego_steps: dict[tuple[str, bytes], ActorState] = {}
 _ego_step = _ego_steps.get
 _step_bits = struct.Struct("<11d").pack
+_held_inputs = attrgetter("x", "y", "heading", "speed", "acceleration")
 _ego_inputs = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
                          "acceleration", "length", "width")
 
@@ -181,9 +198,23 @@ def step_kinematic(state: ActorState, cmd: ControlCommand,
     """One explicit-Euler step of the kinematic bicycle model.
 
     Position and heading advance with the speed at the start of the step;
-    speed is clamped to [0, V_MAX] after applying net acceleration.  An ego
-    step is looked up in the step memo first (see the module docstring).
+    speed is clamped to [0, V_MAX] after applying net acceleration.  A held
+    step returns ``state`` itself, and an ego step is looked up in the step
+    memo (see the module docstring for both).
     """
+    if (cmd is BRAKE_COMMAND and type(state) is ActorState
+            and type(dt) is float and 0.0 < dt < math.inf):
+        x, y, heading, speed, acceleration = _held_inputs(state)
+        if (type(x) is type(y) is type(heading) is type(speed)
+                is type(acceleration) is float
+                and speed == 0.0 and math.copysign(1.0, speed) == 1.0
+                and acceleration == -B_MAX
+                and -math.pi < heading <= math.pi
+                and x == x and y == y
+                and (x != 0.0 or math.copysign(1.0, x) == 1.0)
+                and (y != 0.0 or math.copysign(1.0, y) == 1.0)
+                and (heading != 0.0 or math.copysign(1.0, heading) == 1.0)):
+            return state
     if (type(state) is ActorState and state.kind == "ego"
             and type(cmd) is ControlCommand):
         actor_id, kind, x, y, heading, speed, acceleration, length, width = \

@@ -359,6 +359,32 @@ class TestCampaignRuns:
         assert err == (f"error: {run_dir} already holds a campaign log; pass "
                        f"--resume to continue it or choose another --run-id\n")
 
+    def test_resume_under_another_algorithm_is_refused(self, output_root,
+                                                       capsys):
+        """A resume names the algorithm the checkpoint was written with and
+        the one asked for, exits with the runtime code and changes no file
+        of that run."""
+        def cli(name, *extra):
+            return main(["--config-name", name, "--config-dir",
+                         str(CONFIG_DIR), "--run-id", "r", "--seed", "0",
+                         *extra])
+
+        def tree():
+            return {path: path.is_file() and path.read_bytes()
+                    for path in run_dir.rglob("*")}
+
+        assert cli("avfuzzer", "--max-evals", "4") == EXIT_OK
+        run_dir = output_root / "r"
+        before = tree()
+        capsys.readouterr()
+        assert cli("random", "--max-evals", "8", "--resume") == EXIT_RUNTIME
+        assert tree() == before
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (f"error: {run_dir / 'campaign.state.json'}: the checkpoint "
+                f"was written with algorithm 'avfuzzer', not 'random'"
+                in err.splitlines())
+
     def test_svg_export_renders_violations(self, output_root, capsys):
         rc = main(["--config-name", "random", "--config-dir", str(CONFIG_DIR),
                    "--run-id", "svgrun", "--max-evals", "8", "--export-svg"])

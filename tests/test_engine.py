@@ -983,6 +983,33 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             run_campaign("random", ctx, {})
 
+    @pytest.mark.parametrize("algo,seed,named", [
+        ("random", 0, "algorithm 'avfuzzer', not 'random'"),
+        ("avfuzzer", 1, "seed 0, not 1"),
+    ], ids=["other-algorithm", "other-seed"])
+    def test_resume_under_another_algorithm_or_seed_is_refused(
+            self, junction_settings, tmp_path, algo, seed, named):
+        # random's first samples are avfuzzer's first population: without
+        # the check they would replay as matching entries
+        out = tmp_path / "run"
+        campaign_log(junction_settings, algo="avfuzzer", seed=0, evals=4,
+                     output_dir=out)
+
+        def tree():
+            return {path: path.is_file() and path.read_bytes()
+                    for path in out.rglob("*")}
+
+        before = tree()
+        assert len(before) == 3 + 4 + 1  # log, state, report, recordings
+        ctx = CampaignContext(junction_settings,
+                              CampaignBudget(max_evaluations=8), seed=seed,
+                              output_dir=out, resume=True)
+        with pytest.raises(CampaignError, match=f"campaign.state.json: the "
+                           f"checkpoint was written with {named}$"):
+            run_campaign(algo, ctx, {})
+        assert ctx.completed == 0
+        assert tree() == before
+
     @pytest.mark.parametrize("name,content,where", [
         ("campaign.state.json", b'{"algorithm":"random","completed":', ""),
         ("campaign.state.json", b"[1,2]", ""),
@@ -994,6 +1021,8 @@ class TestCampaign:
         ("campaign.state.json",
          b'{"wall_consumed":1' + b"0" * 400 + b"}", ""),
         ("campaign.state.json", b'{"wall_consumed":true}', ""),
+        ("campaign.state.json", b'{"algorithm":5,"wall_consumed":1.0}', ""),
+        ("campaign.state.json", b'{"seed":"1","wall_consumed":1.0}', ""),
         ("evaluations.json", b'[{"scenario_id":"\xff"}]', ""),
         ("evaluations.json", b"[1,2]", "entry 0"),
         ("evaluations.json", _entry_1_without("fitness"), "entry 1"),
@@ -1016,7 +1045,7 @@ class TestCampaign:
         ("evaluations.json", _entry_1_with("scenario_id", None), "entry 1"),
     ], ids=["torn-state", "array-state", "string-state", "bad-field-state",
             "nan-wall", "infinite-wall", "negative-wall", "huge-wall",
-            "bool-wall",
+            "bool-wall", "number-algorithm", "string-seed",
             "non-utf8-log", "non-object-entry", "entry-without-fitness",
             "entry-without-repairs", "entry-without-values",
             "entry-extra-key",

@@ -18,11 +18,12 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               check_collision, check_destination,
                               initial_world, mission_end_point, mission_path,
                               read_recording, recording_bytes,
-                              recording_digest, run_scenario, write_recording)
+                              recording_digest, recording_path, run_scenario,
+                              write_recording)
 from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
                                 ScenarioConfig)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
-                                 WorldState, actor_distance,
+                                 WaypointPolicy, WorldState, actor_distance,
                                  actor_distance_lower_bound)
 
 GOLDEN_RECORDING_SHA256 = \
@@ -428,6 +429,36 @@ class TestPersistence:
         assert len({id(f.actors[0]) for f in rec.frames}) == len(rec.frames)
         assert write_recording(rec, tmp_path / "warm").read_bytes() == cold
         assert [a for a in writes if a.kind == "ego"] == egos
+
+    def test_held_npc_states_are_shared_and_written_once(
+            self, chain_map, tmp_path, monkeypatch):
+        npc = NpcSpec("npc_1", (Pose(30.0, 3.5, 0.0), Pose(80.0, 3.5, 0.0)),
+                      (5.0,), spawn_delay=2.0)
+        config = chain_scenario(npc_vehicles=(npc,), duration_limit=5.0)
+        commands = []
+        policy_step = WaypointPolicy.step
+
+        def spied(policy, state, sim_time, dt):
+            commands.append(policy_step(policy, state, sim_time, dt))
+            return commands[-1]
+
+        monkeypatch.setattr(WaypointPolicy, "step", spied)
+        writes = self.counted_writes(monkeypatch)
+        rec = run_scenario(config, chain_map,
+                           reference_session(chain_map, config))
+        brakes = [cmd is BRAKE_COMMAND for cmd in commands]
+        moving = brakes.count(False)
+        # it waits for 2 s, then drives on without reaching its last waypoint
+        assert brakes == [True] * 20 + [False] * moving and moving >= 20
+        npcs = [a for f in rec.frames for a in f.actors if a.kind == "npc"]
+        assert len(npcs) == len(commands) + 1
+        # the spawned state, the first brake (which sets the acceleration)
+        # and one state per moving step: every later brake holds its state
+        assert len({id(a) for a in npcs}) == moving + 2
+        write_recording(rec, tmp_path)
+        assert len([a for a in writes if a.kind == "npc"]) == moving + 2
+        assert recording_path(tmp_path, rec.scenario_id).read_bytes() == \
+            canonical.dump_bytes(recording_document(rec))
 
     def test_read_back_recording_writes_the_same_bytes(self, chain_map,
                                                        tmp_path):

@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import random
+import struct
 import sys
 import threading
 from dataclasses import (MISSING, FrozenInstanceError, dataclass, fields,
@@ -366,9 +367,12 @@ class _ReferenceActorState:
 
 
 def _fields_of(obj):
-    """Each field's name, type and exact value (hex tells 0.0 from -0.0)."""
+    """Each field's name, type and exact value: a float's IEEE bits tell
+    0.0 from -0.0, and a signaling NaN from the quiet NaN arithmetic makes
+    of it."""
     return tuple((f.name, type(value),
-                  float.hex(value) if isinstance(value, float) else repr(value))
+                  struct.pack("<d", value) if isinstance(value, float)
+                  else repr(value))
                  for f in fields(obj)
                  for value in (getattr(obj, f.name),))
 
@@ -828,6 +832,117 @@ def test_step_memo_keeps_campaign_logs(step_memo, tmp_path):
     step_memo.clear()
     assert campaign("cleared") == cold
     assert step_memo.keys() == stored.keys()
+
+
+# ---------------------------------------------------------------------------
+# held steps: a parked state that a step cannot change is returned itself
+
+SIGNALING_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+
+
+def _raw_state(x=30.0, y=3.5, heading=0.5, speed=0.0, acceleration=-B_MAX):
+    """An NPC state holding these values as given, as if built around the
+    heading normalization of ``ActorState.__init__``."""
+    state = ActorState("npc_1", "npc", 0.0, 0.0, 0.0)
+    state.__dict__.update(x=x, y=y, heading=heading, speed=speed,
+                          acceleration=acceleration)
+    return state
+
+
+def _held_grid():
+    """Signed zeros, subnormals, infinities and NaNs in x and y; headings
+    at, and one ulp either side of, +-pi, and NaN; and dt of zero, negative,
+    subnormal, huge, infinite, NaN, an int and a numpy float."""
+    tiny = 5e-324
+    places = (30.0, 0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308,
+              math.inf, -math.inf, math.nan, SIGNALING_NAN)
+    headings = (0.5, 0.0, -0.0, 2.0, -2.0, tiny, *_ulps(math.pi),
+                *_ulps(-math.pi), math.nan, SIGNALING_NAN, math.inf)
+    dts = (DT, 0.0, -0.0, -DT, tiny, 1e308, math.inf, math.nan, 1,
+           np.float64(DT))
+    for x in places:
+        for y in places:
+            for heading in headings:
+                for dt in dts:
+                    yield _raw_state(x, y, heading), BRAKE_COMMAND, dt
+    commands = (BRAKE_COMMAND, ControlCommand(0.0, 1.0, 0.0),
+                ControlCommand(0.0, 0.5, 0.0), ControlCommand(0.5, 0.0, 0.1))
+    for speed in (0.0, -0.0, tiny, 1.0, math.nan):
+        for acceleration in (-B_MAX, math.nextafter(-B_MAX, 0.0), -0.0,
+                             0.0, math.nan):
+            for cmd in commands:
+                for x, heading in ((30.0, 0.5), (-0.0, 0.0), (0.0, 2.0)):
+                    for dt in (DT, tiny):
+                        yield (_raw_state(x, -x, heading, speed, acceleration),
+                               cmd, dt)
+
+
+def test_held_step_equals_the_full_step_bit_for_bit():
+    held = cases = 0
+    with np.errstate(invalid="ignore"):  # a numpy dt meets NaN and inf
+        for state, cmd, dt in _held_grid():
+            expected = _built(simulator._step_kinematic, state, cmd, dt)
+            assert _built(step_kinematic, state, cmd, dt) == expected, \
+                (state, cmd, dt)
+            held += (expected[0] == "builds"
+                     and step_kinematic(state, cmd, dt) is state)
+            cases += 1
+    assert cases == 15000 + 600
+    assert 0 < held < cases // 2, held
+
+
+def test_held_step_returns_the_identical_object(step_memo):
+    # from the spawn pose, with no acceleration yet, the first brake moves it
+    spawned = _actor(x=30.0, y=3.5, heading=2.0)
+    parked = step_kinematic(spawned, BRAKE_COMMAND, DT)
+    assert parked is not spawned and parked.acceleration == -B_MAX
+    text = actor_text(parked)
+    for dt in (DT, 0.05, 5e-324, 1e308):
+        assert step_kinematic(parked, BRAKE_COMMAND, dt) is parked
+    # both brake branches of the policy hold it, and so does step_world
+    waiting = WaypointPolicy(_policy_npc(delay=5.0))
+    assert waiting.step(parked, 1.0, DT) is BRAKE_COMMAND
+    world = WorldState(1.0, (parked,))
+    for _ in range(3):
+        world = step_world(world, {"a": waiting.step(parked, 1.0, DT)}, DT)
+        assert world.actors[0] is parked
+    assert actor_text(world.actors[0]) is text
+    # a parked ego is held before the step memo is looked up
+    ego = step_kinematic(_ego(speed=0.0), BRAKE_COMMAND, DT)
+    stored = dict(step_memo)
+    assert step_kinematic(ego, BRAKE_COMMAND, DT) is ego
+    assert step_memo == stored and len(stored) == 1
+
+
+def _unheld_inputs():
+    """Parked states, commands and steps equal to a held one, but not
+    exact: each must take the full step."""
+    brake = BRAKE_COMMAND
+    return [
+        ("equal command", _raw_state(), ControlCommand(0.0, 1.0, 0.0), DT),
+        ("subclass command", _raw_state(), SubCommand(0.0, 1.0, 0.0), DT),
+        ("subclass state", SubState("npc_1", "npc", 30.0, 3.5, 0.5, 0.0,
+                                    -B_MAX), brake, DT),
+        ("int x", _raw_state(x=30), brake, DT),
+        ("int y", _raw_state(y=3), brake, DT),
+        ("int heading", _raw_state(heading=0), brake, DT),
+        ("int speed", _raw_state(speed=0), brake, DT),
+        ("int acceleration", _raw_state(acceleration=-6), brake, DT),
+        ("float-subclass x", _raw_state(x=Tagged(30.0)), brake, DT),
+        ("numpy y", _raw_state(y=np.float64(3.5)), brake, DT),
+        ("int dt", _raw_state(), brake, 1),
+        ("numpy dt", _raw_state(), brake, np.float64(DT)),
+        ("float-subclass dt", _raw_state(), brake, Tagged(DT)),
+    ]
+
+
+@pytest.mark.parametrize("name,state,cmd,dt", _unheld_inputs(),
+                         ids=[case[0] for case in _unheld_inputs()])
+def test_held_step_is_bypassed_for_inexact_inputs(name, state, cmd, dt):
+    new = step_kinematic(state, cmd, dt)
+    assert new is not state and type(new) is ActorState
+    assert _fields_of(new) == \
+        _fields_of(simulator._step_kinematic(state, cmd, dt))
 
 
 # ---------------------------------------------------------------------------
