@@ -9,22 +9,25 @@ followed by that many bytes of UTF-8 canonical JSON.  Bodies::
 Frames are written by shape: :func:`encode` lays out each body's keys in
 sorted order and writes each value with ``canonical.dump_value``, and the
 result must equal ``canonical.dump_bytes`` of the body's document byte for
-byte (``tests/test_bridge.py`` keeps the dict-building encoder as the
-reference).  :func:`decode` takes an actor whose values all have their exact
-types at once; anything else goes through the full checks, which name the
-fault.
+byte (``tests/test_bridge.py`` keeps the dict-building encoder and the
+original decoder checks as the reference).
+
+Both sides of the codec have one path.  A writer reads before it writes, as
+the dict-building encoder did: :func:`read_actors` hands back a tuple of
+exact ``ActorState`` objects as it is, since their fields can always be
+read, and reads every field of any other actors into a list, so an
+unreadable actor fails before a bad value is written.  :func:`encode` (after
+reading a non-exact ego) and ``runner.recording_bytes`` both write what it
+returns.  :func:`decode` checks an actor's structure once, then takes its
+seven numbers at once when all are floats with a finite sum; otherwise it
+reads them field by field, converting ints and naming the first bad field.
 
 An actor's text is written once per object: :func:`actor_text` stores the
 text of an exact ``ActorState`` in the object's ``_text`` the first time it
 writes it, and every later frame or recording holding that object reuses it.
 The fields are frozen and the text is a pure function of them, so the bytes
 cannot move; a write that raises stores nothing, so it raises again.
-Subclasses and duck-typed actors are written afresh every time.  The
-dict-building encoder reads a whole message before it writes any value, so
-an unreadable actor fails before a bad value is written: a perception whose
-obstacles are not a tuple, or whose actors raise when written one by one, is
-written again that way, and a recording reads every frame first, except
-the fields of exact ``ActorState`` objects, which can always be read.
+Subclasses and duck-typed actors are written afresh every time.
 
 The session is lockstep: the runner sends one perception frame and blocks for
 exactly one control frame.  The in-process transport encodes both frames, so
@@ -64,13 +67,13 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import canonical
 from .canonical import dump_value, finite_number
 from .geometry import Polyline, normalize_angle
-from .simulator import (ACTOR_KINDS, ActorState, ControlCommand,
-                        SpeedController, pure_pursuit_steering)
+from .simulator import (ActorState, ControlCommand, SpeedController,
+                        pure_pursuit_steering)
 
 log = logging.getLogger(__name__)
 
@@ -90,6 +93,7 @@ LAT_ACCEL_MAX = 2.5      # m/s^2, curve slowdown
 
 _isfinite = math.isfinite
 _FLOAT = frozenset((float,))
+_EXACT_ACTOR = frozenset((ActorState,))
 
 
 class FrameError(ValueError):
@@ -122,6 +126,8 @@ _actor_fields = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
                           "acceleration", "length", "width")
 _ACTOR_KEYS = frozenset(("actor_id", "kind", "x", "y", "heading", "speed",
                          "acceleration", "length", "width"))
+_NUMBER_KEYS = ("x", "y", "heading", "speed", "acceleration", "length", "width")
+_actor_numbers = itemgetter(*_NUMBER_KEYS)
 _PERCEPTION_KEYS = frozenset(("type", "sim_time", "ego", "obstacles"))
 _CONTROL_KEYS = frozenset(("type", "sim_time", "throttle", "brake", "steering"))
 
@@ -149,8 +155,13 @@ def actor_text(actor) -> str:
     return text
 
 
-def _read_all(actors) -> list:
-    """``actors`` as a list, every field of each read as it comes."""
+def read_actors(actors) -> tuple | list:
+    """``actors`` ready to be written.  A tuple of exact ``ActorState``s
+    comes back as it is, since their fields can always be read; anything
+    else comes back as a list, every field of each actor read as it comes,
+    so an unreadable actor fails before any value is written."""
+    if type(actors) is tuple and _EXACT_ACTOR.issuperset(map(type, actors)):
+        return actors
     read = []
     for actor in actors:
         _actor_fields(actor)
@@ -158,60 +169,32 @@ def _read_all(actors) -> list:
     return read
 
 
-def _perception_texts(message: PerceptionMessage) -> tuple[str, list[str]]:
-    """The texts of a perception's ego and obstacles, each actor written as
-    it is read.  If that raises, or the obstacles are not a tuple, the
-    message is read whole before any value is written, as the reference
-    does, so an unreadable actor fails before a bad value is written."""
-    try:
-        ego = actor_text(message.ego)
-        obstacles = message.obstacles
-        if type(obstacles) is tuple:
-            return ego, [actor_text(o) for o in obstacles]
-    except Exception:
-        pass  # raised again below, in the reference order
-    ego = message.ego
-    _actor_fields(ego)
-    obstacles = _read_all(message.obstacles)
-    return actor_text(ego), [actor_text(o) for o in obstacles]
-
-
 def _parse_actor(doc, where: str) -> ActorState:
-    if type(doc) is dict and doc.keys() == _ACTOR_KEYS:
-        actor_id, kind = doc["actor_id"], doc["kind"]
-        numbers = (doc["x"], doc["y"], doc["heading"], doc["speed"],
-                   doc["acceleration"], doc["length"], doc["width"])
-        # A sum of floats is finite only if every term is (an overflowing sum
-        # just takes the checks below).
-        if type(actor_id) is str and type(kind) is str and \
-                kind in ACTOR_KINDS and set(map(type, numbers)) == _FLOAT and \
-                _isfinite(sum(numbers)):
-            return ActorState(actor_id, kind, *numbers)
     if not isinstance(doc, dict):
         raise FrameError(f"{where}: expected an object")
     if doc.keys() != _ACTOR_KEYS:
         raise FrameError(f"{where}: wrong keys {sorted(doc)}")
-    if not isinstance(doc["actor_id"], str) or not isinstance(doc["kind"], str):
+    actor_id, kind = doc["actor_id"], doc["kind"]
+    if not isinstance(actor_id, str) or not isinstance(kind, str):
         raise FrameError(f"{where}: actor_id and kind must be strings")
-    numbers = {}
-    for key in ("x", "y", "heading", "speed", "acceleration", "length", "width"):
-        number = finite_number(doc[key])
-        if number is None:
-            raise FrameError(f"{where}/{key}: expected a finite number")
-        numbers[key] = number
+    numbers = _actor_numbers(doc)
+    # A sum of floats is finite only if every term is (an overflowing sum
+    # just takes the field-by-field reads).
+    if set(map(type, numbers)) != _FLOAT or not _isfinite(sum(numbers)):
+        numbers = [_require_number(doc, key, where) for key in _NUMBER_KEYS]
     try:
-        return ActorState(doc["actor_id"], doc["kind"], **numbers)
-    except ValueError as exc:
+        return ActorState(actor_id, kind, *numbers)
+    except ValueError as exc:  # an unknown kind
         raise FrameError(f"{where}: {exc}") from None
 
 
-def _require_number(doc: dict, key: str) -> float:
+def _require_number(doc: dict, key: str, where: str = "") -> float:
     number = doc[key]
     if type(number) is float and _isfinite(number):
         return number
     number = finite_number(number)
     if number is None:
-        raise FrameError(f"/{key}: expected a finite number")
+        raise FrameError(f"{where}/{key}: expected a finite number")
     return number
 
 
@@ -219,8 +202,12 @@ def encode(message: PerceptionMessage | ControlMessage) -> bytes:
     """Serialize a message to a complete length-prefixed wire frame."""
     if isinstance(message, PerceptionMessage):
         sim_time = message.sim_time
-        ego, texts = _perception_texts(message)
-        body = ('{"ego":' + ego + ',"obstacles":[' + ",".join(texts)
+        ego = message.ego
+        if type(ego) is not ActorState:
+            _actor_fields(ego)
+        obstacles = read_actors(message.obstacles)
+        body = ('{"ego":' + actor_text(ego) + ',"obstacles":['
+                + ",".join([actor_text(o) for o in obstacles])
                 + '],"sim_time":' + dump_value(sim_time)
                 + ',"type":"perception"}')
     elif isinstance(message, ControlMessage):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import build_execution, load_config
 from .engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
-                              CampaignContext, run_campaign)
+                              CampaignContext, CampaignError, run_campaign)
 
 log = logging.getLogger(__name__)
 
@@ -164,6 +164,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("aborted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except CampaignError as exc:  # a refused resume: no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:
         log.exception("campaign failed")
         print(f"error: {exc}", file=sys.stderr)

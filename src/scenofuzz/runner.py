@@ -17,8 +17,8 @@ from typing import Callable
 
 from . import canonical
 from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
-                     PerceptionMessage, _parse_actor, _read_all,
-                     actor_text)
+                     PerceptionMessage, _parse_actor, actor_text,
+                     read_actors)
 from .canonical import Cursor
 from .geometry import Polyline
 from .lanemap import LaneMap, route
@@ -276,19 +276,12 @@ def _annotate_npc_contacts(world: WorldState, threshold: float,
 # persistence
 
 
-_EXACT_ACTOR = frozenset((ActorState,))
-
-
 def _frame_fields(frame: Frame) -> tuple:
-    """A frame's values, read before any is written.  Actors other than
-    exact ``ActorState`` objects in a tuple, whose fields can always be read,
-    have every field read now."""
-    fields = (frame.sim_time, frame.ego_command.throttle,
-              frame.ego_command.brake, frame.ego_command.steering)
-    actors = frame.actors
-    if type(actors) is tuple and _EXACT_ACTOR.issuperset(map(type, actors)):
-        return fields + (actors,)
-    return fields + (_read_all(actors),)
+    """A frame's values, read before any is written (see
+    ``bridge.read_actors``)."""
+    return (frame.sim_time, frame.ego_command.throttle,
+            frame.ego_command.brake, frame.ego_command.steering,
+            read_actors(frame.actors))
 
 
 def _frame_text(fields: tuple) -> str:

@@ -503,6 +503,23 @@ class TestCodecReference:
                 frame = bridge.HEADER.pack(len(body)) + body
                 assert _outcome(decode, frame) == \
                     _outcome(reference_decode, frame), (path, text)
+        # two fields of one actor spelled: the field-by-field reads name the
+        # field the reference names, and convert the other as it does
+        for where in (["ego"], ["obstacles", 0]):
+            for first, second in (("x", "y"), ("length", "heading")):
+                for other in ("NaN", "2", '"3.5"'):
+                    doc = canonical.loads(encode(good)[4:])
+                    target = doc
+                    for step in where:
+                        target = target[step]
+                    target[first], target[second] = "<first>", "<second>"
+                    body = canonical.dumps(doc).replace(
+                        '"<first>"', text).replace(
+                        '"<second>"', other).encode("utf-8")
+                    frame = bridge.HEADER.pack(len(body)) + body
+                    assert _outcome(decode, frame) == \
+                        _outcome(reference_decode, frame), \
+                        (where, first, text, second, other)
 
     def test_decode_equals_reference_on_malformed_documents(self):
         ego = canonical.loads(encode(perception(actor()))[4:])["ego"]

@@ -385,6 +385,32 @@ class TestCampaignRuns:
                 f"was written with algorithm 'avfuzzer', not 'random'"
                 in err.splitlines())
 
+    def test_refused_resume_prints_only_its_error_line(self, output_root):
+        """A refused resume is a user error: no traceback and no "campaign
+        failed" log line.  Run in a subprocess, since pytest's log capture
+        would hide a traceback from capsys."""
+        args = ["--config-dir", str(CONFIG_DIR), "--run-id", "r",
+                "--seed", "0"]
+        assert main(["--config-name", "avfuzzer", "--max-evals", "4",
+                     *args]) == EXIT_OK
+        run_dir = output_root / "r"
+        before = {path: path.is_file() and path.read_bytes()
+                  for path in run_dir.rglob("*")}
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scenofuzz.cli", "--config-name", "random",
+             "--max-evals", "8", "--resume", *args],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "campaign failed" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: {run_dir / 'campaign.state.json'}: the checkpoint was "
+            f"written with algorithm 'avfuzzer', not 'random'")
+        assert {path: path.is_file() and path.read_bytes()
+                for path in run_dir.rglob("*")} == before
+
     def test_svg_export_renders_violations(self, output_root, capsys):
         rc = main(["--config-name", "random", "--config-dir", str(CONFIG_DIR),
                    "--run-id", "svgrun", "--max-evals", "8", "--export-svg"])

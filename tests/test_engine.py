@@ -6,6 +6,7 @@ import hashlib
 import logging
 import math
 import statistics
+import threading
 import types
 from pathlib import Path
 
@@ -1092,6 +1093,61 @@ class TestCampaign:
     def test_budget_requires_some_limit(self):
         with pytest.raises(ValueError):
             CampaignBudget()
+
+
+class CrashAtWrite(BaseException):
+    """A kill at one file write: no ``except Exception`` can swallow it."""
+
+
+class TestCrashAtEveryWrite:
+    """A campaign killed at any one of its file writes, before the write or
+    halfway through its bytes, resumes to the uninterrupted log.  A power
+    loss, which can keep a renamed file's new name with empty contents, is
+    not simulated here."""
+
+    @pytest.mark.parametrize("algo, seed, evals, workers, frames", [
+        ("avfuzzer", 4, 6, 1, False),
+        ("behavexplor", 5, 4, 1, True),
+        ("random", 6, 4, 2, False)])
+    def test_resume_after_a_crash_at_each_write(
+            self, junction_settings, tmp_path, monkeypatch, algo, seed,
+            evals, workers, frames):
+        settings = dataclasses.replace(junction_settings,
+                                       save_traffic_recording=frames)
+        write_bytes = Path.write_bytes
+        writes = []
+        crash = {"at": None, "torn": False}
+        lock = threading.Lock()  # two workers write recordings at once
+
+        def counted(path, data):
+            with lock:
+                writes.append(path)
+                at = len(writes)
+            if at == crash["at"]:
+                if crash["torn"]:
+                    write_bytes(path, data[:len(data) // 2])
+                raise CrashAtWrite
+            return write_bytes(path, data)
+
+        def run(out, resume=False):
+            campaign_log(settings, algo=algo, seed=seed, evals=evals,
+                         workers=workers, output_dir=out, resume=resume)
+            return (out / campaign.EVALUATIONS_FILE).read_bytes()
+
+        monkeypatch.setattr(Path, "write_bytes", counted)
+        whole = run(tmp_path / "whole")
+        count = len(writes)
+        # a recording and a checkpoint's two files per batch, at least
+        assert count > evals + 2
+        for at in range(1, count + 1):
+            for torn in (False, True):
+                out = tmp_path / f"{at}-{torn}"
+                writes.clear()
+                crash.update(at=at, torn=torn)
+                with pytest.raises(CrashAtWrite):
+                    run(out)
+                crash["at"] = None
+                assert run(out, resume=True) == whole, (at, torn)
 
 
 # sha256 of evaluations.json for each shipped config at seed 0, 24
