@@ -15,7 +15,11 @@ count.  Resume replays the persisted log prefix instead of re-simulating,
 then continues fresh; an interrupted-and-resumed campaign therefore ends
 with the same log as an uninterrupted one.  ``run_campaign`` refuses, before
 it evaluates or writes anything, to resume a checkpoint whose state file
-names another algorithm or seed.
+names another algorithm or seed.  Only ``run_campaign`` records the algorithm
+and checks the algorithm and seed: a context an algorithm's ``run(ctx,
+params)`` drives directly checkpoints ``"algorithm": ""``, which a later
+resume accepts under any algorithm, and it never checks the algorithm or
+seed of a checkpoint it resumes.
 
 Checkpoint contract: after every batch that evaluated something fresh,
 ``evaluations.json`` is a complete snapshot of the log, replaced atomically,

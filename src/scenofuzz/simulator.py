@@ -13,43 +13,34 @@ is exact there and would return the same bits; a command whose fields are
 exact floats inside their clamp ranges is kept as given for the same reason.
 Every other value takes the full normalize or check-and-clamp path.
 
-A held step returns its state itself.  An NPC waiting for its spawn delay,
-or parked at its last waypoint, gets ``BRAKE_COMMAND`` on every step, and
-from a standstill that step cannot change it: the physics gives
-``accel = -B_MAX`` and ``speed = max(-B_MAX * dt, 0.0) = +0.0``, and x, y
-and heading each gain a signed zero.  So ``step_kinematic`` returns
-``state`` unchanged when the command is ``BRAKE_COMMAND`` itself (identity,
-not equal values), the state an exact ``ActorState``, ``dt`` a ``float``
-with ``0.0 < dt < inf``, x, y, heading, speed and acceleration exact
-floats, speed ``+0.0``, acceleration ``-B_MAX``, heading in (-pi, pi]
-(which excludes NaN: ``cos(nan)`` would make x and y NaN), x and y not NaN
-(the addition quiets a signaling NaN), and none of x, y and heading
-``-0.0`` (adding ``+0.0`` gives ``+0.0``).  Such a state keeps one object,
-and with it its ``_text``, across every frame it is held for, and no
-``ActorState`` is built.  ``tests/test_simulator.py`` checks the rule
-against the full step (the ``test_held_step_*`` tests).
-
-``step_kinematic`` keeps a memo of the ego's steps.  Every evaluation of a
-campaign starts the ego from the same pose on the same route with the same
-agent, and only the traffic around it changes, so the ego drives the same
-trajectory again and again.  The memo is keyed on the actor id and the IEEE
-bits of x, y, heading, speed, acceleration, length, width, throttle, brake,
-steering and ``dt``, never on the floats themselves: as dict keys ``0.0``
-equals ``-0.0`` and a NaN equals nothing.  A hit returns the stored
-``ActorState`` itself, so the physics is skipped, the bridge frame and
-recording reuse its ``_text`` and the reference agent its ``_guide``.  The
-step is a function of those bits alone, so a hit gives what a fresh step
-would.  Only an exact ``ActorState`` of kind ``"ego"`` with an exact ``str``
-id, exact ``float`` fields, an exact ``ControlCommand`` and a ``float``
-``dt`` is looked up and stored: an int or bool packs like a float but writes
-other text, and NPC motion is what the search mutates, so their steps would
-fill the memo with states that seldom come back.  The memo is cleared
+``step_kinematic`` keeps a memo of steps under one rule: a step that changes
+no bit returns its input.  It holds the ego's steps, because every evaluation
+of a campaign starts the ego from the same pose on the same route with the
+same agent and only the traffic around it changes, so the ego drives the same
+trajectory again and again.  It also holds the steps of a state at rest under
+``BRAKE_COMMAND`` itself (an NPC waiting for its spawn delay or parked at its
+last waypoint, or a stopped ego): once its first such step has set the
+acceleration to ``-B_MAX``, the next ones change no bit, so it keeps one
+object, and with it its ``_text``, for as long as it is held.  Moving NPCs are
+left out: their motion is what the search mutates, so their states seldom come
+back.  The memo is keyed on the actor id and kind and the IEEE bits of x, y,
+heading, speed, acceleration, length, width, throttle, brake, steering and
+``dt``, never on the floats themselves: as dict keys ``0.0`` equals ``-0.0``
+and a NaN equals nothing.  A miss whose new state packs to the key's bits
+stores and returns the input itself; a hit returns the stored ``ActorState``
+itself, so the physics is skipped, the bridge frame and recording reuse its
+``_text`` and the reference agent its ``_guide``.  The step is a function of
+those bits alone, so a hit gives what a fresh step would.  Only an exact
+``ActorState`` with an exact ``str`` id and kind, exact ``float`` fields, an
+exact ``ControlCommand`` and a ``float`` ``dt`` is looked up and stored: an
+int or bool packs like a float but writes other text.  The memo is cleared
 whenever it holds ``STEP_MEMO_LIMIT`` states, about 1.3 KB each with their
-text, so a full memo holds about 1 MB.  Worker threads share it; a dict's
-get, set and clear each hold the interpreter lock, so two threads that race
-on one key each get an exact state, and threads that race past the size
-check leave at most one extra entry each.  ``tests/test_simulator.py``
-checks the memo against the uncached step (the ``test_step_memo_*`` tests).
+text, so a full memo holds about 1 MB.  Worker threads share it; a dict's get,
+set and clear each hold the interpreter lock, so two threads that race on one
+key each get an exact state, and threads that race past the size check leave
+at most one extra entry each.  ``tests/test_simulator.py`` checks the memo
+against the uncached step (the ``test_step_memo_*`` and ``test_held_step_*``
+tests).
 
 Speed tracking has fixed gains, the constants ``KP``, ``KI``, ``KD`` and
 ``INTEGRAL_LIMIT``.  ``KD`` is 0.0 but its term stays in the pedal sum: for a
@@ -184,13 +175,12 @@ class WorldState:
         return self.actor("ego")
 
 
-STEP_MEMO_LIMIT = 768  # ego steps held before the memo is cleared: <= 1 MB
-_ego_steps: dict[tuple[str, bytes], ActorState] = {}
-_ego_step = _ego_steps.get
+STEP_MEMO_LIMIT = 768  # ego and parked steps held before a clear: <= 1 MB
+_steps: dict[tuple[str, str, bytes], ActorState] = {}
+_step = _steps.get
 _step_bits = struct.Struct("<11d").pack
-_held_inputs = attrgetter("x", "y", "heading", "speed", "acceleration")
-_ego_inputs = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
-                         "acceleration", "length", "width")
+_step_inputs = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
+                          "acceleration", "length", "width")
 
 
 def step_kinematic(state: ActorState, cmd: ControlCommand,
@@ -198,42 +188,35 @@ def step_kinematic(state: ActorState, cmd: ControlCommand,
     """One explicit-Euler step of the kinematic bicycle model.
 
     Position and heading advance with the speed at the start of the step;
-    speed is clamped to [0, V_MAX] after applying net acceleration.  A held
-    step returns ``state`` itself, and an ego step is looked up in the step
-    memo (see the module docstring for both).
+    speed is clamped to [0, V_MAX] after applying net acceleration.  An ego
+    step, or a step at rest under ``BRAKE_COMMAND``, is looked up in the
+    step memo, and a step that changes no bit returns ``state`` itself (see
+    the module docstring).
     """
-    if (cmd is BRAKE_COMMAND and type(state) is ActorState
-            and type(dt) is float and 0.0 < dt < math.inf):
-        x, y, heading, speed, acceleration = _held_inputs(state)
-        if (type(x) is type(y) is type(heading) is type(speed)
-                is type(acceleration) is float
-                and speed == 0.0 and math.copysign(1.0, speed) == 1.0
-                and acceleration == -B_MAX
-                and -math.pi < heading <= math.pi
-                and x == x and y == y
-                and (x != 0.0 or math.copysign(1.0, x) == 1.0)
-                and (y != 0.0 or math.copysign(1.0, y) == 1.0)
-                and (heading != 0.0 or math.copysign(1.0, heading) == 1.0)):
-            return state
-    if (type(state) is ActorState and state.kind == "ego"
-            and type(cmd) is ControlCommand):
+    if (type(state) is ActorState and type(cmd) is ControlCommand
+            and (state.kind == "ego"
+                 or cmd is BRAKE_COMMAND and state.speed == 0.0)):
         actor_id, kind, x, y, heading, speed, acceleration, length, width = \
-            _ego_inputs(state)
+            _step_inputs(state)
         throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
         if (type(actor_id) is type(kind) is str
                 and type(x) is type(y) is type(heading) is type(speed)
                 is type(acceleration) is type(length) is type(width)
                 is type(throttle) is type(brake) is type(steering)
                 is type(dt) is float):
-            key = (actor_id, _step_bits(x, y, heading, speed, acceleration,
-                                        length, width, throttle, brake,
-                                        steering, dt))
-            new = _ego_step(key)
+            bits = _step_bits(x, y, heading, speed, acceleration, length,
+                              width, throttle, brake, steering, dt)
+            key = (actor_id, kind, bits)
+            new = _step(key)
             if new is None:
                 new = _step_kinematic(state, cmd, dt)
-                if len(_ego_steps) >= STEP_MEMO_LIMIT:
-                    _ego_steps.clear()
-                _ego_steps[key] = new
+                if _step_bits(new.x, new.y, new.heading, new.speed,
+                              new.acceleration, length, width, throttle,
+                              brake, steering, dt) == bits:
+                    new = state
+                if len(_steps) >= STEP_MEMO_LIMIT:
+                    _steps.clear()
+                _steps[key] = new
             return new
     return _step_kinematic(state, cmd, dt)
 

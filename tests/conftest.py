@@ -13,10 +13,10 @@ from scenofuzz.lanemap import bundled_map_names, load_bundled_map, route
 
 @pytest.fixture
 def step_memo():
-    """The simulator's ego step memo, emptied so each test sees its own
-    stores."""
-    simulator._ego_steps.clear()
-    return simulator._ego_steps
+    """The simulator's step memo of ego steps and parked states, emptied
+    so each test sees its own stores."""
+    simulator._steps.clear()
+    return simulator._steps
 
 
 @pytest.fixture(scope="session")

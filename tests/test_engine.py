@@ -20,7 +20,8 @@ from synthetic import SyntheticContext, box_prototype, sphere
 from scenofuzz import bridge, canonical
 from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
 from scenofuzz.config import build_execution, load_config
-from scenofuzz.engine import avfuzzer, campaign, feedback, operators, samota
+from scenofuzz.engine import (avfuzzer, campaign, feedback, operators,
+                              random_search, samota)
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
@@ -1010,6 +1011,26 @@ class TestCampaign:
             run_campaign(algo, ctx, {})
         assert ctx.completed == 0
         assert tree() == before
+
+    def test_a_direct_run_records_no_algorithm(self, junction_settings,
+                                               tmp_path):
+        # only run_campaign records the algorithm and checks it and the seed
+        campaign_log(junction_settings, evals=6, output_dir=tmp_path / "uncut")
+        out = tmp_path / "direct"
+        ctx = CampaignContext(junction_settings,
+                              CampaignBudget(max_evaluations=3),
+                              output_dir=out)
+        with pytest.raises(BudgetExhausted):
+            random_search.run(ctx, {"batch_size": None})
+        state = canonical.loads((out / "campaign.state.json").read_bytes())
+        assert state["algorithm"] == "" and state["completed"] == 3
+        ctx, _ = campaign_log(junction_settings, evals=6, output_dir=out,
+                              resume=True)
+        assert ctx.completed == 6
+        assert (out / "evaluations.json").read_bytes() == \
+            (tmp_path / "uncut" / "evaluations.json").read_bytes()
+        state = canonical.loads((out / "campaign.state.json").read_bytes())
+        assert state["algorithm"] == "random"
 
     @pytest.mark.parametrize("name,content,where", [
         ("campaign.state.json", b'{"algorithm":"random","completed":', ""),

@@ -431,7 +431,7 @@ class TestPersistence:
         assert [a for a in writes if a.kind == "ego"] == egos
 
     def test_held_npc_states_are_shared_and_written_once(
-            self, chain_map, tmp_path, monkeypatch):
+            self, chain_map, tmp_path, monkeypatch, step_memo):
         npc = NpcSpec("npc_1", (Pose(30.0, 3.5, 0.0), Pose(80.0, 3.5, 0.0)),
                       (5.0,), spawn_delay=2.0)
         config = chain_scenario(npc_vehicles=(npc,), duration_limit=5.0)
@@ -457,8 +457,21 @@ class TestPersistence:
         assert len({id(a) for a in npcs}) == moving + 2
         write_recording(rec, tmp_path)
         assert len([a for a in writes if a.kind == "npc"]) == moving + 2
-        assert recording_path(tmp_path, rec.scenario_id).read_bytes() == \
-            canonical.dump_bytes(recording_document(rec))
+        cold = recording_path(tmp_path, rec.scenario_id).read_bytes()
+        assert cold == canonical.dump_bytes(recording_document(rec))
+        # a second run takes its first parked state, already written, from
+        # the step memo
+        writes.clear()
+        warm = run_scenario(config, chain_map,
+                            reference_session(chain_map, config))
+        npcs = [a for f in warm.frames for a in f.actors if a.kind == "npc"]
+        assert len({id(a) for a in npcs}) == moving + 2
+        (tmp_path / "warm").mkdir()
+        write_recording(dataclasses.replace(warm, wall_clock=rec.wall_clock),
+                        tmp_path / "warm")
+        assert len([a for a in writes if a.kind == "npc"]) == moving + 1
+        assert recording_path(tmp_path / "warm",
+                              rec.scenario_id).read_bytes() == cold
 
     def test_read_back_recording_writes_the_same_bytes(self, chain_map,
                                                        tmp_path):

@@ -590,7 +590,7 @@ def test_speed_controller_zero_pedal_is_positive_zero():
 
 
 # ---------------------------------------------------------------------------
-# the ego step memo: a hit must return what the uncached step returns
+# the step memo: a hit must return what the uncached step returns
 
 
 def _ego(x=1.0, y=-2.0, heading=0.3, speed=5.0, acceleration=0.5,
@@ -610,7 +610,8 @@ def _uncached(state, cmd, dt):
 
 def _memo_inputs():
     """Seeded ego steps plus signed zeros, headings at +-pi, subnormals,
-    and NaN and infinite inputs."""
+    and NaN and infinite inputs, and states at rest under ``BRAKE_COMMAND``:
+    parked, just stopped, and of each kind under one id and equal bits."""
     rng = random.Random(1729)
     tiny = 5e-324
     cases = [
@@ -641,7 +642,17 @@ def _memo_inputs():
             (_ego(width=zero), ControlCommand(0.5, 0.0, 0.1), DT),
             (_ego(x=zero, heading=math.pi, speed=0.0), BRAKE_COMMAND, DT),
             (_ego(heading=-0.0), ControlCommand(0.5, 0.0, zero), DT),
+            (_raw_state(x=zero, y=-zero, heading=zero), BRAKE_COMMAND, DT),
+            (_raw_state(acceleration=zero), BRAKE_COMMAND, DT),
         ]
+    for kind in ("npc", "ego", "static"):
+        for dt in (DT, 0.05, 5e-324, 1e308, math.inf, math.nan, -DT, 0.0):
+            cases.append((_raw_state(kind=kind), BRAKE_COMMAND, dt))
+    for heading in (*_ulps(math.pi), *_ulps(-math.pi)):
+        cases.append((_raw_state(heading=heading), BRAKE_COMMAND, DT))
+    for place in (math.nan, math.inf, -math.inf, 5e-324):
+        cases += [(_raw_state(x=place), BRAKE_COMMAND, DT),
+                  (_raw_state(y=place, acceleration=0.0), BRAKE_COMMAND, DT)]
     for heading in (*_ulps(math.pi), *_ulps(-math.pi), math.pi / 2):
         for steering in (-STEER_MAX, -0.0, 0.0, STEER_MAX):
             cases.append((_ego(heading=heading, speed=12.0),
@@ -668,8 +679,13 @@ def test_step_memo_equals_the_uncached_step(step_memo):
             raised += expected[0] == "raises"
     assert raised == 2 * 2  # an infinite turn, in each pass
     assert 0 < len(step_memo) < len(cases)
-    for new in step_memo.values():  # every stored state is exact
-        assert type(new) is ActorState and new.kind == "ego"
+    brake = struct.pack("<3d", 0.0, 1.0, 0.0)
+    for (_, kind, bits), new in step_memo.items():
+        # an ego step, or a step from speed 0 under BRAKE_COMMAND
+        speed = struct.unpack("<11d", bits)[3]
+        assert kind == "ego" or (speed == 0.0 and bits[56:80] == brake)
+        # every stored state is exact
+        assert type(new) is ActorState and new.kind == kind
         assert all(type(getattr(new, f)) is float for f in
                    ("x", "y", "heading", "speed", "acceleration", "length",
                     "width"))
@@ -714,7 +730,8 @@ def _int_throttle():
 
 def _bypassing_inputs():
     """Inputs equal to ``_ego()``, ``ControlCommand(1.0, 0.0, 0.1)`` and
-    ``DT`` as keys, but not exact: each must be stepped afresh."""
+    ``DT`` as keys, but not exact, and NPC steps the memo leaves out: each
+    must be stepped afresh."""
     args = ("ego", "ego", 1.0, -2.0, 0.3, 5.0, 0.5, 4.8, 2.0)
     cmd = ControlCommand(1.0, 0.0, 0.1)
 
@@ -737,6 +754,11 @@ def _bypassing_inputs():
         ("subclass state", SubState(*args), cmd, DT),
         ("npc", state(kind="npc"), cmd, DT),
         ("static", state(kind="static"), cmd, DT),
+        ("npc moving under BRAKE_COMMAND", state(kind="npc"), BRAKE_COMMAND,
+         DT),
+        ("npc at rest under an equal brake command",
+         state(kind="npc", speed=0.0, acceleration=-B_MAX),
+         ControlCommand(0.0, 1.0, 0.0), DT),
         ("subclass command", _ego(), SubCommand(1.0, 0.0, 0.1), DT),
         ("int throttle", _ego(), _int_throttle(), DT),
         ("int dt", _ego(), cmd, 1),
@@ -835,15 +857,16 @@ def test_step_memo_keeps_campaign_logs(step_memo, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# held steps: a parked state that a step cannot change is returned itself
+# held steps: a step that changes no bit returns the state itself
 
 SIGNALING_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
 
 
-def _raw_state(x=30.0, y=3.5, heading=0.5, speed=0.0, acceleration=-B_MAX):
-    """An NPC state holding these values as given, as if built around the
-    heading normalization of ``ActorState.__init__``."""
-    state = ActorState("npc_1", "npc", 0.0, 0.0, 0.0)
+def _raw_state(x=30.0, y=3.5, heading=0.5, speed=0.0, acceleration=-B_MAX,
+               kind="npc"):
+    """A state of ``npc_1`` holding these values as given, as if built
+    around the heading normalization of ``ActorState.__init__``."""
+    state = ActorState("npc_1", kind, 0.0, 0.0, 0.0)
     state.__dict__.update(x=x, y=y, heading=heading, speed=speed,
                           acceleration=acceleration)
     return state
@@ -907,11 +930,13 @@ def test_held_step_returns_the_identical_object(step_memo):
         world = step_world(world, {"a": waiting.step(parked, 1.0, DT)}, DT)
         assert world.actors[0] is parked
     assert actor_text(world.actors[0]) is text
-    # a parked ego is held before the step memo is looked up
+    # a parked ego's step stores the ego itself, and the next step hits it
     ego = step_kinematic(_ego(speed=0.0), BRAKE_COMMAND, DT)
-    stored = dict(step_memo)
+    step_memo.clear()
     assert step_kinematic(ego, BRAKE_COMMAND, DT) is ego
-    assert step_memo == stored and len(stored) == 1
+    assert list(step_memo.values()) == [ego]
+    assert step_kinematic(replace(ego), BRAKE_COMMAND, DT) is ego
+    assert list(step_memo.values()) == [ego]
 
 
 def _unheld_inputs():
