@@ -5,6 +5,11 @@ ego mission and mutation space), ``scenario_runner`` (execution backend and
 agent), and ``testing_engine`` (algorithm and oracles).  Unknown keys are
 rejected with the full path to the offending entry so typos fail loudly
 instead of silently running defaults.
+
+The document is checked section by section against the key table, and every
+value is read through :class:`canonical.Cursor`.  Each error reads
+``<dotted key>: <message>``, as in ``scenario_runner.parameters.dt: expected
+a number``; a fault of the whole document is named ``config``.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from typing import Any
 
 import yaml
 
-from .canonical import finite_number
 from .bridge import (ENDPOINT_ENV_VAR, AgentSettings, parse_endpoint,
                      resolve_endpoint)
+from .canonical import Cursor
 from .engine.campaign import (ALGORITHM_DEFAULTS, CampaignBudget,
                               ExecutionSettings)
 from .engine.template import MissionSpec, build_template
@@ -98,6 +103,12 @@ BOUNDS = (
     ("testing_engine.algorithm.parameters.run_hour", ">", 0),
     ("testing_engine.algorithm.parameters.local_run_hour", ">=", 0),
     ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
+    ("testing_engine.algorithm.parameters.pm", ">=", 0),
+    ("testing_engine.algorithm.parameters.pm", "<=", 1),
+    ("testing_engine.algorithm.parameters.pc", ">=", 0),
+    ("testing_engine.algorithm.parameters.pc", "<=", 1),
+    ("testing_engine.algorithm.parameters.archive_threshold", ">=", 0),
+    ("testing_engine.algorithm.parameters.surrogate_pool", ">=", 1),
     ("testing_engine.oracle.collision.threshold", ">=", 0),
     ("testing_engine.oracle.destination.tolerance", ">=", 0),
     ("testing_engine.oracle.stuck.speed", ">=", 0),
@@ -187,92 +198,53 @@ def _key_tree(paths) -> dict:
 _KEY_TREE = _key_tree([*REQUIRED_KEYS, *CONFIG_DEFAULTS])
 
 
-class _Node:
-    """Cursor over the raw YAML tree that reports path-qualified errors."""
+def _walk(doc: Any, tree: dict, where: str, overrides: dict,
+          values: dict) -> None:
+    """Check one section against its key tree and read its leaves.
 
-    def __init__(self, doc: Any, path: str = ""):
-        self.doc = doc
-        self.path = path
-
-    def _where(self, key: str = "") -> str:
-        if not self.path and not key:
-            return "config"
-        return ".".join(p for p in (self.path, key) if p)
-
-    def mapping(self) -> dict:
-        if self.doc is None:
-            return {}
-        if not isinstance(self.doc, dict):
-            raise ConfigError(f"{self._where()}: expected a mapping, "
-                              f"got {type(self.doc).__name__}")
-        return self.doc
-
-    def child(self, key: str) -> "_Node":
-        return _Node(self.mapping().get(key), self._where(key))
-
-    def reject_unknown(self, known) -> None:
-        mapping = self.mapping()
-        for key in mapping:
-            if not isinstance(key, str):  # YAML reads a bare on: as True
-                raise ConfigError(
-                    f"{self._where()}: key {key!r} is not a string; quote "
-                    "it (YAML reads a bare on, off, yes, no or number as "
-                    "another type)")
-        unknown = sorted(set(mapping) - set(known))
-        if unknown:
-            raise ConfigError(f"{self._where(unknown[0])}: unknown key "
-                              f"(known keys: {', '.join(sorted(known))})")
-
-    def require(self, key: str) -> str:
-        mapping = self.mapping()
-        if key not in mapping:
-            raise ConfigError(f"{self._where(key)}: required key is missing")
-        value = mapping[key]
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{self._where(key)}: expected a non-empty "
-                              "string")
-        return value
-
-    def get(self, key: str, path: str, overrides: dict) -> Any:
-        """The value of table key ``path``, typed like its default."""
-        default = CONFIG_DEFAULTS[path]
-        value = overrides.get(path, self.mapping().get(key, default))
-        if value is None and default is None:
-            return None
-        if path in OPTIONAL_INTEGER_KEYS:
-            default = 0
-        where = self._where(key)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}: expected true or false")
-            return value
-        if isinstance(default, int):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{where}: expected an integer")
-            return value
-        if isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where}: expected a number")
-            number = finite_number(value)
-            if number is None:
-                raise ConfigError(f"{where}: expected a finite number")
-            return number
-        if isinstance(default, str) or default is None:
-            if not isinstance(value, str):
-                raise ConfigError(f"{where}: expected a string")
-            return value
-        raise ConfigError(f"{where}: unsupported value")  # pragma: no cover
-
-
-def _walk(node: _Node, tree: dict, overrides: dict, values: dict) -> None:
-    node.reject_unknown(tree)
-    for key, entry in tree.items():
-        if isinstance(entry, dict):
-            _walk(node.child(key), entry, overrides, values)
-        elif entry in CONFIG_DEFAULTS:
-            values[entry] = node.get(key, entry, overrides)
-        else:
-            values[entry] = node.require(key)
+    ``where`` is the section's dotted path and a ".", or "" for the whole
+    document.  Each leaf of ``tree`` is its key's dotted path, so a leaf's
+    value is read through a :class:`Cursor` that names it by that path.
+    """
+    if doc is None:
+        doc = {}
+    section = where[:-1] or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section}: expected a mapping, "
+                          f"got {type(doc).__name__}")
+    for key in doc:
+        if not isinstance(key, str):  # YAML reads a bare on: as True
+            raise ConfigError(
+                f"{section}: key {key!r} is not a string; quote it (YAML "
+                "reads a bare on, off, yes, no or number as another type)")
+    unknown = sorted(doc.keys() - tree.keys())
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}: unknown key "
+                          f"(known keys: {', '.join(sorted(tree))})")
+    for key, path in tree.items():
+        if isinstance(path, dict):
+            _walk(doc.get(key), path, f"{where}{key}.", overrides, values)
+        elif path not in CONFIG_DEFAULTS:  # a required key
+            if key not in doc:
+                raise ConfigError(f"{path}: required key is missing")
+            values[path] = Cursor(doc[key], ConfigError, path).text()
+        else:  # typed like its default
+            default = CONFIG_DEFAULTS[path]
+            value = overrides.get(path, doc.get(key, default))
+            kind = int if path in OPTIONAL_INTEGER_KEYS else type(default)
+            leaf = Cursor(value, ConfigError, path)
+            if value is None and default is None:
+                pass  # an optional key left unset
+            elif kind is bool:
+                if not isinstance(value, bool):
+                    raise leaf.fail("expected true or false")
+            elif kind is int:
+                value = leaf.integer()
+            elif kind is float:
+                value = leaf.number()
+            elif not isinstance(value, str):
+                raise leaf.fail("expected a string")
+            values[path] = value
 
 
 def _section(values: dict, prefix: str) -> dict:
@@ -289,7 +261,7 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
     they go through the same checks.
     """
     values: dict[str, Any] = {}
-    _walk(_Node(doc), _KEY_TREE, overrides or {}, values)
+    _walk(doc, _KEY_TREE, "", overrides or {}, values)
 
     runner_name = values["scenario_runner.name"]
     if runner_name != BUILTIN_RUNNER:

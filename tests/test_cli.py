@@ -221,6 +221,20 @@ class TestArgumentHandling:
             f"config error: {key}: must be {rule}\n"
         assert not output_root.exists()
 
+    @pytest.mark.parametrize("key,value,rule", [
+        ("testing_engine.algorithm.parameters.pm", -1, ">= 0"),
+        ("testing_engine.algorithm.parameters.pc", 2, "<= 1"),
+        ("testing_engine.algorithm.parameters.archive_threshold", -1, ">= 0"),
+        ("testing_engine.algorithm.parameters.surrogate_pool", 0, ">= 1"),
+    ])
+    def test_search_parameter_bound_exits_config_code(
+            self, tmp_path, output_root, capsys, key, value, rule):
+        rc = run_cli(write_config(tmp_path / "configs", **{key: value}))
+        assert rc == EXIT_CONFIG == 2
+        assert capsys.readouterr().err == \
+            f"config error: {key}: must be {rule}\n"
+        assert not output_root.exists()
+
     def test_inverted_mutation_range_exits_config_code(self, tmp_path,
                                                         output_root, capsys):
         low, high = ("scenario.mutation_space.speed_low",

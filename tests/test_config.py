@@ -171,23 +171,31 @@ class TestDefaults:
 
 
 class TestStrictness:
-    @pytest.mark.parametrize("path", [
-        "bogus",
-        "system.verbose",
-        "scenario.npc_count",
-        "scenario.mutation_space.velocity",
-        "scenario_runner.image",
-        "scenario_runner.parameters.gpu",
-        "scenario_runner.parameters.agent.model",
-        "testing_engine.budget",
-        "testing_engine.algorithm.parameters.mutation_rate",
-        "testing_engine.oracle.collision.margin",
+    @pytest.mark.parametrize("path,known", [
+        ("bogus", "scenario, scenario_runner, system, testing_engine"),
+        ("system.verbose", "debug, output_root, resume"),
+        ("scenario.npc_count",
+         "duration_limit, end_lane_id, end_station, map_name, "
+         "mutation_space, start_lane_id, start_station"),
+        ("scenario.mutation_space.velocity",
+         "delay_high, delay_low, delays, offset_limit, offsets, presence, "
+         "speed_high, speed_low, speeds"),
+        ("scenario_runner.image", "name, parameters"),
+        ("scenario_runner.parameters.gpu",
+         "agent, container_name, dt, save_traffic_recording, worker_pool"),
+        ("scenario_runner.parameters.agent.model",
+         "cruise_speed, endpoint, fault_ignore_junction_traffic, "
+         "fault_ignore_obstacles, type"),
+        ("testing_engine.budget", "algorithm, oracle"),
+        ("testing_engine.algorithm.parameters.mutation_rate",
+         "archive_threshold, batch_size, local_run_hour, max_evaluations, "
+         "pc, pm, population_size, run_hour, surrogate_pool"),
+        ("testing_engine.oracle.collision.margin", "threshold"),
     ])
-    def test_unknown_key_rejected_with_path(self, path):
+    def test_unknown_key_rejected_with_path(self, path, known):
         with pytest.raises(ConfigError) as err:
             parse_config(minimal_doc(**{path: 1}))
-        assert path in str(err.value)
-        assert "unknown key" in str(err.value)
+        assert str(err.value) == f"{path}: unknown key (known keys: {known})"
 
     @pytest.mark.parametrize("doc,where,key", [
         ({1: "a"}, "config", "1"),
@@ -198,36 +206,58 @@ class TestStrictness:
          "2.5"),
     ], ids=["int", "bool", "null", "float"])
     def test_key_that_is_not_a_string_rejected(self, doc, where, key):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"{where}: key {key} is not a string; quote it")):
-            parse_config(doc)
-
-    @pytest.mark.parametrize("missing", list(REQUIRED_KEYS))
-    def test_missing_required_key(self, missing):
-        doc = minimal_doc()
-        node = doc
-        parts = missing.split(".")
-        for part in parts[:-1]:
-            node = node[part]
-        del node[parts[-1]]
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
-        assert missing in str(err.value)
-        assert "required" in str(err.value)
+        assert str(err.value) == (
+            f"{where}: key {key} is not a string; quote it (YAML reads a "
+            "bare on, off, yes, no or number as another type)")
 
-    def test_empty_required_string_rejected(self):
-        with pytest.raises(ConfigError, match="scenario.map_name"):
-            parse_config(minimal_doc(**{"scenario.map_name": ""}))
-
-    def test_non_mapping_document(self):
-        with pytest.raises(ConfigError, match="expected a mapping"):
-            parse_config([1, 2, 3])
-
-    def test_non_mapping_section(self):
+    @pytest.mark.parametrize("missing,null_section", [
+        *((key, None) for key in REQUIRED_KEYS),
+        ("scenario.map_name", "scenario"),
+        ("testing_engine.algorithm.name", "testing_engine.algorithm"),
+    ])
+    def test_missing_required_key(self, missing, null_section):
+        if null_section:
+            doc = minimal_doc(**{null_section: None})
+        else:
+            doc = minimal_doc()
+            node = doc
+            parts = missing.split(".")
+            for part in parts[:-1]:
+                node = node[part]
+            del node[parts[-1]]
         with pytest.raises(ConfigError) as err:
-            parse_config(minimal_doc(system=["debug"]))
-        assert "system" in str(err.value)
-        assert "expected a mapping" in str(err.value)
+            parse_config(doc)
+        assert str(err.value) == f"{missing}: required key is missing"
+
+    @pytest.mark.parametrize("path", [
+        "scenario.map_name", "testing_engine.algorithm.name"])
+    @pytest.mark.parametrize("value", ["", None, 3, True, ["x"], {"a": "b"}])
+    def test_empty_required_string_rejected(self, path, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{path: value}))
+        assert str(err.value) == f"{path}: expected a non-empty string"
+
+    @pytest.mark.parametrize("doc,kind", [
+        ([1, 2, 3], "list"), ("text", "str"), (7, "int"), (True, "bool")])
+    def test_non_mapping_document(self, doc, kind):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == f"config: expected a mapping, got {kind}"
+
+    @pytest.mark.parametrize("section,value,kind", [
+        ("system", ["debug"], "list"),
+        ("scenario", "chain_3", "str"),
+        ("scenario.mutation_space", 3, "int"),
+        ("scenario_runner.parameters", True, "bool"),
+        ("scenario_runner.parameters.agent", "external", "str"),
+        ("testing_engine.oracle.stuck", [0.3, 30.0], "list"),
+    ])
+    def test_non_mapping_section(self, section, value, kind):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{section: value}))
+        assert str(err.value) == f"{section}: expected a mapping, got {kind}"
 
     def test_none_document_reports_missing_keys(self):
         with pytest.raises(ConfigError, match="required"):
@@ -235,18 +265,42 @@ class TestStrictness:
 
     @pytest.mark.parametrize("path,value,hint", [
         ("system.debug", 3, "true or false"),
+        ("system.resume", "yes", "true or false"),
+        ("scenario.mutation_space.presence", None, "true or false"),
+        ("scenario_runner.parameters.agent.fault_ignore_obstacles", 0,
+         "true or false"),
         ("system.output_root", 7, "a string"),
+        ("scenario_runner.name", None, "a string"),
+        ("scenario_runner.parameters.agent.type", 1, "a string"),
+        ("scenario_runner.parameters.agent.endpoint", ["x"], "a string"),
         ("scenario.duration_limit", "long", "a number"),
+        ("scenario.start_station", None, "a number"),
+        ("scenario.mutation_space.offset_limit", True, "a number"),
+        ("testing_engine.oracle.stuck.speed", [0.3], "a number"),
+        ("scenario.end_station", float("nan"), "a finite number"),
+        ("scenario.mutation_space.speed_high", float("inf"),
+         "a finite number"),
+        ("testing_engine.oracle.collision.threshold", float("-inf"),
+         "a finite number"),
+        ("scenario_runner.parameters.dt", 10**400, "a finite number"),
         ("scenario_runner.parameters.worker_pool", 1.5, "an integer"),
         ("scenario_runner.parameters.worker_pool", True, "an integer"),
+        ("scenario_runner.parameters.worker_pool", "2", "an integer"),
         ("testing_engine.algorithm.parameters.max_evaluations", 2.5,
          "an integer"),
+        ("testing_engine.algorithm.parameters.batch_size", False,
+         "an integer"),
+        ("testing_engine.algorithm.parameters.population_size", None,
+         "an integer"),
     ])
-    def test_type_errors_name_the_path(self, path, value, hint):
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_type_errors_name_the_path(self, path, value, hint, source):
         with pytest.raises(ConfigError) as err:
-            parse_config(minimal_doc(**{path: value}))
-        assert path in str(err.value)
-        assert hint in str(err.value)
+            if source == "file":
+                parse_config(minimal_doc(**{path: value}))
+            else:
+                parse_config(minimal_doc(), {path: value})
+        assert str(err.value) == f"{path}: expected {hint}"
 
     def test_unknown_runner_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -273,6 +327,13 @@ class TestStrictness:
         ("testing_engine.algorithm.parameters.run_hour", -1),
         ("testing_engine.algorithm.parameters.local_run_hour", -0.5),
         ("testing_engine.algorithm.parameters.batch_size", 0),
+        ("testing_engine.algorithm.parameters.pm", -1),
+        ("testing_engine.algorithm.parameters.pm", 1.5),
+        ("testing_engine.algorithm.parameters.pc", -0.5),
+        ("testing_engine.algorithm.parameters.pc", 2),
+        ("testing_engine.algorithm.parameters.archive_threshold", -1),
+        ("testing_engine.algorithm.parameters.surrogate_pool", 0),
+        ("testing_engine.algorithm.parameters.surrogate_pool", -3),
         ("scenario.mutation_space.speed_low", -5),
         ("scenario.mutation_space.speed_high", 40),
         ("scenario.mutation_space.delay_low", -3),
@@ -299,6 +360,14 @@ class TestStrictness:
         config = parse_config(minimal_doc(**{path: 0}))
         assert getattr(config.oracles,
                        path.split(".", 2)[2].replace(".", "_")) == 0.0
+
+    @pytest.mark.parametrize("name,value", [
+        ("pm", 0), ("pm", 1), ("pc", 0.0), ("pc", 1.0),
+        ("archive_threshold", 0), ("surrogate_pool", 1)])
+    def test_search_parameter_edges_accepted(self, name, value):
+        config = parse_config(minimal_doc(**{
+            f"testing_engine.algorithm.parameters.{name}": value}))
+        assert config.algorithm_params[name] == value
 
     @pytest.mark.parametrize("name", ["speed", "delay"])
     def test_inverted_mutation_range_rejected(self, name):
