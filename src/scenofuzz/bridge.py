@@ -37,6 +37,11 @@ agent the simulator's own frozen message and returns an exact
 Decoding a simulator-built frame gives back equal values, so the two
 transports produce identical traces for a deterministic agent.
 
+:class:`BridgeServer` is ``socketserver.ThreadingTCPServer``: a connection
+runs until its peer closes, a frame fails, the agent faults (logged with
+its traceback) or ``close()`` is called, which refuses new connections and
+ends open ones after at most their next frame.
+
 The reference agent's tuning is fixed in module constants, ``CORRIDOR_LENGTH``
 through ``LAT_ACCEL_MAX``; :class:`AgentSettings` holds only what a campaign
 sets.  Its speed tracking is ``simulator.SpeedController`` (constant gains).
@@ -64,6 +69,7 @@ import logging
 import math
 import os
 import socket
+import socketserver
 import struct
 import threading
 from dataclasses import dataclass
@@ -468,7 +474,6 @@ class TcpSession(BridgeSession):
         except OSError as exc:
             raise ConnectionError(
                 f"cannot reach the agent at {host}:{port}: {exc}") from exc
-        self.sock.settimeout(timeout)
 
     def request(self, perception: PerceptionMessage) -> ControlMessage:
         self.sent += 1
@@ -530,67 +535,51 @@ def connect(endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> BridgeSession:
     return TcpSession(host, name_or_port, timeout)
 
 
-class BridgeServer:
-    """Threaded TCP server hosting one agent instance per connection."""
+class BridgeServer(socketserver.ThreadingTCPServer):
+    """One agent per connection, built from ``agent_factory`` when the
+    connection opens; binds in the constructor and serves from a daemon
+    thread until :meth:`close` (see the module docstring)."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, agent_factory, host: str = "127.0.0.1", port: int = 0):
         self.agent_factory = agent_factory
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.sock.bind((host, port))
-        self.sock.listen()
-        self.address = self.sock.getsockname()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
+        self._closed = False
+        super().__init__((host, port), _AgentConnection)
+        self.address = self.server_address
+        threading.Thread(target=self.serve_forever, daemon=True).start()
 
     @property
     def endpoint(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
-    def _accept_loop(self) -> None:
-        try:
-            self.sock.settimeout(0.2)
-        except OSError:
-            return
-        while not self._stop.is_set():
-            try:
-                conn, _ = self.sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            try:
-                agent = self.agent_factory()
-            except Exception:
-                log.exception("bridge agent could not be built; closing the "
-                              "connection")
-                return
-            conn.settimeout(30.0)
-            while not self._stop.is_set():
-                try:
-                    frame = read_frame(conn)
-                except (FrameError, socket.timeout, OSError):
-                    return
-                try:
-                    perception = decode(frame)
-                    reply = agent.step(perception)
-                    conn.sendall(encode(reply))
-                except Exception as exc:  # bad frame or reply, agent fault
-                    log.exception("bridge connection dropped: %s", exc)
-                    return
-        finally:
-            conn.close()
-
     def close(self) -> None:
-        self._stop.set()
+        self._closed = True
+        self.shutdown()
+        self.server_close()
+
+
+class _AgentConnection(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        server, conn = self.server, self.request
         try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._thread.join(timeout=2.0)
+            agent = server.agent_factory()
+        except Exception:
+            log.exception("bridge agent could not be built; closing the "
+                          "connection")
+            return
+        conn.settimeout(30.0)
+        while not server._closed:
+            try:
+                frame = read_frame(conn)
+            except (FrameError, socket.timeout, OSError):
+                return
+            try:
+                perception = decode(frame)
+                reply = agent.step(perception)
+                conn.sendall(encode(reply))
+            except Exception as exc:  # bad frame or reply, agent fault
+                log.exception("bridge connection dropped: %s", exc)
+                return

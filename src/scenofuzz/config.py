@@ -258,10 +258,16 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
     """Check ``doc`` against the key table and build the run config.
 
     ``overrides`` maps table keys to values that replace the document's;
-    they go through the same checks.
+    they go through the same checks.  A key without a default cannot be
+    overridden.
     """
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in CONFIG_DEFAULTS:
+            raise ConfigError(f"{key}: not an optional config key, so it "
+                              "cannot be overridden")
     values: dict[str, Any] = {}
-    _walk(doc, _KEY_TREE, "", overrides or {}, values)
+    _walk(doc, _KEY_TREE, "", overrides, values)
 
     runner_name = values["scenario_runner.name"]
     if runner_name != BUILTIN_RUNNER:

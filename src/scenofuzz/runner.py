@@ -376,11 +376,14 @@ def _parse_frame(cur: Cursor) -> Frame:
                              cmd["brake"].number(0.0, 1.0),
                              cmd["steering"].number(-STEER_MAX, STEER_MAX))
     actors = []
-    for item in cur["actors"].items():
+    for item in cur["actors"].items(1):
         actor = _parse_actor(item.doc, item.path)
         if not actor.actor_id or actor.speed < 0.0 or actor.length <= 0.0 \
                 or actor.width <= 0.0:
             raise item.fail("expected a non-empty actor_id, speed >= 0, "
                             "length > 0 and width > 0")
+        if not actors and (actor.actor_id, actor.kind) != ("ego", "ego"):
+            raise item.fail('expected the ego first: actor_id "ego" and '
+                            'kind "ego"')
         actors.append(actor)
     return Frame(cur["sim_time"].number(0.0), tuple(actors), command)

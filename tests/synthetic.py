@@ -6,6 +6,8 @@ The context mimics the narrow surface algorithms rely on (``rng``,
 efficiency can be measured in microseconds per evaluation.
 """
 
+import math
+
 import numpy as np
 
 from scenofuzz.engine.campaign import BudgetExhausted, CampaignBudget
@@ -24,6 +26,17 @@ def sphere(target):
 
     def fn(x):
         return float(np.linalg.norm(np.asarray(x) - target))
+
+    return fn
+
+
+def plateau(target):
+    """The floor of the distance to ``target``: flat terraces on which a
+    global search stagnates, so avfuzzer drops into its local phase."""
+    distance = sphere(target)
+
+    def fn(x):
+        return float(math.floor(distance(x)))
 
     return fn
 

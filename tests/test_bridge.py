@@ -1131,6 +1131,67 @@ class TestSessions:
                    and str(r.exc_info[1]) == "no route for this agent"
                    for r in caplog.records)
 
+    def test_close_ends_open_sessions_and_refuses_new_ones(self):
+        frames = scripted_frames()
+        server = BridgeServer(agent_factory)
+        session = connect(server.endpoint, timeout=5.0)
+        try:
+            session.request(frames[0])  # the connection is being served
+            server.close()
+            replies = 0
+            with pytest.raises(FrameError):
+                for frame in frames[1:]:
+                    session.request(frame)
+                    replies += 1
+        finally:
+            session.close()
+            server.close()
+        assert replies <= 1
+        with pytest.raises(ConnectionError, match="cannot reach the agent"):
+            connect(server.endpoint, timeout=5.0)
+
+    def test_port_can_be_bound_again_right_after_close(self):
+        server = BridgeServer(agent_factory)
+        session = connect(server.endpoint, timeout=5.0)
+        session.request(scripted_frames()[0])
+        session.close()
+        server.close()
+        again = BridgeServer(agent_factory, port=server.address[1])
+        try:
+            assert again.address == server.address
+            session = connect(again.endpoint, timeout=5.0)
+            assert isinstance(session.request(scripted_frames()[0]),
+                              ControlMessage)
+            session.close()
+        finally:
+            again.close()
+
+    def test_concurrent_sessions_each_match_inprocess(self):
+        frames = scripted_frames()
+        inproc = InProcessSession(agent_factory)
+        expected = [encode(inproc.request(f)) for f in frames]
+        server = BridgeServer(agent_factory)
+        sessions = [connect(server.endpoint, timeout=5.0) for _ in range(8)]
+        start = threading.Barrier(len(sessions))
+        replies = [None] * len(sessions)
+
+        def drive(i):
+            start.wait()
+            replies[i] = [encode(sessions[i].request(f)) for f in frames]
+
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(len(sessions))]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            for session in sessions:
+                session.close()
+            server.close()
+        assert replies == [expected] * len(sessions)
+
     def test_unreachable_endpoint_names_itself(self):
         with socket.socket() as probe:  # a port that nothing listens on
             probe.bind(("127.0.0.1", 0))

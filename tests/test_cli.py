@@ -440,6 +440,26 @@ class TestCampaignRuns:
         out = capsys.readouterr().out
         assert f"svgs={len(svgs)}" in out
 
+    def test_svg_export_of_a_recording_without_the_ego_names_it(
+            self, output_root, capsys):
+        args = ["--config-name", "random", "--config-dir", str(CONFIG_DIR),
+                "--run-id", "noego", "--max-evals", "8"]
+        assert main(args) == EXIT_OK
+        run_dir = output_root / "noego"
+        log = json.loads((run_dir / "evaluations.json").read_text())
+        scenario_id = next(r["scenario_id"] for r in log
+                           if r["outcome"] == "CollisionViolation")
+        path = run_dir / "recordings" / f"{scenario_id}.record.json"
+        doc = json.loads(path.read_text())
+        for frame in doc["frames"]:
+            frame["actors"] = frame["actors"][1:]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(args + ["--resume", "--export-svg"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f'error: {path}: /frames/0/actors/0: expected the ego first: '
+            f'actor_id "ego" and kind "ego"')
+
     def test_svg_export_after_a_resume_that_stops_during_replay(
             self, output_root, capsys):
         # seed 2: collisions at 2, 6 and 7, none among the 2 entries replayed

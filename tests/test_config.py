@@ -197,6 +197,23 @@ class TestStrictness:
             parse_config(minimal_doc(**{path: 1}))
         assert str(err.value) == f"{path}: unknown key (known keys: {known})"
 
+    @pytest.mark.parametrize("key", [
+        "system.debg", "scenario.map_name", "testing_engine.algorithm.name",
+        "system", "scenario_runner.parameters.agent"],
+        ids=["misspelt", "required", "required-nested", "section",
+             "nested-section"])
+    def test_override_without_a_default_is_refused(self, key, tmp_path):
+        message = f"{key}: not an optional config key, so it cannot be " \
+                  "overridden"
+        overrides = {"system.debug": True, key: "x"}
+        with pytest.raises(ConfigError) as err:
+            load_config(CONFIG_DIR / "random.yaml", overrides)
+        assert str(err.value) == message
+        # refused before the document is checked
+        with pytest.raises(ConfigError) as err:
+            parse_config(["not", "a", "mapping"], overrides)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("doc,where,key", [
         ({1: "a"}, "config", "1"),
         ({True: 1, "x": 2}, "config", "True"),

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import (min_distance_every_sample, recording_document,
                      sample_distances)
-from synthetic import SyntheticContext, box_prototype, sphere
+from synthetic import SyntheticContext, box_prototype, plateau, sphere
 
 from scenofuzz import bridge, canonical
 from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
@@ -25,7 +25,7 @@ from scenofuzz.engine import (avfuzzer, campaign, feedback, operators,
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
-                                       run_campaign)
+                                       algorithm_registry, run_campaign)
 from scenofuzz.engine.feedback import (
     ACCEL_EDGES, ACCEL_RANGE, BINS, FITNESS_SATURATION, HEADING_RATE_EDGES,
     HEADING_RATE_RANGE, MOVING_SPEED, NO_OBSTACLE_FITNESS, SPEED_EDGES,
@@ -1012,6 +1012,22 @@ class TestCampaign:
         assert ctx.completed == 0
         assert tree() == before
 
+    def test_resume_under_another_mutation_space_is_a_mismatch(
+            self, junction_settings, tmp_path):
+        # the same algorithm and seed pass the checkpoint's check, and the
+        # first vector no longer equals the logged one
+        out = tmp_path / "run"
+        campaign_log(junction_settings, seed=3, evals=4, output_dir=out)
+        log = (out / "evaluations.json").read_bytes()
+        narrower = dataclasses.replace(
+            junction_settings, space=MutationSpace(speed_high=15.0))
+        with pytest.raises(CampaignError, match="^resume mismatch at "
+                           "evaluation 0: the checkpoint was produced by a "
+                           "different configuration or seed$"):
+            campaign_log(narrower, seed=3, evals=8, output_dir=out,
+                         resume=True)
+        assert (out / "evaluations.json").read_bytes() == log
+
     def test_a_direct_run_records_no_algorithm(self, junction_settings,
                                                tmp_path):
         # only run_campaign records the algorithm and checks it and the seed
@@ -1409,7 +1425,6 @@ class TestAlgorithmsOnSyntheticLandscapes:
     TARGET = (7.3, 2.1, 8.8, 4.4, 1.9, 6.2)
 
     def run_algo(self, algo, seed, evals):
-        from scenofuzz.engine.campaign import algorithm_registry
         ctx = SyntheticContext(box_prototype(6), sphere(self.TARGET),
                                max_evaluations=evals, seed=seed)
         try:
@@ -1429,6 +1444,41 @@ class TestAlgorithmsOnSyntheticLandscapes:
     def test_search_beats_its_own_start(self, algo):
         ctx = self.run_algo(algo, seed=1, evals=120)
         assert min(ctx.fitness_log) < ctx.fitness_log[0]
+
+    def test_avfuzzer_local_find_replaces_the_worst_member(self,
+                                                           monkeypatch):
+        fn = plateau(self.TARGET)
+        breeds, phases = [], []
+        breed, local_phase = avfuzzer.breed, avfuzzer._local_phase
+
+        def spy_breed(rng, population, fitnesses, pm, pc, count, sigma):
+            children = breed(rng, population, fitnesses, pm, pc, count, sigma)
+            if sigma == avfuzzer.GLOBAL_SIGMA:
+                breeds.append((list(population), list(fitnesses), children))
+            return children
+
+        def spy_phase(ctx, base_vec, base_fit, *args):
+            found = local_phase(ctx, base_vec, base_fit, *args)
+            phases.append((len(breeds), base_fit, found))
+            return found
+
+        monkeypatch.setattr(avfuzzer, "breed", spy_breed)
+        monkeypatch.setattr(avfuzzer, "_local_phase", spy_phase)
+        ctx = SyntheticContext(box_prototype(6), fn, max_evaluations=120,
+                               seed=3)
+        with pytest.raises(BudgetExhausted):
+            algorithm_registry()["avfuzzer"](ctx, {})
+        at, _, (found_vec, found_fit) = next(
+            phase for phase in phases if phase[2][1] < phase[1])
+        # the population the phase found: the last global generation, its
+        # worst member replaced
+        population, fitnesses, children = breeds[at - 1]
+        elite = min(range(len(population)), key=lambda k: (fitnesses[k], k))
+        population = [population[elite], *children]
+        fitnesses = [fitnesses[elite], *(fn(c.values) for c in children)]
+        worst = max(range(len(population)), key=lambda k: (fitnesses[k], k))
+        population[worst], fitnesses[worst] = found_vec, found_fit
+        assert breeds[at][:2] == (population, fitnesses)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_avfuzzer_rejects_a_population_below_two(self, size):

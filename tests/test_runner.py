@@ -257,6 +257,27 @@ class TestRunScenario:
         # two advanced frames plus the deciding one, nothing after
         assert len(rec.frames) == 3
 
+    def test_a_reply_left_uncounted_violates_the_lockstep(self, chain_map):
+        class UncountedSession(BridgeSession):
+            def request(self, perception):
+                self.sent += 1  # and never counts it received
+                return ControlMessage(perception.sim_time, BRAKE_COMMAND)
+
+        with pytest.raises(RunnerError, match="^bridge lockstep violated: "
+                           "request left 1 frames in flight$"):
+            run_scenario(chain_scenario(), chain_map, UncountedSession)
+
+    def test_a_reply_for_another_time_is_refused(self, chain_map):
+        class LateAgent:
+            def step(self, perception):
+                return ControlMessage(perception.sim_time + 1.0,
+                                      BRAKE_COMMAND)
+
+        with pytest.raises(RunnerError, match=r"^agent answered for t=1\.0, "
+                           r"expected t=0\.0$"):
+            run_scenario(chain_scenario(), chain_map,
+                         lambda: InProcessSession(LateAgent))
+
     def test_npc_contact_is_annotated_not_fatal(self, chain_map):
         east = NpcSpec("npc_1", (Pose(30.0, 0.0, 0.0), Pose(50.0, 0.0, 0.0)),
                        (5.0,))
@@ -312,6 +333,11 @@ SCHEMA_FAULTS = {
         lambda doc: doc["frames"][0]["ego_command"].update(brake=-0.5),
     "steering-past-stop":
         lambda doc: doc["frames"][0]["ego_command"].update(steering=1.0),
+    "frame-without-ego": lambda doc: doc["frames"][1]["actors"].pop(0),
+    "ego-second": lambda doc: doc["frames"][0]["actors"].reverse(),
+    "first-actor-ego-id-npc-kind":
+        lambda doc: doc["frames"][0]["actors"][0].update(kind="npc"),
+    "frame-without-actors": lambda doc: doc["frames"][0].update(actors=[]),
 }
 
 
@@ -549,6 +575,17 @@ class TestPersistence:
          "/frames/0/actors/1: expected a non-empty actor_id, speed >= 0, "
          "length > 0 and width > 0"),
         (SCHEMA_FAULTS["frame-extra-key"], "/frames/0: unknown keys ['note']"),
+        (SCHEMA_FAULTS["frame-without-ego"],
+         '/frames/1/actors/0: expected the ego first: actor_id "ego" and '
+         'kind "ego"'),
+        (SCHEMA_FAULTS["ego-second"],
+         '/frames/0/actors/0: expected the ego first: actor_id "ego" and '
+         'kind "ego"'),
+        (SCHEMA_FAULTS["first-actor-ego-id-npc-kind"],
+         '/frames/0/actors/0: expected the ego first: actor_id "ego" and '
+         'kind "ego"'),
+        (SCHEMA_FAULTS["frame-without-actors"],
+         "/frames/0/actors: expected at least 1 items"),
         (lambda doc: doc["config"]["ego"].update(end_station="far"),
          "/config/ego/end_station: expected a number"),
     ])

@@ -39,8 +39,9 @@ TYPE_CHECKS = {
 
 class MiniValidator:
     """Evaluates the schema subset used here: types, required keys, closed
-    objects, const/enum, numeric and length bounds, and local or sibling-file
-    references."""
+    objects, const/enum, numeric and length bounds, array lengths and
+    leading items, and local or sibling-file references (whose sibling
+    keywords apply too)."""
 
     def __init__(self, path: Path):
         self.directory = path.parent
@@ -64,7 +65,6 @@ class MiniValidator:
         if "$ref" in schema:
             target, target_root = self._resolve(schema["$ref"], root)
             self._check(value, target, target_root, path, errors)
-            return
         kind = schema.get("type")
         if kind is not None and not TYPE_CHECKS[kind](value):
             errors.append(f"{path}: expected {kind}")
@@ -98,10 +98,14 @@ class MiniValidator:
                 if key in value:
                     self._check(value[key], sub, root, f"{path}.{key}",
                                 errors)
-        if isinstance(value, list) and "items" in schema:
-            for i, item in enumerate(value):
-                self._check(item, schema["items"], root, f"{path}[{i}]",
-                            errors)
+        if isinstance(value, list):
+            if len(value) < schema.get("minItems", 0):
+                errors.append(f"{path}: fewer than minItems")
+            prefix = schema.get("prefixItems", [])
+            for i, item in enumerate(value):  # "items" follows the prefix
+                sub = prefix[i] if i < len(prefix) else schema.get("items")
+                if sub is not None:
+                    self._check(item, sub, root, f"{path}[{i}]", errors)
 
 
 @pytest.fixture(scope="module")
