@@ -51,12 +51,16 @@ route, the off-route distance, the pure-pursuit steering and the speed
 target), is kept on the ego state.  The step memo hands back the same
 ``ActorState`` objects along the ego's repeated trajectory (see
 ``simulator``), so an exact ``ActorState`` on an exact ``Polyline`` keeps
-its guidance in its ``_guide`` slot with the route and cruise-speed objects
-it was computed for, and gives it back while both are the same objects.  A
-state's fields are frozen, so its guidance for the same route and
-cruise-speed objects cannot change; the slot is written with one dict store,
-so threads that race on a state store equal values; and the step memo's
-``STEP_MEMO_LIMIT`` bounds the shared states, and with them their guidance.
+``(route, cruise_speed, guidance, lateral)`` in its ``_guide`` slot: the
+route and cruise-speed objects the guidance was computed for, the guidance,
+and the signed lateral offset of the same ``route.project`` call.  It gives
+the guidance back while both objects are the same, and
+:func:`route_lateral` gives the offset back to search feedback
+(``engine.feedback``) while the route is the same object.  A state's fields
+are frozen, so what the slot holds for the same route and cruise-speed
+objects cannot change; the slot is written with one dict store, so threads
+that race on a state store equal values; and the step memo's
+``STEP_MEMO_LIMIT`` bounds the shared states, and with them their slots.
 The obstacle corridor, the speed controller and the off-route warning keep
 state or read the obstacles, so they stay in ``ReferenceEgoAgent.step``.
 ``tests/test_bridge.py`` checks the guidance against the old ``step`` kept
@@ -382,23 +386,36 @@ def route_guidance(route: Polyline, ego: ActorState, cruise_speed: float
     ``OFF_ROUTE_LIMIT`` the other two are None.  Otherwise ``steering`` is
     the pure-pursuit steering and ``target`` the speed to track: the cruise
     speed, capped to stop at the route's end and to take the curve ahead.
-    Kept in the state's ``_guide`` slot (see the module docstring).
+    Kept in the state's ``_guide`` slot with the lateral offset (see the
+    module docstring).
     """
     if type(ego) is ActorState and type(route) is Polyline:
         guide = ego._guide
         if guide is not None and guide[0] is route and guide[1] is cruise_speed:
             return guide[2]
-        guidance = _route_guidance(route, ego, cruise_speed)
-        ego.__dict__["_guide"] = (route, cruise_speed, guidance)
+        guidance, lateral = _route_guidance(route, ego, cruise_speed)
+        ego.__dict__["_guide"] = (route, cruise_speed, guidance, lateral)
         return guidance
-    return _route_guidance(route, ego, cruise_speed)
+    return _route_guidance(route, ego, cruise_speed)[0]
+
+
+def route_lateral(route: Polyline, ego: ActorState) -> float:
+    """The ego's signed lateral offset from ``route``: the one kept in its
+    ``_guide`` slot when :func:`route_guidance` projected it onto this very
+    route object, else projected here."""
+    guide = ego._guide
+    if guide is not None and guide[0] is route:
+        return guide[3]
+    return route.project(ego.x, ego.y)[1]
 
 
 def _route_guidance(route: Polyline, ego: ActorState, cruise_speed: float
-                    ) -> tuple[float, float | None, float | None]:
-    s, _, dist = route.project(ego.x, ego.y)
+                    ) -> tuple[tuple[float, float | None, float | None], float]:
+    """``(guidance, lateral)``: :func:`route_guidance`'s triple and the
+    signed lateral offset from the same projection."""
+    s, lateral, dist = route.project(ego.x, ego.y)
     if dist > OFF_ROUTE_LIMIT:
-        return dist, None, None
+        return (dist, None, None), lateral
 
     steering = pure_pursuit_steering(ego, route, s)
 
@@ -413,7 +430,7 @@ def _route_guidance(route: Polyline, ego: ActorState, cruise_speed: float
         curvature = dh / probe
         if curvature > 1e-4:
             target = min(target, math.sqrt(LAT_ACCEL_MAX / curvature))
-    return dist, steering, target
+    return (dist, steering, target), lateral
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +566,9 @@ class BridgeServer(socketserver.ThreadingTCPServer):
         self._closed = False
         super().__init__((host, port), _AgentConnection)
         self.address = self.server_address
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        # close() waits up to one poll for the serving thread to stop
+        threading.Thread(target=self.serve_forever,
+                         kwargs={"poll_interval": 0.05}, daemon=True).start()
 
     @property
     def endpoint(self) -> str:

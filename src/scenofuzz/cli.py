@@ -19,6 +19,7 @@ from pathlib import Path
 from .config import build_execution, load_config
 from .engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
                               CampaignContext, CampaignError, run_campaign)
+from .runner import RecordingFormatError
 
 log = logging.getLogger(__name__)
 
@@ -178,6 +179,9 @@ def main(argv=None) -> int:
     if args.export_svg:
         try:
             svg_count = _export_svgs(ctx, output_dir)
+        except RecordingFormatError as exc:  # names the file: no traceback
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         except Exception as exc:
             log.exception("SVG export failed")
             print(f"error: {exc}", file=sys.stderr)

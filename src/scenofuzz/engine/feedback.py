@@ -11,11 +11,20 @@ Three signals drive the algorithms:
   four normalized components (proximity, harsh acceleration, harsh steering,
   route deviation).  Maximized by quality-guided search.
 
-``compute_feedback`` gets the last two from one walk over the ego's frames:
-each frame's ego is found once, and each heading rate is computed once, for
-the histogram signed and for harsh steering as ``abs(rate)``.  That equals
-``abs(angle) / dt`` to the bit, because IEEE division rounds the same for
-either sign.
+Every frame holds the ego first (``runner.initial_world`` spawns it first,
+``simulator.step_world`` keeps the order, ``runner.read_recording`` checks
+it), so both walks read it as ``frame.actors[0]`` and refuse a frame that
+breaks this with a ``ValueError`` naming the frame's index.
+
+``compute_feedback`` gets the last two from one walk over the ego's frames,
+and each heading rate is computed once, for the histogram signed and for
+harsh steering as ``abs(rate)``.  That equals ``abs(angle) / dt`` to the
+bit, because IEEE division rounds the same for either sign.  Each ego's
+lateral offset from the mission comes from ``bridge.route_lateral``: the
+offset the reference agent kept when it projected the state onto the
+mission object itself (the same call on the same object and floats gives
+the same bits), or, for an external agent, a recording read from disk or
+the last frame, which no agent saw, a projection made there.
 
 The histograms count in plain Python against ``np.linspace`` edges, with
 ``np.histogram``'s bin rule: bin ``i`` holds ``edges[i] <= x < edges[i+1]``,
@@ -32,10 +41,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from ..bridge import route_lateral
 from ..geometry import Polyline, normalize_angle
 from ..runner import ScenarioRecording
-from ..simulator import (A_MAX, STEER_MAX, WHEELBASE, actor_distance,
-                         actor_distance_lower_bound)
+from ..simulator import A_MAX, STEER_MAX, WHEELBASE, actor_distance
 
 NO_OBSTACLE_FITNESS = 1.0e9
 FITNESS_SATURATION = 10.0  # m; anything farther scores as "safe"
@@ -68,14 +77,25 @@ def trace_min_distance(recording: ScenarioRecording) -> float:
     minimum; ranking only makes the cut-off come sooner.  (Rounding can lift
     the bound of two boxes whose corners face each other along the line of
     centres a few ulps above their distance; the scans could then differ
-    only if another pair's distance fell inside those few ulps.)
+    only if another pair's distance fell inside those few ulps.)  The bound
+    is ``simulator.actor_distance_lower_bound``, written out with the same
+    float operations in the same order.
     """
+    hypot = math.hypot
     pairs = []
-    for frame in recording.frames:
-        ego = next(a for a in frame.actors if a.actor_id == "ego")
-        for other in frame.actors:
-            if other.actor_id != "ego":
-                pairs.append((actor_distance_lower_bound(ego, other), ego, other))
+    for index, frame in enumerate(recording.frames):
+        actors = frame.actors
+        if not actors or actors[0].actor_id != "ego":
+            found = repr(actors[0].actor_id) if actors else "no actors"
+            raise ValueError(f"frame {index}: expected the ego first, "
+                             f"got {found}")
+        ego = actors[0]
+        ex, ey = ego.x, ego.y
+        ra = hypot(ego.length, ego.width) / 2.0
+        for other in actors[1:]:
+            pairs.append((hypot(ex - other.x, ey - other.y) - ra
+                          - hypot(other.length, other.width) / 2.0,
+                          ego, other))
     pairs.sort(key=itemgetter(0))
     best = NO_OBSTACLE_FITNESS
     for bound, ego, other in pairs:
@@ -110,6 +130,7 @@ def _histogram(values: list[float], inner_edges: tuple[float, ...]) -> list[floa
 
 def compute_feedback(recording: ScenarioRecording, mission: Polyline,
                      lane_width: float = 3.5) -> Feedback:
+    # trace_min_distance has refused a frame whose first actor is not the ego
     fitness = trace_min_distance(recording)
     half_width = lane_width / 2.0
     speeds, accels, rates = [], [], []
@@ -117,10 +138,10 @@ def compute_feedback(recording: ScenarioRecording, mission: Polyline,
     off_lane = 0
     before = before_time = None  # the previous frame's ego and time
     for frame in recording.frames:
-        ego = next(a for a in frame.actors if a.actor_id == "ego")
+        ego = frame.actors[0]
         speeds.append(ego.speed)
         accels.append(ego.acceleration)
-        if abs(mission.project(ego.x, ego.y)[1]) > half_width:
+        if abs(route_lateral(mission, ego)) > half_width:
             off_lane += 1
         if before is not None:
             dt = frame.sim_time - before_time

@@ -99,16 +99,24 @@ def check_collision(world: WorldState, threshold: float,
     """Closest ego-involved contact at or under the threshold, if any.
 
     Returns ``(pair, distance)`` for the minimizing pair or ``None``.
-    ``ego`` is ``world.ego``, looked up here when not given.
+    ``ego`` is ``world.ego``, looked up here when not given.  A pair whose
+    circumscribed-circle bound, ``actor_distance_lower_bound`` written out
+    with the same float operations in the same order, clears the threshold
+    by more than ``BOUND_ROUNDING_MARGIN`` is skipped without its exact
+    distance.
     """
     if ego is None:
         ego = world.ego
     best = None
     skip_above = threshold + BOUND_ROUNDING_MARGIN
+    hypot = math.hypot
+    ex, ey = ego.x, ego.y
+    ra = hypot(ego.length, ego.width) / 2.0
     for other in world.actors:
         if other.actor_id == "ego":
             continue
-        if actor_distance_lower_bound(ego, other) > skip_above:
+        if hypot(ex - other.x, ey - other.y) - ra \
+                - hypot(other.length, other.width) / 2.0 > skip_above:
             continue
         d = actor_distance(ego, other)
         if d <= threshold and (best is None or d < best[1]):
@@ -178,6 +186,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
     world = initial_world(config, lane_map)
     policies = {npc.actor_id: WaypointPolicy(npc)
                 for npc in config.npc_vehicles}
+    npc_pairs = len(config.npc_vehicles) > 1  # an NPC pair can touch
 
     session = session_factory()
     frames: list[Frame] = []
@@ -190,7 +199,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
     try:
         while verdict is None:
             t = world.sim_time
-            ego = world.ego
+            ego = world.actors[0]  # initial_world spawns it first
             hit = check_collision(world, oracles.collision_threshold, ego)
             if hit is not None:
                 verdict = Verdict(COLLISION, t, {"pair": list(hit[0]),
@@ -211,10 +220,11 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                 verdict = Verdict(TIMEOUT, t)
                 break
 
-            _annotate_npc_contacts(world, oracles.collision_threshold,
-                                   contact_pairs, annotations)
+            if npc_pairs:
+                _annotate_npc_contacts(world, oracles.collision_threshold,
+                                       contact_pairs, annotations)
 
-            others = tuple(a for a in world.actors if a.actor_id != "ego")
+            others = world.actors[1:]
             perception = PerceptionMessage(t, ego, others)
             try:
                 control = session.request(perception)

@@ -119,12 +119,15 @@ class ActorState:
     Besides its fields, every instance holds two slots that are ``None``
     until filled, and stay ``None`` in a subclass: ``_text``, the canonical
     JSON ``bridge.actor_text`` writes for every frame and recording holding
-    this object, and ``_guide``, the route guidance ``bridge.route_guidance``
-    computes.  Neither is a field, so equality, hashing, ``repr`` and
-    ``dataclasses.replace`` (which starts a new object with ``None``) ignore
-    them.  The text is a pure function of the frozen fields, and the
-    guidance of those and of the route and cruise speed stored with it, so
-    reusing either cannot change a byte.
+    this object, and ``_guide``, ``(route, cruise_speed, guidance,
+    lateral)``: the route guidance ``bridge.route_guidance`` computes, with
+    the route and cruise-speed objects it was computed for and the signed
+    lateral offset from the route that search feedback reads.  Neither is a
+    field, so equality, hashing, ``repr`` and ``dataclasses.replace`` (which
+    starts a new object with ``None``) ignore them.  The text is a pure
+    function of the frozen fields, and the guidance and offset of those and
+    of the route and cruise speed stored with them, so reusing either slot
+    cannot change a byte.
     """
 
     actor_id: str

@@ -96,8 +96,9 @@ def render_recording_svg(recording: ScenarioRecording,
                      f'stroke="{CENTERLINE}" stroke-width="0.2" '
                      f'stroke-dasharray="2 2"/>')
 
-    ego_track = [(a.x, a.y) for f in recording.frames
-                 for a in f.actors if a.actor_id == "ego"]
+    # every frame holds the ego first, as run_scenario writes it and
+    # read_recording checks it
+    ego_track = [(f.actors[0].x, f.actors[0].y) for f in recording.frames]
     parts.append(f'<polyline points="{_pts(ego_track)}" fill="none" '
                  f'stroke="{EGO_COLOR}" stroke-width="0.4"/>')
 
@@ -108,8 +109,7 @@ def render_recording_svg(recording: ScenarioRecording,
             parts.append(_polygon(actor, opacity))
 
     if recording.verdict.outcome == COLLISION:
-        last = recording.frames[-1]
-        ego = next(a for a in last.actors if a.actor_id == "ego")
+        ego = recording.frames[-1].actors[0]
         parts.append(f'<circle cx="{_fmt(ego.x)}" cy="{_fmt(-ego.y)}" r="3" '
                      f'fill="none" stroke="{MARKER_COLOR}" '
                      f'stroke-width="0.6"/>')

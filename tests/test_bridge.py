@@ -24,7 +24,7 @@ from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
                               PerceptionMessage, ReferenceEgoAgent, TcpSession,
                               connect, decode, encode, read_frame,
                               register_inproc_agent, resolve_endpoint,
-                              route_guidance)
+                              route_guidance, route_lateral)
 from scenofuzz.canonical import finite_number
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import CampaignBudget, CampaignContext, run_campaign
@@ -804,9 +804,17 @@ def test_guide_memo_hit_returns_the_stored_guidance(monkeypatch):
     first = route_guidance(route, ego, cruise)
     assert first == (2.0, pure_pursuit_steering(ego, route, 50.0), 8.0)
     assert projected == [(50.0, -2.0)]  # computing projects, as traced
-    assert ego._guide == (route, cruise, first)
+    # the slot keeps the signed lateral offset of that same projection
+    lateral = project(route, 50.0, -2.0)[1]
+    assert lateral == -2.0
+    assert ego._guide == (route, cruise, first, lateral)
+    slot = ego._guide
     assert route_guidance(route, ego, cruise) is first
-    assert len(projected) == 1
+    assert len(projected) == 1 and ego._guide is slot  # written once
+    # the offset is read back on this route object, computed on another
+    assert route_lateral(route, ego) == lateral and len(projected) == 1
+    assert route_lateral(straight_route(), ego) == lateral
+    assert len(projected) == 2 and ego._guide is slot
     # a new route object with the same points, or another cruise-speed
     # object of the same value, computes again and replaces the slot, and
     # so does the first pair once replaced
@@ -817,14 +825,14 @@ def test_guide_memo_hit_returns_the_stored_guidance(monkeypatch):
         guide = route_guidance(args[0], ego, args[1])
         assert guide == first and guide is not first
         assert ego._guide[0] is args[0] and ego._guide[1] is args[1]
-        assert ego._guide[2] is guide
-    assert len(projected) == 4
+        assert ego._guide[2] is guide and ego._guide[3] == lateral
+    assert len(projected) == 5
     # another state with equal bits computes its own guidance
     slot = ego._guide
     twin = actor(x=50.0, y=-2.0, heading=0.1, speed=6.0)
     assert twin == ego and twin._guide is None
     assert route_guidance(route, twin, cruise) == first
-    assert len(projected) == 5 and ego._guide is slot
+    assert len(projected) == 6 and ego._guide is slot
     # a copy starts without guidance
     assert dataclasses.replace(ego)._guide is None
     assert dataclasses.replace(ego, speed=7.0)._guide is None
@@ -832,6 +840,7 @@ def test_guide_memo_hit_returns_the_stored_guidance(monkeypatch):
     far_ego = actor(x=50.0, y=30.0)
     far = route_guidance(route, far_ego, cruise)
     assert far == (30.0, None, None)
+    assert far_ego._guide == (route, cruise, far, 30.0)
     assert route_guidance(route, far_ego, cruise) is far
 
 
@@ -962,11 +971,13 @@ def test_guide_memo_shared_by_threads_is_exact():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    for p, _ in pool:  # each slot holds one route's exact guidance
+    # each slot holds one route's exact guidance and lateral offset
+    for p, _ in pool:
         if p.ego._guide is not None:
-            route, cruise, guide = p.ego._guide
+            route, cruise, guide, lateral = p.ego._guide
             assert route in routes and cruise is settings.cruise_speed
-            assert guide == bridge._route_guidance(route, p.ego, cruise)
+            assert (guide, lateral) == \
+                bridge._route_guidance(route, p.ego, cruise)
 
 
 def test_guide_memo_keeps_campaign_logs(computed, step_memo, tmp_path):

@@ -441,7 +441,11 @@ class TestCampaignRuns:
         assert f"svgs={len(svgs)}" in out
 
     def test_svg_export_of_a_recording_without_the_ego_names_it(
-            self, output_root, capsys):
+            self, output_root):
+        """A refused recording is a data fault with a complete message: its
+        error line alone, with no traceback and no "SVG export failed" log
+        line.  The export runs in a subprocess, since pytest's log capture
+        would hide a traceback from capsys."""
         args = ["--config-name", "random", "--config-dir", str(CONFIG_DIR),
                 "--run-id", "noego", "--max-evals", "8"]
         assert main(args) == EXIT_OK
@@ -454,9 +458,15 @@ class TestCampaignRuns:
         for frame in doc["frames"]:
             frame["actors"] = frame["actors"][1:]
         path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(args + ["--resume", "--export-svg"]) == EXIT_RUNTIME
-        assert capsys.readouterr().err.splitlines()[-1] == (
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scenofuzz.cli", *args, "--resume",
+             "--export-svg"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_RUNTIME
+        assert "Traceback" not in proc.stderr
+        assert "SVG export failed" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
             f'error: {path}: /frames/0/actors/0: expected the ego first: '
             f'actor_id "ego" and kind "ego"')
 

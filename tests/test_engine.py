@@ -132,6 +132,12 @@ def assert_matches_reference(rec, mission=STRAIGHT, lane_width=3.5):
     return fb
 
 
+def _feedback_bits(fb):
+    """A feedback's values, floats as their IEEE bits."""
+    return (fb.fitness.hex(), tuple(v.hex() for v in fb.behavior_vector),
+            fb.quality_score.hex(), fb.outcome, fb.time_of_decision.hex())
+
+
 class TestFeedback:
     def test_behavior_histogram_placement(self):
         rec = make_recording([ego_state(speed=0.0, heading=0.0, accel=0.0),
@@ -242,13 +248,29 @@ class TestFeedbackReference:
         assert assert_matches_reference(make_recording(edge)).quality_score > 0
 
     def test_ego_not_first_in_actors(self):
+        """Both walks read the ego as each frame's first actor, as
+        ``run_scenario`` writes it and ``read_recording`` checks it; a frame
+        that breaks this is refused by its index, with no number returned
+        and no bare StopIteration."""
         rock = ActorState("rock", "static", 30.0, 4.0, 0.2)
         npc = ActorState("npc_1", "npc", 12.0, -3.5, 0.0, 6.0, -1.0)
-        rec = recording_of([[rock, npc, ego_state(x=0.8 * i, heading=0.02 * i,
-                                                  accel=0.5 * i)]
-                            for i in range(6)])
-        fb = assert_matches_reference(rec)
-        assert fb.fitness < NO_OBSTACLE_FITNESS
+        egos = [ego_state(x=0.8 * i, heading=0.02 * i, accel=0.5 * i)
+                for i in range(6)]
+        good = [[ego, rock, npc] for ego in egos]
+        assert assert_matches_reference(recording_of(good)).fitness < \
+            NO_OBSTACLE_FITNESS
+        for index, bad, found in ((0, [rock, npc, egos[0]], "'rock'"),
+                                  (3, [npc, egos[3], rock], "'npc_1'"),
+                                  (5, [rock, npc], "'rock'"),
+                                  (2, [], "no actors")):
+            frames = list(good)
+            frames[index] = bad
+            rec = recording_of(frames)
+            message = f"^frame {index}: expected the ego first, got {found}$"
+            with pytest.raises(ValueError, match=message):
+                trace_min_distance(rec)
+            with pytest.raises(ValueError, match=message):
+                compute_feedback(rec, STRAIGHT)
 
     def test_seeded_recordings(self):
         rng = np.random.default_rng(11)
@@ -266,6 +288,87 @@ class TestFeedbackReference:
             rec = dataclasses.replace(recording_of([[ego_state()]]),
                                       frames=tuple(frames))
             assert_matches_reference(rec, mission, float(rng.uniform(1, 5)))
+
+    @pytest.mark.parametrize("algo", ["avfuzzer", "behavexplor"])
+    def test_agent_slots_match_a_recording_read_back(
+            self, junction_settings, tmp_path, monkeypatch, algo):
+        """The campaign's own recordings hold the states the reference agent
+        guided, with each lateral offset kept in the state's ``_guide``
+        slot; the same recordings read back from disk hold new states with
+        empty slots, so feedback projects every ego.  Both give the same
+        bits, and so do the reference walks."""
+        evaluated = []
+        compute = campaign.compute_feedback
+
+        def kept(recording, mission, lane_width):
+            fb = compute(recording, mission, lane_width)
+            evaluated.append((recording, mission, lane_width, fb))
+            return fb
+
+        monkeypatch.setattr(campaign, "compute_feedback", kept)
+        campaign_log(junction_settings, algo=algo, seed=4, evals=12,
+                     output_dir=tmp_path)
+        monkeypatch.undo()
+        assert len(evaluated) == 12
+        projected = []
+        project = Polyline.project
+        monkeypatch.setattr(Polyline, "project",
+                            lambda line, x, y: projected.append(1)
+                            or project(line, x, y))
+        for recording, mission, lane_width, fb in evaluated:
+            assert mission is junction_settings.mission
+            # the agent saw every frame but the last, on this mission
+            assert all(f.actors[0]._guide[0] is mission
+                       for f in recording.frames[:-1])
+            read = read_recording(tmp_path / "recordings"
+                                  / f"{recording.scenario_id}.record.json")
+            assert all(f.actors[0]._guide is None for f in read.frames)
+            projected.clear()
+            in_memory = compute_feedback(recording, mission, lane_width)
+            assert len(projected) <= 1  # the last frame at most
+            projected.clear()
+            fresh = compute_feedback(read, mission, lane_width)
+            assert len(projected) == len(read.frames)
+            bits = _feedback_bits(fb)
+            assert _feedback_bits(in_memory) == bits
+            assert _feedback_bits(fresh) == bits
+            for rec in (recording, read):
+                assert _feedback_bits(assert_matches_reference(
+                    rec, mission, lane_width)) == bits
+                assert fb.fitness.hex() == \
+                    _reference_trace_min_distance(rec).hex()
+
+    def test_a_slot_filled_on_another_route_object_is_projected_afresh(
+            self, monkeypatch):
+        """A state whose slot was filled on a route equal in value to the
+        mission, but another object, is projected onto the mission."""
+        mission = Polyline([(0.0, 0.0), (40.0, 0.0), (60.0, 25.0)])
+        twin = Polyline([(0.0, 0.0), (40.0, 0.0), (60.0, 25.0)])
+        assert twin.points == mission.points and twin is not mission
+        egos = [ego_state(x=2.0 * i - 6.0, y=0.3 * i - 1.5, heading=0.05 * i)
+                for i in range(12)]
+        # behind the route's start, the lateral offset stays inside the
+        # lane while the distance leaves it, so only the offset scores
+        _, lateral, distance = mission.project(egos[0].x, egos[0].y)
+        assert abs(lateral) < 3.5 / 2.0 < distance
+        rec = make_recording(egos)
+        projected = []
+        project = Polyline.project
+        monkeypatch.setattr(Polyline, "project",
+                            lambda line, x, y: projected.append(line)
+                            or project(line, x, y))
+        expected = _feedback_bits(assert_matches_reference(rec, mission))
+        for ego in egos:  # slots filled on the mission are read
+            bridge.route_guidance(mission, ego, 8.0)
+        projected.clear()
+        assert _feedback_bits(compute_feedback(rec, mission)) == expected
+        assert projected == []
+        for ego in egos:  # slots filled on the twin are not
+            bridge.route_guidance(twin, ego, 8.0)
+            assert ego._guide[0] is twin
+        projected.clear()
+        assert _feedback_bits(compute_feedback(rec, mission)) == expected
+        assert projected == [mission] * len(egos)
 
     @pytest.mark.parametrize("dt", [0.1, 0.05])
     def test_run_scenario_recordings(self, junction_settings, dt):
@@ -1410,8 +1513,11 @@ class TestTraceMinDistanceReference:
                         headings[int(rng.integers(4))],
                         length=(4.8, 2.0, 0.5)[k % 3],
                         width=(2.0, 2.0, 0.5)[k % 3]))
-                rng.shuffle(actors)
-                frames.append(actors)
+                # the ego stays first, as in every recording; the others
+                # come in any order
+                others = actors[1:]
+                rng.shuffle(others)
+                frames.append(actors[:1] + others)
             rec = recording_of(frames)
             calls.clear()
             reference_calls = []
