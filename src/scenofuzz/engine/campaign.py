@@ -21,6 +21,24 @@ params)`` drives directly checkpoints ``"algorithm": ""``, which a later
 resume accepts under any algorithm, and it never checks the algorithm or
 seed of a checkpoint it resumes.
 
+Scenario memo: with the in-process reference agent, each distinct scenario
+is simulated once per context.  The key is the sha256 of the canonical
+scenario document with an empty ``scenario_id``; seed, ``dt``, map, oracles
+and agent are fixed per context.  A batch is looked up in submission order
+before anything runs, equal scenarios in it are simulated once, and only
+the calling thread touches the memo, so the work done does not depend on
+the worker count.  A hit logs its own ``index``, ``scenario_id``,
+``values`` and ``repairs`` with the first run's feedback, as a rerun
+would, so the log bytes do not move.  Its recording is its own scenario
+with the first run's verdict, annotations and frames text, copied from
+the first run's file, and with the first run's ``wall_clock`` (the time of
+the simulation it reuses; ``recording_digest`` zeroes it).  If that file
+is gone or its size has changed, the hit is simulated again.  The memo
+keeps no frames and at most ``SCENARIO_MEMO_LIMIT`` scenarios, dropping
+the oldest.  An external agent (``settings.endpoint``) is simulated every
+time, since a rerun is how a flaky agent shows, and a resumed campaign
+starts with an empty memo that replayed entries do not fill.
+
 Checkpoint contract: after every batch that evaluated something fresh,
 ``evaluations.json`` is a complete snapshot of the log, replaced atomically,
 so it can be read at any time while the campaign runs.  While a resume is
@@ -49,10 +67,11 @@ from ..bridge import (AgentSettings, InProcessSession, ReferenceEgoAgent,
                       connect)
 from ..canonical import Cursor
 from ..lanemap import LaneMap
-from ..runner import (COLLISION, OUTCOMES, OracleConfig, mission_path,
-                      run_scenario, write_recording)
+from ..runner import (COLLISION, OUTCOMES, FramesText, OracleConfig,
+                      ScenarioRecording, Verdict, mission_path, run_scenario,
+                      write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
-                        flatten, unflatten)
+                        flatten, to_document, unflatten)
 from .feedback import Feedback, compute_feedback
 
 EVALUATIONS_FILE = "evaluations.json"
@@ -67,6 +86,8 @@ ALGORITHM_DEFAULTS = dict(
     run_hour=2.0, local_run_hour=0.5, population_size=4, pm=0.6, pc=0.6,
     archive_threshold=0.2, surrogate_pool=20, max_evaluations=None,
     batch_size=None)
+
+SCENARIO_MEMO_LIMIT = 1024  # distinct scenarios held; the oldest goes first
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +128,31 @@ class ExecutionSettings:
         return mission_path(self.template, self.lane_map)
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """What the first run of a scenario gave: its feedback, and what its
+    recording holds besides the scenario itself and the frames, whose text
+    stays in the recording file (``frames`` is None without an output
+    directory)."""
+    feedback: Feedback
+    verdict: Verdict
+    annotations: tuple
+    wall_clock: float
+    frames: FramesText | None
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One fresh evaluation, unflattened; ``key`` names its scenario in the
+    memo, or is None when the memo is not used."""
+    index: int
+    vector: ParameterVector
+    config: ScenarioConfig
+    repairs: list[str]
+    document: dict
+    key: str | None
+
+
 class CampaignContext:
     def __init__(self, settings: ExecutionSettings, budget: CampaignBudget,
                  seed: int = 0, workers: int = 1,
@@ -130,6 +176,9 @@ class CampaignContext:
         self._lane_width = settings.lane_map.lane(
             settings.template.ego.start_lane_id).width
         self._replay: deque[tuple[dict, Feedback]] = deque()
+        # scenario key -> _Outcome of its first run; the calling thread alone
+        # reads and writes it
+        self._memo: dict[str, _Outcome] = {}
         # canonical text of records[:_logged], grown in place by checkpoint()
         self._log_text = bytearray(b"[]")
         self._logged = 0
@@ -249,23 +298,13 @@ class CampaignContext:
             feedbacks.append(feedback)
             replay_n += 1
 
-        fresh = todo[replay_n:]
-        if fresh:
-            start = self.completed
-            jobs = [(start + i, vec) for i, vec in enumerate(fresh)]
-            if self.workers > 1 and len(jobs) > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    results = list(pool.map(
-                        lambda job: self._evaluate_one(*job), jobs))
-            else:
-                results = [self._evaluate_one(*job) for job in jobs]
-            for record, feedback in results:
-                log.debug("evaluation %d %s: %s fitness=%r repairs=%s",
-                          record["index"], record["scenario_id"],
-                          record["outcome"], record["fitness"],
-                          record["repairs"])
-                self.records.append(record)
-                feedbacks.append(feedback)
+        for record, feedback in self._evaluate_fresh(self.completed,
+                                                     todo[replay_n:]):
+            log.debug("evaluation %d %s: %s fitness=%r repairs=%s",
+                      record["index"], record["scenario_id"],
+                      record["outcome"], record["fitness"], record["repairs"])
+            self.records.append(record)
+            feedbacks.append(feedback)
 
         self.checkpoint()
         if allowed < len(vectors):
@@ -280,30 +319,116 @@ class CampaignContext:
         return InProcessSession(lambda: ReferenceEgoAgent(
             self._mission, settings.agent, settings.dt))
 
-    def _evaluate_one(self, index: int, vector: ParameterVector):
+    def _job(self, index: int, vector: ParameterVector) -> _Job:
         config, repairs = unflatten(vector, self.settings.template)
         config = dataclasses.replace(config, scenario_id=f"eval_{index:06d}")
-        recording = run_scenario(config, self.settings.lane_map,
+        document = to_document(config)
+        return _Job(index, vector, config, repairs, document,
+                    self._key(document))
+
+    def _key(self, document: dict) -> str | None:
+        """The memo key of a scenario document: the sha256 of its canonical
+        text with the scenario id left empty.  None for an external agent,
+        which is simulated every time."""
+        if self.settings.endpoint is not None:
+            return None
+        return canonical.sha256({**document, "scenario_id": ""})
+
+    def _evaluate_fresh(self, start: int,
+                        vectors: list) -> list[tuple[dict, Feedback]]:
+        """Records and feedback of ``vectors``, evaluations ``start`` on, in
+        order.  Each is looked up before any runs, and only the first of
+        each scenario that is neither in the memo nor earlier in the batch
+        is simulated, on the pool when there are several.  The others then
+        copy the outcome of their scenario, in order."""
+        jobs = [self._job(start + i, vec) for i, vec in enumerate(vectors)]
+        known: dict[str, _Outcome | _Job] = {}
+        runs: list[_Job] = []
+        for job in jobs:
+            if job.key is None:
+                runs.append(job)
+            elif job.key not in known:
+                outcome = self._memo.get(job.key)
+                if outcome is None:
+                    runs.append(job)
+                known[job.key] = job if outcome is None else outcome
+        if self.workers > 1 and len(runs) > 1:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                outcomes = list(pool.map(self._simulate, runs))
+        else:
+            outcomes = [self._simulate(job) for job in runs]
+        simulated = {job.index: outcome for job, outcome in zip(runs, outcomes)}
+        for key, first in known.items():
+            if isinstance(first, _Job):
+                known[key] = simulated[first.index]
+        results = []
+        for job in jobs:
+            outcome = simulated.get(job.index)
+            if outcome is None:
+                outcome = known[job.key]
+                if not self._write_copy(job, outcome):
+                    outcome = known[job.key] = self._simulate(job)
+                    self._remember(job.key, outcome)
+            elif job.key is not None:
+                self._remember(job.key, outcome)
+            results.append((self._record(job, outcome.feedback),
+                            outcome.feedback))
+        return results
+
+    def _simulate(self, job: _Job) -> _Outcome:
+        recording = run_scenario(job.config, self.settings.lane_map,
                                  self._session_factory,
                                  self.settings.oracles, seed=self.seed,
                                  dt=self.settings.dt)
         feedback = compute_feedback(recording, self._mission,
                                     self._lane_width)
+        written: list[FramesText] = []
         if self.output_dir is not None:
             write_recording(recording, self.output_dir / RECORDINGS_DIR,
-                            include_frames=self.settings.save_traffic_recording)
-        record = {
-            "index": index,
-            "scenario_id": config.scenario_id,
-            "values": [float(v) for v in vector.values],
-            "repairs": list(repairs),
+                            self.settings.save_traffic_recording,
+                            job.document, written=written)
+        return _Outcome(feedback, recording.verdict, recording.annotations,
+                        recording.wall_clock,
+                        written[0] if written else None)
+
+    def _write_copy(self, job: _Job, outcome: _Outcome) -> bool:
+        """Write the recording of ``job`` as a rerun of the scenario that
+        gave ``outcome`` would, with the first run's frames text and wall
+        clock.  False, with nothing written, when the first run's file is
+        gone or its size has changed."""
+        if self.output_dir is None:
+            return True
+        frames = outcome.frames.read()
+        if frames is None:
+            return False
+        recording = ScenarioRecording(job.config.scenario_id, job.config, (),
+                                      outcome.verdict, self.seed,
+                                      outcome.annotations, outcome.wall_clock)
+        write_recording(recording, self.output_dir / RECORDINGS_DIR,
+                        self.settings.save_traffic_recording, job.document,
+                        frames=frames)
+        return True
+
+    def _remember(self, key: str, outcome: _Outcome) -> None:
+        memo = self._memo
+        memo.pop(key, None)
+        if len(memo) >= SCENARIO_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        memo[key] = outcome
+
+    @staticmethod
+    def _record(job: _Job, feedback: Feedback) -> dict:
+        return {
+            "index": job.index,
+            "scenario_id": job.config.scenario_id,
+            "values": [float(v) for v in job.vector.values],
+            "repairs": list(job.repairs),
             "outcome": feedback.outcome,
             "fitness": feedback.fitness,
             "quality_score": feedback.quality_score,
             "behavior": list(feedback.behavior_vector),
             "time_of_decision": feedback.time_of_decision,
         }
-        return record, feedback
 
 
 _RECORD_KEYS = frozenset(("index", "scenario_id", "values", "repairs",
@@ -313,7 +438,7 @@ _RECORD_KEYS = frozenset(("index", "scenario_id", "values", "repairs",
 
 def _feedback_from_record(entry: Cursor, index: int) -> Feedback:
     """The feedback logged in the record at ``entry``, which must be the
-    record ``_evaluate_one`` writes for evaluation ``index``."""
+    record ``_record`` builds for evaluation ``index``."""
     entry.keys(_RECORD_KEYS)
     # --export-svg names files by the scenario id
     if entry["index"].integer() != index or \

@@ -303,25 +303,36 @@ def _frame_text(fields: tuple) -> str:
             + '},"sim_time":' + canonical.dump_value(sim_time) + "}")
 
 
-def recording_bytes(rec: ScenarioRecording, include_frames: bool = True) -> bytes:
-    """The recording's canonical JSON, written by shape with its keys in
-    sorted order: the bytes and errors of ``canonical.dump_bytes`` of the
-    dict-building encoder that ``tests/oracles.py`` keeps as the reference.
-    """
-    config = to_document(rec.config_snapshot)
+def _recording_parts(rec: ScenarioRecording, include_frames: bool = True,
+                     config: dict | None = None) -> tuple[str, str, str]:
+    """The recording's canonical JSON as three texts: the head up to the
+    frames' opening bracket, the frames, and the tail from the closing
+    bracket on.  ``config`` is ``to_document(rec.config_snapshot)`` when the
+    caller has already built it."""
+    if config is None:
+        config = to_document(rec.config_snapshot)
     verdict = rec.verdict
     frames = [_frame_fields(f) for f in rec.frames] if include_frames else []
     dump = canonical.dump_value
-    return ('{"annotations":' + dump(list(rec.annotations))
-            + ',"config":' + dump(config)
-            + ',"frames":[' + ",".join([_frame_text(f) for f in frames])
-            + '],"rng_seed":' + dump(rec.rng_seed)
+    head = ('{"annotations":' + dump(list(rec.annotations))
+            + ',"config":' + dump(config) + ',"frames":[')
+    text = ",".join([_frame_text(f) for f in frames])
+    tail = ('],"rng_seed":' + dump(rec.rng_seed)
             + ',"scenario_id":' + dump(rec.scenario_id)
             + ',"schema_version":' + dump(RECORDING_SCHEMA_VERSION)
             + ',"verdict":{"details":' + dump(verdict.details)
             + ',"outcome":' + dump(verdict.outcome)
             + ',"time_of_decision":' + dump(verdict.time_of_decision)
-            + '},"wall_clock":' + dump(rec.wall_clock) + "}").encode("utf-8")
+            + '},"wall_clock":' + dump(rec.wall_clock) + "}")
+    return head, text, tail
+
+
+def recording_bytes(rec: ScenarioRecording, include_frames: bool = True) -> bytes:
+    """The recording's canonical JSON, written by shape with its keys in
+    sorted order: the bytes and errors of ``canonical.dump_bytes`` of the
+    dict-building encoder that ``tests/oracles.py`` keeps as the reference.
+    """
+    return "".join(_recording_parts(rec, include_frames)).encode("utf-8")
 
 
 def recording_digest(rec: ScenarioRecording) -> str:
@@ -335,11 +346,50 @@ def recording_path(directory: str | Path, scenario_id: str) -> Path:
     return Path(directory) / f"{scenario_id}.record.json"
 
 
+@dataclass(frozen=True)
+class FramesText:
+    """Where a recording file holds the text of its frames: bytes
+    ``start:end`` of the file at ``path``, which was ``size`` bytes long
+    when it was written."""
+    path: Path
+    size: int
+    start: int
+    end: int
+
+    def read(self) -> bytes | None:
+        """The frames text, or None when the file is gone or its size has
+        changed."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return None
+        return data[self.start:self.end] if len(data) == self.size else None
+
+
 def write_recording(rec: ScenarioRecording, directory: str | Path,
-                    include_frames: bool = True) -> Path:
+                    include_frames: bool = True, config: dict | None = None,
+                    frames: bytes | None = None,
+                    written: list | None = None) -> Path:
+    """Write ``rec`` to ``recording_path(directory, rec.scenario_id)`` and
+    return that path.
+
+    ``config`` is ``to_document(rec.config_snapshot)`` when the caller has
+    already built it.  ``frames``, when given, is written as the frames
+    text in place of ``rec.frames``: the bytes a :class:`FramesText` read
+    from another recording of the same run.  When ``written`` is a list,
+    the :class:`FramesText` of the file written is appended to it.
+    """
     path = recording_path(directory, rec.scenario_id)
+    head, text, tail = _recording_parts(rec, include_frames and frames is None,
+                                        config)
+    head = head.encode("utf-8")
+    text = text.encode("utf-8") if frames is None else frames
+    data = head + text + tail.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(recording_bytes(rec, include_frames))
+    path.write_bytes(data)
+    if written is not None:
+        written.append(FramesText(path, len(data), len(head),
+                                  len(head) + len(text)))
     return path
 
 
@@ -386,6 +436,7 @@ def _parse_frame(cur: Cursor) -> Frame:
                              cmd["brake"].number(0.0, 1.0),
                              cmd["steering"].number(-STEER_MAX, STEER_MAX))
     actors = []
+    ids = set()
     for item in cur["actors"].items(1):
         actor = _parse_actor(item.doc, item.path)
         if not actor.actor_id or actor.speed < 0.0 or actor.length <= 0.0 \
@@ -395,5 +446,8 @@ def _parse_frame(cur: Cursor) -> Frame:
         if not actors and (actor.actor_id, actor.kind) != ("ego", "ego"):
             raise item.fail('expected the ego first: actor_id "ego" and '
                             'kind "ego"')
+        if actor.actor_id in ids:
+            raise item.fail(f"actor_id {actor.actor_id!r} is repeated")
+        ids.add(actor.actor_id)
         actors.append(actor)
     return Frame(cur["sim_time"].number(0.0), tuple(actors), command)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -7,7 +8,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scenofuzz import simulator
+from scenofuzz import canonical, runner, simulator
+from scenofuzz.bridge import AgentSettings
+from scenofuzz.engine import campaign
+from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.lanemap import bundled_map_names, load_bundled_map, route
 
 
@@ -17,6 +21,56 @@ def step_memo():
     so each test sees its own stores."""
     simulator._steps.clear()
     return simulator._steps
+
+
+@pytest.fixture
+def caches_off():
+    """A context manager under which every same-bytes cache misses: each
+    lookup is patched to find nothing, while stores go on as before.
+
+    - the canonical encoder's float memo (``canonical._float_text``);
+    - the actor ``_text`` slot and the ego ``_guide`` slot, read through
+      class properties that shadow the instance slots;
+    - the simulator's step memo (``simulator._step``);
+    - the mission each ``ExecutionSettings`` builds once, built afresh on
+      every read;
+    - the campaign's scenario memo, whose key (``CampaignContext._key``) is
+      None, so every evaluation is simulated.
+
+    A name it patches that is gone fails the test that asked for it.
+    """
+    slots = vars(simulator.ActorState("ego", "ego", 0.0, 0.0, 0.0))
+    assert {"_text", "_guide"} <= set(slots), "an actor slot is gone"
+
+    @contextlib.contextmanager
+    def off():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(canonical, "_float_text", lambda value: None)
+            patch.setattr(simulator, "_step", lambda key: None)
+            unfilled = property(lambda actor: None)
+            patch.setattr(simulator.ActorState, "_text", unfilled,
+                          raising=False)
+            patch.setattr(simulator.ActorState, "_guide", unfilled,
+                          raising=False)
+            patch.setattr(campaign.ExecutionSettings, "mission", property(
+                lambda settings: runner.mission_path(settings.template,
+                                                     settings.lane_map)))
+            patch.setattr(campaign.CampaignContext, "_key",
+                          lambda ctx, document: None)
+            yield
+
+    return off
+
+
+@pytest.fixture(scope="module")
+def junction_settings(junction_map):
+    """The junction mission the campaign tests search, one settings object
+    (and so one mission route) per test module."""
+    spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0, "lane_15", 50.0,
+                       duration_limit=30.0)
+    return campaign.ExecutionSettings(
+        lane_map=junction_map, template=build_template(junction_map, spec),
+        agent=AgentSettings(fault_ignore_junction_traffic=True))
 
 
 @pytest.fixture(scope="session")

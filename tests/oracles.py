@@ -5,12 +5,15 @@ the bicycle integrator is a standalone loop run at a much finer step, the
 OBB distance is dense boundary sampling, routing is exhaustive path
 enumeration, projection is a brute-force scan, the closest approach of two
 polylines projects every sample, the recording document is built as plain
-dicts for ``canonical.dumps`` to encode, and the reference agent's step
-computes its route guidance afresh on every call.
+dicts for ``canonical.dumps`` to encode, the reference agent's step
+computes its route guidance afresh on every call, and the scenarios of a
+campaign log are told apart by their documents, not by the campaign's memo
+key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +22,8 @@ from scenofuzz.bridge import (COMFORT_BRAKE, HARD_STOP_GAP, LAT_ACCEL_MAX,
                               OFF_ROUTE_LIMIT, TIME_HEADWAY, ControlMessage)
 from scenofuzz.geometry import SAMPLE_STEP, normalize_angle
 from scenofuzz.runner import RECORDING_SCHEMA_VERSION
-from scenofuzz.scenario import to_document
+from scenofuzz import canonical
+from scenofuzz.scenario import to_document, unflatten
 from scenofuzz.simulator import ControlCommand, pure_pursuit_steering
 
 
@@ -252,3 +256,15 @@ def agent_step(agent, perception):
     throttle, brake = agent.speed_ctl.pedals(ego.speed, target, agent.dt)
     return ControlMessage(perception.sim_time,
                           ControlCommand(throttle, brake, steering))
+
+
+# --- distinct scenarios of a campaign log -----------------------------------
+
+def distinct_scenarios(records, ctx) -> int:
+    """How many distinct scenarios the logged evaluations of ``ctx`` ran:
+    each record's values unflattened on the context's template, compared as
+    canonical documents with the scenario id left out."""
+    template = ctx.settings.template
+    return len({canonical.dumps(to_document(dataclasses.replace(
+        unflatten(ctx.prototype.with_values(r["values"]), template)[0],
+        scenario_id=""))) for r in records})

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import agent_step
+from oracles import agent_step, distinct_scenarios
 from scenofuzz import bridge, canonical
 from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
                               BridgeSession, ControlMessage, FrameError,
@@ -983,23 +983,28 @@ def test_guide_memo_shared_by_threads_is_exact():
 def test_guide_memo_keeps_campaign_logs(computed, step_memo, tmp_path):
     """An avfuzzer campaign writes the same log cold, warm and after the
     step memo is cleared.  The warm run shares the cold run's mission and
-    ego states, so it computes guidance only for the ego each evaluation
-    spawns."""
+    ego states, so it computes guidance only for the ego each simulation
+    spawns: one per distinct scenario, as the campaign's scenario memo
+    simulates each once."""
     config = load_config(CONFIG_DIR / "avfuzzer.yaml")
     settings, _, params = build_execution(config)
+    contexts = []
 
     def campaign(name):
         computed.clear()
         ctx = CampaignContext(settings, CampaignBudget(max_evaluations=12),
                               seed=3, output_dir=tmp_path / name)
         run_campaign("avfuzzer", ctx, params)
+        contexts.append(ctx)
         assert all(route is settings.mission for route, _, _ in computed)
         return (tmp_path / name / "evaluations.json").read_bytes()
 
     cold = campaign("cold")
     cold_computed = len(computed)
     assert campaign("warm") == cold
-    assert len(computed) == 12
+    warm = contexts[-1]
+    # this seed repeats a scenario, so one evaluation reuses another's run
+    assert len(computed) == distinct_scenarios(warm.records, warm) == 11
     step_memo.clear()
     assert campaign("cleared") == cold
     assert len(computed) == cold_computed

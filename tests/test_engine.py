@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (min_distance_every_sample, recording_document,
-                     sample_distances)
+from oracles import (distinct_scenarios, min_distance_every_sample,
+                     recording_document, sample_distances)
 from synthetic import SyntheticContext, box_prototype, plateau, sphere
 
 from scenofuzz import bridge, canonical
@@ -708,16 +708,6 @@ class TestTemplate:
         assert path.length == pytest.approx(120.0, abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def junction_settings(junction_map):
-    spec = MissionSpec("borregas_ave_lite", "lane_31", 40.0, "lane_15", 50.0,
-                       duration_limit=30.0)
-    template = build_template(junction_map, spec)
-    return ExecutionSettings(
-        lane_map=junction_map, template=template,
-        agent=AgentSettings(fault_ignore_junction_traffic=True))
-
-
 def campaign_log(settings, algo="random", seed=0, evals=10, workers=1,
                  output_dir=None, resume=False, params=None):
     ctx = CampaignContext(settings, CampaignBudget(max_evaluations=evals),
@@ -828,22 +818,36 @@ class TestCampaign:
             algo, frames):
         written = []
 
-        def capture(rec, directory, include_frames=True):
-            path = write_recording(rec, directory, include_frames)
+        def capture(rec, directory, include_frames=True, *args, **kwargs):
+            path = write_recording(rec, directory, include_frames, *args,
+                                   **kwargs)
             written.append((rec, include_frames, path))
             return path
 
         monkeypatch.setattr(campaign, "write_recording", capture)
         settings = dataclasses.replace(junction_settings,
                                        save_traffic_recording=frames)
-        campaign_log(settings, algo=algo, seed=1, evals=12,
-                     output_dir=tmp_path)
+        ctx, _ = campaign_log(settings, algo=algo, seed=1, evals=12,
+                              output_dir=tmp_path)
         assert len(written) == 12
+        reruns = 0
         for rec, include_frames, path in written:
             assert include_frames is frames
+            if not rec.frames:
+                # a memo hit: the recording a rerun writes, with the
+                # simulation's wall clock (its frames are never empty)
+                rerun = run_scenario(
+                    rec.config_snapshot, settings.lane_map,
+                    lambda: InProcessSession(lambda: ReferenceEgoAgent(
+                        settings.mission, settings.agent, settings.dt)),
+                    settings.oracles, seed=ctx.seed, dt=settings.dt)
+                rec = dataclasses.replace(rerun, wall_clock=rec.wall_clock)
+                reruns += 1
             assert path.read_bytes() == canonical.dump_bytes(
                 recording_document(rec, include_frames=frames)), path.name
+        assert 12 - reruns == distinct_scenarios(ctx.records, ctx)
         assert sum(len(rec.frames) for rec, _, _ in written) > 12
+        assert reruns == {"avfuzzer": 0, "behavexplor": 2}[algo]
         assert checked_checkpoints["kept"] == 0
         assert checked_checkpoints["rewritten"] > 1
 
@@ -1347,8 +1351,10 @@ class TestLongCampaign:
 
     def test_each_record_is_encoded_once(self, junction_settings, tmp_path,
                                          monkeypatch):
-        monkeypatch.setattr(CampaignContext, "_evaluate_one",
-                            self._evaluate_stub)
+        monkeypatch.setattr(
+            CampaignContext, "_evaluate_fresh",
+            lambda ctx, start, vectors: [self._evaluate_stub(ctx, start + i, v)
+                                         for i, v in enumerate(vectors)])
         encoded = collections.Counter()
         dumps = canonical.dumps
 

@@ -14,7 +14,8 @@ import pytest
 from oracles import recording_document
 from test_runner import SCHEMA_FAULTS
 from scenofuzz.geometry import Pose
-from scenofuzz.runner import run_scenario
+from scenofuzz.runner import (RecordingFormatError, read_recording,
+                              run_scenario)
 from scenofuzz.scenario import (
     BodyDims,
     EgoSpec,
@@ -25,6 +26,20 @@ from scenofuzz.scenario import (
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schema"
+
+# Recordings the schema accepts and read_recording refuses, with the fault
+# it names: JSON Schema cannot say that the actors of a frame have
+# distinct ids.
+READER_FAULTS = {
+    "repeated-ego": (
+        lambda doc: doc["frames"][1]["actors"].append(
+            copy.deepcopy(doc["frames"][1]["actors"][0])),
+        "/frames/1/actors/3: actor_id 'ego' is repeated"),
+    "repeated-npc": (
+        lambda doc: doc["frames"][0]["actors"].__setitem__(
+            2, copy.deepcopy(doc["frames"][0]["actors"][1])),
+        "/frames/0/actors/2: actor_id 'npc_1' is repeated"),
+}
 
 TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -238,3 +253,17 @@ class TestRecordingSchema:
         doc = copy.deepcopy(recording_doc)
         edit(doc)
         assert recording_validator.validate(doc) != []
+
+    @pytest.mark.parametrize("edit,message", READER_FAULTS.values(),
+                             ids=list(READER_FAULTS))
+    def test_reader_only_faults_pass_the_schema(self, recording_validator,
+                                                recording_doc, tmp_path, edit,
+                                                message):
+        doc = copy.deepcopy(recording_doc)
+        edit(doc)
+        assert recording_validator.validate(doc) == []
+        path = tmp_path / "x.record.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RecordingFormatError) as caught:
+            read_recording(path)
+        assert str(caught.value) == f"{path}: {message}"
