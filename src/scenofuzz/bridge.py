@@ -114,17 +114,29 @@ class AgentTimeoutError(TimeoutError):
     """The agent did not answer a perception frame within the timeout."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PerceptionMessage:
     sim_time: float
     ego: ActorState
     obstacles: tuple[ActorState, ...]
 
+    def __init__(self, sim_time: float, ego: ActorState,
+                 obstacles: tuple[ActorState, ...]) -> None:
+        fields = self.__dict__
+        fields["sim_time"] = sim_time
+        fields["ego"] = ego
+        fields["obstacles"] = obstacles
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ControlMessage:
     sim_time: float
     command: ControlCommand
+
+    def __init__(self, sim_time: float, command: ControlCommand) -> None:
+        fields = self.__dict__
+        fields["sim_time"] = sim_time
+        fields["command"] = command
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,18 @@ class Verdict:
             raise ValueError(f"unknown outcome {self.outcome!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
     sim_time: float
     actors: tuple[ActorState, ...]
     ego_command: ControlCommand
+
+    def __init__(self, sim_time: float, actors: tuple[ActorState, ...],
+                 ego_command: ControlCommand) -> None:
+        fields = self.__dict__
+        fields["sim_time"] = sim_time
+        fields["actors"] = actors
+        fields["ego_command"] = ego_command
 
 
 @dataclass(frozen=True)
@@ -195,39 +202,46 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
     last_command = ControlCommand()
     low_since: float | None = None
     verdict: Verdict | None = None
+    # loop invariants: the same float expression gives the same bits
+    threshold = oracles.collision_threshold
+    tolerance = oracles.destination_tolerance
+    stuck_speed = oracles.stuck_speed
+    stuck_duration = oracles.stuck_duration
+    time_limit = config.duration_limit - 1e-9
+    request = session.request
+    record = frames.append
 
     try:
         while verdict is None:
             t = world.sim_time
             ego = world.actors[0]  # initial_world spawns it first
-            hit = check_collision(world, oracles.collision_threshold, ego)
+            hit = check_collision(world, threshold, ego)
             if hit is not None:
                 verdict = Verdict(COLLISION, t, {"pair": list(hit[0]),
                                                  "distance": hit[1]})
                 break
-            if check_destination(ego, end_point, oracles.destination_tolerance):
+            if check_destination(ego, end_point, tolerance):
                 verdict = Verdict(DESTINATION, t)
                 break
-            if ego.speed < oracles.stuck_speed:
+            if ego.speed < stuck_speed:
                 if low_since is None:
                     low_since = t
-                if t - low_since >= oracles.stuck_duration:
+                if t - low_since >= stuck_duration:
                     verdict = Verdict(STUCK, t)
                     break
             else:
                 low_since = None
-            if t >= config.duration_limit - 1e-9:
+            if t >= time_limit:
                 verdict = Verdict(TIMEOUT, t)
                 break
 
             if npc_pairs:
-                _annotate_npc_contacts(world, oracles.collision_threshold,
-                                       contact_pairs, annotations)
+                _annotate_npc_contacts(world, threshold, contact_pairs,
+                                       annotations)
 
             others = world.actors[1:]
-            perception = PerceptionMessage(t, ego, others)
             try:
-                control = session.request(perception)
+                control = request(PerceptionMessage(t, ego, others))
             except AgentTimeoutError:
                 verdict = Verdict(AGENT_TIMEOUT, t)
                 break
@@ -236,13 +250,13 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                                   f"{session.in_flight} frames in flight")
             _check_reply(control, t)
 
-            controls = {"ego": control.command}
+            last_command = control.command
+            controls = {"ego": last_command}
             for actor in others:
                 policy = policies.get(actor.actor_id)
                 if policy is not None:
                     controls[actor.actor_id] = policy.step(actor, t, dt)
-            frames.append(Frame(t, world.actors, control.command))
-            last_command = control.command
+            record(Frame(t, world.actors, last_command))
             world = step_world(world, controls, dt)
     finally:
         session.close()

@@ -12,6 +12,7 @@ an exact ``float`` in (-pi, pi] is kept as given, because ``normalize_angle``
 is exact there and would return the same bits; a command whose fields are
 exact floats inside their clamp ranges is kept as given for the same reason.
 Every other value takes the full normalize or check-and-clamp path.
+``WorldState`` stores its two fields the same way, unchecked.
 
 ``step_kinematic`` keeps a memo of steps under one rule: a step that changes
 no bit returns its input.  It holds the ego's steps, because every evaluation
@@ -162,10 +163,16 @@ class ActorState:
         fields["_guide"] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WorldState:
     sim_time: float
     actors: tuple[ActorState, ...]
+
+    def __init__(self, sim_time: float,
+                 actors: tuple[ActorState, ...]) -> None:
+        fields = self.__dict__
+        fields["sim_time"] = sim_time
+        fields["actors"] = actors
 
     def actor(self, actor_id: str) -> ActorState:
         for a in self.actors:
@@ -239,16 +246,43 @@ def _step_kinematic(state: ActorState, cmd: ControlCommand,
 
 def step_world(world: WorldState, controls: Mapping[str, ControlCommand],
                dt: float) -> WorldState:
-    """Advance every actor one step from the same pre-step snapshot."""
-    movable = {a.actor_id for a in world.actors if a.kind != "static"}
-    if set(controls) != movable:
-        raise ValueError(
+    """Advance every actor one step from the same pre-step snapshot.
+
+    ``controls`` must hold one command for each movable actor and nothing
+    else, and the movable actors' ids must be distinct; otherwise
+    ``ValueError``.  Static actors come back as the same objects.  The
+    check runs in the same pass that steps the actors, each command taken
+    out of a copy of ``controls`` as its actor is stepped, so a refused
+    call may already have stepped some actors.  A step is a pure function
+    of its inputs, so the only effect is a filled step memo, which cannot
+    move a byte (``tests/test_caches_off.py``).
+    """
+    unused = dict(controls)
+    take = unused.pop
+    actors = []
+    for a in world.actors:
+        if a.kind == "static":
+            actors.append(a)
+            continue
+        try:
+            cmd = take(a.actor_id)
+        except KeyError:  # not in controls, or a repeated id already taken
+            break
+        actors.append(step_kinematic(a, cmd, dt))
+    else:
+        if not unused:
+            return WorldState(world.sim_time + dt, tuple(actors))
+    raise _controls_error(world, controls)
+
+
+def _controls_error(world: WorldState, controls) -> ValueError:
+    movable = [a.actor_id for a in world.actors if a.kind != "static"]
+    if set(controls) != set(movable):
+        return ValueError(
             f"controls must cover exactly the movable actors; "
-            f"expected {sorted(movable)}, got {sorted(controls)}")
-    actors = tuple(
-        a if a.kind == "static" else step_kinematic(a, controls[a.actor_id], dt)
-        for a in world.actors)
-    return WorldState(world.sim_time + dt, actors)
+            f"expected {sorted(set(movable))}, got {sorted(controls)}")
+    repeated = next(i for i in movable if movable.count(i) > 1)
+    return ValueError(f"movable actor_id {repeated!r} is repeated")
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +426,21 @@ class WaypointPolicy:
     def __init__(self, spec: NpcSpec):
         self.path = Polyline([(p.x, p.y) for p in spec.waypoints])
         self.target_speeds = spec.target_speeds
-        self.spawn_delay = spec.spawn_delay
+        # the step's thresholds, computed once with the same operations
+        self.hold_before = spec.spawn_delay - 1e-9
+        self.finish_at = self.path.length - 0.3
+        self.last_segment = len(spec.target_speeds) - 1
         self.speed_ctl = SpeedController()
         self.finished = False
 
     def step(self, state: ActorState, sim_time: float, dt: float) -> ControlCommand:
-        if self.finished or sim_time < self.spawn_delay - 1e-9:
+        if self.finished or sim_time < self.hold_before:
             return BRAKE_COMMAND
         s, _, _ = self.path.project(state.x, state.y)
-        if s >= self.path.length - 0.3:
+        if s >= self.finish_at:
             self.finished = True
             return BRAKE_COMMAND
-        segment = min(self.path._segment_index(s), len(self.target_speeds) - 1)
+        segment = min(self.path._segment_index(s), self.last_segment)
         throttle, brake = self.speed_ctl.pedals(
             state.speed, self.target_speeds[segment], dt)
         steering = pure_pursuit_steering(state, self.path, s)

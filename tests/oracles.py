@@ -6,9 +6,11 @@ OBB distance is dense boundary sampling, routing is exhaustive path
 enumeration, projection is a brute-force scan, the closest approach of two
 polylines projects every sample, the recording document is built as plain
 dicts for ``canonical.dumps`` to encode, the reference agent's step
-computes its route guidance afresh on every call, and the scenarios of a
+computes its route guidance afresh on every call, the scenarios of a
 campaign log are told apart by their documents, not by the campaign's memo
-key.
+key, and the step loop is the one that built a frozen dataclass per frame
+and world state through the generated ``__init__`` and checked the controls
+with two sets before stepping.
 """
 
 from __future__ import annotations
@@ -19,12 +21,20 @@ import math
 import numpy as np
 
 from scenofuzz.bridge import (COMFORT_BRAKE, HARD_STOP_GAP, LAT_ACCEL_MAX,
-                              OFF_ROUTE_LIMIT, TIME_HEADWAY, ControlMessage)
-from scenofuzz.geometry import SAMPLE_STEP, normalize_angle
-from scenofuzz.runner import RECORDING_SCHEMA_VERSION
+                              OFF_ROUTE_LIMIT, TIME_HEADWAY, AgentTimeoutError,
+                              ControlMessage, PerceptionMessage)
+from scenofuzz.geometry import SAMPLE_STEP, Polyline, normalize_angle
+from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION,
+                              RECORDING_SCHEMA_VERSION, STUCK, TIMEOUT,
+                              OracleConfig, RunnerError, ScenarioRecording,
+                              Verdict, _annotate_npc_contacts, _check_reply,
+                              check_collision, check_destination,
+                              initial_world, mission_end_point)
 from scenofuzz import canonical
-from scenofuzz.scenario import to_document, unflatten
-from scenofuzz.simulator import ControlCommand, pure_pursuit_steering
+from scenofuzz.scenario import to_document, unflatten, validate
+from scenofuzz.simulator import (BRAKE_COMMAND, ControlCommand,
+                                 SpeedController, pure_pursuit_steering,
+                                 step_kinematic)
 
 
 # --- kinematic bicycle, fine-step explicit Euler ---------------------------
@@ -268,3 +278,139 @@ def distinct_scenarios(records, ctx) -> int:
     return len({canonical.dumps(to_document(dataclasses.replace(
         unflatten(ctx.prototype.with_values(r["values"]), template)[0],
         scenario_id=""))) for r in records})
+
+
+# --- the step loop: a dataclass per frame and world, two sets per step ------
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceWorld:
+    sim_time: float
+    actors: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceFrame:
+    sim_time: float
+    actors: tuple
+    ego_command: ControlCommand
+
+
+def step_world(world, controls, dt):
+    """``simulator.step_world`` as it checked the controls before stepping:
+    the set of movable ids against the set of controls."""
+    movable = {a.actor_id for a in world.actors if a.kind != "static"}
+    if set(controls) != movable:
+        raise ValueError(
+            f"controls must cover exactly the movable actors; "
+            f"expected {sorted(movable)}, got {sorted(controls)}")
+    actors = tuple(
+        a if a.kind == "static" else step_kinematic(a, controls[a.actor_id], dt)
+        for a in world.actors)
+    return ReferenceWorld(world.sim_time + dt, actors)
+
+
+class ReferencePolicy:
+    """``simulator.WaypointPolicy`` computing its thresholds on every step."""
+
+    def __init__(self, spec):
+        self.path = Polyline([(p.x, p.y) for p in spec.waypoints])
+        self.target_speeds = spec.target_speeds
+        self.spawn_delay = spec.spawn_delay
+        self.speed_ctl = SpeedController()
+        self.finished = False
+
+    def step(self, state, sim_time, dt):
+        if self.finished or sim_time < self.spawn_delay - 1e-9:
+            return BRAKE_COMMAND
+        s, _, _ = self.path.project(state.x, state.y)
+        if s >= self.path.length - 0.3:
+            self.finished = True
+            return BRAKE_COMMAND
+        segment = min(self.path._segment_index(s), len(self.target_speeds) - 1)
+        throttle, brake = self.speed_ctl.pedals(
+            state.speed, self.target_speeds[segment], dt)
+        steering = pure_pursuit_steering(state, self.path, s)
+        return ControlCommand(throttle, brake, steering)
+
+
+def run_scenario(config, lane_map, session_factory, oracles=OracleConfig(),
+                 seed=0, dt=0.1):
+    """``runner.run_scenario`` reading every oracle setting and bound method
+    on every step, with the reference world, frames, step and policy."""
+    problems = validate(config, lane_map)
+    if problems:
+        raise RunnerError(f"scenario {config.scenario_id!r} invalid")
+
+    end_point = mission_end_point(config, lane_map)
+    world = ReferenceWorld(0.0, initial_world(config, lane_map).actors)
+    policies = {npc.actor_id: ReferencePolicy(npc)
+                for npc in config.npc_vehicles}
+    npc_pairs = len(config.npc_vehicles) > 1
+
+    session = session_factory()
+    frames = []
+    annotations = []
+    contact_pairs = set()
+    last_command = ControlCommand()
+    low_since = None
+    verdict = None
+
+    try:
+        while verdict is None:
+            t = world.sim_time
+            ego = world.actors[0]
+            hit = check_collision(world, oracles.collision_threshold, ego)
+            if hit is not None:
+                verdict = Verdict(COLLISION, t, {"pair": list(hit[0]),
+                                                 "distance": hit[1]})
+                break
+            if check_destination(ego, end_point, oracles.destination_tolerance):
+                verdict = Verdict(DESTINATION, t)
+                break
+            if ego.speed < oracles.stuck_speed:
+                if low_since is None:
+                    low_since = t
+                if t - low_since >= oracles.stuck_duration:
+                    verdict = Verdict(STUCK, t)
+                    break
+            else:
+                low_since = None
+            if t >= config.duration_limit - 1e-9:
+                verdict = Verdict(TIMEOUT, t)
+                break
+
+            if npc_pairs:
+                _annotate_npc_contacts(world, oracles.collision_threshold,
+                                       contact_pairs, annotations)
+
+            others = world.actors[1:]
+            perception = PerceptionMessage(t, ego, others)
+            try:
+                control = session.request(perception)
+            except AgentTimeoutError:
+                verdict = Verdict(AGENT_TIMEOUT, t)
+                break
+            if session.in_flight != 0:
+                raise RunnerError("bridge lockstep violated")
+            _check_reply(control, t)
+
+            controls = {"ego": control.command}
+            for actor in others:
+                policy = policies.get(actor.actor_id)
+                if policy is not None:
+                    controls[actor.actor_id] = policy.step(actor, t, dt)
+            frames.append(ReferenceFrame(t, world.actors, control.command))
+            last_command = control.command
+            world = step_world(world, controls, dt)
+    finally:
+        session.close()
+
+    frames.append(ReferenceFrame(world.sim_time, world.actors, last_command))
+    return ScenarioRecording(
+        scenario_id=config.scenario_id,
+        config_snapshot=config,
+        frames=tuple(frames),
+        verdict=verdict,
+        rng_seed=seed,
+        annotations=tuple(annotations),
+    )

@@ -3,14 +3,18 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import recording_document
+from oracles import run_scenario as reference_run_scenario
 from scenofuzz import bridge, canonical
 from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeSession,
                               ControlMessage, InProcessSession,
                               ReferenceEgoAgent)
+from scenofuzz.config import build_execution, load_config
 from scenofuzz.geometry import Pose
 from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               TIMEOUT, OracleConfig, RecordingFormatError,
@@ -21,7 +25,7 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               recording_digest, recording_path, run_scenario,
                               write_recording)
 from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
-                                ScenarioConfig)
+                                ScenarioConfig, flatten, unflatten)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
                                  WaypointPolicy, WorldState, actor_distance,
                                  actor_distance_lower_bound)
@@ -621,3 +625,96 @@ class TestPersistence:
         assert world.actors[1].kind == "npc"
         assert world.actors[2].kind == "static"
         assert world.actors[1].heading == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the step loop against the reference loop of tests/oracles.py
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# each shipped config with a seed whose first three random vectors give a
+# collision and an arrival (the five configs share one template)
+SHIPPED_VECTOR_SEEDS = {"avfuzzer": 2, "behavexplor": 4, "drivefuzz": 5,
+                        "random": 8, "samota": 9}
+
+
+class StallingSession(InProcessSession):
+    """The in-process agent, timing out on the fifth request."""
+
+    def request(self, perception):
+        if self.sent == 4:
+            self.sent += 1
+            raise AgentTimeoutError("agent stalled")
+        return super().request(perception)
+
+
+def _loops_agree(config, lane_map, session_factory, oracles, dt):
+    """Run ``config`` through both loops, require the same recording bytes
+    (wall clock zeroed) and return the recording."""
+    rec = run_scenario(config, lane_map, session_factory, oracles, 5, dt)
+    ref = reference_run_scenario(config, lane_map, session_factory, oracles,
+                                 5, dt)
+    assert recording_bytes(dataclasses.replace(rec, wall_clock=0.0)) == \
+        recording_bytes(ref), (config.scenario_id, dt)
+    return rec
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_VECTOR_SEEDS))
+    def test_shipped_scenarios_record_the_reference_bytes(self, name):
+        settings, _, _ = build_execution(load_config(CONFIG_DIR /
+                                                     f"{name}.yaml"))
+        prototype = flatten(settings.template, settings.space)
+        lo, hi = prototype.bounds
+        rng = np.random.default_rng(SHIPPED_VECTOR_SEEDS[name])
+        lane_map, soon_stuck = settings.lane_map, \
+            OracleConfig(stuck_duration=1.0)
+        outcomes = set()
+        for _ in range(3):
+            config, _ = unflatten(prototype.with_values(rng.uniform(lo, hi)),
+                                  settings.template)
+            for dt in (0.1, 0.05):
+                def agent(dt=dt):
+                    return ReferenceEgoAgent(settings.mission, settings.agent,
+                                             dt)
+
+                def session():
+                    return InProcessSession(agent)
+
+                def stalled():
+                    return StallingSession(agent)
+
+                outcomes |= {rec.verdict.outcome for rec in (
+                    _loops_agree(config, lane_map, session, settings.oracles,
+                                 dt),
+                    _loops_agree(dataclasses.replace(config,
+                                                     duration_limit=2.0),
+                                 lane_map, session, settings.oracles, dt),
+                    _loops_agree(config, lane_map, brake_session, soon_stuck,
+                                 dt),
+                    _loops_agree(config, lane_map, stalled, settings.oracles,
+                                 dt))}
+        assert outcomes == {COLLISION, DESTINATION, TIMEOUT, STUCK,
+                            AGENT_TIMEOUT}
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    def test_obstacles_and_npc_contacts_record_the_reference_bytes(
+            self, chain_map, dt):
+        block = ObstacleSpec("rock", Pose(30.0, 0.0, 0.0), BodyDims(4.8, 2.0))
+        aside = ObstacleSpec("cone", Pose(20.0, 6.0, 0.3), BodyDims(0.5, 0.5))
+        east = NpcSpec("npc_1", (Pose(30.0, 0.0, 0.0), Pose(50.0, 0.0, 0.0)),
+                       (5.0,))
+        west = NpcSpec("npc_2",
+                       (Pose(52.0, 0.0, math.pi), Pose(32.0, 0.0, math.pi)),
+                       (5.0,), spawn_delay=1.0)
+        blocked = chain_scenario(obstacles=(aside, block))
+        contact = chain_scenario(npc_vehicles=(east, west), obstacles=(aside,),
+                                 duration_limit=8.0)
+        rec = _loops_agree(blocked, chain_map, reference_session(
+            chain_map, blocked, dt, fault_ignore_obstacles=True),
+            OracleConfig(), dt)
+        assert rec.verdict.details["pair"] == ["ego", "rock"]
+        rec = _loops_agree(contact, chain_map, brake_session, OracleConfig(),
+                           dt)
+        assert rec.verdict.outcome == TIMEOUT
+        assert [note["pair"] for note in rec.annotations] == \
+            [["npc_1", "npc_2"]]

@@ -3,7 +3,9 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import pickle
 import random
+import re
 import struct
 import sys
 import threading
@@ -14,14 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from oracles import integrate_bicycle, obb_distance_sampled
 from scenofuzz import canonical, simulator
-from scenofuzz.bridge import actor_text
+from scenofuzz.bridge import ControlMessage, PerceptionMessage, actor_text
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import CampaignBudget, CampaignContext, run_campaign
 from scenofuzz.geometry import Pose
 from scenofuzz.scenario import NpcSpec
 from scenofuzz.geometry import normalize_angle
+from scenofuzz.runner import Frame
 from scenofuzz.simulator import (A_MAX, B_MAX, DRAG, STEER_MAX, V_MAX,
                                  WHEELBASE, ActorState, BRAKE_COMMAND,
                                  ControlCommand, SpeedController,
@@ -366,6 +370,32 @@ class _ReferenceActorState:
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
 
+@dataclass(frozen=True)
+class _ReferenceWorldState:
+    sim_time: float
+    actors: tuple
+
+
+@dataclass(frozen=True)
+class _ReferenceFrame:
+    sim_time: float
+    actors: tuple
+    ego_command: ControlCommand
+
+
+@dataclass(frozen=True)
+class _ReferencePerceptionMessage:
+    sim_time: float
+    ego: ActorState
+    obstacles: tuple
+
+
+@dataclass(frozen=True)
+class _ReferenceControlMessage:
+    sim_time: float
+    command: ControlCommand
+
+
 def _fields_of(obj):
     """Each field's name, type and exact value: a float's IEEE bits tell
     0.0 from -0.0, and a signaling NaN from the quiet NaN arithmetic makes
@@ -455,7 +485,8 @@ def test_control_command_equals_reference_on_seeded_values():
             _built(_ReferenceControlCommand, *args), args
 
 
-@pytest.mark.parametrize("cls", [ActorState, ControlCommand])
+@pytest.mark.parametrize("cls", [ActorState, ControlCommand, WorldState,
+                                 Frame, PerceptionMessage, ControlMessage])
 def test_explicit_init_signature_equals_the_fields(cls):
     parameters = list(inspect.signature(cls.__init__).parameters.values())
     assert parameters[0].name == "self"
@@ -465,13 +496,27 @@ def test_explicit_init_signature_equals_the_fields(cls):
         for f in fields(cls)]
 
 
+_EGO = ActorState("ego", "ego", 0.5, -1.0, 0.25, 4.0)
+_NPC = ActorState("npc_1", "npc", 1.0, 2.0, 7.0, 3.0)
+_COMMAND = ControlCommand(0.5, 0.0, -0.125)
+
+
 @pytest.mark.parametrize("obj,reference,change", [
     (ActorState("npc_1", "npc", 1.0, 2.0, 7.0, 3.0),
      _ReferenceActorState("npc_1", "npc", 1.0, 2.0, 7.0, 3.0),
      {"heading": -9.5}),
     (ControlCommand(0.5, 2, -1.0), _ReferenceControlCommand(0.5, 2, -1.0),
      {"steering": 9.5}),
-], ids=["actor", "command"])
+    (WorldState(0.5, (_EGO, _NPC)), _ReferenceWorldState(0.5, (_EGO, _NPC)),
+     {"sim_time": 2.5}),
+    (Frame(0.5, (_EGO, _NPC), _COMMAND),
+     _ReferenceFrame(0.5, (_EGO, _NPC), _COMMAND),
+     {"ego_command": BRAKE_COMMAND}),
+    (PerceptionMessage(0.5, _EGO, (_NPC,)),
+     _ReferencePerceptionMessage(0.5, _EGO, (_NPC,)), {"obstacles": ()}),
+    (ControlMessage(0.5, _COMMAND), _ReferenceControlMessage(0.5, _COMMAND),
+     {"command": BRAKE_COMMAND}),
+], ids=["actor", "command", "world", "frame", "perception", "control"])
 def test_value_objects_stay_frozen_dataclasses(obj, reference, change):
     for f in fields(obj):
         with pytest.raises(FrozenInstanceError):
@@ -486,6 +531,11 @@ def test_value_objects_stay_frozen_dataclasses(obj, reference, change):
     # replace builds through __init__: the new value is normalized or clamped
     assert _fields_of(replace(obj, **change)) == \
         _fields_of(replace(reference, **change))
+    again = pickle.loads(pickle.dumps(obj))
+    assert type(again) is type(obj)
+    assert _fields_of(again) == _fields_of(obj)
+    with pytest.raises(FrozenInstanceError):
+        setattr(again, fields(obj)[0].name, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +555,65 @@ def test_step_world_requires_exact_control_cover():
                              "npc_1": ControlCommand()}, DT)
     assert nxt.sim_time == pytest.approx(0.1)
     assert nxt.actor("rock") is world.actor("rock")
+
+
+def test_step_world_refuses_repeated_ids_and_stray_commands():
+    ego, rock = _actor(kind="ego", actor_id="ego"), \
+        _actor(x=60, kind="static", actor_id="rock")
+    world = WorldState(0.0, (ego, _actor(x=30, actor_id="npc_1"), rock))
+    cover = "^controls must cover exactly the movable actors; "
+    with pytest.raises(ValueError, match=cover + re.escape(
+            "expected ['ego', 'npc_1'], got ['ego', 'npc_1', 'rock']")):
+        step_world(world, {"ego": ControlCommand(), "npc_1": ControlCommand(),
+                           "rock": ControlCommand()}, DT)
+    with pytest.raises(ValueError, match=cover + re.escape(
+            "expected ['ego', 'npc_1'], got ['ego', 'npc_1', 'npc_9']")):
+        step_world(world, {"ego": ControlCommand(), "npc_1": ControlCommand(),
+                           "npc_9": ControlCommand()}, DT)
+    twins = WorldState(0.0, (ego, _actor(x=30, actor_id="npc_1"),
+                             _actor(x=45, actor_id="npc_1"), rock))
+    with pytest.raises(ValueError,
+                       match="^movable actor_id 'npc_1' is repeated$"):
+        step_world(twins, {"ego": ControlCommand(),
+                           "npc_1": ControlCommand()}, DT)
+    # a stray command that makes up the count does not hide the repeat
+    with pytest.raises(ValueError, match=cover + re.escape(
+            "expected ['ego', 'npc_1'], got ['ego', 'npc_1', 'npc_2']")):
+        step_world(twins, {"ego": ControlCommand(), "npc_1": ControlCommand(),
+                           "npc_2": ControlCommand()}, DT)
+
+
+def _world_stepped(step, world, controls):
+    try:
+        nxt = step(world, controls, DT)
+    except ValueError as exc:
+        return ("raises", str(exc))
+    return ("steps", nxt.sim_time, tuple(_fields_of(a) for a in nxt.actors),
+            tuple(a is b for a, b in zip(nxt.actors, world.actors)))
+
+
+def test_step_world_equals_the_reference_on_seeded_worlds():
+    rng = random.Random(31)
+    ids = ("ego", "npc_1", "npc_2", "rock")
+    for _ in range(3000):
+        actors = tuple(
+            _actor(x=rng.uniform(-50, 50), heading=rng.uniform(-3, 3),
+                   speed=rng.choice((0.0, rng.uniform(0, 20))),
+                   kind=rng.choice(("ego", "npc", "static")),
+                   actor_id=rng.choice(ids))
+            for _ in range(rng.randint(0, 5)))
+        movable = [a.actor_id for a in actors if a.kind != "static"]
+        named = sorted(set(movable)) if rng.random() < 0.5 \
+            else rng.sample(ids, rng.randint(0, 4))
+        controls = {i: ControlCommand(rng.random(), rng.random(),
+                                      rng.uniform(-0.5, 0.5)) for i in named}
+        world = WorldState(rng.uniform(0, 30), actors)
+        got = _world_stepped(step_world, world, controls)
+        expected = _world_stepped(oracles.step_world, world, controls)
+        if expected[0] == "steps" and len(set(movable)) < len(movable):
+            repeated = next(i for i in movable if movable.count(i) > 1)
+            expected = ("raises", f"movable actor_id {repeated!r} is repeated")
+        assert got == expected, (actors, controls)
 
 
 def test_step_world_order_independent():
