@@ -44,7 +44,8 @@ import numpy as np
 from ..bridge import route_lateral
 from ..geometry import Polyline, normalize_angle
 from ..runner import ScenarioRecording
-from ..simulator import A_MAX, STEER_MAX, WHEELBASE, actor_distance
+from ..simulator import (A_MAX, STEER_MAX, WHEELBASE, actor_distance,
+                         actor_distance_lower_bound)
 
 NO_OBSTACLE_FITNESS = 1.0e9
 FITNESS_SATURATION = 10.0  # m; anything farther scores as "safe"
@@ -74,14 +75,11 @@ def trace_min_distance(recording: ScenarioRecording) -> float:
     best distance so far.  A frame-order scan skips a pair by the same rule
     (bound at or above the best so far), and a pair skipped by either scan
     has a distance no smaller than its bound, so both return the same
-    minimum; ranking only makes the cut-off come sooner.  (Rounding can lift
-    the bound of two boxes whose corners face each other along the line of
-    centres a few ulps above their distance; the scans could then differ
-    only if another pair's distance fell inside those few ulps.)  The bound
-    is ``simulator.actor_distance_lower_bound``, written out with the same
-    float operations in the same order.
+    minimum; ranking only makes the cut-off come sooner.  The bound is
+    ``simulator.actor_distance_lower_bound``; where it rounds above a
+    distance (see its docstring), the scans could differ only if another
+    pair's distance fell inside those few ulps.
     """
-    hypot = math.hypot
     pairs = []
     for index, frame in enumerate(recording.frames):
         actors = frame.actors
@@ -90,12 +88,8 @@ def trace_min_distance(recording: ScenarioRecording) -> float:
             raise ValueError(f"frame {index}: expected the ego first, "
                              f"got {found}")
         ego = actors[0]
-        ex, ey = ego.x, ego.y
-        ra = hypot(ego.length, ego.width) / 2.0
         for other in actors[1:]:
-            pairs.append((hypot(ex - other.x, ey - other.y) - ra
-                          - hypot(other.length, other.width) / 2.0,
-                          ego, other))
+            pairs.append((actor_distance_lower_bound(ego, other), ego, other))
     pairs.sort(key=itemgetter(0))
     best = NO_OBSTACLE_FITNESS
     for bound, ego, other in pairs:
@@ -130,6 +124,8 @@ def _histogram(values: list[float], inner_edges: tuple[float, ...]) -> list[floa
 
 def compute_feedback(recording: ScenarioRecording, mission: Polyline,
                      lane_width: float = 3.5) -> Feedback:
+    if not recording.frames:  # a summary-only recording read back
+        raise ValueError("recording has no frames")
     # trace_min_distance has refused a frame whose first actor is not the ego
     fitness = trace_min_distance(recording)
     half_width = lane_width / 2.0

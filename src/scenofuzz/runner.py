@@ -22,7 +22,8 @@ from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
 from .canonical import Cursor
 from .geometry import Polyline
 from .lanemap import LaneMap, route
-from .scenario import ScenarioConfig, from_cursor, to_document, validate
+from .scenario import (MAX_BODY_DIM, ScenarioConfig, from_cursor,
+                       to_document, validate)
 from .simulator import (STEER_MAX, ActorState, ControlCommand, WaypointPolicy,
                         WorldState, actor_distance, actor_distance_lower_bound,
                         step_world)
@@ -37,9 +38,8 @@ AGENT_TIMEOUT = "AgentTimeout"
 
 OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT)
 
-# actor_distance_lower_bound can round a few ulps above actor_distance when
-# two boxes face each other corner to corner, so a pair is skipped only when
-# its bound clears the contact threshold by more than this.
+# a pair is skipped only when its bound clears the contact threshold by more
+# than this (see actor_distance_lower_bound on rounding)
 BOUND_ROUNDING_MARGIN = 1e-9  # m
 
 STOP_SPEED = 0.5  # m/s; below it the ego counts as stopped at the destination
@@ -101,29 +101,23 @@ class ScenarioRecording:
 # oracles
 
 
-def check_collision(world: WorldState, threshold: float,
-                    ego: ActorState | None = None):
-    """Closest ego-involved contact at or under the threshold, if any.
+def check_collision(world: WorldState, threshold: float):
+    """Closest ego-involved contact at or under the threshold, if any:
+    ``(pair, distance)`` for the minimizing pair, or ``None``.
 
-    Returns ``(pair, distance)`` for the minimizing pair or ``None``.
-    ``ego`` is ``world.ego``, looked up here when not given.  A pair whose
-    circumscribed-circle bound, ``actor_distance_lower_bound`` written out
-    with the same float operations in the same order, clears the threshold
-    by more than ``BOUND_ROUNDING_MARGIN`` is skipped without its exact
-    distance.
+    The ego is ``world.actors[0]``; a world without the ego first raises
+    ``ValueError``.  A pair whose ``actor_distance_lower_bound`` clears the
+    threshold by more than ``BOUND_ROUNDING_MARGIN`` is skipped unmeasured.
     """
-    if ego is None:
-        ego = world.ego
+    actors = iter(world.actors)
+    ego = next(actors, None)
+    if ego is None or ego.actor_id != "ego":
+        found = repr(ego.actor_id) if ego is not None else "no actors"
+        raise ValueError(f"expected the ego first, got {found}")
     best = None
     skip_above = threshold + BOUND_ROUNDING_MARGIN
-    hypot = math.hypot
-    ex, ey = ego.x, ego.y
-    ra = hypot(ego.length, ego.width) / 2.0
-    for other in world.actors:
-        if other.actor_id == "ego":
-            continue
-        if hypot(ex - other.x, ey - other.y) - ra \
-                - hypot(other.length, other.width) / 2.0 > skip_above:
+    for other in actors:
+        if actor_distance_lower_bound(ego, other) > skip_above:
             continue
         d = actor_distance(ego, other)
         if d <= threshold and (best is None or d < best[1]):
@@ -215,7 +209,7 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
         while verdict is None:
             t = world.sim_time
             ego = world.actors[0]  # initial_world spawns it first
-            hit = check_collision(world, threshold, ego)
+            hit = check_collision(world, threshold)
             if hit is not None:
                 verdict = Verdict(COLLISION, t, {"pair": list(hit[0]),
                                                  "distance": hit[1]})
@@ -457,6 +451,8 @@ def _parse_frame(cur: Cursor) -> Frame:
                 or actor.width <= 0.0:
             raise item.fail("expected a non-empty actor_id, speed >= 0, "
                             "length > 0 and width > 0")
+        if not actor.width <= actor.length <= MAX_BODY_DIM:  # as validate
+            raise item.fail(f"expected width <= length <= {MAX_BODY_DIM}")
         if not actors and (actor.actor_id, actor.kind) != ("ego", "ego"):
             raise item.fail('expected the ego first: actor_id "ego" and '
                             'kind "ego"')

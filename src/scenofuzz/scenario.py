@@ -85,8 +85,12 @@ MAX_BODY_DIM = 20.0
 MAX_TARGET_SPEED = 30.0
 
 
+def _body_ok(body: BodyDims) -> bool:
+    return 0.0 < body.width <= body.length <= MAX_BODY_DIM
+
+
 def _check_body(body: BodyDims, subject: str, out: list[Violation]) -> None:
-    if not (0.0 < body.width <= body.length <= MAX_BODY_DIM):
+    if not _body_ok(body):
         out.append(Violation(
             "BadBody", subject,
             f"require 0 < width <= length <= {MAX_BODY_DIM}, "
@@ -166,6 +170,8 @@ def _initial_overlaps(config: ScenarioConfig, lane_map: LaneMap) -> list[Violati
             boxes.append((npc.actor_id, npc.waypoints[0], npc.body))
     for obs in config.obstacles:
         boxes.append((obs.actor_id, obs.pose, obs.body))
+    # a bad body has its BadBody violation, and a flat box has no distance
+    boxes = [box for box in boxes if _body_ok(box[2])]
 
     out = []
     for i in range(len(boxes)):

@@ -174,16 +174,6 @@ class WorldState:
         fields["sim_time"] = sim_time
         fields["actors"] = actors
 
-    def actor(self, actor_id: str) -> ActorState:
-        for a in self.actors:
-            if a.actor_id == actor_id:
-                return a
-        raise KeyError(actor_id)
-
-    @property
-    def ego(self) -> ActorState:
-        return self.actor("ego")
-
 
 STEP_MEMO_LIMIT = 768  # ego and parked steps held before a clear: <= 1 MB
 _steps: dict[tuple[str, str, bytes], ActorState] = {}
@@ -366,7 +356,10 @@ def actor_distance(a: ActorState, b: ActorState) -> float:
 
 
 def actor_distance_lower_bound(a: ActorState, b: ActorState) -> float:
-    """Cheap lower bound on actor_distance (circumscribed circles)."""
+    """Cheap lower bound on actor_distance (circumscribed circles); rounding
+    can lift it a few ulps above the distance of two boxes whose corners
+    face each other along the line of centres.
+    """
     ra = math.hypot(a.length, a.width) / 2.0
     rb = math.hypot(b.length, b.width) / 2.0
     return math.hypot(a.x - b.x, a.y - b.y) - ra - rb

@@ -359,7 +359,7 @@ def run_scenario(config, lane_map, session_factory, oracles=OracleConfig(),
         while verdict is None:
             t = world.sim_time
             ego = world.actors[0]
-            hit = check_collision(world, oracles.collision_threshold, ego)
+            hit = check_collision(world, oracles.collision_threshold)
             if hit is not None:
                 verdict = Verdict(COLLISION, t, {"pair": list(hit[0]),
                                                  "distance": hit[1]})

@@ -272,6 +272,16 @@ class TestFeedbackReference:
             with pytest.raises(ValueError, match=message):
                 compute_feedback(rec, STRAIGHT)
 
+    def test_summary_only_recording_is_refused(self, tmp_path):
+        """A recording written without its frames reads back with none;
+        feedback has nothing to walk and says so."""
+        rec = make_recording([ego_state(x=0.8 * i) for i in range(3)])
+        path = write_recording(rec, tmp_path, include_frames=False)
+        summary = read_recording(path)
+        assert summary.frames == ()
+        with pytest.raises(ValueError, match="^recording has no frames$"):
+            compute_feedback(summary, STRAIGHT)
+
     def test_seeded_recordings(self):
         rng = np.random.default_rng(11)
         mission = Polyline([(0.0, 0.0), (40.0, 0.0), (60.0, 25.0)])

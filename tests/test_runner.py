@@ -94,6 +94,20 @@ class TestOracles:
         assert hit[1] <= 0.01
         assert check_collision(WorldState(0.0, (ego, apart)), 0.01) is None
 
+    def test_collision_refuses_a_world_without_the_ego_first(self):
+        """The ego is read as the first actor, as ``initial_world`` spawns
+        it; a world that breaks this is refused, not checked by id."""
+        ego = ActorState("ego", "ego", 0.0, 0.0, 0.0)
+        near = ActorState("npc_1", "npc", 4.8, 0.0, 0.0)   # touching
+        rock = ActorState("rock", "static", 30.0, 0.0, 0.0)
+        for actors, found in (((near, ego, rock), "'npc_1'"),
+                              ((rock, near, ego), "'rock'"),
+                              ((near, rock), "'npc_1'"),
+                              ((), "no actors")):
+            with pytest.raises(ValueError,
+                               match=f"^expected the ego first, got {found}$"):
+                check_collision(WorldState(0.0, actors), 0.01)
+
     def test_verdict_rejects_unknown_outcome(self):
         with pytest.raises(ValueError):
             Verdict("Mystery", 0.0)
@@ -328,6 +342,10 @@ SCHEMA_FAULTS = {
         lambda doc: doc["frames"][0]["actors"][1].update(length=0.0),
     "negative-width":
         lambda doc: doc["frames"][0]["actors"][1].update(width=-1.0),
+    "length-above-max":
+        lambda doc: doc["frames"][0]["actors"][1].update(length=1e308),
+    "width-above-max":
+        lambda doc: doc["frames"][0]["actors"][1].update(width=1e200),
     "empty-scenario-id": lambda doc: doc.update(scenario_id=""),
     "empty-actor-id":
         lambda doc: doc["frames"][0]["actors"][1].update(actor_id=""),
@@ -578,6 +596,10 @@ class TestPersistence:
         (SCHEMA_FAULTS["negative-speed"],
          "/frames/0/actors/1: expected a non-empty actor_id, speed >= 0, "
          "length > 0 and width > 0"),
+        (SCHEMA_FAULTS["length-above-max"],
+         "/frames/0/actors/1: expected width <= length <= 20.0"),
+        (SCHEMA_FAULTS["width-above-max"],
+         "/frames/0/actors/1: expected width <= length <= 20.0"),
         (SCHEMA_FAULTS["frame-extra-key"], "/frames/0: unknown keys ['note']"),
         (SCHEMA_FAULTS["frame-without-ego"],
          '/frames/1/actors/0: expected the ego first: actor_id "ego" and '

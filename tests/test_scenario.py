@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from scenofuzz import canonical
 from scenofuzz.geometry import Pose
+from scenofuzz.runner import RunnerError, run_scenario
 from scenofuzz.scenario import (BodyDims, EgoSpec, MutationSpace, NpcSpec,
                                 ObstacleSpec, ScenarioConfig,
                                 ScenarioFormatError, flatten, from_json,
@@ -144,6 +146,34 @@ def test_validate_catches_violations(chain_map):
     config = ScenarioConfig("s", "chain_3", EgoSpec("lane_a", 0.0, "lane_c", 5.0),
                             duration_limit=0.0)
     assert any(v.code == "NonPositiveDuration" for v in validate(config, chain_map))
+
+
+@pytest.mark.parametrize("length,width", [(0.0, 0.0), (4.8, 0.0),
+                                          (-0.0, -0.0), (4.8, -0.0)])
+@pytest.mark.parametrize("who", ["ego", "npc_1", "rock"])
+def test_validate_refuses_a_flat_body(chain_map, who, length, width):
+    """A flat box has no distance to another box; its body is refused
+    with BadBody, and the spawn-overlap check leaves it out."""
+    flat = BodyDims(length, width)
+    config = _scenario(npcs=[_npc()],
+                       obstacles=[ObstacleSpec("rock", Pose(40.0, 0.0, 0.0))])
+    if who == "ego":
+        config = dataclasses.replace(
+            config, ego=dataclasses.replace(config.ego, body=flat))
+    elif who == "npc_1":
+        config = dataclasses.replace(
+            config, npc_vehicles=(dataclasses.replace(_npc(), body=flat),))
+    else:
+        config = dataclasses.replace(config, obstacles=(ObstacleSpec(
+            "rock", Pose(40.0, 0.0, 0.0), flat),))
+    assert [(v.code, v.subject) for v in validate(config, chain_map)] == \
+        [("BadBody", who)]
+
+    def unreachable():
+        raise AssertionError("an invalid scenario opened a session")
+
+    with pytest.raises(RunnerError, match=rf"BadBody\({who}\)"):
+        run_scenario(config, chain_map, unreachable)
 
 
 def test_flatten_speeds_only_layout():

@@ -39,6 +39,10 @@ READER_FAULTS = {
         lambda doc: doc["frames"][0]["actors"].__setitem__(
             2, copy.deepcopy(doc["frames"][0]["actors"][1])),
         "/frames/0/actors/2: actor_id 'npc_1' is repeated"),
+    "width-above-length": (
+        lambda doc: doc["frames"][0]["actors"][1].update(length=1.9,
+                                                         width=2.0),
+        "/frames/0/actors/1: expected width <= length <= 20.0"),
 }
 
 TYPE_CHECKS = {

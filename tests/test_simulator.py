@@ -554,7 +554,7 @@ def test_step_world_requires_exact_control_cover():
     nxt = step_world(world, {"ego": ControlCommand(throttle=1.0),
                              "npc_1": ControlCommand()}, DT)
     assert nxt.sim_time == pytest.approx(0.1)
-    assert nxt.actor("rock") is world.actor("rock")
+    assert nxt.actors[2] is world.actors[2]
 
 
 def test_step_world_refuses_repeated_ids_and_stray_commands():
