@@ -12,15 +12,14 @@ result must equal ``canonical.dump_bytes`` of the body's document byte for
 byte (``tests/test_bridge.py`` keeps the dict-building encoder and the
 original decoder checks as the reference).
 
-Both sides of the codec have one path.  A writer reads before it writes, as
-the dict-building encoder did: :func:`read_actors` hands back a tuple of
-exact ``ActorState`` objects as it is, since their fields can always be
-read, and reads every field of any other actors into a list, so an
-unreadable actor fails before a bad value is written.  :func:`encode` (after
-reading a non-exact ego) and ``runner.recording_bytes`` both write what it
-returns.  :func:`decode` checks an actor's structure once, then takes its
-seven numbers at once when all are floats with a finite sum; otherwise it
-reads them field by field, converting ints and naming the first bad field.
+Both sides of the codec have one path.  A writer writes each value as it
+reads it: :func:`encode` and ``runner.recording_bytes`` write every actor
+through :func:`actor_text` as they come to it.  A message or recording with
+one fault raises exactly what ``canonical.dump_bytes`` of the reference
+raises; with several, the first fault met while writing raises.
+:func:`decode` checks an actor's structure once, then takes its seven
+numbers at once when all are floats with a finite sum; otherwise it reads
+them field by field, converting ints and naming the first bad field.
 
 An actor's text is written once per object: :func:`actor_text` stores the
 text of an exact ``ActorState`` in the object's ``_text`` the first time it
@@ -103,7 +102,6 @@ LAT_ACCEL_MAX = 2.5      # m/s^2, curve slowdown
 
 _isfinite = math.isfinite
 _FLOAT = frozenset((float,))
-_EXACT_ACTOR = frozenset((ActorState,))
 
 
 class FrameError(ValueError):
@@ -177,20 +175,6 @@ def actor_text(actor) -> str:
     return text
 
 
-def read_actors(actors) -> tuple | list:
-    """``actors`` ready to be written.  A tuple of exact ``ActorState``s
-    comes back as it is, since their fields can always be read; anything
-    else comes back as a list, every field of each actor read as it comes,
-    so an unreadable actor fails before any value is written."""
-    if type(actors) is tuple and _EXACT_ACTOR.issuperset(map(type, actors)):
-        return actors
-    read = []
-    for actor in actors:
-        _actor_fields(actor)
-        read.append(actor)
-    return read
-
-
 def _parse_actor(doc, where: str) -> ActorState:
     if not isinstance(doc, dict):
         raise FrameError(f"{where}: expected an object")
@@ -224,12 +208,8 @@ def encode(message: PerceptionMessage | ControlMessage) -> bytes:
     """Serialize a message to a complete length-prefixed wire frame."""
     if isinstance(message, PerceptionMessage):
         sim_time = message.sim_time
-        ego = message.ego
-        if type(ego) is not ActorState:
-            _actor_fields(ego)
-        obstacles = read_actors(message.obstacles)
-        body = ('{"ego":' + actor_text(ego) + ',"obstacles":['
-                + ",".join([actor_text(o) for o in obstacles])
+        body = ('{"ego":' + actor_text(message.ego) + ',"obstacles":['
+                + ",".join([actor_text(o) for o in message.obstacles])
                 + '],"sim_time":' + dump_value(sim_time)
                 + ',"type":"perception"}')
     elif isinstance(message, ControlMessage):

@@ -67,12 +67,12 @@ from ..bridge import (AgentSettings, InProcessSession, ReferenceEgoAgent,
                       connect)
 from ..canonical import Cursor
 from ..lanemap import LaneMap
-from ..runner import (COLLISION, OUTCOMES, FramesText, OracleConfig,
-                      ScenarioRecording, Verdict, mission_path, run_scenario,
-                      write_recording)
+from ..runner import (COLLISION, INVALID_SCENARIO, OUTCOMES, FramesText,
+                      InvalidScenarioError, OracleConfig, ScenarioRecording,
+                      Verdict, mission_path, run_scenario, write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
                         flatten, to_document, unflatten)
-from .feedback import Feedback, compute_feedback
+from .feedback import BINS, NO_OBSTACLE_FITNESS, Feedback, compute_feedback
 
 EVALUATIONS_FILE = "evaluations.json"
 STATE_FILE = "campaign.state.json"
@@ -88,6 +88,11 @@ ALGORITHM_DEFAULTS = dict(
     batch_size=None)
 
 SCENARIO_MEMO_LIMIT = 1024  # distinct scenarios held; the oldest goes first
+
+# what search sees of a scenario that could not be simulated: nothing near,
+# no roughness, no behaviour
+INVALID_FEEDBACK = Feedback(NO_OBSTACLE_FITNESS, (0.0,) * (3 * BINS), 0.0,
+                            INVALID_SCENARIO, 0.0)
 
 log = logging.getLogger(__name__)
 
@@ -376,12 +381,22 @@ class CampaignContext:
         return results
 
     def _simulate(self, job: _Job) -> _Outcome:
-        recording = run_scenario(job.config, self.settings.lane_map,
-                                 self._session_factory,
-                                 self.settings.oracles, seed=self.seed,
-                                 dt=self.settings.dt)
-        feedback = compute_feedback(recording, self._mission,
-                                    self._lane_width)
+        try:
+            recording = run_scenario(job.config, self.settings.lane_map,
+                                     self._session_factory,
+                                     self.settings.oracles, seed=self.seed,
+                                     dt=self.settings.dt)
+        except InvalidScenarioError as exc:
+            # a mutant the repairs left invalid is logged, not fatal
+            violations = [dataclasses.asdict(v) for v in exc.violations]
+            recording = ScenarioRecording(
+                job.config.scenario_id, job.config, (),
+                Verdict(INVALID_SCENARIO, 0.0, {"violations": violations}),
+                self.seed)
+            feedback = INVALID_FEEDBACK
+        else:
+            feedback = compute_feedback(recording, self._mission,
+                                        self._lane_width)
         written: list[FramesText] = []
         if self.output_dir is not None:
             write_recording(recording, self.output_dir / RECORDINGS_DIR,

@@ -17,8 +17,7 @@ from typing import Callable
 
 from . import canonical
 from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
-                     PerceptionMessage, _parse_actor, actor_text,
-                     read_actors)
+                     PerceptionMessage, _parse_actor, actor_text)
 from .canonical import Cursor
 from .geometry import Polyline
 from .lanemap import LaneMap, route
@@ -35,8 +34,10 @@ DESTINATION = "DestinationReached"
 TIMEOUT = "Timeout"
 STUCK = "Stuck"
 AGENT_TIMEOUT = "AgentTimeout"
+INVALID_SCENARIO = "InvalidScenario"  # not simulated; see InvalidScenarioError
 
-OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT)
+OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT,
+            INVALID_SCENARIO)
 
 # a pair is skipped only when its bound clears the contact threshold by more
 # than this (see actor_distance_lower_bound on rounding)
@@ -44,9 +45,22 @@ BOUND_ROUNDING_MARGIN = 1e-9  # m
 
 STOP_SPEED = 0.5  # m/s; below it the ego counts as stopped at the destination
 
+# the largest |x| and |y| a recording read back may hold: far beyond any
+# bundled map (a few hundred metres across), and far below about 1.3e154,
+# where the squares in Polyline.project overflow
+MAX_COORDINATE = 1.0e7  # m
+
 
 class RunnerError(RuntimeError):
     pass
+
+
+class InvalidScenarioError(RunnerError):
+    """The scenario fails ``scenario.validate``; ``violations`` lists how."""
+
+    def __init__(self, message: str, violations: list) -> None:
+        super().__init__(message)
+        self.violations = violations
 
 
 class RecordingFormatError(ValueError):
@@ -178,9 +192,9 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
                  dt: float = 0.1) -> ScenarioRecording:
     problems = validate(config, lane_map)
     if problems:
-        raise RunnerError(
+        raise InvalidScenarioError(
             f"scenario {config.scenario_id!r} invalid: "
-            + "; ".join(f"{v.code}({v.subject})" for v in problems))
+            + "; ".join(f"{v.code}({v.subject})" for v in problems), problems)
 
     started = time.perf_counter()
     end_point = mission_end_point(config, lane_map)
@@ -294,17 +308,11 @@ def _annotate_npc_contacts(world: WorldState, threshold: float,
 # persistence
 
 
-def _frame_fields(frame: Frame) -> tuple:
-    """A frame's values, read before any is written (see
-    ``bridge.read_actors``)."""
-    return (frame.sim_time, frame.ego_command.throttle,
-            frame.ego_command.brake, frame.ego_command.steering,
-            read_actors(frame.actors))
-
-
-def _frame_text(fields: tuple) -> str:
-    sim_time, throttle, brake, steering, actors = fields
-    return ('{"actors":[' + ",".join([actor_text(a) for a in actors])
+def _frame_text(frame: Frame) -> str:
+    sim_time, command = frame.sim_time, frame.ego_command
+    throttle, brake, steering = \
+        command.throttle, command.brake, command.steering
+    return ('{"actors":[' + ",".join([actor_text(a) for a in frame.actors])
             + '],"ego_command":{"brake":' + canonical.dump_value(brake)
             + ',"steering":' + canonical.dump_value(steering)
             + ',"throttle":' + canonical.dump_value(throttle)
@@ -320,7 +328,7 @@ def _recording_parts(rec: ScenarioRecording, include_frames: bool = True,
     if config is None:
         config = to_document(rec.config_snapshot)
     verdict = rec.verdict
-    frames = [_frame_fields(f) for f in rec.frames] if include_frames else []
+    frames = rec.frames if include_frames else ()
     dump = canonical.dump_value
     head = ('{"annotations":' + dump(list(rec.annotations))
             + ',"config":' + dump(config) + ',"frames":[')
@@ -337,8 +345,10 @@ def _recording_parts(rec: ScenarioRecording, include_frames: bool = True,
 
 def recording_bytes(rec: ScenarioRecording, include_frames: bool = True) -> bytes:
     """The recording's canonical JSON, written by shape with its keys in
-    sorted order: the bytes and errors of ``canonical.dump_bytes`` of the
-    dict-building encoder that ``tests/oracles.py`` keeps as the reference.
+    sorted order: the bytes of ``canonical.dump_bytes`` of the dict-building
+    encoder that ``tests/oracles.py`` keeps as the reference.  A recording
+    with one fault raises what the reference raises; with several, the
+    first fault met while writing raises.
     """
     return "".join(_recording_parts(rec, include_frames)).encode("utf-8")
 
@@ -453,6 +463,9 @@ def _parse_frame(cur: Cursor) -> Frame:
                             "length > 0 and width > 0")
         if not actor.width <= actor.length <= MAX_BODY_DIM:  # as validate
             raise item.fail(f"expected width <= length <= {MAX_BODY_DIM}")
+        if not (abs(actor.x) <= MAX_COORDINATE
+                and abs(actor.y) <= MAX_COORDINATE):
+            raise item.fail(f"expected |x| and |y| <= {MAX_COORDINATE}")
         if not actors and (actor.actor_id, actor.kind) != ("ego", "ego"):
             raise item.fail('expected the ego first: actor_id "ego" and '
                             'kind "ego"')

@@ -345,6 +345,12 @@ def with_field(obj, name, value):
 ACTOR_FIELDS = ("actor_id", "kind", "x", "y", "heading", "speed",
                 "acceleration", "length", "width")
 NUMBER_FIELDS = ACTOR_FIELDS[2:]
+# values the codec cannot write
+BAD_VALUES = [float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+              np.float64("inf"), object(), [1.0, float("nan")], {1: 2.0},
+              "\ud800"]
+BAD_IDS = ["nan", "inf", "-inf", "np-nan", "np-inf", "object",
+           "list-with-nan", "int-key", "lone-surrogate"]
 
 
 class TestCodecReference:
@@ -392,11 +398,7 @@ class TestCodecReference:
                         Control(0.5, ControlCommand(1.0, 0.0, 0.25))):
             assert encode(message) == reference_encode(message)
 
-    @pytest.mark.parametrize("bad", [
-        float("nan"), float("inf"), float("-inf"), np.float64("nan"),
-        np.float64("inf"), object(), [1.0, float("nan")], {1: 2.0},
-        "\ud800"], ids=["nan", "inf", "-inf", "np-nan", "np-inf", "object",
-                        "list-with-nan", "int-key", "lone-surrogate"])
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=BAD_IDS)
     def test_encode_raises_like_reference(self, bad):
         ego = actor(x=1.0)
         npc = actor("npc_1", "npc", x=20.0)
@@ -410,12 +412,29 @@ class TestCodecReference:
         messages.append(perception(with_field(ego, "y", bad), [npc], t=bad))
         messages.append(perception(with_field(with_field(ego, "y", bad),
                                               "speed", float("nan")), [npc]))
-        # an unreadable actor fails before any value is written
-        messages.append(perception(with_field(ego, "x", bad), [npc, None]))
-        messages.append(perception(ego, [with_field(npc, "x", bad), None]))
         for message in messages:
             expected = _outcome(reference_encode, message)
             assert expected[0] != "ok"
+            assert _outcome(encode, message) == expected
+
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=BAD_IDS)
+    def test_encode_raises_the_first_fault_in_write_order(self, bad):
+        # an unwritable value, then an unreadable actor: encode raises the
+        # first fault it meets while writing, where the reference, which
+        # reads every actor before it writes, raises the unreadable one's
+        ego = actor(x=1.0)
+        npc = actor("npc_1", "npc", x=20.0)
+        unreadable = (AttributeError,
+                      "'NoneType' object has no attribute 'actor_id'")
+        for first, obstacles in ((with_field(ego, "x", bad), [npc]),
+                                 (ego, [with_field(npc, "x", bad)])):
+            alone = _outcome(reference_encode, perception(first, obstacles))
+            assert alone[0] != "ok"
+            message = perception(first, obstacles + [None])
+            assert _outcome(reference_encode, message) == unreadable
+            # a lone surrogate is written as text and fails only in the
+            # UTF-8 encode of the whole body, after the unreadable actor
+            expected = unreadable if alone[0] is UnicodeEncodeError else alone
             assert _outcome(encode, message) == expected
 
     def test_actor_text_is_stored_once_per_object(self):

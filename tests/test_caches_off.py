@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from oracles import distinct_scenarios
-from scenofuzz import canonical
+from scenofuzz import canonical, runner
 from scenofuzz.engine import campaign
 from scenofuzz.engine.campaign import (CampaignBudget, CampaignContext,
                                        run_campaign)
+from scenofuzz.engine.feedback import NO_OBSTACLE_FITNESS
 from scenofuzz.engine.template import MissionSpec, build_template
 
 # (evaluations, parameters): a few batches of each search, samota past its
@@ -81,28 +82,72 @@ class Killed(BaseException):
     """A kill at one file write: no ``except Exception`` can swallow it."""
 
 
-def test_a_killed_and_resumed_run_equals_the_caches_off_run(
-        junction_settings, caches_off, tmp_path):
+def killed_and_resumed(settings, algo, out, **kwargs):
+    """What ``run`` wrote after a kill at the 12th file write, a few batches
+    in with half of one file written, and a resume."""
     write_bytes = Path.write_bytes
     writes = []
 
     def killing(path, data):
         writes.append(path)
-        if len(writes) == 12:  # a few batches in, half of one file written
+        if len(writes) == 12:
             write_bytes(path, data[:len(data) // 2])
             raise Killed
         return write_bytes(path, data)
 
-    out = tmp_path / "killed"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Path, "write_bytes", killing)
         with pytest.raises(Killed):
-            run(junction_settings, "behavexplor", out)
+            run(settings, algo, out, **kwargs)
     assert canonical.loads((out / campaign.EVALUATIONS_FILE).read_bytes())
-    resumed = run(junction_settings, "behavexplor", out, resume=True)
+    return run(settings, algo, out, resume=True, **kwargs)
+
+
+def test_a_killed_and_resumed_run_equals_the_caches_off_run(
+        junction_settings, caches_off, tmp_path):
+    resumed = killed_and_resumed(junction_settings, "behavexplor",
+                                 tmp_path / "killed")
     with caches_off():
         off = run(junction_settings, "behavexplor", tmp_path / "off")
     assert off == resumed
+
+
+@pytest.mark.parametrize("algo", ["random", "avfuzzer"])
+def test_an_invalid_mutant_is_logged_and_the_campaign_goes_on(
+        diamond_map, caches_off, tmp_path, algo):
+    # mutated offsets put npc_1 over the ego at spawn: at seed 0, random's
+    # evaluation 16, simulated after the resume, and avfuzzer's evaluation
+    # 6, replayed by it
+    spec = MissionSpec("diamond", "lane_b1", 5.0, "lane_c", 25.0)
+    settings = campaign.ExecutionSettings(
+        lane_map=diamond_map, template=build_template(diamond_map, spec))
+    kwargs = dict(seed=0, evals=20, repeats=False)
+    written = run(settings, algo, tmp_path / "one", **kwargs)
+    entries = canonical.loads(written[0])
+    assert len(entries) == 20
+    invalid = [e for e in entries if e["outcome"] == runner.INVALID_SCENARIO]
+    assert invalid
+    for entry in invalid:
+        assert (entry["fitness"], entry["quality_score"],
+                entry["time_of_decision"]) == (NO_OBSTACLE_FITNESS, 0.0, 0.0)
+        assert entry["behavior"] == [0.0] * 24
+        recording = runner.read_recording(runner.recording_path(
+            tmp_path / "one" / campaign.RECORDINGS_DIR, entry["scenario_id"]))
+        assert recording.frames == ()
+        assert recording.verdict == runner.Verdict(
+            runner.INVALID_SCENARIO, 0.0, {"violations": [
+                {"code": "InitialOverlap", "subject": "ego/npc_1",
+                 "message": "actors overlap at spawn"}]})
+    report = canonical.loads(
+        (tmp_path / "one" / campaign.REPORT_FILE).read_bytes())
+    assert report["violations"] == sum(
+        e["outcome"] == runner.COLLISION for e in entries)
+    assert run(settings, algo, tmp_path / "two", workers=2,
+               **kwargs) == written
+    assert killed_and_resumed(settings, algo, tmp_path / "killed",
+                              **kwargs) == written
+    with caches_off():
+        assert run(settings, algo, tmp_path / "off", **kwargs) == written
 
 
 def test_a_warm_run_equals_the_caches_off_run(junction_settings, caches_off,

@@ -1,0 +1,129 @@
+"""Seeded fuzz of the recording reader's boundary.
+
+A campaign of a shipped config writes one recording; each case mutates
+it, either structurally (a key deleted or added, or a value swapped for an
+odd one) or byte by byte, and reads it back.  The property: ``read_recording``
+raises only ``RecordingFormatError``, with a message after the path, or
+accepts; and a recording it accepts that has frames goes through
+``compute_feedback`` and ``render_recording_svg`` with no exception.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from scenofuzz.config import build_execution, load_config
+from scenofuzz.engine.campaign import (RECORDINGS_DIR, CampaignContext,
+                                       run_campaign)
+from scenofuzz.engine.feedback import compute_feedback
+from scenofuzz.runner import RecordingFormatError, read_recording
+from scenofuzz.svg_export import render_recording_svg
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SEED = 17
+STRUCTURAL_CASES = 1500
+BYTE_CASES = 500
+
+# what a value may be swapped for
+ODD_VALUES = (None, True, False, 0, -0.0, 1e308, -1e308, 5e-324, "", [], {},
+              2**70)
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """The settings of ``configs/random.yaml`` and the bytes of its first
+    evaluation's recording, cut short at 1.5 s so a case reads quickly."""
+    config = load_config(CONFIG_DIR / "random.yaml", {
+        "testing_engine.algorithm.parameters.max_evaluations": 1,
+        "scenario_runner.parameters.worker_pool": 1,
+        "scenario.duration_limit": 1.5})
+    settings, budget, params = build_execution(config)
+    out = tmp_path_factory.mktemp("shipped")
+    run_campaign(config.algorithm,
+                 CampaignContext(settings, budget, output_dir=out), params)
+    data = (out / RECORDINGS_DIR / "eval_000000.record.json").read_bytes()
+    return settings, data
+
+
+def _sites(value):
+    """``(container, key)`` for every value below ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in list(items):
+        yield value, key
+        yield from _sites(item)
+
+
+def mutate_structure(doc, rng: random.Random) -> str:
+    container, key = rng.choice(list(_sites(doc)))
+    pick = rng.randrange(len(ODD_VALUES) + 2)
+    if pick == 0:
+        del container[key]
+        return f"delete {key!r}"
+    if pick == 1:
+        if isinstance(container, dict):
+            container["fuzz"] = 0
+        else:
+            container.insert(key, 0)
+        return f"add beside {key!r}"
+    odd = ODD_VALUES[pick - 2]
+    container[key] = copy.deepcopy(odd)
+    return f"{key!r} = {odd!r}"
+
+
+def mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(data))
+        pick = rng.randrange(3)
+        if pick == 0:
+            data[at] = rng.randrange(256)
+        elif pick == 1:
+            del data[at]
+        else:
+            data.insert(at, rng.choice(b'0123456789.-+eE"{}[],:tnu \xff'))
+    return bytes(data)
+
+
+def check(path: Path, settings, lane_width: float) -> None:
+    try:
+        recording = read_recording(path)
+    except RecordingFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        assert len(str(exc)) > len(f"{path}: ")
+        return
+    if recording.frames:
+        compute_feedback(recording, settings.mission, lane_width)
+        render_recording_svg(recording, settings.lane_map)
+
+
+def test_mutated_recordings_are_refused_or_read_cleanly(shipped, tmp_path):
+    settings, data = shipped
+    lane_width = settings.lane_map.lane(
+        settings.template.ego.start_lane_id).width
+    original = json.loads(data)
+    rng = random.Random(SEED)
+    path = tmp_path / "case.record.json"
+    failures = []
+    for case in range(STRUCTURAL_CASES + BYTE_CASES):
+        if case < STRUCTURAL_CASES:
+            doc = copy.deepcopy(original)
+            what = mutate_structure(doc, rng)
+            path.write_text(json.dumps(doc))
+        else:
+            what = "bytes"
+            path.write_bytes(mutate_bytes(data, rng))
+        try:
+            check(path, settings, lane_width)
+        except Exception as exc:  # every other exception is a finding
+            failures.append(f"case {case} ({what}): {exc!r}")
+    assert not failures, failures

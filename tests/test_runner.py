@@ -360,6 +360,10 @@ SCHEMA_FAULTS = {
     "first-actor-ego-id-npc-kind":
         lambda doc: doc["frames"][0]["actors"][0].update(kind="npc"),
     "frame-without-actors": lambda doc: doc["frames"][0].update(actors=[]),
+    "ego-x-past-bound":
+        lambda doc: doc["frames"][1]["actors"][0].update(x=1e308),
+    "npc-y-past-bound":
+        lambda doc: doc["frames"][0]["actors"][1].update(y=-1.0000001e7),
 }
 
 
@@ -406,16 +410,12 @@ class TestPersistence:
             ego_command=ControlCommand(0.5, 0.0, 0.0))
         object.__setattr__(bad_frame.ego_command, "brake", float("inf"))
         frames = rec.frames[:3] + (bad_frame,) + rec.frames[4:]
-        nan_then_none = dataclasses.replace(frame, actors=(bad_actor, None))
         cases = [
             dataclasses.replace(rec, frames=frames),
             dataclasses.replace(rec, frames=frames, annotations=(
                 {"type": "note", "value": float("-inf")},)),
             dataclasses.replace(rec, frames=frames, scenario_id="\ud800"),
             dataclasses.replace(rec, frames=rec.frames + (None,)),
-            # an unreadable frame fails before any value is written
-            dataclasses.replace(rec, frames=frames + (None,)),
-            dataclasses.replace(rec, frames=rec.frames[:3] + (nan_then_none,)),
             dataclasses.replace(rec, wall_clock=float("nan")),
         ]
         failures = 0
@@ -428,7 +428,36 @@ class TestPersistence:
                                 case) == expected
                 failures += expected[0] != "ok"
         # only the frame faults pass when frames are left out
-        assert failures == 10
+        assert failures == 8
+
+    def test_recording_bytes_raise_the_first_fault_in_write_order(
+            self, chain_map):
+        # an unwritable value, then an unreadable frame or actor: the first
+        # fault met while writing raises, where the reference, which reads
+        # every frame before it writes, raises the unreadable one's
+        rec = self.make_recording(chain_map)
+        frame = rec.frames[3]
+        bad_actor = dataclasses.replace(frame.actors[1])
+        object.__setattr__(bad_actor, "speed", float("nan"))
+        # a NaN speed, then an infinite brake: actors are written first
+        bad_frame = dataclasses.replace(
+            frame, actors=(frame.actors[0], bad_actor),
+            ego_command=ControlCommand(0.5, 0.0, 0.0))
+        object.__setattr__(bad_frame.ego_command, "brake", float("inf"))
+        first = (canonical.CanonicalError,
+                 "non-finite float not allowed: nan")
+        nan_then_none = dataclasses.replace(frame, actors=(bad_actor, None))
+        for frames, unreadable in (
+                (rec.frames[:3] + (bad_frame, None),
+                 "'NoneType' object has no attribute 'sim_time'"),
+                (rec.frames[:3] + (nan_then_none,),
+                 "'NoneType' object has no attribute 'actor_id'")):
+            case = dataclasses.replace(rec, frames=frames)
+            assert _outcome(lambda r: canonical.dump_bytes(
+                recording_document(r)), case) == (AttributeError, unreadable)
+            assert _outcome(recording_bytes, case) == first
+            assert _outcome(lambda r: recording_bytes(r, False),
+                            case)[0] == "ok"
 
     @staticmethod
     def counted_writes(monkeypatch):
@@ -614,6 +643,10 @@ class TestPersistence:
          "/frames/0/actors: expected at least 1 items"),
         (lambda doc: doc["config"]["ego"].update(end_station="far"),
          "/config/ego/end_station: expected a number"),
+        (SCHEMA_FAULTS["ego-x-past-bound"],
+         "/frames/1/actors/0: expected |x| and |y| <= 10000000.0"),
+        (SCHEMA_FAULTS["npc-y-past-bound"],
+         "/frames/0/actors/1: expected |x| and |y| <= 10000000.0"),
     ])
     def test_read_names_the_fault_by_json_pointer(self, chain_map, tmp_path,
                                                   edit, message):
