@@ -357,12 +357,12 @@ def build_execution(config: RunConfig):
             f"{v.code}({v.subject}): {v.message}" for v in problems))
 
     endpoint_key = "scenario_runner.parameters.agent.endpoint"
-    endpoint = resolve_endpoint(
-        config.agent_endpoint if config.agent_type == "external" else None)
-    if config.agent_type == "external" and endpoint is None:
-        raise ConfigError(f"{endpoint_key}: an external agent needs an "
-                          f"endpoint here or in {ENDPOINT_ENV_VAR}")
-    if endpoint is not None:
+    endpoint = None  # a reference agent runs in process, whatever is set
+    if config.agent_type == "external":
+        endpoint = resolve_endpoint(config.agent_endpoint)
+        if endpoint is None:
+            raise ConfigError(f"{endpoint_key}: an external agent needs an "
+                              f"endpoint here or in {ENDPOINT_ENV_VAR}")
         try:
             parse_endpoint(endpoint)
         except ValueError as exc:

@@ -29,15 +29,16 @@ before anything runs, equal scenarios in it are simulated once, and only
 the calling thread touches the memo, so the work done does not depend on
 the worker count.  A hit logs its own ``index``, ``scenario_id``,
 ``values`` and ``repairs`` with the first run's feedback, as a rerun
-would, so the log bytes do not move.  Its recording is its own scenario
-with the first run's verdict, annotations and frames text, copied from
-the first run's file, and with the first run's ``wall_clock`` (the time of
-the simulation it reuses; ``recording_digest`` zeroes it).  If that file
-is gone or its size has changed, the hit is simulated again.  The memo
-keeps no frames and at most ``SCENARIO_MEMO_LIMIT`` scenarios, dropping
-the oldest.  An external agent (``settings.endpoint``) is simulated every
-time, since a rerun is how a flaky agent shows, and a resumed campaign
-starts with an empty memo that replayed entries do not fill.
+would, so the log bytes do not move.  Its recording is the first run's
+file with the hit's own ``scenario_id`` in place of the first run's
+(``runner.copy_recording``): the bytes a rerun writes, except that
+``wall_clock`` is the first run's, the time of the simulation it reuses
+(``recording_digest`` zeroes it).  If that file is gone or has changed,
+nothing is copied and the hit is simulated again.  The memo keeps no
+frames and at most ``SCENARIO_MEMO_LIMIT`` scenarios, dropping the oldest.
+An external agent (``settings.endpoint``) is simulated every time, since a
+rerun is how a flaky agent shows, and a resumed campaign starts with an
+empty memo that replayed entries do not fill.
 
 Checkpoint contract: after every batch that evaluated something fresh,
 ``evaluations.json`` is a complete snapshot of the log, replaced atomically,
@@ -67,9 +68,10 @@ from ..bridge import (AgentSettings, InProcessSession, ReferenceEgoAgent,
                       connect)
 from ..canonical import Cursor
 from ..lanemap import LaneMap
-from ..runner import (COLLISION, INVALID_SCENARIO, OUTCOMES, FramesText,
+from ..runner import (COLLISION, INVALID_SCENARIO, OUTCOMES,
                       InvalidScenarioError, OracleConfig, ScenarioRecording,
-                      Verdict, mission_path, run_scenario, write_recording)
+                      Verdict, copy_recording, mission_path, run_scenario,
+                      write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
                         flatten, to_document, unflatten)
 from .feedback import BINS, NO_OBSTACLE_FITNESS, Feedback, compute_feedback
@@ -135,15 +137,12 @@ class ExecutionSettings:
 
 @dataclass(frozen=True)
 class _Outcome:
-    """What the first run of a scenario gave: its feedback, and what its
-    recording holds besides the scenario itself and the frames, whose text
-    stays in the recording file (``frames`` is None without an output
-    directory)."""
+    """What the first run of a scenario gave: its feedback, its scenario
+    id, and the size of the recording file it wrote (None without an
+    output directory)."""
     feedback: Feedback
-    verdict: Verdict
-    annotations: tuple
-    wall_clock: float
-    frames: FramesText | None
+    scenario_id: str
+    size: int | None
 
 
 @dataclass(frozen=True)
@@ -397,32 +396,22 @@ class CampaignContext:
         else:
             feedback = compute_feedback(recording, self._mission,
                                         self._lane_width)
-        written: list[FramesText] = []
+        size = None
         if self.output_dir is not None:
-            write_recording(recording, self.output_dir / RECORDINGS_DIR,
-                            self.settings.save_traffic_recording,
-                            job.document, written=written)
-        return _Outcome(feedback, recording.verdict, recording.annotations,
-                        recording.wall_clock,
-                        written[0] if written else None)
+            size = write_recording(recording, self.output_dir / RECORDINGS_DIR,
+                                   self.settings.save_traffic_recording,
+                                   job.document).stat().st_size
+        return _Outcome(feedback, job.config.scenario_id, size)
 
     def _write_copy(self, job: _Job, outcome: _Outcome) -> bool:
-        """Write the recording of ``job`` as a rerun of the scenario that
-        gave ``outcome`` would, with the first run's frames text and wall
-        clock.  False, with nothing written, when the first run's file is
-        gone or its size has changed."""
+        """Write the recording of ``job`` as a copy of the first run's file
+        under its own scenario id.  False, with nothing written, when that
+        file is gone or has changed."""
         if self.output_dir is None:
             return True
-        frames = outcome.frames.read()
-        if frames is None:
-            return False
-        recording = ScenarioRecording(job.config.scenario_id, job.config, (),
-                                      outcome.verdict, self.seed,
-                                      outcome.annotations, outcome.wall_clock)
-        write_recording(recording, self.output_dir / RECORDINGS_DIR,
-                        self.settings.save_traffic_recording, job.document,
-                        frames=frames)
-        return True
+        return copy_recording(self.output_dir / RECORDINGS_DIR,
+                              outcome.scenario_id, job.config.scenario_id,
+                              outcome.size)
 
     def _remember(self, key: str, outcome: _Outcome) -> None:
         memo = self._memo

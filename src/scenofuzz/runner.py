@@ -21,8 +21,8 @@ from .bridge import (AgentTimeoutError, BridgeSession, ControlMessage,
 from .canonical import Cursor
 from .geometry import Polyline
 from .lanemap import LaneMap, route
-from .scenario import (MAX_BODY_DIM, ScenarioConfig, from_cursor,
-                       to_document, validate)
+from .scenario import (MAX_BODY_DIM, MAX_COORDINATE, MIN_BODY_DIM,
+                       ScenarioConfig, from_cursor, to_document, validate)
 from .simulator import (STEER_MAX, ActorState, ControlCommand, WaypointPolicy,
                         WorldState, actor_distance, actor_distance_lower_bound,
                         step_world)
@@ -44,11 +44,6 @@ OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT,
 BOUND_ROUNDING_MARGIN = 1e-9  # m
 
 STOP_SPEED = 0.5  # m/s; below it the ego counts as stopped at the destination
-
-# the largest |x| and |y| a recording read back may hold: far beyond any
-# bundled map (a few hundred metres across), and far below about 1.3e154,
-# where the squares in Polyline.project overflow
-MAX_COORDINATE = 1.0e7  # m
 
 
 class RunnerError(RuntimeError):
@@ -319,38 +314,31 @@ def _frame_text(frame: Frame) -> str:
             + '},"sim_time":' + canonical.dump_value(sim_time) + "}")
 
 
-def _recording_parts(rec: ScenarioRecording, include_frames: bool = True,
-                     config: dict | None = None) -> tuple[str, str, str]:
-    """The recording's canonical JSON as three texts: the head up to the
-    frames' opening bracket, the frames, and the tail from the closing
-    bracket on.  ``config`` is ``to_document(rec.config_snapshot)`` when the
-    caller has already built it."""
+def recording_bytes(rec: ScenarioRecording, include_frames: bool = True,
+                    config: dict | None = None) -> bytes:
+    """The recording's canonical JSON, written by shape with its keys in
+    sorted order: the bytes of ``canonical.dump_bytes`` of the dict-building
+    encoder that ``tests/oracles.py`` keeps as the reference.  A recording
+    with one fault raises what the reference raises; with several, the
+    first fault met while writing raises.  ``config`` is
+    ``to_document(rec.config_snapshot)`` when the caller has already built
+    it.
+    """
     if config is None:
         config = to_document(rec.config_snapshot)
     verdict = rec.verdict
     frames = rec.frames if include_frames else ()
     dump = canonical.dump_value
-    head = ('{"annotations":' + dump(list(rec.annotations))
-            + ',"config":' + dump(config) + ',"frames":[')
-    text = ",".join([_frame_text(f) for f in frames])
-    tail = ('],"rng_seed":' + dump(rec.rng_seed)
+    return ('{"annotations":' + dump(list(rec.annotations))
+            + ',"config":' + dump(config)
+            + ',"frames":[' + ",".join([_frame_text(f) for f in frames])
+            + '],"rng_seed":' + dump(rec.rng_seed)
             + ',"scenario_id":' + dump(rec.scenario_id)
             + ',"schema_version":' + dump(RECORDING_SCHEMA_VERSION)
             + ',"verdict":{"details":' + dump(verdict.details)
             + ',"outcome":' + dump(verdict.outcome)
             + ',"time_of_decision":' + dump(verdict.time_of_decision)
-            + '},"wall_clock":' + dump(rec.wall_clock) + "}")
-    return head, text, tail
-
-
-def recording_bytes(rec: ScenarioRecording, include_frames: bool = True) -> bytes:
-    """The recording's canonical JSON, written by shape with its keys in
-    sorted order: the bytes of ``canonical.dump_bytes`` of the dict-building
-    encoder that ``tests/oracles.py`` keeps as the reference.  A recording
-    with one fault raises what the reference raises; with several, the
-    first fault met while writing raises.
-    """
-    return "".join(_recording_parts(rec, include_frames)).encode("utf-8")
+            + '},"wall_clock":' + dump(rec.wall_clock) + "}").encode("utf-8")
 
 
 def recording_digest(rec: ScenarioRecording) -> str:
@@ -364,51 +352,40 @@ def recording_path(directory: str | Path, scenario_id: str) -> Path:
     return Path(directory) / f"{scenario_id}.record.json"
 
 
-@dataclass(frozen=True)
-class FramesText:
-    """Where a recording file holds the text of its frames: bytes
-    ``start:end`` of the file at ``path``, which was ``size`` bytes long
-    when it was written."""
-    path: Path
-    size: int
-    start: int
-    end: int
-
-    def read(self) -> bytes | None:
-        """The frames text, or None when the file is gone or its size has
-        changed."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
-        return data[self.start:self.end] if len(data) == self.size else None
-
-
 def write_recording(rec: ScenarioRecording, directory: str | Path,
-                    include_frames: bool = True, config: dict | None = None,
-                    frames: bytes | None = None,
-                    written: list | None = None) -> Path:
+                    include_frames: bool = True,
+                    config: dict | None = None) -> Path:
     """Write ``rec`` to ``recording_path(directory, rec.scenario_id)`` and
-    return that path.
-
-    ``config`` is ``to_document(rec.config_snapshot)`` when the caller has
-    already built it.  ``frames``, when given, is written as the frames
-    text in place of ``rec.frames``: the bytes a :class:`FramesText` read
-    from another recording of the same run.  When ``written`` is a list,
-    the :class:`FramesText` of the file written is appended to it.
-    """
+    return that path.  ``config`` is ``to_document(rec.config_snapshot)``
+    when the caller has already built it."""
     path = recording_path(directory, rec.scenario_id)
-    head, text, tail = _recording_parts(rec, include_frames and frames is None,
-                                        config)
-    head = head.encode("utf-8")
-    text = text.encode("utf-8") if frames is None else frames
-    data = head + text + tail.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    if written is not None:
-        written.append(FramesText(path, len(data), len(head),
-                                  len(head) + len(text)))
+    path.write_bytes(recording_bytes(rec, include_frames, config))
     return path
+
+
+def copy_recording(directory: str | Path, source_id: str, scenario_id: str,
+                   size: int) -> bool:
+    """Write the recording of ``source_id`` in ``directory`` again as the
+    recording of ``scenario_id``: the same bytes with both of its
+    ``"scenario_id"`` values, the top-level one and the config's, replaced.
+
+    False, with nothing written, when the source file is gone, is no longer
+    ``size`` bytes long, or does not hold ``"scenario_id":`` followed by the
+    canonical text of ``source_id`` exactly twice.  Canonical JSON escapes
+    every quote inside a string, so that text can only be one of those two
+    keys and its value.
+    """
+    try:
+        data = recording_path(directory, source_id).read_bytes()
+    except FileNotFoundError:
+        return False
+    old, new = (b'"scenario_id":' + canonical.dump_value(i).encode("utf-8")
+                for i in (source_id, scenario_id))
+    if len(data) != size or data.count(old) != 2:
+        return False
+    recording_path(directory, scenario_id).write_bytes(data.replace(old, new))
+    return True
 
 
 def read_recording(path: str | Path) -> ScenarioRecording:
@@ -463,6 +440,8 @@ def _parse_frame(cur: Cursor) -> Frame:
                             "length > 0 and width > 0")
         if not actor.width <= actor.length <= MAX_BODY_DIM:  # as validate
             raise item.fail(f"expected width <= length <= {MAX_BODY_DIM}")
+        if actor.width < MIN_BODY_DIM:  # as validate
+            raise item.fail(f"expected width >= {MIN_BODY_DIM}")
         if not (abs(actor.x) <= MAX_COORDINATE
                 and abs(actor.y) <= MAX_COORDINATE):
             raise item.fail(f"expected |x| and |y| <= {MAX_COORDINATE}")

@@ -81,19 +81,39 @@ class Violation:
 # ---------------------------------------------------------------------------
 # validation
 
+# a body narrower than this has box edges that round to nothing far out
+MIN_BODY_DIM = 0.01  # m
 MAX_BODY_DIM = 20.0
 MAX_TARGET_SPEED = 30.0
 
+# the largest |x| and |y| of an NPC waypoint, an obstacle or a recorded
+# actor: far beyond any bundled map (a few hundred metres across), and far
+# below about 1.3e154, where the squares in Polyline.project overflow; a box
+# much further out has edges too short to measure
+MAX_COORDINATE = 1.0e7  # m
+
 
 def _body_ok(body: BodyDims) -> bool:
-    return 0.0 < body.width <= body.length <= MAX_BODY_DIM
+    return MIN_BODY_DIM <= body.width <= body.length <= MAX_BODY_DIM
+
+
+def _pose_ok(pose: Pose) -> bool:
+    return abs(pose.x) <= MAX_COORDINATE and abs(pose.y) <= MAX_COORDINATE
+
+
+def _check_pose(pose: Pose, subject: str, out: list[Violation]) -> None:
+    if not _pose_ok(pose):
+        out.append(Violation(
+            "CoordinateOutOfRange", subject,
+            f"require |x| and |y| <= {MAX_COORDINATE}, "
+            f"got x={pose.x} y={pose.y}"))
 
 
 def _check_body(body: BodyDims, subject: str, out: list[Violation]) -> None:
     if not _body_ok(body):
         out.append(Violation(
             "BadBody", subject,
-            f"require 0 < width <= length <= {MAX_BODY_DIM}, "
+            f"require {MIN_BODY_DIM} <= width <= length <= {MAX_BODY_DIM}, "
             f"got length={body.length} width={body.width}"))
 
 
@@ -127,6 +147,8 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
 
     for npc in config.npc_vehicles:
         _check_body(npc.body, npc.actor_id, out)
+        for wp in npc.waypoints:
+            _check_pose(wp, npc.actor_id, out)
         if len(npc.waypoints) < 2:
             out.append(Violation("TooFewWaypoints", npc.actor_id,
                                  f"{len(npc.waypoints)} waypoints, need >= 2"))
@@ -150,6 +172,7 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
                                  f"spawn_delay={npc.spawn_delay}"))
     for obs in config.obstacles:
         _check_body(obs.body, obs.actor_id, out)
+        _check_pose(obs.pose, obs.actor_id, out)
 
     out.extend(_initial_overlaps(config, lane_map))
     return out
@@ -170,8 +193,9 @@ def _initial_overlaps(config: ScenarioConfig, lane_map: LaneMap) -> list[Violati
             boxes.append((npc.actor_id, npc.waypoints[0], npc.body))
     for obs in config.obstacles:
         boxes.append((obs.actor_id, obs.pose, obs.body))
-    # a bad body has its BadBody violation, and a flat box has no distance
-    boxes = [box for box in boxes if _body_ok(box[2])]
+    # a bad body or a far pose has its own violation, and a flat box has no
+    # distance
+    boxes = [box for box in boxes if _body_ok(box[2]) and _pose_ok(box[1])]
 
     out = []
     for i in range(len(boxes)):

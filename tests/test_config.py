@@ -614,6 +614,14 @@ class TestBuildExecution:
         settings, _, _ = build_execution(config)
         assert settings.endpoint is None
 
+    def test_reference_agent_ignores_the_environment_endpoint(
+            self, monkeypatch):
+        monkeypatch.setenv("SCENOFUZZ_BRIDGE_ADDR", "127.0.0.1:9")
+        config = load_config(CONFIG_DIR / "random.yaml")
+        assert config.agent_type == "reference"
+        settings, _, _ = build_execution(config)
+        assert settings.endpoint is None
+
     def test_bridge_server_endpoint_satisfies_external_config(
             self, monkeypatch):
         from scenofuzz.bridge import ReferenceEgoAgent

@@ -36,11 +36,12 @@ from scenofuzz.engine.template import (CONFLICT_DISTANCE, CROSSING_ANGLE,
                                        conflict_lanes, onward_route)
 from scenofuzz.geometry import Polyline, normalize_angle
 from scenofuzz.lanemap import route
-from scenofuzz.runner import (OUTCOMES, Frame, ScenarioRecording, Verdict,
-                              mission_path, read_recording, run_scenario,
+from scenofuzz.runner import (INVALID_SCENARIO, OUTCOMES, Frame,
+                              ScenarioRecording, Verdict, mission_path,
+                              read_recording, recording_path, run_scenario,
                               write_recording)
 from scenofuzz.scenario import (EgoSpec, MutationSpace, ScenarioConfig,
-                                flatten, unflatten, validate)
+                                flatten, to_document, unflatten, validate)
 from scenofuzz.simulator import (A_MAX, STEER_MAX, WHEELBASE, ActorState,
                                  ControlCommand, actor_distance,
                                  actor_distance_lower_bound)
@@ -826,37 +827,53 @@ class TestCampaign:
     def test_recordings_equal_the_reference_document(
             self, junction_settings, tmp_path, monkeypatch, checked_checkpoints,
             algo, frames):
-        written = []
+        written = {}  # scenario id -> the recording a fresh run wrote
 
         def capture(rec, directory, include_frames=True, *args, **kwargs):
-            path = write_recording(rec, directory, include_frames, *args,
+            assert include_frames is frames
+            written[rec.scenario_id] = rec
+            return write_recording(rec, directory, include_frames, *args,
                                    **kwargs)
-            written.append((rec, include_frames, path))
-            return path
 
         monkeypatch.setattr(campaign, "write_recording", capture)
         settings = dataclasses.replace(junction_settings,
                                        save_traffic_recording=frames)
         ctx, _ = campaign_log(settings, algo=algo, seed=1, evals=12,
                               output_dir=tmp_path)
-        assert len(written) == 12
+
+        def scenario(config):
+            return canonical.dumps(to_document(
+                dataclasses.replace(config, scenario_id="")))
+
+        first_runs = {scenario(rec.config_snapshot): rec
+                      for rec in written.values()}
+        directory = tmp_path / campaign.RECORDINGS_DIR
+        assert sorted(p.name for p in directory.iterdir()) == \
+            [f"eval_{i:06d}.record.json" for i in range(12)]
         reruns = 0
-        for rec, include_frames, path in written:
-            assert include_frames is frames
-            if not rec.frames:
-                # a memo hit: the recording a rerun writes, with the
-                # simulation's wall clock (its frames are never empty)
+        for record in ctx.records:
+            scenario_id = record["scenario_id"]
+            rec = written.get(scenario_id)
+            if rec is None:
+                # a memo hit: the recording a rerun writes, with the first
+                # run's wall clock
+                config = dataclasses.replace(unflatten(
+                    ctx.prototype.with_values(record["values"]),
+                    settings.template)[0], scenario_id=scenario_id)
                 rerun = run_scenario(
-                    rec.config_snapshot, settings.lane_map,
+                    config, settings.lane_map,
                     lambda: InProcessSession(lambda: ReferenceEgoAgent(
                         settings.mission, settings.agent, settings.dt)),
                     settings.oracles, seed=ctx.seed, dt=settings.dt)
-                rec = dataclasses.replace(rerun, wall_clock=rec.wall_clock)
+                rec = dataclasses.replace(
+                    rerun, wall_clock=first_runs[scenario(config)].wall_clock)
                 reruns += 1
+            path = recording_path(directory, scenario_id)
             assert path.read_bytes() == canonical.dump_bytes(
                 recording_document(rec, include_frames=frames)), path.name
-        assert 12 - reruns == distinct_scenarios(ctx.records, ctx)
-        assert sum(len(rec.frames) for rec, _, _ in written) > 12
+        assert len(written) == 12 - reruns == \
+            distinct_scenarios(ctx.records, ctx)
+        assert sum(len(rec.frames) for rec in written.values()) > 12
         assert reruns == {"avfuzzer": 0, "behavexplor": 2}[algo]
         assert checked_checkpoints["kept"] == 0
         assert checked_checkpoints["rewritten"] > 1
@@ -1334,6 +1351,28 @@ def test_shipped_config_log_digest(name, tmp_path):
     assert ctx.completed == 24
     log = (out / campaign.EVALUATIONS_FILE).read_bytes()
     assert hashlib.sha256(log).hexdigest() == SHIPPED_LOG_SHA256[name]
+
+
+def test_a_far_offset_limit_is_logged_as_invalid(tmp_path):
+    # offsets of up to 1e100 m put NPC waypoints past MAX_COORDINATE, where
+    # the spawn-overlap check would divide by a box edge rounded to zero
+    config = load_config(CONFIG_DIR / "random.yaml", {
+        "testing_engine.algorithm.parameters.max_evaluations": 6,
+        "scenario_runner.parameters.worker_pool": 1,
+        "scenario.mutation_space.offset_limit": 1e100,
+        "scenario.duration_limit": 1.5})
+    settings, budget, params = build_execution(config)
+    out = tmp_path / "run"
+    ctx = CampaignContext(settings, budget, seed=0, workers=1, output_dir=out)
+    report = run_campaign(config.algorithm, ctx, params)
+    assert report["evaluations"] == ctx.completed == 6
+    invalid = [r for r in ctx.records if r["outcome"] == INVALID_SCENARIO]
+    assert invalid
+    for record in invalid:
+        recording = read_recording(recording_path(
+            out / campaign.RECORDINGS_DIR, record["scenario_id"]))
+        codes = {v["code"] for v in recording.verdict.details["violations"]}
+        assert codes == {"CoordinateOutOfRange"}
 
 
 class TestLongCampaign:

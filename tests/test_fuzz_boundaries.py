@@ -1,4 +1,5 @@
-"""Seeded fuzz of the recording reader's boundary.
+"""Seeded fuzz of the recording reader's and the scenario reader's
+boundaries.
 
 A campaign of a shipped config writes one recording; each case mutates
 it, either structurally (a key deleted or added, or a value swapped for an
@@ -6,6 +7,12 @@ odd one) or byte by byte, and reads it back.  The property: ``read_recording``
 raises only ``RecordingFormatError``, with a message after the path, or
 accepts; and a recording it accepts that has frames goes through
 ``compute_feedback`` and ``render_recording_svg`` with no exception.
+
+The scenario template of the same config is mutated structurally in the
+same way.  The property: ``from_document`` raises only
+``ScenarioFormatError``, with a message, or accepts; ``validate`` lists the
+problems of a scenario it accepts without raising; and a scenario with none
+runs through ``run_scenario`` with no exception.
 """
 
 from __future__ import annotations
@@ -17,17 +24,21 @@ from pathlib import Path
 
 import pytest
 
+from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine.campaign import (RECORDINGS_DIR, CampaignContext,
                                        run_campaign)
 from scenofuzz.engine.feedback import compute_feedback
-from scenofuzz.runner import RecordingFormatError, read_recording
+from scenofuzz.runner import RecordingFormatError, read_recording, run_scenario
+from scenofuzz.scenario import (ScenarioFormatError, from_document,
+                                to_document, validate)
 from scenofuzz.svg_export import render_recording_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SEED = 17
 STRUCTURAL_CASES = 1500
 BYTE_CASES = 500
+SCENARIO_CASES = 3000
 
 # what a value may be swapped for
 ODD_VALUES = (None, True, False, 0, -0.0, 1e308, -1e308, 5e-324, "", [], {},
@@ -124,6 +135,37 @@ def test_mutated_recordings_are_refused_or_read_cleanly(shipped, tmp_path):
             path.write_bytes(mutate_bytes(data, rng))
         try:
             check(path, settings, lane_width)
+        except Exception as exc:  # every other exception is a finding
+            failures.append(f"case {case} ({what}): {exc!r}")
+    assert not failures, failures
+
+
+def check_scenario(doc, settings) -> None:
+    try:
+        config = from_document(doc)
+    except ScenarioFormatError as exc:
+        assert str(exc)
+        return
+    problems = validate(config, settings.lane_map)
+    assert isinstance(problems, list)
+    if not problems:
+        # the agent a campaign of these settings drives with
+        run_scenario(config, settings.lane_map,
+                     lambda: InProcessSession(lambda: ReferenceEgoAgent(
+                         settings.mission, settings.agent, settings.dt)),
+                     settings.oracles, dt=settings.dt)
+
+
+def test_mutated_scenarios_are_refused_or_run_cleanly(shipped):
+    settings, _ = shipped
+    original = to_document(settings.template)
+    rng = random.Random(SEED)
+    failures = []
+    for case in range(SCENARIO_CASES):
+        doc = copy.deepcopy(original)
+        what = mutate_structure(doc, rng)
+        try:
+            check_scenario(doc, settings)
         except Exception as exc:  # every other exception is a finding
             failures.append(f"case {case} ({what}): {exc!r}")
     assert not failures, failures

@@ -20,6 +20,7 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               TIMEOUT, OracleConfig, RecordingFormatError,
                               RunnerError, Verdict, _annotate_npc_contacts,
                               check_collision, check_destination,
+                              copy_recording,
                               initial_world, mission_end_point, mission_path,
                               read_recording, recording_bytes,
                               recording_digest, recording_path, run_scenario,
@@ -346,6 +347,8 @@ SCHEMA_FAULTS = {
         lambda doc: doc["frames"][0]["actors"][1].update(length=1e308),
     "width-above-max":
         lambda doc: doc["frames"][0]["actors"][1].update(width=1e200),
+    "width-below-min":
+        lambda doc: doc["frames"][0]["actors"][1].update(width=5e-324),
     "empty-scenario-id": lambda doc: doc.update(scenario_id=""),
     "empty-actor-id":
         lambda doc: doc["frames"][0]["actors"][1].update(actor_id=""),
@@ -565,6 +568,39 @@ class TestPersistence:
         assert summary.verdict == rec.verdict
         assert summary.scenario_id == rec.scenario_id
 
+    @pytest.mark.parametrize("include_frames", [True, False],
+                             ids=["frames", "summary"])
+    def test_copy_equals_the_recording_of_a_rerun(self, chain_map, tmp_path,
+                                                  include_frames):
+        rec = self.make_recording(chain_map)
+        source = write_recording(rec, tmp_path, include_frames)
+        data = source.read_bytes()
+        # an id of another length: the copy need not keep the file's size
+        assert copy_recording(tmp_path, "chain_drive", "copy", len(data))
+        config = dataclasses.replace(rec.config_snapshot, scenario_id="copy")
+        rerun = run_scenario(config, chain_map,
+                             reference_session(chain_map, config), seed=7)
+        expected = write_recording(
+            dataclasses.replace(rerun, wall_clock=rec.wall_clock),
+            tmp_path / "rerun", include_frames).read_bytes()
+        assert recording_path(tmp_path, "copy").read_bytes() == expected
+        assert source.read_bytes() == data
+
+    @pytest.mark.parametrize("change", ["gone", "grown", "id-edited"])
+    def test_copy_of_a_changed_source_writes_nothing(self, chain_map,
+                                                     tmp_path, change):
+        source = write_recording(self.make_recording(chain_map), tmp_path)
+        data = source.read_bytes()
+        if change == "gone":
+            source.unlink()
+        elif change == "grown":
+            source.write_bytes(data + b" ")
+        else:  # one of the two ids, at the same size
+            source.write_bytes(data.replace(b'"chain_drive"',
+                                            b'"chain_drivX"', 1))
+        assert not copy_recording(tmp_path, "chain_drive", "copy", len(data))
+        assert not recording_path(tmp_path, "copy").exists()
+
     def test_read_rejects_malformed_documents(self, tmp_path):
         bad = tmp_path / "x.record.json"
         bad.write_text("not json")
@@ -647,6 +683,8 @@ class TestPersistence:
          "/frames/1/actors/0: expected |x| and |y| <= 10000000.0"),
         (SCHEMA_FAULTS["npc-y-past-bound"],
          "/frames/0/actors/1: expected |x| and |y| <= 10000000.0"),
+        (SCHEMA_FAULTS["width-below-min"],
+         "/frames/0/actors/1: expected width >= 0.01"),
     ])
     def test_read_names_the_fault_by_json_pointer(self, chain_map, tmp_path,
                                                   edit, message):

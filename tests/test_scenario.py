@@ -9,10 +9,11 @@ import pytest
 from scenofuzz import canonical
 from scenofuzz.geometry import Pose
 from scenofuzz.runner import RunnerError, run_scenario
-from scenofuzz.scenario import (BodyDims, EgoSpec, MutationSpace, NpcSpec,
-                                ObstacleSpec, ScenarioConfig,
-                                ScenarioFormatError, flatten, from_json,
-                                scenario_hash, to_json, unflatten, validate)
+from scenofuzz.scenario import (MAX_COORDINATE, BodyDims, EgoSpec,
+                                MutationSpace, NpcSpec, ObstacleSpec,
+                                ScenarioConfig, ScenarioFormatError, flatten,
+                                from_json, scenario_hash, to_json, unflatten,
+                                validate)
 
 
 def _npc(actor_id="npc_1", x0=150.0, y0=0.0, n_wp=3, speed=8.0, delay=0.0):
@@ -149,11 +150,13 @@ def test_validate_catches_violations(chain_map):
 
 
 @pytest.mark.parametrize("length,width", [(0.0, 0.0), (4.8, 0.0),
-                                          (-0.0, -0.0), (4.8, -0.0)])
+                                          (-0.0, -0.0), (4.8, -0.0),
+                                          (4.8, 5e-324)])
 @pytest.mark.parametrize("who", ["ego", "npc_1", "rock"])
 def test_validate_refuses_a_flat_body(chain_map, who, length, width):
-    """A flat box has no distance to another box; its body is refused
-    with BadBody, and the spawn-overlap check leaves it out."""
+    """A flat box, or one so thin that its edges round to nothing, has no
+    distance to another box; its body is refused with BadBody, and the
+    spawn-overlap check leaves it out."""
     flat = BodyDims(length, width)
     config = _scenario(npcs=[_npc()],
                        obstacles=[ObstacleSpec("rock", Pose(40.0, 0.0, 0.0))])
@@ -173,6 +176,38 @@ def test_validate_refuses_a_flat_body(chain_map, who, length, width):
         raise AssertionError("an invalid scenario opened a session")
 
     with pytest.raises(RunnerError, match=rf"BadBody\({who}\)"):
+        run_scenario(config, chain_map, unreachable)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("far", [1e8, 1e200, 1e308, -1e308])
+@pytest.mark.parametrize("where", ["first-waypoint", "later-waypoint",
+                                   "obstacle"])
+def test_validate_refuses_a_far_pose(chain_map, where, far, axis):
+    """A pose past MAX_COORDINATE is refused with CoordinateOutOfRange, and
+    the spawn-overlap check, whose box edges would round to nothing there,
+    leaves it out."""
+    npc = _npc()
+    rock = ObstacleSpec("rock", Pose(40.0, 12.0, 0.0))
+    if where == "obstacle":
+        rock = dataclasses.replace(
+            rock, pose=dataclasses.replace(rock.pose, **{axis: far}))
+        who = "rock"
+    else:
+        at = 0 if where == "first-waypoint" else 2
+        waypoints = list(npc.waypoints)
+        waypoints[at] = dataclasses.replace(waypoints[at], **{axis: far})
+        npc = dataclasses.replace(npc, waypoints=tuple(waypoints))
+        who = "npc_1"
+    config = _scenario(npcs=[npc], obstacles=[rock])
+    assert abs(far) > MAX_COORDINATE
+    assert [(v.code, v.subject) for v in validate(config, chain_map)] == \
+        [("CoordinateOutOfRange", who)]
+
+    def unreachable():
+        raise AssertionError("an invalid scenario opened a session")
+
+    with pytest.raises(RunnerError, match=rf"CoordinateOutOfRange\({who}\)"):
         run_scenario(config, chain_map, unreachable)
 
 
