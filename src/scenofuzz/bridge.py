@@ -10,7 +10,14 @@ Frames are written by shape: :func:`encode` lays out each body's keys in
 sorted order and writes each value with ``canonical.dump_value``, and the
 result must equal ``canonical.dump_bytes`` of the body's document byte for
 byte (``tests/test_bridge.py`` keeps the dict-building encoder and the
-original decoder checks as the reference).
+original decoder checks as the reference).  A fresh exact ``ActorState``
+whose five moving fields are floats with a finite sum, none integral, is
+written in one ``%`` format call with ``%.17g`` at those keys: the routine
+behind ``format(v, ".17g")``, and 17 significant digits of a non-integral
+value always hold a "." or an "e", so it is ``dump_value``'s text.  Those
+floats never come back, so writing them past the float memo only skips
+missed lookups; every other actor is written field by field, and control
+replies stay on the memo, whose ``sim_time`` grid and repeated commands hit.
 
 Both sides of the codec have one path.  A writer writes each value as it
 reads it: :func:`encode` and ``runner.recording_bytes`` write every actor
@@ -80,7 +87,7 @@ from operator import attrgetter, itemgetter
 
 from . import canonical
 from .canonical import dump_value, finite_number
-from .geometry import Polyline, normalize_angle
+from .geometry import MAX_COORDINATE, Polyline, normalize_angle
 from .simulator import (ActorState, ControlCommand, SpeedController,
                         pure_pursuit_steering)
 
@@ -150,6 +157,11 @@ _NUMBER_KEYS = ("x", "y", "heading", "speed", "acceleration", "length", "width")
 _actor_numbers = itemgetter(*_NUMBER_KEYS)
 _PERCEPTION_KEYS = frozenset(("type", "sim_time", "ego", "obstacles"))
 _CONTROL_KEYS = frozenset(("type", "sim_time", "throttle", "brake", "steering"))
+# A fresh state's text when its five moving fields are non-integral finite
+# floats (see the module docstring).
+_ACTOR_FORMAT = ('{"acceleration":%.17g,"actor_id":%s,"heading":%.17g,'
+                 '"kind":%s,"length":%s,"speed":%.17g,"width":%s,'
+                 '"x":%.17g,"y":%.17g}')
 
 
 def actor_text(actor) -> str:
@@ -161,15 +173,24 @@ def actor_text(actor) -> str:
         return actor._text
     actor_id, kind, x, y, heading, speed, acceleration, length, width = \
         _actor_fields(actor)
-    text = ('{"acceleration":' + dump_value(acceleration)
-            + ',"actor_id":' + dump_value(actor_id)
-            + ',"heading":' + dump_value(heading)
-            + ',"kind":' + dump_value(kind)
-            + ',"length":' + dump_value(length)
-            + ',"speed":' + dump_value(speed)
-            + ',"width":' + dump_value(width)
-            + ',"x":' + dump_value(x)
-            + ',"y":' + dump_value(y) + "}")
+    if (exact and type(x) is type(y) is type(heading) is type(speed)
+            is type(acceleration) is float
+            and _isfinite(x + y + heading + speed + acceleration)
+            and not (x.is_integer() or y.is_integer() or heading.is_integer()
+                     or speed.is_integer() or acceleration.is_integer())):
+        text = _ACTOR_FORMAT % (acceleration, dump_value(actor_id), heading,
+                                dump_value(kind), dump_value(length), speed,
+                                dump_value(width), x, y)
+    else:
+        text = ('{"acceleration":' + dump_value(acceleration)
+                + ',"actor_id":' + dump_value(actor_id)
+                + ',"heading":' + dump_value(heading)
+                + ',"kind":' + dump_value(kind)
+                + ',"length":' + dump_value(length)
+                + ',"speed":' + dump_value(speed)
+                + ',"width":' + dump_value(width)
+                + ',"x":' + dump_value(x)
+                + ',"y":' + dump_value(y) + "}")
     if exact:  # stored once written, so a write that raises stores nothing
         actor.__dict__["_text"] = text
     return text
@@ -404,7 +425,11 @@ def route_lateral(route: Polyline, ego: ActorState) -> float:
 def _route_guidance(route: Polyline, ego: ActorState, cruise_speed: float
                     ) -> tuple[tuple[float, float | None, float | None], float]:
     """``(guidance, lateral)``: :func:`route_guidance`'s triple and the
-    signed lateral offset from the same projection."""
+    signed lateral offset from the same projection.  An ego beyond
+    ``MAX_COORDINATE`` is off route without projecting, since the squares
+    in ``Polyline.project`` can overflow that far out."""
+    if not (abs(ego.x) <= MAX_COORDINATE and abs(ego.y) <= MAX_COORDINATE):
+        return (math.inf, None, None), math.inf
     s, lateral, dist = route.project(ego.x, ego.y)
     if dist > OFF_ROUTE_LIMIT:
         return (dist, None, None), lateral

@@ -17,6 +17,12 @@ SAMPLE_STEP = 0.5   # m; Polyline.min_distance_to's sampling interval
 # m; more than the rounding error of a distance between lane-scale points, so
 # a search may drop a candidate that is farther than its best by this much
 PRUNE_MARGIN = 1e-6
+# the largest |x| and |y| of a map's centerline point, an NPC waypoint, an
+# obstacle or a recorded actor: far beyond any bundled map (a few hundred
+# metres across), and far below about 1.3e154, where the squares in
+# Polyline.project overflow; a box much further out has edges too short to
+# measure
+MAX_COORDINATE = 1.0e7  # m
 
 
 def normalize_angle(angle: float) -> float:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from . import canonical
 from .canonical import Cursor
-from .geometry import Polyline, Pose
+from .geometry import MAX_COORDINATE, Polyline, Pose
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +70,12 @@ class Route:
 def _build_lane(cur: Cursor) -> Lane:
     cur.keys({"id", "width", "centerline"}, {"successors", "predecessors"})
     lane_id, width = cur["id"].text(), cur["width"].number(above=0.0)
-    points = [tuple(point.numbers(2)) for point in cur["centerline"].items(2)]
+    points = []
+    for point in cur["centerline"].items(2):
+        x, y = point.numbers(2)
+        if not (abs(x) <= MAX_COORDINATE and abs(y) <= MAX_COORDINATE):
+            raise point.fail(f"expected |x| and |y| <= {MAX_COORDINATE}")
+        points.append((x, y))
     try:
         path = Polyline(points)
     except ValueError as exc:

@@ -17,7 +17,7 @@ from typing import Any
 
 from . import canonical
 from .canonical import Cursor
-from .geometry import Pose, left_normal
+from .geometry import MAX_COORDINATE, Pose, left_normal
 from .lanemap import LaneMap
 
 SCHEMA_VERSION = 1
@@ -85,12 +85,6 @@ class Violation:
 MIN_BODY_DIM = 0.01  # m
 MAX_BODY_DIM = 20.0
 MAX_TARGET_SPEED = 30.0
-
-# the largest |x| and |y| of an NPC waypoint, an obstacle or a recorded
-# actor: far beyond any bundled map (a few hundred metres across), and far
-# below about 1.3e154, where the squares in Polyline.project overflow; a box
-# much further out has edges too short to measure
-MAX_COORDINATE = 1.0e7  # m
 
 
 def _body_ok(body: BodyDims) -> bool:

@@ -351,6 +351,26 @@ BAD_VALUES = [float("nan"), float("inf"), float("-inf"), np.float64("nan"),
               "\ud800"]
 BAD_IDS = ["nan", "inf", "-inf", "np-nan", "np-inf", "object",
            "list-with-nan", "int-key", "lone-surrogate"]
+MOVING_FIELDS = ("x", "y", "heading", "speed", "acceleration")
+
+
+def _ulps(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+# where "%.17g" and dump_value could part: zeros, subnormals, the switch to
+# exponent notation, the last digit's rounding, the last non-integral
+# floats, the largest ones, and the values that cannot be written
+MOVING_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, *_ulps(1e-4),
+                0.99999999999999994, 0.1 + 0.2, 2.0**52 - 0.5, 2.0**52 + 0.5,
+                2.0**53 - 1, 2.0**53, *_ulps(1e15 + 0.5), *_ulps(1e16),
+                *_ulps(1e17), 1.7976931348623157e308, -1.7976931348623157e308,
+                math.nan, math.inf, -math.inf]
+
+
+def _bit_pattern(rng):
+    """A float of 64 random bits."""
+    return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
 
 
 class TestCodecReference:
@@ -455,6 +475,48 @@ class TestCodecReference:
         assert moved._text is None
         assert encode(perception(moved, [npc])) == \
             reference_encode(perception(moved, [npc]))
+
+    def test_actor_text_equals_reference_on_moving_values(self):
+        # each value in each moving field in turn and in all five at once,
+        # the others non-integral, so the one-format write meets every value
+        rng = random.Random(20261019)
+        values = list(MOVING_EDGES)
+        while len(values) < len(MOVING_EDGES) + 20000:
+            value = _bit_pattern(rng)
+            if math.isfinite(value):
+                values.append(value)
+        for value in values:
+            base = ActorState(rng.choice(IDS), rng.choice(ACTOR_KINDS),
+                              *(rng.uniform(-200.0, 200.0) for _ in range(5)),
+                              rng.uniform(1.0, 8.0), rng.uniform(0.5, 3.0))
+            states = [with_field(base, name, value) for name in MOVING_FIELDS]
+            every = dataclasses.replace(base)
+            for name in MOVING_FIELDS:
+                object.__setattr__(every, name, value)
+            states.append(every)
+            for state in states:
+                expected = _outcome(canonical.dumps,
+                                    _reference_actor_doc(state))
+                assert _outcome(bridge.actor_text, state) == expected, state
+                assert state._text == (expected[1] if expected[0] == "ok"
+                                       else None)
+
+    def test_fresh_moving_states_are_written_past_the_float_memo(self):
+        # a freshly stepped state's moving floats never come back, so its
+        # text is written in one format call, which memoizes none of them
+        rng = random.Random(7)
+        moving = [rng.uniform(-100.0, 100.0) for _ in MOVING_FIELDS]
+        canonical._float_texts.clear()  # a memo: clearing it moves no byte
+        fresh = actor("npc_1", "npc", *moving)
+        text = bridge.actor_text(fresh)
+        assert not any(v in canonical._float_texts for v in moving)
+        assert text == canonical.dumps(_reference_actor_doc(fresh))
+        # with an integral field the state is written field by field, and
+        # y, its last float, is memoized
+        parked = actor("npc_2", "npc", 12.5, rng.uniform(-100.0, 100.0), 0.5)
+        assert parked.y not in canonical._float_texts
+        bridge.actor_text(parked)
+        assert parked.y in canonical._float_texts
 
     def test_a_failed_write_stores_nothing(self):
         bad = with_field(actor("npc_1", "npc"), "speed", float("nan"))
@@ -650,9 +712,13 @@ class TestReferenceEgoAgent:
         reply = sound.step(perception(actor(x=50.0, speed=8.0), [crossing]))
         assert reply.command.brake == 1.0
 
-    def test_far_off_route_holds_full_brake(self):
+    # past MAX_COORDINATE (1e7 m) the ego is off route without a
+    # projection, whose squares overflow from about 1.3e154
+    @pytest.mark.parametrize("x,y", [(50.0, 30.0), (1e8, 0.0), (0.0, -1e200),
+                                     (1e308, 1e308)])
+    def test_far_off_route_holds_full_brake(self, x, y):
         agent = self.make()
-        reply = agent.step(perception(actor(x=50.0, y=30.0, speed=8.0)))
+        reply = agent.step(perception(actor(x=x, y=y, speed=8.0)))
         assert reply.command.brake == 1.0
         assert reply.command.throttle == 0.0
         assert reply.command.steering == 0.0
@@ -706,10 +772,6 @@ def _agent_bits(agent):
     """The state a step leaves behind in an agent."""
     ctl = agent.speed_ctl
     return agent.off_route, _bits(ctl.integral), _bits(ctl.prev_error)
-
-
-def _ulps(x):
-    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
 
 
 def _guided_perceptions(path, rng):

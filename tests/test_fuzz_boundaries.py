@@ -13,22 +13,38 @@ same way.  The property: ``from_document`` raises only
 ``ScenarioFormatError``, with a message, or accepts; ``validate`` lists the
 problems of a scenario it accepts without raising; and a scenario with none
 runs through ``run_scenario`` with no exception.
+
+The config's bundled map document is mutated the same way.  The property:
+``load_map_document`` raises only ``MapFormatError`` or accepts, and a map
+it accepts builds the mission's route and the search template within
+``MAP_CASE_SECONDS``, unless the mutation cut the mission's lanes apart.
+
+A perception frame of the config's campaign is mutated the same way.  The
+property: ``decode`` raises only ``FrameError``, or the reference agent
+steps on the message it decodes with no exception.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import random
+import signal
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
+from scenofuzz.bridge import (HEADER, FrameError, InProcessSession,
+                              PerceptionMessage, ReferenceEgoAgent, decode,
+                              encode)
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine.campaign import (RECORDINGS_DIR, CampaignContext,
                                        run_campaign)
 from scenofuzz.engine.feedback import compute_feedback
+from scenofuzz.engine.template import MissionSpec, build_template
+from scenofuzz.lanemap import MapFormatError, load_map_document
 from scenofuzz.runner import RecordingFormatError, read_recording, run_scenario
 from scenofuzz.scenario import (ScenarioFormatError, from_document,
                                 to_document, validate)
@@ -39,6 +55,9 @@ SEED = 17
 STRUCTURAL_CASES = 1500
 BYTE_CASES = 500
 SCENARIO_CASES = 3000
+MAP_CASES = 1000
+MAP_CASE_SECONDS = 2.0  # a bundled-map template builds in milliseconds
+FRAME_CASES = 2000
 
 # what a value may be swapped for
 ODD_VALUES = (None, True, False, 0, -0.0, 1e308, -1e308, 5e-324, "", [], {},
@@ -166,6 +185,99 @@ def test_mutated_scenarios_are_refused_or_run_cleanly(shipped):
         what = mutate_structure(doc, rng)
         try:
             check_scenario(doc, settings)
+        except Exception as exc:  # every other exception is a finding
+            failures.append(f"case {case} ({what}): {exc!r}")
+    assert not failures, failures
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` inside the block once ``seconds`` have passed,
+    where the platform has interval timers (elsewhere the block just runs)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_map(doc, mission: MissionSpec) -> None:
+    try:
+        lane_map = load_map_document(doc)
+    except MapFormatError as exc:
+        assert str(exc)
+        return
+    try:
+        build_template(lane_map, mission)  # routes the mission first
+    except ValueError as exc:
+        # the mutation deleted one of the mission's lanes or a link on
+        # every path between them
+        assert "unknown lane id" in str(exc) or "no route" in str(exc), exc
+
+
+def test_mutated_maps_are_refused_or_build_a_template(shipped):
+    settings, _ = shipped
+    template = settings.template
+    mission = MissionSpec(template.map_name, template.ego.start_lane_id,
+                          template.ego.start_station,
+                          template.ego.end_lane_id, template.ego.end_station,
+                          template.duration_limit)
+    name = settings.lane_map.name
+    original = json.loads(resources.files("scenofuzz.maps").joinpath(
+        f"{name}.json").read_bytes())
+    rng = random.Random(SEED)
+    failures = []
+    for case in range(MAP_CASES):
+        doc = copy.deepcopy(original)
+        what = mutate_structure(doc, rng)
+        try:
+            with deadline(MAP_CASE_SECONDS):
+                check_map(doc, mission)
+        except Exception as exc:  # every other exception is a finding
+            failures.append(f"case {case} ({what}): {exc!r}")
+    assert not failures, failures
+
+
+def check_frame(frame: bytes, settings) -> None:
+    try:
+        message = decode(frame)
+    except FrameError as exc:
+        assert str(exc)
+        return
+    if isinstance(message, PerceptionMessage):
+        ReferenceEgoAgent(settings.mission, settings.agent,
+                          settings.dt).step(message)
+
+
+def test_mutated_perception_frames_are_refused_or_stepped_cleanly(shipped,
+                                                                   tmp_path):
+    settings, data = shipped
+    path = tmp_path / "shipped.record.json"
+    path.write_bytes(data)
+    frames = read_recording(path).frames
+    # the frame with the most obstacles, as the agent would perceive it
+    frame = max(frames, key=lambda f: len(f.actors))
+    message = PerceptionMessage(frame.sim_time, frame.actors[0],
+                                tuple(frame.actors[1:]))
+    original = json.loads(encode(message)[HEADER.size:])
+    assert original["obstacles"]
+    rng = random.Random(SEED)
+    failures = []
+    for case in range(FRAME_CASES):
+        doc = copy.deepcopy(original)
+        what = mutate_structure(doc, rng)
+        body = json.dumps(doc).encode("utf-8")
+        try:
+            check_frame(HEADER.pack(len(body)) + body, settings)
         except Exception as exc:  # every other exception is a finding
             failures.append(f"case {case} ({what}): {exc!r}")
     assert not failures, failures

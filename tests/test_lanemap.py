@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import best_route_by_enumeration, project_point_sampled
+from scenofuzz.geometry import MAX_COORDINATE
 from scenofuzz.lanemap import (MapFormatError, load_bundled_map, load_map,
                                load_map_document, project, route, sample_route)
 
@@ -90,11 +91,25 @@ def test_load_map_file(tmp_path):
      "/lanes/0: unknown keys ['colour']"),
     ([_lane("a", [(0, 0), (1, 0)], succ=[""])],
      "/lanes/0/successors/0: expected a non-empty string"),
+    # past MAX_COORDINATE: a segment's length rounds away or overflows
+    ([_lane("a", [(0, 0), (1, 2**70)])],
+     "/lanes/0/centerline/1: expected |x| and |y| <= 10000000.0"),
+    ([_lane("a", [(0, 0), (1, 0)]), _lane("b", [(-1e308, 0), (1, 0)])],
+     "/lanes/1/centerline/0: expected |x| and |y| <= 10000000.0"),
+    ([_lane("a", [(0, 0), (1, 0), (1, -1.0000001e7)])],
+     "/lanes/0/centerline/2: expected |x| and |y| <= 10000000.0"),
 ])
 def test_faults_are_named_by_json_pointer(lanes, message):
     with pytest.raises(MapFormatError) as caught:
         load_map_document(_doc(lanes))
     assert str(caught.value) == message
+
+
+def test_a_point_at_the_coordinate_bound_loads():
+    far = MAX_COORDINATE
+    lane_map = load_map_document(_doc([_lane("a", [(far - 9, -far),
+                                                   (far, -far)])]))
+    assert lane_map.lanes["a"].length == pytest.approx(9.0)
 
 
 def test_route_chain(chain_map):
