@@ -43,7 +43,6 @@ from typing import AbstractSet, Any, Callable
 _encode_str = json.encoder.encode_basestring
 _isfinite = math.isfinite
 _copysign = math.copysign
-_float_format = float.__format__
 
 FLOAT_MEMO_LIMIT = 8192  # texts held before the memo is cleared
 _float_texts: dict[float, str] = {}
@@ -98,11 +97,7 @@ def dump_value(value: Any) -> str:
         if text is None:
             if not value:  # 0.0 == -0.0 as keys, so neither zero is stored
                 return "0.0" if _copysign(1.0, value) > 0.0 else "-0.0"
-            if not _isfinite(value):
-                return _format_float(value)  # raises
-            text = _float_format(value, ".17g")  # _format_float, inlined
-            if "." not in text and "e" not in text:
-                text += ".0"
+            text = _format_float(value)  # raises before a non-finite is stored
             if len(_float_texts) >= FLOAT_MEMO_LIMIT:
                 _float_texts.clear()
             _float_texts[value] = text

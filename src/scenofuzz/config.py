@@ -15,6 +15,7 @@ a number``; a fault of the whole document is named ``config``.
 from __future__ import annotations
 
 import logging
+import math
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -26,8 +27,9 @@ import yaml
 from .bridge import (ENDPOINT_ENV_VAR, AgentSettings, parse_endpoint,
                      resolve_endpoint)
 from .canonical import Cursor
+from .engine.avfuzzer import local_share
 from .engine.campaign import (ALGORITHM_DEFAULTS, CampaignBudget,
-                              ExecutionSettings)
+                              ExecutionSettings, algorithm_registry)
 from .engine.template import MissionSpec, build_template
 from .lanemap import load_bundled_map
 from .runner import OracleConfig
@@ -84,6 +86,13 @@ OPTIONAL_INTEGER_KEYS = (
     "testing_engine.algorithm.parameters.batch_size",
 )
 
+# the most simulation steps, duration_limit / dt, a scenario may take; every
+# shipped config takes 300
+MAX_STEPS = 100_000
+# the most vectors a population or a surrogate's bootstrap may hold: search
+# builds them all before the budget is checked
+MAX_POPULATION = 10_000
+
 # Each (key, op, bound) requires ``value <op> bound`` of a set value; a bound
 # that is a key stands for that key's value.
 BOUNDS = (
@@ -100,6 +109,8 @@ BOUNDS = (
     ("scenario_runner.parameters.agent.cruise_speed", ">", 0),
     ("testing_engine.algorithm.parameters.max_evaluations", ">=", 1),
     ("testing_engine.algorithm.parameters.population_size", ">=", 2),
+    ("testing_engine.algorithm.parameters.population_size", "<=",
+     MAX_POPULATION),
     ("testing_engine.algorithm.parameters.run_hour", ">", 0),
     ("testing_engine.algorithm.parameters.local_run_hour", ">=", 0),
     ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
@@ -109,6 +120,8 @@ BOUNDS = (
     ("testing_engine.algorithm.parameters.pc", "<=", 1),
     ("testing_engine.algorithm.parameters.archive_threshold", ">=", 0),
     ("testing_engine.algorithm.parameters.surrogate_pool", ">=", 1),
+    ("testing_engine.algorithm.parameters.surrogate_pool", "<=",
+     MAX_POPULATION),
     ("testing_engine.oracle.collision.threshold", ">=", 0),
     ("testing_engine.oracle.destination.tolerance", ">=", 0),
     ("testing_engine.oracle.stuck.speed", ">=", 0),
@@ -269,6 +282,13 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
     values: dict[str, Any] = {}
     _walk(doc, _KEY_TREE, "", overrides, values)
 
+    algorithm = values["testing_engine.algorithm.name"]
+    registry = algorithm_registry()
+    if algorithm not in registry:
+        raise ConfigError(
+            f"testing_engine.algorithm.name: unknown algorithm {algorithm!r}; "
+            f"expected one of {', '.join(sorted(registry))}")
+
     runner_name = values["scenario_runner.name"]
     if runner_name != BUILTIN_RUNNER:
         raise ConfigError(
@@ -287,6 +307,23 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
             limit, bound = bound, f"{bound:g}"
         if value is not None and not _OPERATORS[op](value, limit):
             raise ConfigError(f"{key}: must be {op} {bound}")
+    steps = values["scenario.duration_limit"] / \
+        values["scenario_runner.parameters.dt"]
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"scenario.duration_limit: must be <= {MAX_STEPS} steps of "
+            f"scenario_runner.parameters.dt, got {steps:g}")
+    params = {name: value for name, value in _section(
+        values, "testing_engine.algorithm.parameters").items()
+        if value is not None}
+    try:
+        share = local_share(params, params.get("max_evaluations"))
+    except OverflowError:  # a max_evaluations too large for a float
+        share = math.inf
+    if not math.isfinite(share):
+        raise ConfigError(
+            "testing_engine.algorithm.parameters.local_run_hour: "
+            "local_run_hour / run_hour * evaluations must be finite")
     agent_prefix = "scenario_runner.parameters.agent"
     agent = _section(values, agent_prefix)
     agent_type = agent.pop("type")
@@ -294,9 +331,6 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
     if agent_type not in AGENT_TYPES:
         raise ConfigError(f"{agent_prefix}.type: expected one of "
                           f"{', '.join(AGENT_TYPES)}")
-    params = {name: value for name, value in _section(
-        values, "testing_engine.algorithm.parameters").items()
-        if value is not None}
     oracles = {name.replace(".", "_"): value for name, value
                in _section(values, "testing_engine.oracle").items()}
 
@@ -304,7 +338,7 @@ def parse_config(doc: Any, overrides: dict | None = None) -> RunConfig:
         map_name=values["scenario.map_name"],
         start_lane_id=values["scenario.start_lane_id"],
         end_lane_id=values["scenario.end_lane_id"],
-        algorithm=values["testing_engine.algorithm.name"],
+        algorithm=algorithm,
         debug=values["system.debug"],
         resume=values["system.resume"],
         output_root=values["system.output_root"],

@@ -16,18 +16,17 @@ GLOBAL_SIGMA = 0.10
 LOCAL_SIGMA = 0.025
 
 
-def _local_eval_budget(ctx, params: dict, population_size: int) -> int:
-    """Evaluation count for one local phase: the local_run_hour share of the
-    campaign's evaluations, counted so the schedule never reads a clock.
+def local_share(params: dict, max_evaluations: int | None) -> float:
+    """The local_run_hour share of the campaign's evaluations, counted so
+    the schedule never reads a clock.
 
     A wall budget of run_hour hours counts as run_hour * 3600 evaluations.
     """
     run_hour = params["run_hour"]
-    total = ctx.budget.max_evaluations
+    total = max_evaluations
     if total is None:
         total = run_hour * 3600.0
-    share = round(params["local_run_hour"] / run_hour * total)
-    return max(population_size, share)
+    return params["local_run_hour"] / run_hour * total
 
 
 def _best(population, fitnesses):
@@ -43,7 +42,8 @@ def run(ctx, params: dict) -> None:
         raise ValueError(f"population_size must be >= 2, got {pop_size}")
     pm = params["pm"]
     pc = params["pc"]
-    local_budget = _local_eval_budget(ctx, params, pop_size)
+    local_budget = max(pop_size, round(local_share(
+        params, ctx.budget.max_evaluations)))
 
     population = [sample_uniform(ctx.rng, ctx.prototype)
                   for _ in range(pop_size)]

@@ -153,7 +153,6 @@ class _Job:
     vector: ParameterVector
     config: ScenarioConfig
     repairs: list[str]
-    document: dict
     key: str | None
 
 
@@ -326,9 +325,8 @@ class CampaignContext:
     def _job(self, index: int, vector: ParameterVector) -> _Job:
         config, repairs = unflatten(vector, self.settings.template)
         config = dataclasses.replace(config, scenario_id=f"eval_{index:06d}")
-        document = to_document(config)
-        return _Job(index, vector, config, repairs, document,
-                    self._key(document))
+        return _Job(index, vector, config, repairs,
+                    self._key(to_document(config)))
 
     def _key(self, document: dict) -> str | None:
         """The memo key of a scenario document: the sha256 of its canonical
@@ -399,8 +397,8 @@ class CampaignContext:
         size = None
         if self.output_dir is not None:
             size = write_recording(recording, self.output_dir / RECORDINGS_DIR,
-                                   self.settings.save_traffic_recording,
-                                   job.document).stat().st_size
+                                   self.settings.save_traffic_recording
+                                   ).stat().st_size
         return _Outcome(feedback, job.config.scenario_id, size)
 
     def _write_copy(self, job: _Job, outcome: _Outcome) -> bool:

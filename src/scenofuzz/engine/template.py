@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..geometry import PRUNE_MARGIN, normalize_angle
+from ..geometry import normalize_angle
 from ..lanemap import LaneMap, Route, _stitch, route, sample_route
 from ..scenario import EgoSpec, NpcSpec, ScenarioConfig
 
@@ -54,11 +54,7 @@ def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
         if lane_id in mission.lane_sequence:
             continue
         onward = onward_route(lane_map, lane_id)
-        # paths whose boxes are this far apart are too, so the check below
-        # would skip the lane as well
-        gap = onward.path.box_gap(mission.path)
-        if gap > CONFLICT_DISTANCE + PRUNE_MARGIN:
-            continue
+        # a far lane is cheap: min_distance_to skips samples that cannot win
         dist, s_self, s_mission = onward.path.min_distance_to(mission.path)
         if dist > CONFLICT_DISTANCE:
             continue

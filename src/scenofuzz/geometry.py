@@ -177,16 +177,6 @@ class Polyline:
             k += 1 + (int(slack / step) if slack > 0.0 else 0)
         return best
 
-    def box_gap(self, other: "Polyline") -> float:
-        """Distance between the axis-aligned bounding boxes of the points.
-
-        No point of either polyline is closer than this to the other.
-        """
-        ax, ay = zip(*self.points)
-        bx, by = zip(*other.points)
-        return math.hypot(max(0.0, min(bx) - max(ax), min(ax) - max(bx)),
-                          max(0.0, min(by) - max(ay), min(ay) - max(by)))
-
     def sub_path(self, s_start: float, s_end: float) -> "Polyline":
         """Extract the sub-polyline between two arc lengths (s_start < s_end)."""
         s_start = min(max(s_start, 0.0), self.length)

@@ -30,6 +30,10 @@ log = logging.getLogger(__name__)
 # names accepted for bundled maps that are served by another bundled file
 BUNDLED_ALIASES = {"borregas_ave": "borregas_ave_lite"}
 
+# m; the longest lane centerline: a bundled lane is at most 100 m, and a
+# template's conflict search costs time in proportion to lane length
+MAX_LANE_LENGTH = 1.0e4
+
 
 class MapFormatError(ValueError):
     """Raised when a map document violates the schema or its invariants."""
@@ -80,6 +84,9 @@ def _build_lane(cur: Cursor) -> Lane:
         path = Polyline(points)
     except ValueError as exc:
         raise cur["centerline"].fail(str(exc)) from None
+    if path.length > MAX_LANE_LENGTH:
+        raise cur["centerline"].fail(
+            f"expected a length <= {MAX_LANE_LENGTH:g} m, got {path.length:g}")
     succ, pred = (tuple(ref.text() for ref in cur[key].items())
                   if key in cur.doc else ()
                   for key in ("successors", "predecessors"))

@@ -314,18 +314,16 @@ def _frame_text(frame: Frame) -> str:
             + '},"sim_time":' + canonical.dump_value(sim_time) + "}")
 
 
-def recording_bytes(rec: ScenarioRecording, include_frames: bool = True,
-                    config: dict | None = None) -> bytes:
+def recording_bytes(rec: ScenarioRecording,
+                    include_frames: bool = True) -> bytes:
     """The recording's canonical JSON, written by shape with its keys in
     sorted order: the bytes of ``canonical.dump_bytes`` of the dict-building
     encoder that ``tests/oracles.py`` keeps as the reference.  A recording
     with one fault raises what the reference raises; with several, the
-    first fault met while writing raises.  ``config`` is
-    ``to_document(rec.config_snapshot)`` when the caller has already built
-    it.
+    first fault met while writing raises, and the config document, built
+    first, is met first.
     """
-    if config is None:
-        config = to_document(rec.config_snapshot)
+    config = to_document(rec.config_snapshot)
     verdict = rec.verdict
     frames = rec.frames if include_frames else ()
     dump = canonical.dump_value
@@ -353,14 +351,12 @@ def recording_path(directory: str | Path, scenario_id: str) -> Path:
 
 
 def write_recording(rec: ScenarioRecording, directory: str | Path,
-                    include_frames: bool = True,
-                    config: dict | None = None) -> Path:
+                    include_frames: bool = True) -> Path:
     """Write ``rec`` to ``recording_path(directory, rec.scenario_id)`` and
-    return that path.  ``config`` is ``to_document(rec.config_snapshot)``
-    when the caller has already built it."""
+    return that path."""
     path = recording_path(directory, rec.scenario_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(recording_bytes(rec, include_frames, config))
+    path.write_bytes(recording_bytes(rec, include_frames))
     return path
 
 

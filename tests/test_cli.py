@@ -141,6 +141,18 @@ class TestArgumentHandling:
             "config error: config: key True is not a string; quote it")
         assert not output_root.exists()
 
+    def test_unknown_algorithm_exits_config_code(
+            self, tmp_path, output_root, capsys):
+        config_dir = write_config(tmp_path / "configs",
+                                  **{"testing_engine.algorithm.name": "nosuch"})
+        rc = run_cli(config_dir)
+        assert rc == EXIT_CONFIG == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: testing_engine.algorithm.name: "
+                              "unknown algorithm 'nosuch'")
+        assert "Traceback" not in err
+        assert not output_root.exists()
+
     def test_external_agent_without_endpoint_exits_config_code(
             self, tmp_path, output_root, capsys):
         config_dir = tmp_path / "configs"

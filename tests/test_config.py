@@ -16,6 +16,8 @@ from scenofuzz.config import (
     AGENT_TYPES,
     BUILTIN_RUNNER,
     CONFIG_DEFAULTS,
+    MAX_POPULATION,
+    MAX_STEPS,
     REQUIRED_KEYS,
     ConfigError,
     ConfigLoader,
@@ -24,7 +26,8 @@ from scenofuzz.config import (
     load_config,
     parse_config,
 )
-from scenofuzz.engine.campaign import AgentSettings, CampaignBudget
+from scenofuzz.engine.campaign import (AgentSettings, CampaignBudget,
+                                       algorithm_registry)
 from scenofuzz.runner import OracleConfig
 from scenofuzz.scenario import MutationSpace, validate
 
@@ -340,6 +343,7 @@ class TestStrictness:
         ("testing_engine.algorithm.parameters.max_evaluations", 0),
         ("testing_engine.algorithm.parameters.population_size", 1),
         ("testing_engine.algorithm.parameters.population_size", 0),
+        ("testing_engine.algorithm.parameters.population_size", 2**70),
         ("testing_engine.algorithm.parameters.run_hour", 0.0),
         ("testing_engine.algorithm.parameters.run_hour", -1),
         ("testing_engine.algorithm.parameters.local_run_hour", -0.5),
@@ -351,6 +355,7 @@ class TestStrictness:
         ("testing_engine.algorithm.parameters.archive_threshold", -1),
         ("testing_engine.algorithm.parameters.surrogate_pool", 0),
         ("testing_engine.algorithm.parameters.surrogate_pool", -3),
+        ("testing_engine.algorithm.parameters.surrogate_pool", 2**40),
         ("scenario.mutation_space.speed_low", -5),
         ("scenario.mutation_space.speed_high", 40),
         ("scenario.mutation_space.delay_low", -3),
@@ -380,11 +385,61 @@ class TestStrictness:
 
     @pytest.mark.parametrize("name,value", [
         ("pm", 0), ("pm", 1), ("pc", 0.0), ("pc", 1.0),
-        ("archive_threshold", 0), ("surrogate_pool", 1)])
+        ("archive_threshold", 0), ("surrogate_pool", 1),
+        ("surrogate_pool", MAX_POPULATION), ("population_size", 2),
+        ("population_size", MAX_POPULATION)])
     def test_search_parameter_edges_accepted(self, name, value):
         config = parse_config(minimal_doc(**{
             f"testing_engine.algorithm.parameters.{name}": value}))
         assert config.algorithm_params[name] == value
+
+    @pytest.mark.parametrize("path,value", [
+        ("scenario_runner.parameters.dt", 5e-324),
+        ("scenario_runner.parameters.dt", 1e-7),
+        ("scenario.duration_limit", 1e300),
+    ])
+    def test_step_count_is_bounded(self, path, value):
+        """Nothing else caps a scenario's step count, duration_limit / dt."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{path: value}))
+        assert str(err.value).startswith(
+            f"scenario.duration_limit: must be <= {MAX_STEPS} steps of "
+            "scenario_runner.parameters.dt, got ")
+
+    def test_step_count_bound_accepted(self):
+        config = parse_config(minimal_doc(**{
+            "scenario.duration_limit": MAX_STEPS * 0.5,
+            "scenario_runner.parameters.dt": 0.5}))
+        assert config.duration_limit / config.dt == MAX_STEPS
+
+    @pytest.mark.parametrize("values", [
+        {"run_hour": 5e-324, "max_evaluations": 12},
+        {"run_hour": 5e-324},
+        {"local_run_hour": 1e308},
+        {"run_hour": 1e306},
+        {"run_hour": 1e306, "local_run_hour": 0},
+        {"max_evaluations": 10**400},
+    ], ids=["tiny-run-hour", "tiny-wall-budget", "huge-local-run-hour",
+            "huge-wall-budget", "huge-wall-budget-no-local",
+            "huge-max-evaluations"])
+    def test_local_share_must_be_finite(self, values):
+        """avfuzzer's local phase takes local_run_hour / run_hour of the
+        evaluations; a share that is not finite cannot be rounded."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{
+                f"testing_engine.algorithm.parameters.{name}": value
+                for name, value in values.items()}))
+        assert str(err.value) == (
+            "testing_engine.algorithm.parameters.local_run_hour: "
+            "local_run_hour / run_hour * evaluations must be finite")
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_doc(**{
+                "testing_engine.algorithm.name": "nosuch"}))
+        assert str(err.value) == (
+            "testing_engine.algorithm.name: unknown algorithm 'nosuch'; "
+            f"expected one of {', '.join(sorted(algorithm_registry()))}")
 
     @pytest.mark.parametrize("name", ["speed", "delay"])
     def test_inverted_mutation_range_rejected(self, name):

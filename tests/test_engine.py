@@ -664,8 +664,8 @@ class TestTemplate:
                 (lane_map.name, mission.lane_sequence)
 
     def test_junction_search_prunes(self, junction_map, monkeypatch):
-        """lane_16 and lane_22 are dropped by their boxes; the other three
-        lanes cost fewer than half of their samples' projections."""
+        """All five lanes off the mission are searched, and together they
+        cost fewer than half of their samples' projections."""
         mission = route(junction_map, "lane_31", "lane_15")
         searched, projections = [], []
         min_distance_to, project = Polyline.min_distance_to, Polyline.project
@@ -683,7 +683,8 @@ class TestTemplate:
         assert conflict_lanes(junction_map, mission) == ["lane_20", "lane_21"]
         monkeypatch.undo()
         near = [onward_route(junction_map, lane_id).path
-                for lane_id in ("lane_11", "lane_20", "lane_21")]
+                for lane_id in ("lane_11", "lane_16", "lane_20", "lane_21",
+                                "lane_22")]
         assert searched == [path.points for path in near]
         every = sum(len(sample_distances(path, mission.path)) for path in near)
         assert len(projections) < every / 2

@@ -8,8 +8,7 @@ import pytest
 from oracles import (min_distance_every_sample, project_point_sampled,
                      sample_distances)
 from scenofuzz.engine.template import onward_route
-from scenofuzz.geometry import (PRUNE_MARGIN, Polyline, Pose, left_normal,
-                                normalize_angle)
+from scenofuzz.geometry import Polyline, Pose, left_normal, normalize_angle
 
 
 def test_normalize_angle_range():
@@ -309,21 +308,3 @@ def test_min_distance_equals_every_sample_on_bundled_maps(bundled_missions):
                 _bits(min_distance_every_sample(path, mission.path))
             cases += 1
     assert cases == 190
-
-
-def test_box_gap():
-    a = Polyline([(0, 0), (1, 1)])
-    assert a.box_gap(Polyline([(4, 5), (5, 6)])) == 5.0
-    assert Polyline([(4, 5), (5, 6)]).box_gap(a) == 5.0
-    assert a.box_gap(Polyline([(0.5, -3), (0.5, 3)])) == 0.0
-    assert a.box_gap(Polyline([(3, 0), (3, 1)])) == 2.0
-
-
-def test_box_gap_is_a_lower_bound():
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        line = Polyline(_seeded_polyline(rng))
-        other = Polyline(_seeded_polyline(rng))
-        gap = line.box_gap(other) - PRUNE_MARGIN
-        assert gap < min_distance_every_sample(line, other)[0]
-        assert gap < min_distance_every_sample(other, line)[0]

@@ -8,8 +8,9 @@ import pytest
 
 from oracles import best_route_by_enumeration, project_point_sampled
 from scenofuzz.geometry import MAX_COORDINATE
-from scenofuzz.lanemap import (MapFormatError, load_bundled_map, load_map,
-                               load_map_document, project, route, sample_route)
+from scenofuzz.lanemap import (MAX_LANE_LENGTH, MapFormatError,
+                               load_bundled_map, load_map, load_map_document,
+                               project, route, sample_route)
 
 
 def _doc(lanes):
@@ -103,6 +104,27 @@ def test_faults_are_named_by_json_pointer(lanes, message):
     with pytest.raises(MapFormatError) as caught:
         load_map_document(_doc(lanes))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("points,length", [
+    ([(0, 0), (MAX_LANE_LENGTH + 0.5, 0)], "10000.5"),
+    ([(-MAX_COORDINATE, 0), (MAX_COORDINATE, 0)], "2e+07"),
+    ([(0, 0), (6000, 0), (0, 0.5)], "12000"),
+])
+def test_a_lane_longer_than_the_bound_is_refused(points, length):
+    """A template's conflict search is linear in lane length, so a lane
+    the coordinate bound admits could cost seconds to search."""
+    with pytest.raises(MapFormatError) as caught:
+        load_map_document(_doc([_lane("a", [(0, 0), (1, 0)]),
+                                _lane("b", points)]))
+    assert str(caught.value) == (
+        f"/lanes/1/centerline: expected a length <= 10000 m, got {length}")
+
+
+def test_a_lane_at_the_length_bound_loads():
+    lane_map = load_map_document(_doc([_lane("a", [(0, 0),
+                                                   (MAX_LANE_LENGTH, 0)])]))
+    assert lane_map.lanes["a"].length == MAX_LANE_LENGTH
 
 
 def test_a_point_at_the_coordinate_bound_loads():
