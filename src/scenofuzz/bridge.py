@@ -33,7 +33,10 @@ text of an exact ``ActorState`` in the object's ``_text`` the first time it
 writes it, and every later frame or recording holding that object reuses it.
 The fields are frozen and the text is a pure function of them, so the bytes
 cannot move; a write that raises stores nothing, so it raises again.
-Subclasses and duck-typed actors are written afresh every time.
+Subclasses and duck-typed actors are written afresh every time.  A control
+frame is written once per object the same way: :func:`encode` keeps the
+frame of an exact ``ControlMessage`` with an exact ``ControlCommand`` and a
+``float`` time in the message's ``_frame`` slot.
 
 The session is lockstep: the runner sends one perception frame and blocks for
 exactly one control frame.  The in-process transport encodes both frames, so
@@ -67,10 +70,28 @@ are frozen, so what the slot holds for the same route and cruise-speed
 objects cannot change; the slot is written with one dict store, so threads
 that race on a state store equal values; and the step memo's
 ``STEP_MEMO_LIMIT`` bounds the shared states, and with them their slots.
-The obstacle corridor, the speed controller and the off-route warning keep
-state or read the obstacles, so they stay in ``ReferenceEgoAgent.step``.
-``tests/test_bridge.py`` checks the guidance against the old ``step`` kept
-in ``tests/oracles.py`` (the ``test_guide_memo_*`` tests).
+The obstacle corridor and the off-route warning read the obstacles or keep
+state, so they run in ``ReferenceEgoAgent.step`` on every call.
+
+The speed-tracking reply is kept on the ego state as well, in its
+``_reply`` slot: ``(route, cruise_speed, dt, sim_time, integral_in,
+prev_error_in, reply, integral_out, prev_error_out)``.  An exact
+``ActorState`` with an exact ``SpeedController`` fills it at the pedal call,
+the one branch whose reply reads the controller.  That reply is a function
+of the state, the route and cruise-speed objects, ``dt``, the time and the
+controller's ``integral`` and ``prev_error``; the controller belongs to the
+agent, so the slot is keyed on its values, not on the step before.  A later
+call with the same route and cruise-speed objects, and a ``dt``, time,
+``integral`` and ``prev_error`` equal to the kept ones, sets the controller
+to the kept outputs and returns the kept ``ControlMessage`` itself.  Those
+four are read and stored only when each is a non-zero ``float``, and equal
+non-zero floats have equal bits, so a hit has the inputs of the stored
+call bit for bit.  The message's frame is already in its ``_frame`` slot,
+and its command takes the ego's ``_next`` slot (see ``simulator``) to the
+next state.  Threads share replies as they share guidance, one dict store
+of a frozen message each.  ``tests/test_bridge.py`` checks guidance and
+replies against the old ``step`` kept in ``tests/oracles.py`` (the
+``test_guide_memo_*`` and ``test_reply_memo_*`` tests).
 """
 
 from __future__ import annotations
@@ -135,6 +156,13 @@ class PerceptionMessage:
 
 @dataclass(frozen=True, init=False)
 class ControlMessage:
+    """One control reply.  Besides its fields, every instance holds a
+    ``_frame`` slot, ``None`` until :func:`encode` fills it (and always in a
+    subclass): the wire frame of an exact message with an exact
+    ``ControlCommand`` and a ``float`` time, written once and given back on
+    every later encode.  It pays only while the in-process session encodes
+    its replies; once that encode is gone the slot is dead in process."""
+
     sim_time: float
     command: ControlCommand
 
@@ -142,6 +170,7 @@ class ControlMessage:
         fields = self.__dict__
         fields["sim_time"] = sim_time
         fields["command"] = command
+        fields["_frame"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +263,9 @@ def encode(message: PerceptionMessage | ControlMessage) -> bytes:
                 + '],"sim_time":' + dump_value(sim_time)
                 + ',"type":"perception"}')
     elif isinstance(message, ControlMessage):
+        exact = type(message) is ControlMessage
+        if exact and message._frame is not None:
+            return message._frame
         sim_time = message.sim_time
         cmd = message.command
         throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
@@ -242,6 +274,11 @@ def encode(message: PerceptionMessage | ControlMessage) -> bytes:
                 + ',"steering":' + dump_value(steering)
                 + ',"throttle":' + dump_value(throttle)
                 + ',"type":"control"}')
+        payload = body.encode("utf-8")
+        frame = HEADER.pack(len(payload)) + payload
+        if exact and type(cmd) is ControlCommand and type(sim_time) is float:
+            message.__dict__["_frame"] = frame  # stored once written
+        return frame
     else:
         raise TypeError(f"cannot encode {type(message).__name__}")
     payload = body.encode("utf-8")
@@ -362,9 +399,9 @@ class ReferenceEgoAgent:
         return gap
 
     def step(self, perception: PerceptionMessage) -> ControlMessage:
-        ego = perception.ego
-        dist, steering, target = route_guidance(
-            self.route, ego, self.settings.cruise_speed)
+        ego, route = perception.ego, self.route
+        cruise = self.settings.cruise_speed
+        dist, steering, target = route_guidance(route, ego, cruise)
 
         if dist > OFF_ROUTE_LIMIT:
             if not self.off_route:
@@ -386,9 +423,29 @@ class ReferenceEgoAgent:
                 return ControlMessage(perception.sim_time,
                                       ControlCommand(0.0, brake, steering))
 
-        throttle, brake = self.speed_ctl.pedals(ego.speed, target, self.dt)
-        return ControlMessage(perception.sim_time,
-                              ControlCommand(throttle, brake, steering))
+        # the speed-tracking reply, kept in the ego state's _reply slot (see
+        # the module docstring); equal non-zero floats have equal bits
+        ctl, dt, sim_time = self.speed_ctl, self.dt, perception.sim_time
+        integral, prev_error = ctl.integral, ctl.prev_error
+        exact = (type(ego) is ActorState and type(ctl) is SpeedController
+                 and type(dt) is type(sim_time) is type(integral)
+                 is type(prev_error) is float
+                 and dt and sim_time and integral and prev_error)
+        if exact:
+            kept = ego._reply
+            if (kept is not None and kept[0] is route and kept[1] is cruise
+                    and kept[2] == dt and kept[3] == sim_time
+                    and kept[4] == integral and kept[5] == prev_error):
+                ctl.integral, ctl.prev_error = kept[7], kept[8]
+                return kept[6]
+        throttle, brake = ctl.pedals(ego.speed, target, dt)
+        reply = ControlMessage(sim_time,
+                               ControlCommand(throttle, brake, steering))
+        if exact and type(route) is Polyline:
+            ego.__dict__["_reply"] = (route, cruise, dt, sim_time, integral,
+                                      prev_error, reply, ctl.integral,
+                                      ctl.prev_error)
+        return reply
 
 
 def route_guidance(route: Polyline, ego: ActorState, cruise_speed: float

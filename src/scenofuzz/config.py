@@ -89,8 +89,8 @@ OPTIONAL_INTEGER_KEYS = (
 # the most simulation steps, duration_limit / dt, a scenario may take; every
 # shipped config takes 300
 MAX_STEPS = 100_000
-# the most vectors a population or a surrogate's bootstrap may hold: search
-# builds them all before the budget is checked
+# the most vectors a population, a surrogate's bootstrap or a batch may hold,
+# and the most workers: search builds them all before the budget is checked
 MAX_POPULATION = 10_000
 
 # Each (key, op, bound) requires ``value <op> bound`` of a set value; a bound
@@ -105,6 +105,7 @@ BOUNDS = (
     ("scenario.mutation_space.delay_low", "<=",
      "scenario.mutation_space.delay_high"),
     ("scenario_runner.parameters.worker_pool", ">=", 1),
+    ("scenario_runner.parameters.worker_pool", "<=", MAX_POPULATION),
     ("scenario_runner.parameters.dt", ">", 0),
     ("scenario_runner.parameters.agent.cruise_speed", ">", 0),
     ("testing_engine.algorithm.parameters.max_evaluations", ">=", 1),
@@ -114,6 +115,7 @@ BOUNDS = (
     ("testing_engine.algorithm.parameters.run_hour", ">", 0),
     ("testing_engine.algorithm.parameters.local_run_hour", ">=", 0),
     ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
+    ("testing_engine.algorithm.parameters.batch_size", "<=", MAX_POPULATION),
     ("testing_engine.algorithm.parameters.pm", ">=", 0),
     ("testing_engine.algorithm.parameters.pm", "<=", 1),
     ("testing_engine.algorithm.parameters.pc", ">=", 0),

@@ -30,18 +30,27 @@ heading, speed, acceleration, length, width, throttle, brake, steering and
 and a NaN equals nothing.  A miss whose new state packs to the key's bits
 stores and returns the input itself; a hit returns the stored ``ActorState``
 itself, so the physics is skipped, the bridge frame and recording reuse its
-``_text`` and the reference agent its ``_guide``.  The step is a function of
-those bits alone, so a hit gives what a fresh step would.  Only an exact
-``ActorState`` with an exact ``str`` id and kind, exact ``float`` fields, an
-exact ``ControlCommand`` and a ``float`` ``dt`` is looked up and stored: an
-int or bool packs like a float but writes other text.  The memo is cleared
-whenever it holds ``STEP_MEMO_LIMIT`` states, about 1.3 KB each with their
-text, so a full memo holds about 1 MB.  Worker threads share it; a dict's get,
-set and clear each hold the interpreter lock, so two threads that race on one
-key each get an exact state, and threads that race past the size check leave
-at most one extra entry each.  ``tests/test_simulator.py`` checks the memo
-against the uncached step (the ``test_step_memo_*`` and ``test_held_step_*``
-tests).
+``_text`` and the reference agent its ``_guide`` and ``_reply``.  The step
+is a function of those bits alone, so a hit gives what a fresh step would.
+The memo's answer for a state is also kept on the state: when it is another
+state, ``(cmd, dt, new)`` goes into the state's ``_next`` slot, and a later
+step of the state with the very same command and ``dt`` objects returns
+``new`` before packing any bits.  The agent returns its kept reply, so the
+ego's repeated trajectory hands the same command object to each step.  A
+held state stores no link, so no state links to itself, and a state links
+only to the state it was last stepped to, so a trajectory the memo has
+cleared lives only as long as something else holds its states.  Only an
+exact ``ActorState`` with an exact ``str`` id and kind, exact ``float``
+fields, an exact ``ControlCommand`` and a ``float`` ``dt`` is looked up and
+stored: an int or bool packs like a float but writes other text.  The memo
+is cleared whenever it holds ``STEP_MEMO_LIMIT`` states, about 1.6 KB each
+with their slots filled (measured on avfuzzer campaigns), so a full memo
+holds about 1.2 MB.  Worker threads share it; a dict's get, set and clear
+each hold the interpreter lock, so two threads that race on one key each get
+an exact state, and threads that race past the size check leave at most one
+extra entry each; a link is one dict store too.  ``tests/test_simulator.py``
+checks the memo and the links against the uncached step (the
+``test_step_memo_*``, ``test_next_step_*`` and ``test_held_step_*`` tests).
 
 Speed tracking has fixed gains, the constants ``KP``, ``KI``, ``KD`` and
 ``INTEGRAL_LIMIT``.  ``KD`` is 0.0 but its term stays in the pedal sum: for a
@@ -117,18 +126,26 @@ ACTOR_KINDS = ("ego", "npc", "static")
 class ActorState:
     """One actor's pose and motion at one instant.
 
-    Besides its fields, every instance holds two slots that are ``None``
-    until filled, and stay ``None`` in a subclass: ``_text``, the canonical
-    JSON ``bridge.actor_text`` writes for every frame and recording holding
-    this object, and ``_guide``, ``(route, cruise_speed, guidance,
-    lateral)``: the route guidance ``bridge.route_guidance`` computes, with
-    the route and cruise-speed objects it was computed for and the signed
-    lateral offset from the route that search feedback reads.  Neither is a
-    field, so equality, hashing, ``repr`` and ``dataclasses.replace`` (which
-    starts a new object with ``None``) ignore them.  The text is a pure
-    function of the frozen fields, and the guidance and offset of those and
-    of the route and cruise speed stored with them, so reusing either slot
-    cannot change a byte.
+    Besides its fields, every instance holds four slots that are ``None``
+    until filled, and stay ``None`` in a subclass:
+
+    - ``_text``, the canonical JSON ``bridge.actor_text`` writes for every
+      frame and recording holding this object;
+    - ``_guide``, ``(route, cruise_speed, guidance, lateral)``: the route
+      guidance ``bridge.route_guidance`` computes, with the route and
+      cruise-speed objects it was computed for and the signed lateral
+      offset from the route that search feedback reads;
+    - ``_reply``, the reference agent's speed-tracking reply with the
+      inputs it was computed from (see ``bridge``);
+    - ``_next``, ``(cmd, dt, new)``: the state the step memo gave for this
+      state under these very command and ``dt`` objects (see
+      ``step_kinematic``).
+
+    None is a field, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` (which starts a new object with ``None``) ignore
+    them.  Each holds a pure function of the frozen fields and of the
+    objects or values stored with it, so reusing a slot cannot change a
+    byte.
     """
 
     actor_id: str
@@ -161,6 +178,8 @@ class ActorState:
         fields["width"] = width
         fields["_text"] = None
         fields["_guide"] = None
+        fields["_next"] = None
+        fields["_reply"] = None
 
 
 @dataclass(frozen=True, init=False)
@@ -175,7 +194,7 @@ class WorldState:
         fields["actors"] = actors
 
 
-STEP_MEMO_LIMIT = 768  # ego and parked steps held before a clear: <= 1 MB
+STEP_MEMO_LIMIT = 768  # ego and parked steps held before a clear: ~1.2 MB
 _steps: dict[tuple[str, str, bytes], ActorState] = {}
 _step = _steps.get
 _step_bits = struct.Struct("<11d").pack
@@ -190,34 +209,41 @@ def step_kinematic(state: ActorState, cmd: ControlCommand,
     Position and heading advance with the speed at the start of the step;
     speed is clamped to [0, V_MAX] after applying net acceleration.  An ego
     step, or a step at rest under ``BRAKE_COMMAND``, is looked up in the
-    step memo, and a step that changes no bit returns ``state`` itself (see
-    the module docstring).
+    step memo, and a step that changes no bit returns ``state`` itself; a
+    state's ``_next`` slot gives back the memo's last answer for the same
+    command and ``dt`` objects (see the module docstring).
     """
-    if (type(state) is ActorState and type(cmd) is ControlCommand
-            and (state.kind == "ego"
-                 or cmd is BRAKE_COMMAND and state.speed == 0.0)):
-        actor_id, kind, x, y, heading, speed, acceleration, length, width = \
-            _step_inputs(state)
-        throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
-        if (type(actor_id) is type(kind) is str
-                and type(x) is type(y) is type(heading) is type(speed)
-                is type(acceleration) is type(length) is type(width)
-                is type(throttle) is type(brake) is type(steering)
-                is type(dt) is float):
-            bits = _step_bits(x, y, heading, speed, acceleration, length,
-                              width, throttle, brake, steering, dt)
-            key = (actor_id, kind, bits)
-            new = _step(key)
-            if new is None:
-                new = _step_kinematic(state, cmd, dt)
-                if _step_bits(new.x, new.y, new.heading, new.speed,
-                              new.acceleration, length, width, throttle,
-                              brake, steering, dt) == bits:
-                    new = state
-                if len(_steps) >= STEP_MEMO_LIMIT:
-                    _steps.clear()
-                _steps[key] = new
-            return new
+    if type(state) is ActorState:
+        last = state._next
+        if last is not None and last[0] is cmd and last[1] is dt:
+            return last[2]
+        if type(cmd) is ControlCommand and (
+                state.kind == "ego"
+                or cmd is BRAKE_COMMAND and state.speed == 0.0):
+            (actor_id, kind, x, y, heading, speed, acceleration, length,
+             width) = _step_inputs(state)
+            throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
+            if (type(actor_id) is type(kind) is str
+                    and type(x) is type(y) is type(heading) is type(speed)
+                    is type(acceleration) is type(length) is type(width)
+                    is type(throttle) is type(brake) is type(steering)
+                    is type(dt) is float):
+                bits = _step_bits(x, y, heading, speed, acceleration, length,
+                                  width, throttle, brake, steering, dt)
+                key = (actor_id, kind, bits)
+                new = _step(key)
+                if new is None:
+                    new = _step_kinematic(state, cmd, dt)
+                    if _step_bits(new.x, new.y, new.heading, new.speed,
+                                  new.acceleration, length, width, throttle,
+                                  brake, steering, dt) == bits:
+                        new = state
+                    if len(_steps) >= STEP_MEMO_LIMIT:
+                        _steps.clear()
+                    _steps[key] = new
+                if new is not state:  # a held state keeps no link to itself
+                    state.__dict__["_next"] = (cmd, dt, new)
+                return new
     return _step_kinematic(state, cmd, dt)
 
 

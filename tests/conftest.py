@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from scenofuzz import canonical, runner, simulator
+from scenofuzz import bridge, canonical, runner, simulator
 from scenofuzz.bridge import AgentSettings
 from scenofuzz.engine import campaign
 from scenofuzz.engine.template import MissionSpec, build_template
@@ -23,35 +24,46 @@ def step_memo():
     return simulator._steps
 
 
+# The slots each value class keeps besides its fields, shadowed by
+# ``caches_off``.
+SLOTS = {simulator.ActorState: ("_text", "_guide", "_next", "_reply"),
+         bridge.ControlMessage: ("_frame",)}
+
+
 @pytest.fixture
 def caches_off():
     """A context manager under which every same-bytes cache misses: each
     lookup is patched to find nothing, while stores go on as before.
 
     - the canonical encoder's float memo (``canonical._float_text``);
-    - the actor ``_text`` slot and the ego ``_guide`` slot, read through
-      class properties that shadow the instance slots;
+    - the actor ``_text`` and ``_next`` slots, the ego ``_guide`` and
+      ``_reply`` slots and the control message's ``_frame`` slot, read
+      through class properties that shadow the instance slots;
     - the simulator's step memo (``simulator._step``);
     - the mission each ``ExecutionSettings`` builds once, built afresh on
       every read;
     - the campaign's scenario memo, whose key (``CampaignContext._key``) is
       None, so every evaluation is simulated.
 
-    A name it patches that is gone fails the test that asked for it.
+    A name it patches that is gone fails the test that asked for it, and so
+    does a slot of a fresh state or message that it does not shadow.
     """
-    slots = vars(simulator.ActorState("ego", "ego", 0.0, 0.0, 0.0))
-    assert {"_text", "_guide"} <= set(slots), "an actor slot is gone"
+    fresh = (simulator.ActorState("ego", "ego", 0.0, 0.0, 0.0),
+             bridge.ControlMessage(0.0, simulator.ControlCommand()))
+    for obj in fresh:
+        slots = set(vars(obj)) - {f.name for f in dataclasses.fields(obj)}
+        assert slots == set(SLOTS[type(obj)]), \
+            f"{type(obj).__name__} slots {sorted(slots)} are not all shadowed"
 
     @contextlib.contextmanager
     def off():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(canonical, "_float_text", lambda value: None)
             patch.setattr(simulator, "_step", lambda key: None)
-            unfilled = property(lambda actor: None)
-            patch.setattr(simulator.ActorState, "_text", unfilled,
-                          raising=False)
-            patch.setattr(simulator.ActorState, "_guide", unfilled,
-                          raising=False)
+            unfilled = property(lambda obj: None)
+            for cls, names in SLOTS.items():
+                for name in names:
+                    patch.setattr(cls, name, unfilled, raising=False)
             patch.setattr(campaign.ExecutionSettings, "mission", property(
                 lambda settings: runner.mission_path(settings.template,
                                                      settings.lane_map)))

@@ -30,7 +30,8 @@ from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import CampaignBudget, CampaignContext, run_campaign
 from scenofuzz.geometry import Polyline
 from scenofuzz.simulator import (ACTOR_KINDS, ActorState, ControlCommand,
-                                 pure_pursuit_steering)
+                                 SpeedController, pure_pursuit_steering,
+                                 step_kinematic)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -1089,6 +1090,368 @@ def test_guide_memo_keeps_campaign_logs(computed, step_memo, tmp_path):
     step_memo.clear()
     assert campaign("cleared") == cold
     assert len(computed) == cold_computed
+
+
+# ---------------------------------------------------------------------------
+# the reply memo: the speed-tracking reply kept in the ego state's _reply
+# slot, and each control message's frame in its _frame slot
+
+
+def _step_bits(step, p):
+    """The reply's bits, or the exception's type and message."""
+    try:
+        return _reply_bits(step(p))
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_reply_memo_equals_the_reference_step(bundled_missions):
+    """Whole control sequences and the agent's state after each step match
+    the reference bit for bit on every bundled mission: cold, then warm on
+    a second agent, which is served the first agent's replies, then warm on
+    the first agent, whose controller has moved on."""
+    rng = random.Random(1618)
+    steps = served = 0
+    for _, mission in bundled_missions:
+        perceptions = _guided_perceptions(mission.path, rng)
+        for cruise in GUIDED_CRUISE_SPEEDS:
+            settings = AgentSettings(cruise_speed=cruise)
+            first = ReferenceEgoAgent(mission.path, settings)
+            second = ReferenceEgoAgent(mission.path, settings)
+            first_ref = ReferenceEgoAgent(mission.path, settings)
+            second_ref = ReferenceEgoAgent(mission.path, settings)
+            passes = []
+            for agent, reference in ((first, first_ref), (second, second_ref),
+                                     (first, first_ref)):
+                replies = []
+                for p in perceptions:
+                    reply = agent.step(p)
+                    assert _reply_bits(reply) == \
+                        _reply_bits(agent_step(reference, p)), p
+                    assert _agent_bits(agent) == _agent_bits(reference)
+                    replies.append(reply)
+                passes.append(replies)
+                steps += len(perceptions)
+            served += sum(a is b for a, b in zip(passes[0], passes[1]))
+    assert steps == 3 * 32 * len(GUIDED_CRUISE_SPEEDS) * len(perceptions)
+    # the second agent is served most of its replies: each speed-tracking
+    # one but the first, whose controller has no previous error yet, and
+    # the one at time 0.0 (4586 of 6400 here)
+    assert served > steps // 3 // 2, (served, steps)
+
+
+def test_reply_memo_hit_needs_every_input():
+    cruise = 8.0
+    settings = AgentSettings(cruise_speed=cruise)
+    ego = actor(x=50.0, y=-1.0, heading=0.05, speed=6.0)
+    p = perception(ego, t=2.0)
+
+    def agent_in(integral=1.0, prev_error=0.25, route=ROUTE, dt=0.1,
+                 agent_settings=settings):
+        agent = ReferenceEgoAgent(route, agent_settings, dt)
+        agent.speed_ctl.integral, agent.speed_ctl.prev_error = \
+            integral, prev_error
+        return agent
+
+    first = agent_in()
+    reply = first.step(p)
+    ctl = first.speed_ctl
+    assert ego._reply == (ROUTE, cruise, 0.1, 2.0, 1.0, 0.25, reply,
+                          ctl.integral, ctl.prev_error)
+    assert ego._reply[0] is ROUTE and ego._reply[1] is cruise
+    # another agent in the same state is served the same message, and its
+    # controller moves as the first one's did; equal, not identical, times
+    # and steps hit too
+    slot = ego._reply
+    for again, q in ((agent_in(), p), (agent_in(dt=float("0.1")), p),
+                     (agent_in(), perception(ego, t=float("2.0")))):
+        assert again.step(q) is reply
+        assert _agent_bits(again) == _agent_bits(first)
+        assert ego._reply is slot
+    # each changed input misses and is computed as the reference computes
+    # it; an exact one replaces the slot, and an equal value of another
+    # type, or no previous error, stores nothing, so no exact call is ever
+    # served what it computed
+    misses = [
+        ("other route object", agent_in(route=straight_route()), p),
+        ("other cruise-speed object", agent_in(
+            agent_settings=AgentSettings(cruise_speed=float("8.0"))), p),
+        ("other dt", agent_in(dt=0.05), p),
+        ("other time", agent_in(), perception(ego, t=math.nextafter(2.0, 3.0))),
+        ("other integral", agent_in(integral=math.nextafter(1.0, 2.0)), p),
+        ("other previous error", agent_in(prev_error=0.125), p),
+    ]
+    unstored = [
+        ("no previous error", agent_in(prev_error=None), p),
+        ("int time", agent_in(), perception(ego, t=2)),
+        ("float-subclass time", agent_in(), perception(ego, t=Tagged(2.0))),
+        ("int integral", agent_in(integral=1), p),
+        ("numpy integral", agent_in(integral=np.float64(1.0)), p),
+        ("numpy previous error", agent_in(prev_error=np.float64(0.25)), p),
+        ("int dt", agent_in(dt=1), p),
+    ]
+    for stores, cases in ((True, misses), (False, unstored)):
+        for name, agent, q in cases:
+            ego.__dict__["_reply"] = slot
+            reference = agent_in(route=agent.route, dt=agent.dt,
+                                 agent_settings=agent.settings)
+            reference.speed_ctl.integral = agent.speed_ctl.integral
+            reference.speed_ctl.prev_error = agent.speed_ctl.prev_error
+            got = agent.step(q)
+            assert got is not reply, name
+            assert _reply_bits(got) == \
+                _reply_bits(agent_step(reference, q)), name
+            assert _agent_bits(agent) == _agent_bits(reference), name
+            assert (ego._reply[6] is got) if stores else \
+                (ego._reply is slot), name
+
+
+class SubController(SpeedController):
+    pass
+
+
+class SubCommand(ControlCommand):
+    pass
+
+
+class SubMessage(ControlMessage):
+    pass
+
+
+def test_reply_memo_is_bypassed_for_subclasses():
+    """A subclassed state or route stores no reply, and an agent with a
+    subclassed speed controller is never served one."""
+    args = ("ego", "ego", 50.0, -1.0, 0.05, 6.0)
+    kept_ego = ActorState(*args)
+    filler = ReferenceEgoAgent(ROUTE)
+    filler.speed_ctl.integral, filler.speed_ctl.prev_error = 0.5, 0.25
+    kept = filler.step(perception(kept_ego, t=1.5))
+    slot = kept_ego._reply
+    assert slot[6] is kept
+    cases = [("subclass state", ROUTE, SubState(*args), SpeedController),
+             ("subclass route", SubPolyline(ROUTE.points), ActorState(*args),
+              SpeedController),
+             ("subclass controller", ROUTE, kept_ego, SubController)]
+    for name, route, ego, controller in cases:
+        p = perception(ego, t=1.5)
+        replies = []
+        for _ in range(2):
+            agent = ReferenceEgoAgent(route)
+            agent.speed_ctl = controller()
+            reference = ReferenceEgoAgent(route)
+            for a in (agent, reference):
+                a.speed_ctl.integral, a.speed_ctl.prev_error = 0.5, 0.25
+            replies.append(agent.step(p))
+            assert _reply_bits(replies[-1]) == \
+                _reply_bits(agent_step(reference, p)), name
+            assert _agent_bits(agent) == _agent_bits(reference), name
+        assert replies[0] is not kept and replies[1] is not kept, name
+        assert replies[0] is not replies[1], name
+        assert ego._reply is (slot if ego is kept_ego else None), name
+
+
+# (integral, prev_error): signed zeros, None, NaN, the anti-windup bounds
+# and the smallest subnormals
+CONTROLLER_STATES = [
+    (0.0, None), (-0.0, None), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0),
+    (-0.0, 0.0), (0.5, 0.0), (0.5, -0.0), (-0.0, 0.25), (0.5, 0.25),
+    (math.nan, 0.25), (0.5, math.nan), (2.0, -1.5), (-2.0, 1.0),
+    (5e-324, -5e-324), (-5e-324, 5e-324)]
+
+
+def test_reply_memo_keeps_signed_zero_and_nan_controller_states():
+    """Each controller state fills the slot of each state, then every other
+    state steps it: each step equals the reference, faults included, and
+    states equal as floats but of other bits are never served each other's
+    replies."""
+    path = straight_route()
+    egos = [actor(x=80.0, y=0.5, heading=0.0, speed=speed)
+            for speed in (0.0, -0.0, 6.0)]
+    outcomes = []
+    for cruise in (-0.0, 0.0, 8.0):
+        settings = AgentSettings(cruise_speed=cruise)
+        for ego in egos:
+            p = perception(ego, t=2.5)
+            for fill in CONTROLLER_STATES:
+                filler = ReferenceEgoAgent(path, settings)
+                filler.speed_ctl.integral, filler.speed_ctl.prev_error = fill
+                _step_bits(filler.step, p)
+                for state in CONTROLLER_STATES:
+                    agent = ReferenceEgoAgent(path, settings)
+                    reference = ReferenceEgoAgent(path, settings)
+                    for a in (agent, reference):
+                        a.speed_ctl.integral, a.speed_ctl.prev_error = state
+                    got = _step_bits(agent.step, p)
+                    expected = _step_bits(
+                        lambda q: agent_step(reference, q), p)
+                    assert got == expected, (cruise, ego, fill, state)
+                    assert _agent_bits(agent) == _agent_bits(reference)
+                    outcomes.append(got)
+    # a zero's sign reaches the reply: some states track with -0.0 throttle
+    assert any(len(bits) == 6 and bits[3] == _bits(-0.0)
+               for bits in outcomes)
+    # and a NaN faults in the command, as in the reference
+    assert any(bits[0] is ValueError for bits in outcomes)
+
+
+def test_reply_memo_leaves_the_other_branches_to_every_call(caplog):
+    """A state whose slot holds a reply still brakes for the vehicle ahead,
+    brakes hard at a short gap and holds full brake off route; an agent
+    that ignores obstacles is served the reply."""
+    caplog.set_level(logging.WARNING, logger=bridge.__name__)
+    ego = actor(x=50.0, y=0.2, heading=0.0, speed=8.0)
+    agent = ReferenceEgoAgent(ROUTE)
+    agent.speed_ctl.integral, agent.speed_ctl.prev_error = 0.5, 0.25
+    tracked = agent.step(perception(ego, t=3.0))
+    assert ego._reply[6] is tracked
+    # a vehicle ahead at a long headway, a short one, and gaps under the
+    # hard-stop gap
+    for ahead, tracks in ((24.0, True), (12.0, False), (8.0, False),
+                          (4.0, False)):
+        lead = actor("npc_1", "npc", x=50.0 + ahead, y=0.2, speed=2.0)
+        p = perception(ego, [lead], t=3.0)
+        for settings, served in ((AgentSettings(), tracks),
+                                 (AgentSettings(fault_ignore_obstacles=True),
+                                  True)):
+            agent = ReferenceEgoAgent(ROUTE, settings)
+            reference = ReferenceEgoAgent(ROUTE, settings)
+            for a in (agent, reference):
+                a.speed_ctl.integral, a.speed_ctl.prev_error = 0.5, 0.25
+            got = agent.step(p)
+            assert (got is tracked) is served
+            assert _reply_bits(got) == _reply_bits(agent_step(reference, p))
+            assert _agent_bits(agent) == _agent_bits(reference)
+    # off route: the slot is never read, and each agent warns once
+    far = actor(x=50.0, y=30.0, speed=8.0)
+    far.__dict__["_reply"] = ego._reply
+    for _ in range(2):
+        agent = ReferenceEgoAgent(ROUTE)
+        agent.speed_ctl.integral, agent.speed_ctl.prev_error = 0.5, 0.25
+        for _ in range(2):
+            assert agent.step(perception(far, t=3.0)).command == \
+                ControlCommand(0.0, 1.0, 0.0)
+        assert agent.off_route
+    assert len(caplog.records) == 2
+
+
+def _trajectories(rng, settings_pair):
+    """Perception sequences of an ego driving the route from a few seeded
+    starts, the states shared between sequences as the step memo shares
+    them, with the replies a fresh reference agent gives under each
+    settings object."""
+    pool = []
+    for _ in range(6):
+        ego = actor(x=rng.uniform(0.0, 60.0), y=rng.uniform(-1.0, 1.0),
+                    heading=rng.uniform(-0.1, 0.1),
+                    speed=rng.uniform(0.0, 10.0))
+        t, perceptions = 0.0, []
+        pilot = ReferenceEgoAgent(ROUTE, settings_pair[0])
+        for _ in range(40):
+            p = perception(ego, t=t)
+            perceptions.append(p)
+            ego = step_kinematic(ego, agent_step(pilot, p).command, 0.1)
+            t += 0.1
+        expected = []
+        for settings in settings_pair:
+            reference = ReferenceEgoAgent(ROUTE, settings)
+            expected.append([(_reply_bits(agent_step(reference, p)),
+                              _agent_bits(reference)) for p in perceptions])
+        pool.append((perceptions, expected))
+    return pool
+
+
+def test_reply_memo_served_to_threads_is_exact(step_memo):
+    """More threads than cores, switching often, each driving fresh agents
+    along shared trajectories under two cruise-speed objects, so threads
+    are served each other's replies and race on replacing them."""
+    threads_n = 2 * (os.cpu_count() or 1) + 2
+    settings_pair = (AgentSettings(), AgentSettings(cruise_speed=6.5))
+    pool = _trajectories(random.Random(33), settings_pair)
+    wrong = []
+    served = []
+
+    def drive(seed):
+        local = random.Random(seed)
+        for _ in range(48):
+            perceptions, expected = local.choice(pool)
+            which = local.randrange(2)
+            agent = ReferenceEgoAgent(ROUTE, settings_pair[which])
+            for p, want in zip(perceptions, expected[which]):
+                kept = p.ego._reply
+                reply = agent.step(p)
+                if kept is not None and kept[6] is reply:
+                    served.append(reply)
+                if (_reply_bits(reply), _agent_bits(agent)) != want:
+                    wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drive, args=(seed,))
+                   for seed in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert served
+
+
+def test_control_frame_is_stored_once_per_message():
+    msg = ControlMessage(3.7, ControlCommand(0.25, 0.0, -0.31))
+    assert msg._frame is None
+    frame = encode(msg)
+    assert frame == reference_encode(msg) and msg._frame is frame
+    assert encode(msg) is frame and encode(msg) == reference_encode(msg)
+    # the frame is no field: equality, hash and repr ignore it
+    copy = dataclasses.replace(msg)
+    assert copy._frame is None
+    assert copy == msg and hash(copy) == hash(msg)
+    assert repr(copy) == repr(msg) and "_frame" not in repr(msg)
+    # a reply served from the reply memo is encoded once
+    ego = actor(x=50.0, y=-1.0, heading=0.05, speed=6.0)
+    replies = []
+    for _ in range(3):
+        agent = ReferenceEgoAgent(ROUTE)
+        agent.speed_ctl.integral, agent.speed_ctl.prev_error = 0.5, 0.25
+        replies.append(agent.step(perception(ego, t=1.5)))
+        encode(replies[-1])
+    assert replies[0] is replies[1] is replies[2]
+    assert replies[0]._frame == reference_encode(replies[0])
+
+
+@pytest.mark.parametrize("message", [
+    ControlMessage(math.nan, ControlCommand()),
+    ControlMessage(math.inf, ControlCommand(0.5, 0.0, 0.1)),
+    ControlMessage(-math.inf, ControlCommand()),
+    with_field(ControlMessage(1.0, ControlCommand()), "command",
+               with_field(ControlCommand(), "brake", math.nan)),
+], ids=["nan-time", "inf-time", "minus-inf-time", "nan-brake"])
+def test_a_failed_control_frame_stores_nothing(message):
+    expected = _outcome(reference_encode, message)
+    assert expected[0] is canonical.CanonicalError
+    for _ in range(2):  # raises every time
+        assert _outcome(encode, message) == expected
+        assert message._frame is None
+
+
+@pytest.mark.parametrize("message", [
+    SubMessage(1.5, ControlCommand(0.5, 0.0, 0.1)),
+    ControlMessage(1.5, SubCommand(0.5, 0.0, 0.1)),
+    ControlMessage(1, ControlCommand(0.5, 0.0, 0.1)),
+    ControlMessage(Tagged(1.5), ControlCommand(0.5, 0.0, 0.1)),
+    ControlMessage(1.5, types.SimpleNamespace(throttle=0.5, brake=0.0,
+                                              steering=0.1)),
+], ids=["subclass-message", "subclass-command", "int-time",
+        "float-subclass-time", "duck-command"])
+def test_other_control_messages_are_encoded_afresh(message):
+    frames = [encode(message) for _ in range(2)]
+    assert frames[0] == frames[1] == reference_encode(message)
+    assert frames[0] is not frames[1]
+    assert message._frame is None
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,27 @@ class TestStrictness:
             f"testing_engine.algorithm.parameters.{name}": value}))
         assert config.algorithm_params[name] == value
 
+    @pytest.mark.parametrize("key", [
+        "scenario_runner.parameters.worker_pool",
+        "testing_engine.algorithm.parameters.batch_size"])
+    @pytest.mark.parametrize("value", [MAX_POPULATION + 1, 10**9, 2**70])
+    def test_batch_and_worker_counts_are_bounded(self, key, value):
+        """random search samples a whole batch, worker_pool vectors when
+        batch_size is unset, before the budget is checked; parsed only."""
+        with pytest.raises(ConfigError) as err:
+            load_config(CONFIG_DIR / "random.yaml", {key: value})
+        assert str(err.value) == f"{key}: must be <= {MAX_POPULATION}"
+
+    def test_batch_and_worker_count_bounds_accepted(self):
+        pool = "scenario_runner.parameters.worker_pool"
+        batch = "testing_engine.algorithm.parameters.batch_size"
+        for overrides in ({pool: MAX_POPULATION},
+                          {batch: MAX_POPULATION, pool: 1}):
+            config = load_config(CONFIG_DIR / "random.yaml", overrides)
+            assert config.worker_pool == overrides[pool]
+            assert config.algorithm_params.get("batch_size") == \
+                overrides.get(batch)
+
     @pytest.mark.parametrize("path,value", [
         ("scenario_runner.parameters.dt", 5e-324),
         ("scenario_runner.parameters.dt", 1e-7),

@@ -22,12 +22,21 @@ it accepts builds the mission's route and the search template within
 A perception frame of the config's campaign is mutated the same way.  The
 property: ``decode`` raises only ``FrameError``, or the reference agent
 steps on the message it decodes with no exception.
+
+Each shipped config is mutated in every way at once: each value deleted
+and swapped for each of ``CONFIG_ODD_VALUES``, and a key added to each
+mapping, each case within ``CONFIG_CASE_SECONDS``.  The property:
+``load_config`` raises only ``ConfigError``; a config it accepts builds,
+or ``build_execution`` refuses it with ``ConfigError`` (a scenario
+``validate`` faults) or ``MapFormatError``, and runs a 2-evaluation
+campaign with no exception.  Each distinct campaign runs once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import json
 import random
 import signal
@@ -35,13 +44,14 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import yaml
 
 from scenofuzz.bridge import (HEADER, FrameError, InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, decode,
                               encode)
-from scenofuzz.config import build_execution, load_config
-from scenofuzz.engine.campaign import (RECORDINGS_DIR, CampaignContext,
-                                       run_campaign)
+from scenofuzz.config import ConfigError, build_execution, load_config
+from scenofuzz.engine.campaign import (RECORDINGS_DIR, CampaignBudget,
+                                       CampaignContext, run_campaign)
 from scenofuzz.engine.feedback import compute_feedback
 from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.lanemap import MapFormatError, load_map_document
@@ -62,6 +72,11 @@ FRAME_CASES = 2000
 # what a value may be swapped for
 ODD_VALUES = (None, True, False, 0, -0.0, 1e308, -1e308, 5e-324, "", [], {},
               2**70)
+# what a config value is swapped for: ODD_VALUES less the ones the config
+# parser takes alike (False as True, {} as [], -1e308 as -0.0)
+CONFIG_ODD_VALUES = (None, True, 0, -0.0, 1e308, 5e-324, "", [], 2**70)
+CONFIG_CASE_SECONDS = 3.0  # a 2-evaluation campaign takes tens of ms
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +296,72 @@ def test_mutated_perception_frames_are_refused_or_stepped_cleanly(shipped,
         except Exception as exc:  # every other exception is a finding
             failures.append(f"case {case} ({what}): {exc!r}")
     assert not failures, failures
+
+
+def config_mutations(original):
+    """``(what, doc)`` for every structural mutation of a config document:
+    each value deleted and swapped for each of ``CONFIG_ODD_VALUES``, and a
+    key added to each mapping."""
+    for index, (_, key) in enumerate(list(_sites(original))):
+        for pick in range(len(CONFIG_ODD_VALUES) + 1):
+            doc = copy.deepcopy(original)
+            container, _ = list(_sites(doc))[index]
+            if pick == 0:
+                del container[key]
+                yield f"delete {key!r}", doc
+            else:
+                odd = CONFIG_ODD_VALUES[pick - 1]
+                container[key] = copy.deepcopy(odd)
+                yield f"{key!r} = {odd!r}", doc
+    for index in range(len(_mappings(original))):
+        doc = copy.deepcopy(original)
+        _mappings(doc)[index]["fuzz"] = 0
+        yield f"add 'fuzz' to mapping {index}", doc
+
+
+def _mappings(doc):
+    return [doc] + [container[key] for container, key in _sites(doc)
+                    if isinstance(container[key], dict)]
+
+
+def check_config(path: Path, ran: set) -> None:
+    try:
+        config = load_config(path)
+    except ConfigError as exc:
+        assert str(exc)
+        return
+    # run each distinct campaign once: what an in-memory campaign never
+    # reads is left out of the key
+    key = repr(dataclasses.replace(config, debug=False, resume=False,
+                                   output_root="", container_name=""))
+    if key in ran:
+        return
+    ran.add(key)
+    try:
+        settings, _, params = build_execution(config)
+    except (ConfigError, MapFormatError) as exc:
+        assert str(exc)
+        return
+    ctx = CampaignContext(settings, CampaignBudget(max_evaluations=2),
+                          workers=config.worker_pool)
+    run_campaign(config.algorithm, ctx, params)
+    assert ctx.completed == 2
+
+
+def test_mutated_configs_are_refused_or_run_cleanly(tmp_path):
+    path = tmp_path / "case.yaml"
+    ran: set = set()
+    failures = []
+    cases = 0
+    for shipped in sorted(CONFIG_DIR.glob("*.yaml")):
+        original = yaml.safe_load(shipped.read_bytes())
+        for what, doc in config_mutations(original):
+            path.write_text(yaml.dump(doc, Dumper=_DUMPER))
+            cases += 1
+            try:
+                with deadline(CONFIG_CASE_SECONDS):
+                    check_config(path, ran)
+            except Exception as exc:  # every other exception is a finding
+                failures.append(f"{shipped.name} ({what}): {exc!r}")
+    assert not failures, failures
+    assert cases > 1000 and len(ran) > 100, (cases, len(ran))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import inspect
 import math
 import os
@@ -889,6 +890,7 @@ def test_step_memo_is_bypassed_for_inexact_inputs(step_memo, name, state,
             _reference_step_kinematic(state, cmd, dt))
         assert step_memo == stored
         assert all(step_memo[key] is value for key, value in stored.items())
+        assert state._next is None
 
 
 def test_step_memo_stays_bounded_with_every_step_exact(step_memo):
@@ -963,6 +965,114 @@ def test_step_memo_keeps_campaign_logs(step_memo, tmp_path):
     step_memo.clear()
     assert campaign("cleared") == cold
     assert step_memo.keys() == stored.keys()
+
+
+def _twin(state):
+    """A state with the same field values as given and every slot empty."""
+    twin = ActorState(state.actor_id, state.kind, 0.0, 0.0, 0.0)
+    twin.__dict__.update((f.name, getattr(state, f.name))
+                         for f in fields(state))
+    return twin
+
+
+def test_next_step_equals_the_uncached_step(step_memo):
+    """Each state the memo steps to another keeps that one in its ``_next``
+    slot.  The second pass over the same states follows the slots, and a
+    pass over twins of the states takes the step memo, as the second pass
+    did before the slots; every step equals the uncached step bit for
+    bit."""
+    cases = _memo_inputs()
+    twins = [(_twin(state), cmd, dt) for state, cmd, dt in cases]
+    for run in (cases, cases, twins):
+        for state, cmd, dt in run:
+            assert _stepped(state, cmd, dt) == _uncached(state, cmd, dt), \
+                (state, cmd, dt)
+    linked = 0
+    for state, cmd, dt in cases:
+        link = state._next
+        if link is not None:
+            assert link[0] is cmd and link[1] is dt
+            assert type(link[2]) is ActorState and link[2] is not state
+            linked += 1
+    assert 0 < linked < len(cases)
+
+
+def test_next_step_is_followed_before_any_bits(step_memo, monkeypatch):
+    packed = []
+    pack = simulator._step_bits
+
+    def counted(*values):
+        packed.append(values)
+        return pack(*values)
+
+    monkeypatch.setattr(simulator, "_step_bits", counted)
+    state, cmd = _ego(), ControlCommand(0.5, 0.0, 0.1)
+    new = step_kinematic(state, cmd, DT)
+    assert state._next == (cmd, DT, new) and state._next[0] is cmd
+    assert new._next is None
+    packs = len(packed)
+    assert step_kinematic(state, cmd, DT) is new and len(packed) == packs
+    # an equal command or step of another object takes the bits memo, which
+    # gives the same state, and links the state to the new objects
+    for other_cmd, other_dt in ((ControlCommand(0.5, 0.0, 0.1), DT),
+                                (cmd, float("0.1"))):
+        assert other_cmd is not cmd or other_dt is not DT
+        assert step_kinematic(state, other_cmd, other_dt) is new
+        assert len(packed) == packs + 1
+        assert state._next[0] is other_cmd and state._next[1] is other_dt
+        packs = len(packed)
+    # the link outlives a clear of the memo
+    step_memo.clear()
+    assert step_kinematic(state, cmd, other_dt) is new
+    assert len(packed) == packs and not step_memo
+    # another command replaces the link
+    turn = ControlCommand(0.5, 0.0, -0.1)
+    turned = step_kinematic(state, turn, DT)
+    assert turned != new and state._next == (turn, DT, turned)
+    # a held state links to nothing
+    parked = step_kinematic(_ego(speed=0.0), BRAKE_COMMAND, DT)
+    assert step_kinematic(parked, BRAKE_COMMAND, DT) is parked
+    assert parked._next is None
+    # the link is no field: equality, hash and repr ignore it
+    copy = replace(state)
+    assert copy._next is None
+    assert copy == state and hash(copy) == hash(state)
+    assert repr(copy) == repr(state) and "_next" not in repr(state)
+
+
+def test_step_memo_clears_free_the_states_they_held(monkeypatch):
+    """A campaign long enough to clear the step memo again and again keeps
+    no more states alive than the memo holds: the slots of the states it
+    shares (their text, guidance, reply and next state) keep no cleared
+    trajectory alive.  The limit is lowered so that a short campaign clears
+    the memo many times."""
+    class CountingClears(dict):
+        clears = 0
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    def live_states():
+        gc.collect()
+        return sum(type(obj) is ActorState for obj in gc.get_objects())
+
+    memo = CountingClears()
+    limit = 128
+    monkeypatch.setattr(simulator, "_steps", memo)
+    monkeypatch.setattr(simulator, "_step", memo.get)
+    monkeypatch.setattr(simulator, "STEP_MEMO_LIMIT", limit)
+    config = load_config(CONFIG_DIR / "random.yaml")
+    settings, _, params = build_execution(config)
+    before = live_states()
+    ctx = CampaignContext(settings, CampaignBudget(max_evaluations=40),
+                          seed=1)
+    run_campaign("random", ctx, params)
+    assert ctx.completed == 40
+    assert memo.clears >= 2
+    assert len(memo) <= limit
+    # the memo's states, and no trajectory the memo no longer holds
+    assert live_states() - before <= limit
 
 
 # ---------------------------------------------------------------------------
