@@ -124,7 +124,7 @@ def _dump_other(value: Any) -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return str(value)
+        return int.__repr__(value)  # not a subclass's own __str__
     if isinstance(value, float):
         return _format_float(value)
     if isinstance(value, str):

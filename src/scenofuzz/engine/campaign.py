@@ -206,17 +206,18 @@ class CampaignContext:
     def wall_consumed(self) -> float:
         return self._wall_prior + (time.monotonic() - self._t0)
 
+    def _budget_spent(self) -> bool:
+        """Whether ``max_evaluations`` is reached or ``wall_seconds`` passed."""
+        limit, wall = self.budget.max_evaluations, self.budget.wall_seconds
+        return (limit is not None and self.completed >= limit) or \
+            (wall is not None and self.wall_consumed() >= wall)
+
     def _allowance(self, requested: int) -> int:
-        if self.stop_requested:
+        if self.stop_requested or self._budget_spent():
             return 0
-        allowed = requested
-        if self.budget.max_evaluations is not None:
-            allowed = min(allowed,
-                          max(self.budget.max_evaluations - self.completed, 0))
-        if self.budget.wall_seconds is not None \
-                and self.wall_consumed() >= self.budget.wall_seconds:
-            allowed = 0
-        return allowed
+        limit = self.budget.max_evaluations
+        return requested if limit is None else \
+            min(requested, limit - self.completed)
 
     def _load_checkpoint(self) -> None:
         log_path = self.output_dir / EVALUATIONS_FILE
@@ -368,7 +369,9 @@ class CampaignContext:
             outcome = simulated.get(job.index)
             if outcome is None:
                 outcome = known[job.key]
-                if not self._write_copy(job, outcome):
+                if self.output_dir is not None and not copy_recording(
+                        self.output_dir / RECORDINGS_DIR, outcome.scenario_id,
+                        job.config.scenario_id, outcome.size):
                     outcome = known[job.key] = self._simulate(job)
                     self._remember(job.key, outcome)
             elif job.key is not None:
@@ -400,16 +403,6 @@ class CampaignContext:
                                    self.settings.save_traffic_recording
                                    ).stat().st_size
         return _Outcome(feedback, job.config.scenario_id, size)
-
-    def _write_copy(self, job: _Job, outcome: _Outcome) -> bool:
-        """Write the recording of ``job`` as a copy of the first run's file
-        under its own scenario id.  False, with nothing written, when that
-        file is gone or has changed."""
-        if self.output_dir is None:
-            return True
-        return copy_recording(self.output_dir / RECORDINGS_DIR,
-                              outcome.scenario_id, job.config.scenario_id,
-                              outcome.size)
 
     def _remember(self, key: str, outcome: _Outcome) -> None:
         memo = self._memo
@@ -454,7 +447,7 @@ def _feedback_from_record(entry: Cursor, index: int) -> Feedback:
     if outcome.text() not in OUTCOMES:
         raise outcome.fail(f"unknown outcome {outcome.doc!r}")
     return Feedback(fitness=entry["fitness"].number(),
-                    behavior_vector=entry["behavior"].numbers(),
+                    behavior_vector=entry["behavior"].numbers(3 * BINS),
                     quality_score=entry["quality_score"].number(),
                     outcome=outcome.doc,
                     time_of_decision=entry["time_of_decision"].number())
@@ -521,7 +514,8 @@ def run_campaign(algorithm: str, ctx: CampaignContext,
         registry[algorithm](ctx, params or {})
     except BudgetExhausted:
         pass
-    ctx.finished = True
+    # a stop request ends the run too, but leaves budget for a resume
+    ctx.finished = ctx._budget_spent()
     ctx.checkpoint()
     report = build_report(ctx, algorithm)
     if ctx.output_dir is not None:

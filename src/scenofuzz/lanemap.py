@@ -1,4 +1,4 @@
-"""Lane-graph maps: loading, routing, projection, and route sampling.
+"""Lane-graph maps: loading, routing, and route sampling.
 
 A map document is JSON::
 
@@ -178,23 +178,6 @@ def route(lane_map: LaneMap, start_lane_id: str, end_lane_id: str) -> Route:
                 heapq.heappush(heap, (cost + lane_map.lanes[nxt].length, seq + (nxt,)))
     raise ValueError(
         f"no route from {start_lane_id!r} to {end_lane_id!r} in map {lane_map.name!r}")
-
-
-def project(lane_map: LaneMap, x: float, y: float) -> tuple[str, float, float]:
-    """Nearest-lane projection of a world point.
-
-    Returns ``(lane_id, s, lateral)`` with ``s`` the arc length along the
-    lane's centerline and ``lateral`` the signed offset, positive to the left
-    of the travel direction.  Distance ties go to the lexicographically
-    smallest lane id.
-    """
-    best: tuple[float, str, float, float] | None = None
-    for lane_id in sorted(lane_map.lanes):
-        s, lat, dist = lane_map.lanes[lane_id].path.project(x, y)
-        if best is None or dist < best[0] - 1e-12:
-            best = (dist, lane_id, s, lat)
-    assert best is not None
-    return best[1], best[2], best[3]
 
 
 def sample_route(rt: Route, spacing: float) -> list[Pose]:

@@ -251,10 +251,6 @@ def to_json(config: ScenarioConfig) -> str:
     return canonical.dumps(to_document(config))
 
 
-def scenario_hash(config: ScenarioConfig) -> str:
-    return canonical.sha256(to_document(config))
-
-
 def _parse_pose(cur: Cursor) -> Pose:
     cur.keys({"x", "y", "heading"})
     return Pose(cur["x"].number(), cur["y"].number(), cur["heading"].number())

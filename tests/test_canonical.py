@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import json
 import math
 import os
@@ -78,7 +79,7 @@ def _reference_encode(value, out):
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(str(value))
+        out.append(int.__repr__(value))
     elif isinstance(value, float):
         out.append(_reference_float(value))
     elif isinstance(value, str):
@@ -119,6 +120,15 @@ class Label(str):
 
 class Count(int):
     pass
+
+
+class Seven(int):
+    def __str__(self):
+        return "seven"
+
+
+class Shade(enum.IntEnum):
+    A = 1
 
 
 Pair = namedtuple("Pair", "a b")
@@ -191,6 +201,9 @@ EDGE_CASES = [
     np.float64(0.1), np.float64(-0.0), np.float64(1e16), [np.float64(2.0)],
     {"b": 1, "a": [True, None, 1.5], "é": {"z": -0.0, "Z": 1e-7}},
     OrderedDict([("b", 1), ("a", 2)]), Pair(1.0, "x"),
+    # an int subclass writes its value, not its own str(): an IntEnum
+    # member's str() is "Shade.A" on Python 3.10 and "1" from 3.11
+    [Seven(7)], {"a": Shade.A},
 ]
 
 

@@ -1210,6 +1210,8 @@ class TestCampaign:
         ("evaluations.json", _entry_1_with("behavior", "abc"), "entry 1"),
         ("evaluations.json", _entry_1_with("behavior", [0.5, "0.5"]),
          "entry 1"),
+        ("evaluations.json", _entry_1_with("behavior", [0.5] * 23),
+         "entry 1"),
         ("evaluations.json", _entry_1_with("outcome", "Crash"), "entry 1"),
         ("evaluations.json", _entry_1_with("index", 7), "entry 1"),
         ("evaluations.json", _entry_1_with("index", 1.0), "entry 1"),
@@ -1224,8 +1226,9 @@ class TestCampaign:
             "entry-extra-key",
             "string-fitness", "huge-fitness", "string-quality-score",
             "bool-time-of-decision", "string-behavior",
-            "non-numeric-behavior", "unknown-outcome", "wrong-index",
-            "float-index", "foreign-scenario-id", "null-scenario-id"])
+            "non-numeric-behavior", "short-behavior", "unknown-outcome",
+            "wrong-index", "float-index", "foreign-scenario-id",
+            "null-scenario-id"])
     def test_resume_reports_a_bad_checkpoint_file(self, junction_settings,
                                                   tmp_path, name, content,
                                                   where):
@@ -1249,6 +1252,32 @@ class TestCampaign:
         report = run_campaign("random", ctx, {})
         assert report["evaluations"] == 0
         assert (out / "campaign.state.json").exists()
+
+    def test_a_stopped_run_is_finished_only_once_resumed_to_its_budget(
+            self, junction_settings, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        state = out / "campaign.state.json"
+        original = CampaignContext.evaluate_batch
+
+        def evaluate_batch(self, vectors):
+            if self.completed >= 2:
+                self.stop_requested = True  # as Ctrl-C does
+            return original(self, vectors)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CampaignContext, "evaluate_batch", evaluate_batch)
+            cut, _ = campaign_log(junction_settings, evals=6, output_dir=out)
+        assert (cut.completed, cut.finished) == (2, False)
+        assert canonical.loads(state.read_bytes())["finished"] is False
+        resumed, _ = campaign_log(junction_settings, evals=6, output_dir=out,
+                                  resume=True)
+        assert (resumed.completed, resumed.finished) == (6, True)
+        assert canonical.loads(state.read_bytes())["finished"] is True
+        # a wall budget is spent once its time has passed
+        timed = CampaignContext(junction_settings,
+                                CampaignBudget(wall_seconds=0.0))
+        run_campaign("random", timed, {})
+        assert timed.finished
 
     def test_unknown_algorithm_rejected(self, junction_settings):
         ctx = CampaignContext(junction_settings,

@@ -30,6 +30,12 @@ mapping, each case within ``CONFIG_CASE_SECONDS``.  The property:
 or ``build_execution`` refuses it with ``ConfigError`` (a scenario
 ``validate`` faults) or ``MapFormatError``, and runs a 2-evaluation
 campaign with no exception.  Each distinct campaign runs once.
+
+The checkpoint of a short campaign of a shipped config, for behavexplor and
+for avfuzzer, is mutated structurally, one of its two files at a time.  The
+property: a resume of each case, within ``CHECKPOINT_CASE_SECONDS``, raises
+only ``CampaignError``, with a message, or resumes and runs two more
+evaluations with no other exception.
 """
 
 from __future__ import annotations
@@ -50,8 +56,10 @@ from scenofuzz.bridge import (HEADER, FrameError, InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, decode,
                               encode)
 from scenofuzz.config import ConfigError, build_execution, load_config
-from scenofuzz.engine.campaign import (RECORDINGS_DIR, CampaignBudget,
-                                       CampaignContext, run_campaign)
+from scenofuzz.engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
+                                       STATE_FILE, CampaignBudget,
+                                       CampaignContext, CampaignError,
+                                       run_campaign)
 from scenofuzz.engine.feedback import compute_feedback
 from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.lanemap import MapFormatError, load_map_document
@@ -76,6 +84,9 @@ ODD_VALUES = (None, True, False, 0, -0.0, 1e308, -1e308, 5e-324, "", [], {},
 # parser takes alike (False as True, {} as [], -1e308 as -0.0)
 CONFIG_ODD_VALUES = (None, True, 0, -0.0, 1e308, 5e-324, "", [], 2**70)
 CONFIG_CASE_SECONDS = 3.0  # a 2-evaluation campaign takes tens of ms
+CHECKPOINT_CASES = 400  # per algorithm; one in four mutates the state file
+CHECKPOINT_LOGGED = 6  # evaluations in the checkpoint a case mutates
+CHECKPOINT_CASE_SECONDS = 3.0  # a resume takes tens of ms
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
@@ -365,3 +376,50 @@ def test_mutated_configs_are_refused_or_run_cleanly(tmp_path):
                 failures.append(f"{shipped.name} ({what}): {exc!r}")
     assert not failures, failures
     assert cases > 1000 and len(ran) > 100, (cases, len(ran))
+
+
+def check_resume(out: Path, algorithm: str, settings, params) -> None:
+    try:
+        ctx = CampaignContext(
+            settings, CampaignBudget(max_evaluations=CHECKPOINT_LOGGED + 2),
+            seed=SEED, output_dir=out, resume=True)
+        run_campaign(algorithm, ctx, params)
+    except CampaignError as exc:
+        assert str(exc)
+        return
+    assert ctx.completed == CHECKPOINT_LOGGED + 2
+
+
+# a behavior near 1e308 overflows behavexplor's novelty distance to inf:
+# numpy warns, which is not a fault
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("algorithm", ["behavexplor", "avfuzzer"])
+def test_mutated_checkpoints_are_refused_or_resume_cleanly(algorithm,
+                                                           tmp_path):
+    config = load_config(CONFIG_DIR / f"{algorithm}.yaml", {
+        "testing_engine.algorithm.parameters.max_evaluations":
+            CHECKPOINT_LOGGED,
+        "scenario_runner.parameters.worker_pool": 1,
+        "scenario_runner.parameters.save_traffic_recording": False,
+        "scenario.duration_limit": 1.5})
+    settings, budget, params = build_execution(config)
+    out = tmp_path / "run"
+    run_campaign(algorithm, CampaignContext(settings, budget, seed=SEED,
+                                            output_dir=out), params)
+    originals = {name: json.loads((out / name).read_bytes())
+                 for name in (EVALUATIONS_FILE, STATE_FILE)}
+    assert len(originals[EVALUATIONS_FILE]) == CHECKPOINT_LOGGED
+    rng = random.Random(SEED)
+    failures = []
+    for case in range(CHECKPOINT_CASES):
+        mutated = STATE_FILE if case % 4 == 0 else EVALUATIONS_FILE
+        docs = copy.deepcopy(originals)
+        what = mutate_structure(docs[mutated], rng)
+        for name, doc in docs.items():
+            (out / name).write_text(json.dumps(doc))
+        try:
+            with deadline(CHECKPOINT_CASE_SECONDS):
+                check_resume(out, algorithm, settings, params)
+        except Exception as exc:  # every other exception is a finding
+            failures.append(f"case {case} ({mutated}: {what}): {exc!r}")
+    assert not failures, failures

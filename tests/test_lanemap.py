@@ -3,14 +3,13 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
-from oracles import best_route_by_enumeration, project_point_sampled
+from oracles import best_route_by_enumeration
 from scenofuzz.geometry import MAX_COORDINATE
 from scenofuzz.lanemap import (MAX_LANE_LENGTH, MapFormatError,
                                load_bundled_map, load_map, load_map_document,
-                               project, route, sample_route)
+                               route, sample_route)
 
 
 def _doc(lanes):
@@ -171,37 +170,6 @@ def test_route_matches_exhaustive_enumeration(diamond_map, junction_map):
                 rt = route(m, start, end)
                 assert rt.lane_sequence == expected[1]
                 assert rt.path.length == pytest.approx(expected[0], abs=1e-6)
-
-
-def test_project_analytic(chain_map):
-    lane_id, s, lat = project(chain_map, 50.0, 1.5)
-    assert lane_id == "lane_a"
-    assert s == pytest.approx(50.0)
-    assert lat == pytest.approx(1.5)
-    lane_id, s, lat = project(chain_map, 150.0, -0.25)
-    assert (lane_id, s) == ("lane_b", pytest.approx(50.0))
-    assert lat == pytest.approx(-0.25)
-
-
-def test_project_matches_bruteforce_scan(junction_map):
-    rng = np.random.default_rng(42)
-    for _ in range(40):
-        x, y = rng.uniform(-110, 110), rng.uniform(-110, 110)
-        lane_id, s, lat = project(junction_map, x, y)
-        # oracle: densely sample every lane, take the best
-        best = (math.inf, None, 0.0)
-        for lid in sorted(junction_map.lanes):
-            s_ref, d_ref = project_point_sampled(
-                junction_map.lanes[lid].path.points, x, y, step=0.01)
-            if d_ref < best[0] - 1e-9:
-                best = (d_ref, lid, s_ref)
-        assert math.hypot(lat, 0) == pytest.approx(abs(lat))
-        d_impl = junction_map.lanes[lane_id].path.project(x, y)[2]
-        assert d_impl <= best[0] + 1e-3
-        if best[0] > 1e-6 and d_impl < best[0] - 1e-3:
-            pytest.fail("implementation found a closer lane than the oracle scan")
-        if lane_id == best[1]:
-            assert s == pytest.approx(best[2], abs=2e-2)
 
 
 def test_sample_route_counts(chain_map):
