@@ -56,7 +56,7 @@ class CanonicalError(ValueError):
 def _format_float(value: float) -> str:
     if not _isfinite(value):
         raise CanonicalError(f"non-finite float not allowed: {value!r}")
-    text = format(value, ".17g")
+    text = float.__format__(value, ".17g")  # not a subclass's own __format__
     # keep the float/int distinction through a parse round trip
     if "." not in text and "e" not in text and "E" not in text:
         text += ".0"

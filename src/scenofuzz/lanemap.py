@@ -18,7 +18,6 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Iterable
 
 from . import canonical
@@ -110,19 +109,6 @@ def load_map_document(doc: dict) -> LaneMap:
     return LaneMap(name, lanes)
 
 
-def _load_map_bytes(data: bytes, source) -> LaneMap:
-    try:
-        doc = canonical.loads(data)
-    except ValueError as exc:  # includes bad UTF-8
-        raise MapFormatError(f"{source}: invalid JSON: {exc}") from None
-    return load_map_document(doc)
-
-
-def load_map(path: str | Path) -> LaneMap:
-    path = Path(path)
-    return _load_map_bytes(path.read_bytes(), path)
-
-
 def bundled_map_names() -> list[str]:
     files = resources.files("scenofuzz.maps")
     names = sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
@@ -138,7 +124,11 @@ def load_bundled_map(name: str) -> LaneMap:
     if not res.is_file():
         raise MapFormatError(
             f"no bundled map named {name!r}; available: {bundled_map_names()}")
-    return _load_map_bytes(res.read_bytes(), res)
+    try:
+        doc = canonical.loads(res.read_bytes())
+    except ValueError as exc:  # includes bad UTF-8
+        raise MapFormatError(f"{res}: invalid JSON: {exc}") from None
+    return load_map_document(doc)
 
 
 def _stitch(lanes: Iterable[Lane]) -> Polyline:

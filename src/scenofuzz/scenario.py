@@ -4,18 +4,17 @@ A scenario pins one ego mission on a named map plus a concrete cast of NPC
 vehicles and static obstacles.  Scenarios serialize to canonical JSON
 (``schema_version`` 1) so equal configs always hash identically.
 
-The mutable view of a scenario is a flat ``ParameterVector``; the gene layout
-is derived from a template config, and ``flatten``/``unflatten`` convert
-between the two representations.
+The mutable view of a scenario is a flat ``ParameterVector``: ``flatten``
+lays out the genes of a template config with the template's own values, and
+``unflatten`` instantiates a concrete scenario from a vector over that
+template.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any
 
-from . import canonical
 from .canonical import Cursor
 from .geometry import MAX_COORDINATE, Pose, left_normal
 from .lanemap import LaneMap
@@ -24,10 +23,6 @@ SCHEMA_VERSION = 1
 
 # actor kinds the format reserves; only vehicles are simulated today
 KNOWN_ACTOR_KINDS = ("vehicle",)
-
-
-class ScenarioFormatError(ValueError):
-    """Raised by from_json when a document violates the scenario schema."""
 
 
 @dataclass(frozen=True)
@@ -247,10 +242,6 @@ def to_document(config: ScenarioConfig) -> dict:
     }
 
 
-def to_json(config: ScenarioConfig) -> str:
-    return canonical.dumps(to_document(config))
-
-
 def _parse_pose(cur: Cursor) -> Pose:
     cur.keys({"x", "y", "heading"})
     return Pose(cur["x"].number(), cur["y"].number(), cur["heading"].number())
@@ -259,10 +250,6 @@ def _parse_pose(cur: Cursor) -> Pose:
 def _parse_body(cur: Cursor) -> BodyDims:
     cur.keys({"length", "width"})
     return BodyDims(cur["length"].number(), cur["width"].number())
-
-
-def from_document(doc: Any) -> ScenarioConfig:
-    return from_cursor(Cursor(doc, ScenarioFormatError))
 
 
 def from_cursor(root: Cursor) -> ScenarioConfig:
@@ -319,14 +306,6 @@ def from_cursor(root: Cursor) -> ScenarioConfig:
     )
 
 
-def from_json(text: str | bytes) -> ScenarioConfig:
-    try:
-        doc = canonical.loads(text)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"invalid JSON: {exc}") from None
-    return from_document(doc)
-
-
 # ---------------------------------------------------------------------------
 # parameter vectors
 
@@ -374,63 +353,33 @@ class ParameterVector:
         return ParameterVector(tuple(float(v) for v in values), self.genes)
 
 
-def _layout(template: ScenarioConfig, space: MutationSpace) -> tuple[Gene, ...]:
+def flatten(template: ScenarioConfig, space: MutationSpace) -> ParameterVector:
+    """The genes ``space`` declares over ``template``, at the template's values.
+
+    Offsets are measured to the left of each waypoint's heading, so the
+    template's own are zero, signed as the projection of a waypoint onto
+    itself along the normal ``(nx, ny)`` is.
+    """
     genes: list[Gene] = []
+    values: list[float] = []
     for npc in template.npc_vehicles:
         if space.speeds:
-            for i in range(len(npc.target_speeds)):
+            for i, speed in enumerate(npc.target_speeds):
                 genes.append(Gene(npc.actor_id, "speed", i, space.speed_low, space.speed_high))
+                values.append(speed)
         if space.offsets:
-            for i in range(len(npc.waypoints)):
+            for i, wp in enumerate(npc.waypoints):
                 genes.append(Gene(npc.actor_id, "offset", i,
                                   -space.offset_limit, space.offset_limit))
+                nx, ny = left_normal(wp.heading)
+                values.append(0.0 * nx + 0.0 * ny)
         if space.delays:
             genes.append(Gene(npc.actor_id, "delay", 0, space.delay_low, space.delay_high))
+            values.append(npc.spawn_delay)
         if space.presence:
             genes.append(Gene(npc.actor_id, "presence", 0, 0.0, 1.0))
-    return tuple(genes)
-
-
-def flatten(config: ScenarioConfig, space: MutationSpace,
-            template: ScenarioConfig | None = None) -> ParameterVector:
-    """Project a config onto the mutable subspace declared by ``space``.
-
-    Offsets are measured relative to ``template`` waypoints (the config itself
-    by default), positive to the left of each template waypoint's heading.
-    """
-    template = template or config
-    genes = _layout(template, space)
-    by_id = {n.actor_id: n for n in config.npc_vehicles}
-    unknown = set(by_id) - {n.actor_id for n in template.npc_vehicles}
-    if unknown:
-        raise ValueError(f"config has NPCs not in template: {sorted(unknown)}")
-    tmpl_by_id = {n.actor_id: n for n in template.npc_vehicles}
-
-    values: list[float] = []
-    for gene in genes:
-        tmpl_npc = tmpl_by_id[gene.actor_id]
-        npc = by_id.get(gene.actor_id)
-        if gene.field == "presence":
-            values.append(1.0 if npc is not None else 0.0)
-            continue
-        if npc is None:
-            npc = tmpl_npc  # inactive slot: genes fall back to template values
-        if gene.field == "speed":
-            if len(npc.target_speeds) != len(tmpl_npc.target_speeds):
-                raise ValueError(f"{gene.actor_id}: speed count differs from template")
-            values.append(npc.target_speeds[gene.index])
-        elif gene.field == "offset":
-            if len(npc.waypoints) != len(tmpl_npc.waypoints):
-                raise ValueError(f"{gene.actor_id}: waypoint count differs from template")
-            ref = tmpl_npc.waypoints[gene.index]
-            wp = npc.waypoints[gene.index]
-            nx, ny = left_normal(ref.heading)
-            values.append((wp.x - ref.x) * nx + (wp.y - ref.y) * ny)
-        elif gene.field == "delay":
-            values.append(npc.spawn_delay)
-        else:  # pragma: no cover - layout only emits known fields
-            raise AssertionError(gene.field)
-    return ParameterVector(tuple(values), genes)
+            values.append(1.0)
+    return ParameterVector(tuple(values), tuple(genes))
 
 
 def unflatten(vector: ParameterVector, template: ScenarioConfig

@@ -10,7 +10,9 @@ computes its route guidance afresh on every call, the scenarios of a
 campaign log are told apart by their documents, not by the campaign's memo
 key, and the step loop is the one that built a frozen dataclass per frame
 and world state through the generated ``__init__`` and checked the controls
-with two sets before stepping.
+with two sets before stepping.  The parameter vector of a config is its
+general projection onto a template, which reads every gene back from the
+config's own fields.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from scenofuzz.bridge import (COMFORT_BRAKE, HARD_STOP_GAP, LAT_ACCEL_MAX,
                               OFF_ROUTE_LIMIT, TIME_HEADWAY, AgentTimeoutError,
                               ControlMessage, PerceptionMessage)
-from scenofuzz.geometry import SAMPLE_STEP, Polyline, normalize_angle
+from scenofuzz.geometry import (SAMPLE_STEP, Polyline, left_normal,
+                                normalize_angle)
 from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION,
                               RECORDING_SCHEMA_VERSION, STUCK, TIMEOUT,
                               OracleConfig, RunnerError, ScenarioRecording,
@@ -31,7 +34,9 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION,
                               check_collision, check_destination,
                               initial_world, mission_end_point)
 from scenofuzz import canonical
-from scenofuzz.scenario import to_document, unflatten, validate
+from scenofuzz.scenario import (Gene, MutationSpace, ParameterVector,
+                                ScenarioConfig, to_document, unflatten,
+                                validate)
 from scenofuzz.simulator import (BRAKE_COMMAND, ControlCommand,
                                  SpeedController, pure_pursuit_steering,
                                  step_kinematic)
@@ -278,6 +283,70 @@ def distinct_scenarios(records, ctx) -> int:
     return len({canonical.dumps(to_document(dataclasses.replace(
         unflatten(ctx.prototype.with_values(r["values"]), template)[0],
         scenario_id=""))) for r in records})
+
+
+# --- parameter vectors: a config projected onto a template -----------------
+
+def _layout(template: ScenarioConfig, space: MutationSpace) -> tuple[Gene, ...]:
+    genes: list[Gene] = []
+    for npc in template.npc_vehicles:
+        if space.speeds:
+            for i in range(len(npc.target_speeds)):
+                genes.append(Gene(npc.actor_id, "speed", i, space.speed_low, space.speed_high))
+        if space.offsets:
+            for i in range(len(npc.waypoints)):
+                genes.append(Gene(npc.actor_id, "offset", i,
+                                  -space.offset_limit, space.offset_limit))
+        if space.delays:
+            genes.append(Gene(npc.actor_id, "delay", 0, space.delay_low, space.delay_high))
+        if space.presence:
+            genes.append(Gene(npc.actor_id, "presence", 0, 0.0, 1.0))
+    return tuple(genes)
+
+
+def flatten_onto(config: ScenarioConfig, space: MutationSpace,
+                 template: ScenarioConfig | None = None) -> ParameterVector:
+    """Project a config onto the mutable subspace declared by ``space``.
+
+    Offsets are measured relative to ``template`` waypoints (the config itself
+    by default), positive to the left of each template waypoint's heading.
+    The inverse of ``unflatten`` on vectors whose NPCs are all present, and
+    ``scenario.flatten(template, space)`` must equal
+    ``flatten_onto(template, space)`` bit for bit.
+    """
+    template = template or config
+    genes = _layout(template, space)
+    by_id = {n.actor_id: n for n in config.npc_vehicles}
+    unknown = set(by_id) - {n.actor_id for n in template.npc_vehicles}
+    if unknown:
+        raise ValueError(f"config has NPCs not in template: {sorted(unknown)}")
+    tmpl_by_id = {n.actor_id: n for n in template.npc_vehicles}
+
+    values: list[float] = []
+    for gene in genes:
+        tmpl_npc = tmpl_by_id[gene.actor_id]
+        npc = by_id.get(gene.actor_id)
+        if gene.field == "presence":
+            values.append(1.0 if npc is not None else 0.0)
+            continue
+        if npc is None:
+            npc = tmpl_npc  # inactive slot: genes fall back to template values
+        if gene.field == "speed":
+            if len(npc.target_speeds) != len(tmpl_npc.target_speeds):
+                raise ValueError(f"{gene.actor_id}: speed count differs from template")
+            values.append(npc.target_speeds[gene.index])
+        elif gene.field == "offset":
+            if len(npc.waypoints) != len(tmpl_npc.waypoints):
+                raise ValueError(f"{gene.actor_id}: waypoint count differs from template")
+            ref = tmpl_npc.waypoints[gene.index]
+            wp = npc.waypoints[gene.index]
+            nx, ny = left_normal(ref.heading)
+            values.append((wp.x - ref.x) * nx + (wp.y - ref.y) * ny)
+        elif gene.field == "delay":
+            values.append(npc.spawn_delay)
+        else:  # pragma: no cover - layout only emits known fields
+            raise AssertionError(gene.field)
+    return ParameterVector(tuple(values), genes)
 
 
 # --- the step loop: a dataclass per frame and world, two sets per step ------

@@ -65,7 +65,7 @@ def test_rejects_unsupported_types():
 def _reference_float(value):
     if math.isnan(value) or math.isinf(value):
         raise canonical.CanonicalError(f"non-finite float not allowed: {value!r}")
-    text = format(value, ".17g")
+    text = float.__format__(value, ".17g")
     if "." not in text and "e" not in text and "E" not in text:
         text += ".0"
     return text
@@ -124,6 +124,11 @@ class Count(int):
 
 class Seven(int):
     def __str__(self):
+        return "seven"
+
+
+class Formatted(float):
+    def __format__(self, spec):
         return "seven"
 
 
@@ -204,6 +209,8 @@ EDGE_CASES = [
     # an int subclass writes its value, not its own str(): an IntEnum
     # member's str() is "Shade.A" on Python 3.10 and "1" from 3.11
     [Seven(7)], {"a": Shade.A},
+    # a float subclass writes its value, not its own format()
+    [Formatted(7.5)],
 ]
 
 
@@ -292,10 +299,10 @@ def test_memo_is_not_read_for_other_types(memo):
     assert canonical.dumps(4) == "4"
     assert canonical.dumps(True) == "true"
     assert canonical.dumps(Count(4)) == "4"
-    assert canonical.dumps(Tagged(4.0)) == "4.00" == reference_dumps(Tagged(4.0))
+    assert canonical.dumps(Tagged(4.0)) == "4.0" == reference_dumps(Tagged(4.0))
     assert canonical.dumps(np.float64(4.0)) == "4.0"
     assert canonical.dumps(np.float64(2.5)) == "2.5"
-    assert canonical.dumps(Tagged(2.5)) == "4.00"
+    assert canonical.dumps(Tagged(2.5)) == "2.5"
     assert memo == {4.0: "4.0", 1.0: "1.0"}
 
 

@@ -1306,10 +1306,15 @@ class TestCrashAtEveryWrite:
     loss, which can keep a renamed file's new name with empty contents, is
     not simulated here."""
 
+    # a pool of two reaches samota's surrogate at the third evaluation
+    PARAMS = {"samota": {"surrogate_pool": 2}}
+
     @pytest.mark.parametrize("algo, seed, evals, workers, frames", [
         ("avfuzzer", 4, 6, 1, False),
         ("behavexplor", 5, 4, 1, True),
-        ("random", 6, 4, 2, False)])
+        ("random", 6, 4, 2, False),
+        ("drivefuzz", 7, 4, 1, False),
+        ("samota", 8, 6, 1, False)])
     def test_resume_after_a_crash_at_each_write(
             self, junction_settings, tmp_path, monkeypatch, algo, seed,
             evals, workers, frames):
@@ -1332,7 +1337,8 @@ class TestCrashAtEveryWrite:
 
         def run(out, resume=False):
             campaign_log(settings, algo=algo, seed=seed, evals=evals,
-                         workers=workers, output_dir=out, resume=resume)
+                         workers=workers, output_dir=out, resume=resume,
+                         params=self.PARAMS.get(algo))
             return (out / campaign.EVALUATIONS_FILE).read_bytes()
 
         monkeypatch.setattr(Path, "write_bytes", counted)

@@ -9,8 +9,9 @@ accepts; and a recording it accepts that has frames goes through
 ``compute_feedback`` and ``render_recording_svg`` with no exception.
 
 The scenario template of the same config is mutated structurally in the
-same way.  The property: ``from_document`` raises only
-``ScenarioFormatError``, with a message, or accepts; ``validate`` lists the
+same way.  The property: ``from_cursor``, the reader of the scenario inside
+a recording, raises only its cursor's error (``DocumentError`` here), with a
+message, or accepts; ``validate`` lists the
 problems of a scenario it accepts without raising; and a scenario with none
 runs through ``run_scenario`` with no exception.
 
@@ -55,6 +56,7 @@ import yaml
 from scenofuzz.bridge import (HEADER, FrameError, InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, decode,
                               encode)
+from scenofuzz.canonical import Cursor
 from scenofuzz.config import ConfigError, build_execution, load_config
 from scenofuzz.engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
                                        STATE_FILE, CampaignBudget,
@@ -64,8 +66,7 @@ from scenofuzz.engine.feedback import compute_feedback
 from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.lanemap import MapFormatError, load_map_document
 from scenofuzz.runner import RecordingFormatError, read_recording, run_scenario
-from scenofuzz.scenario import (ScenarioFormatError, from_document,
-                                to_document, validate)
+from scenofuzz.scenario import from_cursor, to_document, validate
 from scenofuzz.svg_export import render_recording_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -185,10 +186,14 @@ def test_mutated_recordings_are_refused_or_read_cleanly(shipped, tmp_path):
     assert not failures, failures
 
 
+class DocumentError(ValueError):
+    """What the cursor a mutated scenario document is read with raises."""
+
+
 def check_scenario(doc, settings) -> None:
     try:
-        config = from_document(doc)
-    except ScenarioFormatError as exc:
+        config = from_cursor(Cursor(doc, DocumentError))
+    except DocumentError as exc:
         assert str(exc)
         return
     problems = validate(config, settings.lane_map)

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import best_route_by_enumeration
+from scenofuzz import lanemap
 from scenofuzz.geometry import MAX_COORDINATE
 from scenofuzz.lanemap import (MAX_LANE_LENGTH, MapFormatError,
-                               load_bundled_map, load_map, load_map_document,
-                               route, sample_route)
+                               load_bundled_map, load_map_document, route,
+                               sample_route)
 
 
 def _doc(lanes):
@@ -67,16 +69,19 @@ def test_non_finite_numbers_rejected(lane):
         load_map_document(_doc([lane]))
 
 
-def test_load_map_file(tmp_path):
+def test_load_bundled_map_file(tmp_path, monkeypatch):
+    # the bundled maps are read from tmp_path
+    monkeypatch.setattr(lanemap, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_doc([_lane("a", [(0, 0), (9, 0)])])))
-    assert load_map(path).lanes["a"].length == pytest.approx(9.0)
+    assert load_bundled_map("m").lanes["a"].length == pytest.approx(9.0)
     path.write_text("{broken")
-    with pytest.raises(MapFormatError, match="invalid JSON"):
-        load_map(path)
+    with pytest.raises(MapFormatError, match="m.json: invalid JSON"):
+        load_bundled_map("m")
     path.write_bytes('{"name": "caf\u00e9", "lanes": []}'.encode("latin-1"))
     with pytest.raises(MapFormatError, match="m.json: .*utf-8"):
-        load_map(path)
+        load_bundled_map("m")
 
 
 @pytest.mark.parametrize("lanes,message", [

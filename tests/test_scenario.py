@@ -2,17 +2,34 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from oracles import flatten_onto
 from scenofuzz import canonical
+from scenofuzz.canonical import Cursor
+from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.geometry import Pose
+from scenofuzz.lanemap import bundled_map_names, load_bundled_map
 from scenofuzz.runner import RunnerError, run_scenario
 from scenofuzz.scenario import (MAX_COORDINATE, BodyDims, EgoSpec,
                                 MutationSpace, NpcSpec, ObstacleSpec,
-                                ScenarioConfig, ScenarioFormatError, flatten,
-                                from_json, to_json, unflatten, validate)
+                                ScenarioConfig, flatten, from_cursor,
+                                to_document, unflatten, validate)
+
+
+class DocumentError(ValueError):
+    """What the cursor these tests read scenario documents with raises."""
+
+
+def _read(doc) -> ScenarioConfig:
+    return from_cursor(Cursor(doc, DocumentError))
+
+
+def _text(config: ScenarioConfig) -> str:
+    return canonical.dumps(to_document(config))
 
 
 def _npc(actor_id="npc_1", x0=150.0, y0=0.0, n_wp=3, speed=8.0, delay=0.0):
@@ -36,73 +53,70 @@ def test_json_round_trip_identity():
     config = _scenario(npcs=[_npc(), _npc("npc_2", y0=30.0, delay=2.5)],
                        obstacles=[ObstacleSpec("rock", Pose(40.0, 12.0, 1.0),
                                                BodyDims(3.0, 2.0))])
-    assert from_json(to_json(config)) == config
+    assert _read(canonical.loads(_text(config))) == config
 
 
 def test_serialization_is_stable():
     config = _scenario(npcs=[_npc(), _npc("npc_2", y0=30.0),
                              _npc("npc_3", y0=60.0, speed=1.0 / 3.0)])
-    first, second = to_json(config), to_json(config)
+    first, second = _text(config), _text(config)
     assert first == second
     # awkward floats survive the trip exactly
-    assert from_json(first).npc_vehicles[2].target_speeds[0] == 1.0 / 3.0
+    assert _read(canonical.loads(first)).npc_vehicles[2].target_speeds[0] == 1.0 / 3.0
 
 
 def test_format_errors_carry_paths():
     config = _scenario(npcs=[_npc()])
-    doc = canonical.loads(to_json(config))
+    doc = canonical.loads(_text(config))
 
     broken = dict(doc)
     del broken["ego"]
-    with pytest.raises(ScenarioFormatError, match=r"missing keys.*ego"):
-        from_json(canonical.dumps(broken))
+    with pytest.raises(DocumentError, match=r"missing keys.*ego"):
+        _read(broken)
 
-    broken = canonical.loads(to_json(config))
+    broken = canonical.loads(_text(config))
     broken["ego"]["start_station"] = "ten"
-    with pytest.raises(ScenarioFormatError, match=r"/ego/start_station"):
-        from_json(canonical.dumps(broken))
+    with pytest.raises(DocumentError, match=r"/ego/start_station"):
+        _read(broken)
 
-    broken = canonical.loads(to_json(config))
+    broken = canonical.loads(_text(config))
     broken["npc_vehicles"][0]["waypoints"][1]["x"] = None
-    with pytest.raises(ScenarioFormatError, match=r"/npc_vehicles/0/waypoints/1"):
-        from_json(canonical.dumps(broken))
+    with pytest.raises(DocumentError, match=r"/npc_vehicles/0/waypoints/1"):
+        _read(broken)
 
-    broken = canonical.loads(to_json(config))
+    broken = canonical.loads(_text(config))
     broken["extra"] = 1
-    with pytest.raises(ScenarioFormatError, match="unknown keys"):
-        from_json(canonical.dumps(broken))
+    with pytest.raises(DocumentError, match="unknown keys"):
+        _read(broken)
 
-    broken = canonical.loads(to_json(config))
+    broken = canonical.loads(_text(config))
     broken["schema_version"] = 99
-    with pytest.raises(ScenarioFormatError, match="schema_version"):
-        from_json(canonical.dumps(broken))
+    with pytest.raises(DocumentError, match="schema_version"):
+        _read(broken)
 
-    broken = canonical.loads(to_json(config))
+    broken = canonical.loads(_text(config))
     broken["schema_version"] = True  # equal to 1 in Python, not in JSON
-    with pytest.raises(ScenarioFormatError,
+    with pytest.raises(DocumentError,
                        match="/schema_version: expected an integer"):
-        from_json(canonical.dumps(broken))
+        _read(broken)
 
-    broken = canonical.loads(to_json(config))
+    broken = canonical.loads(_text(config))
     broken["npc_vehicles"][0]["kind"] = "pedestrian"
-    with pytest.raises(ScenarioFormatError, match="actor kind"):
-        from_json(canonical.dumps(broken))
-
-    with pytest.raises(ScenarioFormatError, match="invalid JSON"):
-        from_json("{truncated")
+    with pytest.raises(DocumentError, match="actor kind"):
+        _read(broken)
 
 
 @pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN",
                                     "-Infinity"],
                          ids=["huge-integer", "huge-float", "nan", "-inf"])
 def test_non_finite_numbers_are_format_errors(number):
-    text = to_json(_scenario())
+    text = _text(_scenario())
     broken = text.replace('"duration_limit":45.0',
                           f'"duration_limit":{number}')
     assert broken != text
-    with pytest.raises(ScenarioFormatError,
+    with pytest.raises(DocumentError,
                        match="/duration_limit: expected a finite number"):
-        from_json(broken)
+        _read(canonical.loads(broken))
 
 
 def test_validate_accepts_fixture(chain_map):
@@ -218,6 +232,40 @@ def test_flatten_speeds_only_layout():
     assert vec.values == (8.0, 8.0)
 
 
+def _bits(values) -> list[int]:
+    return [struct.unpack("<q", struct.pack("<d", v))[0] for v in values]
+
+
+def test_flatten_equals_the_general_projection_on_every_bundled_template():
+    """``flatten`` writes a template's own values as the projection of the
+    template onto itself does: equal genes and equal IEEE bits, so a zero
+    offset keeps the sign ``0.0 * nx + 0.0 * ny`` gives it."""
+    spaces = (MutationSpace(), MutationSpace(speeds=False),
+              MutationSpace(presence=False, delays=False))
+    templates = negative_zeros = 0
+    for name in bundled_map_names():
+        lane_map = load_bundled_map(name)
+        for start in sorted(lane_map.lanes):
+            for end in sorted(lane_map.lanes):
+                mission = MissionSpec(name, start, 0.0, end,
+                                      lane_map.lanes[end].length)
+                try:
+                    template = build_template(lane_map, mission)
+                except ValueError:  # no route from start to end
+                    continue
+                templates += 1
+                for space in spaces:
+                    vec = flatten(template, space)
+                    expected = flatten_onto(template, space)
+                    assert vec.genes == expected.genes
+                    assert _bits(vec.values) == _bits(expected.values)
+                    negative_zeros += sum(
+                        1 for v in vec.values
+                        if v == 0.0 and math.copysign(1.0, v) < 0.0)
+    assert templates == 32
+    assert negative_zeros > 0  # the sign of a zero offset is compared
+
+
 def test_flatten_unflatten_round_trip():
     config = _scenario(npcs=[_npc(), _npc("npc_2", y0=30.0, delay=3.0)])
     space = MutationSpace()
@@ -241,7 +289,7 @@ def test_vector_round_trip_on_active_vectors():
         vec = base.with_values(values)
         config, repairs = unflatten(vec, template)
         assert repairs == []
-        assert validate_roundtrip(vec, flatten(config, space, template))
+        assert validate_roundtrip(vec, flatten_onto(config, space, template))
 
 
 def validate_roundtrip(vec_a, vec_b, tol=1e-9):
@@ -290,8 +338,8 @@ def test_presence_gene_drops_npc():
               for g, v in zip(vec.genes, vec.values)]
     config, _ = unflatten(vec.with_values(values), template)
     assert [n.actor_id for n in config.npc_vehicles] == ["npc_1"]
-    # flatten against the template recovers the dropped flag
-    vec2 = flatten(config, space, template)
+    # projecting onto the template recovers the dropped flag
+    vec2 = flatten_onto(config, space, template)
     presence = {g.actor_id: v for g, v in zip(vec2.genes, vec2.values)
                 if g.field == "presence"}
     assert presence == {"npc_1": 1.0, "npc_2": 0.0}
@@ -302,4 +350,4 @@ def test_unflatten_deterministic():
     vec = flatten(template, MutationSpace())
     a, _ = unflatten(vec, template)
     b, _ = unflatten(vec, template)
-    assert a == b and to_json(a) == to_json(b)
+    assert a == b and _text(a) == _text(b)

@@ -1,12 +1,18 @@
-"""Source hygiene: no module of the package carries a name it never uses."""
+"""Source hygiene: no module of the package carries a name it never uses,
+and no public function or class is there for tests alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "scenofuzz"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "scenofuzz"
 MODULES = sorted(SOURCE.rglob("*.py"))
+# what users read: a public name they are told about is in use
+DOCUMENTS = [ROOT / "README.md"] + sorted(
+    p for p in (ROOT / "docs").rglob("*") if p.is_file())
 
 
 def _exported(tree) -> set[str]:
@@ -63,9 +69,44 @@ def test_every_module_name_is_used(path):
     assert not unread, f"assigned, never read: {sorted(unread)}"
 
 
+def _unnamed(texts: dict[str, str], documents: str) -> list[str]:
+    """``module:name`` of each public top-level ``def`` or ``class`` that no
+    text names outside its own definition: not the rest of its module, not
+    another module, and not ``documents``."""
+    unnamed = []
+    for module, text in texts.items():
+        lines = text.splitlines(keepends=True)
+        others = [documents] + [t for m, t in texts.items() if m != module]
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = "".join(lines[:start - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(t) for t in [rest] + others):
+                unnamed.append(f"{module}:{node.name}")
+    return unnamed
+
+
+def test_every_public_definition_is_named_outside_tests():
+    texts = {str(p.relative_to(SOURCE)): p.read_text(encoding="utf-8")
+             for p in MODULES}
+    documents = "\n".join(p.read_text(encoding="utf-8") for p in DOCUMENTS)
+    unnamed = _unnamed(texts, documents)
+    assert not unnamed, f"named only by its definition or tests: {unnamed}"
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os, a.b\nfrom m import x as y, z\n"
                      "__all__ = ['z']\n_kept = 1\n_lost = 2\n"
                      "def _unused():\n    return a, _kept\n")
     assert _imported(tree) - _read(tree) - _exported(tree) == {"os", "y"}
     assert _private_assigned(tree) - _read(tree) == {"_lost", "_unused"}
+    texts = {"a.py": "def used():\n    return kept()\n\n"
+                     "def kept():\n    return kept\n\n"
+                     "@cache\ndef only_tests():\n    return only_tests\n\n"
+                     "class Told:\n    pass\n\ndef _private():\n    pass\n",
+             "b.py": "from a import used\n"}
+    assert _unnamed(texts, "see Told") == ["a.py:only_tests"]
