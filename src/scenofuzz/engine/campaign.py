@@ -31,11 +31,10 @@ the worker count.  A hit logs its own ``index``, ``scenario_id``,
 ``values`` and ``repairs`` with the first run's feedback, as a rerun
 would, so the log bytes do not move.  Its recording is the first run's
 file with the hit's own ``scenario_id`` in place of the first run's
-(``runner.copy_recording``): the bytes a rerun writes, except that
-``wall_clock`` is the first run's, the time of the simulation it reuses
-(``recording_digest`` zeroes it).  If that file is gone or has changed,
-nothing is copied and the hit is simulated again.  The memo keeps no
-frames and at most ``SCENARIO_MEMO_LIMIT`` scenarios, dropping the oldest.
+(``runner.copy_recording``): exactly the bytes a rerun writes.  If that
+file is gone or has changed, nothing is copied and the hit is simulated
+again.  The memo keeps no frames and at most ``SCENARIO_MEMO_LIMIT``
+scenarios, dropping the oldest.
 An external agent (``settings.endpoint``) is simulated every time, since a
 rerun is how a flaky agent shows, and a resumed campaign starts with an
 empty memo that replayed entries do not fill.

@@ -8,10 +8,8 @@ deciding one and nothing after it.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -27,7 +25,7 @@ from .simulator import (STEER_MAX, ActorState, ControlCommand, WaypointPolicy,
                         WorldState, actor_distance, actor_distance_lower_bound,
                         step_world)
 
-RECORDING_SCHEMA_VERSION = 1
+RECORDING_SCHEMA_VERSION = 2
 
 COLLISION = "CollisionViolation"
 DESTINATION = "DestinationReached"
@@ -103,7 +101,6 @@ class ScenarioRecording:
     verdict: Verdict
     rng_seed: int
     annotations: tuple[dict, ...] = ()
-    wall_clock: float = field(default=0.0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,6 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
             f"scenario {config.scenario_id!r} invalid: "
             + "; ".join(f"{v.code}({v.subject})" for v in problems), problems)
 
-    started = time.perf_counter()
     end_point = mission_end_point(config, lane_map)
     world = initial_world(config, lane_map)
     policies = {npc.actor_id: WaypointPolicy(npc)
@@ -272,7 +268,6 @@ def run_scenario(config: ScenarioConfig, lane_map: LaneMap,
         verdict=verdict,
         rng_seed=seed,
         annotations=tuple(annotations),
-        wall_clock=time.perf_counter() - started,
     )
 
 
@@ -336,13 +331,7 @@ def recording_bytes(rec: ScenarioRecording,
             + ',"verdict":{"details":' + dump(verdict.details)
             + ',"outcome":' + dump(verdict.outcome)
             + ',"time_of_decision":' + dump(verdict.time_of_decision)
-            + '},"wall_clock":' + dump(rec.wall_clock) + "}").encode("utf-8")
-
-
-def recording_digest(rec: ScenarioRecording) -> str:
-    """Content hash over everything deterministic (wall clock zeroed)."""
-    return hashlib.sha256(
-        recording_bytes(replace(rec, wall_clock=0.0))).hexdigest()
+            + "}}").encode("utf-8")
 
 
 def recording_path(directory: str | Path, scenario_id: str) -> Path:
@@ -394,12 +383,13 @@ def read_recording(path: str | Path) -> ScenarioRecording:
     # the actor codec's FrameError and Verdict's outcome check are
     # ValueErrors too
     try:
-        root = Cursor(doc, RecordingFormatError).keys(
-            {"schema_version", "scenario_id", "rng_seed", "wall_clock",
-             "config", "verdict", "annotations", "frames"})
-        version = root["schema_version"]
+        root = Cursor(doc, RecordingFormatError)
+        # the version first: an older version's keys are not this one's
+        version = root.keys({"schema_version"}, closed=False)["schema_version"]
         if version.integer() != RECORDING_SCHEMA_VERSION:
             raise version.fail(f"unsupported schema_version {version.doc!r}")
+        root.keys({"schema_version", "scenario_id", "rng_seed", "config",
+                   "verdict", "annotations", "frames"})
         for annotation in root["annotations"].items():
             annotation.keys({"type"}, closed=False)["type"].text()
         vcur = root["verdict"].keys({"outcome", "time_of_decision", "details"})
@@ -414,7 +404,6 @@ def read_recording(path: str | Path) -> ScenarioRecording:
             verdict=verdict,
             rng_seed=root["rng_seed"].integer(),
             annotations=tuple(doc["annotations"]),
-            wall_clock=root["wall_clock"].number(0.0),
         )
     except ValueError as exc:
         raise RecordingFormatError(f"{path}: {exc}") from None

@@ -93,6 +93,22 @@ MUTANTS = (
            "values.append(0.0 * nx + 0.0 * ny)",
            "values.append(0.0)",
            ("tests/test_scenario.py", "-k", "general_projection")),
+    # a scenario-memo hit copies the first run's recording only while it is
+    # the size the memo saw and holds the first run's id twice
+    Mutant("copy-size-check", "src/scenofuzz/runner.py",
+           "    if len(data) != size or data.count(old) != 2:\n",
+           "    if data.count(old) != 2:\n",
+           ("tests/test_runner.py", "-k", "copy_of_a_changed_source")),
+    Mutant("copy-id-count", "src/scenofuzz/runner.py",
+           "    if len(data) != size or data.count(old) != 2:\n",
+           "    if len(data) != size:\n",
+           ("tests/test_runner.py", "-k", "copy_of_a_changed_source")),
+    # a recording of another schema version is refused by its version
+    Mutant("recording-schema-version", "src/scenofuzz/runner.py",
+           "        if version.integer() != RECORDING_SCHEMA_VERSION:\n"
+           '            raise version.fail(f"unsupported schema_version {version.doc!r}")\n',
+           "",
+           ("tests/test_runner.py", "-k", "read_rejects_malformed_documents")),
     # a float subclass's own __format__ is not canonical text
     Mutant("float-subclass-format", "src/scenofuzz/canonical.py",
            'text = float.__format__(value, ".17g")',

@@ -210,13 +210,12 @@ def _frame_doc(frame):
     }
 
 
-def recording_document(rec, include_wall_clock=True, include_frames=True):
+def recording_document(rec, include_frames=True):
     """The document ``runner.recording_bytes`` must encode byte for byte."""
     return {
         "schema_version": RECORDING_SCHEMA_VERSION,
         "scenario_id": rec.scenario_id,
         "rng_seed": rec.rng_seed,
-        "wall_clock": rec.wall_clock if include_wall_clock else 0.0,
         "config": to_document(rec.config_snapshot),
         "verdict": {"outcome": rec.verdict.outcome,
                     "time_of_decision": rec.verdict.time_of_decision,

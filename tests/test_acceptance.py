@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import integrate_bicycle, obb_distance_sampled, recording_document
-from scenofuzz import canonical
+from oracles import integrate_bicycle, obb_distance_sampled
 from scenofuzz.bridge import (
     BridgeServer,
     FrameError,
@@ -58,6 +57,7 @@ from scenofuzz.runner import (
     OracleConfig,
     mission_end_point,
     mission_path,
+    recording_bytes,
     run_scenario,
 )
 from scenofuzz.scenario import unflatten
@@ -390,11 +390,7 @@ def test_c08_transport_equivalence_and_frame_fuzz(junction_settings):
     finally:
         server.close()
 
-    local_bytes = canonical.dumps(
-        recording_document(rec_local, include_wall_clock=False))
-    tcp_bytes = canonical.dumps(
-        recording_document(rec_tcp, include_wall_clock=False))
-    identical = local_bytes == tcp_bytes
+    identical = recording_bytes(rec_local) == recording_bytes(rec_tcp)
     lockstep = all(s.sent == s.received == len(rec_local.frames) - 1
                    for s in sessions)
 

@@ -3,9 +3,8 @@
 Each cache has its own reference test; this is the oracle for all of them
 at once.  Every run here is repeated inside ``caches_off`` (see
 ``conftest.py``), where each cache's lookup misses, and both runs must
-write the same ``evaluations.json`` and the same recordings, with the
-recording's ``wall_clock`` cut.  A later cache registers its bypass in
-``caches_off``.
+write the same ``evaluations.json`` and the same recordings, compared
+as whole files.  A later cache registers its bypass in ``caches_off``.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ SEED = 6
 
 def run(settings, algo, out=None, seed=SEED, workers=1, evals=None,
         resume=False, repeats=True):
-    """What the campaign wrote: its log, and each recording with the wall
-    clock cut.  With ``repeats``, the log must hold a scenario twice."""
+    """What the campaign wrote: its log and each recording.  With
+    ``repeats``, the log must hold a scenario twice."""
     default_evals, params = ALGORITHMS[algo]
     ctx = CampaignContext(
         settings, CampaignBudget(max_evaluations=evals or default_evals),
@@ -49,10 +48,8 @@ def run(settings, algo, out=None, seed=SEED, workers=1, evals=None,
         assert distinct_scenarios(ctx.records, ctx) < ctx.completed
     if out is None:
         return canonical.dump_bytes(ctx.records), {}
-    recordings = {}
-    for path in sorted((out / campaign.RECORDINGS_DIR).iterdir()):
-        data = path.read_bytes()
-        recordings[path.name] = data[:data.rindex(b'"wall_clock":')]
+    recordings = {path.name: path.read_bytes() for path in
+                  sorted((out / campaign.RECORDINGS_DIR).iterdir())}
     return (out / campaign.EVALUATIONS_FILE).read_bytes(), recordings
 
 

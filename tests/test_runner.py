@@ -1,6 +1,7 @@
 """Closed-loop scenario execution, oracles, and recording persistence."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -23,8 +24,7 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               copy_recording,
                               initial_world, mission_end_point, mission_path,
                               read_recording, recording_bytes,
-                              recording_digest, recording_path, run_scenario,
-                              write_recording)
+                              recording_path, run_scenario, write_recording)
 from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
                                 ScenarioConfig, flatten, unflatten)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
@@ -32,7 +32,7 @@ from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
                                  actor_distance_lower_bound)
 
 GOLDEN_RECORDING_SHA256 = \
-    "7b2a9356dd6873880664d3bc0214bad1ee097deb439f394d94dda7e377d96e17"
+    "67dcf38d4b0a6fa0f505b698aa371d31d3bc48a589276d658a135449877ff435"
 
 
 class BrakeAgent:
@@ -156,7 +156,6 @@ class TestRunScenario:
         assert math.hypot(ego.x - end[0], ego.y - end[1]) <= 3.0
         assert ego.speed < 0.5
         assert rec.verdict.time_of_decision == last.sim_time
-        assert rec.wall_clock > 0.0
 
     def test_halving_dt_keeps_verdict_and_final_position(self, chain_map):
         # Tolerance fixed before the first run: the ego stops within 0.5 m
@@ -331,7 +330,6 @@ class TestRunScenario:
 # reject too; tests/test_schemas.py checks the schema side.
 SCHEMA_FAULTS = {
     "negative-sim-time": lambda doc: doc["frames"][1].update(sim_time=-0.1),
-    "negative-wall-clock": lambda doc: doc.update(wall_clock=-1.0),
     "negative-decision-time":
         lambda doc: doc["verdict"].update(time_of_decision=-1.0),
     "frame-extra-key": lambda doc: doc["frames"][0].update(note="extra"),
@@ -385,23 +383,17 @@ class TestPersistence:
         assert path.read_bytes() == \
             canonical.dump_bytes(recording_document(rec))
         again = read_recording(path)
-        assert again == rec  # wall_clock is excluded from equality
-        assert recording_digest(again) == recording_digest(rec)
-
-    def test_digest_ignores_wall_clock(self, chain_map):
-        rec = self.make_recording(chain_map)
-        import dataclasses
-        other = dataclasses.replace(rec, wall_clock=rec.wall_clock + 100.0)
-        assert recording_digest(other) == recording_digest(rec)
+        assert again == rec
 
     def test_repeated_runs_are_byte_identical(self, chain_map):
         a = self.make_recording(chain_map)
         b = self.make_recording(chain_map)
-        assert recording_digest(a) == recording_digest(b)
+        assert recording_bytes(a) == recording_bytes(b)
 
     def test_golden_recording_digest(self, chain_map):
         rec = self.make_recording(chain_map)
-        assert recording_digest(rec) == GOLDEN_RECORDING_SHA256
+        assert hashlib.sha256(recording_bytes(rec)).hexdigest() == \
+            GOLDEN_RECORDING_SHA256
 
     def test_recording_bytes_raise_like_the_reference(self, chain_map):
         rec = self.make_recording(chain_map)
@@ -419,7 +411,6 @@ class TestPersistence:
                 {"type": "note", "value": float("-inf")},)),
             dataclasses.replace(rec, frames=frames, scenario_id="\ud800"),
             dataclasses.replace(rec, frames=rec.frames + (None,)),
-            dataclasses.replace(rec, wall_clock=float("nan")),
         ]
         failures = 0
         for case in cases:
@@ -431,7 +422,7 @@ class TestPersistence:
                                 case) == expected
                 failures += expected[0] != "ok"
         # only the frame faults pass when frames are left out
-        assert failures == 8
+        assert failures == 6
 
     def test_recording_bytes_raise_the_first_fault_in_write_order(
             self, chain_map):
@@ -495,13 +486,10 @@ class TestPersistence:
             self, chain_map, tmp_path, monkeypatch, step_memo):
         (tmp_path / "cold").mkdir()
         (tmp_path / "warm").mkdir()
-        # the recordings differ only in their wall clock
-        cold = write_recording(dataclasses.replace(
-            self.make_recording(chain_map), wall_clock=0.0),
-            tmp_path / "cold").read_bytes()
+        cold = write_recording(self.make_recording(chain_map),
+                               tmp_path / "cold").read_bytes()
         writes = self.counted_writes(monkeypatch)
-        rec = dataclasses.replace(self.make_recording(chain_map),
-                                  wall_clock=0.0)
+        rec = self.make_recording(chain_map)
         egos = [a for a in writes if a.kind == "ego"]
         # every later ego state, one per frame, is the one the first run
         # stepped and wrote; only the spawned state is new
@@ -547,8 +535,7 @@ class TestPersistence:
         npcs = [a for f in warm.frames for a in f.actors if a.kind == "npc"]
         assert len({id(a) for a in npcs}) == moving + 2
         (tmp_path / "warm").mkdir()
-        write_recording(dataclasses.replace(warm, wall_clock=rec.wall_clock),
-                        tmp_path / "warm")
+        write_recording(warm, tmp_path / "warm")
         assert len([a for a in writes if a.kind == "npc"]) == moving + 1
         assert recording_path(tmp_path / "warm",
                               rec.scenario_id).read_bytes() == cold
@@ -580,9 +567,8 @@ class TestPersistence:
         config = dataclasses.replace(rec.config_snapshot, scenario_id="copy")
         rerun = run_scenario(config, chain_map,
                              reference_session(chain_map, config), seed=7)
-        expected = write_recording(
-            dataclasses.replace(rerun, wall_clock=rec.wall_clock),
-            tmp_path / "rerun", include_frames).read_bytes()
+        expected = write_recording(rerun, tmp_path / "rerun",
+                                   include_frames).read_bytes()
         assert recording_path(tmp_path, "copy").read_bytes() == expected
         assert source.read_bytes() == data
 
@@ -601,8 +587,16 @@ class TestPersistence:
         assert not copy_recording(tmp_path, "chain_drive", "copy", len(data))
         assert not recording_path(tmp_path, "copy").exists()
 
-    def test_read_rejects_malformed_documents(self, tmp_path):
+    def test_read_rejects_malformed_documents(self, chain_map, tmp_path):
         bad = tmp_path / "x.record.json"
+        # a version-1 recording: the version is refused before its keys
+        old = recording_document(self.make_recording(chain_map))
+        old.update(schema_version=1, wall_clock=0.25)
+        bad.write_text(json.dumps(old))
+        with pytest.raises(RecordingFormatError) as caught:
+            read_recording(bad)
+        assert str(caught.value) == \
+            f"{bad}: /schema_version: unsupported schema_version 1"
         bad.write_text("not json")
         with pytest.raises(RecordingFormatError):
             read_recording(bad)
@@ -623,7 +617,6 @@ class TestPersistence:
         lambda doc: doc["frames"][1].update(sim_time="0.1"),
         lambda doc: doc["frames"][0]["ego_command"].update(brake="0.5"),
         lambda doc: doc["verdict"].update(time_of_decision=True),
-        lambda doc: doc.update(wall_clock="soon"),
         lambda doc: doc.update(schema_version=True),
         lambda doc: doc.update(rng_seed=2.7),
         lambda doc: doc.update(rng_seed=False),
@@ -640,10 +633,10 @@ class TestPersistence:
         lambda doc: doc.update(annotations=[{"type": "note"}, {"type": ""}]),
         *SCHEMA_FAULTS.values(),
     ], ids=["string-x", "bool-speed", "huge-length", "string-sim-time",
-            "string-brake", "bool-decision-time", "string-wall-clock",
-            "bool-schema-version", "float-seed", "bool-seed", "int-id",
-            "int-annotations", "verdict-without-details", "list-details",
-            "string-details", "verdict-extra-key", "int-annotation",
+            "string-brake", "bool-decision-time", "bool-schema-version",
+            "float-seed", "bool-seed", "int-id", "int-annotations",
+            "verdict-without-details", "list-details", "string-details",
+            "verdict-extra-key", "int-annotation",
             "annotation-without-type", "int-annotation-type",
             "empty-annotation-type", *SCHEMA_FAULTS])
     def test_read_rejects_mistyped_fields(self, chain_map, tmp_path, edit):
@@ -742,12 +735,12 @@ class StallingSession(InProcessSession):
 
 def _loops_agree(config, lane_map, session_factory, oracles, dt):
     """Run ``config`` through both loops, require the same recording bytes
-    (wall clock zeroed) and return the recording."""
+    and return the recording."""
     rec = run_scenario(config, lane_map, session_factory, oracles, 5, dt)
     ref = reference_run_scenario(config, lane_map, session_factory, oracles,
                                  5, dt)
-    assert recording_bytes(dataclasses.replace(rec, wall_clock=0.0)) == \
-        recording_bytes(ref), (config.scenario_id, dt)
+    assert recording_bytes(rec) == recording_bytes(ref), \
+        (config.scenario_id, dt)
     return rec
 
 
