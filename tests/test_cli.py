@@ -482,6 +482,31 @@ class TestCampaignRuns:
             f'error: {path}: /frames/0/actors/0: expected the ego first: '
             f'actor_id "ego" and kind "ego"')
 
+    def test_svg_export_refuses_a_version_1_recording(self, output_root):
+        """A recording written before the wall clock was dropped is refused
+        by its version, with its error line alone."""
+        args = ["--config-name", "random", "--config-dir", str(CONFIG_DIR),
+                "--run-id", "oldrec", "--max-evals", "8"]
+        assert main(args) == EXIT_OK
+        run_dir = output_root / "oldrec"
+        log = json.loads((run_dir / "evaluations.json").read_text())
+        scenario_id = next(r["scenario_id"] for r in log
+                           if r["outcome"] == "CollisionViolation")
+        path = run_dir / "recordings" / f"{scenario_id}.record.json"
+        doc = json.loads(path.read_text())
+        doc.update(schema_version=1, wall_clock=0.25)
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scenofuzz.cli", *args, "--resume",
+             "--export-svg"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_RUNTIME
+        assert "Traceback" not in proc.stderr
+        assert "SVG export failed" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: {path}: /schema_version: unsupported schema_version 1")
+
     def test_svg_export_after_a_resume_that_stops_during_replay(
             self, output_root, capsys):
         # seed 2: collisions at 2, 6 and 7, none among the 2 entries replayed

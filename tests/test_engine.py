@@ -823,6 +823,20 @@ class TestCampaign:
                             evals=14, workers=3)
         assert canonical.dumps(a.records) == canonical.dumps(b.records)
 
+    def test_worker_count_does_not_change_recordings(self, junction_settings,
+                                                     tmp_path):
+        # a recording is a function of its scenario, seed and dt alone
+        trees = []
+        for workers in (1, 3):
+            ctx, _ = campaign_log(junction_settings, algo="avfuzzer", seed=4,
+                                  evals=14, workers=workers,
+                                  output_dir=tmp_path / str(workers))
+            directory = tmp_path / str(workers) / campaign.RECORDINGS_DIR
+            trees.append({path.name: path.read_bytes()
+                          for path in directory.iterdir()})
+        assert len(trees[0]) == len({r["scenario_id"] for r in ctx.records})
+        assert trees[0] == trees[1]
+
     @pytest.mark.parametrize("frames", [True, False], ids=["frames", "summary"])
     @pytest.mark.parametrize("algo", ["avfuzzer", "behavexplor"])
     def test_recordings_equal_the_reference_document(

@@ -330,6 +330,8 @@ class TestRunScenario:
 # reject too; tests/test_schemas.py checks the schema side.
 SCHEMA_FAULTS = {
     "negative-sim-time": lambda doc: doc["frames"][1].update(sim_time=-0.1),
+    # version 2 has no wall clock: a writer that put it back is refused
+    "wall-clock-key": lambda doc: doc.update(wall_clock=0.0),
     "negative-decision-time":
         lambda doc: doc["verdict"].update(time_of_decision=-1.0),
     "frame-extra-key": lambda doc: doc["frames"][0].update(note="extra"),

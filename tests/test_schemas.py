@@ -241,6 +241,7 @@ class TestRecordingSchema:
          "below minimum 0"),
         (lambda d: d["config"].pop("ego"), "missing required key 'ego'"),
         (lambda d: d.update(rng_seed=0.5), "expected integer"),
+        (lambda d: d.update(schema_version=1), "constant 2"),
     ])
     def test_corrupted_documents_fail(self, recording_validator,
                                       recording_doc, mutate, fragment):
