@@ -6,18 +6,20 @@ followed by that many bytes of UTF-8 canonical JSON.  Bodies::
     {"type": "perception", "sim_time": t, "ego": {...}, "obstacles": [...]}
     {"type": "control", "sim_time": t, "throttle": f, "brake": f, "steering": f}
 
-Frames are written by shape: :func:`encode` lays out each body's keys in
-sorted order and writes each value with ``canonical.dump_value``, and the
-result must equal ``canonical.dump_bytes`` of the body's document byte for
-byte (``tests/test_bridge.py`` keeps the dict-building encoder and the
-original decoder checks as the reference).  A fresh exact ``ActorState``
-whose five moving fields are floats with a finite sum, none integral, is
-written in one ``%`` format call with ``%.17g`` at those keys: the routine
-behind ``format(v, ".17g")``, and 17 significant digits of a non-integral
-value always hold a "." or an "e", so it is ``dump_value``'s text.  Those
-floats never come back, so writing them past the float memo only skips
-missed lookups; every other actor is written field by field, and control
-replies stay on the memo, whose ``sim_time`` grid and repeated commands hit.
+Every frame must equal ``canonical.dump_bytes`` of its body's document byte
+for byte (``tests/test_bridge.py`` keeps the dict-building encoder and the
+original decoder checks as the reference).  Only the layouts that run
+hundreds of times per evaluation are written by shape, their keys laid out
+in sorted order: the perception frame, a recording's frames (in
+``runner``), and a fresh exact ``ActorState`` whose five moving fields are
+floats with a finite sum, none integral.  That actor is written in one
+``%`` format call with ``%.17g`` at those keys: the routine behind
+``format(v, ".17g")``, and 17 significant digits of a non-integral value
+always hold a "." or an "e", so it is ``dump_value``'s text.  Those floats
+never come back, so writing them past the float memo only skips missed
+lookups.  The rest, every other actor and a control frame not yet written,
+is built as a dict and written by ``canonical.dump_value``, which sorts its
+keys, so its bytes and its first fault are the reference's.
 
 Both sides of the codec have one path.  A writer writes each value as it
 reads it: :func:`encode` and ``runner.recording_bytes`` write every actor
@@ -98,7 +100,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import socket
 import socketserver
 import struct
@@ -117,7 +118,6 @@ log = logging.getLogger(__name__)
 HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 5.0
-ENDPOINT_ENV_VAR = "SCENOFUZZ_BRIDGE_ADDR"
 
 # reference agent tuning
 CORRIDOR_LENGTH = 25.0   # m, how far ahead obstacles are braked for
@@ -178,10 +178,10 @@ class ControlMessage:
 
 # An actor's fields in the order they are read; frames are written with their
 # keys in sorted order.
-_actor_fields = attrgetter("actor_id", "kind", "x", "y", "heading", "speed",
-                          "acceleration", "length", "width")
-_ACTOR_KEYS = frozenset(("actor_id", "kind", "x", "y", "heading", "speed",
-                         "acceleration", "length", "width"))
+_ACTOR_FIELDS = ("actor_id", "kind", "x", "y", "heading", "speed",
+                 "acceleration", "length", "width")
+_actor_fields = attrgetter(*_ACTOR_FIELDS)
+_ACTOR_KEYS = frozenset(_ACTOR_FIELDS)
 _NUMBER_KEYS = ("x", "y", "heading", "speed", "acceleration", "length", "width")
 _actor_numbers = itemgetter(*_NUMBER_KEYS)
 _PERCEPTION_KEYS = frozenset(("type", "sim_time", "ego", "obstacles"))
@@ -200,8 +200,8 @@ def actor_text(actor) -> str:
     exact = type(actor) is ActorState
     if exact and actor._text is not None:
         return actor._text
-    actor_id, kind, x, y, heading, speed, acceleration, length, width = \
-        _actor_fields(actor)
+    fields = _actor_fields(actor)
+    actor_id, kind, x, y, heading, speed, acceleration, length, width = fields
     if (exact and type(x) is type(y) is type(heading) is type(speed)
             is type(acceleration) is float
             and _isfinite(x + y + heading + speed + acceleration)
@@ -211,15 +211,7 @@ def actor_text(actor) -> str:
                                 dump_value(kind), dump_value(length), speed,
                                 dump_value(width), x, y)
     else:
-        text = ('{"acceleration":' + dump_value(acceleration)
-                + ',"actor_id":' + dump_value(actor_id)
-                + ',"heading":' + dump_value(heading)
-                + ',"kind":' + dump_value(kind)
-                + ',"length":' + dump_value(length)
-                + ',"speed":' + dump_value(speed)
-                + ',"width":' + dump_value(width)
-                + ',"x":' + dump_value(x)
-                + ',"y":' + dump_value(y) + "}")
+        text = dump_value(dict(zip(_ACTOR_FIELDS, fields)))
     if exact:  # stored once written, so a write that raises stores nothing
         actor.__dict__["_text"] = text
     return text
@@ -268,13 +260,10 @@ def encode(message: PerceptionMessage | ControlMessage) -> bytes:
             return message._frame
         sim_time = message.sim_time
         cmd = message.command
-        throttle, brake, steering = cmd.throttle, cmd.brake, cmd.steering
-        body = ('{"brake":' + dump_value(brake)
-                + ',"sim_time":' + dump_value(sim_time)
-                + ',"steering":' + dump_value(steering)
-                + ',"throttle":' + dump_value(throttle)
-                + ',"type":"control"}')
-        payload = body.encode("utf-8")
+        payload = dump_value({
+            "type": "control", "sim_time": sim_time,
+            "throttle": cmd.throttle, "brake": cmd.brake,
+            "steering": cmd.steering}).encode("utf-8")
         frame = HEADER.pack(len(payload)) + payload
         if exact and type(cmd) is ControlCommand and type(sim_time) is float:
             message.__dict__["_frame"] = frame  # stored once written
@@ -594,11 +583,6 @@ _INPROC_AGENTS: dict[str, object] = {}
 
 def register_inproc_agent(name: str, factory) -> None:
     _INPROC_AGENTS[name] = factory
-
-
-def resolve_endpoint(default: str | None = None) -> str | None:
-    """Bridge endpoint, with the environment variable taking precedence."""
-    return os.environ.get(ENDPOINT_ENV_VAR) or default
 
 
 def parse_endpoint(endpoint: str) -> tuple[str | None, str | int]:

@@ -24,8 +24,7 @@ from typing import Any
 
 import yaml
 
-from .bridge import (ENDPOINT_ENV_VAR, AgentSettings, parse_endpoint,
-                     resolve_endpoint)
+from .bridge import AgentSettings, parse_endpoint
 from .canonical import Cursor
 from .engine.avfuzzer import local_share
 from .engine.campaign import (ALGORITHM_DEFAULTS, CampaignBudget,
@@ -37,6 +36,9 @@ from .scenario import (MAX_TARGET_SPEED, MutationSpace, ScenarioConfig,
                        validate)
 
 log = logging.getLogger(__name__)
+
+# overrides an external agent's endpoint
+ENDPOINT_ENV_VAR = "SCENOFUZZ_BRIDGE_ADDR"
 
 BUILTIN_RUNNER = "ApolloSim"
 AGENT_TYPES = ("reference", "external")
@@ -395,7 +397,7 @@ def build_execution(config: RunConfig):
     endpoint_key = "scenario_runner.parameters.agent.endpoint"
     endpoint = None  # a reference agent runs in process, whatever is set
     if config.agent_type == "external":
-        endpoint = resolve_endpoint(config.agent_endpoint)
+        endpoint = os.environ.get(ENDPOINT_ENV_VAR) or config.agent_endpoint
         if endpoint is None:
             raise ConfigError(f"{endpoint_key}: an external agent needs an "
                               f"endpoint here or in {ENDPOINT_ENV_VAR}")

@@ -398,8 +398,9 @@ class CampaignContext:
                                         self._lane_width)
         size = None
         if self.output_dir is not None:
-            size = write_recording(recording, self.output_dir / RECORDINGS_DIR,
-                                   self.settings.save_traffic_recording
+            if not self.settings.save_traffic_recording:
+                recording = dataclasses.replace(recording, frames=())
+            size = write_recording(recording, self.output_dir / RECORDINGS_DIR
                                    ).stat().st_size
         return _Outcome(feedback, job.config.scenario_id, size)
 

@@ -309,8 +309,7 @@ def _frame_text(frame: Frame) -> str:
             + '},"sim_time":' + canonical.dump_value(sim_time) + "}")
 
 
-def recording_bytes(rec: ScenarioRecording,
-                    include_frames: bool = True) -> bytes:
+def recording_bytes(rec: ScenarioRecording) -> bytes:
     """The recording's canonical JSON, written by shape with its keys in
     sorted order: the bytes of ``canonical.dump_bytes`` of the dict-building
     encoder that ``tests/oracles.py`` keeps as the reference.  A recording
@@ -320,11 +319,10 @@ def recording_bytes(rec: ScenarioRecording,
     """
     config = to_document(rec.config_snapshot)
     verdict = rec.verdict
-    frames = rec.frames if include_frames else ()
     dump = canonical.dump_value
     return ('{"annotations":' + dump(list(rec.annotations))
             + ',"config":' + dump(config)
-            + ',"frames":[' + ",".join([_frame_text(f) for f in frames])
+            + ',"frames":[' + ",".join([_frame_text(f) for f in rec.frames])
             + '],"rng_seed":' + dump(rec.rng_seed)
             + ',"scenario_id":' + dump(rec.scenario_id)
             + ',"schema_version":' + dump(RECORDING_SCHEMA_VERSION)
@@ -339,13 +337,12 @@ def recording_path(directory: str | Path, scenario_id: str) -> Path:
     return Path(directory) / f"{scenario_id}.record.json"
 
 
-def write_recording(rec: ScenarioRecording, directory: str | Path,
-                    include_frames: bool = True) -> Path:
+def write_recording(rec: ScenarioRecording, directory: str | Path) -> Path:
     """Write ``rec`` to ``recording_path(directory, rec.scenario_id)`` and
     return that path."""
     path = recording_path(directory, rec.scenario_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(recording_bytes(rec, include_frames))
+    path.write_bytes(recording_bytes(rec))
     return path
 
 

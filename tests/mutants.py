@@ -60,6 +60,17 @@ MUTANTS = (
            "            and _isfinite(x + y + heading + speed + acceleration)\n",
            "",
            ("tests/test_bridge.py", "-k", "actor_text")),
+    # only an exact actor keeps its text, and only an exact message with an
+    # exact command and a float time keeps its frame: any other is written
+    # afresh, so a later change to it shows
+    Mutant("actor-text-exact-store", "src/scenofuzz/bridge.py",
+           "    if exact:  # stored once written, so a write that raises stores nothing\n",
+           "    if True:  # stored once written, so a write that raises stores nothing\n",
+           ("tests/test_bridge.py", "-k", "written_afresh")),
+    Mutant("control-frame-exact-command", "src/scenofuzz/bridge.py",
+           "        if exact and type(cmd) is ControlCommand and type(sim_time) is float:\n",
+           "        if exact:\n",
+           ("tests/test_bridge.py", "-k", "encoded_afresh")),
     # past the coordinate bound, box edges round away and lengths overflow
     Mutant("no-coordinate-bound", "src/scenofuzz/geometry.py",
            "MAX_COORDINATE = 1.0e7  # m\n",

@@ -210,7 +210,7 @@ def _frame_doc(frame):
     }
 
 
-def recording_document(rec, include_frames=True):
+def recording_document(rec):
     """The document ``runner.recording_bytes`` must encode byte for byte."""
     return {
         "schema_version": RECORDING_SCHEMA_VERSION,
@@ -221,7 +221,7 @@ def recording_document(rec, include_frames=True):
                     "time_of_decision": rec.verdict.time_of_decision,
                     "details": rec.verdict.details},
         "annotations": list(rec.annotations),
-        "frames": [_frame_doc(f) for f in rec.frames] if include_frames else [],
+        "frames": [_frame_doc(f) for f in rec.frames],
     }
 
 

@@ -23,7 +23,7 @@ from scenofuzz.bridge import (AgentSettings, AgentTimeoutError, BridgeServer,
                               InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, TcpSession,
                               connect, decode, encode, read_frame,
-                              register_inproc_agent, resolve_endpoint,
+                              register_inproc_agent,
                               route_guidance, route_lateral)
 from scenofuzz.canonical import finite_number
 from scenofuzz.config import build_execution, load_config
@@ -190,6 +190,48 @@ class TestFraming:
                 read_frame(b)
         finally:
             b.close()
+
+    def test_read_frame_refuses_a_close_inside_the_header(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(encode(ControlMessage(0.0, ControlCommand()))[:2])
+            a.close()
+            with pytest.raises(FrameError, match="closed mid-frame"):
+                read_frame(b)
+        finally:
+            b.close()
+
+    def test_read_frame_refuses_a_close_at_a_frame_boundary(self):
+        a, b = socket.socketpair()
+        try:
+            frame = encode(ControlMessage(0.0, ControlCommand()))
+            a.sendall(frame)
+            a.close()
+            assert read_frame(b) == frame
+            with pytest.raises(FrameError, match="closed mid-frame"):
+                read_frame(b)
+        finally:
+            b.close()
+
+    def test_read_frame_joins_one_byte_reads(self):
+        frame = encode(perception(actor(), [actor("npc_1", "npc", x=9.0)]))
+
+        class Trickle:
+            """A reader whose every ``recv`` returns one byte."""
+
+            def __init__(self, data):
+                self.data, self.calls = data, 0
+
+            def recv(self, n):
+                assert n > 0
+                self.calls += 1
+                byte, self.data = self.data[:1], self.data[1:]
+                return byte
+
+        reader = Trickle(frame + b"\x00")
+        assert read_frame(reader) == frame
+        assert reader.calls == len(frame)
+        assert reader.data == b"\x00"
 
 
 # ---------------------------------------------------------------------------
@@ -1672,12 +1714,6 @@ class TestSessions:
             connect("inproc:nope")
         with pytest.raises(ValueError):
             connect("garbage")
-
-    def test_endpoint_env_override(self, monkeypatch):
-        monkeypatch.delenv(bridge.ENDPOINT_ENV_VAR, raising=False)
-        assert resolve_endpoint("inproc:default") == "inproc:default"
-        monkeypatch.setenv(bridge.ENDPOINT_ENV_VAR, "10.0.0.1:9000")
-        assert resolve_endpoint("inproc:default") == "10.0.0.1:9000"
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ class TestFeedbackReference:
         """A recording written without its frames reads back with none;
         feedback has nothing to walk and says so."""
         rec = make_recording([ego_state(x=0.8 * i) for i in range(3)])
-        path = write_recording(rec, tmp_path, include_frames=False)
+        path = write_recording(dataclasses.replace(rec, frames=()), tmp_path)
         summary = read_recording(path)
         assert summary.frames == ()
         with pytest.raises(ValueError, match="^recording has no frames$"):
@@ -842,14 +842,26 @@ class TestCampaign:
     def test_recordings_equal_the_reference_document(
             self, junction_settings, tmp_path, monkeypatch, checked_checkpoints,
             algo, frames):
-        written = {}  # scenario id -> the recording a fresh run wrote
+        runs = {}  # scenario id -> the recording a fresh run returned
+        written = {}  # scenario id -> the run behind each recording written
 
-        def capture(rec, directory, include_frames=True, *args, **kwargs):
-            assert include_frames is frames
-            written[rec.scenario_id] = rec
-            return write_recording(rec, directory, include_frames, *args,
-                                   **kwargs)
+        def run(config, *args, **kwargs):
+            runs[config.scenario_id] = run_scenario(config, *args, **kwargs)
+            return runs[config.scenario_id]
 
+        def capture(rec, directory):
+            ran = runs.get(rec.scenario_id)
+            if ran is None:  # an InvalidScenario recording has no frames
+                assert rec.verdict.outcome == INVALID_SCENARIO
+                assert rec.frames == ()
+            elif frames:
+                assert rec is ran
+            else:
+                assert rec.frames == () and rec.verdict is ran.verdict
+            written[rec.scenario_id] = rec if ran is None else ran
+            return write_recording(rec, directory)
+
+        monkeypatch.setattr(campaign, "run_scenario", run)
         monkeypatch.setattr(campaign, "write_recording", capture)
         settings = dataclasses.replace(junction_settings,
                                        save_traffic_recording=frames)
@@ -873,9 +885,11 @@ class TestCampaign:
                         settings.mission, settings.agent, settings.dt)),
                     settings.oracles, seed=ctx.seed, dt=settings.dt)
                 reruns += 1
+            if not frames:
+                rec = dataclasses.replace(rec, frames=())
             path = recording_path(directory, scenario_id)
             assert path.read_bytes() == canonical.dump_bytes(
-                recording_document(rec, include_frames=frames)), path.name
+                recording_document(rec)), path.name
         assert len(written) == 12 - reruns == \
             distinct_scenarios(ctx.records, ctx)
         assert sum(len(rec.frames) for rec in written.values()) > 12

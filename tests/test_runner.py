@@ -416,12 +416,10 @@ class TestPersistence:
         ]
         failures = 0
         for case in cases:
-            for include_frames in (True, False):
+            for written in (case, dataclasses.replace(case, frames=())):
                 expected = _outcome(lambda r: canonical.dump_bytes(
-                    recording_document(r, include_frames=include_frames)),
-                    case)
-                assert _outcome(lambda r: recording_bytes(r, include_frames),
-                                case) == expected
+                    recording_document(r)), written)
+                assert _outcome(recording_bytes, written) == expected
                 failures += expected[0] != "ok"
         # only the frame faults pass when frames are left out
         assert failures == 6
@@ -452,8 +450,8 @@ class TestPersistence:
             assert _outcome(lambda r: canonical.dump_bytes(
                 recording_document(r)), case) == (AttributeError, unreadable)
             assert _outcome(recording_bytes, case) == first
-            assert _outcome(lambda r: recording_bytes(r, False),
-                            case)[0] == "ok"
+            assert _outcome(recording_bytes, dataclasses.replace(
+                case, frames=()))[0] == "ok"
 
     @staticmethod
     def counted_writes(monkeypatch):
@@ -551,26 +549,29 @@ class TestPersistence:
 
     def test_summary_only_persistence(self, chain_map, tmp_path):
         rec = self.make_recording(chain_map)
-        path = write_recording(rec, tmp_path, include_frames=False)
+        path = write_recording(dataclasses.replace(rec, frames=()), tmp_path)
         summary = read_recording(path)
         assert summary.frames == ()
         assert summary.verdict == rec.verdict
         assert summary.scenario_id == rec.scenario_id
 
-    @pytest.mark.parametrize("include_frames", [True, False],
+    @pytest.mark.parametrize("frames", [True, False],
                              ids=["frames", "summary"])
     def test_copy_equals_the_recording_of_a_rerun(self, chain_map, tmp_path,
-                                                  include_frames):
+                                                  frames):
+        def written(rec):  # what a campaign writes of a run
+            return rec if frames else dataclasses.replace(rec, frames=())
+
         rec = self.make_recording(chain_map)
-        source = write_recording(rec, tmp_path, include_frames)
+        source = write_recording(written(rec), tmp_path)
         data = source.read_bytes()
         # an id of another length: the copy need not keep the file's size
         assert copy_recording(tmp_path, "chain_drive", "copy", len(data))
         config = dataclasses.replace(rec.config_snapshot, scenario_id="copy")
         rerun = run_scenario(config, chain_map,
                              reference_session(chain_map, config), seed=7)
-        expected = write_recording(rerun, tmp_path / "rerun",
-                                   include_frames).read_bytes()
+        expected = write_recording(written(rerun),
+                                   tmp_path / "rerun").read_bytes()
         assert recording_path(tmp_path, "copy").read_bytes() == expected
         assert source.read_bytes() == data
 
