@@ -147,10 +147,17 @@ def dump_bytes(value: Any) -> bytes:
 
 
 def loads(text: str | bytes) -> Any:
-    """Parse JSON text. Inverse of :func:`dumps` for supported values."""
+    """Parse JSON text. Inverse of :func:`dumps` for supported values.
+
+    Every fault is a ``ValueError``, so the reader that opened the text
+    names it; that includes a document nested past the recursion limit.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
 
 
 def sha256(value: Any) -> str:

@@ -19,7 +19,9 @@ from pathlib import Path
 from .config import build_execution, load_config
 from .engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
                               CampaignContext, CampaignError, run_campaign)
-from .runner import RecordingFormatError
+from .runner import (COLLISION, RecordingFormatError, read_recording,
+                     recording_path)
+from .svg_export import render_recording_svg
 
 log = logging.getLogger(__name__)
 
@@ -94,9 +96,6 @@ def default_run_id(seed: int, now: datetime | None = None) -> str:
 
 
 def _export_svgs(ctx, output_dir: Path) -> int:
-    from .runner import COLLISION, read_recording, recording_path
-    from .svg_export import render_recording_svg
-
     svg_dir = output_dir / "svg"
     count = 0
     for record in ctx.log_entries():

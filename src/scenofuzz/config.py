@@ -18,6 +18,7 @@ import logging
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -103,6 +104,8 @@ BOUNDS = (
     ("scenario.mutation_space.speed_low", "<=",
      "scenario.mutation_space.speed_high"),
     ("scenario.mutation_space.offset_limit", ">=", 0),
+    # an offset gene spans 2 * offset_limit, which must stay a finite float
+    ("scenario.mutation_space.offset_limit", "<=", sys.float_info.max / 2),
     ("scenario.mutation_space.delay_low", ">=", 0),
     ("scenario.mutation_space.delay_low", "<=",
      "scenario.mutation_space.delay_high"),
@@ -257,8 +260,8 @@ def _walk(doc: Any, tree: dict, where: str, overrides: dict,
                     raise leaf.fail("expected true or false")
             elif kind is int:
                 value = leaf.integer()
-            elif kind is float:
-                value = leaf.number()
+            elif kind is float:  # -0.0 reads as 0.0, which numpy's ranges take
+                value = leaf.number() + 0.0
             elif not isinstance(value, str):
                 raise leaf.fail("expected a string")
             values[path] = value

@@ -73,6 +73,7 @@ from ..runner import (COLLISION, INVALID_SCENARIO, OUTCOMES,
                       write_recording)
 from ..scenario import (MutationSpace, ParameterVector, ScenarioConfig,
                         flatten, to_document, unflatten)
+from . import avfuzzer, behavexplor, drivefuzz, random_search, samota
 from .feedback import BINS, NO_OBSTACLE_FITNESS, Feedback, compute_feedback
 
 EVALUATIONS_FILE = "evaluations.json"
@@ -473,7 +474,6 @@ def _atomic_write(path: Path, data: bytes | bytearray) -> None:
 def algorithm_registry() -> dict:
     """Each algorithm as ``run(ctx, params)``; ``params`` may leave out any
     of :data:`ALGORITHM_DEFAULTS`."""
-    from . import avfuzzer, behavexplor, drivefuzz, random_search, samota
     runs = {"random": random_search.run, "avfuzzer": avfuzzer.run,
             "behavexplor": behavexplor.run, "samota": samota.run,
             "drivefuzz": drivefuzz.run}

@@ -8,6 +8,10 @@ The mutable view of a scenario is a flat ``ParameterVector``: ``flatten``
 lays out the genes of a template config with the template's own values, and
 ``unflatten`` instantiates a concrete scenario from a vector over that
 template.
+
+``validate`` checks each actor once, taking its spawn box in the same pass,
+and then measures the boxes pairwise with the simulator's ``obb_distance``:
+scenario imports the simulator, never the reverse.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from .canonical import Cursor
 from .geometry import MAX_COORDINATE, Pose, left_normal
 from .lanemap import LaneMap
+from .simulator import obb_distance
 
 SCHEMA_VERSION = 1
 
@@ -121,18 +126,21 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
             out.append(Violation("DuplicateActorId", actor_id, "actor id used twice"))
         seen.add(actor_id)
 
+    boxes: list[tuple[str, Pose, BodyDims]] = []
     ego = config.ego
     _check_body(ego.body, "ego", out)
     for which, lane_id, station in (("start", ego.start_lane_id, ego.start_station),
                                     ("end", ego.end_lane_id, ego.end_station)):
         if lane_id not in lane_map.lanes:
             out.append(Violation("UnknownLane", "ego", f"{which} lane {lane_id!r}"))
-        else:
-            length = lane_map.lanes[lane_id].length
-            if not (0.0 <= station <= length):
-                out.append(Violation(
-                    "StationOutOfRange", "ego",
-                    f"{which}_station={station} outside [0, {length:.3f}] of {lane_id!r}"))
+            continue
+        lane = lane_map.lanes[lane_id]
+        if not (0.0 <= station <= lane.length):
+            out.append(Violation(
+                "StationOutOfRange", "ego",
+                f"{which}_station={station} outside [0, {lane.length:.3f}] of {lane_id!r}"))
+        elif which == "start":
+            boxes.append(("ego", lane.path.pose_at(station), ego.body))
 
     for npc in config.npc_vehicles:
         _check_body(npc.body, npc.actor_id, out)
@@ -147,6 +155,8 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
                     out.append(Violation("WaypointSpacing", npc.actor_id,
                                          "consecutive waypoints coincide"))
                     break
+        if npc.waypoints:
+            boxes.append((npc.actor_id, npc.waypoints[0], npc.body))
         if len(npc.target_speeds) != max(len(npc.waypoints) - 1, 0):
             out.append(Violation(
                 "SpeedCountMismatch", npc.actor_id,
@@ -162,38 +172,15 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
     for obs in config.obstacles:
         _check_body(obs.body, obs.actor_id, out)
         _check_pose(obs.pose, obs.actor_id, out)
-
-    out.extend(_initial_overlaps(config, lane_map))
-    return out
-
-
-def _initial_overlaps(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
-    # import here: the simulator is a leaf module, scenario sits above it
-    from .simulator import obb_distance
-
-    boxes: list[tuple[str, Pose, BodyDims]] = []
-    ego = config.ego
-    if ego.start_lane_id in lane_map.lanes:
-        lane = lane_map.lanes[ego.start_lane_id]
-        if 0.0 <= ego.start_station <= lane.length:
-            boxes.append(("ego", lane.path.pose_at(ego.start_station), ego.body))
-    for npc in config.npc_vehicles:
-        if npc.waypoints:
-            boxes.append((npc.actor_id, npc.waypoints[0], npc.body))
-    for obs in config.obstacles:
         boxes.append((obs.actor_id, obs.pose, obs.body))
+
     # a bad body or a far pose has its own violation, and a flat box has no
     # distance
     boxes = [box for box in boxes if _body_ok(box[2]) and _pose_ok(box[1])]
-
-    out = []
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            id_a, pose_a, body_a = boxes[i]
-            id_b, pose_b, body_b = boxes[j]
-            d = obb_distance(pose_a.x, pose_a.y, pose_a.heading, body_a.length, body_a.width,
-                             pose_b.x, pose_b.y, pose_b.heading, body_b.length, body_b.width)
-            if d <= 0.0:
+    for i, (id_a, a, body_a) in enumerate(boxes):
+        for id_b, b, body_b in boxes[i + 1:]:
+            if obb_distance(a.x, a.y, a.heading, body_a.length, body_a.width,
+                            b.x, b.y, b.heading, body_b.length, body_b.width) <= 0.0:
                 out.append(Violation("InitialOverlap", f"{id_a}/{id_b}",
                                      "actors overlap at spawn"))
     return out

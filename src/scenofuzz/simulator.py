@@ -4,7 +4,8 @@ The vehicle model is a kinematic bicycle integrated with explicit Euler.  All
 state updates read the pre-step snapshot, so actor iteration order can never
 change a step's outcome.  The ego and every NPC share one vehicle, fixed in the
 module constants ``WHEELBASE``, ``A_MAX``, ``B_MAX``, ``DRAG``, ``V_MAX`` and
-``STEER_MAX``.
+``STEER_MAX``.  The module imports no package module but ``geometry``, so
+``scenario`` can import its ``obb_distance`` to measure spawn overlaps.
 
 The value objects ``ActorState`` and ``ControlCommand`` are validated once, in
 their ``__init__``, and stored straight into the instance.  A heading that is
@@ -67,7 +68,6 @@ from operator import attrgetter
 from typing import Mapping
 
 from .geometry import Polyline, normalize_angle
-from .scenario import NpcSpec
 
 # vehicle model
 WHEELBASE = 2.8   # m
@@ -439,10 +439,10 @@ class WaypointPolicy:
     per-segment PID speed tracking.
 
     Holds full brake until the spawn delay has elapsed and again once the
-    final waypoint is reached (latched).
+    final waypoint is reached (latched).  ``spec`` is a ``scenario.NpcSpec``.
     """
 
-    def __init__(self, spec: NpcSpec):
+    def __init__(self, spec):
         self.path = Polyline([(p.x, p.y) for p in spec.waypoints])
         self.target_speeds = spec.target_speeds
         # the step's thresholds, computed once with the same operations

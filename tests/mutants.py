@@ -125,6 +125,32 @@ MUTANTS = (
            'text = float.__format__(value, ".17g")',
            'text = format(value, ".17g")',
            ("tests/test_canonical.py",)),
+    # a document nested past the recursion limit is a ValueError each
+    # reader names, not a RecursionError that escapes them
+    Mutant("loads-too-deep", "src/scenofuzz/canonical.py",
+           "    try:\n"
+           "        return json.loads(text)\n"
+           "    except RecursionError:\n"
+           '        raise ValueError("document nested too deeply") from None\n',
+           "    return json.loads(text)\n",
+           ("tests/test_engine.py", "-k", "too-deep")),
+    # numpy's samplers refuse a range whose upper bound is -0.0
+    Mutant("config-signed-zero", "src/scenofuzz/config.py",
+           "value = leaf.number() + 0.0",
+           "value = leaf.number()",
+           ("tests/test_config.py", "-k", "negative_zero")),
+    # an offset gene spans 2 * offset_limit, which numpy cannot sample past
+    # the largest float
+    Mutant("offset-limit-bound", "src/scenofuzz/config.py",
+           '    ("scenario.mutation_space.offset_limit", "<=", '
+           "sys.float_info.max / 2),\n",
+           "",
+           ("tests/test_config.py", "-k", "out_of_range_values_rejected")),
+    # a far spawn box has its own violation and no overlap to measure
+    Mutant("spawn-box-filter", "src/scenofuzz/scenario.py",
+           "_body_ok(box[2]) and _pose_ok(box[1])",
+           "_body_ok(box[2])",
+           ("tests/test_scenario.py", "-k", "two_pass_reference")),
 )
 
 

@@ -12,7 +12,9 @@ key, and the step loop is the one that built a frozen dataclass per frame
 and world state through the generated ``__init__`` and checked the controls
 with two sets before stepping.  The parameter vector of a config is its
 general projection onto a template, which reads every gene back from the
-config's own fields.
+config's own fields.  A scenario is validated in two passes, the second of
+which works out every spawn box again, the ego's from its lane, to find the
+actors that overlap at spawn.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION,
                               check_collision, check_destination,
                               initial_world, mission_end_point)
 from scenofuzz import canonical
-from scenofuzz.scenario import (Gene, MutationSpace, ParameterVector,
-                                ScenarioConfig, to_document, unflatten,
-                                validate)
+from scenofuzz.scenario import (MAX_TARGET_SPEED, Gene, MutationSpace,
+                                ParameterVector, ScenarioConfig, Violation,
+                                _body_ok, _check_body, _check_pose, _pose_ok,
+                                to_document, unflatten, validate)
 from scenofuzz.simulator import (BRAKE_COMMAND, ControlCommand,
-                                 SpeedController, pure_pursuit_steering,
-                                 step_kinematic)
+                                 SpeedController, obb_distance,
+                                 pure_pursuit_steering, step_kinematic)
 
 
 # --- kinematic bicycle, fine-step explicit Euler ---------------------------
@@ -346,6 +349,111 @@ def flatten_onto(config: ScenarioConfig, space: MutationSpace,
         else:  # pragma: no cover - layout only emits known fields
             raise AssertionError(gene.field)
     return ParameterVector(tuple(values), genes)
+
+
+# --- scenario checks: spawn boxes worked out in a second pass --------------
+
+def validate_in_two_passes(config, lane_map):
+    """``scenario.validate`` as it was before it took each spawn box in its
+    one pass over the actors: the per-actor checks first, then
+    :func:`initial_overlaps`."""
+    out = []
+    if config.duration_limit <= 0:
+        out.append(Violation("NonPositiveDuration", config.scenario_id,
+                             f"duration_limit={config.duration_limit}"))
+
+    ids = ["ego"] + [n.actor_id for n in config.npc_vehicles] + \
+        [o.actor_id for o in config.obstacles]
+    seen = set()
+    for actor_id in ids:
+        if actor_id in seen:
+            out.append(Violation("DuplicateActorId", actor_id,
+                                 "actor id used twice"))
+        seen.add(actor_id)
+
+    ego = config.ego
+    _check_body(ego.body, "ego", out)
+    for which, lane_id, station in (
+            ("start", ego.start_lane_id, ego.start_station),
+            ("end", ego.end_lane_id, ego.end_station)):
+        if lane_id not in lane_map.lanes:
+            out.append(Violation("UnknownLane", "ego",
+                                 f"{which} lane {lane_id!r}"))
+        else:
+            length = lane_map.lanes[lane_id].length
+            if not (0.0 <= station <= length):
+                out.append(Violation(
+                    "StationOutOfRange", "ego",
+                    f"{which}_station={station} outside [0, {length:.3f}] "
+                    f"of {lane_id!r}"))
+
+    for npc in config.npc_vehicles:
+        _check_body(npc.body, npc.actor_id, out)
+        for wp in npc.waypoints:
+            _check_pose(wp, npc.actor_id, out)
+        if len(npc.waypoints) < 2:
+            out.append(Violation("TooFewWaypoints", npc.actor_id,
+                                 f"{len(npc.waypoints)} waypoints, need >= 2"))
+        else:
+            for a, b in zip(npc.waypoints, npc.waypoints[1:]):
+                if math.hypot(b.x - a.x, b.y - a.y) < 1e-3:
+                    out.append(Violation("WaypointSpacing", npc.actor_id,
+                                         "consecutive waypoints coincide"))
+                    break
+        if len(npc.target_speeds) != max(len(npc.waypoints) - 1, 0):
+            out.append(Violation(
+                "SpeedCountMismatch", npc.actor_id,
+                f"{len(npc.target_speeds)} speeds for "
+                f"{len(npc.waypoints)} waypoints"))
+        for v in npc.target_speeds:
+            if not (0.0 <= v <= MAX_TARGET_SPEED):
+                out.append(Violation(
+                    "SpeedOutOfRange", npc.actor_id,
+                    f"target speed {v} outside [0, {MAX_TARGET_SPEED}]"))
+                break
+        if npc.spawn_delay < 0:
+            out.append(Violation("NegativeSpawnDelay", npc.actor_id,
+                                 f"spawn_delay={npc.spawn_delay}"))
+    for obs in config.obstacles:
+        _check_body(obs.body, obs.actor_id, out)
+        _check_pose(obs.pose, obs.actor_id, out)
+
+    out.extend(initial_overlaps(config, lane_map))
+    return out
+
+
+def initial_overlaps(config, lane_map):
+    """``InitialOverlap`` for each pair of spawn boxes that touch, the ego's
+    spawn worked out from its start lane once more."""
+    boxes = []
+    ego = config.ego
+    if ego.start_lane_id in lane_map.lanes:
+        lane = lane_map.lanes[ego.start_lane_id]
+        if 0.0 <= ego.start_station <= lane.length:
+            boxes.append(("ego", lane.path.pose_at(ego.start_station),
+                          ego.body))
+    for npc in config.npc_vehicles:
+        if npc.waypoints:
+            boxes.append((npc.actor_id, npc.waypoints[0], npc.body))
+    for obs in config.obstacles:
+        boxes.append((obs.actor_id, obs.pose, obs.body))
+    # a bad body or a far pose has its own violation, and a flat box has no
+    # distance
+    boxes = [box for box in boxes if _body_ok(box[2]) and _pose_ok(box[1])]
+
+    out = []
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            id_a, pose_a, body_a = boxes[i]
+            id_b, pose_b, body_b = boxes[j]
+            d = obb_distance(pose_a.x, pose_a.y, pose_a.heading,
+                             body_a.length, body_a.width,
+                             pose_b.x, pose_b.y, pose_b.heading,
+                             body_b.length, body_b.width)
+            if d <= 0.0:
+                out.append(Violation("InitialOverlap", f"{id_a}/{id_b}",
+                                     "actors overlap at spawn"))
+    return out
 
 
 # --- the step loop: a dataclass per frame and world, two sets per step ------

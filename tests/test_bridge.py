@@ -103,6 +103,10 @@ class TestFraming:
         not_object = b"[1,2,3]"
         with pytest.raises(FrameError):
             decode(bridge.HEADER.pack(len(not_object)) + not_object)
+        too_deep = b"[" * 100000 + b"]" * 100000
+        with pytest.raises(FrameError,
+                           match="^body is not JSON: document nested too deeply$"):
+            decode(bridge.HEADER.pack(len(too_deep)) + too_deep)
 
     def _reframe(self, body_doc):
         from scenofuzz import canonical

@@ -37,6 +37,16 @@ def test_nested_round_trip_exact():
     assert canonical.loads(canonical.dumps(doc)) == doc
 
 
+def test_loads_refuses_a_document_nested_too_deeply():
+    # json raises RecursionError past the interpreter's recursion limit
+    with pytest.raises(ValueError, match="^document nested too deeply$"):
+        canonical.loads("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="^document nested too deeply$"):
+        canonical.loads(b'{"a":' * 100000 + b"1" + b"}" * 100000)
+    assert canonical.loads("[" * 100 + "]" * 100) == \
+        json.loads("[" * 100 + "]" * 100)
+
+
 def test_repeated_serialization_identical():
     doc = {"values": [k * 0.1 for k in range(50)]}
     assert canonical.dumps(doc) == canonical.dumps(doc)

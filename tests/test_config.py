@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from scenofuzz.config import (
     parse_config,
 )
 from scenofuzz.engine.campaign import (AgentSettings, CampaignBudget,
-                                       algorithm_registry)
+                                       CampaignContext, algorithm_registry,
+                                       run_campaign)
 from scenofuzz.runner import OracleConfig
 from scenofuzz.scenario import MutationSpace, validate
 
@@ -360,6 +362,8 @@ class TestStrictness:
         ("scenario.mutation_space.speed_high", 40),
         ("scenario.mutation_space.delay_low", -3),
         ("scenario.mutation_space.offset_limit", -0.5),
+        # an offset gene spans 2 * offset_limit, past the largest float
+        ("scenario.mutation_space.offset_limit", 1e308),
         ("scenario_runner.parameters.agent.cruise_speed", -5.0),
         ("scenario_runner.parameters.agent.cruise_speed", 0.0),
         ("scenario_runner.parameters.agent.cruise_speed", -0.0),
@@ -382,6 +386,23 @@ class TestStrictness:
         config = parse_config(minimal_doc(**{path: 0}))
         assert getattr(config.oracles,
                        path.split(".", 2)[2].replace(".", "_")) == 0.0
+
+    @pytest.mark.parametrize("key", ["speed_high", "delay_high",
+                                     "offset_limit"])
+    def test_a_negative_zero_bound_reads_as_zero_and_runs(self, key):
+        """numpy's samplers refuse a range whose upper bound is -0.0."""
+        doc = yaml.safe_load((CONFIG_DIR / "random.yaml").read_bytes())
+        doc["scenario"].setdefault("mutation_space", {})[key] = -0.0
+        config = parse_config(doc, {
+            "testing_engine.algorithm.parameters.max_evaluations": 2,
+            "scenario_runner.parameters.worker_pool": 1,
+            "scenario.duration_limit": 1.5})
+        value = getattr(config.mutation_space, key)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        settings, budget, params = build_execution(config)
+        ctx = CampaignContext(settings, budget)
+        run_campaign(config.algorithm, ctx, params)
+        assert ctx.completed == 2
 
     @pytest.mark.parametrize("name,value", [
         ("pm", 0), ("pm", 1), ("pc", 0.0), ("pc", 1.0),
@@ -701,7 +722,6 @@ class TestBuildExecution:
     def test_bridge_server_endpoint_satisfies_external_config(
             self, monkeypatch):
         from scenofuzz.bridge import ReferenceEgoAgent
-        from scenofuzz.engine.campaign import CampaignContext
         from scenofuzz.runner import AGENT_TIMEOUT, mission_path
 
         config = parse_config(minimal_doc(**{

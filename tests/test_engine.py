@@ -1215,6 +1215,8 @@ class TestCampaign:
         ("campaign.state.json", b'{"algorithm":5,"wall_consumed":1.0}', ""),
         ("campaign.state.json", b'{"seed":"1","wall_consumed":1.0}', ""),
         ("evaluations.json", b'[{"scenario_id":"\xff"}]', ""),
+        ("evaluations.json", b"[" * 100000 + b"]" * 100000,
+         "unreadable checkpoint: document nested too deeply"),
         ("evaluations.json", b"[1,2]", "entry 0"),
         ("evaluations.json", _entry_1_without("fitness"), "entry 1"),
         ("evaluations.json", _entry_1_without("repairs"), "entry 1"),
@@ -1239,7 +1241,7 @@ class TestCampaign:
     ], ids=["torn-state", "array-state", "string-state", "bad-field-state",
             "nan-wall", "infinite-wall", "negative-wall", "huge-wall",
             "bool-wall", "number-algorithm", "string-seed",
-            "non-utf8-log", "non-object-entry", "entry-without-fitness",
+            "non-utf8-log", "too-deep-log", "non-object-entry", "entry-without-fitness",
             "entry-without-repairs", "entry-without-values",
             "entry-extra-key",
             "string-fitness", "huge-fitness", "string-quality-score",

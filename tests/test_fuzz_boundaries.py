@@ -11,9 +11,10 @@ accepts; and a recording it accepts that has frames goes through
 The scenario template of the same config is mutated structurally in the
 same way.  The property: ``from_cursor``, the reader of the scenario inside
 a recording, raises only its cursor's error (``DocumentError`` here), with a
-message, or accepts; ``validate`` lists the
-problems of a scenario it accepts without raising; and a scenario with none
-runs through ``run_scenario`` with no exception.
+message, or accepts; ``validate`` lists the problems of a scenario it
+accepts without raising, the same problems in the same order as the
+two-pass reference in ``oracles``; and a scenario with none runs through
+``run_scenario`` with no exception.
 
 The config's bundled map document is mutated the same way.  The property:
 ``load_map_document`` raises only ``MapFormatError`` or accepts, and a map
@@ -25,8 +26,9 @@ property: ``decode`` raises only ``FrameError``, or the reference agent
 steps on the message it decodes with no exception.
 
 Each shipped config is mutated in every way at once: each value deleted
-and swapped for each of ``CONFIG_ODD_VALUES``, and a key added to each
-mapping, each case within ``CONFIG_CASE_SECONDS``.  The property:
+and swapped for each of ``CONFIG_ODD_VALUES``, each ``CONFIG_DEFAULTS`` key
+it leaves out set to each of them, and a key added to each mapping, each
+case within ``CONFIG_CASE_SECONDS``.  The property:
 ``load_config`` raises only ``ConfigError``; a config it accepts builds,
 or ``build_execution`` refuses it with ``ConfigError`` (a scenario
 ``validate`` faults) or ``MapFormatError``, and runs a 2-evaluation
@@ -53,11 +55,13 @@ from pathlib import Path
 import pytest
 import yaml
 
+from oracles import validate_in_two_passes
 from scenofuzz.bridge import (HEADER, FrameError, InProcessSession,
                               PerceptionMessage, ReferenceEgoAgent, decode,
                               encode)
 from scenofuzz.canonical import Cursor
-from scenofuzz.config import ConfigError, build_execution, load_config
+from scenofuzz.config import (CONFIG_DEFAULTS, ConfigError, build_execution,
+                              load_config)
 from scenofuzz.engine.campaign import (EVALUATIONS_FILE, RECORDINGS_DIR,
                                        STATE_FILE, CampaignBudget,
                                        CampaignContext, CampaignError,
@@ -197,7 +201,7 @@ def check_scenario(doc, settings) -> None:
         assert str(exc)
         return
     problems = validate(config, settings.lane_map)
-    assert isinstance(problems, list)
+    assert problems == validate_in_two_passes(config, settings.lane_map)
     if not problems:
         # the agent a campaign of these settings drives with
         run_scenario(config, settings.lane_map,
@@ -316,8 +320,9 @@ def test_mutated_perception_frames_are_refused_or_stepped_cleanly(shipped,
 
 def config_mutations(original):
     """``(what, doc)`` for every structural mutation of a config document:
-    each value deleted and swapped for each of ``CONFIG_ODD_VALUES``, and a
-    key added to each mapping."""
+    each value deleted and swapped for each of ``CONFIG_ODD_VALUES``, each
+    ``CONFIG_DEFAULTS`` key the document leaves out set to each of them (in
+    sections made as needed), and a key added to each mapping."""
     for index, (_, key) in enumerate(list(_sites(original))):
         for pick in range(len(CONFIG_ODD_VALUES) + 1):
             doc = copy.deepcopy(original)
@@ -329,6 +334,22 @@ def config_mutations(original):
                 odd = CONFIG_ODD_VALUES[pick - 1]
                 container[key] = copy.deepcopy(odd)
                 yield f"{key!r} = {odd!r}", doc
+    for path in CONFIG_DEFAULTS:
+        *sections, leaf = path.split(".")
+        node = original
+        for name in sections:
+            node = node.get(name) if isinstance(node, dict) else None
+        if isinstance(node, dict) and leaf in node:
+            continue
+        for odd in CONFIG_ODD_VALUES:
+            doc = copy.deepcopy(original)
+            node = doc
+            for name in sections:
+                if not isinstance(node.get(name), dict):
+                    node[name] = {}
+                node = node[name]
+            node[leaf] = copy.deepcopy(odd)
+            yield f"set {path!r} = {odd!r}", doc
     for index in range(len(_mappings(original))):
         doc = copy.deepcopy(original)
         _mappings(doc)[index]["fuzz"] = 0

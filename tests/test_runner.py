@@ -612,6 +612,11 @@ class TestPersistence:
         bad.write_bytes(b'{"scenario_id": "\xff"}')  # not UTF-8
         with pytest.raises(RecordingFormatError):
             read_recording(bad)
+        bad.write_text("[" * 100000 + "]" * 100000)  # past the parser's depth
+        with pytest.raises(RecordingFormatError) as caught:
+            read_recording(bad)
+        assert str(caught.value) == \
+            f"{bad}: invalid JSON: document nested too deeply"
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["frames"][0]["actors"][0].update(x="1.5"),

@@ -2,22 +2,28 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
-from oracles import flatten_onto
+from oracles import flatten_onto, validate_in_two_passes
 from scenofuzz import canonical
 from scenofuzz.canonical import Cursor
 from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.geometry import Pose
 from scenofuzz.lanemap import bundled_map_names, load_bundled_map
 from scenofuzz.runner import RunnerError, run_scenario
-from scenofuzz.scenario import (MAX_COORDINATE, BodyDims, EgoSpec,
-                                MutationSpace, NpcSpec, ObstacleSpec,
+from scenofuzz.scenario import (MAX_COORDINATE, MIN_BODY_DIM, BodyDims,
+                                EgoSpec, MutationSpace, NpcSpec, ObstacleSpec,
                                 ScenarioConfig, flatten, from_cursor,
                                 to_document, unflatten, validate)
+
+SPAWN_SEED = 45
+SPAWN_CASES = 2000
+# a good body, one wider than long and one thinner than MIN_BODY_DIM
+SPAWN_BODIES = (BodyDims(), BodyDims(2.0, 4.8), BodyDims(4.8, MIN_BODY_DIM / 2))
 
 
 class DocumentError(ValueError):
@@ -221,6 +227,54 @@ def test_validate_refuses_a_far_pose(chain_map, where, far, axis):
 
     with pytest.raises(RunnerError, match=rf"CoordinateOutOfRange\({who}\)"):
         run_scenario(config, chain_map, unreachable)
+
+
+def _spawn_case(template: ScenarioConfig, lane_map, rng: random.Random
+                ) -> ScenarioConfig:
+    """The template with 0-2 obstacles added and each actor's body good,
+    wider than long or too thin; each NPC's first waypoint and each
+    obstacle near the ego's spawn or past ``MAX_COORDINATE``, where the far
+    ones crowd each other; the start lane known or not, and the start
+    station on its lane or beyond it."""
+    ego = template.ego
+    lane = lane_map.lanes[ego.start_lane_id]
+    spawn = lane.path.pose_at(ego.start_station)
+
+    def pose() -> Pose:
+        x = spawn.x if rng.random() < 0.7 else \
+            rng.choice((-2.0, 2.0)) * MAX_COORDINATE
+        return Pose(x + rng.uniform(-6.0, 6.0), spawn.y + rng.uniform(-6.0, 6.0),
+                    rng.uniform(-math.pi, math.pi))
+
+    station = rng.uniform(0.0, lane.length) if rng.random() < 0.7 else \
+        lane.length + rng.uniform(0.1, 50.0)
+    ego = dataclasses.replace(
+        ego, body=rng.choice(SPAWN_BODIES), start_station=station,
+        start_lane_id=ego.start_lane_id if rng.random() < 0.8 else "lane_nowhere")
+    npcs = tuple(dataclasses.replace(
+        npc, body=rng.choice(SPAWN_BODIES),
+        waypoints=(pose(),) + npc.waypoints[1:])
+        for npc in template.npc_vehicles)
+    obstacles = tuple(ObstacleSpec(f"rock_{i}", pose(), rng.choice(SPAWN_BODIES))
+                      for i in range(rng.randint(0, 2)))
+    return dataclasses.replace(template, ego=ego, npc_vehicles=npcs,
+                               obstacles=obstacles)
+
+
+def test_validate_equals_the_two_pass_reference(junction_settings):
+    """``validate`` takes each spawn box in its one pass over the actors and
+    lists the violations, in order, that the two-pass reference does."""
+    template, lane_map = junction_settings.template, junction_settings.lane_map
+    rng = random.Random(SPAWN_SEED)
+    seen = set()
+    for case in range(SPAWN_CASES):
+        config = _spawn_case(template, lane_map, rng)
+        expected = validate_in_two_passes(config, lane_map)
+        assert validate(config, lane_map) == expected, (case, config)
+        seen.update(v.code for v in expected)
+    # the set reaches every check the spawn boxes pass through
+    assert {"InitialOverlap", "BadBody", "CoordinateOutOfRange",
+            "UnknownLane", "StationOutOfRange"} <= seen
 
 
 def test_flatten_speeds_only_layout():

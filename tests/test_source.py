@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package carries a name it never uses,
-and no public function or class is there for tests alone."""
+no public function or class is there for tests alone, no function imports,
+and the package's modules import each other one way only."""
 
 import ast
 import re
@@ -98,6 +99,89 @@ def test_every_public_definition_is_named_outside_tests():
     assert not unnamed, f"named only by its definition or tests: {unnamed}"
 
 
+def _function_imports(tree) -> list[str]:
+    """``name:line`` of each import statement inside a function."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{node.name}:{inner.lineno}" for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SOURCE)) for p in MODULES])
+def test_no_function_imports(path):
+    """A hidden import hides a module's dependencies from its header."""
+    found = _function_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"imports inside functions: {found}"
+
+
+def _module_name(relative: str) -> str:
+    """``a/b.py`` as ``scenofuzz.a.b``, ``a/__init__.py`` as ``scenofuzz.a``."""
+    parts = ["scenofuzz"] + relative[:-len(".py")].split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _import_graph(texts: dict[str, str]) -> dict[str, set[str]]:
+    """The package modules each module imports, at any level of its code;
+    ``texts`` maps each module's path below the package to its source."""
+    modules = {_module_name(relative): relative for relative in texts}
+    graph: dict[str, set[str]] = {}
+    for name, relative in modules.items():
+        package = name if relative.endswith("__init__.py") \
+            else name.rpartition(".")[0]
+        edges = set()
+        for node in ast.walk(ast.parse(texts[relative])):
+            if isinstance(node, ast.Import):
+                edges.update(a.name for a in node.names if a.name in modules)
+            elif isinstance(node, ast.ImportFrom):
+                base = package.rsplit(".", node.level - 1)[0] \
+                    if node.level else ""
+                base = ".".join(filter(None, [base, node.module]))
+                for alias in node.names:  # a name may be a submodule
+                    target = f"{base}.{alias.name}"
+                    edges.add(target if target in modules else base)
+        graph[name] = {edge for edge in edges if edge in modules}
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of ``graph`` as the list of its modules, first repeated
+    last, or an empty list."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(name: str) -> list[str]:
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return []
+        path.append(name)
+        for target in sorted(graph[name]):
+            found = visit(target)
+            if found:
+                return found
+        path.pop()
+        done.add(name)
+        return []
+
+    for name in sorted(graph):
+        found = visit(name)
+        if found:
+            return found
+    return []
+
+
+def test_imports_run_one_way():
+    """No package module imports, at any level of its code, a module that
+    imports it back, however far round."""
+    texts = {p.relative_to(SOURCE).as_posix(): p.read_text(encoding="utf-8")
+             for p in MODULES}
+    cycle = _cycle(_import_graph(texts))
+    assert not cycle, f"import cycle: {' -> '.join(cycle)}"
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os, a.b\nfrom m import x as y, z\n"
                      "__all__ = ['z']\n_kept = 1\n_lost = 2\n"
@@ -110,3 +194,23 @@ def test_the_checks_see_what_they_look_for():
                      "class Told:\n    pass\n\ndef _private():\n    pass\n",
              "b.py": "from a import used\n"}
     assert _unnamed(texts, "see Told") == ["a.py:only_tests"]
+    assert _function_imports(ast.parse(
+        "import os\ndef f():\n    import json\n"
+        "class C:\n    def g(self):\n        from . import x\n")) == \
+        ["f:3", "g:6"]
+    texts = {"__init__.py": "",
+             "low.py": "def f():\n    from .top import g\n",
+             "top.py": "from . import low\nimport scenofuzz.sub.leaf\n",
+             "sub/__init__.py": "from .leaf import x\nfrom .. import low\n",
+             "sub/leaf.py": "import os\nfrom ..low import f\n"}
+    graph = _import_graph(texts)
+    assert graph == {"scenofuzz": set(),
+                     "scenofuzz.low": {"scenofuzz.top"},
+                     "scenofuzz.top": {"scenofuzz.low",
+                                       "scenofuzz.sub.leaf"},
+                     "scenofuzz.sub": {"scenofuzz.sub.leaf", "scenofuzz.low"},
+                     "scenofuzz.sub.leaf": {"scenofuzz.low"}}
+    assert _cycle(graph) == ["scenofuzz.low", "scenofuzz.top",
+                             "scenofuzz.low"]
+    del texts["low.py"]
+    assert _cycle(_import_graph(texts)) == []
