@@ -1697,6 +1697,34 @@ class TestAlgorithmsOnSyntheticLandscapes:
         population[worst], fitnesses[worst] = found_vec, found_fit
         assert breeds[at][:2] == (population, fitnesses)
 
+    # sha256 over float.hex of every vector evaluated below, taken from the
+    # search loops before they were rewritten to say each step once
+    DRAW_DIGEST = \
+        "8e361abf411feca067c06a2b0d2c6f1e7f24efb495be91ae819681876df1f14c"
+
+    def test_every_algorithm_draws_the_pinned_vectors(self, monkeypatch):
+        # plateau's terraces stall avfuzzer into its local phase, and a
+        # constant landscape keeps samota on its path without a surrogate
+        phases = []
+        local_phase = avfuzzer._local_phase
+        monkeypatch.setattr(avfuzzer, "_local_phase",
+                            lambda *args: phases.append(1) or
+                            local_phase(*args))
+        digest = hashlib.sha256()
+        for landscape in (sphere(self.TARGET), plateau(self.TARGET),
+                          lambda x: 1.0):
+            def fn(x):
+                digest.update(" ".join(v.hex() for v in x).encode() + b"\n")
+                return landscape(x)
+
+            for algo, run in algorithm_registry().items():
+                for seed in range(4):
+                    ctx = SyntheticContext(box_prototype(6), fn, 150, seed)
+                    with pytest.raises(BudgetExhausted):
+                        run(ctx, {})
+        assert phases
+        assert digest.hexdigest() == self.DRAW_DIGEST
+
     @pytest.mark.parametrize("size", [0, 1])
     def test_avfuzzer_rejects_a_population_below_two(self, size):
         from scenofuzz.engine import avfuzzer
