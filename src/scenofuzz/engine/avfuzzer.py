@@ -52,13 +52,8 @@ def run(ctx, params: dict) -> None:
     stagnation = 0
 
     while True:
-        children = breed(ctx.rng, population, fitnesses, pm, pc,
-                         pop_size - 1, GLOBAL_SIGMA)
-        child_fits = [f.fitness for f in ctx.evaluate_batch(children)]
-        elite_vec, elite_fit = _best(population, fitnesses)
-        population = [elite_vec] + children
-        fitnesses = [elite_fit] + child_fits
-
+        population, fitnesses = _generation(ctx, population, fitnesses, pm,
+                                            pc, GLOBAL_SIGMA)
         gen_vec, gen_fit = _best(population, fitnesses)
         if gen_fit < best_fit:
             best_vec, best_fit = gen_vec, gen_fit
@@ -88,11 +83,16 @@ def _local_phase(ctx, base_vec, base_fit, pop_size, pm, pc, eval_budget):
     fitnesses = [base_fit] + seed_fits
     spent = len(seeds)
     while spent < eval_budget:
-        children = breed(ctx.rng, population, fitnesses, pm, pc,
-                         pop_size - 1, LOCAL_SIGMA)
-        child_fits = [f.fitness for f in ctx.evaluate_batch(children)]
-        spent += len(children)
-        elite_vec, elite_fit = _best(population, fitnesses)
-        population = [elite_vec] + children
-        fitnesses = [elite_fit] + child_fits
+        population, fitnesses = _generation(ctx, population, fitnesses, pm,
+                                            pc, LOCAL_SIGMA)
+        spent += pop_size - 1
     return _best(population, fitnesses)
+
+
+def _generation(ctx, population, fitnesses, pm, pc, sigma):
+    """One GA step: the elite survives, and bred children fill the rest."""
+    children = breed(ctx.rng, population, fitnesses, pm, pc,
+                     len(population) - 1, sigma)
+    child_fits = [f.fitness for f in ctx.evaluate_batch(children)]
+    elite_vec, elite_fit = _best(population, fitnesses)
+    return [elite_vec] + children, [elite_fit] + child_fits

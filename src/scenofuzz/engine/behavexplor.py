@@ -71,10 +71,7 @@ def run(ctx, params: dict) -> None:
         seed = _pick_seed(corpus)
         if seed is None:
             vector = sample_uniform(ctx.rng, ctx.prototype)
-            feedback = ctx.evaluate_batch([vector])[0]
-            admit(vector, feedback)
-            continue
-        seed.energy += 1
-        child = mutate_gaussian(ctx.rng, seed.vector, pm)
-        feedback = ctx.evaluate_batch([child])[0]
-        admit(child, feedback)
+        else:
+            seed.energy += 1
+            vector = mutate_gaussian(ctx.rng, seed.vector, pm)
+        admit(vector, ctx.evaluate_batch([vector])[0])

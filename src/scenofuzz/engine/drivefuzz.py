@@ -31,12 +31,14 @@ def run(ctx, params: dict) -> None:
     pm = params["pm"]
     stages = _stages(ctx.prototype)
 
-    current = sample_uniform(ctx.rng, ctx.prototype)
-    quality = ctx.evaluate_batch([current])[0].quality_score
-    rejects = 0
+    rejects = RESTART_AFTER_REJECTS  # the first pass opens with a sample
     stage = 0
 
     while True:
+        if rejects >= RESTART_AFTER_REJECTS:
+            current = sample_uniform(ctx.rng, ctx.prototype)
+            quality = ctx.evaluate_batch([current])[0].quality_score
+            rejects = 0
         child = mutate_gaussian(ctx.rng, current, pm,
                                 gene_indices=stages[stage % len(stages)])
         stage += 1
@@ -47,7 +49,3 @@ def run(ctx, params: dict) -> None:
             rejects = 0
         else:
             rejects += 1
-        if rejects >= RESTART_AFTER_REJECTS:
-            current = sample_uniform(ctx.rng, ctx.prototype)
-            quality = ctx.evaluate_batch([current])[0].quality_score
-            rejects = 0

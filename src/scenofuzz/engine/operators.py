@@ -30,16 +30,13 @@ def mutate_gaussian(rng: np.random.Generator, vector: ParameterVector,
     The step is Gaussian with a standard deviation proportional to the gene's
     range, so a single rate works across speeds, offsets, and delays.
     """
-    low = np.array(vector.bounds[0])
-    high = np.array(vector.bounds[1])
+    low, high = (np.array(b) for b in vector.bounds)
     values = np.array(vector.values)
-    if gene_indices is None:
-        eligible = np.ones(len(values), dtype=bool)
-    else:
+    chosen = rng.random(len(values)) < pm
+    if gene_indices is not None:
         eligible = np.zeros(len(values), dtype=bool)
         eligible[list(gene_indices)] = True
-    flips = rng.random(len(values)) < pm
-    chosen = flips & eligible
+        chosen &= eligible
     steps = rng.normal(0.0, 1.0, len(values)) * sigma_fraction * (high - low)
     values = np.where(chosen, np.clip(values + steps, low, high), values)
     return vector.with_values(values)

@@ -101,17 +101,15 @@ def run(ctx, params: dict) -> None:
     record(bootstrap, ctx.evaluate_batch(bootstrap))
 
     while True:
-        degenerate = len(dataset_y) < 2 or max(dataset_y) == min(dataset_y)
-        if degenerate:
-            batch = [sample_uniform(ctx.rng, ctx.prototype)
-                     for _ in range(PROPOSALS)]
-        else:
+        batch = []
+        # a surrogate over one distinct fitness has no slope to follow
+        if len(dataset_y) > 1 and max(dataset_y) != min(dataset_y):
             surrogate = IdwSurrogate(dataset_x, dataset_y)
             best_idx = int(np.argmin(dataset_y))
             incumbent = ctx.prototype.with_values(dataset_x[best_idx])
             visited = _inner_search(ctx.rng, ctx.prototype, surrogate,
                                     incumbent)
             batch = _diverse_proposals(visited, PROPOSALS, spacing)
-            while len(batch) < PROPOSALS:
-                batch.append(sample_uniform(ctx.rng, ctx.prototype))
+        while len(batch) < PROPOSALS:
+            batch.append(sample_uniform(ctx.rng, ctx.prototype))
         record(batch, ctx.evaluate_batch(batch))

@@ -377,32 +377,27 @@ def unflatten(vector: ParameterVector, template: ScenarioConfig
     (one ``"actor/field[index]"`` entry per repaired gene).
     """
     repairs: list[str] = []
-    clamped: list[float] = []
+    genes: dict[tuple[str, str, int], float] = {}
     for gene, value in zip(vector.genes, vector.values):
         if value < gene.low or value > gene.high:
             repairs.append(f"{gene.actor_id}/{gene.field}[{gene.index}]")
             value = min(max(value, gene.low), gene.high)
-        clamped.append(value)
-
-    per_actor: dict[str, dict[str, dict[int, float]]] = {}
-    for gene, value in zip(vector.genes, clamped):
-        per_actor.setdefault(gene.actor_id, {}).setdefault(gene.field, {})[gene.index] = value
+        genes[gene.actor_id, gene.field, gene.index] = value
 
     npcs: list[NpcSpec] = []
     for npc in template.npc_vehicles:
-        fields = per_actor.get(npc.actor_id, {})
-        presence = fields.get("presence", {}).get(0, 1.0)
-        if presence < 0.5:
+        name = npc.actor_id
+        if genes.get((name, "presence", 0), 1.0) < 0.5:
             continue
-        speeds = list(npc.target_speeds)
-        for i, v in fields.get("speed", {}).items():
-            speeds[i] = v
+        speeds = tuple(genes.get((name, "speed", i), v)
+                       for i, v in enumerate(npc.target_speeds))
         waypoints = list(npc.waypoints)
-        for i, off in fields.get("offset", {}).items():
-            ref = npc.waypoints[i]
-            nx, ny = left_normal(ref.heading)
-            waypoints[i] = Pose(ref.x + off * nx, ref.y + off * ny, ref.heading)
-        delay = fields.get("delay", {}).get(0, npc.spawn_delay)
+        for i, ref in enumerate(npc.waypoints):
+            off = genes.get((name, "offset", i))
+            if off is not None:
+                nx, ny = left_normal(ref.heading)
+                waypoints[i] = Pose(ref.x + off * nx, ref.y + off * ny, ref.heading)
+        delay = genes.get((name, "delay", 0), npc.spawn_delay)
         npcs.append(replace(npc, waypoints=tuple(waypoints),
-                            target_speeds=tuple(speeds), spawn_delay=delay))
+                            target_speeds=speeds, spawn_delay=delay))
     return replace(template, npc_vehicles=tuple(npcs)), repairs
