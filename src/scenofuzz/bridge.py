@@ -510,7 +510,7 @@ class BridgeSession:
     def request(self, perception: PerceptionMessage) -> ControlMessage:
         raise NotImplementedError
 
-    def close(self) -> None:  # pragma: no cover - overridden where needed
+    def close(self) -> None:
         pass
 
     @property

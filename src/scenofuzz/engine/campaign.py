@@ -4,8 +4,8 @@ A campaign is one algorithm spending one budget against one scenario
 template.  The context object owns everything stateful: the seeded random
 generator, the evaluation log, the worker pool, and the checkpoint files.
 Algorithms see a narrow surface (``rng``, ``prototype``, ``workers``,
-``evaluate_batch``) so they can also be exercised against synthetic
-landscapes in tests.
+``budget``, ``evaluate_batch``) so they can also be exercised against
+synthetic landscapes in tests.
 
 Determinism contract: scenario configurations are drawn from the seeded
 generator serially, batches are joined in submission order, and the

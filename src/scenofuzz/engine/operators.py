@@ -38,7 +38,9 @@ def mutate_gaussian(rng: np.random.Generator, vector: ParameterVector,
         eligible[list(gene_indices)] = True
         chosen &= eligible
     steps = rng.normal(0.0, 1.0, len(values)) * sigma_fraction * (high - low)
-    values = np.where(chosen, np.clip(values + steps, low, high), values)
+    # a step past the largest float clips to the bound it overshot
+    with np.errstate(over="ignore"):
+        values = np.where(chosen, np.clip(values + steps, low, high), values)
     return vector.with_values(values)
 
 

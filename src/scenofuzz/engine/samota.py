@@ -39,16 +39,27 @@ class IdwSurrogate:
         nearest = int(np.argmin(d2))
         if d2[nearest] == 0.0:
             return float(self.values[nearest])
-        weights = d2 ** (-POWER / 2.0)
-        return float((weights * self.values).sum() / weights.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = d2 ** (-POWER / 2.0)
+            estimate = float((weights * self.values).sum() / weights.sum())
+        if not np.isfinite(estimate):  # a site so near its weight overflowed
+            weights = (d2[nearest] / d2) ** (POWER / 2.0)
+            estimate = float((weights * self.values).sum() / weights.sum())
+        return estimate
 
 
-def _space_diagonal(prototype) -> float:
+def _measure(prototype) -> tuple[float, float]:
+    """``(unit, spacing)`` for distances measured in ``unit``: 1.0, or past
+    a gene span of 2**256 the power of two that brings every span under 1, so
+    no squared distance overflows.  A power of two scales without rounding."""
     low, high = prototype.bounds
-    return float(np.linalg.norm(np.array(high) - np.array(low)))
+    span = np.subtract(high, low)
+    widest = span.max(initial=0.0)
+    unit = 1.0 if widest <= 2.0 ** 256 else 2.0 ** -np.frexp(widest)[1]
+    return unit, SPACING_FRACTION * float(np.linalg.norm(span * unit))
 
 
-def _inner_search(rng, prototype, surrogate, incumbent):
+def _inner_search(rng, prototype, surrogate, incumbent, unit):
     """Minimize the surrogate with a small GA; returns (vector, prediction)
     pairs for everything it visited."""
     population = [incumbent] + [sample_uniform(rng, prototype)
@@ -56,7 +67,8 @@ def _inner_search(rng, prototype, surrogate, incumbent):
     visited = []
 
     def predict_all(vectors):
-        preds = [surrogate.predict(v.values) for v in vectors]
+        preds = [surrogate.predict(np.multiply(v.values, unit))
+                 for v in vectors]
         visited.extend(zip(vectors, preds))
         return preds
 
@@ -64,21 +76,20 @@ def _inner_search(rng, prototype, surrogate, incumbent):
     for _ in range(INNER_GENERATIONS):
         children = breed(rng, population, fitnesses, INNER_PM, INNER_PC,
                          INNER_POPULATION)
-        child_fits = predict_all(children)
-        merged = list(zip(population, fitnesses)) + list(zip(children, child_fits))
-        merged.sort(key=lambda pair: pair[1])
-        population = [v for v, _ in merged[:INNER_POPULATION]]
-        fitnesses = [f for _, f in merged[:INNER_POPULATION]]
+        merged = sorted(zip([*population, *children],
+                            [*fitnesses, *predict_all(children)]),
+                        key=lambda pair: pair[1])
+        population, fitnesses = zip(*merged[:INNER_POPULATION])
     return visited
 
 
-def _diverse_proposals(visited, count, min_spacing):
+def _diverse_proposals(visited, count, min_spacing, unit):
     """Best-predicted candidates kept mutually at least min_spacing apart."""
     chosen = []
     for vector, _ in sorted(visited, key=lambda pair: pair[1]):
-        arr = np.array(vector.values)
-        if all(np.linalg.norm(arr - np.array(c.values)) >= min_spacing
-               for c in chosen):
+        arr = np.multiply(vector.values, unit)
+        if all(np.linalg.norm(arr - np.multiply(c.values, unit)) >=
+               min_spacing for c in chosen):
             chosen.append(vector)
             if len(chosen) == count:
                 break
@@ -87,7 +98,7 @@ def _diverse_proposals(visited, count, min_spacing):
 
 def run(ctx, params: dict) -> None:
     pool = params["surrogate_pool"]
-    spacing = SPACING_FRACTION * _space_diagonal(ctx.prototype)
+    unit, spacing = _measure(ctx.prototype)
 
     dataset_x: list[tuple] = []
     dataset_y: list[float] = []
@@ -104,12 +115,12 @@ def run(ctx, params: dict) -> None:
         batch = []
         # a surrogate over one distinct fitness has no slope to follow
         if len(dataset_y) > 1 and max(dataset_y) != min(dataset_y):
-            surrogate = IdwSurrogate(dataset_x, dataset_y)
+            surrogate = IdwSurrogate(np.multiply(dataset_x, unit), dataset_y)
             best_idx = int(np.argmin(dataset_y))
             incumbent = ctx.prototype.with_values(dataset_x[best_idx])
             visited = _inner_search(ctx.rng, ctx.prototype, surrogate,
-                                    incumbent)
-            batch = _diverse_proposals(visited, PROPOSALS, spacing)
+                                    incumbent, unit)
+            batch = _diverse_proposals(visited, PROPOSALS, spacing, unit)
         while len(batch) < PROPOSALS:
             batch.append(sample_uniform(ctx.rng, ctx.prototype))
         record(batch, ctx.evaluate_batch(batch))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .canonical import Cursor
-from .geometry import MAX_COORDINATE, Pose, left_normal
+from .geometry import MAX_COORDINATE, MIN_SPACING, Pose, left_normal
 from .lanemap import LaneMap
 from .simulator import obb_distance
 
@@ -151,7 +151,7 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
                                  f"{len(npc.waypoints)} waypoints, need >= 2"))
         else:
             for a, b in zip(npc.waypoints, npc.waypoints[1:]):
-                if math.hypot(b.x - a.x, b.y - a.y) < 1e-3:
+                if math.hypot(b.x - a.x, b.y - a.y) < MIN_SPACING:
                     out.append(Violation("WaypointSpacing", npc.actor_id,
                                          "consecutive waypoints coincide"))
                     break

@@ -151,6 +151,22 @@ MUTANTS = (
            "_body_ok(box[2]) and _pose_ok(box[1])",
            "_body_ok(box[2])",
            ("tests/test_scenario.py", "-k", "two_pass_reference")),
+    # samota measures a space whose squared diagonal overflows in a smaller
+    # unit
+    Mutant("samota-unit", "src/scenofuzz/engine/samota.py",
+           "unit = 1.0 if widest <= 2.0 ** 256 else",
+           "unit = 1.0 if True else",
+           ("tests/test_engine.py", "-k", "widest_accepted_space")),
+    # a site so near that its inverse-distance weight overflows
+    Mutant("idw-near-site", "src/scenofuzz/engine/samota.py",
+           "        if not np.isfinite(estimate):",
+           "        if False:",
+           ("tests/test_engine.py", "-k", "too_near_to_weigh")),
+    # a Gaussian step past the largest float
+    Mutant("mutation-step-overflow", "src/scenofuzz/engine/operators.py",
+           '    with np.errstate(over="ignore"):\n',
+           "    if True:\n",
+           ("tests/test_engine.py", "-k", "past_the_largest_float")),
 )
 
 

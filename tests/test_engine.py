@@ -6,6 +6,7 @@ import hashlib
 import logging
 import math
 import statistics
+import sys
 import threading
 import types
 from pathlib import Path
@@ -40,8 +41,9 @@ from scenofuzz.runner import (INVALID_SCENARIO, OUTCOMES, Frame,
                               ScenarioRecording, Verdict, mission_path,
                               read_recording, recording_path, run_scenario,
                               write_recording)
-from scenofuzz.scenario import (EgoSpec, MutationSpace, ScenarioConfig,
-                                flatten, unflatten, validate)
+from scenofuzz.scenario import (EgoSpec, Gene, MutationSpace,
+                                ParameterVector, ScenarioConfig, flatten,
+                                unflatten, validate)
 from scenofuzz.simulator import (A_MAX, STEER_MAX, WHEELBASE, ActorState,
                                  ControlCommand, actor_distance,
                                  actor_distance_lower_bound)
@@ -533,6 +535,16 @@ class TestOperators:
         assert child.values[3:] == parent.values[3:]
         assert child.values[:3] != parent.values[:3]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_step_past_the_largest_float_clips_to_the_bound(self):
+        top = sys.float_info.max
+        genes = tuple(Gene("npc_1", "delay", i, 0.0, top) for i in range(8))
+        parent = ParameterVector((top,) * 8, genes)
+        child = operators.mutate_gaussian(np.random.default_rng(0), parent,
+                                          pm=1.0)
+        assert top in child.values
+        assert all(0.0 <= x <= top for x in child.values)
+
     def test_crossover_structure_and_rate(self):
         proto = box_prototype(8)
         rng = np.random.default_rng(4)
@@ -624,6 +636,13 @@ class TestSurrogate:
         s = IdwSurrogate([[0.0], [2.0]], [0.0, 10.0])
         # weights 1/0.25 and 1/2.25 at x=0.5 give exactly 1.0
         assert s.predict([0.5]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_site_too_near_to_weigh_dominates(self):
+        # 1/d2 overflows at d2 = 1e-320; against the nearest site, the other
+        # one weighs 1e-320
+        s = IdwSurrogate([[0.0], [1.0]], [3.0, 5.0])
+        assert s.predict([1e-160]) == 3.0
 
     def test_rejects_empty_or_mismatched(self):
         with pytest.raises(ValueError):
@@ -1407,6 +1426,41 @@ def test_shipped_config_log_digest(name, tmp_path):
     assert ctx.completed == 24
     log = (out / campaign.EVALUATIONS_FILE).read_bytes()
     assert hashlib.sha256(log).hexdigest() == SHIPPED_LOG_SHA256[name]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [
+    # every gene span squared past the largest float; the first is the
+    # two-evaluation campaign that overflowed samota's diagonal
+    {"scenario.mutation_space.delay_high": 1e308},
+    {"scenario.mutation_space.delay_high": sys.float_info.max,
+     "testing_engine.algorithm.parameters.surrogate_pool": 2,
+     "testing_engine.algorithm.parameters.max_evaluations": 14},
+    {"scenario.mutation_space.delay_high": 1e160,
+     "testing_engine.algorithm.parameters.surrogate_pool": 2,
+     "testing_engine.algorithm.parameters.max_evaluations": 14},
+    {"scenario.mutation_space.offset_limit": sys.float_info.max / 2},
+], ids=["delay-1e308", "delay-max", "delay-1e160", "offset-max"])
+def test_samota_measures_the_widest_accepted_space_finitely(overrides,
+                                                            monkeypatch):
+    predictions = []
+    predict = IdwSurrogate.predict
+    monkeypatch.setattr(IdwSurrogate, "predict", lambda self, x:
+                        predictions.append(predict(self, x)) or
+                        predictions[-1])
+    config = load_config(CONFIG_DIR / "samota.yaml", {
+        "testing_engine.algorithm.parameters.max_evaluations": 2,
+        "scenario_runner.parameters.worker_pool": 1,
+        "scenario.duration_limit": 1.5, **overrides})
+    settings, budget, params = build_execution(config)
+    ctx = CampaignContext(settings, budget)
+    run_campaign(config.algorithm, ctx, params)
+    assert ctx.completed == budget.max_evaluations
+    unit, diagonal = samota._measure(ctx.prototype)
+    assert math.isfinite(diagonal) and math.frexp(unit)[0] == 0.5
+    assert all(math.isfinite(p) for p in predictions)
+    if config.algorithm_params["surrogate_pool"] == 2:
+        assert predictions
 
 
 def test_a_far_offset_limit_is_logged_as_invalid(tmp_path):

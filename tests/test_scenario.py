@@ -12,13 +12,14 @@ from oracles import flatten_onto, validate_in_two_passes
 from scenofuzz import canonical
 from scenofuzz.canonical import Cursor
 from scenofuzz.engine.template import MissionSpec, build_template
-from scenofuzz.geometry import Pose
+from scenofuzz.geometry import MIN_SPACING, Pose
 from scenofuzz.lanemap import bundled_map_names, load_bundled_map
 from scenofuzz.runner import RunnerError, run_scenario
 from scenofuzz.scenario import (MAX_COORDINATE, MIN_BODY_DIM, BodyDims,
                                 EgoSpec, MutationSpace, NpcSpec, ObstacleSpec,
                                 ScenarioConfig, flatten, from_cursor,
                                 to_document, unflatten, validate)
+from scenofuzz.simulator import WaypointPolicy
 
 SPAWN_SEED = 45
 SPAWN_CASES = 2000
@@ -165,6 +166,24 @@ def test_validate_catches_violations(chain_map):
     config = ScenarioConfig("s", "chain_3", EgoSpec("lane_a", 0.0, "lane_c", 5.0),
                             duration_limit=0.0)
     assert any(v.code == "NonPositiveDuration" for v in validate(config, chain_map))
+
+
+def _two_waypoints(gap: float) -> NpcSpec:
+    # along y from 0.0, so the waypoints lie exactly ``gap`` apart
+    return NpcSpec("npc_1", (Pose(150.0, 0.0, 0.0), Pose(150.0, gap, 0.0)),
+                   (8.0,))
+
+
+def test_waypoints_min_spacing_apart_pass_and_build(chain_map):
+    npc = _two_waypoints(MIN_SPACING)
+    assert validate(_scenario(npcs=[npc]), chain_map) == []
+    assert WaypointPolicy(npc).path.length == MIN_SPACING
+
+
+def test_waypoints_closer_than_min_spacing_are_refused(chain_map):
+    npc = _two_waypoints(math.nextafter(MIN_SPACING, 0.0))
+    assert [v.code for v in validate(_scenario(npcs=[npc]), chain_map)] == \
+        ["WaypointSpacing"]
 
 
 @pytest.mark.parametrize("length,width", [(0.0, 0.0), (4.8, 0.0),
