@@ -19,7 +19,9 @@ names another algorithm or seed.  Only ``run_campaign`` records the algorithm
 and checks the algorithm and seed: a context an algorithm's ``run(ctx,
 params)`` drives directly checkpoints ``"algorithm": ""``, which a later
 resume accepts under any algorithm, and it never checks the algorithm or
-seed of a checkpoint it resumes.
+seed of a checkpoint it resumes.  Such a ``run`` must call
+``ctx.checkpoint()`` at its end, as ``run_campaign`` does: ``evaluate_batch``
+writes only on the schedule below.
 
 Scenario memo: with the in-process reference agent, each distinct scenario
 is simulated once per context.  The key is the sha256 of the canonical
@@ -39,13 +41,21 @@ An external agent (``settings.endpoint``) is simulated every time, since a
 rerun is how a flaky agent shows, and a resumed campaign starts with an
 empty memo that replayed entries do not fill.
 
-Checkpoint contract: after every batch that evaluated something fresh,
-``evaluations.json`` is a complete snapshot of the log, replaced atomically,
-so it can be read at any time while the campaign runs.  While a resume is
-still replaying, the files are not rewritten: they already hold every entry,
-including those not yet replayed.  Each record is encoded once, at the first
-checkpoint that writes it, and appended to the text of the log so far, which
-is byte for byte the canonical encoding of the whole log.
+Checkpoint contract: every ``checkpoint()`` leaves ``evaluations.json`` a
+complete snapshot of the log, replaced atomically, so it can be read at any
+time while the campaign runs.  While a resume is still replaying, the files
+are not rewritten: they already hold every entry, including those not yet
+replayed.  Each record is encoded once, at the first checkpoint that writes
+it, and appended to the text of the log so far, which is byte for byte the
+canonical encoding of the whole log.  ``evaluate_batch`` checkpoints only
+once the records not yet on disk reach one ``CHECKPOINT_SHARE``-th of those
+on disk or ``CHECKPOINT_GAP`` of them, the budget is spent, or a stop was
+requested.  The share and the gap count evaluations, not seconds, so the
+writes of a campaign repeat from run to run.  ``run_campaign`` also
+checkpoints when the algorithm raises an ``Exception``, so only a kill (a
+``BaseException``, such as a second Ctrl-C) can lose records: fewer than
+one ``CHECKPOINT_SHARE``-th of those on disk and fewer than
+``CHECKPOINT_GAP``, which a resume simulates again to the same bytes.
 """
 
 from __future__ import annotations
@@ -90,6 +100,11 @@ ALGORITHM_DEFAULTS = dict(
     batch_size=None)
 
 SCENARIO_MEMO_LIMIT = 1024  # distinct scenarios held; the oldest goes first
+
+# evaluate_batch checkpoints once the records not yet on disk reach one
+# CHECKPOINT_SHARE-th of those on disk, or CHECKPOINT_GAP of them
+CHECKPOINT_SHARE = 8
+CHECKPOINT_GAP = 32
 
 # what search sees of a scenario that could not be simulated: nothing near,
 # no roughness, no behaviour
@@ -263,13 +278,14 @@ class CampaignContext:
         if self.output_dir is None or self._replay:
             return
         self.output_dir.mkdir(parents=True, exist_ok=True)
-        if self._logged < self.completed:
+        # the log is written when it grows, and while it is empty
+        if self._logged < self.completed or not self.completed:
             texts = [canonical.dumps(r) for r in self.records[self._logged:]]
             separator = "," if self._logged else ""
             self._log_text[-1:] = \
                 (separator + ",".join(texts) + "]").encode("utf-8")
             self._logged = self.completed
-        _atomic_write(self.output_dir / EVALUATIONS_FILE, self._log_text)
+            _atomic_write(self.output_dir / EVALUATIONS_FILE, self._log_text)
         state = {"algorithm": self.algorithm_name, "seed": self.seed,
                  "completed": self.completed, "finished": self.finished,
                  "wall_consumed": self.wall_consumed()}
@@ -278,7 +294,8 @@ class CampaignContext:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate_batch(self, vectors) -> list[Feedback]:
-        """Evaluate vectors in order; log, checkpoint, and enforce budget.
+        """Evaluate vectors in order; log, checkpoint when due, and enforce
+        the budget.
 
         Raises :exc:`BudgetExhausted` when the batch does not fit (whatever
         did fit has been evaluated and logged first).
@@ -310,7 +327,12 @@ class CampaignContext:
             self.records.append(record)
             feedbacks.append(feedback)
 
-        self.checkpoint()
+        unwritten = self.completed - self._logged
+        if (unwritten * CHECKPOINT_SHARE >= self._logged
+                or unwritten >= CHECKPOINT_GAP
+                or self._budget_spent()
+                or self.stop_requested):
+            self.checkpoint()
         if allowed < len(vectors):
             raise BudgetExhausted(
                 f"{self.completed} evaluations done, budget exhausted")
@@ -514,6 +536,9 @@ def run_campaign(algorithm: str, ctx: CampaignContext,
         registry[algorithm](ctx, params or {})
     except BudgetExhausted:
         pass
+    except Exception:
+        ctx.checkpoint()  # every completed evaluation reaches the disk
+        raise
     # a stop request ends the run too, but leaves budget for a resume
     ctx.finished = ctx._budget_spent()
     ctx.checkpoint()

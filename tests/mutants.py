@@ -162,6 +162,29 @@ MUTANTS = (
            "        if not np.isfinite(estimate):",
            "        if False:",
            ("tests/test_engine.py", "-k", "too_near_to_weigh")),
+    # batches of one checkpoint once the records off the disk reach an
+    # eighth of those on it, or 32 of them, when the budget is spent, and
+    # when a stop is requested; run_campaign checkpoints on an exception
+    Mutant("checkpoint-share", "src/scenofuzz/engine/campaign.py",
+           "        if (unwritten * CHECKPOINT_SHARE >= self._logged\n",
+           "        if (False\n",
+           ("tests/test_engine.py", "-k", "evaluation_schedule")),
+    Mutant("checkpoint-gap", "src/scenofuzz/engine/campaign.py",
+           "                or unwritten >= CHECKPOINT_GAP\n",
+           "",
+           ("tests/test_engine.py", "-k", "evaluation_schedule")),
+    Mutant("checkpoint-budget-spent", "src/scenofuzz/engine/campaign.py",
+           "                or self._budget_spent()\n",
+           "",
+           ("tests/test_engine.py", "-k", "evaluation_schedule")),
+    Mutant("checkpoint-stop-requested", "src/scenofuzz/engine/campaign.py",
+           "                or self.stop_requested):\n",
+           "                ):\n",
+           ("tests/test_engine.py", "-k", "stop_request_writes")),
+    Mutant("checkpoint-on-exception", "src/scenofuzz/engine/campaign.py",
+           "        ctx.checkpoint()  # every completed evaluation reaches the disk\n",
+           "",
+           ("tests/test_engine.py", "-k", "error_between_writes")),
     # a Gaussian step past the largest float
     Mutant("mutation-step-overflow", "src/scenofuzz/engine/operators.py",
            '    with np.errstate(over="ignore"):\n',

@@ -1013,9 +1013,10 @@ class TestCampaign:
                               evals=12, output_dir=out, resume=True)
         assert ctx.completed == 12
         assert (out / "evaluations.json").read_bytes() == whole
-        # batches of one: 3 replayed before the interruption, then 7 of the
-        # 8 replayed again leave the file alone; the 8th rewrites it
-        assert checked_checkpoints["kept"] == 3 + 7
+        # batches of one: 3 replayed before the interruption and the write
+        # run_campaign makes on the exception, then 7 of the 8 replayed
+        # again, leave the file alone; the 8th rewrites it
+        assert checked_checkpoints["kept"] == 3 + 1 + 7
 
     @pytest.mark.parametrize("stop", ["budget", "stop-request"])
     def test_report_of_a_resume_that_stops_during_replay(
@@ -1487,7 +1488,9 @@ def test_a_far_offset_limit_is_logged_as_invalid(tmp_path):
 
 class TestLongCampaign:
     """Thousands of batches of one through a real context with a stub in
-    place of simulation: the checkpoint cost stays linear in the log."""
+    place of simulation: each record is encoded once, and the log is written
+    on a schedule of evaluation counts that a kill or a fault between two
+    writes cannot break."""
 
     BATCHES = 2000
 
@@ -1508,12 +1511,37 @@ class TestLongCampaign:
         return record, campaign._feedback_from_record(
             canonical.Cursor(record, ValueError), index)
 
+    @pytest.fixture
+    def faults(self, monkeypatch):
+        """Evaluates through ``_evaluate_stub``.  Returns a dict: an
+        exception put under an index is raised, once, in place of that
+        evaluation."""
+        faults = {}
+
+        def evaluate_fresh(ctx, start, vectors):
+            for index in range(start, start + len(vectors)):
+                if index in faults:
+                    raise faults.pop(index)
+            return [self._evaluate_stub(ctx, start + i, v)
+                    for i, v in enumerate(vectors)]
+
+        monkeypatch.setattr(CampaignContext, "_evaluate_fresh", evaluate_fresh)
+        return faults
+
+    @staticmethod
+    def _on_disk(out) -> int:
+        return len(canonical.loads(
+            (out / campaign.EVALUATIONS_FILE).read_bytes()))
+
+    @staticmethod
+    def _within_the_schedule(completed: int, on_disk: int) -> bool:
+        """Whether batches of one may leave ``completed - on_disk`` records
+        off the disk: fewer than an eighth of those on disk, and than 32."""
+        unwritten = completed - on_disk
+        return unwritten == 0 or (unwritten * 8 < on_disk and unwritten < 32)
+
     def test_each_record_is_encoded_once(self, junction_settings, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setattr(
-            CampaignContext, "_evaluate_fresh",
-            lambda ctx, start, vectors: [self._evaluate_stub(ctx, start + i, v)
-                                         for i, v in enumerate(vectors)])
+                                         monkeypatch, faults):
         encoded = collections.Counter()
         dumps = canonical.dumps
 
@@ -1526,7 +1554,7 @@ class TestLongCampaign:
         out = tmp_path / "long"
         log = out / campaign.EVALUATIONS_FILE
 
-        def drive(resume, expect):
+        def drive(resume, check):
             ctx = CampaignContext(junction_settings,
                                   CampaignBudget(max_evaluations=self.BATCHES),
                                   seed=5, output_dir=out, resume=resume)
@@ -1534,23 +1562,124 @@ class TestLongCampaign:
                 ctx.evaluate_batch([operators.sample_uniform(ctx.rng,
                                                              ctx.prototype)])
                 if batch % 100 == 0:
-                    assert log.read_bytes() == expect(ctx), batch
+                    check(ctx, log.read_bytes())
             ctx.finished = True
             ctx.checkpoint()
             assert ctx.completed == self.BATCHES
             return ctx
 
-        ctx = drive(False, lambda ctx: canonical.dump_bytes(ctx.records))
+        def a_prefix_within_the_schedule(ctx, data):
+            on_disk = len(canonical.loads(data))
+            assert data == canonical.dump_bytes(ctx.records[:on_disk])
+            assert self._within_the_schedule(ctx.completed, on_disk), \
+                (ctx.completed, on_disk)
+
+        ctx = drive(False, a_prefix_within_the_schedule)
         finished = log.read_bytes()
         assert finished == canonical.dump_bytes(ctx.records)
         assert encoded == {i: 1 for i in range(self.BATCHES)}
 
+        def untouched(ctx, data):
+            assert data == finished, ctx.completed
+
         # the replay leaves the file alone, then encodes each entry once
         encoded.clear()
-        resumed = drive(True, lambda ctx: finished)
+        resumed = drive(True, untouched)
         assert log.read_bytes() == finished
         assert resumed.records == ctx.records
         assert encoded == {i: 1 for i in range(self.BATCHES)}
+
+    def test_the_log_is_written_on_the_evaluation_schedule(
+            self, junction_settings, tmp_path, monkeypatch, faults):
+        """Batches of one write the log after each of the first nine, then
+        once the records off the disk reach an eighth of those on it, at
+        most 32 apart, and when the budget is spent."""
+        writes = []  # entries in each evaluations.json written
+        atomic_write = campaign._atomic_write
+
+        def counted(path, data):
+            if path.name == campaign.EVALUATIONS_FILE:
+                writes.append(len(canonical.loads(bytes(data))))
+            atomic_write(path, data)
+
+        monkeypatch.setattr(campaign, "_atomic_write", counted)
+        budget = 400
+        ctx = CampaignContext(junction_settings,
+                              CampaignBudget(max_evaluations=budget), seed=5,
+                              output_dir=tmp_path)
+        for _ in range(budget):
+            ctx.evaluate_batch([operators.sample_uniform(ctx.rng,
+                                                         ctx.prototype)])
+        expected = [0]
+        while expected[-1] < budget:
+            gap = min(32, max(1, -(-expected[-1] // 8)))
+            expected.append(min(budget, expected[-1] + gap))
+        assert writes == expected[1:]
+        assert writes[:15] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 17,
+                               20, 23]
+        # past 256 on disk the gap stops growing; 400 is the budget's write
+        assert writes[-6:] == [250, 282, 314, 346, 378, 400]
+        # a log already on disk is not written again, the state file is
+        ctx.finished = True
+        ctx.checkpoint()
+        assert len(writes) == len(expected) - 1
+        state = canonical.loads(
+            (tmp_path / campaign.STATE_FILE).read_bytes())
+        assert state["finished"] is True and state["completed"] == budget
+
+    def test_a_stop_request_writes_what_the_schedule_skipped(
+            self, junction_settings, tmp_path, faults):
+        ctx = CampaignContext(junction_settings,
+                              CampaignBudget(max_evaluations=50), seed=5,
+                              output_dir=tmp_path)
+        for _ in range(10):
+            ctx.evaluate_batch([operators.sample_uniform(ctx.rng,
+                                                         ctx.prototype)])
+        assert self._on_disk(tmp_path) == 9
+        ctx.stop_requested = True  # as Ctrl-C does
+        with pytest.raises(BudgetExhausted):
+            ctx.evaluate_batch([operators.sample_uniform(ctx.rng,
+                                                         ctx.prototype)])
+        assert ctx.completed == 10
+        assert (tmp_path / campaign.EVALUATIONS_FILE).read_bytes() == \
+            canonical.dump_bytes(ctx.records)
+
+    def test_a_kill_between_writes_resumes_to_the_same_log(
+            self, junction_settings, tmp_path, faults):
+        def run(out, resume=False):
+            ctx = CampaignContext(junction_settings,
+                                  CampaignBudget(max_evaluations=64), seed=5,
+                                  output_dir=out, resume=resume)
+            run_campaign("random", ctx, {})  # batches of one
+            return (out / campaign.EVALUATIONS_FILE).read_bytes()
+
+        whole = run(tmp_path / "whole")
+        cut_short = 0
+        for killed_at in range(10, 61):
+            out = tmp_path / str(killed_at)
+            faults[killed_at] = CrashAtWrite()
+            with pytest.raises(CrashAtWrite):
+                run(out)
+            on_disk = self._on_disk(out)
+            assert self._within_the_schedule(killed_at, on_disk), killed_at
+            cut_short += on_disk < killed_at
+            assert run(out, resume=True) == whole, killed_at
+        # all but the 13 counts the schedule writes at: 11, 13, ..., 50, 57
+        assert cut_short == 51 - 13
+
+    def test_an_error_between_writes_leaves_every_record_on_disk(
+            self, junction_settings, tmp_path, faults):
+        faults[10] = RuntimeError("the agent failed")
+        ctx = CampaignContext(junction_settings,
+                              CampaignBudget(max_evaluations=64), seed=5,
+                              output_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="the agent failed"):
+            run_campaign("random", ctx, {})
+        assert ctx.completed == 10
+        assert (tmp_path / campaign.EVALUATIONS_FILE).read_bytes() == \
+            canonical.dump_bytes(ctx.records)
+        state = canonical.loads((tmp_path / campaign.STATE_FILE).read_bytes())
+        assert state["completed"] == 10 and state["finished"] is False
 
 
 def _reference_trace_min_distance(recording, calls=None):
