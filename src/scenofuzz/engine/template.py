@@ -47,9 +47,9 @@ def onward_route(lane_map: LaneMap, lane_id: str) -> Route:
     return Route(tuple(seq), path)
 
 
-def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
-    """Lanes off the mission whose onward path crosses it at a sharp angle."""
-    out = []
+def _conflict_routes(lane_map: LaneMap, mission: Route):
+    """``(lane id, onward route)`` of each lane off the mission whose onward
+    path crosses it at a sharp angle, in lane-id order."""
     for lane_id in sorted(lane_map.lanes):
         if lane_id in mission.lane_sequence:
             continue
@@ -61,22 +61,26 @@ def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
         relative = normalize_angle(onward.path.heading_at(s_self)
                                    - mission.path.heading_at(s_mission))
         if abs(relative) > CROSSING_ANGLE:
-            out.append(lane_id)
-    return out
+            yield lane_id, onward
+
+
+def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
+    """Lanes off the mission whose onward path crosses it at a sharp angle."""
+    return [lane_id for lane_id, _ in _conflict_routes(lane_map, mission)]
 
 
 def build_template(lane_map: LaneMap, mission_spec: MissionSpec
                    ) -> ScenarioConfig:
     """Template scenario: the skeleton search mutates.
 
-    One NPC per conflict lane, driving that lane's onward path at a uniform
-    default speed with no spawn delay.
+    One NPC per lane of ``conflict_lanes``, driving that lane's onward path
+    at a uniform default speed with no spawn delay.
     """
     mission = route(lane_map, mission_spec.start_lane_id,
                     mission_spec.end_lane_id)
     npcs = []
-    for i, lane_id in enumerate(conflict_lanes(lane_map, mission), start=1):
-        onward = onward_route(lane_map, lane_id)
+    for i, (_, onward) in enumerate(_conflict_routes(lane_map, mission),
+                                    start=1):
         waypoints = tuple(sample_route(onward, WAYPOINT_SPACING))
         npcs.append(NpcSpec(
             actor_id=f"npc_{i}",

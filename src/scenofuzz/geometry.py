@@ -14,6 +14,7 @@ from typing import Sequence
 TWO_PI = 2.0 * math.pi
 MIN_SPACING = 1e-3  # m; least distance between consecutive polyline points
 SAMPLE_STEP = 0.5   # m; Polyline.min_distance_to's sampling interval
+COARSE_STRIDE = 16  # samples; min_distance_to's first pass takes every 16th
 # m; more than the rounding error of a distance between lane-scale points, so
 # a search may drop a candidate that is farther than its best by this much
 PRUNE_MARGIN = 1e-6
@@ -159,22 +160,30 @@ class Polyline:
         ``other`` changes by no more than the point moves.  After a sample at
         distance ``d`` with the best so far ``best``, each of the next
         ``floor((d - best - PRUNE_MARGIN) / step)`` samples is therefore
-        farther than ``best`` and would not replace it (a tie keeps the
-        earlier sample); ``PRUNE_MARGIN`` covers the rounding of the
-        distances and sample positions.
+        farther than ``best`` and can neither beat nor tie it;
+        ``PRUNE_MARGIN`` covers the rounding of the distances and sample
+        positions.
+
+        A first pass over every ``COARSE_STRIDE``-th sample, pruned by the
+        same rule, finds a near sample to start from, so the in-order pass
+        that follows skips far samples from its start.  That pass replaces
+        the seed with an earlier sample at the same distance, so the first
+        closest sample still wins.
         """
-        best = (math.inf, 0.0, 0.0)
         n = max(2, int(self.length / SAMPLE_STEP) + 1)
         step = self.length / n
-        k = 0
-        while k <= n:
-            s = min(self.length, k * self.length / n)
-            x, y = self.point_at(s)
-            s_o, _, d = other.project(x, y)
-            if d < best[0]:
-                best = (d, s, s_o)
-            slack = d - best[0] - PRUNE_MARGIN
-            k += 1 + (int(slack / step) if slack > 0.0 else 0)
+        best_d, best_k, best = math.inf, 0, (math.inf, 0.0, 0.0)
+        for stride in (COARSE_STRIDE, 1):
+            k = 0
+            while k <= n:
+                s = min(self.length, k * self.length / n)
+                x, y = self.point_at(s)
+                s_o, _, d = other.project(x, y)
+                if d < best_d or (d == best_d and k < best_k):
+                    best_d, best_k, best = d, k, (d, s, s_o)
+                slack = d - best_d - PRUNE_MARGIN
+                k += stride * (1 + (int(slack / step) // stride
+                                    if slack > 0.0 else 0))
         return best
 
     def sub_path(self, s_start: float, s_end: float) -> "Polyline":

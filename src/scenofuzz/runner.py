@@ -21,9 +21,9 @@ from .geometry import Polyline
 from .lanemap import LaneMap, route
 from .scenario import (MAX_BODY_DIM, MAX_COORDINATE, MIN_BODY_DIM,
                        ScenarioConfig, from_cursor, to_document, validate)
-from .simulator import (STEER_MAX, ActorState, ControlCommand, WaypointPolicy,
-                        WorldState, actor_distance, actor_distance_lower_bound,
-                        step_world)
+from .simulator import (BOUND_ROUNDING_MARGIN, STEER_MAX, ActorState,
+                        ControlCommand, WaypointPolicy, WorldState,
+                        actor_distance, actor_distance_lower_bound, step_world)
 
 RECORDING_SCHEMA_VERSION = 2
 
@@ -36,10 +36,6 @@ INVALID_SCENARIO = "InvalidScenario"  # not simulated; see InvalidScenarioError
 
 OUTCOMES = (COLLISION, DESTINATION, TIMEOUT, STUCK, AGENT_TIMEOUT,
             INVALID_SCENARIO)
-
-# a pair is skipped only when its bound clears the contact threshold by more
-# than this (see actor_distance_lower_bound on rounding)
-BOUND_ROUNDING_MARGIN = 1e-9  # m
 
 STOP_SPEED = 0.5  # m/s; below it the ego counts as stopped at the destination
 

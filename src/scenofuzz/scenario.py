@@ -10,8 +10,9 @@ lays out the genes of a template config with the template's own values, and
 template.
 
 ``validate`` checks each actor once, taking its spawn box in the same pass,
-and then measures the boxes pairwise with the simulator's ``obb_distance``:
-scenario imports the simulator, never the reverse.
+and then measures the boxes pairwise with the simulator's ``obb_distance``,
+after the circle bound of ``actor_distance_lower_bound``: scenario imports
+the simulator, never the reverse.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from .canonical import Cursor
 from .geometry import MAX_COORDINATE, MIN_SPACING, Pose, left_normal
 from .lanemap import LaneMap
-from .simulator import obb_distance
+from .simulator import BOUND_ROUNDING_MARGIN, obb_distance
 
 SCHEMA_VERSION = 1
 
@@ -175,10 +176,15 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
         boxes.append((obs.actor_id, obs.pose, obs.body))
 
     # a bad body or a far pose has its own violation, and a flat box has no
-    # distance
-    boxes = [box for box in boxes if _body_ok(box[2]) and _pose_ok(box[1])]
-    for i, (id_a, a, body_a) in enumerate(boxes):
-        for id_b, b, body_b in boxes[i + 1:]:
+    # distance; a pair whose circumscribed circles clear each other by more
+    # than BOUND_ROUNDING_MARGIN cannot touch and is not measured
+    boxes = [(box_id, pose, body, math.hypot(body.length, body.width) / 2.0)
+             for box_id, pose, body in boxes
+             if _body_ok(body) and _pose_ok(pose)]
+    for i, (id_a, a, body_a, ra) in enumerate(boxes):
+        for id_b, b, body_b, rb in boxes[i + 1:]:
+            if math.hypot(a.x - b.x, a.y - b.y) - ra - rb > BOUND_ROUNDING_MARGIN:
+                continue
             if obb_distance(a.x, a.y, a.heading, body_a.length, body_a.width,
                             b.x, b.y, b.heading, body_b.length, body_b.width) <= 0.0:
                 out.append(Violation("InitialOverlap", f"{id_a}/{id_b}",

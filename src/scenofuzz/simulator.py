@@ -381,10 +381,16 @@ def actor_distance(a: ActorState, b: ActorState) -> float:
                         b.x, b.y, b.heading, b.length, b.width)
 
 
+# a test skips a pair only when its circle bound clears the test's distance
+# by more than this; near geometry.MAX_COORDINATE, where a corner rounds by
+# about 1e-9 m, the bound can lie some 5e-9 m above obb_distance
+BOUND_ROUNDING_MARGIN = 1e-6  # m
+
+
 def actor_distance_lower_bound(a: ActorState, b: ActorState) -> float:
     """Cheap lower bound on actor_distance (circumscribed circles); rounding
-    can lift it a few ulps above the distance of two boxes whose corners
-    face each other along the line of centres.
+    can lift it above the distance of two boxes whose corners face each
+    other along the line of centres, by a few ulps of the coordinates.
     """
     ra = math.hypot(a.length, a.width) / 2.0
     rb = math.hypot(b.length, b.width) / 2.0

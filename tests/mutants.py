@@ -134,6 +134,12 @@ MUTANTS = (
            '        raise ValueError("document nested too deeply") from None\n',
            "    return json.loads(text)\n",
            ("tests/test_engine.py", "-k", "too-deep")),
+    # among tied closest samples the first wins, also when the coarse pass
+    # met a later one first
+    Mutant("min-distance-earliest-tie", "src/scenofuzz/geometry.py",
+           "if d < best_d or (d == best_d and k < best_k):",
+           "if d < best_d:",
+           ("tests/test_geometry.py", "-k", "min_distance_ties")),
     # numpy's samplers refuse a range whose upper bound is -0.0
     Mutant("config-signed-zero", "src/scenofuzz/config.py",
            "value = leaf.number() + 0.0",
@@ -146,10 +152,22 @@ MUTANTS = (
            "sys.float_info.max / 2),\n",
            "",
            ("tests/test_config.py", "-k", "out_of_range_values_rejected")),
+    # near MAX_COORDINATE the circle bound of two touching boxes can round
+    # nanometres above their distance
+    Mutant("bound-rounding-far-out", "src/scenofuzz/simulator.py",
+           "BOUND_ROUNDING_MARGIN = 1e-6  # m\n",
+           "BOUND_ROUNDING_MARGIN = 1e-9  # m\n",
+           ("tests/test_runner.py", "-k", "facing_corners")),
     # a far spawn box has its own violation and no overlap to measure
     Mutant("spawn-box-filter", "src/scenofuzz/scenario.py",
-           "_body_ok(box[2]) and _pose_ok(box[1])",
-           "_body_ok(box[2])",
+           "if _body_ok(body) and _pose_ok(pose)]",
+           "if _body_ok(body)]",
+           ("tests/test_scenario.py", "-k", "two_pass_reference")),
+    # a pair whose circle bound rounds a little above zero may still touch,
+    # and one a little below it always may
+    Mutant("spawn-circle-margin", "src/scenofuzz/scenario.py",
+           "ra - rb > BOUND_ROUNDING_MARGIN:",
+           "ra - rb > -BOUND_ROUNDING_MARGIN:",
            ("tests/test_scenario.py", "-k", "two_pass_reference")),
     # samota measures a space whose squared diagonal overflows in a smaller
     # unit

@@ -8,7 +8,8 @@ import pytest
 from oracles import (min_distance_every_sample, project_point_sampled,
                      sample_distances)
 from scenofuzz.engine.template import onward_route
-from scenofuzz.geometry import Polyline, Pose, left_normal, normalize_angle
+from scenofuzz.geometry import (COARSE_STRIDE, Polyline, Pose, left_normal,
+                                normalize_angle)
 
 
 def test_normalize_angle_range():
@@ -281,6 +282,18 @@ def test_min_distance_ties_keep_the_first_sample():
     roof = Polyline([(0, 0), (5, 5), (10, 0)])
     assert roof.min_distance_to(Polyline([(-5, -1), (15, -1)])) == \
         (1.0, 0.0, 5.0)
+
+
+def test_min_distance_ties_off_the_coarse_grid_keep_the_first_sample():
+    # above two flat stretches of other, each holding one sample: the first
+    # is off every COARSE_STRIDE-th sample, the second on it
+    line = Polyline([(0, 0), (40, 0)])
+    other = Polyline([(2.3, -1), (2.6, -1), (9, -5), (15.6, -1), (16, -1)])
+    samples = sample_distances(line, other)
+    ties = [k for k, (d, _, _) in enumerate(samples) if d == 1.0]
+    assert min(d for d, _, _ in samples) == 1.0
+    assert ties[0] % COARSE_STRIDE and not ties[1] % COARSE_STRIDE
+    assert line.min_distance_to(other) == samples[ties[0]]
 
 
 def test_min_distance_equals_every_sample_on_seeded_polylines():

@@ -25,8 +25,9 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               initial_world, mission_end_point, mission_path,
                               read_recording, recording_bytes,
                               recording_path, run_scenario, write_recording)
-from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
-                                ScenarioConfig, flatten, unflatten)
+from scenofuzz.scenario import (MAX_COORDINATE, BodyDims, EgoSpec, NpcSpec,
+                                ObstacleSpec, ScenarioConfig, flatten,
+                                unflatten)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
                                  WaypointPolicy, WorldState, actor_distance,
                                  actor_distance_lower_bound)
@@ -113,10 +114,12 @@ class TestOracles:
         with pytest.raises(ValueError):
             Verdict("Mystery", 0.0)
 
-    def test_contact_at_threshold_between_facing_corners(self):
-        # Boxes placed corner to corner along their diagonal: for some
-        # headings the circle bound rounds a few ulps above the exact
-        # distance, which is still within the threshold.
+    @staticmethod
+    def _check_contacts(x0, steps, lifted_by):
+        """Boxes placed corner to corner along their diagonal from
+        ``(x0, 0)``, each of ``steps`` beyond the threshold apart: there are
+        pairs within the threshold whose circle bound clears it by more than
+        ``lifted_by``, and both contact checks find each of them."""
         threshold = 0.01
         length, width = 4.8, 2.0
         centres = math.hypot(length, width) + threshold
@@ -124,13 +127,13 @@ class TestOracles:
         for step in range(720):
             heading = step * math.pi / 360 - math.pi + 0.001
             diagonal = heading + math.atan2(width, length)
-            for ulps in range(-3, 4):
-                gap = centres + ulps * 2e-16
+            for apart in steps:
+                gap = centres + apart
                 x, y = gap * math.cos(diagonal), gap * math.sin(diagonal)
-                a = ActorState("npc_0", "npc", 0.0, 0.0, heading)
-                b = ActorState("npc_1", "npc", x, y, heading)
+                a = ActorState("npc_0", "npc", x0, 0.0, heading)
+                b = ActorState("npc_1", "npc", x0 + x, y, heading)
                 if actor_distance(a, b) <= threshold < \
-                        actor_distance_lower_bound(a, b):
+                        actor_distance_lower_bound(a, b) - lifted_by:
                     pairs.append((a, b))
         assert len(pairs) >= 5
         for a, b in pairs:
@@ -142,6 +145,17 @@ class TestOracles:
                                    set(), annotations)
             assert annotations == [{"type": "npc_contact", "sim_time": 0.0,
                                     "pair": ["npc_0", "npc_1"]}]
+
+    def test_contact_at_threshold_between_facing_corners(self):
+        # for some headings the circle bound rounds a few ulps above the
+        # exact distance, which is still within the threshold
+        self._check_contacts(0.0, [k * 2e-16 for k in range(-3, 4)], 0.0)
+
+    def test_contact_at_threshold_between_facing_corners_far_out(self):
+        # near MAX_COORDINATE a corner rounds by about 1e-9 m, and the bound
+        # can clear the threshold by nanometres
+        self._check_contacts(MAX_COORDINATE - 30.0,
+                             [k * 1e-9 for k in range(-3, 8)], 1e-9)
 
 
 class TestRunScenario:

@@ -15,11 +15,11 @@ from scenofuzz.engine.template import MissionSpec, build_template
 from scenofuzz.geometry import MIN_SPACING, Pose
 from scenofuzz.lanemap import bundled_map_names, load_bundled_map
 from scenofuzz.runner import RunnerError, run_scenario
-from scenofuzz.scenario import (MAX_COORDINATE, MIN_BODY_DIM, BodyDims,
-                                EgoSpec, MutationSpace, NpcSpec, ObstacleSpec,
-                                ScenarioConfig, flatten, from_cursor,
-                                to_document, unflatten, validate)
-from scenofuzz.simulator import WaypointPolicy
+from scenofuzz.scenario import (MAX_BODY_DIM, MAX_COORDINATE, MIN_BODY_DIM,
+                                BodyDims, EgoSpec, MutationSpace, NpcSpec,
+                                ObstacleSpec, ScenarioConfig, flatten,
+                                from_cursor, to_document, unflatten, validate)
+from scenofuzz.simulator import BOUND_ROUNDING_MARGIN, WaypointPolicy
 
 SPAWN_SEED = 45
 SPAWN_CASES = 2000
@@ -294,6 +294,43 @@ def test_validate_equals_the_two_pass_reference(junction_settings):
     # the set reaches every check the spawn boxes pass through
     assert {"InitialOverlap", "BadBody", "CoordinateOutOfRange",
             "UnknownLane", "StationOutOfRange"} <= seen
+
+
+def test_validate_equals_the_two_pass_reference_on_corner_facing_boxes(
+        chain_map):
+    """Boxes whose corners face each other along the line of centres, from
+    just overlapping to just apart, on the map and near ``MAX_COORDINATE``:
+    their circle bound lies within ``BOUND_ROUNDING_MARGIN`` of zero, where
+    rounding decides whether they touch, and ``validate`` must not skip a
+    pair the reference finds touching."""
+    rng = random.Random(SPAWN_SEED)
+    margin = BOUND_ROUNDING_MARGIN
+    gaps = (-0.5 * margin, -1e-9, 0.0, 1e-9, 2e-9, 4e-9, 8e-9, 0.5 * margin)
+    touching_above_zero = 0
+    for case in range(800):
+        base = (15.0, 80.0) if case % 2 else \
+            (rng.choice((-1.0, 1.0)) * (MAX_COORDINATE - 30.0), 80.0)
+        bodies = []
+        for _ in range(2):
+            length = rng.uniform(MIN_BODY_DIM, MAX_BODY_DIM)
+            bodies.append(BodyDims(length, rng.uniform(MIN_BODY_DIM, length)))
+        (la, wa), (lb, wb) = ((body.length, body.width) for body in bodies)
+        ra, rb = math.hypot(la, wa) / 2.0, math.hypot(lb, wb) / 2.0
+        heading = rng.uniform(-math.pi, math.pi)
+        centres = heading + math.atan2(wa, la)  # through a corner of a
+        gap = ra + rb + rng.choice(gaps)
+        a = Pose(*base, heading)
+        b = Pose(a.x + gap * math.cos(centres), a.y + gap * math.sin(centres),
+                 centres - math.atan2(wb, lb))  # a corner of b faces a's
+        config = _scenario(obstacles=[ObstacleSpec("rock_a", a, bodies[0]),
+                                      ObstacleSpec("rock_b", b, bodies[1])])
+        expected = validate_in_two_passes(config, chain_map)
+        assert validate(config, chain_map) == expected, (case, config)
+        bound = math.hypot(a.x - b.x, a.y - b.y) - ra - rb
+        touching = [v.subject for v in expected] == ["rock_a/rock_b"]
+        touching_above_zero += touching and bound > 0.0
+    # rounding lifts the bound of touching boxes above zero
+    assert touching_above_zero > 10
 
 
 def test_flatten_speeds_only_layout():
