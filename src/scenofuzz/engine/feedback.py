@@ -76,9 +76,8 @@ def trace_min_distance(recording: ScenarioRecording) -> float:
     (bound at or above the best so far), and a pair skipped by either scan
     has a distance no smaller than its bound, so both return the same
     minimum; ranking only makes the cut-off come sooner.  The bound is
-    ``simulator.actor_distance_lower_bound``; where it rounds above a
-    distance (see its docstring), the scans could differ only if another
-    pair's distance fell inside those few ulps.
+    ``simulator.actor_distance_lower_bound``, which is at most the distance
+    for every coordinate within ``geometry.MAX_COORDINATE``.
     """
     pairs = []
     for index, frame in enumerate(recording.frames):

@@ -64,17 +64,13 @@ def _conflict_routes(lane_map: LaneMap, mission: Route):
             yield lane_id, onward
 
 
-def conflict_lanes(lane_map: LaneMap, mission: Route) -> list[str]:
-    """Lanes off the mission whose onward path crosses it at a sharp angle."""
-    return [lane_id for lane_id, _ in _conflict_routes(lane_map, mission)]
-
-
 def build_template(lane_map: LaneMap, mission_spec: MissionSpec
                    ) -> ScenarioConfig:
     """Template scenario: the skeleton search mutates.
 
-    One NPC per lane of ``conflict_lanes``, driving that lane's onward path
-    at a uniform default speed with no spawn delay.
+    One NPC per lane off the mission whose onward path crosses it at a sharp
+    angle, driving that onward path at a uniform default speed with no spawn
+    delay.
     """
     mission = route(lane_map, mission_spec.start_lane_id,
                     mission_spec.end_lane_id)

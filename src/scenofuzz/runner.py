@@ -21,9 +21,9 @@ from .geometry import Polyline
 from .lanemap import LaneMap, route
 from .scenario import (MAX_BODY_DIM, MAX_COORDINATE, MIN_BODY_DIM,
                        ScenarioConfig, from_cursor, to_document, validate)
-from .simulator import (BOUND_ROUNDING_MARGIN, STEER_MAX, ActorState,
-                        ControlCommand, WaypointPolicy, WorldState,
-                        actor_distance, actor_distance_lower_bound, step_world)
+from .simulator import (STEER_MAX, ActorState, ControlCommand,
+                        WaypointPolicy, WorldState, actor_distance,
+                        actor_distance_lower_bound, step_world)
 
 RECORDING_SCHEMA_VERSION = 2
 
@@ -109,7 +109,7 @@ def check_collision(world: WorldState, threshold: float):
 
     The ego is ``world.actors[0]``; a world without the ego first raises
     ``ValueError``.  A pair whose ``actor_distance_lower_bound`` clears the
-    threshold by more than ``BOUND_ROUNDING_MARGIN`` is skipped unmeasured.
+    threshold is skipped unmeasured.
     """
     actors = iter(world.actors)
     ego = next(actors, None)
@@ -117,9 +117,8 @@ def check_collision(world: WorldState, threshold: float):
         found = repr(ego.actor_id) if ego is not None else "no actors"
         raise ValueError(f"expected the ego first, got {found}")
     best = None
-    skip_above = threshold + BOUND_ROUNDING_MARGIN
     for other in actors:
-        if actor_distance_lower_bound(ego, other) > skip_above:
+        if actor_distance_lower_bound(ego, other) > threshold:
             continue
         d = actor_distance(ego, other)
         if d <= threshold and (best is None or d < best[1]):
@@ -276,13 +275,12 @@ def _check_reply(control: ControlMessage, t: float) -> None:
 def _annotate_npc_contacts(world: WorldState, threshold: float,
                            seen: set, annotations: list) -> None:
     npcs = [a for a in world.actors if a.kind == "npc"]
-    skip_above = threshold + BOUND_ROUNDING_MARGIN
     for i in range(len(npcs)):
         for j in range(i + 1, len(npcs)):
             pair = (npcs[i].actor_id, npcs[j].actor_id)
             if pair in seen:
                 continue
-            if actor_distance_lower_bound(npcs[i], npcs[j]) > skip_above:
+            if actor_distance_lower_bound(npcs[i], npcs[j]) > threshold:
                 continue
             if actor_distance(npcs[i], npcs[j]) <= threshold:
                 seen.add(pair)

@@ -10,9 +10,9 @@ lays out the genes of a template config with the template's own values, and
 template.
 
 ``validate`` checks each actor once, taking its spawn box in the same pass,
-and then measures the boxes pairwise with the simulator's ``obb_distance``,
-after the circle bound of ``actor_distance_lower_bound``: scenario imports
-the simulator, never the reverse.
+and then measures the boxes pairwise as simulator ``ActorState``s, with the
+simulator's ``actor_distance`` after its ``actor_distance_lower_bound``:
+scenario imports the simulator, never the reverse.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from .canonical import Cursor
 from .geometry import MAX_COORDINATE, MIN_SPACING, Pose, left_normal
 from .lanemap import LaneMap
-from .simulator import BOUND_ROUNDING_MARGIN, obb_distance
+from .simulator import ActorState, actor_distance, actor_distance_lower_bound
 
 SCHEMA_VERSION = 1
 
@@ -176,18 +176,17 @@ def validate(config: ScenarioConfig, lane_map: LaneMap) -> list[Violation]:
         boxes.append((obs.actor_id, obs.pose, obs.body))
 
     # a bad body or a far pose has its own violation, and a flat box has no
-    # distance; a pair whose circumscribed circles clear each other by more
-    # than BOUND_ROUNDING_MARGIN cannot touch and is not measured
-    boxes = [(box_id, pose, body, math.hypot(body.length, body.width) / 2.0)
-             for box_id, pose, body in boxes
-             if _body_ok(body) and _pose_ok(pose)]
-    for i, (id_a, a, body_a, ra) in enumerate(boxes):
-        for id_b, b, body_b, rb in boxes[i + 1:]:
-            if math.hypot(a.x - b.x, a.y - b.y) - ra - rb > BOUND_ROUNDING_MARGIN:
-                continue
-            if obb_distance(a.x, a.y, a.heading, body_a.length, body_a.width,
-                            b.x, b.y, b.heading, body_b.length, body_b.width) <= 0.0:
-                out.append(Violation("InitialOverlap", f"{id_a}/{id_b}",
+    # distance
+    spawned = [ActorState(box_id, "static", pose.x, pose.y, pose.heading,
+                          length=body.length, width=body.width)
+               for box_id, pose, body in boxes
+               if _body_ok(body) and _pose_ok(pose)]
+    for i, a in enumerate(spawned):
+        for b in spawned[i + 1:]:
+            if actor_distance_lower_bound(a, b) <= 0.0 and \
+                    actor_distance(a, b) <= 0.0:
+                out.append(Violation("InitialOverlap",
+                                     f"{a.actor_id}/{b.actor_id}",
                                      "actors overlap at spawn"))
     return out
 

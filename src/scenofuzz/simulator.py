@@ -5,7 +5,8 @@ state updates read the pre-step snapshot, so actor iteration order can never
 change a step's outcome.  The ego and every NPC share one vehicle, fixed in the
 module constants ``WHEELBASE``, ``A_MAX``, ``B_MAX``, ``DRAG``, ``V_MAX`` and
 ``STEER_MAX``.  The module imports no package module but ``geometry``, so
-``scenario`` can import its ``obb_distance`` to measure spawn overlaps.
+``scenario`` can import its ``ActorState`` and distances to measure spawn
+overlaps.
 
 The value objects ``ActorState`` and ``ControlCommand`` are validated once, in
 their ``__init__``, and stored straight into the instance.  A heading that is
@@ -381,20 +382,23 @@ def actor_distance(a: ActorState, b: ActorState) -> float:
                         b.x, b.y, b.heading, b.length, b.width)
 
 
-# a test skips a pair only when its circle bound clears the test's distance
-# by more than this; near geometry.MAX_COORDINATE, where a corner rounds by
-# about 1e-9 m, the bound can lie some 5e-9 m above obb_distance
+# the circle gap of two boxes whose corners face each other along the line
+# of centres rounds above obb_distance, by up to some 5e-9 m near
+# geometry.MAX_COORDINATE, where a corner rounds by about 1e-9 m; the bound
+# subtracts this to stay below it
 BOUND_ROUNDING_MARGIN = 1e-6  # m
 
 
 def actor_distance_lower_bound(a: ActorState, b: ActorState) -> float:
-    """Cheap lower bound on actor_distance (circumscribed circles); rounding
-    can lift it above the distance of two boxes whose corners face each
-    other along the line of centres, by a few ulps of the coordinates.
+    """Cheap lower bound on actor_distance: the gap between the boxes'
+    circumscribed circles less ``BOUND_ROUNDING_MARGIN``, so that it is at
+    most the distance for every coordinate within
+    ``geometry.MAX_COORDINATE``; a test may skip unmeasured a pair whose
+    bound clears the distance it tests for.
     """
     ra = math.hypot(a.length, a.width) / 2.0
     rb = math.hypot(b.length, b.width) / 2.0
-    return math.hypot(a.x - b.x, a.y - b.y) - ra - rb
+    return math.hypot(a.x - b.x, a.y - b.y) - (ra + rb + BOUND_ROUNDING_MARGIN)
 
 
 # ---------------------------------------------------------------------------

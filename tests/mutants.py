@@ -163,12 +163,13 @@ MUTANTS = (
            "if _body_ok(body) and _pose_ok(pose)]",
            "if _body_ok(body)]",
            ("tests/test_scenario.py", "-k", "two_pass_reference")),
-    # a pair whose circle bound rounds a little above zero may still touch,
-    # and one a little below it always may
-    Mutant("spawn-circle-margin", "src/scenofuzz/scenario.py",
-           "ra - rb > BOUND_ROUNDING_MARGIN:",
-           "ra - rb > -BOUND_ROUNDING_MARGIN:",
-           ("tests/test_scenario.py", "-k", "two_pass_reference")),
+    # the circle gap of two corner-facing boxes rounds above their distance,
+    # so the bound is a bound only with its margin taken off
+    Mutant("bound-margin", "src/scenofuzz/simulator.py",
+           "(ra + rb + BOUND_ROUNDING_MARGIN)",
+           "(ra + rb)",
+           ("tests/test_runner.py", "tests/test_engine.py", "-k",
+            "facing_corners or far_out_circle_gap")),
     # samota measures a space whose squared diagonal overflows in a smaller
     # unit
     Mutant("samota-unit", "src/scenofuzz/engine/samota.py",

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from facing_corners import (FAR_OUT, FAR_OUT_STEPS, circle_gap,
+                            facing_corner_pairs)
 from oracles import (distinct_scenarios, min_distance_every_sample,
                      recording_document, sample_distances)
 from synthetic import SyntheticContext, box_prototype, plateau, sphere
@@ -22,7 +24,7 @@ from scenofuzz import bridge, canonical
 from scenofuzz.bridge import InProcessSession, ReferenceEgoAgent
 from scenofuzz.config import build_execution, load_config
 from scenofuzz.engine import (avfuzzer, campaign, feedback, operators,
-                              random_search, samota)
+                              random_search, samota, template)
 from scenofuzz.engine.campaign import (AgentSettings, BudgetExhausted,
                                        CampaignContext, CampaignError,
                                        ExecutionSettings, CampaignBudget,
@@ -34,7 +36,7 @@ from scenofuzz.engine.feedback import (
 from scenofuzz.engine.samota import IdwSurrogate
 from scenofuzz.engine.template import (CONFLICT_DISTANCE, CROSSING_ANGLE,
                                        MissionSpec, build_template,
-                                       conflict_lanes, onward_route)
+                                       onward_route)
 from scenofuzz.geometry import Polyline, normalize_angle
 from scenofuzz.lanemap import route
 from scenofuzz.runner import (INVALID_SCENARIO, OUTCOMES, Frame,
@@ -44,9 +46,9 @@ from scenofuzz.runner import (INVALID_SCENARIO, OUTCOMES, Frame,
 from scenofuzz.scenario import (EgoSpec, Gene, MutationSpace,
                                 ParameterVector, ScenarioConfig, flatten,
                                 unflatten, validate)
-from scenofuzz.simulator import (A_MAX, STEER_MAX, WHEELBASE, ActorState,
-                                 ControlCommand, actor_distance,
-                                 actor_distance_lower_bound)
+from scenofuzz.simulator import (A_MAX, BOUND_ROUNDING_MARGIN, STEER_MAX,
+                                 WHEELBASE, ActorState, ControlCommand,
+                                 actor_distance, actor_distance_lower_bound)
 
 
 def ego_state(x=0.0, y=0.0, heading=0.0, speed=8.0, accel=0.0):
@@ -652,7 +654,8 @@ class TestSurrogate:
 
 
 def every_sample_conflict_lanes(lane_map, mission):
-    """``conflict_lanes`` without the box check, projecting every sample."""
+    """The lanes of ``template._conflict_routes`` without the box check,
+    projecting every sample."""
     out = []
     for lane_id in sorted(lane_map.lanes):
         if lane_id in mission.lane_sequence:
@@ -672,13 +675,16 @@ def every_sample_conflict_lanes(lane_map, mission):
 class TestTemplate:
     def test_junction_conflict_lanes(self, junction_map):
         mission = route(junction_map, "lane_31", "lane_15")
-        assert conflict_lanes(junction_map, mission) == ["lane_20", "lane_21"]
+        assert [lane for lane, _ in
+                template._conflict_routes(junction_map, mission)] == \
+            ["lane_20", "lane_21"]
 
     def test_conflict_lanes_equal_every_sample_reference(
             self, bundled_missions):
         assert len(bundled_missions) == 32
         for lane_map, mission in bundled_missions:
-            assert conflict_lanes(lane_map, mission) == \
+            assert [lane for lane, _ in
+                    template._conflict_routes(lane_map, mission)] == \
                 every_sample_conflict_lanes(lane_map, mission), \
                 (lane_map.name, mission.lane_sequence)
 
@@ -699,7 +705,9 @@ class TestTemplate:
 
         monkeypatch.setattr(Polyline, "min_distance_to", counted_min_distance)
         monkeypatch.setattr(Polyline, "project", counted_project)
-        assert conflict_lanes(junction_map, mission) == ["lane_20", "lane_21"]
+        assert [lane for lane, _ in
+                template._conflict_routes(junction_map, mission)] == \
+            ["lane_20", "lane_21"]
         monkeypatch.undo()
         near = [onward_route(junction_map, lane_id).path
                 for lane_id in ("lane_11", "lane_16", "lane_20", "lane_21",
@@ -710,7 +718,8 @@ class TestTemplate:
 
     def test_chain_has_no_conflicts(self, chain_map):
         mission = route(chain_map, "lane_a", "lane_c")
-        assert conflict_lanes(chain_map, mission) == []
+        assert [lane for lane, _ in
+                template._conflict_routes(chain_map, mission)] == []
 
     def test_onward_route_follows_successors(self, junction_map):
         onward = onward_route(junction_map, "lane_20")
@@ -1768,7 +1777,7 @@ class TestTraceMinDistanceReference:
         ego = ego_state()
         a = ActorState("a", "static", 10.0, 0.0, 0.0)
         best = actor_distance(ego, a)
-        y = best + 5.2
+        y = best + 5.2 + BOUND_ROUNDING_MARGIN
         for _ in range(64):
             b = ActorState("b", "static", 0.0, y, 0.5)
             bound = actor_distance_lower_bound(ego, b)
@@ -1784,6 +1793,23 @@ class TestTraceMinDistanceReference:
         assert trace_min_distance(rec) == \
             _reference_trace_min_distance(rec, reference_calls) == best
         assert calls == [a] and len(reference_calls) == 1
+
+    def test_a_far_out_circle_gap_above_the_distance(self):
+        # near MAX_COORDINATE the circle gap of two corner-facing boxes
+        # rounds nanometres above their distance; a box ahead of the ego at
+        # a distance between the two must not end the ranked scan before
+        # the corner-facing NPC is measured
+        a, npc = max(facing_corner_pairs(FAR_OUT, FAR_OUT_STEPS),
+                     key=lambda pair: circle_gap(*pair) - actor_distance(*pair))
+        near, gap = actor_distance(a, npc), circle_gap(a, npc)
+        ego = ActorState("ego", "ego", a.x, a.y, a.heading)
+        ahead = a.length + (near + gap) / 2.0
+        box = ActorState("box", "static", a.x + ahead * math.cos(a.heading),
+                         a.y + ahead * math.sin(a.heading), a.heading)
+        assert near < actor_distance(ego, box) < gap
+        rec = recording_of([[ego, npc], [ego, box]])
+        assert trace_min_distance(rec).hex() == \
+            _reference_trace_min_distance(rec).hex() == near.hex()
 
     def test_seeded_recordings(self, monkeypatch):
         # positions on a coarse grid and four headings make equal bounds and

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from facing_corners import (FAR_OUT, FAR_OUT_STEPS, THRESHOLD, circle_gap,
+                            facing_corner_pairs)
 from oracles import recording_document
 from oracles import run_scenario as reference_run_scenario
 from scenofuzz import bridge, canonical
@@ -25,9 +27,8 @@ from scenofuzz.runner import (AGENT_TIMEOUT, COLLISION, DESTINATION, STUCK,
                               initial_world, mission_end_point, mission_path,
                               read_recording, recording_bytes,
                               recording_path, run_scenario, write_recording)
-from scenofuzz.scenario import (MAX_COORDINATE, BodyDims, EgoSpec, NpcSpec,
-                                ObstacleSpec, ScenarioConfig, flatten,
-                                unflatten)
+from scenofuzz.scenario import (BodyDims, EgoSpec, NpcSpec, ObstacleSpec,
+                                ScenarioConfig, flatten, unflatten)
 from scenofuzz.simulator import (BRAKE_COMMAND, ActorState, ControlCommand,
                                  WaypointPolicy, WorldState, actor_distance,
                                  actor_distance_lower_bound)
@@ -118,44 +119,33 @@ class TestOracles:
     def _check_contacts(x0, steps, lifted_by):
         """Boxes placed corner to corner along their diagonal from
         ``(x0, 0)``, each of ``steps`` beyond the threshold apart: there are
-        pairs within the threshold whose circle bound clears it by more than
-        ``lifted_by``, and both contact checks find each of them."""
-        threshold = 0.01
-        length, width = 4.8, 2.0
-        centres = math.hypot(length, width) + threshold
-        pairs = []
-        for step in range(720):
-            heading = step * math.pi / 360 - math.pi + 0.001
-            diagonal = heading + math.atan2(width, length)
-            for apart in steps:
-                gap = centres + apart
-                x, y = gap * math.cos(diagonal), gap * math.sin(diagonal)
-                a = ActorState("npc_0", "npc", x0, 0.0, heading)
-                b = ActorState("npc_1", "npc", x0 + x, y, heading)
-                if actor_distance(a, b) <= threshold < \
-                        actor_distance_lower_bound(a, b) - lifted_by:
-                    pairs.append((a, b))
+        pairs within the threshold whose circle gap clears it by more than
+        ``lifted_by``, their bound is at most their distance, and both
+        contact checks find each of them."""
+        pairs = [(a, b) for a, b in facing_corner_pairs(x0, steps)
+                 if actor_distance(a, b) <= THRESHOLD
+                 < circle_gap(a, b) - lifted_by]
         assert len(pairs) >= 5
         for a, b in pairs:
+            assert actor_distance_lower_bound(a, b) <= actor_distance(a, b)
             ego = ActorState("ego", "ego", a.x, a.y, a.heading)
-            hit = check_collision(WorldState(0.0, (ego, b)), threshold)
+            hit = check_collision(WorldState(0.0, (ego, b)), THRESHOLD)
             assert hit == (("ego", "npc_1"), actor_distance(ego, b))
             annotations = []
-            _annotate_npc_contacts(WorldState(0.0, (a, b)), threshold,
+            _annotate_npc_contacts(WorldState(0.0, (a, b)), THRESHOLD,
                                    set(), annotations)
             assert annotations == [{"type": "npc_contact", "sim_time": 0.0,
                                     "pair": ["npc_0", "npc_1"]}]
 
     def test_contact_at_threshold_between_facing_corners(self):
-        # for some headings the circle bound rounds a few ulps above the
+        # for some headings the circle gap rounds a few ulps above the
         # exact distance, which is still within the threshold
         self._check_contacts(0.0, [k * 2e-16 for k in range(-3, 4)], 0.0)
 
     def test_contact_at_threshold_between_facing_corners_far_out(self):
-        # near MAX_COORDINATE a corner rounds by about 1e-9 m, and the bound
-        # can clear the threshold by nanometres
-        self._check_contacts(MAX_COORDINATE - 30.0,
-                             [k * 1e-9 for k in range(-3, 8)], 1e-9)
+        # near MAX_COORDINATE the circle gap can clear the threshold by
+        # nanometres
+        self._check_contacts(FAR_OUT, FAR_OUT_STEPS, 1e-9)
 
 
 class TestRunScenario:

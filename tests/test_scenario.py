@@ -300,7 +300,7 @@ def test_validate_equals_the_two_pass_reference_on_corner_facing_boxes(
         chain_map):
     """Boxes whose corners face each other along the line of centres, from
     just overlapping to just apart, on the map and near ``MAX_COORDINATE``:
-    their circle bound lies within ``BOUND_ROUNDING_MARGIN`` of zero, where
+    their circle gap lies within ``BOUND_ROUNDING_MARGIN`` of zero, where
     rounding decides whether they touch, and ``validate`` must not skip a
     pair the reference finds touching."""
     rng = random.Random(SPAWN_SEED)
@@ -326,10 +326,10 @@ def test_validate_equals_the_two_pass_reference_on_corner_facing_boxes(
                                       ObstacleSpec("rock_b", b, bodies[1])])
         expected = validate_in_two_passes(config, chain_map)
         assert validate(config, chain_map) == expected, (case, config)
-        bound = math.hypot(a.x - b.x, a.y - b.y) - ra - rb
+        circle_gap = math.hypot(a.x - b.x, a.y - b.y) - ra - rb
         touching = [v.subject for v in expected] == ["rock_a/rock_b"]
-        touching_above_zero += touching and bound > 0.0
-    # rounding lifts the bound of touching boxes above zero
+        touching_above_zero += touching and circle_gap > 0.0
+    # rounding lifts the circle gap of touching boxes above zero
     assert touching_above_zero > 10
 
 

@@ -70,23 +70,38 @@ def test_every_module_name_is_used(path):
     assert not unread, f"assigned, never read: {sorted(unread)}"
 
 
+def _referenced(nodes) -> set[str]:
+    """The names code under ``nodes`` reads, takes as an attribute or
+    imports; a comment or a docstring names nothing here."""
+    names = set()
+    for node in nodes:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                names.add(inner.id)
+            elif isinstance(inner, ast.Attribute):
+                names.add(inner.attr)
+            elif isinstance(inner, (ast.Import, ast.ImportFrom)):
+                names.update(a.name.split(".")[-1] for a in inner.names)
+    return names
+
+
 def _unnamed(texts: dict[str, str], documents: str) -> list[str]:
     """``module:name`` of each public top-level ``def`` or ``class`` that no
-    text names outside its own definition: not the rest of its module, not
-    another module, and not ``documents``."""
+    code of the package refers to outside its own definition, and that
+    ``documents`` do not name."""
+    trees = {module: ast.parse(text) for module, text in texts.items()}
     unnamed = []
-    for module, text in texts.items():
-        lines = text.splitlines(keepends=True)
-        others = [documents] + [t for m, t in texts.items() if m != module]
-        for node in ast.parse(text).body:
+    for module, tree in trees.items():
+        elsewhere = _referenced(t for m, t in trees.items() if m != module)
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)) \
                     or node.name.startswith("_"):
                 continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            rest = "".join(lines[:start - 1] + lines[node.end_lineno:])
+            rest = _referenced(n for n in tree.body if n is not node)
             word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(t) for t in [rest] + others):
+            if node.name not in rest | elsewhere \
+                    and not word.search(documents):
                 unnamed.append(f"{module}:{node.name}")
     return unnamed
 
@@ -191,9 +206,11 @@ def test_the_checks_see_what_they_look_for():
     texts = {"a.py": "def used():\n    return kept()\n\n"
                      "def kept():\n    return kept\n\n"
                      "@cache\ndef only_tests():\n    return only_tests\n\n"
+                     "def in_prose():\n    pass\n\n"
                      "class Told:\n    pass\n\ndef _private():\n    pass\n",
-             "b.py": "from a import used\n"}
-    assert _unnamed(texts, "see Told") == ["a.py:only_tests"]
+             "b.py": '"""in_prose is named in a docstring."""\n'
+                     "from a import used\n# and in_prose in a comment\n"}
+    assert _unnamed(texts, "see Told") == ["a.py:only_tests", "a.py:in_prose"]
     assert _function_imports(ast.parse(
         "import os\ndef f():\n    import json\n"
         "class C:\n    def g(self):\n        from . import x\n")) == \
