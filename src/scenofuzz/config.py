@@ -82,11 +82,10 @@ REQUIRED_KEYS = (
     "testing_engine.algorithm.name",
 )
 
-# A null default makes a key an optional string, except for these two, whose
+# A null default makes a key an optional string, except for these, whose
 # values are integers when set.
 OPTIONAL_INTEGER_KEYS = (
     "testing_engine.algorithm.parameters.max_evaluations",
-    "testing_engine.algorithm.parameters.batch_size",
 )
 
 # the most simulation steps, duration_limit / dt, a scenario may take; every
@@ -119,8 +118,6 @@ BOUNDS = (
      MAX_POPULATION),
     ("testing_engine.algorithm.parameters.run_hour", ">", 0),
     ("testing_engine.algorithm.parameters.local_run_hour", ">=", 0),
-    ("testing_engine.algorithm.parameters.batch_size", ">=", 1),
-    ("testing_engine.algorithm.parameters.batch_size", "<=", MAX_POPULATION),
     ("testing_engine.algorithm.parameters.pm", ">=", 0),
     ("testing_engine.algorithm.parameters.pm", "<=", 1),
     ("testing_engine.algorithm.parameters.pc", ">=", 0),

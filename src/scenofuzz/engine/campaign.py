@@ -43,19 +43,20 @@ empty memo that replayed entries do not fill.
 
 Checkpoint contract: every ``checkpoint()`` leaves ``evaluations.json`` a
 complete snapshot of the log, replaced atomically, so it can be read at any
-time while the campaign runs.  While a resume is still replaying, the files
-are not rewritten: they already hold every entry, including those not yet
-replayed.  Each record is encoded once, at the first checkpoint that writes
-it, and appended to the text of the log so far, which is byte for byte the
-canonical encoding of the whole log.  ``evaluate_batch`` checkpoints only
-once the records not yet on disk reach one ``CHECKPOINT_SHARE``-th of those
-on disk or ``CHECKPOINT_GAP`` of them, the budget is spent, or a stop was
-requested.  The share and the gap count evaluations, not seconds, so the
-writes of a campaign repeat from run to run.  ``run_campaign`` also
-checkpoints when the algorithm raises an ``Exception``, so only a kill (a
-``BaseException``, such as a second Ctrl-C) can lose records: fewer than
-one ``CHECKPOINT_SHARE``-th of those on disk and fewer than
-``CHECKPOINT_GAP``, which a resume simulates again to the same bytes.
+time while the campaign runs.  Each record is encoded once, at the first
+checkpoint that writes it, and appended to the bytes of the log file; this
+holds across resumes.  A resume starts from the bytes it read: the files,
+which hold every entry, are not rewritten while it replays, and the
+checkpoints of a finished campaign's resume write only the state file.
+``evaluate_batch`` checkpoints only once the records not yet on disk reach
+one ``CHECKPOINT_SHARE``-th of those on disk or ``CHECKPOINT_GAP`` of them,
+the budget is spent, or a stop was requested.  The share and the gap count
+evaluations, not seconds, so the writes of a campaign repeat from run to
+run.  ``run_campaign`` also checkpoints when the algorithm raises an
+``Exception``, so only a kill (a ``BaseException``, such as a second Ctrl-C)
+can lose records: fewer than one ``CHECKPOINT_SHARE``-th of those on disk
+and fewer than ``CHECKPOINT_GAP``, which a resume simulates again to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ RECORDINGS_DIR = "recordings"
 # params[name]; algorithm_registry() fills in those a caller leaves out.
 ALGORITHM_DEFAULTS = dict(
     run_hour=2.0, local_run_hour=0.5, population_size=4, pm=0.6, pc=0.6,
-    archive_threshold=0.2, surrogate_pool=20, max_evaluations=None,
-    batch_size=None)
+    archive_threshold=0.2, surrogate_pool=20, max_evaluations=None)
 
 SCENARIO_MEMO_LIMIT = 1024  # distinct scenarios held; the oldest goes first
 
@@ -197,7 +197,8 @@ class CampaignContext:
         # scenario key -> _Outcome of its first run; the calling thread alone
         # reads and writes it
         self._memo: dict[str, _Outcome] = {}
-        # canonical text of records[:_logged], grown in place by checkpoint()
+        # the bytes of evaluations.json, its first _logged entries, grown in
+        # place by checkpoint()
         self._log_text = bytearray(b"[]")
         self._logged = 0
         self._wall_prior = 0.0
@@ -238,7 +239,7 @@ class CampaignContext:
         log_path = self.output_dir / EVALUATIONS_FILE
         if not log_path.exists():
             return
-        entries = _read_checkpoint_file(log_path)
+        text, entries = _read_checkpoint_file(log_path)
         if not isinstance(entries, list):
             raise CampaignError(f"{log_path}: expected a JSON array")
         for i, entry in enumerate(Cursor(entries, ValueError).items()):
@@ -248,9 +249,11 @@ class CampaignContext:
                 raise CampaignError(f"{log_path}: entry {i} is not an "
                                     f"evaluation record: {exc}") from None
             self._replay.append((entry.doc, feedback))
+        self._log_text = bytearray(text.rstrip(b" \t\n\r"))  # "]" last
+        self._logged = len(entries)
         state_path = self.output_dir / STATE_FILE
         if state_path.exists():
-            state = Cursor(_read_checkpoint_file(state_path), ValueError)
+            state = Cursor(_read_checkpoint_file(state_path)[1], ValueError)
             try:
                 state.keys({"wall_consumed"}, closed=False)
                 self._wall_prior = state["wall_consumed"].number(0.0)
@@ -274,7 +277,7 @@ class CampaignContext:
 
     def checkpoint(self) -> None:
         # While replay entries are queued the files on disk already hold
-        # them all; rewriting them now would drop the ones not yet replayed.
+        # them all; a state written now would count only those replayed.
         if self.output_dir is None or self._replay:
             return
         self.output_dir.mkdir(parents=True, exist_ok=True)
@@ -476,9 +479,10 @@ def _feedback_from_record(entry: Cursor, index: int) -> Feedback:
                     time_of_decision=entry["time_of_decision"].number())
 
 
-def _read_checkpoint_file(path: Path):
+def _read_checkpoint_file(path: Path) -> tuple[bytes, object]:
+    data = path.read_bytes()
     try:
-        return canonical.loads(path.read_bytes())
+        return data, canonical.loads(data)
     except ValueError as exc:  # includes bad UTF-8
         raise CampaignError(f"{path}: unreadable checkpoint: {exc}") from None
 

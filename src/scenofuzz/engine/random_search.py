@@ -6,8 +6,6 @@ from .operators import sample_uniform
 
 
 def run(ctx, params: dict) -> None:
-    batch_size = max(1, params["batch_size"] or ctx.workers)
     while True:
-        batch = [sample_uniform(ctx.rng, ctx.prototype)
-                 for _ in range(batch_size)]
-        ctx.evaluate_batch(batch)
+        ctx.evaluate_batch([sample_uniform(ctx.rng, ctx.prototype)
+                            for _ in range(ctx.workers)])

@@ -204,6 +204,13 @@ MUTANTS = (
            "        ctx.checkpoint()  # every completed evaluation reaches the disk\n",
            "",
            ("tests/test_engine.py", "-k", "error_between_writes")),
+    # a resume counts the entries it read as on disk, so it neither encodes
+    # nor writes them again
+    Mutant("resume-logged-count", "src/scenofuzz/engine/campaign.py",
+           "        self._logged = len(entries)\n",
+           "",
+           ("tests/test_engine.py", "-k",
+            "writes_only_the_state or encoded_once")),
     # a Gaussian step past the largest float
     Mutant("mutation-step-overflow", "src/scenofuzz/engine/operators.py",
            '    with np.errstate(over="ignore"):\n',

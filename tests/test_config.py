@@ -134,7 +134,6 @@ class TestDefaults:
     def test_unset_optional_budgets_stay_absent(self):
         params = parse_config(minimal_doc()).algorithm_params
         assert "max_evaluations" not in params
-        assert "batch_size" not in params
         assert params == {
             "run_hour": 2.0, "local_run_hour": 0.5, "population_size": 4,
             "pm": 0.6, "pc": 0.6, "archive_threshold": 0.2,
@@ -193,7 +192,11 @@ class TestStrictness:
          "fault_ignore_obstacles, type"),
         ("testing_engine.budget", "algorithm, oracle"),
         ("testing_engine.algorithm.parameters.mutation_rate",
-         "archive_threshold, batch_size, local_run_hour, max_evaluations, "
+         "archive_threshold, local_run_hour, max_evaluations, "
+         "pc, pm, population_size, run_hour, surrogate_pool"),
+        # random search batches worker_pool vectors; it has no batch_size
+        ("testing_engine.algorithm.parameters.batch_size",
+         "archive_threshold, local_run_hour, max_evaluations, "
          "pc, pm, population_size, run_hour, surrogate_pool"),
         ("testing_engine.oracle.collision.margin", "threshold"),
     ])
@@ -204,9 +207,10 @@ class TestStrictness:
 
     @pytest.mark.parametrize("key", [
         "system.debg", "scenario.map_name", "testing_engine.algorithm.name",
-        "system", "scenario_runner.parameters.agent"],
+        "system", "scenario_runner.parameters.agent",
+        "testing_engine.algorithm.parameters.batch_size"],
         ids=["misspelt", "required", "required-nested", "section",
-             "nested-section"])
+             "nested-section", "batch-size"])
     def test_override_without_a_default_is_refused(self, key, tmp_path):
         message = f"{key}: not an optional config key, so it cannot be " \
                   "overridden"
@@ -310,8 +314,6 @@ class TestStrictness:
         ("scenario_runner.parameters.worker_pool", "2", "an integer"),
         ("testing_engine.algorithm.parameters.max_evaluations", 2.5,
          "an integer"),
-        ("testing_engine.algorithm.parameters.batch_size", False,
-         "an integer"),
         ("testing_engine.algorithm.parameters.population_size", None,
          "an integer"),
     ])
@@ -349,7 +351,6 @@ class TestStrictness:
         ("testing_engine.algorithm.parameters.run_hour", 0.0),
         ("testing_engine.algorithm.parameters.run_hour", -1),
         ("testing_engine.algorithm.parameters.local_run_hour", -0.5),
-        ("testing_engine.algorithm.parameters.batch_size", 0),
         ("testing_engine.algorithm.parameters.pm", -1),
         ("testing_engine.algorithm.parameters.pm", 1.5),
         ("testing_engine.algorithm.parameters.pc", -0.5),
@@ -414,26 +415,19 @@ class TestStrictness:
             f"testing_engine.algorithm.parameters.{name}": value}))
         assert config.algorithm_params[name] == value
 
-    @pytest.mark.parametrize("key", [
-        "scenario_runner.parameters.worker_pool",
-        "testing_engine.algorithm.parameters.batch_size"])
     @pytest.mark.parametrize("value", [MAX_POPULATION + 1, 10**9, 2**70])
-    def test_batch_and_worker_counts_are_bounded(self, key, value):
-        """random search samples a whole batch, worker_pool vectors when
-        batch_size is unset, before the budget is checked; parsed only."""
+    def test_worker_count_is_bounded(self, value):
+        """random search samples a whole batch of worker_pool vectors before
+        the budget is checked; parsed only."""
+        key = "scenario_runner.parameters.worker_pool"
         with pytest.raises(ConfigError) as err:
             load_config(CONFIG_DIR / "random.yaml", {key: value})
         assert str(err.value) == f"{key}: must be <= {MAX_POPULATION}"
 
-    def test_batch_and_worker_count_bounds_accepted(self):
-        pool = "scenario_runner.parameters.worker_pool"
-        batch = "testing_engine.algorithm.parameters.batch_size"
-        for overrides in ({pool: MAX_POPULATION},
-                          {batch: MAX_POPULATION, pool: 1}):
-            config = load_config(CONFIG_DIR / "random.yaml", overrides)
-            assert config.worker_pool == overrides[pool]
-            assert config.algorithm_params.get("batch_size") == \
-                overrides.get(batch)
+    def test_worker_count_bound_accepted(self):
+        config = load_config(CONFIG_DIR / "random.yaml", {
+            "scenario_runner.parameters.worker_pool": MAX_POPULATION})
+        assert config.worker_pool == MAX_POPULATION
 
     @pytest.mark.parametrize("path,value", [
         ("scenario_runner.parameters.dt", 5e-324),
@@ -593,11 +587,11 @@ class TestLoadConfig:
         path = tmp_path / "merged.yaml"
         path.write_text(MINI_CONFIG.replace(
             "      max_evaluations: 50\n",
-            "      <<: {max_evaluations: 50, batch_size: 2}\n"
+            "      <<: {max_evaluations: 50, population_size: 6}\n"
             "      max_evaluations: 7\n"))
         config = load_config(path)
         assert config.algorithm_params["max_evaluations"] == 7
-        assert config.algorithm_params["batch_size"] == 2
+        assert config.algorithm_params["population_size"] == 6
 
     def test_file_not_utf8_names_the_file(self, loader, tmp_path):
         path = tmp_path / "latin1.yaml"

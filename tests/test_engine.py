@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import json
 import logging
 import math
 import statistics
@@ -1022,10 +1023,32 @@ class TestCampaign:
                               evals=12, output_dir=out, resume=True)
         assert ctx.completed == 12
         assert (out / "evaluations.json").read_bytes() == whole
-        # batches of one: 3 replayed before the interruption and the write
-        # run_campaign makes on the exception, then 7 of the 8 replayed
-        # again, leave the file alone; the 8th rewrites it
-        assert checked_checkpoints["kept"] == 3 + 1 + 7
+        # a replay makes no checkpoint call: the one that left the file
+        # alone is run_campaign's on the exception; the resume's first
+        # write appends the 9th entry
+        assert checked_checkpoints["kept"] == 1
+
+    def test_resuming_a_finished_campaign_writes_only_the_state(
+            self, junction_settings, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        campaign_log(junction_settings, seed=4, evals=6, output_dir=out)
+        log = out / campaign.EVALUATIONS_FILE
+        before = log.read_bytes(), log.stat().st_ino
+        written = []
+        atomic_write = campaign._atomic_write
+
+        def recorded(path, data):
+            written.append(path.name)
+            atomic_write(path, data)
+
+        monkeypatch.setattr(campaign, "_atomic_write", recorded)
+        ctx, _ = campaign_log(junction_settings, seed=4, evals=6,
+                              output_dir=out, resume=True)
+        assert ctx.completed == 6 and ctx.finished
+        # the checkpoints write the state file; run_campaign its report
+        assert set(written) == {campaign.STATE_FILE, campaign.REPORT_FILE}
+        assert written[-1] == campaign.REPORT_FILE
+        assert (log.read_bytes(), log.stat().st_ino) == before
 
     @pytest.mark.parametrize("stop", ["budget", "stop-request"])
     def test_report_of_a_resume_that_stops_during_replay(
@@ -1219,7 +1242,7 @@ class TestCampaign:
                               CampaignBudget(max_evaluations=3),
                               output_dir=out)
         with pytest.raises(BudgetExhausted):
-            random_search.run(ctx, {"batch_size": None})
+            random_search.run(ctx, {})
         state = canonical.loads((out / "campaign.state.json").read_bytes())
         assert state["algorithm"] == "" and state["completed"] == 3
         ctx, _ = campaign_log(junction_settings, evals=6, output_dir=out,
@@ -1591,19 +1614,18 @@ class TestLongCampaign:
         def untouched(ctx, data):
             assert data == finished, ctx.completed
 
-        # the replay leaves the file alone, then encodes each entry once
+        # the resume keeps the bytes it read and encodes no entry again
         encoded.clear()
         resumed = drive(True, untouched)
         assert log.read_bytes() == finished
         assert resumed.records == ctx.records
-        assert encoded == {i: 1 for i in range(self.BATCHES)}
+        assert encoded == {}
 
-    def test_the_log_is_written_on_the_evaluation_schedule(
-            self, junction_settings, tmp_path, monkeypatch, faults):
-        """Batches of one write the log after each of the first nine, then
-        once the records off the disk reach an eighth of those on it, at
-        most 32 apart, and when the budget is spent."""
-        writes = []  # entries in each evaluations.json written
+    @staticmethod
+    def _log_writes(monkeypatch) -> list[int]:
+        """The number of entries of each ``evaluations.json`` written from
+        now on."""
+        writes = []
         atomic_write = campaign._atomic_write
 
         def counted(path, data):
@@ -1612,6 +1634,46 @@ class TestLongCampaign:
             atomic_write(path, data)
 
         monkeypatch.setattr(campaign, "_atomic_write", counted)
+        return writes
+
+    @staticmethod
+    def _run(settings, out, budget, resume=False):
+        ctx = CampaignContext(settings, CampaignBudget(max_evaluations=budget),
+                              seed=5, output_dir=out, resume=resume)
+        run_campaign("random", ctx, {})  # batches of one
+        return ctx
+
+    def test_a_resume_first_writes_the_log_when_it_has_grown(
+            self, junction_settings, tmp_path, monkeypatch, faults):
+        """The 53 entries a resume read count as on disk: the first write
+        after the replay comes an eighth later, at 60."""
+        self._run(junction_settings, tmp_path, 53)
+        writes = self._log_writes(monkeypatch)
+        ctx = self._run(junction_settings, tmp_path, 100, resume=True)
+        assert writes == [60, 68, 77, 87, 98, 100]
+        assert (tmp_path / campaign.EVALUATIONS_FILE).read_bytes() == \
+            canonical.dump_bytes(ctx.records)
+
+    def test_a_resume_appends_to_the_bytes_it_read(
+            self, junction_settings, tmp_path, faults):
+        whole = self._run(junction_settings, tmp_path / "whole", 80).records
+        out = tmp_path / "edited"
+        self._run(junction_settings, out, 53)
+        log = out / campaign.EVALUATIONS_FILE
+        edited = json.dumps(canonical.loads(log.read_bytes()), indent=1) + "\n"
+        log.write_text(edited)
+        self._run(junction_settings, out, 80, resume=True)
+        data = log.read_text()
+        assert canonical.loads(data) == whole
+        kept = edited.rstrip()[:-1]  # all but the closing bracket
+        assert data.startswith(kept) and data[len(kept)] == ","
+
+    def test_the_log_is_written_on_the_evaluation_schedule(
+            self, junction_settings, tmp_path, monkeypatch, faults):
+        """Batches of one write the log after each of the first nine, then
+        once the records off the disk reach an eighth of those on it, at
+        most 32 apart, and when the budget is spent."""
+        writes = self._log_writes(monkeypatch)
         budget = 400
         ctx = CampaignContext(junction_settings,
                               CampaignBudget(max_evaluations=budget), seed=5,
@@ -1656,10 +1718,7 @@ class TestLongCampaign:
     def test_a_kill_between_writes_resumes_to_the_same_log(
             self, junction_settings, tmp_path, faults):
         def run(out, resume=False):
-            ctx = CampaignContext(junction_settings,
-                                  CampaignBudget(max_evaluations=64), seed=5,
-                                  output_dir=out, resume=resume)
-            run_campaign("random", ctx, {})  # batches of one
+            self._run(junction_settings, out, 64, resume)
             return (out / campaign.EVALUATIONS_FILE).read_bytes()
 
         whole = run(tmp_path / "whole")
@@ -1864,6 +1923,24 @@ class TestAlgorithmsOnSyntheticLandscapes:
     def test_algorithms_spend_exactly_the_budget(self, algo):
         ctx = self.run_algo(algo, seed=0, evals=60)
         assert len(ctx.fitness_log) == 60
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_random_search_batches_one_vector_per_worker(self, workers):
+        """Its draws do not depend on how they are batched."""
+        sizes = []
+        ctx = SyntheticContext(box_prototype(6), sphere(self.TARGET),
+                               max_evaluations=10, seed=2, workers=workers)
+        evaluate = ctx.evaluate_batch
+        ctx.evaluate_batch = lambda vectors: sizes.append(len(vectors)) or \
+            evaluate(vectors)
+        with pytest.raises(BudgetExhausted):
+            random_search.run(ctx, {})
+        # the batch that overruns the budget is drawn whole
+        assert sizes == [workers] * (10 // workers + 1)
+        rng = np.random.default_rng(2)
+        assert ctx.fitness_log == [
+            ctx.fn(operators.sample_uniform(rng, ctx.prototype).values)
+            for _ in range(10)]
 
     @pytest.mark.parametrize("algo", ["avfuzzer", "behavexplor", "samota",
                                       "drivefuzz"])
